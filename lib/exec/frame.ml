@@ -4,52 +4,58 @@ type slot = Int_slot of int | Float_slot of int | View_slot of int
 
 type t = { ints : int array; floats : float array; views : View.t option array }
 
+module Smap = Map.Make (String)
+
+type scope = (slot * Ast.typ) Smap.t list
+
+let rec lookup_in scope name =
+  match scope with
+  | [] -> None
+  | names :: rest -> (
+      match Smap.find_opt name names with Some v -> Some v | None -> lookup_in rest name)
+
 module Layout = struct
   type t = {
     mutable n_ints : int;
     mutable n_floats : int;
     mutable n_views : int;
-    mutable scopes : (string, slot * Ast.typ) Hashtbl.t list;
+    mutable scopes : scope;
   }
 
-  let create () = { n_ints = 0; n_floats = 0; n_views = 0; scopes = [ Hashtbl.create 8 ] }
-  let enter_scope t = t.scopes <- Hashtbl.create 8 :: t.scopes
+  let create () = { n_ints = 0; n_floats = 0; n_views = 0; scopes = [ Smap.empty ] }
+  let of_scope scopes = { n_ints = 0; n_floats = 0; n_views = 0; scopes }
+  let enter_scope t = t.scopes <- Smap.empty :: t.scopes
 
   let leave_scope t =
     match t.scopes with
     | [] | [ _ ] -> invalid_arg "Frame.Layout.leave_scope: no scope to leave"
     | _ :: rest -> t.scopes <- rest
 
+  let fresh t loc ty =
+    match ty with
+    | Ast.Tint ->
+        t.n_ints <- t.n_ints + 1;
+        Int_slot (t.n_ints - 1)
+    | Ast.Tdouble ->
+        t.n_floats <- t.n_floats + 1;
+        Float_slot (t.n_floats - 1)
+    | Ast.Tarray _ ->
+        t.n_views <- t.n_views + 1;
+        View_slot (t.n_views - 1)
+    | Ast.Tvoid -> Loc.error loc "void slot"
+
   let declare t loc name ty =
-    let scope = match t.scopes with [] -> assert false | s :: _ -> s in
-    if Hashtbl.mem scope name then Loc.error loc "redeclaration of %s" name;
-    let slot =
-      match ty with
-      | Ast.Tint ->
-          let s = Int_slot t.n_ints in
-          t.n_ints <- t.n_ints + 1;
-          s
-      | Ast.Tdouble ->
-          let s = Float_slot t.n_floats in
-          t.n_floats <- t.n_floats + 1;
-          s
-      | Ast.Tarray _ ->
-          let s = View_slot t.n_views in
-          t.n_views <- t.n_views + 1;
-          s
-      | Ast.Tvoid -> Loc.error loc "void variable %s" name
-    in
-    Hashtbl.replace scope name (slot, ty);
-    slot
+    match t.scopes with
+    | [] -> assert false
+    | names :: rest ->
+        if Smap.mem name names then Loc.error loc "redeclaration of %s" name;
+        if ty = Ast.Tvoid then Loc.error loc "void variable %s" name;
+        let slot = fresh t loc ty in
+        t.scopes <- Smap.add name (slot, ty) names :: rest;
+        slot
 
-  let lookup t name =
-    let rec go = function
-      | [] -> None
-      | scope :: rest -> (
-          match Hashtbl.find_opt scope name with Some v -> Some v | None -> go rest)
-    in
-    go t.scopes
-
+  let lookup t name = lookup_in t.scopes name
+  let scope t = t.scopes
   let int_bank_size t = t.n_ints
   let float_bank_size t = t.n_floats
   let view_bank_size t = t.n_views
@@ -68,7 +74,7 @@ let set_view t slot v =
   | Int_slot _ | Float_slot _ -> invalid_arg "Frame.set_view: not a view slot"
 
 let get_view t i =
-  match t.views.(i) with
+  match Array.unsafe_get t.views i with
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Frame.get_view: unbound view slot %d" i)
 

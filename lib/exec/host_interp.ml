@@ -1,392 +1,132 @@
 open Mgacc_minic
 open Ast
+module Loop_info = Mgacc_analysis.Loop_info
 
 type value = Vint of int | Vfloat of float
 
-type cell = Cint of int ref | Cfloat of float ref | Carray of View.t
-
 type env = {
+  run : run;
+  frame : Frame.t;
+  scope : Frame.scope;  (** the names in force at the pragma *)
+  sequential : Frame.t -> int -> int -> unit;  (** a loop hook's iterations, in place *)
+}
+
+and run = {
   prog : program;
-  mutable scopes : (string, cell) Hashtbl.t list;
   hooks : hooks;
+  code : Kernel_compile.host Lazy.t;
   loop_ids : (Loc.t, int) Hashtbl.t;
-  mutable next_loop_id : int;
 }
 
 and hooks = {
-  on_parallel_loop : env -> Mgacc_analysis.Loop_info.t -> unit;
+  on_parallel_loop : env -> Loop_info.t -> unit;
   on_data_enter : env -> clause list -> unit;
   on_data_exit : env -> clause list -> unit;
   on_update_host : env -> subarray list -> unit;
   on_update_device : env -> subarray list -> unit;
 }
 
-exception Return_exc of value option
-exception Break_exc
-exception Continue_exc
+let no_loop _ _ _ = invalid_arg "Host_interp.run_loop_sequentially: not a parallel-loop hook's env"
 
-let as_int loc = function
-  | Vint n -> n
-  | Vfloat f ->
-      ignore loc;
-      int_of_float f
-
-let as_float = function Vint n -> float_of_int n | Vfloat f -> f
-
-let push env = env.scopes <- Hashtbl.create 8 :: env.scopes
-
-let pop env =
-  match env.scopes with [] -> assert false | _ :: rest -> env.scopes <- rest
-
-let lookup env loc v =
-  let rec go = function
-    | [] -> Loc.error loc "undefined variable %s" v
-    | scope :: rest -> ( match Hashtbl.find_opt scope v with Some c -> c | None -> go rest)
+(* What each directive site does when execution reaches it. *)
+let stager run =
+  let h = run.hooks in
+  let directive scope s inner =
+    let env fr = { run; frame = fr; scope; sequential = no_loop } in
+    match s.sdesc with
+    | Spragma (Ddata clauses, _) ->
+        fun fr ->
+          let env = env fr in
+          h.on_data_enter env clauses;
+          (try inner fr
+           with e ->
+             h.on_data_exit env clauses;
+             raise e);
+          h.on_data_exit env clauses
+    | Spragma (Denter_data clauses, _) ->
+        fun fr ->
+          h.on_data_enter (env fr) clauses;
+          inner fr
+    | Spragma (Dexit_data clauses, _) ->
+        fun fr ->
+          h.on_data_exit (env fr) clauses;
+          inner fr
+    | Spragma (Dupdate_host subs, _) ->
+        fun fr ->
+          h.on_update_host (env fr) subs;
+          inner fr
+    | Spragma (Dupdate_device subs, _) ->
+        fun fr ->
+          h.on_update_device (env fr) subs;
+          inner fr
+    | _ -> assert false
   in
-  go env.scopes
-
-let declare env loc v cell =
-  match env.scopes with
-  | [] -> assert false
-  | scope :: _ ->
-      if Hashtbl.mem scope v then Loc.error loc "redeclaration of %s" v;
-      Hashtbl.replace scope v cell
-
-let rec eval env e : value =
-  match e.edesc with
-  | Int_lit n -> Vint n
-  | Float_lit f -> Vfloat f
-  | Var v -> (
-      match lookup env e.eloc v with
-      | Cint r -> Vint !r
-      | Cfloat r -> Vfloat !r
-      | Carray _ -> Loc.error e.eloc "array %s used as a scalar" v)
-  | Length a -> (
-      match lookup env e.eloc a with
-      | Carray view -> Vint view.View.length
-      | Cint _ | Cfloat _ -> Loc.error e.eloc "__length of non-array %s" a)
-  | Index (a, idx) -> (
-      let i = as_int e.eloc (eval env idx) in
-      match lookup env e.eloc a with
-      | Carray view -> (
-          match view.View.elem with
-          | Eint -> Vint (view.View.get_i i)
-          | Edouble -> Vfloat (view.View.get_f i))
-      | Cint _ | Cfloat _ -> Loc.error e.eloc "indexing non-array %s" a)
-  | Unop (op, x) -> (
-      let v = eval env x in
-      match op with
-      | Neg -> ( match v with Vint n -> Vint (-n) | Vfloat f -> Vfloat (-.f))
-      | Not -> Vint (if as_float v = 0.0 then 1 else 0)
-      | Bit_not -> Vint (lnot (as_int e.eloc v))
-      | Cast_int -> Vint (as_int e.eloc v)
-      | Cast_double -> Vfloat (as_float v))
-  | Binop (op, x, y) -> eval_binop env e.eloc op x y
-  | Ternary (c, a, b) -> if as_float (eval env c) <> 0.0 then eval env a else eval env b
-  | Call (name, args) -> (
-      match Builtins.find name with
-      | Some b ->
-          let vals = List.map (eval env) args in
-          if b.Builtins.result = Tdouble then
-            Vfloat (Builtins.apply_double name (List.map as_float vals))
-          else Vint (Builtins.apply_int name (List.map (as_int e.eloc) vals))
-      | None -> (
-          match call_function env e.eloc name args with
-          | Some v -> v
-          | None -> Loc.error e.eloc "void function %s used in an expression" name))
-
-and eval_binop env loc op x y =
-  match op with
-  | Land -> Vint (if as_float (eval env x) <> 0.0 && as_float (eval env y) <> 0.0 then 1 else 0)
-  | Lor -> Vint (if as_float (eval env x) <> 0.0 || as_float (eval env y) <> 0.0 then 1 else 0)
-  | _ -> (
-      let a = eval env x and b = eval env y in
-      match (op, a, b) with
-      | Add, Vint m, Vint n -> Vint (m + n)
-      | Sub, Vint m, Vint n -> Vint (m - n)
-      | Mul, Vint m, Vint n -> Vint (m * n)
-      | Div, Vint m, Vint n ->
-          if n = 0 then Loc.error loc "integer division by zero";
-          Vint (m / n)
-      | Mod, Vint m, Vint n ->
-          if n = 0 then Loc.error loc "integer modulo by zero";
-          Vint (m mod n)
-      | (Add | Sub | Mul | Div), _, _ -> (
-          let fa = as_float a and fb = as_float b in
-          match op with
-          | Add -> Vfloat (fa +. fb)
-          | Sub -> Vfloat (fa -. fb)
-          | Mul -> Vfloat (fa *. fb)
-          | Div -> Vfloat (fa /. fb)
-          | _ -> assert false)
-      | Mod, _, _ -> Loc.error loc "%% requires int operands"
-      | (Band | Bor | Bxor | Shl | Shr), _, _ -> (
-          let m = as_int loc a and n = as_int loc b in
-          match op with
-          | Band -> Vint (m land n)
-          | Bor -> Vint (m lor n)
-          | Bxor -> Vint (m lxor n)
-          | Shl -> Vint (m lsl n)
-          | Shr -> Vint (m asr n)
-          | _ -> assert false)
-      | (Eq | Ne | Lt | Le | Gt | Ge), _, _ ->
-          let fa = as_float a and fb = as_float b in
-          let r =
-            match op with
-            | Eq -> fa = fb
-            | Ne -> fa <> fb
-            | Lt -> fa < fb
-            | Le -> fa <= fb
-            | Gt -> fa > fb
-            | Ge -> fa >= fb
-            | _ -> assert false
-          in
-          Vint (if r then 1 else 0)
-      | (Land | Lor), _, _ -> assert false)
-
-and assign env loc lv op rhs_value =
-  let combine_int old rhs =
-    match op with
-    | Set -> rhs
-    | Add_set -> old + rhs
-    | Sub_set -> old - rhs
-    | Mul_set -> old * rhs
-    | Div_set ->
-        if rhs = 0 then Loc.error loc "integer division by zero";
-        old / rhs
-  in
-  let combine_float old rhs =
-    match op with
-    | Set -> rhs
-    | Add_set -> old +. rhs
-    | Sub_set -> old -. rhs
-    | Mul_set -> old *. rhs
-    | Div_set -> old /. rhs
-  in
-  match lv with
-  | Lvar v -> (
-      match lookup env loc v with
-      | Cint r -> r := combine_int !r (as_int loc rhs_value)
-      | Cfloat r -> r := combine_float !r (as_float rhs_value)
-      | Carray _ -> Loc.error loc "cannot assign whole array %s" v)
-  | Lindex (a, idx) -> (
-      let i = as_int loc (eval env idx) in
-      match lookup env loc a with
-      | Carray view -> (
-          match view.View.elem with
-          | Eint -> view.View.set_i i (combine_int (view.View.get_i i) (as_int loc rhs_value))
-          | Edouble -> view.View.set_f i (combine_float (view.View.get_f i) (as_float rhs_value)))
-      | Cint _ | Cfloat _ -> Loc.error loc "indexing non-array %s" a)
-
-and exec_stmt env s =
-  match s.sdesc with
-  | Sdecl (ty, v, init) -> (
-      match ty with
-      | Tint ->
-          let n = match init with Some e -> as_int s.sloc (eval env e) | None -> 0 in
-          declare env s.sloc v (Cint (ref n))
-      | Tdouble ->
-          let f = match init with Some e -> as_float (eval env e) | None -> 0.0 in
-          declare env s.sloc v (Cfloat (ref f))
-      | Tvoid | Tarray _ -> Loc.error s.sloc "unsupported scalar declaration type")
-  | Sarray_decl (elem, v, len) -> (
-      let n = as_int s.sloc (eval env len) in
-      if n < 0 then Loc.error s.sloc "negative array length for %s" v;
-      match elem with
-      | Eint -> declare env s.sloc v (Carray (View.of_int_array ~name:v (Array.make n 0)))
-      | Edouble ->
-          declare env s.sloc v (Carray (View.of_float_array ~name:v (Array.make n 0.0))))
-  | Sassign (lv, op, rhs) -> assign env s.sloc lv op (eval env rhs)
-  | Sincr (lv, d) -> assign env s.sloc lv Add_set (Vint d)
-  | Sexpr e -> (
-      (* Calls to void user functions are legal as statements. *)
-      match e.edesc with
-      | Call (name, args) when not (Builtins.is_builtin name) ->
-          ignore (call_function env e.eloc name args)
-      | _ -> ignore (eval env e))
-  | Sif (c, then_, else_) ->
-      if as_float (eval env c) <> 0.0 then exec_block env then_ else exec_block env else_
-  | Swhile (c, body) -> (
-      try
-        while as_float (eval env c) <> 0.0 do
-          try exec_block env body with Continue_exc -> ()
-        done
-      with Break_exc -> ())
-  | Sfor (hdr, body) -> (
-      push env;
-      Option.iter (exec_stmt env) hdr.for_init;
-      (try
-         let continue_loop () =
-           match hdr.for_cond with None -> true | Some c -> as_float (eval env c) <> 0.0
-         in
-         while continue_loop () do
-           (try exec_block env body with Continue_exc -> ());
-           Option.iter (exec_stmt env) hdr.for_update
-         done
-       with Break_exc -> ());
-      pop env)
-  | Sreturn e -> raise (Return_exc (Option.map (eval env) e))
-  | Sbreak -> raise Break_exc
-  | Scontinue -> raise Continue_exc
-  | Sblock body -> exec_block env body
-  | Spragma _ -> exec_pragma env s
-
-and exec_block env body =
-  (* Only blocks that declare names need their own scope; skipping the
-     hashtable allocation matters because loop bodies execute this path
-     once per iteration. *)
-  let declares =
-    List.exists
-      (fun s -> match s.sdesc with Sdecl _ | Sarray_decl _ -> true | _ -> false)
-      body
-  in
-  if declares then begin
-    push env;
-    (try List.iter (exec_stmt env) body
-     with e ->
-       pop env;
-       raise e);
-    pop env
-  end
-  else List.iter (exec_stmt env) body
-
-and exec_pragma env s =
-  (* Assign stable loop ids by source location. *)
-  let loop_id_for loc =
-    match Hashtbl.find_opt env.loop_ids loc with
-    | Some id -> id
-    | None ->
-        let id = env.next_loop_id in
-        env.next_loop_id <- id + 1;
-        Hashtbl.replace env.loop_ids loc id;
-        id
-  in
-  match s.sdesc with
-  | Spragma (Ddata clauses, inner) ->
-      env.hooks.on_data_enter env clauses;
-      (try exec_stmt env inner
-       with e ->
-         env.hooks.on_data_exit env clauses;
-         raise e);
-      env.hooks.on_data_exit env clauses
-  | Spragma (Denter_data clauses, inner) ->
-      env.hooks.on_data_enter env clauses;
-      exec_stmt env inner
-  | Spragma (Dexit_data clauses, inner) ->
-      env.hooks.on_data_exit env clauses;
-      exec_stmt env inner
-  | Spragma (Dupdate_host subs, inner) ->
-      env.hooks.on_update_host env subs;
-      exec_stmt env inner
-  | Spragma (Dupdate_device subs, inner) ->
-      env.hooks.on_update_device env subs;
-      exec_stmt env inner
-  | Spragma ((Dparallel_loop _ | Dlocalaccess _), _) -> (
-      match Mgacc_analysis.Loop_info.of_stmt ~loop_id:0 s with
-      | Some proto ->
-          let loop = { proto with Mgacc_analysis.Loop_info.loop_id = loop_id_for s.sloc } in
-          env.hooks.on_parallel_loop env loop
-      | None -> (
-          (* A localaccess stack with no parallel directive: just run it. *)
-          match s.sdesc with
-          | Spragma (_, inner) -> exec_stmt env inner
-          | _ -> assert false))
-  | Spragma (Dreduction_to_array _, inner) ->
-      (* Outside a kernel, a reduction statement is just the statement. *)
-      exec_stmt env inner
-  | _ -> assert false
-
-(* Scalar arguments are passed by value (fresh cells); array arguments pass
-   the view by reference, C pointer style. Functions see only their own
-   frame — no lexical capture. *)
-and call_function env loc name (args : expr list) =
-  match find_func env.prog name with
-  | None -> Loc.error loc "call to undefined function %s" name
-  | Some f ->
-      if List.length args <> List.length f.fparams then
-        Loc.error loc "function %s: arity mismatch" name;
-      let bindings =
-        List.map2
-          (fun (p : param) (arg : expr) ->
-            match p.param_ty with
-            | Tarray _ -> (
-                match arg.edesc with
-                | Var a -> (
-                    match lookup env arg.eloc a with
-                    | Carray view -> (p.param_name, Carray view)
-                    | _ -> Loc.error arg.eloc "argument %s is not an array" a)
-                | _ -> Loc.error arg.eloc "array argument must be an array name")
-            | Tint -> (p.param_name, Cint (ref (as_int loc (eval env arg))))
-            | Tdouble -> (p.param_name, Cfloat (ref (as_float (eval env arg))))
-            | Tvoid -> Loc.error loc "void parameter")
-          f.fparams args
+  let parallel_loop scope proto sequential =
+    (* Loop ids are stable per source location, numbered in the order loops
+       first execute. *)
+    let loop = ref None in
+    fun fr ->
+      let loop =
+        match !loop with
+        | Some l -> l
+        | None ->
+            let loc = proto.Loop_info.loop_loc in
+            let id =
+              match Hashtbl.find_opt run.loop_ids loc with
+              | Some id -> id
+              | None ->
+                  let id = Hashtbl.length run.loop_ids in
+                  Hashtbl.replace run.loop_ids loc id;
+                  id
+            in
+            let l = { proto with Loop_info.loop_id = id } in
+            loop := Some l;
+            l
       in
-      let saved = env.scopes in
-      env.scopes <- [ Hashtbl.create 8 ];
-      List.iter (fun (name, cell) -> declare env f.floc name cell) bindings;
-      let result =
-        try
-          List.iter (exec_stmt env) f.fbody;
-          None
-        with Return_exc v -> v
-      in
-      env.scopes <- saved;
-      result
+      h.on_parallel_loop { run; frame = fr; scope; sequential } loop
+  in
+  { Kernel_compile.directive; parallel_loop }
 
 (* ------------------------------------------------------------------ *)
 (* Public API.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let eval_int env e = as_int e.eloc (eval env e)
-let eval_float env e = as_float (eval env e)
+let eval_int env e = Kernel_compile.compile_int (Lazy.force env.run.code) env.scope e env.frame
+let eval_float env e = Kernel_compile.compile_float (Lazy.force env.run.code) env.scope e env.frame
 
 let find_array_opt env name =
-  let rec go = function
-    | [] -> None
-    | scope :: rest -> (
-        match Hashtbl.find_opt scope name with
-        | Some (Carray v) -> Some v
-        | Some _ -> None
-        | None -> go rest)
-  in
-  go env.scopes
+  match Frame.lookup_in env.scope name with
+  | Some (Frame.View_slot i, _) -> env.frame.Frame.views.(i)
+  | _ -> None
 
 let find_array env name =
   match find_array_opt env name with Some v -> v | None -> raise Not_found
 
+let scalar_slot env name =
+  match Frame.lookup_in env.scope name with
+  | Some ((Frame.Int_slot _ | Frame.Float_slot _) as slot, _) -> slot
+  | Some (Frame.View_slot _, _) ->
+      invalid_arg (Printf.sprintf "Host_interp: %s is an array, not a scalar" name)
+  | None -> Loc.error Loc.dummy "undefined variable %s" name
+
 let get_scalar env name =
-  match lookup env Loc.dummy name with
-  | Cint r -> Vint !r
-  | Cfloat r -> Vfloat !r
-  | Carray _ -> invalid_arg (Printf.sprintf "Host_interp.get_scalar: %s is an array" name)
+  match scalar_slot env name with
+  | Frame.Int_slot i -> Vint env.frame.Frame.ints.(i)
+  | slot -> Vfloat (Frame.get_float env.frame slot)
 
 let set_scalar env name v =
-  match lookup env Loc.dummy name with
-  | Cint r -> r := as_int Loc.dummy v
-  | Cfloat r -> r := as_float v
-  | Carray _ -> invalid_arg (Printf.sprintf "Host_interp.set_scalar: %s is an array" name)
+  match (scalar_slot env name, v) with
+  | (Frame.Int_slot _ as slot), Vint n -> Frame.set_int env.frame slot n
+  | (Frame.Int_slot _ as slot), Vfloat f -> Frame.set_int env.frame slot (int_of_float f)
+  | slot, Vint n -> Frame.set_float env.frame slot (float_of_int n)
+  | slot, Vfloat f -> Frame.set_float env.frame slot f
 
-let program_of env = env.prog
+let program_of env = env.run.prog
 
-let run_loop_sequentially env (loop : Mgacc_analysis.Loop_info.t) =
-  let lo = eval_int env loop.Mgacc_analysis.Loop_info.lower in
-  let hi = eval_int env loop.Mgacc_analysis.Loop_info.upper in
-  push env;
-  declare env loop.Mgacc_analysis.Loop_info.loop_loc loop.Mgacc_analysis.Loop_info.loop_var
-    (Cint (ref lo));
-  let iv =
-    match lookup env Loc.dummy loop.Mgacc_analysis.Loop_info.loop_var with
-    | Cint r -> r
-    | _ -> assert false
-  in
-  for i = lo to hi - 1 do
-    iv := i;
-    try exec_block env loop.Mgacc_analysis.Loop_info.body
-    with Continue_exc | Break_exc ->
-      Loc.error loop.Mgacc_analysis.Loop_info.loop_loc
-        "break/continue escaping a parallel loop iteration"
-  done;
-  pop env
+let run_loop_sequentially env (loop : Loop_info.t) =
+  let lo = eval_int env loop.Loop_info.lower in
+  let hi = eval_int env loop.Loop_info.upper in
+  env.sequential env.frame lo hi
 
 let sequential_hooks =
   {
@@ -399,12 +139,11 @@ let sequential_hooks =
 
 let run_program ?(hooks = sequential_hooks) prog =
   Typecheck.check_program prog;
-  let env =
-    { prog; scopes = [ Hashtbl.create 8 ]; hooks; loop_ids = Hashtbl.create 8; next_loop_id = 0 }
-  in
   (match find_func prog "main" with
   | None -> Loc.error Loc.dummy "program has no main function"
-  | Some f ->
-      if f.fparams <> [] then Loc.error f.floc "main must take no parameters";
-      (try List.iter (exec_stmt env) f.fbody with Return_exc _ -> ()));
-  env
+  | Some f -> if f.fparams <> [] then Loc.error f.floc "main must take no parameters");
+  let rec run =
+    { prog; hooks; code = lazy (Kernel_compile.host prog (stager run)); loop_ids = Hashtbl.create 8 }
+  in
+  let scope, exec = Kernel_compile.compile_function (Lazy.force run.code) "main" in
+  { run; frame = exec (); scope; sequential = no_loop }

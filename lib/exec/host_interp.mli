@@ -1,11 +1,18 @@
-(** Tree-walking interpreter for host-side mini-C code.
+(** Host-side execution of mini-C programs.
 
     The host program (allocation, initialization, iteration control) is
-    interpreted directly; when execution reaches an OpenACC construct the
-    corresponding hook fires. Different runners plug in different hooks:
-    the sequential reference runner executes annotated loops in place, the
-    OpenMP runner times them with the CPU model, and the multi-GPU OpenACC
-    runtime distributes them over simulated devices. *)
+    compiled once per {!run_program} by {!Kernel_compile}, the same
+    closure compiler that builds kernels, and then run; when execution
+    reaches an OpenACC construct the corresponding hook fires. Different
+    runners plug in different hooks: the sequential reference runner
+    executes annotated loops in place, the OpenMP runner times them with
+    the CPU model, and the multi-GPU OpenACC runtime distributes them over
+    simulated devices.
+
+    A hook's {!env} is the live frame of the function executing the
+    directive, seen through the names in force at the pragma. While an
+    array is live, {!find_array} returns the physically same view for it;
+    loop ids are assigned per source location in first-execution order. *)
 
 open Mgacc_minic
 
@@ -28,12 +35,16 @@ val sequential_hooks : hooks
 
 val run_program : ?hooks:hooks -> Ast.program -> env
 (** Typecheck and execute [main] (which must exist and take no
-    parameters). Returns the final environment of the program's global
-    interpretation (the [main] frame), for inspecting results. *)
+    parameters). [main] and its callees are compiled first, once.
+    Returns the final environment of [main] (its frame and the names of
+    its body), for inspecting results. *)
 
 val run_loop_sequentially : env -> Mgacc_analysis.Loop_info.t -> unit
 (** Execute a parallel loop's iterations in order in the host environment
-    (used by {!sequential_hooks} and as the fallback semantics). *)
+    (used by {!sequential_hooks} and as the fallback semantics). The env
+    must be the one the loop's [on_parallel_loop] hook received; the body
+    was compiled once for that loop site. A [break] or [continue] that
+    escapes an iteration raises a located {!Loc.Error}. *)
 
 (** {1 Environment access (for hooks and tests)} *)
 

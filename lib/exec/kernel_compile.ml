@@ -2,6 +2,7 @@ open Mgacc_minic
 open Ast
 module Cost = Mgacc_gpusim.Cost
 module Coalesce = Mgacc_analysis.Coalesce
+module Loop_info = Mgacc_analysis.Loop_info
 
 type t = {
   run_iter : Frame.t -> int -> unit;
@@ -12,6 +13,7 @@ type t = {
 
 exception Brk
 exception Cnt
+exception Return
 
 (* ------------------------------------------------------------------ *)
 (* Reduction statement decomposition.                                  *)
@@ -51,16 +53,39 @@ let extract_reduction op stmt =
 (* Compilation context.                                                *)
 (* ------------------------------------------------------------------ *)
 
+type stager = {
+  directive : Frame.scope -> stmt -> (Frame.t -> unit) -> Frame.t -> unit;
+  parallel_loop :
+    Frame.scope -> Loop_info.t -> (Frame.t -> int -> int -> unit) -> Frame.t -> unit;
+}
+
+(* Host code: the program's functions, each compiled once, on first
+   reference, into a layout of its own. *)
+type host = { prog : program; stager : stager; funcs : (string, fn) Hashtbl.t; host_cost : Cost.t }
+
+and fn = {
+  fn_layout : Frame.Layout.t;
+  fn_params : Frame.slot list;
+  fn_result : Frame.slot option;
+  mutable fn_body : Frame.t -> unit;  (** read at call time: recursion sees the final body *)
+  mutable fn_scope : Frame.scope;  (** the names in force at the end of the body *)
+}
+
 type ctx = {
   layout : Frame.Layout.t;
   cost : Cost.t;
   classify : string -> Ast.expr -> Coalesce.mode;
+  host : host option;  (** [None] while compiling a kernel body *)
+  result : Frame.slot option;  (** where [return e] leaves [e] *)
 }
 
+let host_classify _ _ = Coalesce.Coalesced
+
 let ty_of ctx e =
-  Typecheck.type_of_expr
-    (fun v -> Option.map snd (Frame.Layout.lookup ctx.layout v))
-    e
+  let lookup v = Option.map snd (Frame.Layout.lookup ctx.layout v) in
+  match ctx.host with
+  | Some h -> Typecheck.type_of_expr_in h.prog lookup e
+  | None -> Typecheck.type_of_expr lookup e
 
 let slot_of ctx loc v =
   match Frame.Layout.lookup ctx.layout v with
@@ -82,6 +107,40 @@ let charge ctx mode width =
       fun () ->
         cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
         cost.Cost.random_bytes <- cost.Cost.random_bytes + width
+
+let int_div loc a b =
+  if b = 0 then Loc.error loc "integer division by zero";
+  a / b
+
+let int_mod loc a b =
+  if b = 0 then Loc.error loc "integer modulo by zero";
+  a mod b
+
+let nop : Frame.t -> unit = fun _ -> ()
+
+let seq fs =
+  match fs with
+  | [] -> nop
+  | [ f ] -> f
+  | fs ->
+      let arr = Array.of_list fs in
+      fun fr -> Array.iter (fun f -> f fr) arr
+
+let apply_binop_assign_int loc op =
+  match op with
+  | Set -> fun _ rhs -> rhs
+  | Add_set -> ( + )
+  | Sub_set -> ( - )
+  | Mul_set -> ( * )
+  | Div_set -> fun a b -> int_div loc a b
+
+let apply_binop_assign_float op =
+  match op with
+  | Set -> fun _ rhs -> rhs
+  | Add_set -> ( +. )
+  | Sub_set -> ( -. )
+  | Mul_set -> ( *. )
+  | Div_set -> ( /. )
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation.                                             *)
@@ -133,10 +192,10 @@ and comp_f_native ctx e : Frame.t -> float =
       | Mod | Eq | Ne | Lt | Le | Gt | Ge | Land | Lor | Band | Bor | Bxor | Shl | Shr ->
           assert false (* typed Tint *))
   | Ternary (c, a, b) ->
-      let cc = comp_i ctx c and fa = comp_f ctx a and fb = comp_f ctx b in
+      let cc = comp_cond ctx c and fa = comp_f ctx a and fb = comp_f ctx b in
       fun fr ->
         cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if cc fr <> 0 then fa fr else fb fr
+        if cc fr then fa fr else fb fr
   | Call (name, args) -> (
       match Builtins.find name with
       | Some b when b.Builtins.result = Tdouble -> (
@@ -154,7 +213,11 @@ and comp_f_native ctx e : Frame.t -> float =
                 g (a1 fr) (a2 fr)
           | _ -> Loc.error e.eloc "unsupported builtin arity for %s" name)
       | Some _ -> assert false (* int builtin: typed Tint *)
-      | None -> Loc.error e.eloc "user function calls are not allowed in kernels: %s" name)
+      | None -> (
+          let call, fn = comp_call ctx e.eloc name args in
+          match fn.fn_result with
+          | Some (Frame.Float_slot r) -> fun fr -> Array.unsafe_get (call fr).Frame.floats r
+          | _ -> assert false (* typed by the function's result *)))
   | Int_lit _ | Length _ -> assert false (* typed Tint *)
 
 and comp_i ctx e : Frame.t -> int =
@@ -165,6 +228,17 @@ and comp_i ctx e : Frame.t -> int =
       fun fr -> int_of_float (f fr)
   | Tint -> comp_i_native ctx e
   | t -> Loc.error e.eloc "expected numeric expression, got %s" (typ_to_string t)
+
+(* A condition: non-zero in the operand's own type, so [0.5] is true. It
+   charges what the int conversion it replaces charged: nothing. *)
+and comp_cond ctx e : Frame.t -> bool =
+  match ty_of ctx e with
+  | Tdouble ->
+      let f = comp_f_native ctx e in
+      fun fr -> f fr <> 0.0
+  | _ ->
+      let f = comp_i ctx e in
+      fun fr -> f fr <> 0
 
 and comp_i_native ctx e : Frame.t -> int =
   let cost = ctx.cost in
@@ -253,15 +327,15 @@ and comp_i_native ctx e : Frame.t -> int =
           if cmp (fx fr) (fy fr) then 1 else 0
       end
   | Binop (Land, x, y) ->
-      let fx = comp_i ctx x and fy = comp_i ctx y in
+      let fx = comp_cond ctx x and fy = comp_cond ctx y in
       fun fr ->
         cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if fx fr <> 0 && fy fr <> 0 then 1 else 0
+        if fx fr && fy fr then 1 else 0
   | Binop (Lor, x, y) ->
-      let fx = comp_i ctx x and fy = comp_i ctx y in
+      let fx = comp_cond ctx x and fy = comp_cond ctx y in
       fun fr ->
         cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if fx fr <> 0 || fy fr <> 0 then 1 else 0
+        if fx fr || fy fr then 1 else 0
   | Binop (op, x, y) -> (
       let fx = comp_i ctx x and fy = comp_i ctx y in
       let arith op2 =
@@ -273,8 +347,8 @@ and comp_i_native ctx e : Frame.t -> int =
       | Add -> arith ( + )
       | Sub -> arith ( - )
       | Mul -> arith ( * )
-      | Div -> arith ( / )
-      | Mod -> arith (fun a b -> a mod b)
+      | Div -> arith (fun a b -> int_div e.eloc a b)
+      | Mod -> arith (fun a b -> int_mod e.eloc a b)
       | Band -> arith ( land )
       | Bor -> arith ( lor )
       | Bxor -> arith ( lxor )
@@ -282,10 +356,10 @@ and comp_i_native ctx e : Frame.t -> int =
       | Shr -> arith ( asr )
       | Eq | Ne | Lt | Le | Gt | Ge | Land | Lor -> assert false)
   | Ternary (c, a, b) ->
-      let cc = comp_i ctx c and fa = comp_i ctx a and fb = comp_i ctx b in
+      let cc = comp_cond ctx c and fa = comp_i ctx a and fb = comp_i ctx b in
       fun fr ->
         cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if cc fr <> 0 then fa fr else fb fr
+        if cc fr then fa fr else fb fr
   | Call (name, args) -> (
       match Builtins.find name with
       | Some b when b.Builtins.result = Tint -> (
@@ -301,63 +375,123 @@ and comp_i_native ctx e : Frame.t -> int =
                 Builtins.apply_int name [ a1 fr; a2 fr ]
           | _ -> Loc.error e.eloc "unsupported builtin arity for %s" name)
       | Some _ -> assert false
-      | None -> Loc.error e.eloc "user function calls are not allowed in kernels: %s" name)
+      | None -> (
+          let call, fn = comp_call ctx e.eloc name args in
+          match fn.fn_result with
+          | Some (Frame.Int_slot r) -> fun fr -> Array.unsafe_get (call fr).Frame.ints r
+          | _ -> assert false (* typed by the function's result *)))
   | Float_lit _ -> assert false (* typed Tdouble *)
+
+(* A call to a user function runs its body in a fresh frame and returns
+   that frame. Scalar arguments are passed by value; array arguments pass
+   the view by reference, C pointer style. Functions see only their own
+   frame: no lexical capture. *)
+and comp_call ctx loc name args =
+  let h =
+    match ctx.host with
+    | Some h -> h
+    | None -> Loc.error loc "user function calls are not allowed in kernels: %s" name
+  in
+  let fn = function_of h loc name in
+  if List.length args <> List.length fn.fn_params then
+    Loc.error loc "function %s: arity mismatch" name;
+  let bind slot (arg : expr) =
+    match slot with
+    | Frame.View_slot dst -> (
+        match arg.edesc with
+        | Var a ->
+            let src, _ = view_slot_of ctx arg.eloc a in
+            fun caller callee -> callee.Frame.views.(dst) <- caller.Frame.views.(src)
+        | _ -> Loc.error arg.eloc "array argument must be an array name")
+    | Frame.Int_slot dst ->
+        let f = comp_i ctx arg in
+        fun caller callee -> callee.Frame.ints.(dst) <- f caller
+    | Frame.Float_slot dst ->
+        let f = comp_f ctx arg in
+        fun caller callee -> callee.Frame.floats.(dst) <- f caller
+  in
+  let binds = Array.of_list (List.map2 bind fn.fn_params args) in
+  ( (fun fr ->
+      let callee = Frame.create fn.fn_layout in
+      Array.iter (fun b -> b fr callee) binds;
+      (try fn.fn_body callee with Return -> ());
+      callee),
+    fn )
+
+and function_of h loc name =
+  match Hashtbl.find_opt h.funcs name with
+  | Some fn -> fn
+  | None ->
+      let f =
+        match find_func h.prog name with
+        | Some f -> f
+        | None -> Loc.error loc "call to undefined function %s" name
+      in
+      let layout = Frame.Layout.create () in
+      let params =
+        List.map (fun (p : param) -> Frame.Layout.declare layout f.floc p.param_name p.param_ty) f.fparams
+      in
+      let result =
+        match f.fret with Tint | Tdouble -> Some (Frame.Layout.fresh layout f.floc f.fret) | _ -> None
+      in
+      let fn =
+        { fn_layout = layout; fn_params = params; fn_result = result; fn_body = nop; fn_scope = Frame.Layout.scope layout }
+      in
+      Hashtbl.replace h.funcs name fn;
+      let ctx = { layout; cost = h.host_cost; classify = host_classify; host = Some h; result } in
+      (* Parameters and the body's own declarations share one scope, as in C. *)
+      fn.fn_body <- comp_block_no_scope ctx f.fbody;
+      fn.fn_scope <- Frame.Layout.scope layout;
+      fn
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let nop : Frame.t -> unit = fun _ -> ()
-
-let seq fs =
-  match fs with
-  | [] -> nop
-  | [ f ] -> f
-  | fs ->
-      let arr = Array.of_list fs in
-      fun fr -> Array.iter (fun f -> f fr) arr
-
-let apply_binop_assign_int op =
-  match op with
-  | Set -> fun _ rhs -> rhs
-  | Add_set -> ( + )
-  | Sub_set -> ( - )
-  | Mul_set -> ( * )
-  | Div_set -> ( / )
-
-let apply_binop_assign_float op =
-  match op with
-  | Set -> fun _ rhs -> rhs
-  | Add_set -> ( +. )
-  | Sub_set -> ( -. )
-  | Mul_set -> ( *. )
-  | Div_set -> ( /. )
-
-let rec comp_stmt ctx s : Frame.t -> unit =
+and comp_stmt ctx s : Frame.t -> unit =
   let cost = ctx.cost in
   match s.sdesc with
   | Sdecl (ty, name, init) -> (
+      (* The initializer sees the names in force before the declaration. *)
+      let init =
+        match (ty, init) with
+        | Tint, Some e -> `I (comp_i ctx e)
+        | Tdouble, Some e -> `F (comp_f ctx e)
+        | _ -> `Zero
+      in
       let slot = Frame.Layout.declare ctx.layout s.sloc name ty in
-      match (ty, slot, init) with
-      | Tint, Frame.Int_slot i, None -> fun fr -> Array.unsafe_set fr.Frame.ints i 0
-      | Tint, Frame.Int_slot i, Some e ->
-          let f = comp_i ctx e in
-          fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
-      | Tdouble, Frame.Float_slot i, None -> fun fr -> Array.unsafe_set fr.Frame.floats i 0.0
-      | Tdouble, Frame.Float_slot i, Some e ->
-          let f = comp_f ctx e in
-          fun fr -> Array.unsafe_set fr.Frame.floats i (f fr)
-      | _ -> Loc.error s.sloc "unsupported declaration in kernel")
-  | Sarray_decl (_, name, _) ->
-      Loc.error s.sloc "array declaration of %s not allowed inside a kernel" name
+      match (slot, init) with
+      | Frame.Int_slot i, `Zero -> fun fr -> Array.unsafe_set fr.Frame.ints i 0
+      | Frame.Int_slot i, `I f -> fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
+      | Frame.Float_slot i, `Zero -> fun fr -> Array.unsafe_set fr.Frame.floats i 0.0
+      | Frame.Float_slot i, `F f -> fun fr -> Array.unsafe_set fr.Frame.floats i (f fr)
+      | _ -> Loc.error s.sloc "unsupported declaration of %s" name)
+  | Sarray_decl (elem, name, len) ->
+      if ctx.host = None then
+        Loc.error s.sloc "array declaration of %s not allowed inside a kernel" name;
+      let cl = comp_i ctx len in
+      let vi =
+        match Frame.Layout.declare ctx.layout s.sloc name (Tarray elem) with
+        | Frame.View_slot i -> i
+        | _ -> assert false
+      in
+      let make =
+        match elem with
+        | Eint -> fun n -> View.of_int_array ~name (Array.make n 0)
+        | Edouble -> fun n -> View.of_float_array ~name (Array.make n 0.0)
+      in
+      let loc = s.sloc in
+      fun fr ->
+        let n = cl fr in
+        if n < 0 then Loc.error loc "negative array length for %s" name;
+        fr.Frame.views.(vi) <- Some (make n)
   | Sassign (Lvar v, op, rhs) -> (
       match slot_of ctx s.sloc v with
       | Frame.Int_slot i, _ ->
           let f = comp_i ctx rhs in
           if op = Set then fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
           else
-            let g = apply_binop_assign_int op in
+            let g = apply_binop_assign_int s.sloc op in
             fun fr ->
               cost.Cost.int_ops <- cost.Cost.int_ops + 1;
               Array.unsafe_set fr.Frame.ints i (g (Array.unsafe_get fr.Frame.ints i) (f fr))
@@ -399,7 +533,7 @@ let rec comp_stmt ctx s : Frame.t -> unit =
               bump_w ();
               (Frame.get_view fr vi).View.set_i (ci fr) (f fr)
           else
-            let g = apply_binop_assign_int op in
+            let g = apply_binop_assign_int s.sloc op in
             let bump_r = charge ctx (ctx.classify a idx) width in
             fun fr ->
               cost.Cost.int_ops <- cost.Cost.int_ops + 1;
@@ -411,6 +545,10 @@ let rec comp_stmt ctx s : Frame.t -> unit =
   | Sincr (lv, d) ->
       comp_stmt ctx
         { s with sdesc = Sassign (lv, Add_set, { edesc = Int_lit d; eloc = s.sloc }) }
+  | Sexpr { edesc = Call (name, args); eloc } when not (Builtins.is_builtin name) ->
+      (* Calls to void user functions are legal as statements. *)
+      let call, _ = comp_call ctx eloc name args in
+      fun fr -> ignore (call fr : Frame.t)
   | Sexpr e ->
       let t = ty_of ctx e in
       if t = Tdouble then begin
@@ -422,19 +560,19 @@ let rec comp_stmt ctx s : Frame.t -> unit =
         fun fr -> ignore (f fr)
       end
   | Sif (c, then_, else_) ->
-      let cc = comp_i ctx c in
+      let cc = comp_cond ctx c in
       let ct = comp_block ctx then_ and ce = comp_block ctx else_ in
       fun fr ->
         cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if cc fr <> 0 then ct fr else ce fr
+        if cc fr then ct fr else ce fr
   | Swhile (c, body) ->
-      let cc = comp_i ctx c in
+      let cc = comp_cond ctx c in
       let cb = comp_block ctx body in
       fun fr ->
         (try
            while
              cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-             cc fr <> 0
+             cc fr
            do
              try cb fr with Cnt -> ()
            done
@@ -442,7 +580,7 @@ let rec comp_stmt ctx s : Frame.t -> unit =
   | Sfor (hdr, body) ->
       Frame.Layout.enter_scope ctx.layout;
       let init = match hdr.for_init with Some s' -> comp_stmt ctx s' | None -> nop in
-      let cond = match hdr.for_cond with Some e -> comp_i ctx e | None -> fun _ -> 1 in
+      let cond = match hdr.for_cond with Some e -> comp_cond ctx e | None -> fun _ -> true in
       let update = match hdr.for_update with Some s' -> comp_stmt ctx s' | None -> nop in
       let cb = comp_block_no_scope ctx body in
       Frame.Layout.leave_scope ctx.layout;
@@ -451,17 +589,31 @@ let rec comp_stmt ctx s : Frame.t -> unit =
         (try
            while
              cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-             cond fr <> 0
+             cond fr
            do
              (try cb fr with Cnt -> ());
              update fr
            done
          with Brk -> ())
-  | Sreturn _ -> Loc.error s.sloc "return is not allowed inside a kernel"
+  | Sreturn e -> (
+      if ctx.host = None then Loc.error s.sloc "return is not allowed inside a kernel";
+      match (e, ctx.result) with
+      | None, _ -> fun _ -> raise Return
+      | Some e, Some (Frame.Int_slot r) ->
+          let f = comp_i ctx e in
+          fun fr ->
+            Array.unsafe_set fr.Frame.ints r (f fr);
+            raise Return
+      | Some e, Some (Frame.Float_slot r) ->
+          let f = comp_f ctx e in
+          fun fr ->
+            Array.unsafe_set fr.Frame.floats r (f fr);
+            raise Return
+      | Some _, _ -> Loc.error s.sloc "return with a value outside a value-returning function")
   | Sbreak -> fun _ -> raise Brk
   | Scontinue -> fun _ -> raise Cnt
   | Sblock body -> comp_block ctx body
-  | Spragma (Dreduction_to_array { rta_op; rta_array }, inner) ->
+  | Spragma (Dreduction_to_array { rta_op; rta_array }, inner) when ctx.host = None ->
       let idx, contrib = extract_reduction rta_op inner in
       let vi, elem = view_slot_of ctx s.sloc rta_array in
       let ci = comp_i ctx idx in
@@ -483,14 +635,33 @@ let rec comp_stmt ctx s : Frame.t -> unit =
             cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
             cost.Cost.random_bytes <- cost.Cost.random_bytes + width;
             (Frame.get_view fr vi).View.reduce_i rta_op (ci fr) (cf fr))
-  | Spragma ((Dparallel_loop _ | Dlocalaccess _), inner) ->
-      (* Nested parallelism: the inner loop's iterations map to vector
-         lanes. Executing them in order is a valid schedule; the launcher
-         separately multiplies the thread count for occupancy. *)
+  | Spragma (Dreduction_to_array _, inner) ->
+      (* Outside a kernel, a reduction statement is just the statement. *)
       comp_stmt ctx inner
-  | Spragma (d, _) ->
-      Loc.error s.sloc "directive not allowed inside a kernel body: %s"
-        (Pretty.directive_to_string d)
+  | Spragma ((Dparallel_loop _ | Dlocalaccess _), inner) -> (
+      match ctx.host with
+      | None ->
+          (* Nested parallelism: the inner loop's iterations map to vector
+             lanes. Executing them in order is a valid schedule; the
+             launcher separately multiplies the thread count for
+             occupancy. *)
+          comp_stmt ctx inner
+      | Some h -> (
+          match Loop_info.of_stmt ~loop_id:0 s with
+          | Some loop ->
+              let scope = Frame.Layout.scope ctx.layout in
+              h.stager.parallel_loop scope loop (comp_sequential ctx loop)
+          | None ->
+              (* A localaccess stack with no parallel directive: just run it. *)
+              comp_stmt ctx inner))
+  | Spragma (d, inner) -> (
+      match ctx.host with
+      | None ->
+          Loc.error s.sloc "directive not allowed inside a kernel body: %s"
+            (Pretty.directive_to_string d)
+      | Some h ->
+          let scope = Frame.Layout.scope ctx.layout in
+          h.stager.directive scope s (comp_stmt ctx inner))
 
 and comp_block ctx body =
   Frame.Layout.enter_scope ctx.layout;
@@ -500,22 +671,40 @@ and comp_block ctx body =
 
 and comp_block_no_scope ctx body = seq (List.map (comp_stmt ctx) body)
 
+(* A parallel loop's iterations [lo, hi), run in order in the host frame
+   with a fresh loop variable. *)
+and comp_sequential ctx (loop : Loop_info.t) =
+  Frame.Layout.enter_scope ctx.layout;
+  let iv =
+    match Frame.Layout.declare ctx.layout loop.Loop_info.loop_loc loop.Loop_info.loop_var Tint with
+    | Frame.Int_slot i -> i
+    | _ -> assert false
+  in
+  let body = comp_block ctx loop.Loop_info.body in
+  Frame.Layout.leave_scope ctx.layout;
+  let loc = loop.Loop_info.loop_loc in
+  fun fr lo hi ->
+    try
+      for i = lo to hi - 1 do
+        Array.unsafe_set fr.Frame.ints iv i;
+        body fr
+      done
+    with Brk | Cnt -> Loc.error loc "break/continue escaping a parallel loop iteration"
+
 (* ------------------------------------------------------------------ *)
-(* Entry point.                                                        *)
+(* Entry points.                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let compile ~loop ~params ~classify =
   let layout = Frame.Layout.create () in
   let cost = Cost.zero () in
-  let ctx = { layout; cost; classify } in
-  let loop_loc = loop.Mgacc_analysis.Loop_info.loop_loc in
-  let iv_slot =
-    Frame.Layout.declare layout loop_loc loop.Mgacc_analysis.Loop_info.loop_var Tint
-  in
+  let ctx = { layout; cost; classify; host = None; result = None } in
+  let loop_loc = loop.Loop_info.loop_loc in
+  let iv_slot = Frame.Layout.declare layout loop_loc loop.Loop_info.loop_var Tint in
   let param_slots =
     List.map (fun (name, ty) -> (name, Frame.Layout.declare layout loop_loc name ty, ty)) params
   in
-  let body = comp_block ctx loop.Mgacc_analysis.Loop_info.body in
+  let body = comp_block ctx loop.Loop_info.body in
   let iv_index = match iv_slot with Frame.Int_slot i -> i | _ -> assert false in
   {
     run_iter =
@@ -526,3 +715,19 @@ let compile ~loop ~params ~classify =
     params = param_slots;
     cost;
   }
+
+let host prog stager = { prog; stager; funcs = Hashtbl.create 8; host_cost = Cost.zero () }
+
+let compile_function h name =
+  let fn = function_of h Loc.dummy name in
+  ( fn.fn_scope,
+    fun () ->
+      let fr = Frame.create fn.fn_layout in
+      (try fn.fn_body fr with Return -> ());
+      fr )
+
+let expr_ctx h scope =
+  { layout = Frame.Layout.of_scope scope; cost = h.host_cost; classify = host_classify; host = Some h; result = None }
+
+let compile_int h scope e = comp_i (expr_ctx h scope) e
+let compile_float h scope e = comp_f (expr_ctx h scope) e

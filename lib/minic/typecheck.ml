@@ -102,14 +102,15 @@ let type_of_expr_in (prog : program) lookup e =
                         (typ_to_string expected) (typ_to_string actual))
               f.fparams args;
             f.fret)
+    | Call (name, args) ->
+        (* A builtin: its arguments may call user functions. *)
+        type_of_expr lookup { e with edesc = Call (name, List.map (fun a -> dummy_of a (go a)) args) }
     | Index (a, idx) ->
         (* Retype the index through [go] so nested user calls are resolved. *)
         let it = go idx in
         if it <> Tint then Loc.error idx.eloc "array index must be int";
         type_of_expr lookup { e with edesc = Index (a, { idx with edesc = Int_lit 0 }) }
-    | Unop (op, x) ->
-        ignore (go x);
-        type_of_expr (fun v -> lookup v) { e with edesc = Unop (op, dummy_of x (go x)) }
+    | Unop (op, x) -> type_of_expr lookup { e with edesc = Unop (op, dummy_of x (go x)) }
     | Binop (op, x, y) ->
         let tx = go x and ty = go y in
         type_of_expr lookup { e with edesc = Binop (op, dummy_of x tx, dummy_of y ty) }

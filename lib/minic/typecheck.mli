@@ -13,3 +13,7 @@ val check_program : Ast.program -> unit
 val type_of_expr : (string -> Ast.typ option) -> Ast.expr -> Ast.typ
 (** [type_of_expr lookup e] types a single expression given a variable
     environment; exposed for the analysis passes and tests. *)
+
+val type_of_expr_in : Ast.program -> (string -> Ast.typ option) -> Ast.expr -> Ast.typ
+(** Like {!type_of_expr}, but calls to the program's own functions type as
+    their declared result. *)

@@ -1,7 +1,7 @@
 (* Differential testing: random parallel-loop kernels must compute
    identical results through every execution path —
 
-   - the tree-walking host interpreter (sequential reference),
+   - the compiled host path (sequential reference),
    - the closure-compiled executor on one simulated GPU,
    - the full multi-GPU runtime on two GPUs (distribution, dirty-bit
      reconciliation, the whole BSP pipeline).

@@ -1,4 +1,4 @@
-(* Tests for the execution layer: views, frames, the host interpreter, and
+(* Tests for the execution layer: views, frames, the host driver, and
    the closure-compiling kernel executor with its cost accounting. *)
 
 open Mgacc_minic
@@ -38,7 +38,7 @@ let test_view_int_and_redops () =
   check (Alcotest.float 1e-12) "mul id" 1.0 (View.redop_identity_f Ast.Rmul);
   check (Alcotest.float 1e-12) "min apply" 2.0 (View.apply_redop_f Ast.Rmin 2.0 7.0)
 
-(* ---------------- Host interpreter semantics ---------------- *)
+(* ---------------- Host code semantics ---------------- *)
 
 let run src = Host_interp.run_program (Parser.parse ~file:"t" src)
 
@@ -297,6 +297,405 @@ let test_extract_reduction_patterns () =
   | exception Loc.Error _ -> ()
   | _ -> Alcotest.fail "different subscript must fail"
 
+(* ---------------- One semantics on the host and on the GPUs ---------------- *)
+
+let run_both src =
+  let program = Parser.parse ~file:"t" src in
+  let seq = Mgacc.run_sequential program in
+  let machine = Mgacc.Machine.desktop () in
+  let acc, _ = Mgacc.run_acc ~machine program in
+  (seq, acc)
+
+let test_double_conditions () =
+  (* 0.5 is true in C. Every condition form, inside a kernel and on the
+     host, must agree. *)
+  let seq, acc =
+    run_both
+      {|void main() {
+          int n = 4; double a[n]; int r[n]; int i;
+          for (i = 0; i < n; i++) { a[i] = 0.5; }
+          #pragma acc parallel loop
+          for (i = 0; i < n; i++) {
+            int k = 0;
+            if (a[i]) { k = k + 1; }
+            k = k + 10 * (a[i] ? 1 : 0);
+            k = k + 100 * (a[i] && a[i]);
+            k = k + 1000 * (0.0 || a[i]);
+            int w = 0;
+            double d = 0.25;
+            while (d) { w = w + 1; d = 0.0; }
+            int f = 0;
+            for (d = 0.5; d; d = 0.0) { f = f + 1; }
+            r[i] = k + 10000 * w + 100000 * f;
+          }
+        }|}
+  in
+  let expected = Array.make 4 111111 in
+  check (Alcotest.array Alcotest.int) "sequential" expected (Mgacc.int_results seq "r");
+  check (Alcotest.array Alcotest.int) "acc" expected (Mgacc.int_results acc "r")
+
+let test_int_compare_is_exact () =
+  (* 2^53 + 1 and 2^53 are equal as doubles but not as ints. *)
+  let seq, acc =
+    run_both
+      {|void main() {
+          int n = 2; int r[n]; int h[1]; int i; int big = 9007199254740993;
+          h[0] = (big == 9007199254740992);
+          #pragma acc parallel loop
+          for (i = 0; i < n; i++) { r[i] = (big == 9007199254740992) + 2 * (big > 9007199254740992); }
+        }|}
+  in
+  check Alcotest.int "host" 0 (Mgacc.int_results seq "h").(0);
+  check (Alcotest.array Alcotest.int) "sequential" [| 2; 2 |] (Mgacc.int_results seq "r");
+  check (Alcotest.array Alcotest.int) "acc" [| 2; 2 |] (Mgacc.int_results acc "r")
+
+let test_kernel_division_by_zero_is_located () =
+  let located what stmt =
+    let src =
+      Printf.sprintf
+        {|void main() {
+            int n = 4; int r[n]; int z = 0; int i;
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) { %s }
+          }|}
+        stmt
+    in
+    let program = Parser.parse ~file:"t" src in
+    let machine = Mgacc.Machine.desktop () in
+    List.iter
+      (fun (mode, run) ->
+        match run () with
+        | exception Loc.Error (loc, msg) ->
+            check Alcotest.string (mode ^ " message") what msg;
+            check Alcotest.int (mode ^ " line") 4 loc.Loc.line
+        | _ -> Alcotest.failf "%s: %s did not raise" mode stmt)
+      [
+        ("sequential", fun () -> ignore (Mgacc.run_sequential program));
+        ("acc", fun () -> ignore (Mgacc.run_acc ~machine program));
+      ]
+  in
+  located "integer division by zero" "r[i] = i / z;";
+  located "integer modulo by zero" "r[i] = i % z;";
+  located "integer division by zero" "r[i] = 1; r[i] /= z;"
+
+(* ---------------- The environment hooks see ---------------- *)
+
+let run_with_hooks ?(on_loop = Host_interp.run_loop_sequentially) ?(on_update = fun _ _ -> ())
+    src =
+  let hooks =
+    {
+      Host_interp.sequential_hooks with
+      Host_interp.on_parallel_loop = on_loop;
+      on_update_host = on_update;
+    }
+  in
+  Host_interp.run_program ~hooks (Parser.parse ~file:"t" src)
+
+let test_env_views_are_stable () =
+  let seen = ref [] in
+  let on_update env subs =
+    List.iter
+      (fun (sub : Ast.subarray) ->
+        seen := (sub.Ast.sub_array, Host_interp.find_array env sub.Ast.sub_array) :: !seen)
+      subs
+  in
+  ignore
+    (run_with_hooks ~on_update
+       {|void main() {
+           double a[4]; int k;
+           #pragma acc update host(a[0:4])
+           ;
+           a[0] = 1.0;
+           #pragma acc update host(a[0:4])
+           ;
+           for (k = 0; k < 2; k++) {
+             double b[3];
+             #pragma acc update host(b[0:3])
+             ;
+           }
+         }|});
+  match List.rev !seen with
+  | [ ("a", a1); ("a", a2); ("b", b1); ("b", b2) ] ->
+      check Alcotest.bool "a: one view while live" true (a1 == a2);
+      check Alcotest.bool "b: a new view per declaration" false (b1 == b2)
+  | l -> Alcotest.failf "unexpected hook sequence (%d calls)" (List.length l)
+
+let test_loop_ids_follow_first_execution () =
+  let ids = ref [] in
+  let on_loop env (loop : Loop_info.t) =
+    ids := (loop.Loop_info.loop_loc.Loc.line, loop.Loop_info.loop_id) :: !ids;
+    Host_interp.run_loop_sequentially env loop
+  in
+  let env =
+    run_with_hooks ~on_loop
+      {|void fill(double x[], int n) {
+          int i;
+          #pragma acc parallel loop
+          for (i = 0; i < n; i++) { x[i] = x[i] + 1.0; }
+        }
+        void main() {
+          int n = 4; double a[n]; int i; int k;
+          for (k = 0; k < 2; k++) {
+            if (k == 1) { fill(a, n); }
+            else {
+              #pragma acc parallel loop
+              for (i = 0; i < n; i++) { a[i] = 2.0; }
+            }
+          }
+          fill(a, n);
+        }|}
+  in
+  (* fill's loop is defined first and compiled first (the then-branch),
+     but main's loop runs first. *)
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    "(line, id)" [ (12, 0); (4, 1); (4, 1) ] (List.rev !ids);
+  check (Alcotest.float 0.0) "ran" 4.0 ((Host_interp.find_array env "a").View.get_f 3)
+
+let test_env_scope_is_the_pragmas () =
+  let seen = ref [] in
+  let on_update env _ =
+    seen :=
+      ( Host_interp.find_array env "x",
+        Host_interp.find_array_opt env "y",
+        Host_interp.get_scalar env "m" )
+      :: !seen
+  in
+  ignore
+    (run_with_hooks ~on_update
+       {|void main() {
+           double x[4]; int m = 1;
+           {
+             #pragma acc update host(x[0:4])
+             ;
+             double x[8]; double y[2]; int m = 2;
+             x[0] = 1.0; y[0] = 1.0; m = m + 1;
+           }
+         }|});
+  match !seen with
+  | [ (x, y, m) ] ->
+      check Alcotest.int "outer x" 4 x.View.length;
+      check Alcotest.bool "y not yet declared" true (y = None);
+      check Alcotest.bool "outer m" true (m = Host_interp.Vint 1)
+  | _ -> Alcotest.fail "expected one hook call"
+
+let test_escaping_break_is_located () =
+  match
+    run
+      {|void main() {
+          int n = 4; double a[n]; int i;
+          #pragma acc parallel loop
+          for (i = 0; i < n; i++) { if (i == 2) { break; } a[i] = 1.0; }
+        }|}
+  with
+  | exception Loc.Error (loc, msg) ->
+      check Alcotest.string "message" "break/continue escaping a parallel loop iteration" msg;
+      check Alcotest.int "line" 4 loc.Loc.line
+  | _ -> Alcotest.fail "an escaping break must raise"
+
+(* ---------------- Compiled host path against the reference ---------------- *)
+
+(* Generated host programs: nested for/while/if over int and double
+   scalars and arrays, int/double mixes in every operator and condition,
+   break/continue, shadowing blocks, calls with array arguments (one
+   recursive), early returns and a sequential parallel loop. Indices stay
+   in range and int divisors are odd, so runs do not fail; a run that does
+   must fail in both interpreters. *)
+module Gen = QCheck2.Gen
+
+let ( >>= ) = Gen.( >>= )
+
+type scope = { ints : string list; dbls : string list; pure : bool; calls : bool }
+
+let paren fmt = Printf.ksprintf (fun s -> "(" ^ s ^ ")") fmt
+
+let rec gen_i sc depth : string Gen.t =
+  let leaves =
+    [
+      (3, Gen.map (fun n -> if n < 0 then paren "%d" n else string_of_int n) (Gen.int_range (-9) 9));
+      (1, Gen.oneofl [ "9007199254740993"; "9007199254740992" ]);
+      (4, Gen.oneofl sc.ints);
+    ]
+  in
+  if depth = 0 then Gen.frequency leaves
+  else
+    let i = gen_i sc (depth - 1) and d = gen_d sc (depth - 1) and any = gen_any sc (depth - 1) in
+    let bin op x y = Gen.map2 (fun a b -> paren "%s %s %s" a op b) x y in
+    Gen.frequency
+      (leaves
+      @ [
+          (2, Gen.map (Printf.sprintf "a[%s]") (gen_idx sc (depth - 1)));
+          (2, Gen.oneofl [ "+"; "-"; "*"; "&"; "^" ] >>= fun op -> bin op i i);
+          (1, Gen.map2 (fun a b -> paren "%s / (%s | 1)" a b) i i);
+          (1, Gen.map2 (fun a b -> paren "%s %% (%s | 1)" a b) i i);
+          (2, Gen.oneofl [ "<"; "<="; "=="; "!="; ">" ] >>= fun op -> bin op any any);
+          (1, Gen.oneofl [ "&&"; "||" ] >>= fun op -> bin op any any);
+          (1, Gen.map (paren "!%s") any);
+          (1, Gen.map (paren "(int)%s") d);
+          (1, Gen.map2 (fun a b -> Printf.sprintf "min(%s, %s)" a b) i i);
+          (1, Gen.map3 (paren "%s ? %s : %s") any i i);
+        ]
+      @
+      if sc.calls then
+        [
+          (1, Gen.map (Printf.sprintf "h(a, d, %s)") i);
+          (1, Gen.map (Printf.sprintf "fact(%s %% 6)") i);
+        ]
+      else [])
+
+and gen_d sc depth : string Gen.t =
+  let leaves =
+    [
+      (3, Gen.oneofl [ "0.5"; "1.25"; "0.0"; "3.0"; "0.1"; "(-2.5)" ]);
+      (4, Gen.oneofl sc.dbls);
+    ]
+  in
+  if depth = 0 then Gen.frequency leaves
+  else
+    let i = gen_i sc (depth - 1) and d = gen_d sc (depth - 1) and any = gen_any sc (depth - 1) in
+    Gen.frequency
+      (leaves
+      @ [
+          (2, Gen.map (Printf.sprintf "d[%s]") (gen_idx sc (depth - 1)));
+          ( 3,
+            Gen.map3 (fun a op b -> paren "%s %s %s" a op b) d (Gen.oneofl [ "+"; "-"; "*"; "/" ]) any );
+          (1, Gen.map (paren "1.0 * %s") i);
+          (1, Gen.map (Printf.sprintf "sqrt(fabs(%s))") d);
+          (1, Gen.map (Printf.sprintf "floor(%s)") d);
+          (1, Gen.map2 (Printf.sprintf "fmax(%s, %s)") d any);
+          (* Mixed branches: the result is a double either way. *)
+          (1, Gen.map3 (paren "%s ? %s : %s") any i d);
+        ]
+      @ if sc.calls then [ (1, Gen.map (Printf.sprintf "g(a, d, %s)") d) ] else [])
+
+and gen_any sc depth = Gen.oneof [ gen_i sc depth; gen_d sc depth ]
+
+(* Always in [0, 6). *)
+and gen_idx sc depth = Gen.map (fun e -> paren "(%s %% 6) + 6" e ^ " % 6") (gen_i sc depth)
+
+
+(* [level] is the loop nesting depth: loop counter i<level> is free. *)
+let rec gen_stmt sc ~level ~in_loop ~ret depth : string Gen.t =
+  let i = gen_i sc 2 and d = gen_d sc 2 and any = gen_any sc 2 in
+  let simple =
+    [
+      (3, Gen.map2 (Printf.sprintf "%s = %s;") (Gen.oneofl [ "x0"; "x1" ]) any);
+      (1, Gen.map2 (Printf.sprintf "%s += %s;") (Gen.oneofl [ "x0"; "x1" ]) i);
+      (1, Gen.map (Printf.sprintf "x1 /= (%s | 1);") i);
+      (3, Gen.map2 (Printf.sprintf "%s = %s;") (Gen.oneofl [ "y0"; "y1" ]) any);
+      (1, Gen.map2 (Printf.sprintf "%s *= %s;") (Gen.oneofl [ "y0"; "y1" ]) d);
+    ]
+    @ (if sc.pure then []
+       else
+         [
+           (2, Gen.map2 (Printf.sprintf "a[%s] = %s;") (gen_idx sc 1) any);
+           (2, Gen.map2 (Printf.sprintf "d[%s] += %s;") (gen_idx sc 1) any);
+         ])
+    @ (if sc.calls && not sc.pure then [ (1, Gen.map (Printf.sprintf "upd(a, d, %s);") i) ] else [])
+    @ (if in_loop then [ (1, Gen.oneofl [ "break;"; "continue;" ]) ] else [])
+    @ match ret with Some r -> [ (1, Gen.map2 (Printf.sprintf "if (%s) { %s }") any r) ] | None -> []
+  in
+  if depth = 0 then Gen.frequency simple
+  else
+    let body ~sc ~level ~in_loop = gen_block sc ~level ~in_loop ~ret (depth - 1) in
+    let counter = Printf.sprintf "i%d" level in
+    let inner = { sc with ints = counter :: sc.ints } in
+    Gen.frequency
+      (simple
+      @ [
+          ( 2,
+            Gen.map3 (Printf.sprintf "if (%s) { %s } else { %s }") any
+              (body ~sc ~level ~in_loop) (body ~sc ~level ~in_loop) );
+          ( 2,
+            Gen.map2
+              (fun n b -> Printf.sprintf "for (%s = 0; %s < %d; %s++) { %s }" counter counter n counter b)
+              (Gen.int_range 0 3)
+              (body ~sc:inner ~level:(level + 1) ~in_loop:true) );
+          ( 1,
+            Gen.map3
+              (fun n c b ->
+                Printf.sprintf "%s = 0; while (%s < %d && %s) { %s++; %s }" counter counter n c counter b)
+              (Gen.int_range 0 3) any
+              (body ~sc:inner ~level:(level + 1) ~in_loop:true) );
+          ( 1,
+            Gen.map3
+              (fun x y b -> Printf.sprintf "{ int x1 = %s; double y0 = %s; %s }" x y b)
+              i d (body ~sc ~level ~in_loop) );
+        ])
+
+and gen_block sc ~level ~in_loop ~ret depth =
+  Gen.map (String.concat " ") (Gen.list_size (Gen.int_range 1 3) (gen_stmt sc ~level ~in_loop ~ret depth))
+
+let locals = "int i0; int i1; int i2;"
+let main_scope = { ints = [ "x0"; "x1"; "n" ]; dbls = [ "y0"; "y1" ]; pure = false; calls = true }
+
+let gen_host_program =
+  let fn_scope ~pure = { main_scope with ints = [ "x0"; "x1"; "k" ]; pure; calls = false } in
+  let fn_body sc ~ret = gen_block sc ~level:0 ~in_loop:false ~ret 2 in
+  let pure = fn_scope ~pure:true in
+  let h_ret = Gen.map (Printf.sprintf "return %s;") (gen_i pure 2) in
+  let g_ret = Gen.map (Printf.sprintf "return %s;") (gen_d pure 2) in
+  Gen.map
+    (fun ((h, hr, g), (gr, u, (par, m))) ->
+      Printf.sprintf
+        {|int fact(int k) { if (k <= 1) { return 1; } return k * fact(k - 1); }
+int h(int a[], double d[], int k) { int x0 = k; int x1 = 3; double y0 = 0.5; double y1 = (-1.5); %s %s %s }
+double g(int a[], double d[], double s) { int k = 2; int x0 = k; int x1 = (-4); double y0 = s; double y1 = 0.25; %s %s %s }
+void upd(int a[], double d[], int k) { int x0 = k; int x1 = 1; double y0 = 1.5; double y1 = 2.0; %s %s }
+void main() {
+  int n = 6; int a[n]; double d[n]; int x0 = 1; int x1 = (-3); double y0 = 0.5; double y1 = 2.25; %s int p;
+  for (p = 0; p < n; p++) { a[p] = p * 3 - 7; d[p] = 0.5 * p - 1.0; }
+  #pragma acc parallel loop
+  for (p = 0; p < n; p++) { %s }
+  %s
+}
+|}
+        locals h hr locals g gr locals u locals par m)
+    (Gen.pair
+       (Gen.triple (fn_body pure ~ret:(Some h_ret)) h_ret (fn_body pure ~ret:(Some g_ret)))
+       (Gen.triple g_ret
+          (fn_body (fn_scope ~pure:false) ~ret:(Some (Gen.return "return;")))
+          (Gen.pair
+             (Gen.map2 (Printf.sprintf "a[p] = a[p] + %s; d[p] = %s;")
+                (gen_i { main_scope with ints = "p" :: main_scope.ints } 2)
+                (gen_d main_scope 2))
+             (gen_block main_scope ~level:0 ~in_loop:false ~ret:None 3))))
+
+let prop_compiled_matches_reference =
+  let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) || (a <> a && b <> b) in
+  let prop src =
+    let program = Parser.parse ~file:"gen.c" src in
+    match (Host_interp.run_program program, Ref_interp.run program) with
+    | exception (Loc.Error _ | View.Bounds _) -> (
+        match Ref_interp.run program with
+        | exception (Loc.Error _ | View.Bounds _) -> true
+        | _ -> QCheck2.Test.fail_reportf "only the compiled path failed@.%s" src)
+    | env, r ->
+        let ints name = View.snapshot_i (Host_interp.find_array env name) in
+        let floats name = View.snapshot_f (Host_interp.find_array env name) in
+        let scalar name =
+          match (Host_interp.get_scalar env name, Ref_interp.get_scalar r name) with
+          | Host_interp.Vint a, Ref_interp.Vint b -> a = b
+          | Host_interp.Vfloat a, Ref_interp.Vfloat b -> same_float a b
+          | _ -> false
+        in
+        let ok =
+          ints "a" = View.snapshot_i (Ref_interp.find_array r "a")
+          && Array.for_all2 same_float (floats "d") (View.snapshot_f (Ref_interp.find_array r "d"))
+          && List.for_all scalar [ "x0"; "x1"; "y0"; "y1" ]
+        in
+        if not ok then QCheck2.Test.fail_reportf "compiled and reference differ@.%s" src;
+        true
+    | exception e -> (
+        match Ref_interp.run program with
+        | exception _ -> true
+        | _ -> QCheck2.Test.fail_reportf "compiled raised %s@.%s" (Printexc.to_string e) src)
+  in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 20131001 |])
+    (QCheck2.Test.make ~count:300 ~name:"compiled host code matches the reference interpreter"
+       ~print:Fun.id gen_host_program prop)
+
 let suite =
   [
     tc "view: float basics" test_view_float;
@@ -312,4 +711,12 @@ let suite =
     tc "kernel: control flow, ints, bit ops" test_kernel_control_flow_and_ints;
     tc "kernel: per-iteration local initialization" test_kernel_frame_reuse_between_iterations;
     tc "kernel: reduction statement extraction" test_extract_reduction_patterns;
+    tc "forks: double conditions are true when non-zero" test_double_conditions;
+    tc "forks: ints compare exactly" test_int_compare_is_exact;
+    tc "forks: kernel division by zero is located" test_kernel_division_by_zero_is_located;
+    tc "env: a live array keeps one view" test_env_views_are_stable;
+    tc "env: loop ids follow first execution" test_loop_ids_follow_first_execution;
+    tc "env: a hook sees the pragma's scope" test_env_scope_is_the_pragmas;
+    tc "env: an escaping break is a located error" test_escaping_break_is_located;
+    prop_compiled_matches_reference;
   ]

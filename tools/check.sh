@@ -35,6 +35,11 @@ dune exec bench/main.exe -- --smoke fusion
 # loudly if any combination diverges from the sequential reference
 # (see docs/TOPOLOGY.md).
 dune exec bench/main.exe -- --smoke scale
+# End-to-end smoke: the four e2e workloads on their four machine shapes,
+# through the compiled host path. Every run is checked against the
+# sequential oracle, and traced and untraced reports must be equal (see
+# bench/e2e/README.md).
+dune exec bench/e2e/e2e.exe -- --smoke
 # The CLI must reject a --gpus count its --machine spec cannot supply
 # (printable error, no silent clamp).
 if dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster:2x2 --gpus 9 >/dev/null 2>&1; then
