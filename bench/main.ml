@@ -78,6 +78,23 @@ type collected = {
 
 let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
+(* A tracked BENCH_*.json is written only from the configuration it
+   records: never from a --smoke run, and, for artifacts that carry a
+   "scale" key, only at that declared scale ([scale] is the pair (this
+   run's scale, declared scale)). Any other run prints its table and
+   leaves the committed artifact alone. *)
+let write_artifact ?scale ~smoke file contents =
+  match scale with
+  | _ when smoke -> Printf.printf "\nsmoke configuration: no %s written\n" file
+  | Some (run, declared) when run <> declared ->
+      Printf.printf "\nscale %s: no %s written (it is tracked at --scale %s)\n" (scale_name run)
+        file (scale_name declared)
+  | _ ->
+      let oc = open_out file in
+      output_string oc contents;
+      close_out oc;
+      Printf.printf "\nwrote %s\n" file
+
 let collect_app scale platform kind =
   let app = app_of kind scale in
   progress "  [%s] %s: openmp..." platform.pname (app_name kind);
@@ -704,8 +721,8 @@ let overlap_bench scale ~smoke =
         machines)
     apps;
   Table.print t;
-  let oc = open_out "BENCH_overlap.json" in
-  Printf.fprintf oc
+  write_artifact ~scale:(scale, Small) ~smoke "BENCH_overlap.json"
+    (Printf.sprintf
     "{\n\
     \  \"scale\": %S,\n\
     \  \"flags\": {\"overlap\": \"off-vs-on\", \"coherence\": \"eager\", \"collective\": \"direct\"},\n\
@@ -714,9 +731,7 @@ let overlap_bench scale ~smoke =
     \  ]\n\
      }\n"
     (scale_name scale)
-    (String.concat ",\n" (List.rev !json_entries));
-  close_out oc;
-  print_endline "\nwrote BENCH_overlap.json";
+    (String.concat ",\n" (List.rev !json_entries)));
   print_endline
     "shape: bfs (dirty-chunk reconciliation + irregular per-launch imbalance) gains the\n\
      most — the slow GPU's exchange streams while the fast one proceeds. kmeans can lose\n\
@@ -847,8 +862,8 @@ let coherence_bench scale ~smoke =
     machines;
   print_endline "\n-- kmeans under lazy coherence: barrier vs overlap --";
   Table.print kt;
-  let oc = open_out "BENCH_coherence.json" in
-  Printf.fprintf oc
+  write_artifact ~scale:(scale, Default) ~smoke "BENCH_coherence.json"
+    (Printf.sprintf
     "{\n\
     \  \"scale\": %S,\n\
     \  \"flags\": {\"coherence\": \"eager-vs-lazy\", \"overlap\": \"off\", \"collective\": \
@@ -862,9 +877,7 @@ let coherence_bench scale ~smoke =
      }\n"
     (scale_name scale)
     (String.concat ",\n" (List.rev !json_entries))
-    (String.concat ",\n" (List.rev !km_entries));
-  close_out oc;
-  print_endline "\nwrote BENCH_coherence.json";
+    (String.concat ",\n" (List.rev !km_entries)));
   print_endline
     "shape: kmeans cuts the most — reduction results fan out as per-GPU windows instead of\n\
      whole-array broadcasts, and self-reads elide the rest. spmv ships one contiguous run\n\
@@ -948,10 +961,8 @@ let fusion_bench scale ~smoke =
         machines)
     apps;
   Table.print t;
-  if smoke then print_endline "\nsmoke configuration: no BENCH_fusion.json written"
-  else begin
-    let oc = open_out "BENCH_fusion.json" in
-    Printf.fprintf oc
+  write_artifact ~scale:(scale, Default) ~smoke "BENCH_fusion.json"
+    (Printf.sprintf
       "{\n\
       \  \"scale\": %S,\n\
       \  \"flags\": {\"fuse\": \"off-vs-on\", \"overlap\": \"off\", \"coherence\": \"eager\", \
@@ -961,10 +972,7 @@ let fusion_bench scale ~smoke =
       \  ]\n\
        }\n"
       (scale_name scale)
-      (String.concat ",\n" (List.rev !json_entries));
-    close_out oc;
-    print_endline "\nwrote BENCH_fusion.json"
-  end;
+      (String.concat ",\n" (List.rev !json_entries)));
   print_endline
     "shape: md fuses its three velocity-Verlet loops into one kernel and contracts the\n\
      acceleration temporary outright; kmeans fuses assignment with membership, contracts\n\
@@ -1072,8 +1080,8 @@ let collective_bench scale ~smoke =
         machines)
     apps;
   Table.print t;
-  let oc = open_out "BENCH_collective.json" in
-  Printf.fprintf oc
+  write_artifact ~scale:(scale, Default) ~smoke "BENCH_collective.json"
+    (Printf.sprintf
     "{\n\
     \  \"scale\": %S,\n\
     \  \"flags\": {\"collective\": \"direct-vs-auto\", \"coherence\": \"eager-and-lazy\", \
@@ -1083,9 +1091,7 @@ let collective_bench scale ~smoke =
     \  ]\n\
      }\n"
     (scale_name scale)
-    (String.concat ",\n" (List.rev !json_entries));
-  close_out oc;
-  print_endline "\nwrote BENCH_collective.json";
+    (String.concat ",\n" (List.rev !json_entries)));
   print_endline
     "shape: the wins concentrate on the 4-GPU cluster and the replica-heavy apps (kmeans,\n\
      spmv, bfs): a ring or hierarchical schedule crosses the 3.2GB/s wire once per node\n\
@@ -1139,9 +1145,10 @@ let fleet_bench scale ~smoke =
            [ Mgacc.Fleet_job.make ~id:0 ~tenant:"warmup" ~name ~source ~submit:0.0 ]))
     sources;
   let max_footprint =
+    let probe = Mgacc.Fleet.configure (fresh ()) in
     List.fold_left
       (fun acc (name, source) ->
-        let entry, _ = Mgacc.Plan_cache.lookup ~name cache source in
+        let entry, _ = Mgacc.Fleet.lookup probe cache ~name source in
         max acc (Option.value ~default:(16 * 1024 * 1024) entry.Mgacc.Plan_cache.footprint_bytes))
       1 sources
   in
@@ -1178,10 +1185,8 @@ let fleet_bench scale ~smoke =
       json_entries := Printf.sprintf "    %s" (Mgacc.Fleet.stats_to_json s) :: !json_entries)
     [ Mgacc.Fleet.Fifo; Mgacc.Fleet.Sjf; Mgacc.Fleet.Fair ];
   Table.print t;
-  if smoke then print_endline "\nsmoke configuration: no BENCH_fleet.json written"
-  else begin
-    let oc = open_out "BENCH_fleet.json" in
-    Printf.fprintf oc
+  write_artifact ~scale:(scale, Small) ~smoke "BENCH_fleet.json"
+    (Printf.sprintf
       "{\n\
       \  \"scale\": %S,\n\
       \  \"flags\": {\"policy\": \"fifo-vs-sjf-vs-fair\", \"keep_warm\": true},\n\
@@ -1194,10 +1199,7 @@ let fleet_bench scale ~smoke =
       \  ]\n\
        }\n"
       (scale_name scale) job_count budget
-      (String.concat ",\n" (List.rev !json_entries));
-    close_out oc;
-    print_endline "\nwrote BENCH_fleet.json"
-  end;
+      (String.concat ",\n" (List.rev !json_entries)));
   print_endline
     "shape: the burst arrives long-and-short interleaved, so FIFO makes short jobs queue\n\
      behind long ones; SJF reorders the backlog shortest-first and wins on mean wait at\n\
@@ -1358,10 +1360,8 @@ let sim_bench ~smoke ?machine_override () =
       Printf.sprintf "%.2fx" speedup;
     ];
   Table.print t;
-  if smoke then print_endline "\nsmoke configuration: no BENCH_sim.json written"
-  else begin
-    let oc = open_out "BENCH_sim.json" in
-    Printf.fprintf oc
+  write_artifact ~smoke "BENCH_sim.json"
+    (Printf.sprintf
       "{\n\
       \  \"flags\": {\"allocator\": \"incremental-vs-reference\", \"storm\": \
        \"h2d-d2h-p2p-mixed\"},\n\
@@ -1389,10 +1389,7 @@ let sim_bench ~smoke ?machine_override () =
             ",\n\
             \  \"machine_override\": {\"spec\": %S, \"gpus\": %d, \"median_seconds\": %.9g, \
              \"events_per_second\": %.9g}"
-            spec_str gpus omedian oeps);
-    close_out oc;
-    print_endline "\nwrote BENCH_sim.json"
-  end;
+            spec_str gpus omedian oeps));
   Printf.printf
     "shape: the reference allocator rebuilds hashtable water-filling state on every\n\
      arrival/completion event, so per-event cost grows with active flows x resources;\n\
@@ -1552,10 +1549,8 @@ let scale_bench scale ~smoke =
   if !mismatches <> [] then
     failwith ("bench scale: results diverged from the sequential reference:\n  "
               ^ String.concat "\n  " !mismatches);
-  if smoke then print_endline "\nsmoke configuration: no BENCH_scale.json written"
-  else begin
-    let oc = open_out "BENCH_scale.json" in
-    Printf.fprintf oc
+  write_artifact ~scale:(scale, Default) ~smoke "BENCH_scale.json"
+    (Printf.sprintf
       "{\n\
       \  \"scale\": %S,\n\
       \  \"flags\": {\"decomp\": \"1d-vs-2d\", \"collective\": \"star-vs-ring\", \
@@ -1565,10 +1560,7 @@ let scale_bench scale ~smoke =
       \  ]\n\
        }\n"
       (scale_name scale)
-      (String.concat ",\n" (List.rev !json_entries));
-    close_out oc;
-    print_endline "\nwrote BENCH_scale.json"
-  end;
+      (String.concat ",\n" (List.rev !json_entries)));
   print_endline
     "shape: at 4 GPUs the 2x2 tile perimeter roughly matches the 1-D halo rows, so the\n\
      decompositions tie; from 16 GPUs up the tiles win on per-GPU halo bytes and the gap\n\

@@ -191,6 +191,11 @@ let percentile p xs =
 
 type running = { r_spec : Job.spec; r_admit : float; r_finish : float; r_session : Session.t }
 
+(* Plans are keyed by the machine shape they run on, so every reader of a
+   fleet's measured profile must look entries up the way [run] does. *)
+let lookup config cache ~name source =
+  Plan_cache.lookup ~machine:config.machine.Machine.name ~name cache source
+
 let run ?cache config (specs : Job.spec list) =
   let cache = match cache with Some c -> c | None -> Plan_cache.create () in
   Machine.reset config.machine;
@@ -212,10 +217,7 @@ let run ?cache config (specs : Job.spec list) =
     match Hashtbl.find_opt job_meta j.Job.id with
     | Some m -> m
     | None ->
-        let entry, hit =
-          Plan_cache.lookup ~machine:config.machine.Machine.name ~name:j.Job.name cache
-            j.Job.source
-        in
+        let entry, hit = lookup config cache ~name:j.Job.name j.Job.source in
         let estimate =
           match entry.Plan_cache.measured_seconds with
           | Some s -> s

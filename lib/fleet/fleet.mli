@@ -105,6 +105,12 @@ val run : ?cache:Plan_cache.t -> config -> Job.spec list -> outcome
     (e.g. to compare policies on a warmed cache). Raises {!Deadlock} when
     admission wedges. *)
 
+val lookup : config -> Plan_cache.t -> name:string -> string -> Plan_cache.entry * bool
+(** The plan-cache lookup {!run} makes for a job with this [name] and
+    source: keyed by the config's machine shape. Read a measured profile
+    through it; a lookup without the machine key misses and returns a
+    fresh, unmeasured entry. *)
+
 val static_estimate : Machine.t -> num_gpus:int -> Mgacc_translator.Program_plan.t -> float
 (** The SJF fallback: summed roofline duration of the program's kernels. *)
 

@@ -169,19 +169,16 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
             | Cw_windows ws -> Interval.Set.inter runs.(src) ws.(dst))
       done
   done;
+  (* Each pair's ranged payload, computed once ([ship.(g).(g)] is empty,
+     so the diagonal is 0). *)
+  let ship_bytes = Array.map (Array.map ranged_bytes) ship in
   (* Staging as in the eager path, sized for the ranged payloads. *)
   let staging = ref [] in
-  let send_bytes =
-    Array.init num_gpus (fun src ->
-        Array.fold_left max 0 (Array.map ranged_bytes ship.(src)))
-  in
+  let send_bytes = Array.map (Array.fold_left max 0) ship_bytes in
   for g = 0 to num_gpus - 1 do
     if send_bytes.(g) > 0 then
       staging := (g, Memory.alloc_raw (mem g) `System send_bytes.(g)) :: !staging;
-    let incoming =
-      Array.fold_left max 0
-        (Array.init num_gpus (fun src -> if src = g then 0 else ranged_bytes ship.(src).(g)))
-    in
+    let incoming = Array.fold_left (fun acc row -> max acc row.(g)) 0 ship_bytes in
     if incoming > 0 then staging := (g, Memory.alloc_raw (mem g) `System incoming) :: !staging
   done;
   let ops = ref [] in
@@ -211,7 +208,7 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
           let s = ship.(src).(dst) in
           deferred := !deferred + w_bytes - (Interval.Set.total_length s * elem_bytes);
           if not (Interval.Set.is_empty s) then begin
-            let bytes = ranged_bytes s in
+            let bytes = ship_bytes.(src).(dst) in
             shipped := !shipped + bytes;
             ops :=
               {

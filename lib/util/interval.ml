@@ -37,26 +37,19 @@ module Set = struct
   let of_interval i = if ivl_is_empty i then [] else [ i ]
   let to_list t = t
 
-  let add t i =
-    if ivl_length i = 0 then t
-    else
-      (* Merge [i] with every interval it touches (overlap or adjacency). *)
-      let rec insert acc = function
-        | [] -> List.rev (i :: acc) |> fun l -> merge_from l
-        | x :: rest ->
-            if x.hi < i.lo then insert (x :: acc) rest
-            else if i.hi < x.lo then List.rev_append acc (i :: x :: rest) |> merge_from
-            else
-              let merged = { lo = min x.lo i.lo; hi = max x.hi i.hi } in
-              List.rev_append acc (merged :: rest) |> merge_from
-      and merge_from = function
-        | x :: y :: rest when y.lo <= x.hi -> merge_from ({ lo = x.lo; hi = max x.hi y.hi } :: rest)
-        | x :: rest -> x :: merge_from rest
-        | [] -> []
-      in
-      insert [] t
+  (* Push [x] onto a reversed, normalized accumulator whose head starts at
+     or before [x.lo]: it extends the head when they touch (overlap or
+     adjacency), else opens a new run. *)
+  let push acc (x : interval) =
+    match acc with
+    | c :: rest when x.lo <= c.hi -> if x.hi > c.hi then { lo = c.lo; hi = x.hi } :: rest else acc
+    | _ -> x :: acc
 
-  let of_list l = List.fold_left add empty l
+  let of_list l =
+    List.filter (fun i -> not (ivl_is_empty i)) l
+    |> List.stable_sort (fun (x : interval) y -> compare x.lo y.lo)
+    |> List.fold_left push []
+    |> List.rev
 
   let of_sorted_disjoint l =
     let rec validate = function
@@ -69,7 +62,19 @@ module Set = struct
     in
     validate l;
     l
-  let union a b = List.fold_left add a b
+
+  (* One sorted merge by [lo]; [push] joins the runs that touch. *)
+  let union a b =
+    let rec go acc a b =
+      match (a, b) with
+      | x :: xs, y :: _ when x.lo <= y.lo -> go (push acc x) xs b
+      | _, y :: ys -> go (push acc y) a ys
+      | x :: xs, [] -> go (push acc x) xs []
+      | [], [] -> List.rev acc
+    in
+    go [] a b
+
+  let add t i = union t (of_interval i)
 
   let inter a b =
     let rec go a b acc =
@@ -82,15 +87,22 @@ module Set = struct
     in
     go a b []
 
+  (* Two-pointer sweep: each run of [a] is trimmed by the cuts of [b] that
+     reach it; a cut ending inside a run leaves the run's right part for
+     the next cut. Pieces stay non-adjacent because every cut is non-empty. *)
   let diff a b =
-    let subtract_one x cut =
-      (* x minus cut, as 0..2 intervals. *)
-      if not (overlaps x cut) then [ x ]
-      else
-        let left = make x.lo cut.lo and right = make cut.hi x.hi in
-        List.filter (fun i -> not (ivl_is_empty i)) [ left; right ]
+    let rec go acc a b =
+      match (a, b) with
+      | [], _ -> List.rev acc
+      | _, [] -> List.rev_append acc a
+      | x :: xs, y :: ys ->
+          if y.hi <= x.lo then go acc a ys
+          else if x.hi <= y.lo then go (x :: acc) xs b
+          else
+            let acc = if x.lo < y.lo then { lo = x.lo; hi = y.lo } :: acc else acc in
+            if y.hi < x.hi then go acc ({ lo = y.hi; hi = x.hi } :: xs) ys else go acc xs b
     in
-    List.fold_left (fun acc cut -> List.concat_map (fun x -> subtract_one x cut) acc) a b
+    go [] a b
 
   let total_length t = List.fold_left (fun n i -> n + ivl_length i) 0 t
   let mem t i = List.exists (fun x -> ivl_contains x i) t

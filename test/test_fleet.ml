@@ -385,9 +385,7 @@ let test_warm_pool_eviction_under_pressure () =
   let cache = Plan_cache.create () in
   (* Measure the program's footprint once. *)
   ignore (Fleet.run ~cache (Fleet.configure (cluster ())) [ job 0 0.0 ]);
-  let entry, _ =
-    Plan_cache.lookup ~machine:(cluster ()).Machine.name ~name:"job" cache saxpy_src
-  in
+  let entry, _ = Fleet.lookup (Fleet.configure (cluster ())) cache ~name:"job" saxpy_src in
   let footprint =
     match entry.Plan_cache.footprint_bytes with
     | Some b -> b
@@ -400,6 +398,38 @@ let test_warm_pool_eviction_under_pressure () =
   let o = Fleet.run ~cache config [ job 0 0.0; job 1 1e-6; job 2 2e-6 ] in
   check Alcotest.bool "pressure forced evictions" true (o.Fleet.stats.Fleet.evictions > 0);
   check Alcotest.int "all jobs still completed" 3 o.Fleet.stats.Fleet.job_count
+
+(* Every program the fleet bench replays (md, kmeans, bfs, spmv,
+   montecarlo; tiny inputs here) must leave a positive footprint after its
+   warm-up run, read back through the key [run] itself uses. A lookup
+   without the machine shape misses and sees a fresh, unmeasured entry:
+   that is how the bench once sized its budget from the 16 MiB default. *)
+let test_warmup_records_footprints () =
+  let open Mgacc_apps in
+  let sources =
+    List.map
+      (fun (name, app) -> (name, app.App_common.source))
+      [
+        ("md", Md.app { Md.atoms = 256; max_neighbors = 8; seed = 42 });
+        ( "kmeans",
+          Kmeans.app
+            { Kmeans.points = 400; features = 4; clusters = 3; iterations = 2; seed = 11 } );
+        ("bfs", Bfs.app { Bfs.nodes = 600; max_degree = 6; seed = 5 });
+        ("spmv", Spmv.app { Spmv.rows = 500; width = 6; iterations = 2; seed = 19 });
+        ("montecarlo", Montecarlo.app { Montecarlo.paths = 500; steps = 4; bins = 8; seed = 29 });
+      ]
+  in
+  let cache = Plan_cache.create () in
+  List.iter
+    (fun (name, source) ->
+      let config = Fleet.configure ~keep_warm:true (cluster ()) in
+      ignore (Fleet.run ~cache config [ job ~name ~src:source 0 0.0 ]);
+      let entry, hit = Fleet.lookup config cache ~name source in
+      check Alcotest.bool (name ^ ": warm-up plan found") true hit;
+      match entry.Plan_cache.footprint_bytes with
+      | Some b when b > 0 -> ()
+      | _ -> Alcotest.failf "%s: no positive footprint recorded after warm-up" name)
+    sources
 
 let test_deadlock_on_impossible_footprint () =
   let config =
@@ -469,6 +499,7 @@ let suite =
     tc "sjf reorders a long/short backlog" test_sjf_reorders_backlog;
     tc "fair-share interleaves tenants" test_fair_share_interleaves_tenants;
     tc "memory pressure evicts warm pools" test_warm_pool_eviction_under_pressure;
+    tc "warm-up records every bench program's footprint" test_warmup_records_footprints;
     tc "over-budget job deadlocks loudly" test_deadlock_on_impossible_footprint;
     tc "simulated-time watchdog fires" test_watchdog_fires_on_stuck_queue;
   ]

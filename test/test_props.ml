@@ -35,8 +35,7 @@ let prop_set_semantics (l : (int * int) list) =
   let s = set_of_list l in
   model_points s = points_of_list l
 
-let prop_set_normalized l =
-  let s = set_of_list l in
+let normalized s =
   let rec disjoint_sorted = function
     | (a : Interval.t) :: (b : Interval.t) :: rest ->
         (* strictly separated (no overlap, no adjacency) and non-empty *)
@@ -46,6 +45,39 @@ let prop_set_normalized l =
   in
   disjoint_sorted (Interval.Set.to_list s)
 
+let prop_set_normalized l = normalized (set_of_list l)
+
+(* Large sets: hundreds to thousands of short runs (some empty, in random
+   order) over a universe of 100k-400k points, dense enough that runs
+   overlap and abut. Too big for the point model; checked against the
+   fold-based reference algebra instead. *)
+let gen_large_intervals =
+  QCheck2.Gen.(
+    int_range 100_000 400_000 >>= fun universe ->
+    list_size (int_range 100 2000) (pair (int_bound (universe - 1)) (int_bound 40)))
+
+(* Every result equals the reference's (which [Ref_interval.to_set]
+   validates as normalized on the way in) and is itself normalized. *)
+let agrees_with_reference (l1, l2) =
+  let raw l = List.map (fun (lo, len) -> Interval.make lo (lo + len)) l in
+  let raw1 = raw l1 and raw2 = raw l2 in
+  let s1 = Interval.Set.of_list raw1 and s2 = Interval.Set.of_list raw2 in
+  let r1 = Ref_interval.of_list raw1 and r2 = Ref_interval.of_list raw2 in
+  let same s r = normalized s && Interval.Set.equal s (Ref_interval.to_set r) in
+  let some_cuts = List.filteri (fun i _ -> i < 64) raw2 in
+  let u = Interval.Set.union s1 s2 and i = Interval.Set.inter s1 s2 in
+  same s1 r1 && same s2 r2
+  && same u (Ref_interval.union r1 r2)
+  && same (Interval.Set.diff s1 s2) (Ref_interval.diff r1 r2)
+  && same (Interval.Set.diff s2 s1) (Ref_interval.diff r2 r1)
+  && same
+       (List.fold_left Interval.Set.add s1 some_cuts)
+       (List.fold_left Ref_interval.add r1 some_cuts)
+  && normalized i
+  && Interval.Set.subset s1 s2 = Ref_interval.subset r1 r2
+  && Interval.Set.subset s2 s1 = Ref_interval.subset r2 r1
+  && Interval.Set.subset i s1 && Interval.Set.subset s2 u
+
 let prop_set_ops (l1, l2) =
   let s1 = set_of_list l1 and s2 = set_of_list l2 in
   let p1 = points_of_list l1 and p2 = points_of_list l2 in
@@ -53,6 +85,7 @@ let prop_set_ops (l1, l2) =
   eq (Interval.Set.union s1 s2) (List.sort_uniq compare (p1 @ p2))
   && eq (Interval.Set.inter s1 s2) (List.filter (fun x -> List.mem x p2) p1)
   && eq (Interval.Set.diff s1 s2) (List.filter (fun x -> not (List.mem x p2)) p1)
+  && agrees_with_reference (l1, l2)
 
 let prop_of_sorted_disjoint_agrees l =
   let s = set_of_list l in
@@ -524,6 +557,9 @@ let suite =
     qtest "of_sorted_disjoint is identity on normalized sets" gen_intervals
       prop_of_sorted_disjoint_agrees;
     qtest "interval set ops match model" (QCheck2.Gen.pair gen_intervals gen_intervals) prop_set_ops;
+    qtest ~count:10 "large interval set ops match the fold-based reference"
+      (QCheck2.Gen.pair gen_large_intervals gen_large_intervals)
+      agrees_with_reference;
     qtest "bitset matches boolean array" gen_bit_ops prop_bitset;
     qtest "task split covers and balances" gen_split prop_split_covers;
     qtest "dirty runs equal marked set" gen_dirty prop_dirty_runs_match_marks;

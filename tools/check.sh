@@ -19,6 +19,13 @@ else
 fi
 dune build
 dune runtest
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+# The smoke runs below must never touch a committed artifact: a bench
+# target writes its BENCH_*.json only from the configuration the file
+# records (its declared scale, never --smoke). Checksum every artifact
+# now; the same checksums are required after the last smoke run.
+cksum BENCH_*.json > "$tmp/bench.before"
 # Fleet smoke: replay a 3-job trace through every scheduling policy. The
 # fleet's simulated-time watchdog makes an admission deadlock fail loudly
 # (Fleet.Deadlock names the wedged job id) instead of hanging CI.
@@ -35,11 +42,20 @@ dune exec bench/main.exe -- --smoke fusion
 # loudly if any combination diverges from the sequential reference
 # (see docs/TOPOLOGY.md).
 dune exec bench/main.exe -- --smoke scale
+# Overlap, coherence and collective smoke: every run is checked against
+# the sequential reference; none of them may write its artifact.
+dune exec bench/main.exe -- --scale small --smoke overlap coherence collective
 # End-to-end smoke: the four e2e workloads on their four machine shapes,
 # through the compiled host path. Every run is checked against the
 # sequential oracle, and traced and untraced reports must be equal (see
 # bench/e2e/README.md).
 dune exec bench/e2e/e2e.exe -- --smoke
+cksum BENCH_*.json > "$tmp/bench.after"
+if ! cmp -s "$tmp/bench.before" "$tmp/bench.after"; then
+  echo "check.sh: a smoke run rewrote a committed BENCH_*.json:" >&2
+  diff "$tmp/bench.before" "$tmp/bench.after" >&2 || true
+  exit 1
+fi
 # The CLI must reject a --gpus count its --machine spec cannot supply
 # (printable error, no silent clamp).
 if dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster:2x2 --gpus 9 >/dev/null 2>&1; then
@@ -50,13 +66,11 @@ fi
 # emitted artifacts validated for internal consistency (the trace parses
 # and every flow event references a recorded span; every Prometheus
 # series carries a # TYPE).
-obs_tmp="$(mktemp -d)"
-trap 'rm -rf "$obs_tmp"' EXIT
 dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster --overlap on \
-  --trace-json "$obs_tmp/run_trace.json" --blame > /dev/null
+  --trace-json "$tmp/run_trace.json" --blame > /dev/null
 dune exec bin/accc.exe -- serve samples/fleet.trace \
-  --metrics "$obs_tmp/fleet.prom" --trace-json "$obs_tmp/fleet_trace.json" > /dev/null
-dune exec tools/validate_obs/validate_obs.exe -- trace "$obs_tmp/run_trace.json"
-dune exec tools/validate_obs/validate_obs.exe -- trace "$obs_tmp/fleet_trace.json"
-dune exec tools/validate_obs/validate_obs.exe -- metrics "$obs_tmp/fleet.prom"
+  --metrics "$tmp/fleet.prom" --trace-json "$tmp/fleet_trace.json" > /dev/null
+dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/run_trace.json"
+dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/fleet_trace.json"
+dune exec tools/validate_obs/validate_obs.exe -- metrics "$tmp/fleet.prom"
 echo "check.sh: all green"
