@@ -4,13 +4,22 @@
     (ints, floats, views) at compile time, so executing code involves no
     name lookups. A {!Layout.t} is threaded through compilation to assign
     slots lexically; {!create} then instantiates a frame of the final
-    size. *)
+    size. Besides named variables, a layout holds temporaries (where a
+    double subexpression leaves its value) and constants (the literals
+    compiled code reads in place), which {!create} initializes.
+
+    A frame also carries the cost counter its compiled code charges. *)
 
 open Mgacc_minic
 
 type slot = Int_slot of int | Float_slot of int | View_slot of int
 
-type t = { ints : int array; floats : float array; views : View.t option array }
+type t = {
+  ints : int array;
+  floats : float array;
+  views : View.t array;  (** {!View.unbound} until a view is bound *)
+  cost : Mgacc_gpusim.Cost.t;
+}
 
 type scope
 (** The names in force at one program point, innermost scope first. A
@@ -24,11 +33,6 @@ module Layout : sig
 
   val create : unit -> t
 
-  val of_scope : scope -> t
-  (** A layout that resolves names through [scope] and owns no slots: for
-      compiling expressions that declare nothing against an existing
-      frame. *)
-
   val enter_scope : t -> unit
   val leave_scope : t -> unit
 
@@ -38,6 +42,14 @@ module Layout : sig
 
   val fresh : t -> Loc.t -> Ast.typ -> slot
   (** Assign a fresh slot that no name refers to. *)
+
+  val bind : t -> Loc.t -> string -> Ast.typ -> slot -> unit
+  (** Name a slot from {!fresh}, with {!declare}'s checks. *)
+
+  val const_int : t -> int -> int
+  val const_float : t -> float -> int
+  (** The index of a slot that holds the constant in every frame of the
+      layout; equal constants share a slot. Compiled code never writes it. *)
 
   val lookup : t -> string -> (slot * Ast.typ) option
   (** Innermost-scope-first lookup. *)
@@ -50,8 +62,19 @@ module Layout : sig
   val view_bank_size : t -> int
 end
 
-val create : Layout.t -> t
-(** A zeroed frame sized for everything the layout ever declared. *)
+val create : Layout.t -> Mgacc_gpusim.Cost.t -> t
+(** A zeroed frame sized for everything the layout ever declared, with its
+    constants in place, charging [cost]. *)
+
+val layout_above : scope -> t -> Layout.t
+(** A layout that resolves names through [scope] and numbers its own slots
+    after the frame's: for compiling an expression against an existing
+    frame. Run the result on {!extend}. *)
+
+val extend : t -> Layout.t -> t
+(** [extend fr layout] is [fr] when [layout] added no slot; otherwise a
+    frame of [layout]'s size holding a copy of [fr]'s slots, [layout]'s
+    constants and [fr]'s cost counter. *)
 
 val set_view : t -> slot -> View.t -> unit
 val get_view : t -> int -> View.t

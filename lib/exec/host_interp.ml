@@ -91,12 +91,14 @@ let stager run =
 (* Public API.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let eval_int env e = Kernel_compile.compile_int (Lazy.force env.run.code) env.scope e env.frame
-let eval_float env e = Kernel_compile.compile_float (Lazy.force env.run.code) env.scope e env.frame
+let eval_int env e = Kernel_compile.eval_int (Lazy.force env.run.code) env.scope e env.frame
+let eval_float env e = Kernel_compile.eval_float (Lazy.force env.run.code) env.scope e env.frame
 
 let find_array_opt env name =
   match Frame.lookup_in env.scope name with
-  | Some (Frame.View_slot i, _) -> env.frame.Frame.views.(i)
+  | Some (Frame.View_slot i, _) ->
+      let v = env.frame.Frame.views.(i) in
+      if v == View.unbound then None else Some v
   | _ -> None
 
 let find_array env name =

@@ -8,7 +8,6 @@ type t = {
   run_iter : Frame.t -> int -> unit;
   make_frame : unit -> Frame.t;
   params : (string * Frame.slot * Ast.typ) list;
-  cost : Cost.t;
 }
 
 exception Brk
@@ -60,7 +59,8 @@ type stager = {
 }
 
 (* Host code: the program's functions, each compiled once, on first
-   reference, into a layout of its own. *)
+   reference, into a layout of its own. Every host frame charges
+   [host_cost]. *)
 type host = { prog : program; stager : stager; funcs : (string, fn) Hashtbl.t; host_cost : Cost.t }
 
 and fn = {
@@ -73,7 +73,6 @@ and fn = {
 
 type ctx = {
   layout : Frame.Layout.t;
-  cost : Cost.t;
   classify : string -> Ast.expr -> Coalesce.mode;
   host : host option;  (** [None] while compiling a kernel body *)
   result : Frame.slot option;  (** where [return e] leaves [e] *)
@@ -97,16 +96,42 @@ let view_slot_of ctx loc a =
   | Frame.View_slot i, Tarray elem -> (i, elem)
   | _ -> Loc.error loc "kernel compilation: %s is not an array" a
 
-(* Cost charge for one access of [width] bytes at the given site mode. *)
-let charge ctx mode width =
-  let cost = ctx.cost in
+let fresh_float ctx loc =
+  match Frame.Layout.fresh ctx.layout loc Tdouble with Frame.Float_slot i -> i | _ -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Charges, written into the closures that execute them.               *)
+(* ------------------------------------------------------------------ *)
+
+let[@inline] flops (fr : Frame.t) n =
+  let c = fr.Frame.cost in
+  c.Cost.flops <- c.Cost.flops + n
+
+let[@inline] int_ops (fr : Frame.t) n =
+  let c = fr.Frame.cost in
+  c.Cost.int_ops <- c.Cost.int_ops + n
+
+(* One array access at a site whose coalescing mode [classify] fixed when
+   the site compiled. *)
+let[@inline] access (fr : Frame.t) mode width =
+  let c = fr.Frame.cost in
   match mode with
-  | Coalesce.Broadcast -> fun () -> cost.Cost.broadcast_bytes <- cost.Cost.broadcast_bytes + width
-  | Coalesce.Coalesced -> fun () -> cost.Cost.coalesced_bytes <- cost.Cost.coalesced_bytes + width
+  | Coalesce.Coalesced -> c.Cost.coalesced_bytes <- c.Cost.coalesced_bytes + width
+  | Coalesce.Broadcast -> c.Cost.broadcast_bytes <- c.Cost.broadcast_bytes + width
   | Coalesce.Strided _ | Coalesce.Random ->
-      fun () ->
-        cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-        cost.Cost.random_bytes <- cost.Cost.random_bytes + width
+      c.Cost.random_accesses <- c.Cost.random_accesses + 1;
+      c.Cost.random_bytes <- c.Cost.random_bytes + width
+
+(* A reduction update behaves like an atomic scatter: one transaction plus
+   the combine op. *)
+let[@inline] scatter (fr : Frame.t) width =
+  let c = fr.Frame.cost in
+  c.Cost.random_accesses <- c.Cost.random_accesses + 1;
+  c.Cost.random_bytes <- c.Cost.random_bytes + width
+
+(* ------------------------------------------------------------------ *)
+(* Operators, applied inline.                                          *)
+(* ------------------------------------------------------------------ *)
 
 let int_div loc a b =
   if b = 0 then Loc.error loc "integer division by zero";
@@ -116,132 +141,380 @@ let int_mod loc a b =
   if b = 0 then Loc.error loc "integer modulo by zero";
   a mod b
 
+let[@inline] iarith loc op a b =
+  match op with
+  | Add -> a + b
+  | Sub -> a - b
+  | Mul -> a * b
+  | Div -> int_div loc a b
+  | Mod -> int_mod loc a b
+  | Band -> a land b
+  | Bor -> a lor b
+  | Bxor -> a lxor b
+  | Shl -> a lsl b
+  | Shr -> a asr b
+  | Eq | Ne | Lt | Le | Gt | Ge | Land | Lor -> assert false
+
+let[@inline] farith op (a : float) b =
+  match op with
+  | Add -> a +. b
+  | Sub -> a -. b
+  | Mul -> a *. b
+  | Div -> a /. b
+  | _ -> assert false
+
+let[@inline] icmp op (a : int) b =
+  match op with
+  | Eq -> a = b
+  | Ne -> a <> b
+  | Lt -> a < b
+  | Le -> a <= b
+  | Gt -> a > b
+  | Ge -> a >= b
+  | _ -> assert false
+
+let[@inline] fcmp op (a : float) b =
+  match op with
+  | Eq -> a = b
+  | Ne -> a <> b
+  | Lt -> a < b
+  | Le -> a <= b
+  | Gt -> a > b
+  | Ge -> a >= b
+  | _ -> assert false
+
+let[@inline] iassign loc op old r =
+  match op with
+  | Set -> r
+  | Add_set -> old + r
+  | Sub_set -> old - r
+  | Mul_set -> old * r
+  | Div_set -> int_div loc old r
+
+let[@inline] fassign op (old : float) r =
+  match op with
+  | Set -> r
+  | Add_set -> old +. r
+  | Sub_set -> old -. r
+  | Mul_set -> old *. r
+  | Div_set -> old /. r
+
+(* Float.min/max, inlined so the arguments stay unboxed. *)
+let[@inline] fmin (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if Float.is_nan y then y else x
+  else if Float.is_nan x then x
+  else y
+
+let[@inline] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if Float.is_nan x then x else y
+  else if Float.is_nan y then y
+  else x
+
+let[@inline] fbuiltin op (x : float) y =
+  match op with
+  | Builtins.Sqrt -> sqrt x
+  | Fabs -> Float.abs x
+  | Exp -> exp x
+  | Log -> log x
+  | Pow -> Float.pow x y
+  | Sin -> sin x
+  | Cos -> cos x
+  | Floor -> floor x
+  | Ceil -> ceil x
+  | Fmin -> fmin x y
+  | Fmax -> fmax x y
+  | Abs | Min | Max -> assert false
+
 let nop : Frame.t -> unit = fun _ -> ()
 
 let seq fs =
   match fs with
   | [] -> nop
   | [ f ] -> f
+  | [ f; g ] ->
+      fun fr ->
+        f fr;
+        g fr
+  | [ f; g; h ] ->
+      fun fr ->
+        f fr;
+        g fr;
+        h fr
   | fs ->
       let arr = Array.of_list fs in
-      fun fr -> Array.iter (fun f -> f fr) arr
+      fun fr ->
+        for k = 0 to Array.length arr - 1 do
+          (Array.unsafe_get arr k) fr
+        done
 
-let apply_binop_assign_int loc op =
-  match op with
-  | Set -> fun _ rhs -> rhs
-  | Add_set -> ( + )
-  | Sub_set -> ( - )
-  | Mul_set -> ( * )
-  | Div_set -> fun a b -> int_div loc a b
+(* ------------------------------------------------------------------ *)
+(* Operands.                                                           *)
+(* ------------------------------------------------------------------ *)
 
-let apply_binop_assign_float op =
-  match op with
-  | Set -> fun _ rhs -> rhs
-  | Add_set -> ( +. )
-  | Sub_set -> ( -. )
-  | Mul_set -> ( *. )
-  | Div_set -> ( /. )
+(* An int operand: a slot read in place (a variable or a constant), or
+   code returning the value. *)
+type iop = Islot of int | Icode of (Frame.t -> int)
+
+(* A double operand: a slot read in place, or code that leaves the value
+   in the slot. No double ever crosses a closure boundary. *)
+type fop = Fslot of int | Fcode of (Frame.t -> unit) * int
+
+(* Operators specialize on their operands' shapes when they compile: one
+   closure per (slot | code) x (slot | code) pair. Where both operands are
+   code, the right one runs first. *)
+
+let code_of_iop = function
+  | Islot s -> fun (fr : Frame.t) -> Array.unsafe_get fr.Frame.ints s
+  | Icode f -> f
+
+let parts_of_fop = function Fslot s -> (nop, s) | Fcode (c, s) -> (c, s)
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation.                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rec comp_f ctx e : Frame.t -> float =
+let rec comp_iop ctx e : iop =
+  match (ty_of ctx e, e.edesc) with
+  | Tint, Int_lit v -> Islot (Frame.Layout.const_int ctx.layout v)
+  | Tint, Var v -> (
+      match slot_of ctx e.eloc v with
+      | Frame.Int_slot i, _ -> Islot i
+      | _ -> Loc.error e.eloc "%s is not an int variable" v)
+  | _ -> Icode (comp_i ctx e)
+
+and comp_fop ctx e : fop =
+  match (ty_of ctx e, e.edesc) with
+  | Tdouble, Float_lit v -> Fslot (Frame.Layout.const_float ctx.layout v)
+  | Tdouble, Var v -> (
+      match slot_of ctx e.eloc v with
+      | Frame.Float_slot i, _ -> Fslot i
+      | _ -> Loc.error e.eloc "%s is not a double variable" v)
+  | Tint, Int_lit v -> Fslot (Frame.Layout.const_float ctx.layout (float_of_int v))
+  | _ ->
+      let t = fresh_float ctx e.eloc in
+      Fcode (comp_f_into ctx e t, t)
+
+(* Code that leaves the value of [e], as a double, in float slot [dst]. *)
+and comp_f_into ctx e dst : Frame.t -> unit =
   match ty_of ctx e with
-  | Tint ->
-      let f = comp_i ctx e in
-      fun fr -> float_of_int (f fr)
-  | Tdouble -> comp_f_native ctx e
+  | Tint -> (
+      match comp_iop ctx e with
+      | Islot s ->
+          fun fr ->
+            Array.unsafe_set fr.Frame.floats dst (float_of_int (Array.unsafe_get fr.Frame.ints s))
+      | Icode f -> fun fr -> Array.unsafe_set fr.Frame.floats dst (float_of_int (f fr)))
+  | Tdouble -> comp_f_native ctx e dst
   | t -> Loc.error e.eloc "expected numeric expression, got %s" (typ_to_string t)
 
-and comp_f_native ctx e : Frame.t -> float =
-  let cost = ctx.cost in
+and comp_f_native ctx e dst : Frame.t -> unit =
   match e.edesc with
-  | Float_lit v -> fun _ -> v
+  | Float_lit v -> fun fr -> Array.unsafe_set fr.Frame.floats dst v
   | Var v -> (
       match slot_of ctx e.eloc v with
-      | Frame.Float_slot i, _ -> fun fr -> Array.unsafe_get fr.Frame.floats i
+      | Frame.Float_slot i, _ ->
+          fun fr ->
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (Array.unsafe_get fl i)
       | _ -> Loc.error e.eloc "%s is not a double variable" v)
-  | Index (a, idx) ->
+  | Index (a, idx) -> (
       let vi, elem = view_slot_of ctx e.eloc a in
       if elem <> Edouble then Loc.error e.eloc "%s is not a double array" a;
-      let ci = comp_i ctx idx in
-      let bump = charge ctx (ctx.classify a idx) 8 in
-      fun fr ->
-        bump ();
-        (Frame.get_view fr vi).View.get_f (ci fr)
-  | Unop (Neg, x) ->
-      let f = comp_f ctx x in
-      fun fr ->
-        cost.Cost.flops <- cost.Cost.flops + 1;
-        -.f fr
-  | Unop (Cast_double, x) -> comp_f ctx x
+      let ix = comp_iop ctx idx in
+      let tr = ctx.classify a idx in
+      match ix with
+      | Islot s ->
+          fun fr ->
+            access fr tr 8;
+            (Array.unsafe_get fr.Frame.views vi).View.load_f
+              (Array.unsafe_get fr.Frame.ints s) fr.Frame.floats dst
+      | Icode ci ->
+          fun fr ->
+            access fr tr 8;
+            (Array.unsafe_get fr.Frame.views vi).View.load_f (ci fr) fr.Frame.floats dst)
+  | Unop (Neg, x) -> (
+      match comp_fop ctx x with
+      | Fslot a ->
+          fun fr ->
+            flops fr 1;
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (-.Array.unsafe_get fl a)
+      | Fcode (cx, a) ->
+          fun fr ->
+            flops fr 1;
+            cx fr;
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (-.Array.unsafe_get fl a))
+  | Unop (Cast_double, x) -> comp_f_into ctx x dst
   | Unop ((Not | Bit_not | Cast_int), _) -> assert false (* typed Tint *)
-  | Binop (op, x, y) -> (
-      let fx = comp_f ctx x and fy = comp_f ctx y in
-      let arith op2 =
-        fun fr ->
-          cost.Cost.flops <- cost.Cost.flops + 1;
-          op2 (fx fr) (fy fr)
-      in
-      match op with
-      | Add -> arith ( +. )
-      | Sub -> arith ( -. )
-      | Mul -> arith ( *. )
-      | Div -> arith ( /. )
-      | Mod | Eq | Ne | Lt | Le | Gt | Ge | Land | Lor | Band | Bor | Bxor | Shl | Shr ->
-          assert false (* typed Tint *))
+  | Binop (((Add | Sub | Mul | Div) as op), x, y) -> (
+      let fx = comp_fop ctx x and fy = comp_fop ctx y in
+      match (fx, fy) with
+      | Fslot a, Fslot b ->
+          fun fr ->
+            flops fr 1;
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
+      | Fcode (cx, a), Fslot b ->
+          fun fr ->
+            flops fr 1;
+            cx fr;
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
+      | Fslot a, Fcode (cy, b) ->
+          fun fr ->
+            flops fr 1;
+            cy fr;
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
+      | Fcode (cx, a), Fcode (cy, b) ->
+          fun fr ->
+            flops fr 1;
+            cy fr;
+            cx fr;
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b)))
+  | Binop (_, _, _) -> assert false (* typed Tint *)
   | Ternary (c, a, b) ->
-      let cc = comp_cond ctx c and fa = comp_f ctx a and fb = comp_f ctx b in
+      let cc = comp_cond ctx c and ca = comp_f_into ctx a dst and cb = comp_f_into ctx b dst in
       fun fr ->
-        cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if cc fr then fa fr else fb fr
+        int_ops fr 1;
+        if cc fr then ca fr else cb fr
   | Call (name, args) -> (
       match Builtins.find name with
       | Some b when b.Builtins.result = Tdouble -> (
-          let flops = b.Builtins.flops in
-          match List.map (comp_f ctx) args with
-          | [ a1 ] ->
-              let g = (fun x -> Builtins.apply_double name [ x ]) in
+          let n = b.Builtins.flops and op = b.Builtins.op in
+          match List.map (comp_fop ctx) args with
+          | [ x ] when b.Builtins.arity = 1 ->
+              let cx, a = parts_of_fop x in
               fun fr ->
-                cost.Cost.flops <- cost.Cost.flops + flops;
-                g (a1 fr)
-          | [ a1; a2 ] ->
-              let g = (fun x y -> Builtins.apply_double name [ x; y ]) in
+                flops fr n;
+                cx fr;
+                let fl = fr.Frame.floats in
+                let v = Array.unsafe_get fl a in
+                Array.unsafe_set fl dst (fbuiltin op v v)
+          | [ x; y ] when b.Builtins.arity = 2 ->
+              let cx, a = parts_of_fop x and cy, b = parts_of_fop y in
               fun fr ->
-                cost.Cost.flops <- cost.Cost.flops + flops;
-                g (a1 fr) (a2 fr)
+                flops fr n;
+                cy fr;
+                cx fr;
+                let fl = fr.Frame.floats in
+                let x = Array.unsafe_get fl a and y = Array.unsafe_get fl b in
+                Array.unsafe_set fl dst (fbuiltin op x y)
           | _ -> Loc.error e.eloc "unsupported builtin arity for %s" name)
       | Some _ -> assert false (* int builtin: typed Tint *)
       | None -> (
           let call, fn = comp_call ctx e.eloc name args in
           match fn.fn_result with
-          | Some (Frame.Float_slot r) -> fun fr -> Array.unsafe_get (call fr).Frame.floats r
+          | Some (Frame.Float_slot r) ->
+              fun fr ->
+                let callee = call fr in
+                Array.unsafe_set fr.Frame.floats dst (Array.unsafe_get callee.Frame.floats r)
           | _ -> assert false (* typed by the function's result *)))
   | Int_lit _ | Length _ -> assert false (* typed Tint *)
 
 and comp_i ctx e : Frame.t -> int =
   match ty_of ctx e with
-  | Tdouble ->
+  | Tdouble -> (
       (* C-style implicit truncation. *)
-      let f = comp_f_native ctx e in
-      fun fr -> int_of_float (f fr)
+      match comp_fop ctx e with
+      | Fslot a -> fun fr -> int_of_float (Array.unsafe_get fr.Frame.floats a)
+      | Fcode (c, a) ->
+          fun fr ->
+            c fr;
+            int_of_float (Array.unsafe_get fr.Frame.floats a))
   | Tint -> comp_i_native ctx e
   | t -> Loc.error e.eloc "expected numeric expression, got %s" (typ_to_string t)
 
-(* A condition: non-zero in the operand's own type, so [0.5] is true. It
-   charges what the int conversion it replaces charged: nothing. *)
+(* A condition: non-zero in the operand's own type, so [0.5] is true. A
+   comparison or logical operator compiles straight to [bool]; the charges
+   are those of the int-valued operator, and the test itself is free. *)
 and comp_cond ctx e : Frame.t -> bool =
   match ty_of ctx e with
-  | Tdouble ->
-      let f = comp_f_native ctx e in
-      fun fr -> f fr <> 0.0
-  | _ ->
-      let f = comp_i ctx e in
-      fun fr -> f fr <> 0
+  | Tdouble -> (
+      match comp_fop ctx e with
+      | Fslot a -> fun fr -> Array.unsafe_get fr.Frame.floats a <> 0.0
+      | Fcode (c, a) ->
+          fun fr ->
+            c fr;
+            Array.unsafe_get fr.Frame.floats a <> 0.0)
+  | _ -> (
+      match e.edesc with
+      | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), x, y)
+        when ty_of ctx x = Tdouble || ty_of ctx y = Tdouble -> (
+          let fx = comp_fop ctx x and fy = comp_fop ctx y in
+          match (fx, fy) with
+          | Fslot a, Fslot b ->
+              fun fr ->
+                flops fr 1;
+                let fl = fr.Frame.floats in
+                fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b)
+          | Fcode (cx, a), Fslot b ->
+              fun fr ->
+                flops fr 1;
+                cx fr;
+                let fl = fr.Frame.floats in
+                fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b)
+          | Fslot a, Fcode (cy, b) ->
+              fun fr ->
+                flops fr 1;
+                cy fr;
+                let fl = fr.Frame.floats in
+                fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b)
+          | Fcode (cx, a), Fcode (cy, b) ->
+              fun fr ->
+                flops fr 1;
+                cy fr;
+                cx fr;
+                let fl = fr.Frame.floats in
+                fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
+      | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), x, y) -> (
+          let fx = comp_iop ctx x and fy = comp_iop ctx y in
+          match (fx, fy) with
+          | Islot a, Islot b ->
+              fun fr ->
+                int_ops fr 1;
+                let is = fr.Frame.ints in
+                icmp op (Array.unsafe_get is a) (Array.unsafe_get is b)
+          | Icode f, Islot b ->
+              fun fr ->
+                int_ops fr 1;
+                icmp op (f fr) (Array.unsafe_get fr.Frame.ints b)
+          | Islot a, Icode g ->
+              fun fr ->
+                int_ops fr 1;
+                let y = g fr in
+                icmp op (Array.unsafe_get fr.Frame.ints a) y
+          | Icode f, Icode g ->
+              fun fr ->
+                int_ops fr 1;
+                let y = g fr in
+                let x = f fr in
+                icmp op x y)
+      | Binop (Land, x, y) ->
+          let fx = comp_cond ctx x and fy = comp_cond ctx y in
+          fun fr ->
+            int_ops fr 1;
+            fx fr && fy fr
+      | Binop (Lor, x, y) ->
+          let fx = comp_cond ctx x and fy = comp_cond ctx y in
+          fun fr ->
+            int_ops fr 1;
+            fx fr || fy fr
+      | Unop (Not, x) ->
+          let c = comp_cond ctx x in
+          if ty_of ctx x = Tdouble then fun fr ->
+            flops fr 1;
+            not (c fr)
+          else fun fr ->
+            int_ops fr 1;
+            not (c fr)
+      | _ -> (
+          match comp_iop ctx e with
+          | Islot a -> fun fr -> Array.unsafe_get fr.Frame.ints a <> 0
+          | Icode f -> fun fr -> f fr <> 0))
 
 and comp_i_native ctx e : Frame.t -> int =
-  let cost = ctx.cost in
   match e.edesc with
   | Int_lit v -> fun _ -> v
   | Var v -> (
@@ -251,128 +524,104 @@ and comp_i_native ctx e : Frame.t -> int =
   | Length a ->
       let vi, _ = view_slot_of ctx e.eloc a in
       fun fr -> (Frame.get_view fr vi).View.length
-  | Index (a, idx) ->
+  | Index (a, idx) -> (
       let vi, elem = view_slot_of ctx e.eloc a in
       if elem <> Eint then Loc.error e.eloc "%s is not an int array" a;
-      let ci = comp_i ctx idx in
-      let bump = charge ctx (ctx.classify a idx) 4 in
-      fun fr ->
-        bump ();
-        (Frame.get_view fr vi).View.get_i (ci fr)
-  | Unop (Neg, x) ->
-      let f = comp_i ctx x in
-      fun fr ->
-        cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        -f fr
-  | Unop (Not, x) ->
-      let t = ty_of ctx x in
-      if t = Tdouble then begin
-        let f = comp_f ctx x in
-        fun fr ->
-          cost.Cost.flops <- cost.Cost.flops + 1;
-          if f fr = 0.0 then 1 else 0
-      end
-      else begin
-        let f = comp_i ctx x in
-        fun fr ->
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if f fr = 0 then 1 else 0
-      end
+      let ix = comp_iop ctx idx in
+      let tr = ctx.classify a idx in
+      match ix with
+      | Islot s ->
+          fun fr ->
+            access fr tr 4;
+            (Array.unsafe_get fr.Frame.views vi).View.get_i (Array.unsafe_get fr.Frame.ints s)
+      | Icode ci ->
+          fun fr ->
+            access fr tr 4;
+            (Array.unsafe_get fr.Frame.views vi).View.get_i (ci fr))
+  | Unop (Neg, x) -> (
+      match comp_iop ctx x with
+      | Islot a ->
+          fun fr ->
+            int_ops fr 1;
+            -Array.unsafe_get fr.Frame.ints a
+      | Icode f ->
+          fun fr ->
+            int_ops fr 1;
+            -f fr)
   | Unop (Bit_not, x) ->
       let f = comp_i ctx x in
       fun fr ->
-        cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+        int_ops fr 1;
         lnot (f fr)
   | Unop (Cast_int, x) -> (
       match ty_of ctx x with
-      | Tdouble ->
-          let f = comp_f_native ctx x in
-          fun fr ->
-            cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-            int_of_float (f fr)
+      | Tdouble -> (
+          match comp_fop ctx x with
+          | Fslot a ->
+              fun fr ->
+                int_ops fr 1;
+                int_of_float (Array.unsafe_get fr.Frame.floats a)
+          | Fcode (c, a) ->
+              fun fr ->
+                int_ops fr 1;
+                c fr;
+                int_of_float (Array.unsafe_get fr.Frame.floats a))
       | _ -> comp_i ctx x)
   | Unop (Cast_double, _) -> assert false (* typed Tdouble *)
-  | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), x, y) ->
-      let tx = ty_of ctx x and ty_ = ty_of ctx y in
-      if tx = Tdouble || ty_ = Tdouble then begin
-        let fx = comp_f ctx x and fy = comp_f ctx y in
-        let cmp : float -> float -> bool =
-          match op with
-          | Eq -> ( = )
-          | Ne -> ( <> )
-          | Lt -> ( < )
-          | Le -> ( <= )
-          | Gt -> ( > )
-          | Ge -> ( >= )
-          | _ -> assert false
-        in
-        fun fr ->
-          cost.Cost.flops <- cost.Cost.flops + 1;
-          if cmp (fx fr) (fy fr) then 1 else 0
-      end
-      else begin
-        let fx = comp_i ctx x and fy = comp_i ctx y in
-        let cmp : int -> int -> bool =
-          match op with
-          | Eq -> ( = )
-          | Ne -> ( <> )
-          | Lt -> ( < )
-          | Le -> ( <= )
-          | Gt -> ( > )
-          | Ge -> ( >= )
-          | _ -> assert false
-        in
-        fun fr ->
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if cmp (fx fr) (fy fr) then 1 else 0
-      end
-  | Binop (Land, x, y) ->
-      let fx = comp_cond ctx x and fy = comp_cond ctx y in
-      fun fr ->
-        cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if fx fr && fy fr then 1 else 0
-  | Binop (Lor, x, y) ->
-      let fx = comp_cond ctx x and fy = comp_cond ctx y in
-      fun fr ->
-        cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if fx fr || fy fr then 1 else 0
+  | Unop (Not, _) | Binop ((Eq | Ne | Lt | Le | Gt | Ge | Land | Lor), _, _) ->
+      let c = comp_cond ctx e in
+      fun fr -> if c fr then 1 else 0
   | Binop (op, x, y) -> (
-      let fx = comp_i ctx x and fy = comp_i ctx y in
-      let arith op2 =
-        fun fr ->
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          op2 (fx fr) (fy fr)
-      in
-      match op with
-      | Add -> arith ( + )
-      | Sub -> arith ( - )
-      | Mul -> arith ( * )
-      | Div -> arith (fun a b -> int_div e.eloc a b)
-      | Mod -> arith (fun a b -> int_mod e.eloc a b)
-      | Band -> arith ( land )
-      | Bor -> arith ( lor )
-      | Bxor -> arith ( lxor )
-      | Shl -> arith ( lsl )
-      | Shr -> arith ( asr )
-      | Eq | Ne | Lt | Le | Gt | Ge | Land | Lor -> assert false)
+      let loc = e.eloc in
+      let fx = comp_iop ctx x and fy = comp_iop ctx y in
+      match (fx, fy) with
+      | Islot a, Islot b ->
+          fun fr ->
+            int_ops fr 1;
+            let is = fr.Frame.ints in
+            iarith loc op (Array.unsafe_get is a) (Array.unsafe_get is b)
+      | Icode f, Islot b ->
+          fun fr ->
+            int_ops fr 1;
+            let x = f fr in
+            iarith loc op x (Array.unsafe_get fr.Frame.ints b)
+      | Islot a, Icode g ->
+          fun fr ->
+            int_ops fr 1;
+            let y = g fr in
+            iarith loc op (Array.unsafe_get fr.Frame.ints a) y
+      | Icode f, Icode g ->
+          fun fr ->
+            int_ops fr 1;
+            let y = g fr in
+            let x = f fr in
+            iarith loc op x y)
   | Ternary (c, a, b) ->
       let cc = comp_cond ctx c and fa = comp_i ctx a and fb = comp_i ctx b in
       fun fr ->
-        cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+        int_ops fr 1;
         if cc fr then fa fr else fb fr
   | Call (name, args) -> (
       match Builtins.find name with
       | Some b when b.Builtins.result = Tint -> (
-          let flops = b.Builtins.flops in
-          match List.map (comp_i ctx) args with
-          | [ a1 ] ->
+          let n = b.Builtins.flops in
+          match (b.Builtins.op, List.map (comp_i ctx) args) with
+          | Builtins.Abs, [ f ] ->
               fun fr ->
-                cost.Cost.int_ops <- cost.Cost.int_ops + flops;
-                Builtins.apply_int name [ a1 fr ]
-          | [ a1; a2 ] ->
+                int_ops fr n;
+                abs (f fr)
+          | Builtins.Min, [ f; g ] ->
               fun fr ->
-                cost.Cost.int_ops <- cost.Cost.int_ops + flops;
-                Builtins.apply_int name [ a1 fr; a2 fr ]
+                int_ops fr n;
+                let y = g fr in
+                let x = f fr in
+                min x y
+          | Builtins.Max, [ f; g ] ->
+              fun fr ->
+                int_ops fr n;
+                let y = g fr in
+                let x = f fr in
+                max x y
           | _ -> Loc.error e.eloc "unsupported builtin arity for %s" name)
       | Some _ -> assert false
       | None -> (
@@ -401,18 +650,21 @@ and comp_call ctx loc name args =
         match arg.edesc with
         | Var a ->
             let src, _ = view_slot_of ctx arg.eloc a in
-            fun caller callee -> callee.Frame.views.(dst) <- caller.Frame.views.(src)
+            fun (caller : Frame.t) (callee : Frame.t) ->
+              callee.Frame.views.(dst) <- caller.Frame.views.(src)
         | _ -> Loc.error arg.eloc "array argument must be an array name")
     | Frame.Int_slot dst ->
         let f = comp_i ctx arg in
         fun caller callee -> callee.Frame.ints.(dst) <- f caller
     | Frame.Float_slot dst ->
-        let f = comp_f ctx arg in
-        fun caller callee -> callee.Frame.floats.(dst) <- f caller
+        let c, s = parts_of_fop (comp_fop ctx arg) in
+        fun caller callee ->
+          c caller;
+          callee.Frame.floats.(dst) <- caller.Frame.floats.(s)
   in
   let binds = Array.of_list (List.map2 bind fn.fn_params args) in
   ( (fun fr ->
-      let callee = Frame.create fn.fn_layout in
+      let callee = Frame.create fn.fn_layout h.host_cost in
       Array.iter (fun b -> b fr callee) binds;
       (try fn.fn_body callee with Return -> ());
       callee),
@@ -438,7 +690,7 @@ and function_of h loc name =
         { fn_layout = layout; fn_params = params; fn_result = result; fn_body = nop; fn_scope = Frame.Layout.scope layout }
       in
       Hashtbl.replace h.funcs name fn;
-      let ctx = { layout; cost = h.host_cost; classify = host_classify; host = Some h; result } in
+      let ctx = { layout; classify = host_classify; host = Some h; result } in
       (* Parameters and the body's own declarations share one scope, as in C. *)
       fn.fn_body <- comp_block_no_scope ctx f.fbody;
       fn.fn_scope <- Frame.Layout.scope layout;
@@ -449,22 +701,29 @@ and function_of h loc name =
 (* ------------------------------------------------------------------ *)
 
 and comp_stmt ctx s : Frame.t -> unit =
-  let cost = ctx.cost in
   match s.sdesc with
-  | Sdecl (ty, name, init) -> (
-      (* The initializer sees the names in force before the declaration. *)
-      let init =
-        match (ty, init) with
-        | Tint, Some e -> `I (comp_i ctx e)
-        | Tdouble, Some e -> `F (comp_f ctx e)
-        | _ -> `Zero
+  | Sdecl (Tdouble, name, init) ->
+      (* The initializer sees the names in force before the declaration and
+         leaves its value straight in the new variable's slot. *)
+      let slot = Frame.Layout.fresh ctx.layout s.sloc Tdouble in
+      let i = match slot with Frame.Float_slot i -> i | _ -> assert false in
+      let code =
+        match init with
+        | Some e -> comp_f_into ctx e i
+        | None -> fun fr -> Array.unsafe_set fr.Frame.floats i 0.0
       in
+      Frame.Layout.bind ctx.layout s.sloc name Tdouble slot;
+      code
+  | Sdecl (ty, name, init) -> (
+      let init = match (ty, init) with Tint, Some e -> Some (comp_iop ctx e) | _ -> None in
       let slot = Frame.Layout.declare ctx.layout s.sloc name ty in
       match (slot, init) with
-      | Frame.Int_slot i, `Zero -> fun fr -> Array.unsafe_set fr.Frame.ints i 0
-      | Frame.Int_slot i, `I f -> fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
-      | Frame.Float_slot i, `Zero -> fun fr -> Array.unsafe_set fr.Frame.floats i 0.0
-      | Frame.Float_slot i, `F f -> fun fr -> Array.unsafe_set fr.Frame.floats i (f fr)
+      | Frame.Int_slot i, None -> fun fr -> Array.unsafe_set fr.Frame.ints i 0
+      | Frame.Int_slot i, Some (Islot a) ->
+          fun fr ->
+            let is = fr.Frame.ints in
+            Array.unsafe_set is i (Array.unsafe_get is a)
+      | Frame.Int_slot i, Some (Icode f) -> fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
       | _ -> Loc.error s.sloc "unsupported declaration of %s" name)
   | Sarray_decl (elem, name, len) ->
       if ctx.host = None then
@@ -484,94 +743,49 @@ and comp_stmt ctx s : Frame.t -> unit =
       fun fr ->
         let n = cl fr in
         if n < 0 then Loc.error loc "negative array length for %s" name;
-        fr.Frame.views.(vi) <- Some (make n)
-  | Sassign (Lvar v, op, rhs) -> (
-      match slot_of ctx s.sloc v with
-      | Frame.Int_slot i, _ ->
-          let f = comp_i ctx rhs in
-          if op = Set then fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
-          else
-            let g = apply_binop_assign_int s.sloc op in
-            fun fr ->
-              cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-              Array.unsafe_set fr.Frame.ints i (g (Array.unsafe_get fr.Frame.ints i) (f fr))
-      | Frame.Float_slot i, _ ->
-          let f = comp_f ctx rhs in
-          if op = Set then fun fr -> Array.unsafe_set fr.Frame.floats i (f fr)
-          else
-            let g = apply_binop_assign_float op in
-            fun fr ->
-              cost.Cost.flops <- cost.Cost.flops + 1;
-              Array.unsafe_set fr.Frame.floats i (g (Array.unsafe_get fr.Frame.floats i) (f fr))
-      | Frame.View_slot _, _ -> Loc.error s.sloc "cannot assign whole array %s" v)
-  | Sassign (Lindex (a, idx), op, rhs) ->
-      let vi, elem = view_slot_of ctx s.sloc a in
-      let ci = comp_i ctx idx in
-      let width = elem_ty_size elem in
-      let bump_w = charge ctx (ctx.classify a idx) width in
-      (match elem with
-      | Edouble ->
-          let f = comp_f ctx rhs in
-          if op = Set then
-            fun fr ->
-              bump_w ();
-              (Frame.get_view fr vi).View.set_f (ci fr) (f fr)
-          else
-            let g = apply_binop_assign_float op in
-            let bump_r = charge ctx (ctx.classify a idx) width in
-            fun fr ->
-              cost.Cost.flops <- cost.Cost.flops + 1;
-              bump_r ();
-              bump_w ();
-              let view = Frame.get_view fr vi in
-              let i = ci fr in
-              view.View.set_f i (g (view.View.get_f i) (f fr))
-      | Eint ->
-          let f = comp_i ctx rhs in
-          if op = Set then
-            fun fr ->
-              bump_w ();
-              (Frame.get_view fr vi).View.set_i (ci fr) (f fr)
-          else
-            let g = apply_binop_assign_int s.sloc op in
-            let bump_r = charge ctx (ctx.classify a idx) width in
-            fun fr ->
-              cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-              bump_r ();
-              bump_w ();
-              let view = Frame.get_view fr vi in
-              let i = ci fr in
-              view.View.set_i i (g (view.View.get_i i) (f fr)))
-  | Sincr (lv, d) ->
-      comp_stmt ctx
-        { s with sdesc = Sassign (lv, Add_set, { edesc = Int_lit d; eloc = s.sloc }) }
+        fr.Frame.views.(vi) <- make n
+  | Sassign (Lvar v, op, rhs) -> comp_assign_var ctx s v op rhs
+  | Sassign (Lindex (a, idx), op, rhs) -> comp_assign_index ctx s a idx op rhs
+  | Sincr (lv, d) -> (
+      match lv with
+      | Lvar v -> (
+          match slot_of ctx s.sloc v with
+          | Frame.Int_slot i, _ ->
+              fun fr ->
+                int_ops fr 1;
+                let is = fr.Frame.ints in
+                Array.unsafe_set is i (Array.unsafe_get is i + d)
+          | _ -> comp_assign_var ctx s v Add_set { edesc = Int_lit d; eloc = s.sloc })
+      | Lindex (a, idx) ->
+          comp_assign_index ctx s a idx Add_set { edesc = Int_lit d; eloc = s.sloc })
   | Sexpr { edesc = Call (name, args); eloc } when not (Builtins.is_builtin name) ->
       (* Calls to void user functions are legal as statements. *)
       let call, _ = comp_call ctx eloc name args in
       fun fr -> ignore (call fr : Frame.t)
   | Sexpr e ->
-      let t = ty_of ctx e in
-      if t = Tdouble then begin
-        let f = comp_f ctx e in
-        fun fr -> ignore (f fr)
-      end
-      else begin
+      if ty_of ctx e = Tdouble then comp_f_into ctx e (fresh_float ctx e.eloc)
+      else
         let f = comp_i ctx e in
-        fun fr -> ignore (f fr)
-      end
-  | Sif (c, then_, else_) ->
+        fun fr -> ignore (f fr : int)
+  | Sif (c, then_, else_) -> (
       let cc = comp_cond ctx c in
       let ct = comp_block ctx then_ and ce = comp_block ctx else_ in
-      fun fr ->
-        cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-        if cc fr then ct fr else ce fr
+      match else_ with
+      | [] ->
+          fun fr ->
+            int_ops fr 1;
+            if cc fr then ct fr
+      | _ ->
+          fun fr ->
+            int_ops fr 1;
+            if cc fr then ct fr else ce fr)
   | Swhile (c, body) ->
       let cc = comp_cond ctx c in
       let cb = comp_block ctx body in
       fun fr ->
         (try
            while
-             cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+             int_ops fr 1;
              cc fr
            do
              try cb fr with Cnt -> ()
@@ -588,7 +802,7 @@ and comp_stmt ctx s : Frame.t -> unit =
         init fr;
         (try
            while
-             cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+             int_ops fr 1;
              cond fr
            do
              (try cb fr with Cnt -> ());
@@ -605,36 +819,56 @@ and comp_stmt ctx s : Frame.t -> unit =
             Array.unsafe_set fr.Frame.ints r (f fr);
             raise Return
       | Some e, Some (Frame.Float_slot r) ->
-          let f = comp_f ctx e in
+          let f = comp_f_into ctx e r in
           fun fr ->
-            Array.unsafe_set fr.Frame.floats r (f fr);
+            f fr;
             raise Return
       | Some _, _ -> Loc.error s.sloc "return with a value outside a value-returning function")
   | Sbreak -> fun _ -> raise Brk
   | Scontinue -> fun _ -> raise Cnt
   | Sblock body -> comp_block ctx body
-  | Spragma (Dreduction_to_array { rta_op; rta_array }, inner) when ctx.host = None ->
+  | Spragma (Dreduction_to_array { rta_op; rta_array }, inner) when ctx.host = None -> (
       let idx, contrib = extract_reduction rta_op inner in
       let vi, elem = view_slot_of ctx s.sloc rta_array in
-      let ci = comp_i ctx idx in
-      let width = elem_ty_size elem in
-      (* A reduction update behaves like an atomic scatter: charge one
-         transaction plus the combine op. *)
-      (match elem with
-      | Edouble ->
-          let cf = comp_f ctx contrib in
-          fun fr ->
-            cost.Cost.flops <- cost.Cost.flops + 1;
-            cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-            cost.Cost.random_bytes <- cost.Cost.random_bytes + width;
-            (Frame.get_view fr vi).View.reduce_f rta_op (ci fr) (cf fr)
+      let ix = comp_iop ctx idx in
+      match elem with
+      | Edouble -> (
+          (* The contribution runs before the subscript. *)
+          match (ix, comp_fop ctx contrib) with
+          | Islot k, Fslot c ->
+              fun fr ->
+                flops fr 1;
+                scatter fr 8;
+                (Array.unsafe_get fr.Frame.views vi).View.reduce_f rta_op
+                  (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
+          | Islot k, Fcode (cc, c) ->
+              fun fr ->
+                flops fr 1;
+                scatter fr 8;
+                let v = Array.unsafe_get fr.Frame.views vi in
+                cc fr;
+                v.View.reduce_f rta_op (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
+          | Icode ci, Fslot c ->
+              fun fr ->
+                flops fr 1;
+                scatter fr 8;
+                let v = Array.unsafe_get fr.Frame.views vi in
+                v.View.reduce_f rta_op (ci fr) fr.Frame.floats c
+          | Icode ci, Fcode (cc, c) ->
+              fun fr ->
+                flops fr 1;
+                scatter fr 8;
+                let v = Array.unsafe_get fr.Frame.views vi in
+                cc fr;
+                v.View.reduce_f rta_op (ci fr) fr.Frame.floats c)
       | Eint ->
-          let cf = comp_i ctx contrib in
+          let ci = code_of_iop ix and cf = comp_i ctx contrib in
           fun fr ->
-            cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-            cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-            cost.Cost.random_bytes <- cost.Cost.random_bytes + width;
-            (Frame.get_view fr vi).View.reduce_i rta_op (ci fr) (cf fr))
+            int_ops fr 1;
+            scatter fr 4;
+            let v = Array.unsafe_get fr.Frame.views vi in
+            let x = cf fr in
+            v.View.reduce_i rta_op (ci fr) x)
   | Spragma (Dreduction_to_array _, inner) ->
       (* Outside a kernel, a reduction statement is just the statement. *)
       comp_stmt ctx inner
@@ -662,6 +896,135 @@ and comp_stmt ctx s : Frame.t -> unit =
       | Some h ->
           let scope = Frame.Layout.scope ctx.layout in
           h.stager.directive scope s (comp_stmt ctx inner))
+
+(* [v op= rhs]: the right-hand side runs before the variable is read. A
+   plain double assignment leaves the value straight in the variable. *)
+and comp_assign_var ctx s v op rhs =
+  match slot_of ctx s.sloc v with
+  | Frame.Int_slot i, _ -> (
+      let loc = s.sloc in
+      match (op, comp_iop ctx rhs) with
+      | Set, Islot a ->
+          fun fr ->
+            let is = fr.Frame.ints in
+            Array.unsafe_set is i (Array.unsafe_get is a)
+      | Set, Icode f -> fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
+      | _, Islot a ->
+          fun fr ->
+            int_ops fr 1;
+            let is = fr.Frame.ints in
+            Array.unsafe_set is i (iassign loc op (Array.unsafe_get is i) (Array.unsafe_get is a))
+      | _, Icode f ->
+          fun fr ->
+            int_ops fr 1;
+            let r = f fr in
+            let is = fr.Frame.ints in
+            Array.unsafe_set is i (iassign loc op (Array.unsafe_get is i) r))
+  | Frame.Float_slot i, _ -> (
+      if op = Set then comp_f_into ctx rhs i
+      else
+        match comp_fop ctx rhs with
+        | Fslot a ->
+            fun fr ->
+              flops fr 1;
+              let fl = fr.Frame.floats in
+              Array.unsafe_set fl i (fassign op (Array.unsafe_get fl i) (Array.unsafe_get fl a))
+        | Fcode (c, a) ->
+            fun fr ->
+              flops fr 1;
+              c fr;
+              let fl = fr.Frame.floats in
+              Array.unsafe_set fl i (fassign op (Array.unsafe_get fl i) (Array.unsafe_get fl a)))
+  | Frame.View_slot _, _ -> Loc.error s.sloc "cannot assign whole array %s" v
+
+(* [a[idx] = rhs] evaluates the right-hand side, then the subscript;
+   [a[idx] op= rhs] evaluates the subscript, then the right-hand side, then
+   reads the element, and charges the read as well as the write. *)
+and comp_assign_index ctx s a idx op rhs =
+  let vi, elem = view_slot_of ctx s.sloc a in
+  let ix = comp_iop ctx idx in
+  let width = elem_ty_size elem in
+  let tw = ctx.classify a idx in
+  match elem with
+  | Edouble -> (
+      let r = comp_fop ctx rhs in
+      if op = Set then
+        match (ix, r) with
+        | Islot k, Fslot b ->
+            fun fr ->
+              access fr tw 8;
+              (Array.unsafe_get fr.Frame.views vi).View.store_f
+                (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats b
+        | Islot k, Fcode (c, b) ->
+            fun fr ->
+              access fr tw 8;
+              let v = Array.unsafe_get fr.Frame.views vi in
+              c fr;
+              v.View.store_f (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats b
+        | Icode ci, Fslot b ->
+            fun fr ->
+              access fr tw 8;
+              let v = Array.unsafe_get fr.Frame.views vi in
+              v.View.store_f (ci fr) fr.Frame.floats b
+        | Icode ci, Fcode (c, b) ->
+            fun fr ->
+              access fr tw 8;
+              let v = Array.unsafe_get fr.Frame.views vi in
+              c fr;
+              v.View.store_f (ci fr) fr.Frame.floats b
+      else
+        let tr = ctx.classify a idx in
+        let ci = code_of_iop ix and c, b = parts_of_fop r in
+        let t = fresh_float ctx s.sloc in
+        fun fr ->
+          flops fr 1;
+          access fr tr width;
+          access fr tw width;
+          let v = Array.unsafe_get fr.Frame.views vi in
+          let i = ci fr in
+          c fr;
+          let fl = fr.Frame.floats in
+          v.View.load_f i fl t;
+          Array.unsafe_set fl t (fassign op (Array.unsafe_get fl t) (Array.unsafe_get fl b));
+          v.View.store_f i fl t)
+  | Eint -> (
+      let r = comp_iop ctx rhs in
+      if op = Set then
+        match (ix, r) with
+        | Islot k, Islot b ->
+            fun fr ->
+              access fr tw 4;
+              let is = fr.Frame.ints in
+              (Array.unsafe_get fr.Frame.views vi).View.set_i (Array.unsafe_get is k)
+                (Array.unsafe_get is b)
+        | Islot k, Icode f ->
+            fun fr ->
+              access fr tw 4;
+              let v = Array.unsafe_get fr.Frame.views vi in
+              let x = f fr in
+              v.View.set_i (Array.unsafe_get fr.Frame.ints k) x
+        | Icode ci, Islot b ->
+            fun fr ->
+              access fr tw 4;
+              let v = Array.unsafe_get fr.Frame.views vi in
+              v.View.set_i (ci fr) (Array.unsafe_get fr.Frame.ints b)
+        | Icode ci, Icode f ->
+            fun fr ->
+              access fr tw 4;
+              let v = Array.unsafe_get fr.Frame.views vi in
+              let x = f fr in
+              v.View.set_i (ci fr) x
+      else
+        let tr = ctx.classify a idx in
+        let loc = s.sloc and ci = code_of_iop ix and f = code_of_iop r in
+        fun fr ->
+          int_ops fr 1;
+          access fr tr width;
+          access fr tw width;
+          let v = Array.unsafe_get fr.Frame.views vi in
+          let i = ci fr in
+          let x = f fr in
+          v.View.set_i i (iassign loc op (v.View.get_i i) x))
 
 and comp_block ctx body =
   Frame.Layout.enter_scope ctx.layout;
@@ -697,8 +1060,7 @@ and comp_sequential ctx (loop : Loop_info.t) =
 
 let compile ~loop ~params ~classify =
   let layout = Frame.Layout.create () in
-  let cost = Cost.zero () in
-  let ctx = { layout; cost; classify; host = None; result = None } in
+  let ctx = { layout; classify; host = None; result = None } in
   let loop_loc = loop.Loop_info.loop_loc in
   let iv_slot = Frame.Layout.declare layout loop_loc loop.Loop_info.loop_var Tint in
   let param_slots =
@@ -711,9 +1073,8 @@ let compile ~loop ~params ~classify =
       (fun fr i ->
         Array.unsafe_set fr.Frame.ints iv_index i;
         body fr);
-    make_frame = (fun () -> Frame.create layout);
+    make_frame = (fun () -> Frame.create layout (Cost.zero ()));
     params = param_slots;
-    cost;
   }
 
 let host prog stager = { prog; stager; funcs = Hashtbl.create 8; host_cost = Cost.zero () }
@@ -722,12 +1083,22 @@ let compile_function h name =
   let fn = function_of h Loc.dummy name in
   ( fn.fn_scope,
     fun () ->
-      let fr = Frame.create fn.fn_layout in
+      let fr = Frame.create fn.fn_layout h.host_cost in
       (try fn.fn_body fr with Return -> ());
       fr )
 
-let expr_ctx h scope =
-  { layout = Frame.Layout.of_scope scope; cost = h.host_cost; classify = host_classify; host = Some h; result = None }
+(* An expression evaluated against a live frame compiles into a layout
+   above the frame's own slots and runs on a copy with room for them. *)
+let eval h scope fr comp =
+  let layout = Frame.layout_above scope fr in
+  let code = comp { layout; classify = host_classify; host = Some h; result = None } in
+  code (Frame.extend fr layout)
 
-let compile_int h scope e = comp_i (expr_ctx h scope) e
-let compile_float h scope e = comp_f (expr_ctx h scope) e
+let eval_int h scope e fr = eval h scope fr (fun ctx -> comp_i ctx e)
+
+let eval_float h scope e fr =
+  eval h scope fr (fun ctx ->
+      let c, s = parts_of_fop (comp_fop ctx e) in
+      fun fr ->
+        c fr;
+        fr.Frame.floats.(s))

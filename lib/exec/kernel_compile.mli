@@ -10,10 +10,27 @@
     allowed: user function calls, array declarations, [return], and
     directives, which a {!stager} turns into runtime actions.
 
-    While executing, the closures bump a {!Mgacc_gpusim.Cost.t}: arithmetic
-    by operator type, and array traffic by the coalescing mode assigned to
-    each syntactic access site by the [classify] callback (this is where
-    the data-layout transformation changes the accounting).
+    Doubles never cross a closure boundary boxed. A double expression
+    compiles to code that leaves its value in a float slot of the frame
+    (the destination variable's own slot for a declaration or plain
+    assignment, else a temporary from {!Frame.Layout.fresh}), and moves
+    through views with the slot-passing accessors of {!View.t}. Operands
+    are specialized by shape at compile time: a variable or literal operand
+    is read from its slot inside the operator's closure rather than called,
+    an int comparison used as a condition yields a [bool] directly, and a
+    builtin call resolves its operation once. Evaluation order is fixed:
+    the right operand of a binary operator runs before the left, a plain
+    element assignment runs its value before its subscript, and a compound
+    one its subscript first; so a statement with two faults raises the
+    same located error however its operands are shaped.
+
+    While executing, the closures charge the {!Frame.t.cost} of the frame
+    they run in: arithmetic by operator type, and array traffic by the
+    coalescing mode the [classify] callback assigns to each syntactic
+    access site when it compiles (this is where the data-layout
+    transformation changes the accounting). Each charge is written inside
+    the closure that executes the operation. A kernel frame gets a counter
+    of its own, so a compiled kernel is re-entrant; host frames share one.
 
     Kernel restrictions enforced here (with located errors): no user
     function calls, no array declarations, no [return], and no data or
@@ -26,9 +43,10 @@ open Mgacc_minic
 type t = {
   run_iter : Frame.t -> int -> unit;  (** execute one iteration at index i *)
   make_frame : unit -> Frame.t;
+      (** a fresh frame with a zeroed cost counter, which the iterations
+          run in it charge *)
   params : (string * Frame.slot * Ast.typ) list;
       (** parameter binding sites, in the order given to {!compile} *)
-  cost : Mgacc_gpusim.Cost.t;  (** the live counter the closures bump *)
 }
 
 val compile :
@@ -79,7 +97,8 @@ val compile_function : host -> string -> Frame.scope * (unit -> Frame.t)
     at the end of its body and a runner that executes the body in a fresh
     frame and returns that frame. *)
 
-val compile_int : host -> Frame.scope -> Ast.expr -> Frame.t -> int
-val compile_float : host -> Frame.scope -> Ast.expr -> Frame.t -> float
-(** Compile an expression against the names of [scope]; run the result on
-    a frame of the function that scope belongs to. *)
+val eval_int : host -> Frame.scope -> Ast.expr -> Frame.t -> int
+val eval_float : host -> Frame.scope -> Ast.expr -> Frame.t -> float
+(** Compile an expression against the names of [scope] and run it on a
+    frame of the function that scope belongs to. [eval_float] is where a
+    double leaves the executor boxed. *)

@@ -5,11 +5,11 @@ type t = {
   name : string;
   elem : elem_ty;
   length : int;
-  get_f : int -> float;
-  set_f : int -> float -> unit;
+  load_f : int -> float array -> int -> unit;
+  store_f : int -> float array -> int -> unit;
+  reduce_f : redop -> int -> float array -> int -> unit;
   get_i : int -> int;
   set_i : int -> int -> unit;
-  reduce_f : redop -> int -> float -> unit;
   reduce_i : redop -> int -> int -> unit;
 }
 
@@ -47,20 +47,20 @@ let of_float_array ~name data =
     name;
     elem = Edouble;
     length = n;
-    get_f =
-      (fun i ->
+    load_f =
+      (fun i bank s ->
         check i;
-        Array.unsafe_get data i);
-    set_f =
-      (fun i v ->
+        bank.(s) <- Array.unsafe_get data i);
+    store_f =
+      (fun i bank s ->
         check i;
-        Array.unsafe_set data i v);
+        Array.unsafe_set data i bank.(s));
+    reduce_f =
+      (fun op i bank s ->
+        check i;
+        Array.unsafe_set data i (apply_redop_f op (Array.unsafe_get data i) bank.(s)));
     get_i = (fun _ -> wrong_type name "int get");
     set_i = (fun _ _ -> wrong_type name "int set");
-    reduce_f =
-      (fun op i v ->
-        check i;
-        Array.unsafe_set data i (apply_redop_f op (Array.unsafe_get data i) v));
     reduce_i = (fun _ _ _ -> wrong_type name "int reduce");
   }
 
@@ -79,18 +79,37 @@ let of_int_array ~name data =
       (fun i v ->
         check i;
         Array.unsafe_set data i v);
-    get_f = (fun _ -> wrong_type name "float get");
-    set_f = (fun _ _ -> wrong_type name "float set");
     reduce_i =
       (fun op i v ->
         check i;
         Array.unsafe_set data i (apply_redop_i op (Array.unsafe_get data i) v));
-    reduce_f = (fun _ _ _ -> wrong_type name "float reduce");
+    load_f = (fun _ _ _ -> wrong_type name "float load");
+    store_f = (fun _ _ _ -> wrong_type name "float store");
+    reduce_f = (fun _ _ _ _ -> wrong_type name "float reduce");
+  }
+
+let unbound =
+  let fail () = invalid_arg "Frame.get_view: unbound view slot" in
+  {
+    name = "<unbound>";
+    elem = Edouble;
+    length = 0;
+    load_f = (fun _ _ _ -> fail ());
+    store_f = (fun _ _ _ -> fail ());
+    reduce_f = (fun _ _ _ _ -> fail ());
+    get_i = (fun _ -> fail ());
+    set_i = (fun _ _ -> fail ());
+    reduce_i = (fun _ _ _ -> fail ());
   }
 
 let snapshot_f v =
   match v.elem with
-  | Edouble -> Array.init v.length v.get_f
+  | Edouble ->
+      let a = Array.make v.length 0.0 in
+      for i = 0 to v.length - 1 do
+        v.load_f i a i
+      done;
+      a
   | Eint -> invalid_arg (Printf.sprintf "View.snapshot_f: %s is an int view" v.name)
 
 let snapshot_i v =

@@ -5,7 +5,16 @@
     array directly; the multi-GPU runtime builds views that translate
     logical indices into a device partition, mark dirty bits on writes,
     buffer write misses, or accumulate into reduction partials. The
-    compiled kernel code is the same either way. *)
+    compiled kernel code is the same either way.
+
+    Doubles move through a view in slot-passing style, so no float is ever
+    boxed on the way: [load_f i bank slot] copies element [i] into
+    [bank.(slot)], [store_f i bank slot] writes [bank.(slot)] to element
+    [i], and [reduce_f op i bank slot] folds [bank.(slot)] into element [i].
+    The bank is a frame's float bank for compiled code, or a staging buffer
+    for the runtime's host/device copies. Ints are immediate in OCaml and
+    pass by value. A view charges nothing itself unless it was built
+    around a cost counter (the runtime's instrumented views). *)
 
 open Mgacc_minic
 
@@ -13,13 +22,13 @@ type t = {
   name : string;
   elem : Ast.elem_ty;
   length : int;  (** logical element count *)
-  get_f : int -> float;
-  set_f : int -> float -> unit;
+  load_f : int -> float array -> int -> unit;
+  store_f : int -> float array -> int -> unit;
+  reduce_f : Ast.redop -> int -> float array -> int -> unit;
+      (** accumulate into a reduction destination; only reduction views
+          and host arrays implement this *)
   get_i : int -> int;
   set_i : int -> int -> unit;
-  reduce_f : Ast.redop -> int -> float -> unit;
-      (** accumulate into a reduction destination; only reduction views
-          implement this *)
   reduce_i : Ast.redop -> int -> int -> unit;
 }
 
@@ -32,6 +41,10 @@ val of_float_array : name:string -> float array -> t
     a reduction). *)
 
 val of_int_array : name:string -> int array -> t
+
+val unbound : t
+(** The sentinel in a frame's view slot before an array is bound there;
+    every accessor raises [Invalid_argument]. *)
 
 val snapshot_f : t -> float array
 (** Copy of the logical contents, read through the accessors. *)

@@ -5,8 +5,12 @@
     figure is the cost charged per call by the timing model (transcendental
     functions cost more than one FLOP on both CPUs and GPUs). *)
 
+type op = Sqrt | Fabs | Exp | Log | Pow | Sin | Cos | Floor | Ceil | Fmin | Fmax | Abs | Min | Max
+(** The operation, for resolving a call once when compiling it. *)
+
 type t = {
   name : string;
+  op : op;
   arity : int;
   result : Ast.typ;  (** [Tint] or [Tdouble] *)
   int_args : bool;  (** arguments are ints (else doubles) *)

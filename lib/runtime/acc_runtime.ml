@@ -607,7 +607,7 @@ and on_parallel_loop_gpu t env loop plan =
   (* Phase 2: kernels on all GPUs concurrently (KERNELS). *)
   let compiled = compiled_for t env plan in
   let runs, scalar_partials =
-    Launch.run_on_gpus t.cfg ?col_bounds:s.col_bounds plan compiled ~ranges:s.ranges
+    Launch.run_on_gpus ?col_bounds:s.col_bounds plan compiled ~ranges:s.ranges
       ~get_scalar:(Host_interp.get_scalar env)
       ~get_darray:(get_darray t env)
       ~get_reduction:(fun name -> List.assoc_opt name reductions)
@@ -828,7 +828,7 @@ and on_parallel_loop_gpu_overlap t env loop plan =
   (* Phase 2: kernels, each starting as soon as its own device is ready. *)
   let compiled = compiled_for t env plan in
   let runs, scalar_partials =
-    Launch.run_on_gpus t.cfg ?col_bounds:s.col_bounds plan compiled ~ranges:s.ranges
+    Launch.run_on_gpus ?col_bounds:s.col_bounds plan compiled ~ranges:s.ranges
       ~get_scalar:(Host_interp.get_scalar env)
       ~get_darray:(get_darray t env)
       ~get_reduction:(fun name -> List.assoc_opt name reductions)

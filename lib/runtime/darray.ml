@@ -91,7 +91,7 @@ let copy_host_to_buf t buf ~win_lo (iv : Interval.t) =
     | Ast.Edouble ->
         let d = Memory.float_data buf in
         for i = iv.Interval.lo to iv.Interval.hi - 1 do
-          d.(i - win_lo) <- t.host.View.get_f i
+          t.host.View.load_f i d (i - win_lo)
         done
     | Ast.Eint ->
         let d = Memory.int_data buf in
@@ -105,7 +105,7 @@ let copy_buf_to_host t buf ~win_lo (iv : Interval.t) =
     | Ast.Edouble ->
         let d = Memory.float_data buf in
         for i = iv.Interval.lo to iv.Interval.hi - 1 do
-          t.host.View.set_f i d.(i - win_lo)
+          t.host.View.store_f i d (i - win_lo)
         done
     | Ast.Eint ->
         let d = Memory.int_data buf in
@@ -125,7 +125,7 @@ let copy_host_to_tile t buf ~stride tl ~(rows : Interval.t) ~(cols : Interval.t)
         for r = rows.Interval.lo to rows.Interval.hi - 1 do
           let base = ((r - tl.trow_win.Interval.lo) * w) - tl.tcol_win.Interval.lo in
           for c = cols.Interval.lo to cols.Interval.hi - 1 do
-            d.(base + c) <- t.host.View.get_f ((r * stride) + c)
+            t.host.View.load_f ((r * stride) + c) d (base + c)
           done
         done
     | Ast.Eint ->
@@ -146,7 +146,7 @@ let copy_tile_to_host t buf ~stride tl ~(rows : Interval.t) ~(cols : Interval.t)
         for r = rows.Interval.lo to rows.Interval.hi - 1 do
           let base = ((r - tl.trow_win.Interval.lo) * w) - tl.tcol_win.Interval.lo in
           for c = cols.Interval.lo to cols.Interval.hi - 1 do
-            t.host.View.set_f ((r * stride) + c) d.(base + c)
+            t.host.View.store_f ((r * stride) + c) d (base + c)
           done
         done
     | Ast.Eint ->

@@ -31,34 +31,24 @@ exception Window_violation of { array : string; index : int; gpu : int; what : s
 
 type gpu_run = { gpu : int; iterations : int; cost : Cost.t }
 
-let snapshot (c : Cost.t) =
-  { Cost.flops = c.Cost.flops;
-    int_ops = c.Cost.int_ops;
-    coalesced_bytes = c.Cost.coalesced_bytes;
-    broadcast_bytes = c.Cost.broadcast_bytes;
-    random_accesses = c.Cost.random_accesses;
-    random_bytes = c.Cost.random_bytes;
-  }
-
-let delta ~(before : Cost.t) ~(after : Cost.t) =
-  {
-    Cost.flops = after.Cost.flops - before.Cost.flops;
-    int_ops = after.Cost.int_ops - before.Cost.int_ops;
-    coalesced_bytes = after.Cost.coalesced_bytes - before.Cost.coalesced_bytes;
-    broadcast_bytes = after.Cost.broadcast_bytes - before.Cost.broadcast_bytes;
-    random_accesses = after.Cost.random_accesses - before.Cost.random_accesses;
-    random_bytes = after.Cost.random_bytes - before.Cost.random_bytes;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Views implementing the translator's instrumentation.                *)
 (* ------------------------------------------------------------------ *)
 
-let no_reduce_f name : Ast.redop -> int -> float -> unit =
- fun _ _ _ -> invalid_arg (Printf.sprintf "array %s is not a reduction destination" name)
+let no_reduce_f name : Ast.redop -> int -> float array -> int -> unit =
+ fun _ _ _ _ -> invalid_arg (Printf.sprintf "array %s is not a reduction destination" name)
 
 let no_reduce_i name : Ast.redop -> int -> int -> unit =
  fun _ _ _ -> invalid_arg (Printf.sprintf "array %s is not a reduction destination" name)
+
+(* The accessors of the other element type. *)
+let double_only name =
+  let bad () = invalid_arg (name ^ ": int access on double array") in
+  ((fun _ -> bad ()), (fun _ _ -> bad ()))
+
+let int_only name =
+  let bad () = invalid_arg (name ^ ": double access on int array") in
+  ((fun _ _ _ -> bad ()), fun _ _ _ -> bad ())
 
 (* Replicated array on one GPU: direct access, dirty marking on writes. The
    dirty-bit instrumentation the translator inserts costs a couple of
@@ -66,46 +56,52 @@ let no_reduce_i name : Ast.redop -> int -> int -> unit =
 let replicated_view (da : Darray.t) ~gpu ~(dirty : Dirty.t option) ~(cost : Cost.t) =
   let buf = Darray.buf_for da ~gpu in
   let name = da.Darray.name and length = da.Darray.length in
-  let mark =
-    match dirty with
-    | Some d ->
-        fun i ->
-          cost.Cost.int_ops <- cost.Cost.int_ops + 2;
-          Dirty.mark d i
-    | None -> fun _ -> ()
-  in
   match da.Darray.elem with
   | Ast.Edouble ->
       let data = Memory.float_data buf in
+      let get_i, set_i = double_only name in
+      let store_f =
+        match dirty with
+        | Some d ->
+            fun i bank s ->
+              data.(i) <- bank.(s);
+              cost.Cost.int_ops <- cost.Cost.int_ops + 2;
+              Dirty.mark d i
+        | None -> fun i bank s -> data.(i) <- bank.(s)
+      in
       {
         View.name;
         elem = Ast.Edouble;
         length;
-        get_f = (fun i -> data.(i));
-        set_f =
-          (fun i v ->
-            data.(i) <- v;
-            mark i);
-        get_i = (fun _ -> invalid_arg (name ^ ": int access on double array"));
-        set_i = (fun _ _ -> invalid_arg (name ^ ": int access on double array"));
+        load_f = (fun i bank s -> bank.(s) <- data.(i));
+        store_f;
         reduce_f = no_reduce_f name;
+        get_i;
+        set_i;
         reduce_i = no_reduce_i name;
       }
   | Ast.Eint ->
       let data = Memory.int_data buf in
+      let load_f, store_f = int_only name in
+      let set_i =
+        match dirty with
+        | Some d ->
+            fun i v ->
+              data.(i) <- v;
+              cost.Cost.int_ops <- cost.Cost.int_ops + 2;
+              Dirty.mark d i
+        | None -> fun i v -> data.(i) <- v
+      in
       {
         View.name;
         elem = Ast.Eint;
         length;
         get_i = (fun i -> data.(i));
-        set_i =
-          (fun i v ->
-            data.(i) <- v;
-            mark i);
-        get_f = (fun _ -> invalid_arg (name ^ ": double access on int array"));
-        set_f = (fun _ _ -> invalid_arg (name ^ ": double access on int array"));
-        reduce_f = no_reduce_f name;
+        set_i;
         reduce_i = no_reduce_i name;
+        load_f;
+        store_f;
+        reduce_f = no_reduce_f name;
       }
 
 (* Replicated array that is a reduction destination: reads see the
@@ -120,39 +116,53 @@ let reduction_view (da : Darray.t) ~gpu (red : Reduction.t) =
         (Printf.sprintf "array %s: reduction operator mismatch (%s declared)" name
            (Ast.redop_to_string declared))
   in
+  let plain_write () = invalid_arg (name ^ ": plain write to a reduction destination") in
   match da.Darray.elem with
   | Ast.Edouble ->
       let data = Memory.float_data buf in
+      let get_i, set_i = double_only name in
       {
         View.name;
         elem = Ast.Edouble;
         length;
-        get_f = (fun i -> data.(i));
-        set_f = (fun _ _ -> invalid_arg (name ^ ": plain write to a reduction destination"));
-        get_i = (fun _ -> invalid_arg (name ^ ": int access on double array"));
-        set_i = (fun _ _ -> invalid_arg (name ^ ": int access on double array"));
+        load_f = (fun i bank s -> bank.(s) <- data.(i));
+        store_f = (fun _ _ _ -> plain_write ());
         reduce_f =
-          (fun op i v ->
+          (fun op i bank s ->
             check op;
-            Reduction.reduce_f red ~gpu i v);
+            Reduction.reduce_f red ~gpu i bank s);
+        get_i;
+        set_i;
         reduce_i = no_reduce_i name;
       }
   | Ast.Eint ->
       let data = Memory.int_data buf in
+      let load_f, store_f = int_only name in
       {
         View.name;
         elem = Ast.Eint;
         length;
         get_i = (fun i -> data.(i));
-        set_i = (fun _ _ -> invalid_arg (name ^ ": plain write to a reduction destination"));
-        get_f = (fun _ -> invalid_arg (name ^ ": double access on int array"));
-        set_f = (fun _ _ -> invalid_arg (name ^ ": double access on int array"));
-        reduce_f = no_reduce_f name;
+        set_i = (fun _ _ -> plain_write ());
         reduce_i =
           (fun op i v ->
             check op;
             Reduction.reduce_i red ~gpu i v);
+        load_f;
+        store_f;
+        reduce_f = no_reduce_f name;
       }
+
+(* Out-of-block writes on a distributed array: with the miss check, a
+   checked write costs one int op and a missed one a buffered transaction
+   of [bytes]; without it, a directive violation. *)
+let miss_write ~miss_check ~(cost : Cost.t) ~name ~gpu ~what part ~bytes i v =
+  if miss_check then begin
+    cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
+    cost.Cost.random_bytes <- cost.Cost.random_bytes + bytes;
+    Miss_buffer.record part.Darray.miss i v
+  end
+  else raise (Window_violation { array = name; index = i; gpu; what })
 
 (* 2-D variant: the part's buffer is a packed [trow_win x tcol_win] box;
    membership and offsets go through the tile-aware [Darray] helpers. The
@@ -169,57 +179,36 @@ let tiled_distributed_view (da : Darray.t) (part : Darray.part) ~gpu ~miss_check
     if not (Darray.part_contains spec part i) then
       raise (Window_violation { array = name; index = i; gpu; what = "read outside window" })
   in
+  let miss =
+    miss_write ~miss_check ~cost ~name ~gpu
+      ~what:"write outside owned tile (miss checks eliminated)" part
+  in
+  let check () = if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1 in
   match da.Darray.elem with
   | Ast.Edouble ->
       let data = Memory.float_data part.Darray.buf in
-      let set_f i v =
-        if miss_check then begin
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if owns i then data.(off i) <- v
-          else begin
-            cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-            cost.Cost.random_bytes <- cost.Cost.random_bytes + 12;
-            Miss_buffer.record part.Darray.miss i (Miss_buffer.Vf v)
-          end
-        end
-        else if owns i then data.(off i) <- v
-        else
-          raise
-            (Window_violation
-               { array = name; index = i; gpu; what = "write outside owned tile (miss checks eliminated)" })
-      in
+      let get_i, set_i = double_only name in
       {
         View.name;
         elem = Ast.Edouble;
         length;
-        get_f =
-          (fun i ->
+        load_f =
+          (fun i bank s ->
             check_read i;
-            data.(off i));
-        set_f;
-        get_i = (fun _ -> invalid_arg (name ^ ": int access on double array"));
-        set_i = (fun _ _ -> invalid_arg (name ^ ": int access on double array"));
+            bank.(s) <- data.(off i));
+        store_f =
+          (fun i bank s ->
+            check ();
+            if owns i then data.(off i) <- bank.(s)
+            else miss ~bytes:12 i (Miss_buffer.Vf bank.(s)));
         reduce_f = no_reduce_f name;
+        get_i;
+        set_i;
         reduce_i = no_reduce_i name;
       }
   | Ast.Eint ->
       let data = Memory.int_data part.Darray.buf in
-      let set_i i v =
-        if miss_check then begin
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if owns i then data.(off i) <- v
-          else begin
-            cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-            cost.Cost.random_bytes <- cost.Cost.random_bytes + 8;
-            Miss_buffer.record part.Darray.miss i (Miss_buffer.Vi v)
-          end
-        end
-        else if owns i then data.(off i) <- v
-        else
-          raise
-            (Window_violation
-               { array = name; index = i; gpu; what = "write outside owned tile (miss checks eliminated)" })
-      in
+      let load_f, store_f = int_only name in
       {
         View.name;
         elem = Ast.Eint;
@@ -228,11 +217,14 @@ let tiled_distributed_view (da : Darray.t) (part : Darray.part) ~gpu ~miss_check
           (fun i ->
             check_read i;
             data.(off i));
-        set_i;
-        get_f = (fun _ -> invalid_arg (name ^ ": double access on int array"));
-        set_f = (fun _ _ -> invalid_arg (name ^ ": double access on int array"));
-        reduce_f = no_reduce_f name;
+        set_i =
+          (fun i v ->
+            check ();
+            if owns i then data.(off i) <- v else miss ~bytes:8 i (Miss_buffer.Vi v));
         reduce_i = no_reduce_i name;
+        load_f;
+        store_f;
+        reduce_f = no_reduce_f name;
       }
 
 (* Distributed array: logical indices translate into the partition; reads
@@ -243,74 +235,62 @@ let distributed_view (da : Darray.t) ~gpu ~miss_check ~(cost : Cost.t) =
   let name = da.Darray.name and length = da.Darray.length in
   match part.Darray.tile with
   | Some _ -> tiled_distributed_view da part ~gpu ~miss_check ~cost
-  | None ->
-  let win = part.Darray.window and own = part.Darray.own in
-  let lo = win.Interval.lo in
-  let check_read i =
-    if not (Interval.contains win i) then
-      raise (Window_violation { array = name; index = i; gpu; what = "read outside window" })
-  in
-  match da.Darray.elem with
-  | Ast.Edouble ->
-      let data = Memory.float_data part.Darray.buf in
-      let set_f i v =
-        if miss_check then begin
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if Interval.contains own i then data.(i - lo) <- v
-          else begin
-            cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-            cost.Cost.random_bytes <- cost.Cost.random_bytes + 12;
-            Miss_buffer.record part.Darray.miss i (Miss_buffer.Vf v)
-          end
-        end
-        else if Interval.contains own i then data.(i - lo) <- v
-        else raise (Window_violation { array = name; index = i; gpu; what = "write outside owned block (miss checks eliminated)" })
+  | None -> (
+      let win = part.Darray.window and own = part.Darray.own in
+      let lo = win.Interval.lo in
+      let check_read i =
+        if not (Interval.contains win i) then
+          raise (Window_violation { array = name; index = i; gpu; what = "read outside window" })
       in
-      {
-        View.name;
-        elem = Ast.Edouble;
-        length;
-        get_f =
-          (fun i ->
-            check_read i;
-            data.(i - lo));
-        set_f;
-        get_i = (fun _ -> invalid_arg (name ^ ": int access on double array"));
-        set_i = (fun _ _ -> invalid_arg (name ^ ": int access on double array"));
-        reduce_f = no_reduce_f name;
-        reduce_i = no_reduce_i name;
-      }
-  | Ast.Eint ->
-      let data = Memory.int_data part.Darray.buf in
-      let set_i i v =
-        if miss_check then begin
-          cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-          if Interval.contains own i then data.(i - lo) <- v
-          else begin
-            cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-            cost.Cost.random_bytes <- cost.Cost.random_bytes + 8;
-            Miss_buffer.record part.Darray.miss i (Miss_buffer.Vi v)
-          end
-        end
-        else if Interval.contains own i then data.(i - lo) <- v
-        else raise (Window_violation { array = name; index = i; gpu; what = "write outside owned block (miss checks eliminated)" })
+      let miss =
+        miss_write ~miss_check ~cost ~name ~gpu
+          ~what:"write outside owned block (miss checks eliminated)" part
       in
-      {
-        View.name;
-        elem = Ast.Eint;
-        length;
-        get_i =
-          (fun i ->
-            check_read i;
-            data.(i - lo));
-        set_i;
-        get_f = (fun _ -> invalid_arg (name ^ ": double access on int array"));
-        set_f = (fun _ _ -> invalid_arg (name ^ ": double access on int array"));
-        reduce_f = no_reduce_f name;
-        reduce_i = no_reduce_i name;
-      }
+      match da.Darray.elem with
+      | Ast.Edouble ->
+          let data = Memory.float_data part.Darray.buf in
+          let get_i, set_i = double_only name in
+          {
+            View.name;
+            elem = Ast.Edouble;
+            length;
+            load_f =
+              (fun i bank s ->
+                check_read i;
+                bank.(s) <- data.(i - lo));
+            store_f =
+              (fun i bank s ->
+                if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+                if Interval.contains own i then data.(i - lo) <- bank.(s)
+                else miss ~bytes:12 i (Miss_buffer.Vf bank.(s)));
+            reduce_f = no_reduce_f name;
+            get_i;
+            set_i;
+            reduce_i = no_reduce_i name;
+          }
+      | Ast.Eint ->
+          let data = Memory.int_data part.Darray.buf in
+          let load_f, store_f = int_only name in
+          {
+            View.name;
+            elem = Ast.Eint;
+            length;
+            get_i =
+              (fun i ->
+                check_read i;
+                data.(i - lo));
+            set_i =
+              (fun i v ->
+                if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+                if Interval.contains own i then data.(i - lo) <- v
+                else miss ~bytes:8 i (Miss_buffer.Vi v));
+            reduce_i = no_reduce_i name;
+            load_f;
+            store_f;
+            reduce_f = no_reduce_f name;
+          })
 
-let view_for cfg plan ~gpu ~cost ~get_darray ~get_reduction name =
+let view_for plan ~gpu ~cost ~get_darray ~get_reduction name =
   let da = get_darray name in
   match get_reduction name with
   | Some red -> reduction_view da ~gpu red
@@ -322,7 +302,6 @@ let view_for cfg plan ~gpu ~cost ~get_darray ~get_reduction name =
             | Darray.Replicated r -> r.Darray.dirty.(gpu)
             | _ -> None
           in
-          ignore cfg;
           replicated_view da ~gpu ~dirty ~cost
       | Mgacc_analysis.Array_config.Distributed ->
           distributed_view da ~gpu ~miss_check:(Kernel_plan.needs_miss_check plan name) ~cost)
@@ -331,7 +310,7 @@ let view_for cfg plan ~gpu ~cost ~get_darray ~get_reduction name =
 (* Execution.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_on_gpus cfg ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~get_reduction =
+let run_on_gpus ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~get_reduction =
   let loop = plan.Kernel_plan.loop in
   let scalar_reductions = loop.Mgacc_analysis.Loop_info.scalar_reductions in
   let runs = ref [] in
@@ -350,8 +329,7 @@ let run_on_gpus cfg ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~g
             match ty with
             | Ast.Tarray _ ->
                 Frame.set_view frame slot
-                  (view_for cfg plan ~gpu ~cost:compiled.kc.Kernel_compile.cost ~get_darray
-                     ~get_reduction name)
+                  (view_for plan ~gpu ~cost:frame.Frame.cost ~get_darray ~get_reduction name)
             | Ast.Tint when name = Tile2d.col_lo_param ->
                 Frame.set_int frame slot
                   (match col_bounds with Some b -> fst b.(gpu) | None -> min_int)
@@ -378,12 +356,11 @@ let run_on_gpus cfg ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~g
                 | _, (Ast.Tvoid | Ast.Tarray _) -> assert false)
             | Ast.Tvoid -> assert false)
           compiled.kc.Kernel_compile.params;
-        let before = snapshot compiled.kc.Kernel_compile.cost in
         for i = range.Task_map.start_ to range.Task_map.stop_ - 1 do
           compiled.kc.Kernel_compile.run_iter frame i
         done;
-        let after = snapshot compiled.kc.Kernel_compile.cost in
-        runs := { gpu; iterations; cost = delta ~before ~after } :: !runs;
+        (* The frame's counter started at zero: it holds this GPU's cost. *)
+        runs := { gpu; iterations; cost = frame.Frame.cost } :: !runs;
         partial_frames := (gpu, frame) :: !partial_frames
       end)
     ranges;

@@ -4,7 +4,9 @@
     range against views that implement the translator's instrumentation:
     replicated writes mark dirty bits, distributed writes are ownership-
     checked and missed writes buffered, reduction updates go to the GPU's
-    partial. The dynamic cost delta per GPU feeds the roofline model. *)
+    partial. Each GPU's partition runs in a frame of its own, whose cost
+    counter (charged by the compiled code and by these views) feeds the
+    roofline model. *)
 
 open Mgacc_minic
 
@@ -30,11 +32,10 @@ exception Window_violation of { array : string; index : int; gpu : int; what : s
 type gpu_run = {
   gpu : int;
   iterations : int;
-  cost : Mgacc_gpusim.Cost.t;  (** this GPU's dynamic cost delta *)
+  cost : Mgacc_gpusim.Cost.t;  (** this GPU's dynamic cost: its frame's counter *)
 }
 
 val run_on_gpus :
-  Rt_config.t ->
   ?col_bounds:(int * int) array ->
   Mgacc_translator.Kernel_plan.t ->
   compiled ->

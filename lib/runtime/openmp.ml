@@ -1,7 +1,6 @@
 open Mgacc_minic
 module Machine = Mgacc_gpusim.Machine
 module Cpu_model = Mgacc_gpusim.Cpu_model
-module Cost = Mgacc_gpusim.Cost
 module Host_interp = Mgacc_exec.Host_interp
 module Frame = Mgacc_exec.Frame
 module View = Mgacc_exec.View
@@ -42,18 +41,6 @@ let compiled_for st env (loop : Loop_info.t) =
       Hashtbl.replace st.compiled loop.Loop_info.loop_loc kc;
       kc
 
-let snapshot (c : Cost.t) = Cost.scale c 1
-
-let delta ~(before : Cost.t) ~(after : Cost.t) =
-  {
-    Cost.flops = after.Cost.flops - before.Cost.flops;
-    int_ops = after.Cost.int_ops - before.Cost.int_ops;
-    coalesced_bytes = after.Cost.coalesced_bytes - before.Cost.coalesced_bytes;
-    broadcast_bytes = after.Cost.broadcast_bytes - before.Cost.broadcast_bytes;
-    random_accesses = after.Cost.random_accesses - before.Cost.random_accesses;
-    random_bytes = after.Cost.random_bytes - before.Cost.random_bytes;
-  }
-
 let on_parallel_loop st env (loop : Loop_info.t) =
   Profiler.incr_loops st.profiler;
   let kc = compiled_for st env loop in
@@ -74,11 +61,9 @@ let on_parallel_loop st env (loop : Loop_info.t) =
           | Host_interp.Vint n -> Frame.set_float frame slot (float_of_int n))
       | Ast.Tvoid -> assert false)
     kc.Kernel_compile.params;
-  let before = snapshot kc.Kernel_compile.cost in
   for i = lo to hi - 1 do
     kc.Kernel_compile.run_iter frame i
   done;
-  let after = snapshot kc.Kernel_compile.cost in
   (* Sequential in-order execution makes shared-scalar semantics exact:
      write every scalar parameter back (covers reduction variables). *)
   List.iter
@@ -89,11 +74,10 @@ let on_parallel_loop st env (loop : Loop_info.t) =
           Host_interp.set_scalar env name (Host_interp.Vfloat (Frame.get_float frame slot))
       | Ast.Tarray _ | Ast.Tvoid -> ())
     kc.Kernel_compile.params;
-  let cost = delta ~before ~after in
   let _, finish =
     Machine.host_compute st.machine ~ready:st.clock ~threads:st.threads
       ~label:(Printf.sprintf "omp-loop%d" loop.Loop_info.loop_id)
-      cost
+      frame.Frame.cost
   in
   Profiler.add_kernel st.profiler ~seconds:(finish -. st.clock);
   st.clock <- finish

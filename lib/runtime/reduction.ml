@@ -46,10 +46,18 @@ let allocate (cfg : Rt_config.t) (da : Darray.t) op =
 let array_name t = t.name
 let op t = t.op
 
-let reduce_f t ~gpu i v =
+(* The operator is applied here, not through [View.apply_redop_f], so the
+   contribution stays unboxed on the kernel path. *)
+let reduce_f t ~gpu i bank s =
   match t.partials.(gpu) with
   | Pf a ->
-      a.(i) <- View.apply_redop_f t.op a.(i) v;
+      let old = a.(i) and v = bank.(s) in
+      a.(i) <-
+        (match t.op with
+        | Ast.Rplus -> old +. v
+        | Ast.Rmul -> old *. v
+        | Ast.Rmax -> Float.max old v
+        | Ast.Rmin -> Float.min old v);
       t.touched.(gpu) <- true
   | Pi _ -> invalid_arg "Reduction.reduce_f: int reduction array"
 

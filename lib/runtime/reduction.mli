@@ -20,8 +20,10 @@ val allocate : Rt_config.t -> Darray.t -> Ast.redop -> t
 val array_name : t -> string
 val op : t -> Ast.redop
 
-val reduce_f : t -> gpu:int -> int -> float -> unit
-(** Accumulate a double contribution on the given GPU's partial. *)
+val reduce_f : t -> gpu:int -> int -> float array -> int -> unit
+(** [reduce_f t ~gpu i bank slot] accumulates the double contribution in
+    [bank.(slot)] into element [i] of the given GPU's partial (slot-passing,
+    like {!Mgacc_exec.View.t.reduce_f}, so the value is never boxed). *)
 
 val reduce_i : t -> gpu:int -> int -> int -> unit
 

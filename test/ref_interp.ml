@@ -1,18 +1,71 @@
 (* A tree-walking reference interpreter for mini-C, used only as a test
-   oracle for the compiled host path. It looks every name up in a chain of
+   oracle for the compiled code. It looks every name up in a chain of
    hashtable scopes and boxes every value, so it shares no code with
    [Kernel_compile] beyond the frontend. Directives are no-ops, and a
    parallel loop runs its iterations in order with a fresh loop variable,
-   which is what the sequential hooks do. *)
+   which is what the sequential hooks do.
+
+   [run_kernel] runs a parallel loop's body as a kernel and also counts
+   what the compiled kernel charges, by these rules (decided on the
+   values, which always carry their static type here):
+   - an arithmetic operator, negation or compound assignment: one flop if
+     its result is a double, else one int op;
+   - a comparison: one flop if either operand is a double, else one int op;
+     [!x]: one flop if [x] is a double, else one int op; [&&], [||], [~],
+     [?:], and a [(int)] cast of a double: one int op;
+   - a builtin: its [flops] figure, as flops for a double builtin, int ops
+     for an int one;
+   - an [if], and each evaluation of a [while] or [for] condition (a
+     missing [for] condition too): one int op;
+   - an array element read or written: its width (8 for a double, 4 for
+     an int) in the traffic class [classify] gives the site (a random
+     access also counts one transaction); a compound assignment to an
+     element both reads and writes it;
+   - a [reductiontoarray] update [a[k] += v] or [a[k] *= v]: one combine
+     op plus one random transaction of the element's width, instead of
+     the assignment's own charges.
+   Conversions, literals, variables and [__length] are free. *)
 
 open Mgacc_minic
 open Ast
 module View = Mgacc_exec.View
 module Loop_info = Mgacc_analysis.Loop_info
+module Cost = Mgacc_gpusim.Cost
+module Coalesce = Mgacc_analysis.Coalesce
 
 type value = Vint of int | Vfloat of float
 type cell = Cint of int ref | Cfloat of float ref | Carray of View.t
-type env = { prog : program; mutable scopes : (string, cell) Hashtbl.t list }
+type meter = { cost : Cost.t; classify : string -> expr -> Coalesce.mode }
+
+type env = {
+  prog : program;
+  mutable scopes : (string, cell) Hashtbl.t list;
+  meter : meter option;  (** set while running a kernel *)
+}
+
+let charge env f = match env.meter with Some m -> f m.cost | None -> ()
+let flop env = charge env (fun c -> c.Cost.flops <- c.Cost.flops + 1)
+let int_ops env n = charge env (fun c -> c.Cost.int_ops <- c.Cost.int_ops + n)
+let op_on env = function Vint _ -> int_ops env 1 | Vfloat _ -> flop env
+
+let access env a idx elem =
+  match env.meter with
+  | None -> ()
+  | Some m -> (
+      let c = m.cost and width = elem_ty_size elem in
+      match m.classify a idx with
+      | Coalesce.Coalesced -> c.Cost.coalesced_bytes <- c.Cost.coalesced_bytes + width
+      | Coalesce.Broadcast -> c.Cost.broadcast_bytes <- c.Cost.broadcast_bytes + width
+      | Coalesce.Strided _ | Coalesce.Random ->
+          c.Cost.random_accesses <- c.Cost.random_accesses + 1;
+          c.Cost.random_bytes <- c.Cost.random_bytes + width)
+
+let load_f view i =
+  let cell = [| 0.0 |] in
+  view.View.load_f i cell 0;
+  cell.(0)
+
+let store_f view i v = view.View.store_f i [| v |] 0
 
 exception Return_exc of value option
 exception Break_exc
@@ -67,27 +120,51 @@ let rec eval env e : value =
   | Index (a, idx) -> (
       let i = as_int (eval env idx) in
       match lookup env e.eloc a with
-      | Carray ({ View.elem = Eint; _ } as view) -> Vint (view.View.get_i i)
-      | Carray view -> Vfloat (view.View.get_f i)
+      | Carray ({ View.elem = Eint; _ } as view) ->
+          access env a idx Eint;
+          Vint (view.View.get_i i)
+      | Carray view ->
+          access env a idx Edouble;
+          Vfloat (load_f view i)
       | _ -> Loc.error e.eloc "indexing non-array %s" a)
   | Unop (op, x) -> (
       let v = eval env x in
       match op with
-      | Neg -> ( match v with Vint n -> Vint (-n) | Vfloat f -> Vfloat (-.f))
-      | Not -> Vint (if truthy v then 0 else 1)
-      | Bit_not -> Vint (lnot (as_int v))
-      | Cast_int -> Vint (as_int v)
+      | Neg ->
+          op_on env v;
+          (match v with Vint n -> Vint (-n) | Vfloat f -> Vfloat (-.f))
+      | Not ->
+          op_on env v;
+          Vint (if truthy v then 0 else 1)
+      | Bit_not ->
+          int_ops env 1;
+          Vint (lnot (as_int v))
+      | Cast_int ->
+          (match v with Vfloat _ -> int_ops env 1 | Vint _ -> ());
+          Vint (as_int v)
       | Cast_double -> Vfloat (as_float v))
-  | Binop (op, x, y) -> eval_binop env e.eloc op x y
+  | Binop (op, x, y) ->
+      let v = eval_binop env e.eloc op x y in
+      (match op with
+      | Eq | Ne | Lt | Le | Gt | Ge | Land | Lor -> ()
+      | _ -> op_on env v);
+      v
   | Ternary (c, a, b) ->
       (* The result has the branches' common type, whichever is taken. *)
+      int_ops env 1;
       convert (static_type env e) (if truthy (eval env c) then eval env a else eval env b)
   | Call (name, args) -> (
       match Builtins.find name with
       | Some b ->
           let vals = List.map (eval env) args in
-          if b.Builtins.result = Tdouble then Vfloat (Builtins.apply_double name (List.map as_float vals))
-          else Vint (Builtins.apply_int name (List.map as_int vals))
+          if b.Builtins.result = Tdouble then begin
+            charge env (fun c -> c.Cost.flops <- c.Cost.flops + b.Builtins.flops);
+            Vfloat (Builtins.apply_double name (List.map as_float vals))
+          end
+          else begin
+            int_ops env b.Builtins.flops;
+            Vint (Builtins.apply_int name (List.map as_int vals))
+          end
       | None -> (
           match call_function env e.eloc name args with
           | Some v -> v
@@ -95,12 +172,19 @@ let rec eval env e : value =
 
 and eval_binop env loc op x y =
   match op with
-  | Land -> Vint (if truthy (eval env x) && truthy (eval env y) then 1 else 0)
-  | Lor -> Vint (if truthy (eval env x) || truthy (eval env y) then 1 else 0)
+  | Land ->
+      int_ops env 1;
+      Vint (if truthy (eval env x) && truthy (eval env y) then 1 else 0)
+  | Lor ->
+      int_ops env 1;
+      Vint (if truthy (eval env x) || truthy (eval env y) then 1 else 0)
   | _ -> (
       let a = eval env x in
       let b = eval env y in
-      let cmp r = Vint (if r then 1 else 0) in
+      let cmp r =
+        (match (a, b) with Vint _, Vint _ -> int_ops env 1 | _ -> flop env);
+        Vint (if r then 1 else 0)
+      in
       match (op, a, b) with
       | Add, Vint m, Vint n -> Vint (m + n)
       | Sub, Vint m, Vint n -> Vint (m - n)
@@ -155,18 +239,29 @@ and assign env loc lv op rhs =
     | Mul_set -> old *. r
     | Div_set -> old /. r
   in
+  let compound = op <> Set in
   match lv with
   | Lvar v -> (
       match lookup env loc v with
-      | Cint r -> r := combine_int !r (as_int rhs)
-      | Cfloat r -> r := combine_float !r (as_float rhs)
+      | Cint r ->
+          if compound then int_ops env 1;
+          r := combine_int !r (as_int rhs)
+      | Cfloat r ->
+          if compound then flop env;
+          r := combine_float !r (as_float rhs)
       | Carray _ -> Loc.error loc "cannot assign whole array %s" v)
   | Lindex (a, idx) -> (
       let i = as_int (eval env idx) in
       match lookup env loc a with
-      | Carray ({ View.elem = Eint; _ } as view) ->
-          view.View.set_i i (combine_int (view.View.get_i i) (as_int rhs))
-      | Carray view -> view.View.set_f i (combine_float (view.View.get_f i) (as_float rhs))
+      | Carray view ->
+          let elem = view.View.elem in
+          if compound then begin
+            (if elem = Eint then int_ops env 1 else flop env);
+            access env a idx elem
+          end;
+          access env a idx elem;
+          if elem = Eint then view.View.set_i i (combine_int (view.View.get_i i) (as_int rhs))
+          else store_f view i (combine_float (load_f view i) (as_float rhs))
       | _ -> Loc.error loc "indexing non-array %s" a)
 
 and exec_stmt env s =
@@ -190,10 +285,15 @@ and exec_stmt env s =
   | Sexpr { edesc = Call (name, args); eloc } when not (Builtins.is_builtin name) ->
       ignore (call_function env eloc name args)
   | Sexpr e -> ignore (eval env e)
-  | Sif (c, then_, else_) -> if truthy (eval env c) then exec_block env then_ else exec_block env else_
+  | Sif (c, then_, else_) ->
+      int_ops env 1;
+      if truthy (eval env c) then exec_block env then_ else exec_block env else_
   | Swhile (c, body) -> (
       try
-        while truthy (eval env c) do
+        while
+          int_ops env 1;
+          truthy (eval env c)
+        do
           try exec_block env body with Continue_exc -> ()
         done
       with Break_exc -> ())
@@ -201,7 +301,10 @@ and exec_stmt env s =
       push env;
       Option.iter (exec_stmt env) hdr.for_init;
       (try
-         while match hdr.for_cond with None -> true | Some c -> truthy (eval env c) do
+         while
+           int_ops env 1;
+           match hdr.for_cond with None -> true | Some c -> truthy (eval env c)
+         do
            (try exec_block env body with Continue_exc -> ());
            Option.iter (exec_stmt env) hdr.for_update
          done
@@ -211,6 +314,27 @@ and exec_stmt env s =
   | Sbreak -> raise Break_exc
   | Scontinue -> raise Continue_exc
   | Sblock body -> exec_block env body
+  | Spragma (Dreduction_to_array { rta_op; rta_array }, inner) when env.meter <> None -> (
+      match inner.sdesc with
+      | Sassign (Lindex (a, idx), aop, rhs)
+        when a = rta_array && List.mem (aop, rta_op) [ (Add_set, Rplus); (Mul_set, Rmul) ] -> (
+          let v = eval env rhs in
+          let i = as_int (eval env idx) in
+          match lookup env s.sloc a with
+          | Carray view ->
+              let elem = view.View.elem in
+              (if elem = Eint then int_ops env 1 else flop env);
+              charge env (fun c ->
+                  c.Cost.random_accesses <- c.Cost.random_accesses + 1;
+                  c.Cost.random_bytes <- c.Cost.random_bytes + elem_ty_size elem);
+              if elem = Eint then
+                view.View.set_i i (View.apply_redop_i rta_op (view.View.get_i i) (as_int v))
+              else store_f view i (View.apply_redop_f rta_op (load_f view i) (as_float v))
+          | _ -> Loc.error s.sloc "indexing non-array %s" a)
+      | _ -> failwith "Ref_interp: only a[k] += v and a[k] *= v reductions are modelled")
+  | Spragma ((Dparallel_loop _ | Dlocalaccess _), inner) when env.meter <> None ->
+      (* Nested parallelism inside a kernel runs as the plain loop. *)
+      exec_stmt env inner
   | Spragma ((Dparallel_loop _ | Dlocalaccess _), inner) -> (
       match Loop_info.of_stmt ~loop_id:0 s with
       | Some loop ->
@@ -262,7 +386,7 @@ and call_function env loc name args =
 
 let run prog =
   Typecheck.check_program prog;
-  let env = { prog; scopes = [ Hashtbl.create 8 ] } in
+  let env = { prog; scopes = [ Hashtbl.create 8 ]; meter = None } in
   let main = Option.get (find_func prog "main") in
   (try List.iter (exec_stmt env) main.fbody with Return_exc _ -> ());
   env
@@ -275,3 +399,20 @@ let get_scalar env name =
   | Cint r -> Vint !r
   | Cfloat r -> Vfloat !r
   | Carray _ -> invalid_arg name
+
+(* Run iterations [lo, hi) of [loop] as a kernel over [bindings] (its free
+   variables), charging by the rules above; returns the counts. *)
+let run_kernel prog ~classify (loop : Loop_info.t) bindings ~lo ~hi =
+  let cost = Cost.zero () in
+  let env = { prog; scopes = [ Hashtbl.create 8 ]; meter = Some { cost; classify } } in
+  List.iter (fun (name, cell) -> declare env loop.Loop_info.loop_loc name cell) bindings;
+  push env;
+  let iv = ref lo in
+  declare env loop.Loop_info.loop_loc loop.Loop_info.loop_var (Cint iv);
+  for i = lo to hi - 1 do
+    iv := i;
+    try exec_block env loop.Loop_info.body
+    with Continue_exc | Break_exc ->
+      Loc.error loop.Loop_info.loop_loc "break/continue escaping a parallel loop iteration"
+  done;
+  cost

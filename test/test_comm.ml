@@ -22,9 +22,9 @@ let test_reduction_merge_values () =
   let da = mk_da cfg "acc" [| 10.0; 20.0; 30.0 |] in
   let _ = Darray.ensure_replicated cfg da ~dirty_tracking:false in
   let red = Reduction.allocate cfg da Mgacc_minic.Ast.Rplus in
-  Reduction.reduce_f red ~gpu:0 0 5.0;
-  Reduction.reduce_f red ~gpu:0 2 1.0;
-  Reduction.reduce_f red ~gpu:1 0 7.0;
+  Reduction.reduce_f red ~gpu:0 0 [| 5.0 |] 0;
+  Reduction.reduce_f red ~gpu:0 2 [| 1.0 |] 0;
+  Reduction.reduce_f red ~gpu:1 0 [| 7.0 |] 0;
   let m = Reduction.merge cfg red da in
   (* final = base + partial0 + partial1, on every replica. *)
   let r = Darray.replica_of da in
@@ -45,7 +45,7 @@ let test_reduction_merge_single_gpu () =
   let da = mk_da cfg "acc" [| 1.0 |] in
   let _ = Darray.ensure_replicated cfg da ~dirty_tracking:false in
   let red = Reduction.allocate cfg da Mgacc_minic.Ast.Rmax in
-  Reduction.reduce_f red ~gpu:0 0 9.0;
+  Reduction.reduce_f red ~gpu:0 0 [| 9.0 |] 0;
   let m = Reduction.merge cfg red da in
   check Alcotest.int "no transfers on one GPU" 0 (List.length m.Reduction.xfers);
   let r = Darray.replica_of da in

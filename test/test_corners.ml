@@ -103,7 +103,7 @@ let test_cuda_p2p_and_charges () =
 let test_view_snapshots () =
   let v = Mgacc_exec.View.of_float_array ~name:"x" [| 1.0; 2.0 |] in
   let snap = Mgacc_exec.View.snapshot_f v in
-  v.Mgacc_exec.View.set_f 0 9.0;
+  v.Mgacc_exec.View.store_f 0 [| 9.0 |] 0;
   check (Alcotest.float 1e-12) "snapshot is a copy" 1.0 snap.(0);
   match Mgacc_exec.View.snapshot_i v with
   | exception Invalid_argument _ -> ()

@@ -18,12 +18,14 @@ let tc name f = Alcotest.test_case name `Quick f
 let test_view_float () =
   let data = [| 1.0; 2.0; 3.0 |] in
   let v = View.of_float_array ~name:"x" data in
-  check (Alcotest.float 1e-12) "get" 2.0 (v.View.get_f 1);
-  v.View.set_f 1 9.0;
+  let bank = [| 0.0; 9.0; 5.0 |] in
+  v.View.load_f 1 bank 0;
+  check (Alcotest.float 1e-12) "load into the slot" 2.0 bank.(0);
+  v.View.store_f 1 bank 1;
   check (Alcotest.float 1e-12) "aliases backing" 9.0 data.(1);
-  v.View.reduce_f Ast.Rplus 0 5.0;
+  v.View.reduce_f Ast.Rplus 0 bank 2;
   check (Alcotest.float 1e-12) "in-place reduce" 6.0 data.(0);
-  (match v.View.get_f 3 with
+  (match v.View.load_f 3 bank 0 with
   | exception View.Bounds { index = 3; _ } -> ()
   | _ -> Alcotest.fail "bounds check");
   match v.View.get_i 0 with
@@ -159,9 +161,9 @@ let test_kernel_compile_runs () =
     kc.Kernel_compile.run_iter frame i
   done;
   check (Alcotest.array (Alcotest.float 1e-12)) "saxpy" [| 12.0; 14.0; 16.0; 18.0 |] y;
-  (* Cost accounting: per iteration 2 flops (add, mul), coalesced traffic
-     2 reads + 1 write of 8 bytes. *)
-  let c = kc.Kernel_compile.cost in
+  (* Cost accounting, in the frame's own counter: per iteration 2 flops
+     (add, mul), coalesced traffic 2 reads + 1 write of 8 bytes. *)
+  let c = frame.Frame.cost in
   check Alcotest.int "flops" 8 c.Cost.flops;
   check Alcotest.int "coalesced bytes" (4 * 3 * 8) c.Cost.coalesced_bytes;
   check Alcotest.int "no random" 0 c.Cost.random_accesses
@@ -189,7 +191,7 @@ for (i = 0; i < n; i++) { y[i] = x[idx[i]]; } }|}
   for i = 0 to 3 do
     kc.Kernel_compile.run_iter frame i
   done;
-  let c = kc.Kernel_compile.cost in
+  let c = frame.Frame.cost in
   check Alcotest.int "one gather per iteration" 4 c.Cost.random_accesses;
   check Alcotest.int "gather bytes" 32 c.Cost.random_bytes
 
@@ -450,7 +452,7 @@ let test_loop_ids_follow_first_execution () =
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
     "(line, id)" [ (12, 0); (4, 1); (4, 1) ] (List.rev !ids);
-  check (Alcotest.float 0.0) "ran" 4.0 ((Host_interp.find_array env "a").View.get_f 3)
+  check (Alcotest.float 0.0) "ran" 4.0 (View.snapshot_f (Host_interp.find_array env "a")).(3)
 
 let test_env_scope_is_the_pragmas () =
   let seen = ref [] in
@@ -661,8 +663,9 @@ void main() {
                 (gen_d main_scope 2))
              (gen_block main_scope ~level:0 ~in_loop:false ~ret:None 3))))
 
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) || (a <> a && b <> b)
+
 let prop_compiled_matches_reference =
-  let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) || (a <> a && b <> b) in
   let prop src =
     let program = Parser.parse ~file:"gen.c" src in
     match (Host_interp.run_program program, Ref_interp.run program) with
@@ -696,6 +699,310 @@ let prop_compiled_matches_reference =
     (QCheck2.Test.make ~count:300 ~name:"compiled host code matches the reference interpreter"
        ~print:Fun.id gen_host_program prop)
 
+(* ---------------- Compiled kernels against the reference, counts included ---------------- *)
+
+(* Every access site gets one of the three traffic classes, by where its
+   subscript is, so the compiler and the oracle agree site by site. *)
+let cycling_classify _ (idx : Ast.expr) =
+  match ((idx.Ast.eloc.Loc.line * 7) + idx.Ast.eloc.Loc.col) mod 3 with
+  | 0 -> Coalesce.Coalesced
+  | 1 -> Coalesce.Broadcast
+  | _ -> Coalesce.Random
+
+let kernel_n = 6
+let init_a () = Array.init kernel_n (fun p -> (p * 3) - 7)
+let init_d () = Array.init kernel_n (fun p -> (0.5 *. float_of_int p) -. 1.0)
+
+(* A kernel over int a[6], double d[6] and the loop-uniform scalars n, m
+   and s; [body] is its loop body. *)
+let kernel_source body =
+  Printf.sprintf
+    "void main() { int n = %d; int m = 4; double s = 1.5; int a[n]; double d[n]; int p;\n\
+     #pragma acc parallel loop\n\
+     for (p = 0; p < n; p++) { %s }\n\
+     }"
+    kernel_n body
+
+let cost_fields (c : Cost.t) =
+  [
+    ("flops", c.Cost.flops);
+    ("int_ops", c.Cost.int_ops);
+    ("coalesced_bytes", c.Cost.coalesced_bytes);
+    ("broadcast_bytes", c.Cost.broadcast_bytes);
+    ("random_accesses", c.Cost.random_accesses);
+    ("random_bytes", c.Cost.random_bytes);
+  ]
+
+(* Compile [body] as a kernel, run every iteration in one frame, and run
+   the reference on its own copy of the inputs. [Ok ()] when both agree on
+   the arrays and on every cost field, or both fail. *)
+let kernel_vs_reference body =
+  let program = Parser.parse ~file:"k.c" (kernel_source body) in
+  Typecheck.check_program program;
+  let loop = List.hd (Loop_info.extract (Option.get (Ast.find_func program "main"))) in
+  let ty = function
+    | "a" -> Ast.Tarray Ast.Eint
+    | "d" -> Ast.Tarray Ast.Edouble
+    | "s" -> Ast.Tdouble
+    | _ -> Ast.Tint
+  in
+  let scalar = function "n" -> kernel_n | "m" -> 4 | _ -> 0 in
+  let params = List.map (fun v -> (v, ty v)) (Loop_info.free_vars loop) in
+  let a = init_a () and d = init_d () in
+  let compiled =
+    match Kernel_compile.compile ~loop ~params ~classify:cycling_classify with
+    | exception e -> Error e
+    | kc -> (
+        let frame = kc.Kernel_compile.make_frame () in
+        List.iter
+          (fun (name, slot, _) ->
+            match name with
+            | "a" -> Frame.set_view frame slot (View.of_int_array ~name a)
+            | "d" -> Frame.set_view frame slot (View.of_float_array ~name d)
+            | "s" -> Frame.set_float frame slot 1.5
+            | _ -> Frame.set_int frame slot (scalar name))
+          kc.Kernel_compile.params;
+        match
+          for i = 0 to kernel_n - 1 do
+            kc.Kernel_compile.run_iter frame i
+          done
+        with
+        | () -> Ok frame.Frame.cost
+        | exception e -> Error e)
+  in
+  let ra = init_a () and rd = init_d () in
+  let bindings =
+    List.map
+      (fun (name, t) ->
+        ( name,
+          match t with
+          | Ast.Tarray Ast.Eint -> Ref_interp.Carray (View.of_int_array ~name ra)
+          | Ast.Tarray _ -> Ref_interp.Carray (View.of_float_array ~name rd)
+          | Ast.Tdouble -> Ref_interp.Cfloat (ref 1.5)
+          | _ -> Ref_interp.Cint (ref (scalar name)) ))
+      params
+  in
+  let reference =
+    match Ref_interp.run_kernel program ~classify:cycling_classify loop bindings ~lo:0 ~hi:kernel_n with
+    | c -> Ok c
+    | exception e -> Error e
+  in
+  match (compiled, reference) with
+  | Error _, Error _ -> Ok ()
+  | Error e, Ok _ -> Error (Printf.sprintf "only the compiled kernel raised %s" (Printexc.to_string e))
+  | Ok _, Error e -> Error (Printf.sprintf "only the reference raised %s" (Printexc.to_string e))
+  | Ok c, Ok r ->
+      let counts =
+        List.filter_map
+          (fun ((f, x), (_, y)) -> if x = y then None else Some (Printf.sprintf "%s %d vs %d" f x y))
+          (List.combine (cost_fields c) (cost_fields r))
+      in
+      if a <> ra then Error "int array differs"
+      else if not (Array.for_all2 same_float d rd) then Error "double array differs"
+      else if counts <> [] then Error ("counts differ: " ^ String.concat ", " counts)
+      else Ok ()
+
+let check_kernel body =
+  match kernel_vs_reference body with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s@.kernel body: %s" msg body
+  | exception e -> Alcotest.failf "%s@.kernel body: %s" (Printexc.to_string e) body
+
+(* Operand shapes: a slot (variable or literal) or compound code, for
+   both types. The compound int operand is never zero, so it can divide. *)
+let int_shapes = [ "x0"; "3"; "((a[p] & 7) + 1)" ]
+let dbl_shapes = [ "y0"; "1.5"; "(y1 * d[p])" ]
+let index_shapes = [ "p"; "2"; "((x0 + p) % 6)" ]
+let kernel_locals = "int x0 = 7; int x1 = 5; double y0 = 0.75; double y1 = (-1.25); int i0;"
+
+let shape_matrix =
+  let pairs xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs in
+  let ii = pairs int_shapes int_shapes and dd = pairs dbl_shapes dbl_shapes in
+  let mixed = pairs int_shapes dbl_shapes @ pairs dbl_shapes int_shapes in
+  let cmps = [ "<"; "<="; ">"; ">="; "=="; "!=" ] in
+  let each ops ps f = List.concat_map (fun op -> List.map (fun (l, r) -> f op l r) ps) ops in
+  let infix fmt op l r = Printf.sprintf fmt l op r in
+  List.concat
+    [
+      (* Binary operators in value context, straight into a variable and
+         as an operand of another operator. *)
+      each [ "+"; "-"; "*"; "/"; "%"; "&"; "|"; "^"; "<<"; ">>" ] ii (infix "x1 = %s %s %s;");
+      each [ "+"; "-"; "*"; "/" ] ii (infix "x1 = (%s %s %s) + x1;");
+      each [ "+"; "-"; "*"; "/" ] (dd @ mixed) (infix "y1 = %s %s %s;");
+      each [ "+"; "-"; "*"; "/" ] (dd @ mixed) (infix "y1 = 0.5 * (%s %s %s);");
+      (* Comparisons and logical operators in value and condition context. *)
+      each cmps (ii @ dd @ mixed) (infix "x1 = %s %s %s;");
+      each cmps (ii @ dd @ mixed) (infix "if (%s %s %s) { x1 = x1 + 1; }");
+      each [ "&&"; "||" ] (ii @ dd @ mixed) (infix "x1 = %s %s %s;");
+      each [ "&&"; "||" ] (ii @ dd @ mixed) (infix "if (%s %s %s) { x1 = 2; } else { x1 = 3; }");
+      List.concat_map
+        (fun l ->
+          [
+            Printf.sprintf "x1 = !%s;" l;
+            Printf.sprintf "if (!%s) { x1 = 4; }" l;
+            Printf.sprintf "if (%s) { x1 = 4; }" l;
+            Printf.sprintf "while (%s) { x1 = 4; break; }" l;
+            Printf.sprintf "x1 = %s ? x0 : 1;" l;
+            Printf.sprintf "y1 = %s ? y0 : 1;" l;
+          ])
+        (int_shapes @ dbl_shapes);
+      (* Unary operators, casts and conversions. *)
+      List.concat_map
+        (fun l -> [ Printf.sprintf "x1 = -%s;" l; Printf.sprintf "x1 = ~%s;" l; Printf.sprintf "y1 = %s;" l ])
+        int_shapes;
+      List.concat_map
+        (fun l ->
+          [
+            Printf.sprintf "y1 = -%s;" l;
+            Printf.sprintf "x1 = (int)%s;" l;
+            Printf.sprintf "x1 = %s;" l;
+            Printf.sprintf "y1 = (double)%s;" l;
+          ])
+        dbl_shapes;
+      (* Builtins, resolved when they compile. *)
+      List.concat_map
+        (fun l ->
+          List.map
+            (fun f -> Printf.sprintf "y1 = %s(%s);" f l)
+            [ "sqrt"; "fabs"; "exp"; "log"; "sin"; "cos"; "floor"; "ceil" ])
+        (dbl_shapes @ [ "x0" ]);
+      each [ "pow"; "fmin"; "fmax" ] (dd @ mixed) (Printf.sprintf "y1 = %s(%s, %s);");
+      List.map (Printf.sprintf "x1 = abs(%s);") int_shapes;
+      each [ "min"; "max" ] ii (Printf.sprintf "x1 = %s(%s, %s);");
+      (* Assignments and declarations. *)
+      each [ "="; "+="; "-="; "*="; "/=" ] (List.map (fun r -> ("x1", r)) int_shapes) (fun op l r ->
+          Printf.sprintf "%s %s %s;" l op r);
+      each [ "="; "+="; "-="; "*="; "/=" ] (List.map (fun r -> ("y1", r)) (dbl_shapes @ int_shapes))
+        (fun op l r -> Printf.sprintf "%s %s %s;" l op r);
+      [ "x1++;"; "x1--;"; "y1++;"; "y1--;"; "a[p]++;"; "d[p]--;"; "x1 = __length(d);" ];
+      List.map (Printf.sprintf "int q = %s; x1 = q;") int_shapes;
+      List.map (Printf.sprintf "double q = %s; y1 = q;") (dbl_shapes @ int_shapes);
+      List.map (Printf.sprintf "double q; q = %s + q; y1 = q;") dbl_shapes;
+      (* Array loads and stores, plain and compound, by subscript shape. *)
+      List.concat_map
+        (fun ix -> [ Printf.sprintf "x1 = a[%s];" ix; Printf.sprintf "y1 = d[%s];" ix; Printf.sprintf "y1 = y1 + d[%s];" ix ])
+        index_shapes;
+      each [ "="; "+="; "-="; "*="; "/=" ] (pairs index_shapes int_shapes) (fun op ix r ->
+          Printf.sprintf "a[%s] %s %s;" ix op r);
+      each [ "="; "+="; "-="; "*="; "/=" ] (pairs index_shapes (dbl_shapes @ int_shapes))
+        (fun op ix r -> Printf.sprintf "d[%s] %s %s;" ix op r);
+      (* Reduction updates, by subscript and contribution shape. *)
+      each [ "+="; "*=" ] (pairs index_shapes (dbl_shapes @ int_shapes)) (fun op ix r ->
+          Printf.sprintf "\n#pragma acc reductiontoarray(%s: d)\nd[%s] %s %s;" (String.sub op 0 1) ix op r);
+      each [ "+="; "*=" ] (pairs index_shapes int_shapes) (fun op ix r ->
+          Printf.sprintf "\n#pragma acc reductiontoarray(%s: a)\na[%s] %s %s;" (String.sub op 0 1) ix op r);
+      (* Loop-uniform parameters, control flow and statement sequences. *)
+      [
+        "x1 = m + n; y1 = s * y0;";
+        "for (i0 = 0; i0 < m; i0++) { y1 = y1 + d[i0]; }";
+        "for (i0 = 0; ; i0++) { if (i0 >= 3) { break; } }";
+        "while (x0 > 0) { x0 = x0 - 2; if (x0 == 3) { continue; } y1 = y1 + 1.0; }";
+        "x1 = 1; x0 = 2; a[p] = x1 + x0; d[p] = y0; y1 = 2.0;";
+        "{ int x0 = 1; a[p] = x0; }";
+        "y0 + y1; x0 + 1;";
+        "\n#pragma acc parallel loop\nfor (i0 = 0; i0 < 2; i0++) { d[p] = d[p] + i0; }";
+      ];
+    ]
+  |> List.map (fun stmt -> kernel_locals ^ " " ^ stmt)
+
+let test_kernel_shape_matrix () = List.iter check_kernel shape_matrix
+
+module Kgen = struct
+  let scope = { ints = [ "x0"; "x1"; "n"; "m"; "p" ]; dbls = [ "y0"; "y1"; "s" ]; pure = false; calls = false }
+
+  let reduction =
+    Gen.oneof
+      [
+        Gen.map2 (Printf.sprintf "\n#pragma acc reductiontoarray(+: d)\nd[%s] += %s;") (gen_idx scope 1)
+          (gen_any scope 2);
+        Gen.map2 (Printf.sprintf "\n#pragma acc reductiontoarray(+: a)\na[%s] += %s;") (gen_idx scope 1)
+          (gen_i scope 2);
+      ]
+
+  let body =
+    Gen.map2
+      (fun b rs -> Printf.sprintf "%s %s %s" (kernel_locals ^ " int i1; int i2;") b (String.concat " " rs))
+      (gen_block scope ~level:0 ~in_loop:false ~ret:None 3)
+      (Gen.list_size (Gen.int_range 0 2) reduction)
+end
+
+let prop_kernel_matches_reference =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 20131002 |])
+    (QCheck2.Test.make ~count:300
+       ~name:"compiled kernels match the reference, cost counts included" ~print:Fun.id Kgen.body
+       (fun body ->
+         match kernel_vs_reference body with
+         | Ok () -> true
+         | Error msg -> QCheck2.Test.fail_reportf "%s@.%s" msg body))
+
+(* A straight-line double body (kmeans's distance step) allocates nothing
+   per iteration: running it twice as long allocates the same. *)
+let test_kernel_allocates_nothing_per_iteration () =
+  let src =
+    {|void main() { int n = 2000; int f = 16; int k = 5; double x[n]; double centers[k*f]; double out[n]; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) {
+  int c = i % k;
+  double d = x[i] - centers[c*f + i % f];
+  double dist = out[i];
+  dist = dist + d*d;
+  out[i] = dist;
+} }|}
+  in
+  let kc =
+    compile_loop src
+      ~params:
+        [
+          ("f", Ast.Tint);
+          ("k", Ast.Tint);
+          ("x", Ast.Tarray Ast.Edouble);
+          ("centers", Ast.Tarray Ast.Edouble);
+          ("out", Ast.Tarray Ast.Edouble);
+        ]
+  in
+  let words iters =
+    let frame = kc.Kernel_compile.make_frame () in
+    List.iter
+      (fun (name, slot, _) ->
+        match name with
+        | "f" -> Frame.set_int frame slot 16
+        | "k" -> Frame.set_int frame slot 5
+        | "x" -> Frame.set_view frame slot (View.of_float_array ~name (Array.init 2000 float_of_int))
+        | "centers" -> Frame.set_view frame slot (View.of_float_array ~name (Array.make 80 0.5))
+        | "out" -> Frame.set_view frame slot (View.of_float_array ~name (Array.make 2000 0.0))
+        | _ -> ())
+      kc.Kernel_compile.params;
+    let before = Gc.minor_words () in
+    for i = 0 to iters - 1 do
+      kc.Kernel_compile.run_iter frame i
+    done;
+    Gc.minor_words () -. before
+  in
+  let once = words 1000 and twice = words 2000 in
+  if Float.abs (twice -. once) > 16.0 then
+    Alcotest.failf "1000 iterations allocated %.0f minor words, 2000 allocated %.0f" once twice
+
+let test_kernel_frames_count_separately () =
+  let kc =
+    compile_loop saxpy_src
+      ~params:[ ("x", Ast.Tarray Ast.Edouble); ("y", Ast.Tarray Ast.Edouble); ("a", Ast.Tdouble) ]
+  in
+  let run iters =
+    let frame = kc.Kernel_compile.make_frame () in
+    List.iter
+      (fun (name, slot, _) ->
+        if name <> "a" then Frame.set_view frame slot (View.of_float_array ~name (Array.make 4 1.0)))
+      kc.Kernel_compile.params;
+    for i = 0 to iters - 1 do
+      kc.Kernel_compile.run_iter frame i
+    done;
+    frame
+  in
+  let f3 = run 3 and f1 = run 1 in
+  check Alcotest.int "first frame" 6 f3.Frame.cost.Cost.flops;
+  check Alcotest.int "second frame starts at zero" 2 f1.Frame.cost.Cost.flops
+
 let suite =
   [
     tc "view: float basics" test_view_float;
@@ -719,4 +1026,8 @@ let suite =
     tc "env: a hook sees the pragma's scope" test_env_scope_is_the_pragmas;
     tc "env: an escaping break is a located error" test_escaping_break_is_located;
     prop_compiled_matches_reference;
+    tc "kernel: every operand shape matches the reference, counts included" test_kernel_shape_matrix;
+    prop_kernel_matches_reference;
+    tc "kernel: a double body allocates nothing per iteration" test_kernel_allocates_nothing_per_iteration;
+    tc "kernel: each frame has its own cost counter" test_kernel_frames_count_separately;
   ]

@@ -56,6 +56,11 @@ if ! cmp -s "$tmp/bench.before" "$tmp/bench.after"; then
   diff "$tmp/bench.before" "$tmp/bench.after" >&2 || true
   exit 1
 fi
+# Artifact identity: regenerate the six deterministic BENCH_*.json files
+# from their declared commands; any byte that moved fails the check (the
+# committed files are put back either way). A host-speed change must pass
+# this unchanged.
+sh tools/regen_artifacts.sh
 # The CLI must reject a --gpus count its --machine spec cannot supply
 # (printable error, no silent clamp).
 if dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster:2x2 --gpus 9 >/dev/null 2>&1; then
