@@ -26,4 +26,5 @@ let () =
       ("fleet", Test_fleet.suite);
       ("artifacts", Test_bench_artifacts.suite);
       ("obs", Test_obs.suite);
+      ("golden", Test_golden.suite);
     ]
