@@ -84,8 +84,8 @@ let run_cuda ~machine p =
   Cuda.memcpy_h2d_ints ctx ~dst:d_degree degree;
   Cuda.memcpy_h2d_ints ctx ~dst:d_levels levels0;
   let t1 = Cuda.now ctx in
-  Mgacc_runtime.Profiler.add_cpu_gpu profiler ~seconds:(t1 -. t0)
-    ~bytes:(4 * ((n * maxdeg) + n + n));
+  Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"load" ~exposed:(t1 -. t0) ~hidden:0.0
+    ~bytes:(4 * ((n * maxdeg) + n + n)) ~spans:[];
   Mgacc_runtime.Profiler.incr_loops profiler;
   let level = ref 0 in
   let changed = ref 1 in
@@ -122,19 +122,22 @@ let run_cuda ~machine p =
         done;
         cost);
     let t_end = Cuda.now ctx in
-    Mgacc_runtime.Profiler.add_kernel profiler ~seconds:(t_end -. t_start);
+    Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Kernel ~label:"bfs-sweep" ~exposed:(t_end -. t_start) ~hidden:0.0 ~bytes:0
+      ~spans:[];
     Mgacc_runtime.Profiler.incr_kernel_launches profiler;
     (* The continue flag travels back each sweep. *)
     Cuda.charge_d2h ctx ~bytes:4 ~label:"bfs-flag";
     let t_flag = Cuda.now ctx in
-    Mgacc_runtime.Profiler.add_cpu_gpu profiler ~seconds:(t_flag -. t_end) ~bytes:4;
+    Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"bfs-flag" ~exposed:(t_flag -. t_end) ~hidden:0.0
+      ~bytes:4 ~spans:[];
     incr level
   done;
   let levels = Array.make n 0 in
   let td = Cuda.now ctx in
   Cuda.memcpy_d2h_ints ctx ~src:d_levels levels;
   let te = Cuda.now ctx in
-  Mgacc_runtime.Profiler.add_cpu_gpu profiler ~seconds:(te -. td) ~bytes:(4 * n);
+  Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"copyout" ~exposed:(te -. td) ~hidden:0.0
+    ~bytes:(4 * n) ~spans:[];
   Mgacc_runtime.Profiler.record_memory_peaks profiler machine ~num_gpus:1;
   (levels, Mgacc_runtime.Report.of_profiler profiler ~machine:machine.Machine.name
      ~variant:"cuda(1)" ~num_gpus:1)

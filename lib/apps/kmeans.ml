@@ -119,8 +119,8 @@ let run_cuda ~machine p =
   Cuda.memcpy_h2d_ints ctx ~dst:d_membership (Array.make n (-1));
   Cuda.memcpy_h2d_floats ctx ~dst:d_centers (Array.sub x 0 (k * f));
   let t1 = Cuda.now ctx in
-  Mgacc_runtime.Profiler.add_cpu_gpu profiler ~seconds:(t1 -. t0)
-    ~bytes:((n * f * 8) + (n * 4) + (k * f * 8));
+  Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"load" ~exposed:(t1 -. t0) ~hidden:0.0
+    ~bytes:((n * f * 8) + (n * 4) + (k * f * 8)) ~spans:[];
   Mgacc_runtime.Profiler.incr_loops profiler;
   let newcenters = Array.make (k * f) 0.0 in
   let counts = Array.make k 0 in
@@ -177,7 +177,8 @@ let run_cuda ~machine p =
         done;
         cost);
     let t_kernels_done = Cuda.now ctx in
-    Mgacc_runtime.Profiler.add_kernel profiler ~seconds:(t_kernels_done -. t_start);
+    Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Kernel ~label:"kmeans-kernels" ~exposed:(t_kernels_done -. t_start) ~hidden:0.0 ~bytes:0
+      ~spans:[];
     Mgacc_runtime.Profiler.incr_kernel_launches profiler;
     Mgacc_runtime.Profiler.incr_kernel_launches profiler;
     (* Host pulls the sums, recomputes centers, pushes them back. The sums
@@ -191,15 +192,17 @@ let run_cuda ~machine p =
     done;
     Cuda.memcpy_h2d_floats ctx ~dst:d_centers centers;
     let t_update_done = Cuda.now ctx in
-    Mgacc_runtime.Profiler.add_cpu_gpu profiler
-      ~seconds:(t_update_done -. t_kernels_done)
+    Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"kmeans-update"
+      ~exposed:(t_update_done -. t_kernels_done) ~hidden:0.0
       ~bytes:((k * f * 8) + (k * 4) + (k * f * 8))
+      ~spans:[]
   done;
   let membership = Array.make n 0 in
   let td = Cuda.now ctx in
   Cuda.memcpy_d2h_ints ctx ~src:d_membership membership;
   let te = Cuda.now ctx in
-  Mgacc_runtime.Profiler.add_cpu_gpu profiler ~seconds:(te -. td) ~bytes:(n * 4);
+  Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"copyout" ~exposed:(te -. td) ~hidden:0.0
+    ~bytes:(n * 4) ~spans:[];
   Mgacc_runtime.Profiler.record_memory_peaks profiler machine ~num_gpus:1;
   ( centers,
     membership,

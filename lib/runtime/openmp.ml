@@ -74,12 +74,12 @@ let on_parallel_loop st env (loop : Loop_info.t) =
           Host_interp.set_scalar env name (Host_interp.Vfloat (Frame.get_float frame slot))
       | Ast.Tarray _ | Ast.Tvoid -> ())
     kc.Kernel_compile.params;
+  let label = Printf.sprintf "omp-loop%d" loop.Loop_info.loop_id in
   let _, finish =
-    Machine.host_compute st.machine ~ready:st.clock ~threads:st.threads
-      ~label:(Printf.sprintf "omp-loop%d" loop.Loop_info.loop_id)
-      frame.Frame.cost
+    Machine.host_compute st.machine ~ready:st.clock ~threads:st.threads ~label frame.Frame.cost
   in
-  Profiler.add_kernel st.profiler ~seconds:(finish -. st.clock);
+  Profiler.charge st.profiler Mgacc_obs.Blame.Kernel ~label ~exposed:(finish -. st.clock)
+    ~hidden:0.0 ~bytes:0 ~spans:[];
   st.clock <- finish
 
 let run ?threads ~machine program =

@@ -1,4 +1,5 @@
 module Metrics = Mgacc_obs.Metrics
+module Blame = Mgacc_obs.Blame
 
 type memory_report = { user_bytes : int; system_bytes : int }
 
@@ -11,6 +12,7 @@ type coh_cell = { mutable shipped : int; mutable deferred : int; mutable pulled 
    pre-registry profiler, so reports stay bit-identical. *)
 type t = {
   metrics : Metrics.t;
+  ledger : Blame.t;
   coh : (string, coh_cell) Hashtbl.t;
   c_cpu_gpu : Metrics.counter;
   c_gpu_gpu : Metrics.counter;
@@ -45,6 +47,7 @@ let create () =
   let m = Metrics.create () in
   {
     metrics = m;
+    ledger = Blame.create ();
     coh = Hashtbl.create 8;
     c_cpu_gpu =
       Metrics.counter m ~help:"exposed host<->device transfer seconds" "rt_cpu_gpu_seconds_total";
@@ -90,13 +93,23 @@ let create () =
 let metrics t = t.metrics
 let int_count c = int_of_float (Metrics.counter_value c)
 
-let add_cpu_gpu t ~seconds ~bytes =
-  Metrics.inc t.c_cpu_gpu seconds;
-  Metrics.inc t.c_cpu_gpu_bytes (float_of_int bytes)
+let ledger t = t.ledger
 
-let add_gpu_gpu t ~seconds ~bytes =
-  Metrics.inc t.c_gpu_gpu seconds;
-  Metrics.inc t.c_gpu_gpu_bytes (float_of_int bytes)
+(* The one writer of the time categories, the hidden and byte counters
+   and the blame ledger, so the ledger's category sums equal the
+   profiler's by construction. *)
+let charge t cat ~label ~exposed ~hidden ~bytes ~spans =
+  (match cat with
+  | Blame.Kernel -> Metrics.inc t.c_kernel exposed
+  | Blame.Overhead -> Metrics.inc t.c_overhead exposed
+  | Blame.Cpu_gpu ->
+      Metrics.inc t.c_cpu_gpu exposed;
+      Metrics.inc t.c_cpu_gpu_bytes (float_of_int bytes)
+  | Blame.Gpu_gpu ->
+      Metrics.inc t.c_gpu_gpu exposed;
+      Metrics.inc t.c_gpu_gpu_bytes (float_of_int bytes));
+  if hidden > 0.0 then Metrics.inc t.c_hidden hidden;
+  Blame.charge t.ledger cat ~label ~exposed ~hidden ~spans
 
 let add_wire_bytes t ~bytes = Metrics.inc t.c_wire_bytes (float_of_int bytes)
 
@@ -106,8 +119,6 @@ let add_collective t ~rings ~hierarchies ~direct_groups ~segments =
   Metrics.inc t.c_coll_direct_groups (float_of_int direct_groups);
   Metrics.inc t.c_coll_segments (float_of_int segments)
 
-let add_kernel t ~seconds = Metrics.inc t.c_kernel seconds
-let add_overhead t ~seconds = Metrics.inc t.c_overhead seconds
 let incr_kernel_launches t = Metrics.inc t.c_launches 1.
 let incr_loops t = Metrics.inc t.c_loops 1.
 let incr_rebalances t = Metrics.inc t.c_rebalances 1.
@@ -117,7 +128,6 @@ let add_imbalance t ~ratio =
   Metrics.inc t.c_imbalance_samples 1.;
   Metrics.observe t.h_imbalance ratio
 
-let add_hidden t ~seconds = Metrics.inc t.c_hidden seconds
 let add_prefetch_hits t ~count = Metrics.inc t.c_prefetch_hits (float_of_int count)
 let add_fused_kernels t ~count = Metrics.inc t.c_fused_kernels (float_of_int count)
 let add_contracted_arrays t ~count = Metrics.inc t.c_contracted_arrays (float_of_int count)

@@ -17,10 +17,25 @@ val metrics : t -> Mgacc_obs.Metrics.t
     any extra bookkeeping — the profiler accumulates directly into the
     registry cells. *)
 
-val add_cpu_gpu : t -> seconds:float -> bytes:int -> unit
-val add_gpu_gpu : t -> seconds:float -> bytes:int -> unit
-val add_kernel : t -> seconds:float -> unit
-val add_overhead : t -> seconds:float -> unit
+val charge :
+  t ->
+  Mgacc_obs.Blame.category ->
+  label:string ->
+  exposed:float ->
+  hidden:float ->
+  bytes:int ->
+  spans:int list ->
+  unit
+(** Charge one epoch: [exposed] seconds to the category, [hidden] (when
+    positive) to the hidden counter, [bytes] to the category's byte
+    counter ([Cpu_gpu] and [Gpu_gpu] only; ignored otherwise), and one
+    epoch with the covered trace [spans] to the blame ledger. This is
+    the only writer of those counters and of the ledger, so the ledger's
+    category sums reproduce the profiler's bit for bit. *)
+
+val ledger : t -> Mgacc_obs.Blame.t
+(** The blame ledger {!charge} writes (docs/OBSERVABILITY.md). *)
+
 val incr_kernel_launches : t -> unit
 val incr_loops : t -> unit
 
@@ -30,11 +45,6 @@ val incr_rebalances : t -> unit
 val add_imbalance : t -> ratio:float -> unit
 (** Per-GPU kernel-time imbalance of one multi-GPU launch:
     [(slowest - fastest) / slowest], in [\[0, 1)]. *)
-
-val add_hidden : t -> seconds:float -> unit
-(** Overlap engine only: seconds of transfer/kernel activity that ran in
-    the shadow of the critical path (the category counters get only the
-    exposed share, so they sum to the makespan). *)
 
 val add_prefetch_hits : t -> count:int -> unit
 (** Arrays whose device copies were still valid at a launch, so the loader
@@ -62,6 +72,10 @@ val total_time : t -> float
     so this is the makespan; hidden time is reported separately. *)
 
 val hidden_time : t -> float
+(** Overlap engine only: seconds of transfer/kernel activity that ran in
+    the shadow of the critical path (the category counters get only the
+    exposed share, so they sum to the makespan). *)
+
 val prefetch_hits : t -> int
 
 val add_fused_kernels : t -> count:int -> unit

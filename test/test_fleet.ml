@@ -77,7 +77,7 @@ let test_session_start_offsets_clock () =
   (match Session.create ~start:(-1.0) cfg plans with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative start accepted");
-  ignore (Acc_runtime.execute s program);
+  ignore (Acc_runtime.execute s);
   check Alcotest.bool "clock advanced past start" true (Session.now s > 1.5);
   check Alcotest.bool "elapsed is relative to start" true
     (Session.elapsed s > 0.0 && Session.elapsed s < Session.now s)
@@ -222,7 +222,7 @@ let test_session_spill_all () =
   let plans = Mgacc.compile program in
   let cfg = Rt_config.make ~num_gpus:2 ~keep_resident:true (Machine.desktop ()) in
   let s = Session.create cfg plans in
-  ignore (Acc_runtime.execute s program);
+  ignore (Acc_runtime.execute s);
   check Alcotest.bool "warm pool resident after keep_resident finish" true
     (Session.resident_bytes s > 0);
   let _ = Session.spill_all s in
