@@ -31,13 +31,6 @@ type result = {
   coh : (string * int * int) list;
 }
 
-let xfers_of r =
-  List.map (fun op -> { Darray.dir = op.dir; bytes = op.bytes; tag = op.tag }) r.ops
-
-let gpu_kernel_costs_of r =
-  List.map (fun k -> (k.gpu, k.cost, k.label)) r.replays
-  @ List.map (fun k -> (k.gpu, k.cost, k.label)) r.combines
-
 (* Host-side cost of inspecting one array's second-level bits. *)
 let scan_base_seconds = 2e-6
 let scan_per_chunk_seconds = 20e-9

@@ -18,9 +18,9 @@
     can gate it on the producer's own kernel-finish event instead of a
     global barrier (see docs/OVERLAP.md). Replay and combine kernels come
     back keyed by (GPU, array) so each can be gated on the arrival of
-    exactly its own inputs. The barrier-mode runtime flattens the same
-    descriptors into one bulk batch — the functional merges performed
-    here are identical either way. *)
+    exactly its own inputs. The runtime's barrier gate ships the same
+    descriptors in one bulk batch — the functional merges performed here
+    are identical either way. *)
 
 module Fabric = Mgacc_gpusim.Fabric
 module Cost = Mgacc_gpusim.Cost
@@ -77,18 +77,12 @@ type result = {
       (** per-(writing GPU, array) host-side dirty-bit scan seconds; an
           op sourced at GPU [g] for array [a] may not start before [g]'s
           kernel finish plus this scan *)
-  scan_seconds : float;  (** total of [scans] (barrier mode charges it serially) *)
+  scan_seconds : float;  (** total of [scans] (the barrier gate charges it serially) *)
   coh : (string * int * int) list;
       (** per-array coherence traffic (replicated merges and reductions
           only): (array, bytes shipped, bytes deferred). Eager mode
           reports its shipped bytes with zero deferred. *)
 }
-
-val xfers_of : result -> Darray.xfer list
-(** The ops flattened to plain transfer descriptors (barrier mode). *)
-
-val gpu_kernel_costs_of : result -> (int * Cost.t * string) list
-(** Replays then combines as (gpu, cost, label) tuples (barrier mode). *)
 
 val halo_exchange : Rt_config.t -> Darray.t -> op list
 (** Refresh every stale halo copy of a distributed array from its owners,

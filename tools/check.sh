@@ -67,15 +67,19 @@ if dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster:2x2 --gpus 9
   echo "check.sh: accc accepted --gpus 9 on a 4-GPU machine" >&2
   exit 1
 fi
-# Observability smoke: a traced run and a metered fleet replay, with the
-# emitted artifacts validated for internal consistency (the trace parses
-# and every flow event references a recorded span; every Prometheus
-# series carries a # TYPE).
+# Observability smoke: a traced run under each launch gate (overlap and
+# barrier) and a metered fleet replay, with the emitted artifacts
+# validated for internal consistency (the trace parses, every flow event
+# references a recorded span and no flow edge goes backwards in time;
+# every Prometheus series carries a # TYPE).
 dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster --overlap on \
   --trace-json "$tmp/run_trace.json" --blame > /dev/null
+dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster --overlap off \
+  --trace-json "$tmp/barrier_trace.json" --blame > /dev/null
 dune exec bin/accc.exe -- serve samples/fleet.trace \
   --metrics "$tmp/fleet.prom" --trace-json "$tmp/fleet_trace.json" > /dev/null
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/run_trace.json"
+dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/barrier_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/fleet_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- metrics "$tmp/fleet.prom"
 echo "check.sh: all green"

@@ -1,6 +1,6 @@
 (* Validate the observability artifacts the CLI emits, for check.sh:
 
-     validate_obs trace FILE.json    # chrome trace: spans + flow events
+     validate_obs trace FILE.json    # chrome trace: spans + causal flow events
      validate_obs metrics FILE.prom  # Prometheus text exposition
 
    Hand-rolled parsing (no JSON library in the build), same spirit as
@@ -155,6 +155,10 @@ let validate_trace file =
     | _ -> fail "%s: top level is not an array" file
   in
   let str key = function Obj kvs -> (match List.assoc_opt key kvs with Some (Str s) -> Some s | _ -> None) | _ -> None in
+  let num key = function
+    | Obj kvs -> ( match List.assoc_opt key kvs with Some (Num f) -> Some f | _ -> None)
+    | _ -> None
+  in
   let arg key = function
     | Obj kvs -> (
         match List.assoc_opt "args" kvs with
@@ -163,6 +167,7 @@ let validate_trace file =
     | _ -> None
   in
   let span_ids = Hashtbl.create 256 in
+  let flow_starts = Hashtbl.create 256 in
   let spans = ref 0 and flow_s = ref 0 and flow_f = ref 0 and meta = ref 0 in
   List.iter
     (fun ev ->
@@ -180,11 +185,31 @@ let validate_trace file =
       match str "ph" ev with
       | Some (("s" | "f") as ph) -> (
           if ph = "s" then incr flow_s else incr flow_f;
-          match arg "span" ev with
-          | Some (Num id) ->
-              if not (Hashtbl.mem span_ids id) then
-                fail "%s: flow %s event references unknown span %g" file ph id
-          | _ -> fail "%s: a flow event is missing args.span" file)
+          let span =
+            match arg "span" ev with
+            | Some (Num id) ->
+                if not (Hashtbl.mem span_ids id) then
+                  fail "%s: flow %s event references unknown span %g" file ph id;
+                id
+            | _ -> fail "%s: a flow event is missing args.span" file
+          in
+          match (num "id" ev, num "ts" ev) with
+          | Some fid, Some ts ->
+              if ph = "s" then Hashtbl.replace flow_starts fid (ts, span)
+              else begin
+                (* A flow edge runs from the producer's finish to the
+                   consumer's start: it may not go backwards in time,
+                   beyond the 1 ns (0.001 us) the timestamps are printed
+                   to. *)
+                match Hashtbl.find_opt flow_starts fid with
+                | None -> fail "%s: flow finish %g has no preceding start" file fid
+                | Some (s_ts, producer) ->
+                    if ts < s_ts -. 0.001 -. 1e-9 then
+                      fail "%s: flow %g goes backwards in time: span %g finishes at %.3fus, its \
+                            consumer span %g starts at %.3fus"
+                        file fid producer s_ts span ts
+              end
+          | _ -> fail "%s: a flow event is missing its id or ts" file)
       | _ -> ())
     events;
   if !spans = 0 then fail "%s: no spans" file;
