@@ -3,7 +3,7 @@
 
     The runtime records one {e epoch} per profiler charge (the same
     exposed/hidden seconds it adds to a category, plus the span ids the
-    charge covered). Summarizing a ledger therefore reproduces the
+    charge covered) — the profiler's one charge point writes both. Summarizing a ledger therefore reproduces the
     profiler's per-category totals by construction, while the span ids
     let each makespan second be blamed on a concrete (category,
     array/kernel label) pair and the trace DAG yields the critical
@@ -30,8 +30,8 @@ val clear : t -> unit
 
 val charge :
   t -> category -> label:string -> exposed:float -> hidden:float -> spans:int list -> unit
-(** Record one epoch. Call exactly where the profiler is charged, with
-    the same seconds, so the ledger and profiler cannot drift. *)
+(** Record one epoch. The runtime's ledger is written only by
+    [Profiler.charge], together with the profiler's counters. *)
 
 val epochs : t -> epoch list
 (** In recording order. *)
