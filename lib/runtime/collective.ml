@@ -571,7 +571,7 @@ let plan ~cfg ~fabric (ops : Comm_manager.op list) =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-let execute ~plan ?(base_causes = fun _ -> []) ~base_ready ~run ~on_complete () =
+let execute ~plan ~base ~run ~on_complete () =
   let n = Array.length plan in
   let finish = Array.make n neg_infinity in
   let span = Array.make n None in
@@ -588,11 +588,11 @@ let execute ~plan ?(base_causes = fun _ -> []) ~base_ready ~run ~on_complete () 
           List.map
             (fun i ->
               let it = plan.(i) in
-              let ready = base_ready it in
+              let ready, causes = base it in
               let ready = if it.dep >= 0 then Float.max ready finish.(it.dep) else ready in
               let ready = if it.dep2 >= 0 then Float.max ready finish.(it.dep2) else ready in
               let gate d acc = if d >= 0 then match span.(d) with Some s -> s :: acc | None -> acc else acc in
-              let causes = base_causes it |> gate it.dep |> gate it.dep2 in
+              let causes = causes |> gate it.dep |> gate it.dep2 in
               ({ Fabric.direction = it.dir; bytes = it.bytes; ready; tag = it.tag }, causes))
             idxs
         in
@@ -608,7 +608,7 @@ let execute ~plan ?(base_causes = fun _ -> []) ~base_ready ~run ~on_complete () 
 
 let simulate ~fabric ~plan ~ready =
   execute ~plan
-    ~base_ready:(fun _ -> ready)
+    ~base:(fun _ -> (ready, []))
     ~run:(fun reqs -> List.map (fun c -> (c, None)) (Fabric.run_batch fabric (List.map fst reqs)))
     ~on_complete:(fun _ _ _ -> ())
     ()

@@ -77,18 +77,18 @@ val plan : cfg:Rt_config.t -> fabric:Fabric.t -> Comm_manager.op list -> plan * 
 
 val execute :
   plan:plan ->
-  ?base_causes:(item -> int list) ->
-  base_ready:(item -> float) ->
+  base:(item -> float * int list) ->
   run:((Fabric.request * int list) list -> (Fabric.completion * int option) list) ->
   on_complete:(item -> Fabric.completion -> int option -> unit) ->
   unit ->
   float
-(** Run the plan level by level: each item's ready time is the max of
-    [base_ready item] and its gates' finishes, each level is one fabric
+(** Run the plan level by level: [base item] is the item's own ready
+    time and causes; its ready time is the max of that and its gates'
+    finishes, each level is one fabric
     batch (so same-level segments contend and stagger properly), and
     [on_complete] fires per item with its completion and trace span id.
-    Causal edges are threaded through: each request carries
-    [base_causes item] plus the span ids of its [dep]/[dep2] gates, and
+    Causal edges are threaded through: each request carries the causes
+    from [base item] plus the span ids of its [dep]/[dep2] gates, and
     [run] returns the span id recorded for each completion (so forwarded
     segments chain into a visible flow in the trace). Returns the max
     finish, or [neg_infinity] for an empty plan. *)

@@ -364,7 +364,7 @@ let test_execute_respects_deps () =
   let seen = Hashtbl.create 16 in
   ignore
     (Collective.execute ~plan
-       ~base_ready:(fun _ -> 0.0)
+       ~base:(fun _ -> (0.0, []))
        ~run:(fun reqs ->
          List.map (fun c -> (c, None)) (Fabric.run_batch fabric (List.map fst reqs)))
        ~on_complete:(fun it c _ ->
