@@ -78,6 +78,22 @@ type collected = {
 
 let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
+(* The paper's settings on [n] GPUs of a fresh desktop. *)
+let desktop n = Rt_config.make ~num_gpus:n (Machine.desktop ())
+
+(* [cfg] with mode switch [name] set to the value spelled [v]. *)
+let set_mode cfg name v = match Rt_config.set cfg name v with Ok cfg -> cfg | Error e -> failwith e
+
+(* "ok" when every run's results match the sequential reference. *)
+let verdict app ~against envs =
+  if List.for_all (fun env -> App_common.verify app ~against env = Ok ()) envs then "ok"
+  else "MISMATCH"
+
+(* Comparison-bench machines: (name, fresh machine, GPUs used). *)
+let desktop_m = ("desktop", (fun () -> Machine.desktop ()), 2)
+let supernode_m = ("supernode", (fun () -> Machine.supernode ()), 3)
+let cluster_m = ("cluster", (fun () -> Machine.cluster ~nodes:2 ~gpus_per_node:2 ()), 4)
+
 (* A tracked BENCH_*.json is written only from the configuration it
    records: never from a --smoke run, and, for artifacts that carry a
    "scale" key, only at that declared scale ([scale] is the pair (this
@@ -107,7 +123,7 @@ let collect_app scale platform kind =
     List.map
       (fun n ->
         progress "  [%s] %s: proposal(%d)..." platform.pname (app_name kind) n;
-        let _, r = App_common.proposal ~num_gpus:n ~machine:(platform.fresh ()) app in
+        let _, r = App_common.proposal (Rt_config.make ~num_gpus:n (platform.fresh ())) app in
         (n, r))
       platform.gpu_counts
   in
@@ -180,7 +196,7 @@ let table2 scale =
                  p.Kernel_plan.configs)
              (Program_plan.all_plans plans))
       in
-      let _, report = App_common.proposal ~num_gpus:1 ~machine:(Machine.desktop ()) app in
+      let _, report = App_common.proposal (desktop 1) app in
       let mem = report.Report.mem_user_bytes + report.Report.mem_system_bytes in
       let pa, pbcd = paper_row kind in
       Table.add_row t
@@ -330,7 +346,9 @@ let chunk_sweep scale =
   let t = Table.create ~headers:[ "chunk"; "GPU-GPU bytes"; "GPU-GPU time"; "total time" ] in
   List.iter
     (fun chunk ->
-      let _, r = App_common.proposal ~chunk_bytes:chunk ~num_gpus:2 ~machine:(Machine.desktop ()) app in
+      let _, r =
+        App_common.proposal (Rt_config.make ~chunk_bytes:chunk ~num_gpus:2 (Machine.desktop ())) app
+      in
       Table.add_row t
         [
           Bytesize.to_string chunk;
@@ -353,8 +371,10 @@ let dirty_levels scale =
   List.iter
     (fun (label, two_level, chunk) ->
       let _, r =
-        App_common.proposal ~two_level_dirty:two_level ~chunk_bytes:chunk ~num_gpus:2
-          ~machine:(Machine.desktop ()) app
+        App_common.proposal
+          (Rt_config.make ~two_level_dirty:two_level ~chunk_bytes:chunk ~num_gpus:2
+             (Machine.desktop ()))
+          app
       in
       Table.add_row t
         [
@@ -384,9 +404,7 @@ let policy scale =
       let app = app_of kind scale in
       List.iter
         (fun (label, options) ->
-          let _, r =
-            App_common.proposal ~options ~num_gpus:2 ~machine:(Machine.desktop ()) app
-          in
+          let _, r = App_common.proposal { (desktop 2) with Rt_config.translator = options } app in
           Table.add_row t
             [
               app_name kind;
@@ -424,7 +442,7 @@ let misscheck scale =
   List.iter
     (fun (label, elim) ->
       let options = { Kernel_plan.default_options with Kernel_plan.enable_miss_check_elim = elim } in
-      let _, r = App_common.proposal ~options ~num_gpus:2 ~machine:(Machine.desktop ()) app in
+      let _, r = App_common.proposal { (desktop 2) with Rt_config.translator = options } app in
       Table.add_row t
         [
           label;
@@ -446,7 +464,7 @@ let layout scale =
   List.iter
     (fun (label, lt) ->
       let options = { Kernel_plan.default_options with Kernel_plan.enable_layout_transform = lt } in
-      let _, r = App_common.proposal ~options ~num_gpus:1 ~machine:(Machine.desktop ()) app in
+      let _, r = App_common.proposal { (desktop 1) with Rt_config.translator = options } app in
       Table.add_row t
         [ label; Printf.sprintf "%.6fs" r.Report.kernel_time; Printf.sprintf "%.6fs" r.Report.total_time ])
     [ ("on (transposed reads coalesce)", true); ("off (strided reads)", false) ];
@@ -476,8 +494,8 @@ let extended scale =
   List.iter
     (fun (name, app) ->
       let _, omp = App_common.openmp ~machine:(Machine.desktop ()) app in
-      let _, p1 = App_common.proposal ~num_gpus:1 ~machine:(Machine.desktop ()) app in
-      let _, p2 = App_common.proposal ~num_gpus:2 ~machine:(Machine.desktop ()) app in
+      let _, p1 = App_common.proposal (desktop 1) app in
+      let _, p2 = App_common.proposal (desktop 2) app in
       Table.add_row t
         [
           name;
@@ -505,7 +523,7 @@ let expert scale =
   List.iter
     (fun gpus ->
       let _, r_expert = Md.run_cuda_multi ~machine:(Machine.desktop ()) ~gpus p in
-      let _, r_prop = App_common.proposal ~num_gpus:gpus ~machine:(Machine.desktop ()) (Md.app p) in
+      let _, r_prop = App_common.proposal (desktop gpus) (Md.app p) in
       rows := (gpus, r_expert, r_prop) :: !rows)
     [ 1; 2 ];
   List.iter
@@ -561,9 +579,8 @@ let contention () =
   let base = ref 0.0 in
   List.iter
     (fun gpus ->
-      let machine = Machine.supernode () in
-      let config = Rt_config.make ~num_gpus:gpus machine in
-      let _, r = Mgacc.run_acc ~config ~machine program in
+      let config = Rt_config.make ~num_gpus:gpus (Machine.supernode ()) in
+      let _, r = Mgacc.run_acc ~config program in
       if gpus = 1 then base := r.Report.cpu_gpu_time;
       Table.add_row t
         [
@@ -595,10 +612,9 @@ let cluster scale =
       let base = ref 0.0 in
       List.iter
         (fun (nodes, gpn) ->
-          let machine = Machine.cluster ~nodes ~gpus_per_node:gpn () in
-          let config = Rt_config.make machine in
+          let config = Rt_config.make (Machine.cluster ~nodes ~gpus_per_node:gpn ()) in
           let _, r =
-            Mgacc.run_acc ~config ~machine
+            Mgacc.run_acc ~config
               (Mgacc.parse_string ~name:(app_name kind) app.App_common.source)
           in
           if !base = 0.0 then base := r.Report.total_time;
@@ -643,7 +659,7 @@ let paper_validate () =
       report "cuda(1)" cuda omp.Report.total_time;
       List.iter
         (fun g ->
-          let _, r = App_common.proposal ~num_gpus:g ~machine:(Machine.desktop ()) app in
+          let _, r = App_common.proposal (desktop g) app in
           report (Printf.sprintf "proposal(%d)" g) r omp.Report.total_time)
         [ 1; 2 ])
     [ MD; BFS ]
@@ -672,13 +688,8 @@ let overlap_bench scale ~smoke =
     ]
   in
   let machines =
-    if smoke then [ ("desktop", (fun () -> Machine.desktop ()), 2) ]
-    else
-      [
-        ("desktop", (fun () -> Machine.desktop ()), 2);
-        ("desktop-mixed", (fun () -> Machine.desktop_mixed ()), 2);
-        ("supernode", (fun () -> Machine.supernode ()), 3);
-      ]
+    if smoke then [ desktop_m ]
+    else [ desktop_m; ("desktop-mixed", (fun () -> Machine.desktop_mixed ()), 2); supernode_m ]
   in
   let t =
     Table.create
@@ -691,13 +702,11 @@ let overlap_bench scale ~smoke =
       List.iter
         (fun (mname, fresh, gpus) ->
           progress "  [overlap] %s on %s..." name mname;
-          let _, off = App_common.proposal ~num_gpus:gpus ~machine:(fresh ()) app in
-          let env, on = App_common.proposal ~overlap:true ~num_gpus:gpus ~machine:(fresh ()) app in
-          let ok =
-            match App_common.verify app ~against:seq env with
-            | Ok () -> "ok"
-            | Error _ -> "MISMATCH"
+          let _, off = App_common.proposal (Rt_config.make ~num_gpus:gpus (fresh ())) app in
+          let env, on =
+            App_common.proposal (Rt_config.make ~overlap:true ~num_gpus:gpus (fresh ())) app
           in
+          let ok = verdict app ~against:seq [ env ] in
           let gain = 100.0 *. (1.0 -. (on.Report.total_time /. off.Report.total_time)) in
           Table.add_row t
             [
@@ -763,15 +772,7 @@ let coherence_bench scale ~smoke =
       ("montecarlo", Montecarlo.app Montecarlo.default_params);
     ]
   in
-  let machines =
-    if smoke then [ ("cluster", (fun () -> Machine.cluster ~nodes:2 ~gpus_per_node:2 ()), 4) ]
-    else
-      [
-        ("desktop", (fun () -> Machine.desktop ()), 2);
-        ("supernode", (fun () -> Machine.supernode ()), 3);
-        ("cluster", (fun () -> Machine.cluster ~nodes:2 ~gpus_per_node:2 ()), 4);
-      ]
-  in
+  let machines = if smoke then [ cluster_m ] else [ desktop_m; supernode_m; cluster_m ] in
   let coh_bytes (r : Report.t) = r.Report.coh_shipped_bytes + r.Report.coh_pulled_bytes in
   let t =
     Table.create
@@ -785,15 +786,13 @@ let coherence_bench scale ~smoke =
       List.iter
         (fun (mname, fresh, gpus) ->
           progress "  [coherence] %s on %s(%d)..." name mname gpus;
-          let _, eager = App_common.proposal ~num_gpus:gpus ~machine:(fresh ()) app in
+          let _, eager = App_common.proposal (Rt_config.make ~num_gpus:gpus (fresh ())) app in
           let env, lz =
-            App_common.proposal ~coherence:Rt_config.Lazy ~num_gpus:gpus ~machine:(fresh ()) app
+            App_common.proposal
+              (Rt_config.make ~coherence:Rt_config.Lazy ~num_gpus:gpus (fresh ()))
+              app
           in
-          let ok =
-            match App_common.verify app ~against:seq env with
-            | Ok () -> "ok"
-            | Error _ -> "MISMATCH"
-          in
+          let ok = verdict app ~against:seq [ env ] in
           let eb = coh_bytes eager and lb = coh_bytes lz in
           let cut = if eb = 0 then 0.0 else 100.0 *. (1.0 -. (float_of_int lb /. float_of_int eb)) in
           Table.add_row t
@@ -833,17 +832,16 @@ let coherence_bench scale ~smoke =
     (fun (mname, fresh, gpus) ->
       progress "  [coherence] kmeans overlap on %s(%d)..." mname gpus;
       let _, off =
-        App_common.proposal ~coherence:Rt_config.Lazy ~num_gpus:gpus ~machine:(fresh ()) kmeans
+        App_common.proposal
+          (Rt_config.make ~coherence:Rt_config.Lazy ~num_gpus:gpus (fresh ()))
+          kmeans
       in
       let env, on =
-        App_common.proposal ~coherence:Rt_config.Lazy ~overlap:true ~num_gpus:gpus
-          ~machine:(fresh ()) kmeans
+        App_common.proposal
+          (Rt_config.make ~coherence:Rt_config.Lazy ~overlap:true ~num_gpus:gpus (fresh ()))
+          kmeans
       in
-      let ok =
-        match App_common.verify kmeans ~against:km_seq env with
-        | Ok () -> "ok"
-        | Error _ -> "MISMATCH"
-      in
+      let ok = verdict kmeans ~against:km_seq [ env ] in
       let gain = 100.0 *. (1.0 -. (on.Report.total_time /. off.Report.total_time)) in
       Table.add_row kt
         [
@@ -905,14 +903,7 @@ let fusion_bench scale ~smoke =
       ("bfs", app_of BFS scale);
     ]
   in
-  let machines =
-    if smoke then [ ("cluster", (fun () -> Machine.cluster ~nodes:2 ~gpus_per_node:2 ()), 4) ]
-    else
-      [
-        ("desktop", (fun () -> Machine.desktop ()), 2);
-        ("cluster", (fun () -> Machine.cluster ~nodes:2 ~gpus_per_node:2 ()), 4);
-      ]
-  in
+  let machines = if smoke then [ cluster_m ] else [ desktop_m; cluster_m ] in
   let coh_bytes (r : Report.t) = r.Report.coh_shipped_bytes + r.Report.coh_pulled_bytes in
   let t =
     Table.create
@@ -926,14 +917,10 @@ let fusion_bench scale ~smoke =
       List.iter
         (fun (mname, fresh, gpus) ->
           progress "  [fusion] %s on %s(%d)..." name mname gpus;
-          let env_off, off =
-            App_common.proposal ~fuse:false ~num_gpus:gpus ~machine:(fresh ()) app
-          in
-          let env_on, on = App_common.proposal ~fuse:true ~num_gpus:gpus ~machine:(fresh ()) app in
-          let check env =
-            match App_common.verify app ~against:seq env with Ok () -> true | Error _ -> false
-          in
-          let ok = check env_off && check env_on in
+          let env_off, off = App_common.proposal (Rt_config.make ~num_gpus:gpus (fresh ())) app in
+          let fused = set_mode (Rt_config.make ~num_gpus:gpus (fresh ())) "fuse" "on" in
+          let env_on, on = App_common.proposal fused app in
+          let ok = verdict app ~against:seq [ env_off; env_on ] in
           let gain = 100.0 *. (1.0 -. (on.Report.total_time /. off.Report.total_time)) in
           Table.add_row t
             [
@@ -946,7 +933,7 @@ let fusion_bench scale ~smoke =
               Mgacc_util.Bytesize.to_string (coh_bytes on);
               string_of_int on.Report.fused_kernels;
               string_of_int on.Report.contracted_arrays;
-              (if ok then "ok" else "MISMATCH");
+              ok;
             ];
           json_entries :=
             Printf.sprintf
@@ -956,7 +943,7 @@ let fusion_bench scale ~smoke =
                %d, \"contracted_arrays\": %d, \"relayouts\": %d, \"results_match\": %b}"
               name mname gpus off.Report.total_time on.Report.total_time (coh_bytes off)
               (coh_bytes on) off.Report.gpu_gpu_bytes on.Report.gpu_gpu_bytes
-              on.Report.fused_kernels on.Report.contracted_arrays on.Report.relayouts ok
+              on.Report.fused_kernels on.Report.contracted_arrays on.Report.relayouts (ok = "ok")
             :: !json_entries)
         machines)
     apps;
@@ -1006,16 +993,8 @@ let collective_bench scale ~smoke =
       ("montecarlo", Montecarlo.app Montecarlo.default_params);
     ]
   in
-  let machines =
-    if smoke then [ ("cluster", (fun () -> Machine.cluster ~nodes:2 ~gpus_per_node:2 ()), 4) ]
-    else
-      [
-        ("desktop", (fun () -> Machine.desktop ()), 2);
-        ("supernode", (fun () -> Machine.supernode ()), 3);
-        ("cluster", (fun () -> Machine.cluster ~nodes:2 ~gpus_per_node:2 ()), 4);
-      ]
-  in
-  let coherences = [ ("eager", Rt_config.Eager); ("lazy", Rt_config.Lazy) ] in
+  let machines = if smoke then [ cluster_m ] else [ desktop_m; supernode_m; cluster_m ] in
+  let coherences = (Rt_config.find "coherence").Rt_config.spellings in
   let t =
     Table.create
       ~headers:
@@ -1029,24 +1008,15 @@ let collective_bench scale ~smoke =
       List.iter
         (fun (mname, fresh, gpus) ->
           List.iter
-            (fun (cname, coherence) ->
+            (fun cname ->
               progress "  [collective] %s on %s(%d) %s..." name mname gpus cname;
-              let env_d, direct =
-                App_common.proposal ~coherence ~collective:Rt_config.Direct ~num_gpus:gpus
-                  ~machine:(fresh ()) app
+              let run collective =
+                let config = Rt_config.make ~collective ~num_gpus:gpus (fresh ()) in
+                App_common.proposal (set_mode config "coherence" cname) app
               in
-              let env_a, auto =
-                App_common.proposal ~coherence ~collective:Rt_config.Auto ~num_gpus:gpus
-                  ~machine:(fresh ()) app
-              in
-              let ok =
-                match App_common.verify app ~against:seq env_d with
-                | Error _ -> "MISMATCH"
-                | Ok () -> (
-                    match App_common.verify app ~against:seq env_a with
-                    | Ok () -> "ok"
-                    | Error _ -> "MISMATCH")
-              in
+              let env_d, direct = run Rt_config.Direct in
+              let env_a, auto = run Rt_config.Auto in
+              let ok = verdict app ~against:seq [ env_d; env_a ] in
               let gain =
                 100.0 *. (1.0 -. (auto.Report.total_time /. direct.Report.total_time))
               in
@@ -1473,13 +1443,12 @@ let scale_bench scale ~smoke =
       Spmv.app { Spmv.rows = spmv_rows; width = spmv_width; iterations = spmv_iters; seed = 19 };
     ]
   in
-  let decomps =
-    [
-      ("1d", Kernel_plan.default_options);
-      ("2d", { Kernel_plan.default_options with Kernel_plan.enable_decomp2d = true });
-    ]
+  let decomps = (Rt_config.find "decomp").Rt_config.spellings in
+  (* BENCH_scale.json labels the direct schedule "star". *)
+  let collective_label cfg =
+    if cfg.Rt_config.collective = Rt_config.Direct then "star"
+    else (Rt_config.find "collective").Rt_config.read cfg
   in
-  let collectives = [ ("star", Rt_config.Direct); ("ring", Rt_config.Ring) ] in
   let t =
     Table.create
       ~headers:
@@ -1499,14 +1468,17 @@ let scale_bench scale ~smoke =
           in
           let gpus = Machine.spec_gpus spec in
           List.iter
-            (fun (dname, options) ->
+            (fun dname ->
               List.iter
-                (fun (cname, collective) ->
-                  progress "  [scale] %s on %s %s/%s..." app.App_common.name spec_str dname cname;
-                  let env, report =
-                    App_common.proposal ~options ~collective ~num_gpus:gpus
-                      ~machine:(Machine.of_spec spec) app
+                (fun collective ->
+                  let config =
+                    set_mode
+                      (Rt_config.make ~collective ~num_gpus:gpus (Machine.of_spec spec))
+                      "decomp" dname
                   in
+                  let cname = collective_label config in
+                  progress "  [scale] %s on %s %s/%s..." app.App_common.name spec_str dname cname;
+                  let env, report = App_common.proposal config app in
                   let ok =
                     match App_common.verify app ~against:seq env with
                     | Ok () -> true
@@ -1541,7 +1513,7 @@ let scale_bench scale ~smoke =
                       report.Report.gpu_gpu_bytes halo_per_gpu report.Report.wire_bytes
                       report.Report.collective_rings report.Report.collective_hierarchies ok
                     :: !json_entries)
-                collectives)
+                [ Rt_config.Direct; Rt_config.Ring ])
             decomps)
         machine_specs)
     apps;
@@ -1583,16 +1555,16 @@ let bechamel_probes () =
             ignore (Mgacc.compile (Mgacc.parse_string ~name:"md.c" (Md.source (md_params scale)))));
         test_of "fig7:md-proposal2" (fun () ->
             ignore
-              (App_common.proposal ~num_gpus:2 ~machine:(Machine.desktop ()) (app_of MD scale)));
+              (App_common.proposal (desktop 2) (app_of MD scale)));
         test_of "fig7:kmeans-proposal2" (fun () ->
             ignore
-              (App_common.proposal ~num_gpus:2 ~machine:(Machine.desktop ()) (app_of KMEANS scale)));
+              (App_common.proposal (desktop 2) (app_of KMEANS scale)));
         test_of "fig8:bfs-proposal2" (fun () ->
             ignore
-              (App_common.proposal ~num_gpus:2 ~machine:(Machine.desktop ()) (app_of BFS scale)));
+              (App_common.proposal (desktop 2) (app_of BFS scale)));
         test_of "fig9:bfs-memory" (fun () ->
             ignore
-              (App_common.proposal ~num_gpus:1 ~machine:(Machine.desktop ()) (app_of BFS scale)));
+              (App_common.proposal (desktop 1) (app_of BFS scale)));
       ]
   in
   let cfg = Benchmark.cfg ~limit:4 ~quota:(Time.second 1.0) ~kde:None () in

@@ -52,35 +52,31 @@ let arrays_declared_in_main (program : Mgacc.Ast.program) =
           | _ -> None)
         f.Mgacc.Ast.fbody
 
+(* The first element where [got] and [want] are not [close], printed. *)
+let first_mismatch name close show want got =
+  let rec go i =
+    if i >= Array.length got then None
+    else if close got.(i) want.(i) then go (i + 1)
+    else Some (Printf.sprintf "%s[%d]: %s vs %s" name i (show got.(i)) (show want.(i)))
+  in
+  go 0
+
 (* Compare every top-level array against a reference environment. *)
 let check_against_arrays program ~reference:ref_env env =
-  let failures = ref [] in
-  List.iter
-    (fun name ->
-      match Mgacc.Host_interp.find_array_opt env name with
-      | None -> ()
-      | Some view -> (
-          match view.Mgacc.View.elem with
-          | Mgacc.Ast.Edouble ->
-              let e = Mgacc.float_results ref_env name and g = Mgacc.float_results env name in
-              Array.iteri
-                (fun i v ->
-                  if
-                    !failures = []
-                    && Float.abs (v -. e.(i)) > 1e-9 *. Float.max 1.0 (Float.abs e.(i))
-                  then failures := Printf.sprintf "%s[%d]: %g vs %g" name i v e.(i) :: !failures)
-                g
-          | Mgacc.Ast.Eint ->
-              let e = Mgacc.int_results ref_env name and g = Mgacc.int_results env name in
-              Array.iteri
-                (fun i v ->
-                  if !failures = [] && v <> e.(i) then
-                    failures := Printf.sprintf "%s[%d]: %d vs %d" name i v e.(i) :: !failures)
-                g))
-    (arrays_declared_in_main program);
-  match !failures with
-  | [] -> Ok ()
-  | msg :: _ -> Error ("result mismatch vs sequential reference: " ^ msg)
+  let mismatch name =
+    match Mgacc.Host_interp.find_array_opt env name with
+    | None -> None
+    | Some view when view.Mgacc.View.elem = Mgacc.Ast.Edouble ->
+        first_mismatch name
+          (fun v e -> not (Float.abs (v -. e) > 1e-9 *. Float.max 1.0 (Float.abs e)))
+          (Printf.sprintf "%g") (Mgacc.float_results ref_env name) (Mgacc.float_results env name)
+    | Some _ ->
+        first_mismatch name ( = ) string_of_int (Mgacc.int_results ref_env name)
+          (Mgacc.int_results env name)
+  in
+  match List.find_map mismatch (arrays_declared_in_main program) with
+  | None -> Ok ()
+  | Some msg -> Error ("result mismatch vs sequential reference: " ^ msg)
 
 let check_against_reference program env =
   match check_against_arrays program ~reference:(Mgacc.run_sequential program) env with
@@ -89,106 +85,73 @@ let check_against_reference program env =
       Ok ()
   | Error _ as e -> e
 
-let overlap_of = function
-  | "on" -> Ok true
-  | "off" -> Ok false
-  | other -> Error (Printf.sprintf "unknown overlap mode %S (on|off)" other)
+(* [--dump]: hand each named array's first (up to) eight elements,
+   printed, to [show]. *)
+let dump_heads env names show =
+  List.iter
+    (fun name ->
+      let head to_s a = List.map to_s (Array.to_list (Array.sub a 0 (min 8 (Array.length a)))) in
+      match Mgacc.Host_interp.find_array_opt env name with
+      | Some view when view.Mgacc.View.elem = Mgacc.Ast.Edouble ->
+          show name (head (Printf.sprintf "%g") (Mgacc.float_results env name))
+      | Some _ -> show name (head string_of_int (Mgacc.int_results env name))
+      | None -> Format.printf "%s: no such array@." name)
+    names
 
-let fuse_of = function
-  | "on" -> Ok true
-  | "off" -> Ok false
-  | other -> Error (Printf.sprintf "unknown fuse mode %S (on|off)" other)
+(* A numeric flag below its floor is a usage error naming the flag, not
+   an [Invalid_argument] from deep inside the library. *)
+let at_least flag floor v =
+  if v >= floor then Ok () else Error (Printf.sprintf "--%s %d: must be at least %d" flag v floor)
 
-let coherence_of = function
-  | "eager" -> Ok Mgacc.Rt_config.Eager
-  | "lazy" -> Ok Mgacc.Rt_config.Lazy
-  | other -> Error (Printf.sprintf "unknown coherence mode %S (eager|lazy)" other)
-
-let decomp_of = function
-  | "1d" -> Ok false
-  | "2d" -> Ok true
-  | other -> Error (Printf.sprintf "unknown decomposition %S (1d|2d)" other)
-
-let run_cmd file machine_name variant gpus schedule_name overlap_name coherence_name
-    collective_name fuse_name decomp_name chunk_kb no_distribution no_layout no_misscheck
-    single_level_dirty dump_arrays show_trace trace_json blame json_report check_results verbose =
+let run_cmd file machine_name variant gpus schedule_name settings chunk_kb no_distribution
+    no_layout no_misscheck single_level_dirty dump_arrays show_trace trace_json blame json_report
+    check_results verbose =
   setup_logs verbose;
   let ( let* ) = Result.bind in
   let* program = read_program file in
   let* spec, fresh_machine = machine_of machine_name in
   let* () = gpus_consistent ~gpus spec in
+  let* () = at_least "chunk-kb" 1 chunk_kb in
   let* schedule = Mgacc.Sched_policy.of_string schedule_name in
-  let* overlap = overlap_of overlap_name in
-  let* coherence = coherence_of coherence_name in
-  let* collective = Mgacc.Rt_config.collective_of_string collective_name in
-  let* fuse = fuse_of fuse_name in
-  let* decomp2d = decomp_of decomp_name in
+  let machine = fresh_machine () in
+  let translator =
+    {
+      Mgacc.Kernel_plan.default_options with
+      enable_distribution = not no_distribution;
+      enable_layout_transform = not no_layout;
+      enable_miss_check_elim = not no_misscheck;
+    }
+  in
+  let* config =
+    List.fold_left
+      (fun cfg (name, value) -> Result.bind cfg (fun cfg -> Mgacc.Rt_config.set cfg name value))
+      (Ok
+         (Mgacc.Rt_config.make
+            ?num_gpus:(if gpus = 0 then None else Some gpus)
+            ~schedule ~chunk_bytes:(chunk_kb * 1024) ~two_level_dirty:(not single_level_dirty)
+            ~translator machine))
+      settings
+  in
   try
     match variant with
     | "seq" ->
         let env = Mgacc.run_sequential program in
-        List.iter
-          (fun name ->
-            match Mgacc.Host_interp.find_array_opt env name with
-            | Some view when view.Mgacc.View.elem = Mgacc.Ast.Edouble ->
-                let a = Mgacc.float_results env name in
-                Format.printf "%s = [|%s ...|]@." name
-                  (String.concat "; "
-                     (List.map (Printf.sprintf "%g") (Array.to_list (Array.sub a 0 (min 8 (Array.length a))))))
-            | Some _ ->
-                let a = Mgacc.int_results env name in
-                Format.printf "%s = [|%s ...|]@." name
-                  (String.concat "; "
-                     (List.map string_of_int (Array.to_list (Array.sub a 0 (min 8 (Array.length a))))))
-            | None -> Format.printf "%s: no such array@." name)
-          dump_arrays;
+        dump_heads env dump_arrays (fun name xs ->
+            Format.printf "%s = [|%s ...|]@." name (String.concat "; " xs));
         Ok ()
     | "openmp" ->
-        let machine = fresh_machine () in
         let _, report = Mgacc.run_openmp ~machine program in
         Format.printf "%a@." Mgacc.Report.pp report;
         Ok ()
     | "acc" ->
-        let machine = fresh_machine () in
-        let translator =
-          {
-            Mgacc.Kernel_plan.enable_distribution = not no_distribution;
-            enable_layout_transform = not no_layout;
-            enable_miss_check_elim = not no_misscheck;
-            enable_fusion = fuse;
-            enable_decomp2d = decomp2d;
-          }
-        in
-        let config =
-          Mgacc.Rt_config.make
-            ?num_gpus:(if gpus = 0 then None else Some gpus)
-            ~schedule ~overlap ~coherence ~collective
-            ~chunk_bytes:(chunk_kb * 1024)
-            ~two_level_dirty:(not single_level_dirty) ~translator machine
-        in
-        let env, report = Mgacc.run_acc ~config ~with_blame:blame ~machine program in
+        let env, report = Mgacc.run_acc ~config ~with_blame:blame program in
         if json_report then print_endline (Mgacc.Report.to_json report)
         else begin
           Format.printf "%a@." Mgacc.Report.pp report;
           if blame then Format.printf "@.%a@." Mgacc.Report.pp_blame report
         end;
-        List.iter
-          (fun name ->
-            match Mgacc.Host_interp.find_array_opt env name with
-            | Some view when view.Mgacc.View.elem = Mgacc.Ast.Edouble ->
-                let a = Mgacc.float_results env name in
-                Format.printf "%s[0..%d] = %s@." name
-                  (min 7 (Array.length a - 1))
-                  (String.concat "; "
-                     (List.map (Printf.sprintf "%g") (Array.to_list (Array.sub a 0 (min 8 (Array.length a))))))
-            | Some _ ->
-                let a = Mgacc.int_results env name in
-                Format.printf "%s[0..%d] = %s@." name
-                  (min 7 (Array.length a - 1))
-                  (String.concat "; "
-                     (List.map string_of_int (Array.to_list (Array.sub a 0 (min 8 (Array.length a))))))
-            | None -> Format.printf "%s: no such array@." name)
-          dump_arrays;
+        dump_heads env dump_arrays (fun name xs ->
+            Format.printf "%s[0..%d] = %s@." name (List.length xs - 1) (String.concat "; " xs));
         if show_trace then
           Format.printf "@.%a@." (Mgacc.Trace.pp_gantt ~width:100) machine.Mgacc.Machine.trace;
         (match trace_json with
@@ -235,8 +198,7 @@ let scale_cmd file machine_name =
         "-"; "-"; "-" ];
     for gpus = 1 to max_gpus do
       let machine = fresh_machine () in
-      let config = Mgacc.Rt_config.make ~num_gpus:gpus machine in
-      let env, r = Mgacc.run_acc ~config ~machine program in
+      let env, r = Mgacc.run_acc ~config:(Mgacc.Rt_config.make ~num_gpus:gpus machine) program in
       let ok =
         match check_against_arrays program ~reference:ref_env env with
         | Ok () -> "ok"
@@ -272,6 +234,8 @@ let serve_cmd trace_file machine_name policy_name gpus max_concurrent budget_mb 
   let ( let* ) = Result.bind in
   let* spec, fresh_machine = machine_of machine_name in
   let* () = gpus_consistent ~gpus spec in
+  let* () = at_least "max-concurrent" 1 max_concurrent in
+  let* () = at_least "mem-budget-mb" 0 budget_mb in
   let* policy = Mgacc.Fleet.policy_of_string policy_name in
   try
     let jobs = Mgacc.Fleet_job.load_trace trace_file in
@@ -380,40 +344,17 @@ let run_term =
          & info [ "schedule" ] ~docv:"POLICY"
              ~doc:"iteration partitioning: static (equal split), proportional or adaptive")
   in
-  let overlap =
-    Arg.(value & opt string "off"
-         & info [ "overlap" ] ~docv:"on|off"
-             ~doc:"dependency-driven communication/computation overlap (off = barrier semantics)")
-  in
-  let coherence =
-    Arg.(value & opt string "eager"
-         & info [ "coherence" ] ~docv:"eager|lazy"
-             ~doc:"inter-GPU replica coherence: eager ships every dirty chunk everywhere after \
-                   each loop; lazy ships only the next reader's window and pulls the rest on \
-                   demand")
-  in
-  let collective =
-    Arg.(value & opt string "direct"
-         & info [ "collective" ] ~docv:"direct|ring|auto"
-             ~doc:"broadcast-group transfer planning: direct keeps the legacy star/tree \
-                   schedules bit for bit; ring forces node-grouped pipelined rings; auto picks \
-                   direct, ring or hierarchical staging per group from a payload/topology cost \
-                   model")
-  in
-  let fuse =
-    Arg.(value & opt string "off"
-         & info [ "fuse" ] ~docv:"on|off"
-             ~doc:"translator kernel-fusion pass: fuse adjacent compatible parallel loops, \
-                   contract group-local temporaries and transpose strided read-only arrays when \
-                   the cost model finds it profitable (off = today's one-loop-one-kernel plans, \
-                   bit for bit)")
-  in
-  let decomp =
-    Arg.(value & opt string "1d"
-         & info [ "decomp" ] ~docv:"1d|2d"
-             ~doc:"block decomposition of distributed arrays: 1d slices whole rows per GPU \
-                   (today's plans, bit for bit); 2d tiles row-major arrays over a GPU grid so \
-                   stencil halo traffic scales with the tile perimeter instead of the row width")
+  (* One flag per mode switch, named, spelled and documented by
+     [Rt_config.switches]; the term yields the (switch, spelling) pairs. *)
+  let settings =
+    List.fold_right
+      (fun (sw : Mgacc.Rt_config.switch) rest ->
+        let spelling =
+          Arg.(value & opt string (List.hd sw.spellings)
+               & info [ sw.name ] ~docv:(String.concat "|" sw.spellings) ~doc:sw.doc)
+        in
+        Term.(const (fun v rest -> (sw.name, v) :: rest) $ spelling $ rest))
+      Mgacc.Rt_config.switches (Term.const [])
   in
   let chunk = Arg.(value & opt int 1024 & info [ "chunk-kb" ] ~docv:"KB" ~doc:"dirty-bit chunk size") in
   let no_dist = Arg.(value & flag & info [ "no-distribution" ] ~doc:"ignore localaccess placement") in
@@ -440,11 +381,11 @@ let run_term =
          & info [ "json" ] ~doc:"print the report as one JSON object (includes coherence counters)")
   in
   Term.(
-    const (fun file m v g sch ov coh col fu de c nd nl nm sl d tr tj bl js ck vb ->
-        exits_of (run_cmd file m v g sch ov coh col fu de c nd nl nm sl d tr tj bl js ck vb))
-    $ file_arg $ machine $ variant $ gpus $ schedule $ overlap $ coherence $ collective $ fuse
-    $ decomp $ chunk $ no_dist $ no_layout $ no_misscheck $ single_level $ dump $ trace
-    $ trace_json $ blame $ json_report $ check_results $ verbose)
+    const (fun file m v g sch st c nd nl nm sl d tr tj bl js ck vb ->
+        exits_of (run_cmd file m v g sch st c nd nl nm sl d tr tj bl js ck vb))
+    $ file_arg $ machine $ variant $ gpus $ schedule $ settings $ chunk $ no_dist $ no_layout
+    $ no_misscheck $ single_level $ dump $ trace $ trace_json $ blame $ json_report $ check_results
+    $ verbose)
 
 let check_term = Term.(const (fun file -> exits_of (check_cmd file)) $ file_arg)
 

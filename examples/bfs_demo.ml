@@ -20,11 +20,15 @@ let () =
   let depth = Array.fold_left max 0 levels in
   Format.printf "graph depth: %d levels@.@." depth;
 
-  let env2, r2 = App_common.proposal ~num_gpus:2 ~machine:(Mgacc.Machine.desktop ()) app in
+  let env2, r2 =
+    App_common.proposal (Mgacc.Rt_config.make ~num_gpus:2 (Mgacc.Machine.desktop ())) app
+  in
   App_common.check_exn app ~against:ref_env env2;
 
   let env1l, r1l =
-    App_common.proposal ~two_level_dirty:false ~num_gpus:2 ~machine:(Mgacc.Machine.desktop ()) app
+    App_common.proposal
+      (Mgacc.Rt_config.make ~two_level_dirty:false ~num_gpus:2 (Mgacc.Machine.desktop ()))
+      app
   in
   App_common.check_exn app ~against:ref_env env1l;
 
@@ -39,7 +43,9 @@ let () =
   List.iter
     (fun chunk ->
       let env, r =
-        App_common.proposal ~chunk_bytes:chunk ~num_gpus:2 ~machine:(Mgacc.Machine.desktop ()) app
+        App_common.proposal
+          (Mgacc.Rt_config.make ~chunk_bytes:chunk ~num_gpus:2 (Mgacc.Machine.desktop ()))
+          app
       in
       App_common.check_exn app ~against:ref_env env;
       Format.printf "  chunk %-8s gpu-gpu %-10s total %.6fs@." (Mgacc.Bytesize.to_string chunk)

@@ -51,9 +51,8 @@ let () =
   Format.printf "Jacobi 1-D stencil, 100000 points, 8 sweeps@.@.";
   List.iter
     (fun gpus ->
-      let machine = Mgacc.Machine.desktop () in
-      let config = Mgacc.Rt_config.make ~num_gpus:gpus machine in
-      let env, report = Mgacc.run_acc ~config ~machine program in
+      let config = Mgacc.Rt_config.make ~num_gpus:gpus (Mgacc.Machine.desktop ()) in
+      let env, report = Mgacc.run_acc ~config program in
       let got = Mgacc.float_results env "a" in
       Array.iteri
         (fun i v ->

@@ -21,7 +21,9 @@ let () =
   let machine = Mgacc.Machine.desktop () in
   let _, omp = App_common.openmp ~machine app in
 
-  let env2, r2 = App_common.proposal ~num_gpus:2 ~machine:(Mgacc.Machine.desktop ()) app in
+  let env2, r2 =
+    App_common.proposal (Mgacc.Rt_config.make ~num_gpus:2 (Mgacc.Machine.desktop ())) app
+  in
   App_common.check_exn app ~against:ref_env env2;
 
   (* Ablation: disable the data layout transformation. *)
@@ -29,7 +31,9 @@ let () =
     { Mgacc.Kernel_plan.default_options with Mgacc.Kernel_plan.enable_layout_transform = false }
   in
   let env_nt, r_nt =
-    App_common.proposal ~options ~num_gpus:2 ~machine:(Mgacc.Machine.desktop ()) app
+    App_common.proposal
+      (Mgacc.Rt_config.make ~num_gpus:2 ~translator:options (Mgacc.Machine.desktop ()))
+      app
   in
   App_common.check_exn app ~against:ref_env env_nt;
 

@@ -30,7 +30,9 @@ let () =
 
   List.iter
     (fun n ->
-      let env, r = App_common.proposal ~num_gpus:n ~machine:(Mgacc.Machine.desktop ()) app in
+      let env, r =
+        App_common.proposal (Mgacc.Rt_config.make ~num_gpus:n (Mgacc.Machine.desktop ())) app
+      in
       App_common.check_exn app ~against:ref_env env;
       rows := (Printf.sprintf "Proposal(%d)" n, r) :: !rows)
     [ 1; 2 ];

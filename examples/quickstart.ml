@@ -48,9 +48,8 @@ let () =
 
   (* The proposal on 1 and 2 simulated GPUs. *)
   let run_gpus n =
-    let machine = Mgacc.Machine.desktop () in
-    let config = Mgacc.Rt_config.make ~num_gpus:n machine in
-    let env, report = Mgacc.run_acc ~config ~machine program in
+    let config = Mgacc.Rt_config.make ~num_gpus:n (Mgacc.Machine.desktop ()) in
+    let env, report = Mgacc.run_acc ~config program in
     let got = Mgacc.float_results env "y" in
     Array.iteri
       (fun i v ->

@@ -66,9 +66,8 @@ let () =
     rows cols sweeps;
   List.iter
     (fun gpus ->
-      let machine = Mgacc.Machine.desktop () in
-      let config = Mgacc.Rt_config.make ~num_gpus:gpus machine in
-      let env, report = Mgacc.run_acc ~config ~machine program in
+      let config = Mgacc.Rt_config.make ~num_gpus:gpus (Mgacc.Machine.desktop ()) in
+      let env, report = Mgacc.run_acc ~config program in
       let got = Mgacc.float_results env "u" in
       Array.iteri
         (fun i v ->

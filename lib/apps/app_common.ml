@@ -20,20 +20,10 @@ let pgi ~machine app =
     }
   in
   let config = Rt_config.make ~num_gpus:1 ~translator:options machine in
-  run_acc ~config ~variant:"pgi(1)" ~machine (parse app)
+  run_acc ~variant:"pgi(1)" ~config (parse app)
 
-let proposal ?chunk_bytes ?two_level_dirty ?overlap ?schedule ?coherence ?collective ?fuse
-    ?(options = Kernel_plan.default_options) ~num_gpus ~machine app =
-  let options =
-    match fuse with Some b -> { options with Kernel_plan.enable_fusion = b } | None -> options
-  in
-  let config =
-    Rt_config.make ~num_gpus ?chunk_bytes ?two_level_dirty ?overlap ?schedule ?coherence
-      ?collective ~translator:options machine
-  in
-  run_acc ~config
-    ~variant:(Printf.sprintf "proposal(%d)" num_gpus)
-    ~machine (parse app)
+let proposal config app =
+  run_acc ~variant:(Printf.sprintf "proposal(%d)" config.Rt_config.num_gpus) ~config (parse app)
 
 let compare_floats name expected got =
   let n = Array.length expected in

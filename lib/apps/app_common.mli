@@ -27,19 +27,9 @@ val pgi : machine:Machine.t -> t -> Host_interp.env * Report.t
     Array reductions still execute (the program would not compile
     otherwise) but placement and layout optimizations are off. *)
 
-val proposal :
-  ?chunk_bytes:int ->
-  ?two_level_dirty:bool ->
-  ?overlap:bool ->
-  ?schedule:Sched_policy.t ->
-  ?coherence:Rt_config.coherence ->
-  ?collective:Rt_config.collective ->
-  ?fuse:bool ->
-  ?options:Kernel_plan.options ->
-  num_gpus:int ->
-  machine:Machine.t ->
-  t ->
-  Host_interp.env * Report.t
+val proposal : Rt_config.t -> t -> Host_interp.env * Report.t
+(** The paper's runtime under [config], on its machine and GPU count; the
+    report's variant is [proposal(N)] for the config's [num_gpus]. *)
 
 val verify : t -> against:Host_interp.env -> Host_interp.env -> (unit, string) result
 (** Compare the result arrays element-wise (1e-6 relative tolerance for

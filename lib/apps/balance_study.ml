@@ -41,9 +41,9 @@ let run ?(smoke = false) ?machine () =
           Machine.reset machine;
           let config = Rt_config.make ~schedule:policy machine in
           let env, report =
-            run_acc ~config
+            run_acc
               ~variant:(Printf.sprintf "%s(%s)" app.App_common.name (Sched_policy.to_string policy))
-              ~machine
+              ~config
               (parse_string ~name:(app.App_common.name ^ ".c") app.App_common.source)
           in
           let ok = App_common.verify app ~against:reference env = Ok () in

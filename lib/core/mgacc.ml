@@ -56,8 +56,12 @@ let run_sequential program = Host_interp.run_program program
 
 let run_openmp ?threads ~machine program = Openmp.run ?threads ~machine program
 
-let run_acc ?config ?variant ?with_blame ~machine program =
-  Acc_runtime.run ?config ?variant ?with_blame ~machine program
+let run_acc ?variant ?with_blame ?machine ~config program =
+  (match machine with
+  | Some m when m != config.Rt_config.machine ->
+      invalid_arg "Mgacc.run_acc: ~machine is not the config's machine"
+  | _ -> ());
+  Acc_runtime.run ?variant ?with_blame ~config program
 
 let float_results env name = View.snapshot_f (Host_interp.find_array env name)
 let int_results env name = View.snapshot_i (Host_interp.find_array env name)

@@ -14,7 +14,7 @@
     {[
       let program = Mgacc.parse_string ~name:"vecadd.c" source in
       let machine = Mgacc.Machine.desktop () in
-      let _env, report = Mgacc.run_acc ~machine program in
+      let _env, report = Mgacc.run_acc ~config:(Mgacc.Rt_config.make machine) program in
       Format.printf "%a@." Mgacc.Report.pp report
     ]} *)
 
@@ -82,14 +82,18 @@ val run_openmp :
 (** The OpenMP baseline on the machine's CPU model. *)
 
 val run_acc :
-  ?config:Rt_config.t ->
   ?variant:string ->
   ?with_blame:bool ->
-  machine:Machine.t ->
+  ?machine:Machine.t ->
+  config:Rt_config.t ->
   Ast.program ->
   Host_interp.env * Report.t
-(** The multi-GPU OpenACC runtime (the paper's proposal). [config] selects
-    GPU count, dirty-bit chunk size and the ablation switches.
+(** The multi-GPU OpenACC runtime (the paper's proposal) on the config's
+    machine. The config selects GPU count, dirty-bit chunk size and the
+    mode switches ([Rt_config.make machine] is the paper's settings).
+    [machine] is accepted only so callers written against the older
+    signature still compile: it must be the config's machine (physically),
+    else [Invalid_argument].
     [with_blame] attaches the critical-path blame summary to the report
     (see {!Report.pp_blame}); it never changes the timings. *)
 

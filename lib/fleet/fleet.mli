@@ -8,7 +8,7 @@
     ({!Admission}): finished jobs may keep their darrays device-resident
     (warm pools) until pressure from a newcomer evicts them, spilling
     dirty data back to the host. Program plans come from a compile-once
-    {!Plan_cache} keyed by source digest. *)
+    {!Plan_cache} keyed by translator options, machine shape and source. *)
 
 module Machine = Mgacc_gpusim.Machine
 module Report = Mgacc_runtime.Report

@@ -3,30 +3,24 @@ module Program_plan = Mgacc_translator.Program_plan
 module Parser = Mgacc_minic.Parser
 
 type entry = {
-  key : string;
   plans : Program_plan.t;
   mutable measured_seconds : float option;
   mutable footprint_bytes : int option;
 }
 
-type t = { tbl : (string, entry) Hashtbl.t; mutable hits : int; mutable misses : int }
+(* The key is the plan's whole identity, compared structurally: every
+   translator option (a field added to [Kernel_plan.options] joins the
+   key by construction), the machine shape and the source text. *)
+type t = {
+  tbl : (Kernel_plan.options * string * string, entry) Hashtbl.t;
+  mutable hits : int;
+  mutable misses : int;
+}
 
 let create () = { tbl = Hashtbl.create 16; hits = 0; misses = 0 }
 
-(* Translator options are part of the plan's identity: the same source
-   compiled with different optimization settings yields different plans.
-   So are the decomposition switch and the machine shape — a plan built
-   for a 2-D launch on an 8x4 fat-tree must never alias one built for a
-   1-D launch on the desktop, even from identical source. *)
-let fingerprint ?(machine = "") ~(options : Kernel_plan.options) ~source () =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%b|%b|%b|%b|%b|%s|%s" options.Kernel_plan.enable_distribution
-          options.Kernel_plan.enable_layout_transform options.Kernel_plan.enable_miss_check_elim
-          options.Kernel_plan.enable_fusion options.Kernel_plan.enable_decomp2d machine source))
-
 let lookup ?(options = Kernel_plan.default_options) ?(machine = "") ?(name = "<job>") t source =
-  let key = fingerprint ~machine ~options ~source () in
+  let key = (options, machine, source) in
   match Hashtbl.find_opt t.tbl key with
   | Some e ->
       t.hits <- t.hits + 1;
@@ -35,7 +29,7 @@ let lookup ?(options = Kernel_plan.default_options) ?(machine = "") ?(name = "<j
       t.misses <- t.misses + 1;
       let program = Parser.parse ~file:name source in
       let plans = Program_plan.build ~options program in
-      let e = { key; plans; measured_seconds = None; footprint_bytes = None } in
+      let e = { plans; measured_seconds = None; footprint_bytes = None } in
       Hashtbl.replace t.tbl key e;
       (e, false)
 

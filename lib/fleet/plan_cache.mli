@@ -1,8 +1,10 @@
-(** Compile-once program-plan cache, keyed by source digest.
+(** Compile-once program-plan cache, keyed structurally by (translator
+    options, machine shape, source text).
 
     Repeated submissions of the same program text (with the same
-    translator options) reuse the first compilation's [Program_plan]
-    verbatim — a cache hit returns the {e same} plan value, physically.
+    translator options, on the same machine shape) reuse the first
+    compilation's [Program_plan] verbatim — a cache hit returns the
+    {e same} plan value, physically.
     Entries also carry the fleet's measured execution profile, feeding
     the shortest-job-first estimator and the admission ledger. *)
 
@@ -10,8 +12,6 @@ module Kernel_plan = Mgacc_translator.Kernel_plan
 module Program_plan = Mgacc_translator.Program_plan
 
 type entry = {
-  key : string;
-      (** digest of translator options + machine shape + source text *)
   plans : Program_plan.t;
   mutable measured_seconds : float option;
       (** last measured execution duration of this program in the fleet *)
@@ -23,18 +23,15 @@ type t
 
 val create : unit -> t
 
-val fingerprint :
-  ?machine:string -> options:Kernel_plan.options -> source:string -> unit -> string
-(** [machine] is the machine shape the plan will run on (canonical spec
-    string or machine name; [""] = shape-independent). It and every
-    translator option — including [enable_decomp2d] — are part of the
-    key, so plans built for different shapes or decompositions never
-    alias. *)
-
 val lookup :
   ?options:Kernel_plan.options -> ?machine:string -> ?name:string -> t -> string -> entry * bool
-(** [(entry, hit)] — on a miss the source is parsed, typechecked and
-    planned, and the fresh entry cached. Parse/type errors propagate. *)
+(** [(entry, hit)] for the key ([options], [machine], source). [machine]
+    is the machine shape the plan will run on (canonical spec string or
+    machine name; [""], the default, = shape-independent). Every
+    translator option is part of the key, so plans built for different
+    options, shapes or decompositions never alias. On a miss the source
+    is parsed, typechecked and planned, and the fresh entry cached.
+    Parse/type errors propagate. *)
 
 val record_measurement : entry -> seconds:float -> footprint_bytes:int -> unit
 (** Update the execution profile after a job completes (a non-positive

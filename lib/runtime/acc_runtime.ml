@@ -955,8 +955,7 @@ let report ?variant t =
   in
   Report.with_queue r ~seconds:(Session.queue_seconds t)
 
-let run ?config ?variant ?(with_blame = false) ~machine program =
-  let cfg = match config with Some c -> c | None -> Rt_config.make machine in
+let run ?variant ?(with_blame = false) ~config:cfg program =
   (* A reused machine carries timeline availability from earlier runs;
      reset so back-to-back runs in one process match fresh-process runs
      (shared-machine contention is the fleet's job, not [run]'s). *)

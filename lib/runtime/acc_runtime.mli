@@ -18,17 +18,16 @@
     benchmarks here always use explicit [data] regions anyway). *)
 
 val run :
-  ?config:Rt_config.t ->
   ?variant:string ->
   ?with_blame:bool ->
-  machine:Mgacc_gpusim.Machine.t ->
+  config:Rt_config.t ->
   Mgacc_minic.Ast.program ->
   Mgacc_exec.Host_interp.env * Report.t
 (** Compile (plan) and execute a program on the simulated machine with the
     OpenACC multi-GPU runtime; returns the final host environment (for
-    result inspection) and the run report. [config] defaults to all of
-    [machine]'s GPUs with the paper's settings; the run executes on
-    [config]'s machine, which the report names. [variant] labels the
+    result inspection) and the run report. The run executes on the
+    config's machine, which the report names ([Rt_config.make machine]
+    is all of [machine]'s GPUs with the paper's settings). [variant] labels the
     report. It is {!execute} plus {!report} on a fresh session. The
     machine is reset first, so back-to-back runs in one process match
     fresh-process runs bit for bit. With [with_blame] the report carries the

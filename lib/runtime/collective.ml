@@ -149,12 +149,12 @@ let segment_sizes payload s =
   let base = payload / s and extra = payload mod s in
   Array.init s (fun k -> base + if k < extra then 1 else 0)
 
-(* Candidate segment counts: the configured target plus powers of two,
-   never slicing below 4 KiB segments. *)
-let segment_candidates (cfg : Rt_config.t) payload =
-  let floor_bytes = 4096 in
+(* Candidate segment counts: the count that cuts 256 KiB segments plus
+   powers of two, never slicing below 4 KiB segments. *)
+let segment_candidates payload =
+  let floor_bytes = 4096 and seg_bytes = 256 * 1024 in
   let cap = max 1 (payload / floor_bytes) in
-  let target = (payload + cfg.Rt_config.collective_seg_bytes - 1) / cfg.Rt_config.collective_seg_bytes in
+  let target = (payload + seg_bytes - 1) / seg_bytes in
   [ 1; 2; 4; 8; 16; target ]
   |> List.map (fun s -> min 16 (min cap (max 1 s)))
   |> List.sort_uniq compare
@@ -179,13 +179,13 @@ let ring_time fabric order payload s =
   hops order;
   !fill +. (float_of_int (s - 1) *. !slot)
 
-let best_ring fabric cfg order payload =
+let best_ring fabric order payload =
   List.fold_left
     (fun (bs, bt) s ->
       let t = ring_time fabric order payload s in
       if t < bt then (s, t) else (bs, bt))
     (1, ring_time fabric order payload 1)
-    (segment_candidates cfg payload)
+    (segment_candidates payload)
 
 (* NCCL-style ring-allreduce estimate: 2(p-1) rounds, each bounded by the
    slowest ring edge moving one payload/p chunk. The node-grouped order
@@ -248,7 +248,7 @@ let node_buckets fabric shape =
 (* Two-stage pipeline estimate: the wire stage pushes one copy per
    remote node through the uplink, the relay stage fans out on the widest
    node; segments stream the second behind the first. *)
-let hier_time fabric cfg shape =
+let hier_time fabric shape =
   match Fabric.topology fabric with
   | None -> (1, infinity)
   | Some t ->
@@ -291,7 +291,7 @@ let hier_time fabric cfg shape =
             let ts = time s in
             if ts < bt then (s, ts) else (bs, bt))
           (1, time 1)
-          (segment_candidates cfg shape.payload)
+          (segment_candidates shape.payload)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule construction                                               *)
@@ -518,7 +518,7 @@ let plan_allreduce b cfg fabric (gops : Comm_manager.op list) =
           (* the gather stage of star and hier is the same ingress star as
              [direct_time]'s egress star, by link symmetry *)
           let t_star = 2.0 *. direct_time fabric ar.bcast in
-          let s_hier, t_hier_bcast = hier_time fabric cfg ar.bcast in
+          let s_hier, t_hier_bcast = hier_time fabric ar.bcast in
           let t_hier = direct_time fabric ar.bcast +. t_hier_bcast in
           if t_ring < t_star && t_ring <= t_hier then allreduce_ring_group b ar order
           else if t_hier < t_star then allreduce_hier_group b fabric ar s_hier
@@ -536,13 +536,13 @@ let plan_group b cfg fabric (gops : Comm_manager.op list) =
     | Some shape when List.length shape.dsts < 2 -> direct_group b gops
     | Some shape -> (
         let order = ring_order fabric shape in
-        let s_ring, t_ring = best_ring fabric cfg order shape.payload in
+        let s_ring, t_ring = best_ring fabric order shape.payload in
         match cfg.Rt_config.collective with
         | Rt_config.Direct -> direct_group b gops
         | Rt_config.Ring -> ring_group b shape order s_ring
         | Rt_config.Auto ->
             let t_direct = direct_time fabric shape in
-            let s_hier, t_hier = hier_time fabric cfg shape in
+            let s_hier, t_hier = hier_time fabric shape in
             if t_hier <= t_ring && t_hier < t_direct then hier_group b fabric shape s_hier
             else if t_ring < t_direct then ring_group b shape order s_ring
             else direct_group b gops)

@@ -18,9 +18,6 @@ type collective =
       (** per-group NCCL-style cost model picks direct, ring or
           hierarchical staging from payload size and topology *)
 
-val collective_of_string : string -> (collective, string) result
-val collective_name : collective -> string
-
 type t = {
   machine : Mgacc_gpusim.Machine.t;
   num_gpus : int;  (** devices actually used (<= machine's) *)
@@ -39,14 +36,9 @@ type t = {
       (** how broadcast-shaped transfer groups are scheduled on the
           fabric. [Direct] keeps the legacy point-to-point stars
           bit-for-bit. *)
-  collective_seg_bytes : int;
-      (** pipelining segment size for ring/hierarchical schedules: each
-          hop forwards segment [k] while segment [k+1] still streams in *)
   translator : Mgacc_translator.Kernel_plan.options;
   schedule : Mgacc_sched.Policy.t;
       (** iteration-partitioning policy (default: the paper's equal split) *)
-  sched_knobs : Mgacc_sched.Feedback.knobs;
-      (** damping/hysteresis of the adaptive controller *)
   keep_resident : bool;
       (** fleet warm-pool mode: keep device allocations alive across data
           regions and at session finish (flushing only copyout data), so
@@ -62,19 +54,17 @@ val make :
   ?overlap:bool ->
   ?coherence:coherence ->
   ?collective:collective ->
-  ?collective_seg_bytes:int ->
   ?translator:Mgacc_translator.Kernel_plan.options ->
   ?schedule:Mgacc_sched.Policy.t ->
-  ?sched_knobs:Mgacc_sched.Feedback.knobs ->
   ?keep_resident:bool ->
   Mgacc_gpusim.Machine.t ->
   t
 (** Defaults: all of the machine's GPUs, 1 MB chunks (the paper's choice),
     two-level dirty bits, overlap off (barrier semantics), eager
     coherence (legacy all-pairs reconciliation), direct collectives
-    (legacy point-to-point schedules) with 256 KB pipelining segments,
-    all translator optimizations on, the equal-split schedule with
-    default controller knobs. *)
+    (legacy point-to-point schedules), the translator's default options
+    (placement, layout and miss-check optimizations on; fusion off; 1-D
+    decomposition) and the equal-split schedule. *)
 
 val lazy_coherence : t -> bool
 (** [coherence = Lazy] and more than one GPU (with a single replica the
@@ -84,3 +74,36 @@ val lazy_coherence : t -> bool
 val planned_collectives : t -> bool
 (** [collective <> Direct] and more than one GPU (no collective exists
     on one device). *)
+
+(** {1 Mode switches}
+
+    The one place a run's mode switches are named and spelled: the CLI
+    builds its [--overlap], [--coherence], [--collective], [--fuse] and
+    [--decomp] flags from {!switches}, and every other caller that names
+    a mode by its spelling goes through {!find} and {!set}. *)
+
+type switch = {
+  name : string;  (** the CLI flag (without dashes), also its JSON key *)
+  spellings : string list;
+      (** every accepted value, the default first: the first spelling is
+          what {!make} gives *)
+  doc : string;  (** the flag's help text *)
+  read : t -> string;  (** the spelling of the field's current value *)
+  write : t -> string -> t option;
+      (** the config with the field set to a spelling's value; [None] for
+          an unknown spelling. Every other field is left alone. *)
+}
+
+val switches : switch list
+(** [overlap], [coherence], [collective], [fuse] and [decomp], in that
+    order. [fuse] and [decomp] write [translator.enable_fusion] and
+    [translator.enable_decomp2d]. *)
+
+val find : string -> switch
+(** The switch of that name. Raises [Invalid_argument] for a name not in
+    {!switches} (a caller's bug, not a user's input). *)
+
+val set : t -> string -> string -> (t, string) result
+(** [set t name value] sets switch [name] to the value spelled [value].
+    An unknown spelling is [Error "unknown <name> mode \"<value>\" (a|b)"],
+    listing the switch's spellings. *)

@@ -48,7 +48,7 @@ let create ?(tenant = "default") ?(start = 0.0) cfg plans =
     scheduler =
       Mgacc_sched.Scheduler.create ~machine:cfg.Rt_config.machine
         ~num_gpus:cfg.Rt_config.num_gpus ~policy:cfg.Rt_config.schedule
-        ~knobs:cfg.Rt_config.sched_knobs;
+        ~knobs:Mgacc_sched.Feedback.default_knobs;
     darrays = Hashtbl.create 16;
     compiled = Hashtbl.create 16;
     events = Event.create ~num_gpus:cfg.Rt_config.num_gpus;

@@ -65,15 +65,29 @@ let machine_of spec =
   | Ok s -> Machine.of_spec s
   | Error e -> failwith e
 
-(* One runtime run through [Acc_runtime.run] (what [accc run] does). *)
-let acc ?(overlap = false) ?(coherence = Rt_config.Eager) ?(collective = Rt_config.Direct)
-    ?schedule ?(options = Kernel_plan.default_options) ~spec program () =
-  let machine = machine_of spec in
-  let config =
-    Rt_config.make ~overlap ~coherence ~collective ?schedule ~translator:options machine
+(* A setting is a (switch, spelling) pair, applied as [accc run
+   --switch spelling] would; [schedule] is the one that is not a
+   [Rt_config] switch. *)
+let apply cfg (name, value) =
+  let set =
+    if name = "schedule" then
+      Result.map (fun schedule -> { cfg with Rt_config.schedule }) (Sched_policy.of_string value)
+    else Rt_config.set cfg name value
   in
-  let _, r = run_acc ~config ~with_blame:true ~machine (program ()) in
-  report_lines r @ blame_lines r @ [ trace_line "trace" machine.Machine.trace ]
+  match set with Ok cfg -> cfg | Error e -> failwith e
+
+(* One runtime run through [Acc_runtime.run] (what [accc run] does),
+   named after the settings it applies. *)
+let acc label ~spec settings program =
+  {
+    name = String.concat " " (label :: List.map (fun (n, v) -> n ^ "=" ^ v) settings);
+    lines =
+      (fun () ->
+        let config = List.fold_left apply (Rt_config.make (machine_of spec)) settings in
+        let _, r = run_acc ~config ~with_blame:true (program ()) in
+        let trace = config.Rt_config.machine.Machine.trace in
+        report_lines r @ blame_lines r @ [ trace_line "trace" trace ]);
+  }
 
 let app_program app () = parse_string ~name:(app.App_common.name ^ ".c") app.App_common.source
 
@@ -178,7 +192,7 @@ let tree_source =
 }
 |}
 
-let onoff b = if b then "on" else "off"
+let spellings name = (Rt_config.find name).Rt_config.spellings
 
 let matrix =
   List.concat_map
@@ -186,60 +200,52 @@ let matrix =
       List.concat_map
         (fun spec ->
           List.concat_map
-            (fun overlap ->
+            (fun ov ->
               List.concat_map
-                (fun coherence ->
+                (fun coh ->
                   List.map
-                    (fun collective ->
-                      {
-                        name =
-                          Printf.sprintf "%s %s overlap=%s coherence=%s collective=%s" pname spec
-                            (onoff overlap)
-                            (match coherence with Rt_config.Eager -> "eager" | Rt_config.Lazy -> "lazy")
-                            (Rt_config.collective_name collective);
-                        lines = acc ~overlap ~coherence ~collective ~spec program;
-                      })
-                    [ Rt_config.Direct; Rt_config.Auto ])
-                [ Rt_config.Eager; Rt_config.Lazy ])
-            [ false; true ])
+                    (fun coll ->
+                      acc (pname ^ " " ^ spec) ~spec
+                        [ ("overlap", ov); ("coherence", coh); ("collective", coll) ]
+                        program)
+                    [ "direct"; "auto" ])
+                (spellings "coherence"))
+            (spellings "overlap"))
         [ "desktop"; "cluster:2x2" ])
     programs
 
 let program_named n = List.assoc n programs
 
+(* Each extra run under both launch gates, overlap named last. *)
 let extras =
-  let both name f = List.map (fun o -> { name = Printf.sprintf "%s overlap=%s" name (onoff o); lines = f o }) [ false; true ] in
-  let fused = { Kernel_plan.default_options with Kernel_plan.enable_fusion = true } in
-  let decomp = { Kernel_plan.default_options with Kernel_plan.enable_decomp2d = true } in
+  let both label ~spec settings program =
+    List.map
+      (fun o -> acc label ~spec (settings @ [ ("overlap", o) ]) program)
+      (spellings "overlap")
+  in
+  let source name text () = parse_string ~name text in
   List.concat
     [
-      both "fusionable-md desktop fuse=on" (fun overlap ->
-          acc ~overlap ~options:fused ~spec:"desktop"
-            (app_program (Fusionable.md { Fusionable.particles = 2000; steps = 3 })));
-      both "fusionable-kmeans desktop fuse=on" (fun overlap ->
-          acc ~overlap ~options:fused ~spec:"desktop"
-            (app_program
-               (Fusionable.kmeans { Fusionable.points = 2000; clusters = 3; iterations = 3 })));
-      both "spmv cluster:2x2 collective=ring" (fun overlap ->
-          acc ~overlap ~collective:Rt_config.Ring ~spec:"cluster:2x2" (program_named "spmv"));
-      both "spmv cluster:2x4 rows=8192 collective=auto" (fun overlap ->
-          acc ~overlap ~collective:Rt_config.Auto ~spec:"cluster:2x4"
-            (app_program (Spmv.app { Spmv.rows = 8192; width = 4; iterations = 2; seed = 7 })));
-      both "heat2d cluster:2x2 decomp=2d" (fun overlap ->
-          acc ~overlap ~options:decomp ~spec:"cluster:2x2" (program_named "heat2d"));
-      both "bfs desktop-mixed schedule=adaptive" (fun overlap ->
-          acc ~overlap ~schedule:Sched_policy.Adaptive ~spec:"desktop-mixed" (program_named "bfs"));
-      both "skew desktop-mixed schedule=adaptive" (fun overlap ->
-          acc ~overlap ~schedule:Sched_policy.Adaptive ~spec:"desktop-mixed" (fun () ->
-              parse_string ~name:"skew.c" skew_source));
-      both "tree cluster:2x2 coherence=lazy collective=direct" (fun overlap ->
-          acc ~overlap ~coherence:Rt_config.Lazy ~spec:"cluster:2x2" (fun () ->
-              parse_string ~name:"tree.c" tree_source));
-      both "tree cluster:2x2 coherence=lazy collective=auto" (fun overlap ->
-          acc ~overlap ~coherence:Rt_config.Lazy ~collective:Rt_config.Auto ~spec:"cluster:2x2"
-            (fun () -> parse_string ~name:"tree.c" tree_source));
-      both "if-false desktop" (fun overlap ->
-          acc ~overlap ~spec:"desktop" (fun () -> parse_string ~name:"if_false.c" if_false_source));
+      both "fusionable-md desktop" ~spec:"desktop" [ ("fuse", "on") ]
+        (app_program (Fusionable.md { Fusionable.particles = 2000; steps = 3 }));
+      both "fusionable-kmeans desktop" ~spec:"desktop" [ ("fuse", "on") ]
+        (app_program
+           (Fusionable.kmeans { Fusionable.points = 2000; clusters = 3; iterations = 3 }));
+      both "spmv cluster:2x2" ~spec:"cluster:2x2" [ ("collective", "ring") ] (program_named "spmv");
+      both "spmv cluster:2x4 rows=8192" ~spec:"cluster:2x4" [ ("collective", "auto") ]
+        (app_program (Spmv.app { Spmv.rows = 8192; width = 4; iterations = 2; seed = 7 }));
+      both "heat2d cluster:2x2" ~spec:"cluster:2x2" [ ("decomp", "2d") ] (program_named "heat2d");
+      both "bfs desktop-mixed" ~spec:"desktop-mixed" [ ("schedule", "adaptive") ]
+        (program_named "bfs");
+      both "skew desktop-mixed" ~spec:"desktop-mixed" [ ("schedule", "adaptive") ]
+        (source "skew.c" skew_source);
+      both "tree cluster:2x2" ~spec:"cluster:2x2"
+        [ ("coherence", "lazy"); ("collective", "direct") ]
+        (source "tree.c" tree_source);
+      both "tree cluster:2x2" ~spec:"cluster:2x2"
+        [ ("coherence", "lazy"); ("collective", "auto") ]
+        (source "tree.c" tree_source);
+      both "if-false desktop" ~spec:"desktop" [] (source "if_false.c" if_false_source);
     ]
 
 (* One replay of the sample job trace on a shared desktop, three jobs

@@ -4,6 +4,7 @@
    paper's Table II structure. *)
 
 open Mgacc_apps
+module Rt_config = Mgacc.Rt_config
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -18,10 +19,10 @@ let all_variants_agree app =
   App_common.check_exn app ~against:ref_env pgi_env;
   List.iter
     (fun n ->
-      let env, _ = App_common.proposal ~num_gpus:n ~machine:(desktop ()) app in
+      let env, _ = App_common.proposal (Rt_config.make ~num_gpus:n (desktop ())) app in
       App_common.check_exn app ~against:ref_env env)
     [ 1; 2 ];
-  let env3, _ = App_common.proposal ~num_gpus:3 ~machine:(Mgacc.Machine.supernode ()) app in
+  let env3, _ = App_common.proposal (Rt_config.make ~num_gpus:3 (Mgacc.Machine.supernode ())) app in
   App_common.check_exn app ~against:ref_env env3;
   ref_env
 
@@ -43,7 +44,7 @@ let test_md_cuda_matches () =
   check Alcotest.int "one kernel" 1 report.Mgacc.Report.launches
 
 let test_md_no_inter_gpu_traffic () =
-  let _, report = App_common.proposal ~num_gpus:2 ~machine:(desktop ()) (Md.app md_small) in
+  let _, report = App_common.proposal (Rt_config.make ~num_gpus:2 (desktop ())) (Md.app md_small) in
   (* The paper: "MD requires no inter-GPU communications". *)
   check Alcotest.int "no gpu-gpu bytes" 0 report.Mgacc.Report.gpu_gpu_bytes
 
@@ -57,7 +58,7 @@ let test_md_cuda_multi_matches () =
         Alcotest.failf "multi force[%d]: %.12g vs %.12g" i v expected.(i))
     force;
   (* The automated runtime should stay close to the hand-written ceiling. *)
-  let _, rp = App_common.proposal ~num_gpus:2 ~machine:(desktop ()) (Md.app md_small) in
+  let _, rp = App_common.proposal (Rt_config.make ~num_gpus:2 (desktop ())) (Md.app md_small) in
   check Alcotest.bool "proposal within 30% of expert" true
     (rp.Mgacc.Report.total_time < 1.3 *. r2.Mgacc.Report.total_time)
 
@@ -93,7 +94,7 @@ let test_kmeans_cuda_matches () =
 
 let test_kmeans_has_reduction_traffic () =
   let _, report =
-    App_common.proposal ~num_gpus:2 ~machine:(desktop ()) (Kmeans.app kmeans_small)
+    App_common.proposal (Rt_config.make ~num_gpus:2 (desktop ())) (Kmeans.app kmeans_small)
   in
   check Alcotest.bool "small gpu-gpu traffic (array reduction)" true
     (report.Mgacc.Report.gpu_gpu_bytes > 0)
@@ -130,7 +131,7 @@ let test_kmeans_layout_transform_applies () =
 
 let test_kmeans_kernel_count () =
   let _, report =
-    App_common.proposal ~num_gpus:1 ~machine:(desktop ()) (Kmeans.app kmeans_small)
+    App_common.proposal (Rt_config.make ~num_gpus:1 (desktop ())) (Kmeans.app kmeans_small)
   in
   (* 2 loop executions per iteration (C = 2 * iterations). *)
   check Alcotest.int "loop executions" (2 * kmeans_small.Kmeans.iterations)
@@ -153,8 +154,8 @@ let test_bfs_visits_everything () =
   Array.iteri (fun i l -> if l < 0 then Alcotest.failf "node %d unreachable" i) levels
 
 let test_bfs_heavy_gpu_traffic () =
-  let _, r2 = App_common.proposal ~num_gpus:2 ~machine:(desktop ()) (Bfs.app bfs_small) in
-  let _, rmd = App_common.proposal ~num_gpus:2 ~machine:(desktop ()) (Md.app md_small) in
+  let _, r2 = App_common.proposal (Rt_config.make ~num_gpus:2 (desktop ())) (Bfs.app bfs_small) in
+  let _, rmd = App_common.proposal (Rt_config.make ~num_gpus:2 (desktop ())) (Md.app md_small) in
   (* BFS is the communication-heavy case of the paper. *)
   check Alcotest.bool "bfs reconciliation traffic" true
     (r2.Mgacc.Report.gpu_gpu_bytes > rmd.Mgacc.Report.gpu_gpu_bytes)
@@ -179,14 +180,14 @@ let test_spmv_variants () = ignore (all_variants_agree (Spmv.app spmv_small))
 let test_spmv_moderate_traffic () =
   (* x is replicated and rewritten each iteration: SPMV sits between MD
      (zero) and BFS (heavy) in reconciliation traffic. *)
-  let _, r = App_common.proposal ~num_gpus:2 ~machine:(desktop ()) (Spmv.app spmv_small) in
+  let _, r = App_common.proposal (Rt_config.make ~num_gpus:2 (desktop ())) (Spmv.app spmv_small) in
   check Alcotest.bool "some p2p" true (r.Mgacc.Report.gpu_gpu_bytes > 0)
 
 let test_montecarlo_variants () = ignore (all_variants_agree (Montecarlo.app mc_small))
 
 let test_montecarlo_mass_conserved () =
   let env, report =
-    App_common.proposal ~num_gpus:2 ~machine:(desktop ()) (Montecarlo.app mc_small)
+    App_common.proposal (Rt_config.make ~num_gpus:2 (desktop ())) (Montecarlo.app mc_small)
   in
   let hist = Mgacc.float_results env "hist" in
   check (Alcotest.float 1e-9) "every path binned" (float_of_int mc_small.Montecarlo.paths)
@@ -195,7 +196,9 @@ let test_montecarlo_mass_conserved () =
   check Alcotest.bool "tiny cpu-gpu traffic" true (report.Mgacc.Report.cpu_gpu_bytes < 4096)
 
 let test_montecarlo_price_sane () =
-  let env, _ = App_common.proposal ~num_gpus:2 ~machine:(desktop ()) (Montecarlo.app mc_small) in
+  let env, _ =
+    App_common.proposal (Rt_config.make ~num_gpus:2 (desktop ())) (Montecarlo.app mc_small)
+  in
   match Mgacc.Host_interp.get_scalar env "total" with
   | Mgacc.Host_interp.Vfloat total ->
       let price = total /. float_of_int mc_small.Montecarlo.paths in

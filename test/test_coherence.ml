@@ -6,6 +6,7 @@
    the binomial broadcast tree. See docs/COHERENCE.md. *)
 
 open Mgacc_apps
+module Rt_config = Mgacc.Rt_config
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -34,13 +35,14 @@ let test_lazy_results_match_sequential () =
     (fun app ->
       let reference = App_common.sequential app in
       let env, _ =
-        App_common.proposal ~coherence:Mgacc.Rt_config.Lazy ~num_gpus:3 ~machine:(supernode ())
+        App_common.proposal (Rt_config.make ~coherence:Rt_config.Lazy ~num_gpus:3 (supernode ()))
           app
       in
       App_common.check_exn app ~against:reference env;
       let env_ov, _ =
-        App_common.proposal ~coherence:Mgacc.Rt_config.Lazy ~overlap:true ~num_gpus:2
-          ~machine:(desktop ()) app
+        App_common.proposal
+          (Rt_config.make ~coherence:Rt_config.Lazy ~overlap:true ~num_gpus:2 (desktop ()))
+          app
       in
       App_common.check_exn app ~against:reference env_ov)
     five_apps
@@ -49,9 +51,9 @@ let test_eager_is_the_default () =
   (* [--coherence eager] must be byte-for-byte the pre-protocol path: a
      run with the flag matches a run with no flag at all, down to the
      exact simulated times; and on one GPU the lazy flag is inert. *)
-  let _, r_default = App_common.proposal ~num_gpus:2 ~machine:(desktop ()) bfs_small in
+  let _, r_default = App_common.proposal (Rt_config.make ~num_gpus:2 (desktop ())) bfs_small in
   let _, r_eager =
-    App_common.proposal ~coherence:Mgacc.Rt_config.Eager ~num_gpus:2 ~machine:(desktop ())
+    App_common.proposal (Rt_config.make ~coherence:Rt_config.Eager ~num_gpus:2 (desktop ()))
       bfs_small
   in
   check Alcotest.bool "identical total" true
@@ -65,9 +67,9 @@ let test_eager_is_the_default () =
   check Alcotest.int "identical h2d traffic" r_default.Mgacc.Report.cpu_gpu_bytes
     r_eager.Mgacc.Report.cpu_gpu_bytes;
   check Alcotest.int "eager defers nothing" 0 r_default.Mgacc.Report.coh_deferred_bytes;
-  let _, r1 = App_common.proposal ~num_gpus:1 ~machine:(desktop ()) bfs_small in
+  let _, r1 = App_common.proposal (Rt_config.make ~num_gpus:1 (desktop ())) bfs_small in
   let _, r1_lazy =
-    App_common.proposal ~coherence:Mgacc.Rt_config.Lazy ~num_gpus:1 ~machine:(desktop ())
+    App_common.proposal (Rt_config.make ~coherence:Rt_config.Lazy ~num_gpus:1 (desktop ()))
       bfs_small
   in
   check Alcotest.bool "single GPU: lazy is inert" true
@@ -104,9 +106,8 @@ let program_of (n, stride, off, shape) =
 
 let run_program ~coherence ~num_gpus source =
   let program = Mgacc.parse_string ~name:"gen.c" source in
-  let machine = supernode () in
-  let config = Mgacc.Rt_config.make ~num_gpus ~coherence machine in
-  let env, _ = Mgacc.run_acc ~config ~machine program in
+  let config = Rt_config.make ~num_gpus ~coherence (supernode ()) in
+  let env, _ = Mgacc.run_acc ~config program in
   (Mgacc.float_results env "a", Mgacc.float_results env "b")
 
 let gen_case =
@@ -122,16 +123,16 @@ let test_qcheck_lazy_equals_eager =
        (fun ((_, _, _, shape) as case) ->
          let src = program_of case in
          let gpus = 2 + (shape mod 2) in
-         let ea, eb = run_program ~coherence:Mgacc.Rt_config.Eager ~num_gpus:gpus src in
-         let la, lb = run_program ~coherence:Mgacc.Rt_config.Lazy ~num_gpus:gpus src in
+         let ea, eb = run_program ~coherence:Rt_config.Eager ~num_gpus:gpus src in
+         let la, lb = run_program ~coherence:Rt_config.Lazy ~num_gpus:gpus src in
          Array.for_all2 Float.equal ea la && Array.for_all2 Float.equal eb lb))
 
 (* ---------------- protocol behaviors ---------------- *)
 
 let run_src ~coherence ~num_gpus ~machine source =
   let program = Mgacc.parse_string ~name:"coh.c" source in
-  let config = Mgacc.Rt_config.make ~num_gpus ~coherence machine in
-  Mgacc.run_acc ~config ~machine program
+  let config = Rt_config.make ~num_gpus ~coherence machine in
+  Mgacc.run_acc ~config program
 
 (* An iterative two-phase program: the second time around, the consumer's
    iteration split is known, so each writer ships each destination only
@@ -151,9 +152,9 @@ let windowed_src =
 
 let test_window_limits_shipping () =
   let machine = supernode () in
-  let _, eager = run_src ~coherence:Mgacc.Rt_config.Eager ~num_gpus:3 ~machine windowed_src in
+  let _, eager = run_src ~coherence:Rt_config.Eager ~num_gpus:3 ~machine windowed_src in
   let machine = supernode () in
-  let env, lz = run_src ~coherence:Mgacc.Rt_config.Lazy ~num_gpus:3 ~machine windowed_src in
+  let env, lz = run_src ~coherence:Rt_config.Lazy ~num_gpus:3 ~machine windowed_src in
   (* Each GPU writes and then re-reads only its own third of [a] and [b]:
      nearly all eager all-pairs traffic is deferred, and nobody ever
      pulls it back except the final copyout of replica 0. *)
@@ -199,11 +200,11 @@ let deferred_reduction_src =
 let test_unread_reduction_deferred () =
   let machine = supernode () in
   let _, eager =
-    run_src ~coherence:Mgacc.Rt_config.Eager ~num_gpus:3 ~machine deferred_reduction_src
+    run_src ~coherence:Rt_config.Eager ~num_gpus:3 ~machine deferred_reduction_src
   in
   let machine = supernode () in
   let env, lz =
-    run_src ~coherence:Mgacc.Rt_config.Lazy ~num_gpus:3 ~machine deferred_reduction_src
+    run_src ~coherence:Rt_config.Lazy ~num_gpus:3 ~machine deferred_reduction_src
   in
   check Alcotest.bool "broadcast bytes deferred" true (lz.Mgacc.Report.coh_deferred_bytes > 0);
   check Alcotest.int "nothing pulled back to a device" 0 lz.Mgacc.Report.coh_pulled_bytes;
@@ -248,9 +249,9 @@ let test_consumed_reduction_tree_bcast () =
     let machine = cluster4 () in
     let program = Mgacc.parse_string ~name:"coh.c" consumed_reduction_src in
     let config =
-      Mgacc.Rt_config.make ~num_gpus:4 ~coherence:Mgacc.Rt_config.Lazy ~overlap machine
+      Rt_config.make ~num_gpus:4 ~coherence:Rt_config.Lazy ~overlap machine
     in
-    Mgacc.run_acc ~config ~machine program
+    Mgacc.run_acc ~config program
   in
   let program = Mgacc.parse_string ~name:"coh.c" consumed_reduction_src in
   let ref_env = Mgacc.run_sequential program in

@@ -12,6 +12,7 @@ open Mgacc_apps
 module Collective = Mgacc.Collective
 module Comm_manager = Mgacc.Comm_manager
 module Fabric = Mgacc.Fabric
+module Rt_config = Mgacc.Rt_config
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -42,11 +43,12 @@ let test_direct_is_the_default () =
         (fun coherence ->
           let fresh = machine in
           let _, r_default =
-            App_common.proposal ~coherence ~num_gpus:gpus ~machine:(fresh ()) kmeans_small
+            App_common.proposal (Rt_config.make ~coherence ~num_gpus:gpus (fresh ())) kmeans_small
           in
           let _, r_direct =
-            App_common.proposal ~coherence ~collective:Mgacc.Rt_config.Direct ~num_gpus:gpus
-              ~machine:(fresh ()) kmeans_small
+            App_common.proposal
+              (Rt_config.make ~coherence ~collective:Rt_config.Direct ~num_gpus:gpus (fresh ()))
+              kmeans_small
           in
           check Alcotest.bool "identical total" true
             (Float.equal r_default.Mgacc.Report.total_time r_direct.Mgacc.Report.total_time);
@@ -56,7 +58,7 @@ let test_direct_is_the_default () =
             r_direct.Mgacc.Report.gpu_gpu_bytes;
           check Alcotest.int "no planned groups" 0
             (r_direct.Mgacc.Report.collective_rings + r_direct.Mgacc.Report.collective_hierarchies))
-        [ Mgacc.Rt_config.Eager; Mgacc.Rt_config.Lazy ])
+        [ Rt_config.Eager; Rt_config.Lazy ])
     [ (desktop, 2); (cluster4, 4) ]
 
 (* ---------------- whole-application equivalence ---------------- *)
@@ -71,15 +73,17 @@ let test_planned_results_match_sequential () =
       List.iter
         (fun collective ->
           let env, _ =
-            App_common.proposal ~collective ~num_gpus:4 ~machine:(cluster4 ()) app
+            App_common.proposal (Rt_config.make ~collective ~num_gpus:4 (cluster4 ())) app
           in
           App_common.check_exn app ~against:reference env;
           let env_lazy, _ =
-            App_common.proposal ~collective ~coherence:Mgacc.Rt_config.Lazy ~overlap:true
-              ~num_gpus:4 ~machine:(cluster4 ()) app
+            App_common.proposal
+              (Rt_config.make ~collective ~coherence:Rt_config.Lazy ~overlap:true ~num_gpus:4
+                 (cluster4 ()))
+              app
           in
           App_common.check_exn app ~against:reference env_lazy)
-        [ Mgacc.Rt_config.Ring; Mgacc.Rt_config.Auto ])
+        [ Rt_config.Ring; Rt_config.Auto ])
     five_apps
 
 let test_planned_results_single_node () =
@@ -87,13 +91,16 @@ let test_planned_results_single_node () =
     (fun app ->
       let reference = App_common.sequential app in
       let env, _ =
-        App_common.proposal ~collective:Mgacc.Rt_config.Ring ~overlap:true ~num_gpus:3
-          ~machine:(supernode ()) app
+        App_common.proposal
+          (Rt_config.make ~collective:Rt_config.Ring ~overlap:true ~num_gpus:3 (supernode ()))
+          app
       in
       App_common.check_exn app ~against:reference env;
       let env2, _ =
-        App_common.proposal ~collective:Mgacc.Rt_config.Auto ~coherence:Mgacc.Rt_config.Lazy
-          ~num_gpus:2 ~machine:(desktop ()) app
+        App_common.proposal
+          (Rt_config.make ~collective:Rt_config.Auto ~coherence:Rt_config.Lazy ~num_gpus:2
+             (desktop ()))
+          app
       in
       App_common.check_exn app ~against:reference env2)
     [ kmeans_small; bfs_small ]
@@ -112,7 +119,7 @@ let mk_op ?(kind = Comm_manager.Dirty_chunk) ?(round = 0) ~group ~bytes src dst 
   }
 
 let cfg_for machine collective =
-  Mgacc.Rt_config.make ~num_gpus:(Mgacc.Machine.num_gpus machine) ~collective machine
+  Rt_config.make ~num_gpus:(Mgacc.Machine.num_gpus machine) ~collective machine
 
 (* Star broadcast group: root 0 to every other GPU. *)
 let star_group ~bytes machine =
@@ -153,7 +160,7 @@ let test_ring_conserves_bytes () =
   let machine = cluster4 () in
   let fabric = machine.Mgacc.Machine.fabric in
   let bytes = 8 * 1024 * 1024 in
-  let cfg = cfg_for machine Mgacc.Rt_config.Ring in
+  let cfg = cfg_for machine Rt_config.Ring in
   let plan, stats = Collective.plan ~cfg ~fabric (star_group ~bytes machine) in
   check Alcotest.int "one ring" 1 stats.Collective.rings;
   (* p-1 copies in total, exactly one full payload landing per destination *)
@@ -172,11 +179,11 @@ let test_ring_minimizes_wire_crossings () =
   let fabric = machine.Mgacc.Machine.fabric in
   let bytes = 4 * 1024 * 1024 in
   let ring_plan, _ =
-    Collective.plan ~cfg:(cfg_for machine Mgacc.Rt_config.Ring) ~fabric
+    Collective.plan ~cfg:(cfg_for machine Rt_config.Ring) ~fabric
       (star_group ~bytes machine)
   in
   let direct_plan, _ =
-    Collective.plan ~cfg:(cfg_for machine Mgacc.Rt_config.Direct) ~fabric
+    Collective.plan ~cfg:(cfg_for machine Rt_config.Direct) ~fabric
       (star_group ~bytes machine)
   in
   check Alcotest.int "ring crosses the wire once" bytes (wire_crossings fabric ring_plan);
@@ -186,7 +193,7 @@ let test_ring_minimizes_wire_crossings () =
 let test_auto_keeps_small_payloads_direct () =
   let machine = cluster4 () in
   let fabric = machine.Mgacc.Machine.fabric in
-  let cfg = cfg_for machine Mgacc.Rt_config.Auto in
+  let cfg = cfg_for machine Rt_config.Auto in
   let plan, stats = Collective.plan ~cfg ~fabric (star_group ~bytes:64 machine) in
   check Alcotest.int "small group stays direct" 1 stats.Collective.direct_groups;
   check Alcotest.int "no rings" 0 (stats.Collective.rings + stats.Collective.hierarchies);
@@ -201,10 +208,10 @@ let test_auto_beats_direct_on_cluster () =
   let bytes = 16 * 1024 * 1024 in
   let ops = star_group ~bytes machine in
   let auto_plan, stats =
-    Collective.plan ~cfg:(cfg_for machine Mgacc.Rt_config.Auto) ~fabric ops
+    Collective.plan ~cfg:(cfg_for machine Rt_config.Auto) ~fabric ops
   in
   let direct_plan, _ =
-    Collective.plan ~cfg:(cfg_for machine Mgacc.Rt_config.Direct) ~fabric ops
+    Collective.plan ~cfg:(cfg_for machine Rt_config.Direct) ~fabric ops
   in
   check Alcotest.bool "auto reshapes the group" true
     (stats.Collective.rings + stats.Collective.hierarchies = 1);
@@ -229,7 +236,7 @@ let test_tree_group_keeps_explicit_deps () =
       mk_op ~kind:Comm_manager.Red_bcast ~round:1 ~group:7 ~bytes:64 1 3;
     ]
   in
-  let plan, stats = Collective.plan ~cfg:(cfg_for machine Mgacc.Rt_config.Auto) ~fabric ops in
+  let plan, stats = Collective.plan ~cfg:(cfg_for machine Rt_config.Auto) ~fabric ops in
   check Alcotest.int "tiny tree stays direct" 1 stats.Collective.direct_groups;
   check Alcotest.int "passthrough keeps all edges" 3 (Array.length plan);
   let edge_1_3 =
@@ -259,7 +266,7 @@ let test_allreduce_ring_schedule () =
   let machine = cluster4 () in
   let fabric = machine.Mgacc.Machine.fabric in
   let bytes = 8 * 1024 * 1024 in
-  let cfg = cfg_for machine Mgacc.Rt_config.Ring in
+  let cfg = cfg_for machine Rt_config.Ring in
   let plan, stats = Collective.plan ~cfg ~fabric (allreduce_group ~bytes machine) in
   check Alcotest.int "one allreduce" 1 stats.Collective.allreduces;
   check Alcotest.int "p chunks" 4 stats.Collective.segments;
@@ -292,10 +299,10 @@ let test_allreduce_auto_beats_star_on_cluster () =
   let bytes = 16 * 1024 * 1024 in
   let ops = allreduce_group ~bytes machine in
   let auto_plan, stats =
-    Collective.plan ~cfg:(cfg_for machine Mgacc.Rt_config.Auto) ~fabric ops
+    Collective.plan ~cfg:(cfg_for machine Rt_config.Auto) ~fabric ops
   in
   let direct_plan, _ =
-    Collective.plan ~cfg:(cfg_for machine Mgacc.Rt_config.Direct) ~fabric ops
+    Collective.plan ~cfg:(cfg_for machine Rt_config.Direct) ~fabric ops
   in
   check Alcotest.int "auto reshapes the allreduce" 1 stats.Collective.allreduces;
   let t_auto = Collective.simulate ~fabric ~plan:auto_plan ~ready:0.0 in
@@ -312,7 +319,7 @@ let test_allreduce_malformed_stays_direct () =
      with every byte preserved. *)
   let machine = cluster4 () in
   let fabric = machine.Mgacc.Machine.fabric in
-  let cfg = cfg_for machine Mgacc.Rt_config.Ring in
+  let cfg = cfg_for machine Rt_config.Ring in
   let gathers_only =
     List.init 3 (fun i -> mk_op ~kind:Comm_manager.Red_gather ~group:3 ~bytes:4096 (i + 1) 0)
   in
@@ -338,7 +345,7 @@ let test_non_group_ops_pass_through () =
       mk_op ~kind:Comm_manager.Halo_segment ~group:(-1) ~bytes:200 1 0;
     ]
   in
-  let plan, stats = Collective.plan ~cfg:(cfg_for machine Mgacc.Rt_config.Auto) ~fabric ops in
+  let plan, stats = Collective.plan ~cfg:(cfg_for machine Rt_config.Auto) ~fabric ops in
   check Alcotest.int "two passthrough items" 2 (Array.length plan);
   check Alcotest.int "no groups at all" 0
     (stats.Collective.rings + stats.Collective.hierarchies + stats.Collective.direct_groups);
@@ -356,7 +363,7 @@ let test_execute_respects_deps () =
   let fabric = machine.Mgacc.Machine.fabric in
   let bytes = 2 * 1024 * 1024 in
   let plan, _ =
-    Collective.plan ~cfg:(cfg_for machine Mgacc.Rt_config.Ring) ~fabric
+    Collective.plan ~cfg:(cfg_for machine Rt_config.Ring) ~fabric
       (star_group ~bytes machine)
   in
   let finishes = Array.make (Array.length plan) nan in
@@ -391,9 +398,9 @@ let prop_plan_conserves_bytes (mode_i, payload, dst_count) =
   let fabric = machine.Mgacc.Machine.fabric in
   let mode =
     match mode_i mod 3 with
-    | 0 -> Mgacc.Rt_config.Direct
-    | 1 -> Mgacc.Rt_config.Ring
-    | _ -> Mgacc.Rt_config.Auto
+    | 0 -> Rt_config.Direct
+    | 1 -> Rt_config.Ring
+    | _ -> Rt_config.Auto
   in
   let dsts = 1 + (dst_count mod 3) in
   let ops = List.init dsts (fun i -> mk_op ~group:1 ~bytes:payload 0 (i + 1)) in

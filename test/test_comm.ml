@@ -65,9 +65,8 @@ let test_reduction_partials_accounted () =
 (* ---------------- Dirty merge via a program ---------------- *)
 
 let run_acc ?(num_gpus = 2) ?chunk_bytes src =
-  let m = Machine.desktop () in
-  let config = Rt_config.make ~num_gpus ?chunk_bytes m in
-  Mgacc.run_acc ~config ~machine:m (Mgacc.parse_string ~name:"t" src)
+  let config = Rt_config.make ~num_gpus ?chunk_bytes (Machine.desktop ()) in
+  Mgacc.run_acc ~config (Mgacc.parse_string ~name:"t" src)
 
 let test_merge_preserves_disjoint_writers () =
   (* GPU 0 owns iterations [0,500), GPU 1 [500,1000); each writes only its

@@ -143,9 +143,8 @@ let test_update_device_distributed () =
         }
       }|}
   in
-  let m = Machine.desktop () in
-  let config = Mgacc.Rt_config.make ~num_gpus:2 m in
-  let env, _ = Mgacc.run_acc ~config ~machine:m (Mgacc.parse_string ~name:"t" src) in
+  let config = Mgacc.Rt_config.make ~num_gpus:2 (Machine.desktop ()) in
+  let env, _ = Mgacc.run_acc ~config (Mgacc.parse_string ~name:"t" src) in
   check (Alcotest.float 1e-12) "value" 6.25 (Mgacc.float_results env "a").(500)
 
 let test_bytesize_boundaries () =

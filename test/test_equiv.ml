@@ -137,7 +137,7 @@ let prop_equivalent body =
     (fun gpus ->
       let machine = Mgacc.Machine.desktop () in
       let config = Mgacc.Rt_config.make ~num_gpus:gpus machine in
-      match Mgacc.run_acc ~config ~machine program with
+      match Mgacc.run_acc ~config program with
       | env, _ -> check_variant (Printf.sprintf "%d GPU(s)" gpus) env
       | exception e ->
           QCheck2.Test.fail_reportf "%d GPU(s) raised %s@.%s" gpus (Printexc.to_string e) src)

@@ -304,8 +304,7 @@ let test_extract_reduction_patterns () =
 let run_both src =
   let program = Parser.parse ~file:"t" src in
   let seq = Mgacc.run_sequential program in
-  let machine = Mgacc.Machine.desktop () in
-  let acc, _ = Mgacc.run_acc ~machine program in
+  let acc, _ = Mgacc.run_acc ~config:(Mgacc.Rt_config.make (Mgacc.Machine.desktop ())) program in
   (seq, acc)
 
 let test_double_conditions () =
@@ -373,7 +372,7 @@ let test_kernel_division_by_zero_is_located () =
         | _ -> Alcotest.failf "%s: %s did not raise" mode stmt)
       [
         ("sequential", fun () -> ignore (Mgacc.run_sequential program));
-        ("acc", fun () -> ignore (Mgacc.run_acc ~machine program));
+        ("acc", fun () -> ignore (Mgacc.run_acc ~config:(Mgacc.Rt_config.make machine) program));
       ]
   in
   located "integer division by zero" "r[i] = i / z;";

@@ -59,10 +59,10 @@ let test_back_to_back_machine_reuse () =
   let program = Mgacc.parse_string ~name:"saxpy.c" saxpy_src in
   let shared = Machine.desktop () in
   let cfg m = Rt_config.make ~num_gpus:2 m in
-  let _, first = Mgacc.run_acc ~config:(cfg shared) ~machine:shared program in
-  let _, second = Mgacc.run_acc ~config:(cfg shared) ~machine:shared program in
+  let _, first = Mgacc.run_acc ~config:(cfg shared) program in
+  let _, second = Mgacc.run_acc ~config:(cfg shared) program in
   let fresh_machine = Machine.desktop () in
-  let _, fresh = Mgacc.run_acc ~config:(cfg fresh_machine) ~machine:fresh_machine program in
+  let _, fresh = Mgacc.run_acc ~config:(cfg fresh_machine) program in
   check Alcotest.bool "second run identical to a fresh-process run" true (second = fresh);
   check Alcotest.bool "first run identical too" true (first = fresh)
 
@@ -124,43 +124,50 @@ let prop_cache_hit_bit_identical params =
   && Plan_cache.misses cache = 1
   && Plan_cache.size cache = 1
 
-let test_cache_distinguishes_sources_and_options () =
+(* [lookup ... cache saxpy_src] must miss for each key in turn, then
+   hit each one again with the entry physically reused. *)
+let check_keys_separate what lookups =
   let cache = Plan_cache.create () in
-  let _, h1 = Plan_cache.lookup ~name:"a.c" cache saxpy_src in
-  let _, h2 = Plan_cache.lookup ~name:"b.c" cache long_src in
-  check Alcotest.bool "both fresh" false (h1 || h2);
-  check Alcotest.int "two entries" 2 (Plan_cache.size cache);
+  let firsts = List.map (fun lookup -> lookup cache) lookups in
+  check Alcotest.bool (what ^ ": each misses") false (List.exists snd firsts);
+  check Alcotest.int (what ^ ": one entry each") (List.length lookups) (Plan_cache.size cache);
+  List.iter2
+    (fun lookup (e, _) ->
+      let e', hit = lookup cache in
+      check Alcotest.bool (what ^ ": the same key hits") true hit;
+      check Alcotest.bool (what ^ ": entry reused") true (e == e'))
+    lookups firsts
+
+let test_cache_distinguishes_sources_and_options () =
   let opts = Mgacc.Kernel_plan.default_options in
-  let k1 = Plan_cache.fingerprint ~options:opts ~source:saxpy_src () in
-  let k2 = Plan_cache.fingerprint ~options:opts ~source:long_src () in
-  check Alcotest.bool "distinct sources, distinct keys" true (k1 <> k2);
-  let opts' = { opts with Mgacc.Kernel_plan.enable_distribution = false } in
-  let k3 = Plan_cache.fingerprint ~options:opts' ~source:saxpy_src () in
-  check Alcotest.bool "distinct options, distinct keys" true (k1 <> k3)
+  check_keys_separate "distinct sources"
+    [
+      (fun c -> Plan_cache.lookup ~name:"a.c" c saxpy_src);
+      (fun c -> Plan_cache.lookup ~name:"b.c" c long_src);
+    ];
+  check_keys_separate "distinct options"
+    [
+      (fun c -> Plan_cache.lookup ~options:opts c saxpy_src);
+      (fun c ->
+        Plan_cache.lookup
+          ~options:{ opts with Mgacc.Kernel_plan.enable_distribution = false }
+          c saxpy_src);
+    ]
 
 let test_cache_distinguishes_machine_and_decomp () =
   (* Non-aliasing: a plan for a 2-D launch on an 8x4 fat-tree must never
      be served for a 1-D run on the desktop from the same source. *)
-  let opts = Mgacc.Kernel_plan.default_options in
-  let k_plain = Plan_cache.fingerprint ~options:opts ~source:saxpy_src () in
-  let k_fat = Plan_cache.fingerprint ~machine:"fattree:8x4" ~options:opts ~source:saxpy_src () in
-  let k_mesh = Plan_cache.fingerprint ~machine:"nvmesh:8x4" ~options:opts ~source:saxpy_src () in
-  check Alcotest.bool "machine shape is part of the key" true
-    (k_plain <> k_fat && k_fat <> k_mesh);
-  let opts2d = { opts with Mgacc.Kernel_plan.enable_decomp2d = true } in
-  let k_fat2d =
-    Plan_cache.fingerprint ~machine:"fattree:8x4" ~options:opts2d ~source:saxpy_src ()
+  let opts2d =
+    { Mgacc.Kernel_plan.default_options with Mgacc.Kernel_plan.enable_decomp2d = true }
   in
-  check Alcotest.bool "decomposition is part of the key" true (k_fat <> k_fat2d);
-  let cache = Plan_cache.create () in
-  let e1, h1 = Plan_cache.lookup ~machine:"fattree:8x4" ~name:"a.c" cache saxpy_src in
-  let e2, h2 = Plan_cache.lookup ~machine:"cluster:2x2" ~name:"a.c" cache saxpy_src in
-  let e3, h3 = Plan_cache.lookup ~machine:"fattree:8x4" ~name:"a.c" cache saxpy_src in
-  check Alcotest.bool "different shapes miss separately" false (h1 || h2);
-  check Alcotest.bool "same shape hits" true h3;
-  check Alcotest.bool "entries distinct across shapes" true (e1 != e2);
-  check Alcotest.bool "entry reused within a shape" true (e1 == e3);
-  check Alcotest.int "two entries" 2 (Plan_cache.size cache)
+  check_keys_separate "machine shape and decomposition"
+    [
+      (fun c -> Plan_cache.lookup c saxpy_src);
+      (fun c -> Plan_cache.lookup ~machine:"fattree:8x4" c saxpy_src);
+      (fun c -> Plan_cache.lookup ~machine:"nvmesh:8x4" c saxpy_src);
+      (fun c -> Plan_cache.lookup ~machine:"cluster:2x2" c saxpy_src);
+      (fun c -> Plan_cache.lookup ~machine:"fattree:8x4" ~options:opts2d c saxpy_src);
+    ]
 
 let test_cache_measurements () =
   let cache = Plan_cache.create () in
@@ -302,7 +309,6 @@ let test_single_job_matches_direct_run () =
   let _, direct =
     Mgacc.run_acc
       ~config:(Rt_config.make ~num_gpus:4 direct_machine)
-      ~machine:direct_machine
       (Mgacc.parse_string ~name:"saxpy" saxpy_src)
   in
   match outcome.Fleet.jobs with

@@ -10,6 +10,7 @@ open Mgacc_apps
 module Kernel_plan = Mgacc.Kernel_plan
 module Program_plan = Mgacc.Program_plan
 module Plan_cache = Mgacc_fleet.Plan_cache
+module Rt_config = Mgacc.Rt_config
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -55,8 +56,8 @@ let run_fused ~fuse ~num_gpus source =
   let program = Mgacc.parse_string ~name:"gen.c" source in
   let machine = Mgacc.Machine.supernode () in
   let translator = { Kernel_plan.default_options with Kernel_plan.enable_fusion = fuse } in
-  let config = Mgacc.Rt_config.make ~num_gpus ~translator machine in
-  let env, _ = Mgacc.run_acc ~config ~machine program in
+  let config = Rt_config.make ~num_gpus ~translator machine in
+  let env, _ = Mgacc.run_acc ~config program in
   List.map (fun a -> Mgacc.float_results env a) [ "a"; "b"; "c" ]
 
 let gen_case =
@@ -172,7 +173,9 @@ let test_md_contracts_acc3 () =
   check (Alcotest.list Alcotest.string) "acc3 scalarized away" [ "acc3" ]
     (Program_plan.contracted_arrays plans);
   let reference = App_common.sequential md_small in
-  let env, r = App_common.proposal ~fuse:true ~num_gpus:4 ~machine:(cluster4 ()) md_small in
+  let env, r =
+    App_common.proposal (Rt_config.make ~num_gpus:4 ~translator:fuse_on (cluster4 ())) md_small
+  in
   App_common.check_exn md_small ~against:reference env;
   check Alcotest.int "one temporary contracted" 1 r.Mgacc.Report.contracted_arrays;
   check Alcotest.bool "launches saved" true (r.Mgacc.Report.fused_kernels > 0)
@@ -183,7 +186,7 @@ let test_kmeans_contracts_and_relayouts () =
     (Program_plan.contracted_arrays plans);
   let reference = App_common.sequential kmeans_small in
   let env, r =
-    App_common.proposal ~fuse:true ~num_gpus:4 ~machine:(cluster4 ()) kmeans_small
+    App_common.proposal (Rt_config.make ~num_gpus:4 ~translator:fuse_on (cluster4 ())) kmeans_small
   in
   App_common.check_exn kmeans_small ~against:reference env;
   check Alcotest.int "both temporaries contracted" 2 r.Mgacc.Report.contracted_arrays;
@@ -203,8 +206,9 @@ let count_sub s sub =
 let test_fuse_off_is_pinned () =
   (* No flag at all vs an explicit --fuse off: byte-identical reports,
      and the fusion sub-object never appears. *)
-  let _, r_default = App_common.proposal ~num_gpus:4 ~machine:(cluster4 ()) md_small in
-  let _, r_off = App_common.proposal ~fuse:false ~num_gpus:4 ~machine:(cluster4 ()) md_small in
+  let _, r_default = App_common.proposal (Rt_config.make ~num_gpus:4 (cluster4 ())) md_small in
+  let explicit_off = Rt_config.set (Rt_config.make ~num_gpus:4 (cluster4 ())) "fuse" "off" in
+  let _, r_off = App_common.proposal (Result.get_ok explicit_off) md_small in
   check Alcotest.string "byte-identical report JSON" (Mgacc.Report.to_json r_default)
     (Mgacc.Report.to_json r_off);
   check Alcotest.int "no fusion key when off" 0
@@ -215,8 +219,10 @@ let test_fuse_on_inert_without_opportunity () =
      with different bodies under clauses) must be untouched: --fuse on
      reproduces the off timings byte for byte. *)
   let bfs = Bfs.app { Bfs.nodes = 6000; max_degree = 8; seed = 5 } in
-  let _, r_off = App_common.proposal ~num_gpus:4 ~machine:(cluster4 ()) bfs in
-  let _, r_on = App_common.proposal ~fuse:true ~num_gpus:4 ~machine:(cluster4 ()) bfs in
+  let _, r_off = App_common.proposal (Rt_config.make ~num_gpus:4 (cluster4 ())) bfs in
+  let _, r_on =
+    App_common.proposal (Rt_config.make ~num_gpus:4 ~translator:fuse_on (cluster4 ())) bfs
+  in
   check Alcotest.string "no opportunity: identical report JSON" (Mgacc.Report.to_json r_off)
     (Mgacc.Report.to_json r_on)
 
@@ -230,7 +236,7 @@ let test_plan_cache_never_aliases_fusion () =
   let e_on, hit_on = Plan_cache.lookup ~options:fuse_on cache src in
   check Alcotest.bool "fused options never reuse the unfused entry" false hit_on;
   check Alcotest.int "two distinct entries" 2 (Plan_cache.size cache);
-  check Alcotest.bool "distinct keys" true (e_off.Plan_cache.key <> e_on.Plan_cache.key);
+  check Alcotest.bool "distinct entries" true (e_off != e_on);
   check Alcotest.int "unfused entry: two kernels" 2
     (Program_plan.loop_count e_off.Plan_cache.plans);
   check Alcotest.int "fused entry: one kernel" 1
@@ -290,12 +296,10 @@ let test_lazy_coherence_counters_unchanged () =
     (fun app ->
       let reference = App_common.sequential app in
       let env1, r1 =
-        App_common.proposal ~coherence:Mgacc.Rt_config.Lazy ~num_gpus:4
-          ~machine:(cluster4 ()) app
+        App_common.proposal (Rt_config.make ~coherence:Rt_config.Lazy ~num_gpus:4 (cluster4 ())) app
       in
       let _, r2 =
-        App_common.proposal ~coherence:Mgacc.Rt_config.Lazy ~num_gpus:4
-          ~machine:(cluster4 ()) app
+        App_common.proposal (Rt_config.make ~coherence:Rt_config.Lazy ~num_gpus:4 (cluster4 ())) app
       in
       App_common.check_exn app ~against:reference env1;
       check Alcotest.string
@@ -311,9 +315,9 @@ let test_fused_labels_name_members () =
      the loops the programmer wrote. *)
   let machine = cluster4 () in
   let translator = fuse_on in
-  let config = Mgacc.Rt_config.make ~num_gpus:4 ~translator machine in
+  let config = Rt_config.make ~num_gpus:4 ~translator machine in
   let program = Mgacc.parse_string ~name:"md.c" md_small.App_common.source in
-  let _ = Mgacc.run_acc ~config ~machine program in
+  let _ = Mgacc.run_acc ~config program in
   let labels =
     List.filter_map
       (fun (sp : Mgacc_sim.Trace.span) ->
@@ -331,9 +335,9 @@ let test_fused_labels_name_members () =
 
 let test_relayout_span_charged () =
   let machine = cluster4 () in
-  let config = Mgacc.Rt_config.make ~num_gpus:4 ~translator:fuse_on machine in
+  let config = Rt_config.make ~num_gpus:4 ~translator:fuse_on machine in
   let program = Mgacc.parse_string ~name:"km.c" kmeans_small.App_common.source in
-  let _ = Mgacc.run_acc ~config ~machine program in
+  let _ = Mgacc.run_acc ~config program in
   let relayouts =
     List.filter
       (fun (sp : Mgacc_sim.Trace.span) -> sp.Mgacc_sim.Trace.label = "relayout:x")

@@ -13,7 +13,7 @@ let run_acc ?(num_gpus = 2) ?config src =
   let config =
     match config with Some c -> c | None -> Mgacc.Rt_config.make ~num_gpus m
   in
-  Mgacc.run_acc ~config ~machine:m (Mgacc.parse_string ~name:"t.c" src)
+  Mgacc.run_acc ~config (Mgacc.parse_string ~name:"t.c" src)
 
 let reference src = Mgacc.run_sequential (Mgacc.parse_string ~name:"t.c" src)
 
@@ -68,7 +68,7 @@ let test_distribution_shrinks_memory () =
   let m = machine () in
   let config = Mgacc.Rt_config.make ~num_gpus:2 ~translator:options m in
   let _, without_la =
-    Mgacc.run_acc ~config ~machine:m (Mgacc.parse_string ~name:"t.c" saxpy_src)
+    Mgacc.run_acc ~config (Mgacc.parse_string ~name:"t.c" saxpy_src)
   in
   check Alcotest.bool "distribution halves user memory" true
     (with_la.Mgacc.Report.mem_user_bytes * 3 < without_la.Mgacc.Report.mem_user_bytes * 2);
@@ -154,20 +154,20 @@ let test_chunk_size_changes_traffic () =
   in
   let m1 = machine () in
   let c1 = Mgacc.Rt_config.make ~num_gpus:2 ~chunk_bytes:512 m1 in
-  let _, small = Mgacc.run_acc ~config:c1 ~machine:m1 (Mgacc.parse_string ~name:"t" clustered) in
+  let _, small = Mgacc.run_acc ~config:c1 (Mgacc.parse_string ~name:"t" clustered) in
   let m2 = machine () in
   let c2 = Mgacc.Rt_config.make ~num_gpus:2 ~chunk_bytes:(1024 * 1024) m2 in
-  let _, big = Mgacc.run_acc ~config:c2 ~machine:m2 (Mgacc.parse_string ~name:"t" clustered) in
+  let _, big = Mgacc.run_acc ~config:c2 (Mgacc.parse_string ~name:"t" clustered) in
   check Alcotest.bool "small chunks ship less" true
     (small.Mgacc.Report.gpu_gpu_bytes * 2 < big.Mgacc.Report.gpu_gpu_bytes)
 
 let test_single_level_ships_more () =
   let m1 = machine () in
   let c1 = Mgacc.Rt_config.make ~num_gpus:2 ~two_level_dirty:false m1 in
-  let _, one = Mgacc.run_acc ~config:c1 ~machine:m1 (Mgacc.parse_string ~name:"t" scatter_src) in
+  let _, one = Mgacc.run_acc ~config:c1 (Mgacc.parse_string ~name:"t" scatter_src) in
   let m2 = machine () in
   let c2 = Mgacc.Rt_config.make ~num_gpus:2 ~two_level_dirty:true ~chunk_bytes:4096 m2 in
-  let _, two = Mgacc.run_acc ~config:c2 ~machine:m2 (Mgacc.parse_string ~name:"t" scatter_src) in
+  let _, two = Mgacc.run_acc ~config:c2 (Mgacc.parse_string ~name:"t" scatter_src) in
   check Alcotest.bool "single-level ships at least as much" true
     (one.Mgacc.Report.gpu_gpu_bytes >= two.Mgacc.Report.gpu_gpu_bytes)
 
@@ -313,7 +313,7 @@ let test_stencil2d_2d_decomposition () =
   let m = Mgacc.Machine.cluster ~nodes:2 ~gpus_per_node:2 () in
   let config = Mgacc.Rt_config.make ~num_gpus:4 ~translator:decomp2d_options m in
   let env, report =
-    Mgacc.run_acc ~config ~machine:m (Mgacc.parse_string ~name:"t.c" stencil2d_vector_src)
+    Mgacc.run_acc ~config (Mgacc.parse_string ~name:"t.c" stencil2d_vector_src)
   in
   check_floats "u" ref_env env;
   check_floats "v" ref_env env;
@@ -326,13 +326,13 @@ let test_stencil2d_2d_matches_1d () =
   let m1 = Mgacc.Machine.cluster ~nodes:2 ~gpus_per_node:2 () in
   let config_1d = Mgacc.Rt_config.make ~num_gpus:4 m1 in
   let env1, report1 =
-    Mgacc.run_acc ~config:config_1d ~machine:m1
+    Mgacc.run_acc ~config:config_1d
       (Mgacc.parse_string ~name:"t.c" stencil2d_vector_src)
   in
   let m2 = Mgacc.Machine.cluster ~nodes:2 ~gpus_per_node:2 () in
   let config_2d = Mgacc.Rt_config.make ~num_gpus:4 ~translator:decomp2d_options m2 in
   let env2, report2 =
-    Mgacc.run_acc ~config:config_2d ~machine:m2
+    Mgacc.run_acc ~config:config_2d
       (Mgacc.parse_string ~name:"t.c" stencil2d_vector_src)
   in
   check (Alcotest.array (Alcotest.float 0.0)) "u identical"
@@ -531,11 +531,11 @@ let test_oom_and_distribution_capacity () =
       }|}
   in
   let program = Mgacc.parse_string ~name:"t" src in
-  (match Mgacc.run_acc ~machine:(mk 1) program with
+  (match Mgacc.run_acc ~config:(Mgacc.Rt_config.make (mk 1)) program with
   | exception Mgacc.Memory.Out_of_device_memory _ -> ()
   | _ -> Alcotest.fail "expected device OOM on one tiny GPU");
   (* Two GPUs hold ~0.8 MB each: fits. *)
-  let env, _ = Mgacc.run_acc ~machine:(mk 2) program in
+  let env, _ = Mgacc.run_acc ~config:(Mgacc.Rt_config.make (mk 2)) program in
   let a = Mgacc.float_results env "a" in
   check (Alcotest.float 1e-12) "computed" 199999.0 a.(199999)
 

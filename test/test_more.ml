@@ -176,18 +176,70 @@ let test_chrome_json_valid_shape () =
 (* ---------------- runtime error paths ---------------- *)
 
 let run_acc ?(num_gpus = 2) src =
-  let m = Mgacc.Machine.desktop () in
-  let config = Mgacc.Rt_config.make ~num_gpus m in
-  Mgacc.run_acc ~config ~machine:m (Mgacc.parse_string ~name:"t" src)
+  let config = Mgacc.Rt_config.make ~num_gpus (Mgacc.Machine.desktop ()) in
+  Mgacc.run_acc ~config (Mgacc.parse_string ~name:"t" src)
 
 let test_rt_config_validation () =
   let m = Mgacc.Machine.desktop () in
   (match Mgacc.Rt_config.make ~num_gpus:5 m with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "too many GPUs");
-  match Mgacc.Rt_config.make ~chunk_bytes:4 m with
+  (match Mgacc.Rt_config.make ~chunk_bytes:4 m with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "chunk too small"
+  | _ -> Alcotest.fail "chunk too small");
+  (* the legacy [~machine] of [run_acc] must be the config's own *)
+  let program = Mgacc.parse_string ~name:"t" "void main() { int x; x = 1; }" in
+  let config = Mgacc.Rt_config.make (Mgacc.Machine.desktop ()) in
+  match Mgacc.run_acc ~machine:m ~config program with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "run_acc ran on a machine other than the config's"
+
+(* The mode-switch table is the CLI's and the library's one spelling of
+   every switch: each spelling round-trips, the first is the library
+   default, a switch writes only its own field, and a bad spelling is
+   an error naming the switch and its spellings. *)
+let test_rt_config_switches () =
+  let module R = Mgacc.Rt_config in
+  let ok = function Ok cfg -> cfg | Error e -> Alcotest.fail e in
+  let desktop = R.make (Mgacc.Machine.desktop ()) in
+  (* Every field away from its default, so a setter that resets a
+     neighbour cannot hide behind the defaults. *)
+  let flipped =
+    R.make ~num_gpus:1 ~chunk_bytes:4096 ~two_level_dirty:false ~overlap:true ~coherence:R.Lazy
+      ~collective:R.Auto ~schedule:Mgacc.Sched_policy.Adaptive ~keep_resident:true
+      ~translator:
+        {
+          Mgacc.Kernel_plan.enable_distribution = false;
+          enable_layout_transform = false;
+          enable_miss_check_elim = false;
+          enable_fusion = true;
+          enable_decomp2d = true;
+        }
+      (Mgacc.Machine.desktop ())
+  in
+  check (Alcotest.list Alcotest.string) "switch names"
+    [ "overlap"; "coherence"; "collective"; "fuse"; "decomp" ]
+    (List.map (fun (s : R.switch) -> s.R.name) R.switches);
+  List.iter
+    (fun { R.name; spellings; read; _ } ->
+      check Alcotest.string (name ^ ": default spelled first") (List.hd spellings) (read desktop);
+      List.iter
+        (fun base ->
+          List.iter
+            (fun v ->
+              let cfg = ok (R.set base name v) in
+              check Alcotest.string (name ^ " reads back " ^ v) v (read cfg);
+              (* Restoring the switch gives [base] back: nothing else moved. *)
+              check Alcotest.bool (name ^ "=" ^ v ^ " writes only its own field") true
+                (compare (ok (R.set cfg name (read base))) base = 0))
+            spellings)
+        [ desktop; flipped ];
+      check
+        (Alcotest.result Alcotest.reject Alcotest.string)
+        (name ^ ": a bad spelling names the switch and its spellings")
+        (Error (Printf.sprintf "unknown %s mode \"bogus\" (%s)" name (String.concat "|" spellings)))
+        (R.set desktop name "bogus"))
+    R.switches
 
 let test_plain_write_to_reduction_dest_rejected () =
   let src =
@@ -276,7 +328,7 @@ let test_cluster_runs_apps_correctly () =
   let ref_env = Mgacc_apps.App_common.sequential app in
   let config = Mgacc.Rt_config.make ~num_gpus:4 machine in
   let env, report =
-    Mgacc.run_acc ~config ~machine
+    Mgacc.run_acc ~config
       (Mgacc.parse_string ~name:"bfs.c" app.Mgacc_apps.App_common.source)
   in
   Mgacc_apps.App_common.check_exn app ~against:ref_env env;
@@ -289,9 +341,9 @@ let test_cluster_internode_slower_than_intranode () =
   let app = Mgacc_apps.Bfs.app { Mgacc_apps.Bfs.nodes = 6000; max_degree = 8; seed = 3 } in
   let program = Mgacc.parse_string ~name:"bfs.c" app.Mgacc_apps.App_common.source in
   let m1 = Mgacc.Machine.cluster ~nodes:1 ~gpus_per_node:2 () in
-  let _, same_node = Mgacc.run_acc ~config:(Mgacc.Rt_config.make ~num_gpus:2 m1) ~machine:m1 program in
+  let _, same_node = Mgacc.run_acc ~config:(Mgacc.Rt_config.make ~num_gpus:2 m1) program in
   let m2 = Mgacc.Machine.cluster ~nodes:2 ~gpus_per_node:1 () in
-  let _, split = Mgacc.run_acc ~config:(Mgacc.Rt_config.make ~num_gpus:2 m2) ~machine:m2 program in
+  let _, split = Mgacc.run_acc ~config:(Mgacc.Rt_config.make ~num_gpus:2 m2) program in
   check Alcotest.bool "similar traffic" true
     (abs (same_node.Mgacc.Report.gpu_gpu_bytes - split.Mgacc.Report.gpu_gpu_bytes)
     < same_node.Mgacc.Report.gpu_gpu_bytes / 4);
@@ -316,6 +368,7 @@ let suite =
     tc "kernel cost: L2 hit ratio monotone" test_l2_hit_monotone;
     tc "trace: chrome json shape" test_chrome_json_valid_shape;
     tc "runtime: config validation" test_rt_config_validation;
+    tc "runtime: mode switch table" test_rt_config_switches;
     tc "runtime: plain write to reduction dest rejected" test_plain_write_to_reduction_dest_rejected;
     tc "runtime: present() checks" test_present_clause_checks;
     tc "runtime: nested data regions" test_nested_data_regions;

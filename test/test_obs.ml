@@ -9,6 +9,7 @@ module Metrics = Mgacc_obs.Metrics
 module Critical_path = Mgacc_obs.Critical_path
 module Blame = Mgacc_obs.Blame
 module Fleet = Mgacc_fleet.Fleet
+module Rt_config = Mgacc.Rt_config
 module Job = Mgacc_fleet.Job
 open Mgacc_apps
 
@@ -69,14 +70,15 @@ let golden_tuned =
 [@@ocamlformat "disable"]
 
 let tuned_proposal ~machine app =
-  App_common.proposal ~num_gpus:4 ~machine ~overlap:true ~coherence:Mgacc.Rt_config.Lazy
-    ~collective:Mgacc.Rt_config.Auto app
+  App_common.proposal
+    (Rt_config.make ~overlap:true ~coherence:Rt_config.Lazy ~collective:Rt_config.Auto ~num_gpus:4
+       machine)
+    app
 
 let test_identity_default () =
   List.iter
     (fun (name, app) ->
-      let machine = Mgacc.Machine.cluster () in
-      let _, r = App_common.proposal ~num_gpus:4 ~machine app in
+      let _, r = App_common.proposal (Rt_config.make ~num_gpus:4 (Mgacc.Machine.cluster ())) app in
       check Alcotest.string name (List.assoc name golden_default) (Mgacc.Report.to_json r))
     apps
 
@@ -199,10 +201,10 @@ let prop_exposed_hidden_conserved ops =
 let blame_report ?overlap ?coherence ?collective app =
   let machine = Mgacc.Machine.cluster () in
   let config =
-    Mgacc.Rt_config.make ~num_gpus:4 ?overlap ?coherence ?collective machine
+    Rt_config.make ~num_gpus:4 ?overlap ?coherence ?collective machine
   in
   let program = Mgacc.parse_string ~name:(app.App_common.name ^ ".c") app.App_common.source in
-  let _, r = Mgacc.run_acc ~config ~with_blame:true ~machine program in
+  let _, r = Mgacc.run_acc ~config ~with_blame:true program in
   (r, Option.get r.Mgacc.Report.blame)
 
 let cat_sums b cat =
@@ -242,8 +244,8 @@ let test_blame_reconciles_overlap () =
   List.iter
     (fun (name, app) ->
       let r, b =
-        blame_report ~overlap:true ~coherence:Mgacc.Rt_config.Lazy
-          ~collective:Mgacc.Rt_config.Auto app
+        blame_report ~overlap:true ~coherence:Rt_config.Lazy
+          ~collective:Rt_config.Auto app
       in
       check_reconciles name r b)
     apps

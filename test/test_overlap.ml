@@ -47,13 +47,16 @@ let bfs_small = Bfs.app { Bfs.nodes = 12000; max_degree = 10; seed = 5 }
 let kmeans_small = Kmeans.app { Kmeans.points = 4000; features = 12; clusters = 5; iterations = 6; seed = 11 }
 let md_small = Md.app { Md.atoms = 400; max_neighbors = 8; seed = 17 }
 
-let run app ~overlap = App_common.proposal ~overlap ~num_gpus:2 ~machine:(desktop ()) app
+let run app ~overlap =
+  App_common.proposal (Mgacc.Rt_config.make ~overlap ~num_gpus:2 (desktop ())) app
 
 let test_off_mode_is_the_default () =
   (* [--overlap off] must be byte-for-byte the pre-engine barrier path:
      a run with the flag off matches a run with no flag at all, down to
      the exact simulated times. *)
-  let _, r_default = App_common.proposal ~num_gpus:2 ~machine:(desktop ()) bfs_small in
+  let _, r_default =
+    App_common.proposal (Mgacc.Rt_config.make ~num_gpus:2 (desktop ())) bfs_small
+  in
   let _, r_off = run bfs_small ~overlap:false in
   check Alcotest.bool "identical total" true
     (Float.equal r_default.Mgacc.Report.total_time r_off.Mgacc.Report.total_time);

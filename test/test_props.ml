@@ -433,7 +433,7 @@ let decomp2d_options =
 let run_stencil_2d ~coherence src =
   let m = Mgacc_gpusim.Machine.cluster ~nodes:2 ~gpus_per_node:2 () in
   let config = Rt_config.make ~num_gpus:4 ~translator:decomp2d_options ~coherence m in
-  let env, _ = Mgacc.run_acc ~config ~machine:m (Mgacc.parse_string ~name:"prop.c" src) in
+  let env, _ = Mgacc.run_acc ~config (Mgacc.parse_string ~name:"prop.c" src) in
   (Mgacc.float_results env "u", Mgacc.float_results env "v")
 
 let prop_stencil_2d_lazy_eq_eager params =

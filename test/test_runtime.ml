@@ -280,9 +280,8 @@ let test_miss_records_preserve_order () =
         }
       }|}
   in
-  let m = Machine.desktop () in
-  let config = Rt_config.make ~num_gpus:2 m in
-  let env, _ = Mgacc.run_acc ~config ~machine:m (Mgacc.parse_string ~name:"t" src) in
+  let config = Rt_config.make ~num_gpus:2 (Machine.desktop ()) in
+  let env, _ = Mgacc.run_acc ~config (Mgacc.parse_string ~name:"t" src) in
   check (Alcotest.float 1e-12) "last write wins" 2.0 (Mgacc.float_results env "a").(0)
 
 (* ---------------- Profiler ---------------- *)

@@ -38,9 +38,8 @@ let check_sample path () =
   check Alcotest.bool "has at least one parallel loop" true
     (Mgacc.Program_plan.loop_count plans >= 1);
   let ref_env = Mgacc.run_sequential program in
-  let machine = Mgacc.Machine.desktop () in
-  let config = Mgacc.Rt_config.make ~num_gpus:2 machine in
-  let env, report = Mgacc.run_acc ~config ~machine program in
+  let config = Mgacc.Rt_config.make ~num_gpus:2 (Mgacc.Machine.desktop ()) in
+  let env, report = Mgacc.run_acc ~config program in
   check Alcotest.bool "executed loops" true (report.Mgacc.Report.loops >= 1);
   List.iter
     (fun name ->

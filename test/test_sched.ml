@@ -260,7 +260,7 @@ void main() {
 let run_with ~machine ~schedule source name =
   let program = parse_string ~name:(name ^ ".c") source in
   let config = Rt_config.make ~schedule machine in
-  run_acc ~config ~machine program
+  run_acc ~config program
 
 let test_empty_launches () =
   (* One iteration over two GPUs: one GPU's range is empty and must not

@@ -67,6 +67,20 @@ if dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster:2x2 --gpus 9
   echo "check.sh: accc accepted --gpus 9 on a 4-GPU machine" >&2
   exit 1
 fi
+# A bad flag value is a printable error that names the flag (exit 1),
+# never an uncaught exception (exit 125).
+rejects() {
+  what="$1"
+  shift
+  if out="$(dune exec bin/accc.exe -- "$@" 2>&1)"; then code=0; else code=$?; fi
+  if [ "$code" -ne 1 ] || ! printf '%s\n' "$out" | grep -q -e "$what"; then
+    echo "check.sh: accc $* exited $code without naming $what: $out" >&2
+    exit 1
+  fi
+}
+rejects chunk-kb run samples/heat2d.c --chunk-kb 0
+rejects max-concurrent serve samples/fleet.trace --max-concurrent 0
+rejects overlap run samples/heat2d.c --overlap bogus
 # Observability smoke: a traced run under each launch gate (overlap and
 # barrier) and a metered fleet replay, with the emitted artifacts
 # validated for internal consistency (the trace parses, every flow event
