@@ -31,6 +31,13 @@ type request = { direction : direction; bytes : int; ready : float; tag : string
 
 type completion = { req : request; start : float; finish : float }
 
+(* What the fabric knows about one transfer direction: the resources it
+   crosses (listed for the reference allocator, interned for the
+   incremental one), its own cap, its setup latency and its standalone
+   rate. Transfers and the collective cost model ask about the same GPU
+   pairs over and over, so each is computed once, on first use. *)
+type route = { res : resource list; rids : int array; own : float; latency : float; alone : float }
+
 type t = {
   link : Spec.link;
   num_gpus : int;
@@ -56,6 +63,9 @@ type t = {
        [.., +G)                   Nv_out g
        [.., +G)                   Nv_in g *)
   caps : float array;
+  mutable routes : route option array;
+      (* indexed by [route_index]; empty until the first lookup, so
+         [create] stays as cheap as it was *)
   mutable use_reference : bool;
 }
 
@@ -133,6 +143,7 @@ let create ?(flavor = Wire) ?topology link ~num_gpus =
       rails;
       nodes;
       caps = Array.make ((2 * num_gpus) + (3 * nodes) + extra) 0.0;
+      routes = [||];
       use_reference = false;
     }
   in
@@ -225,7 +236,7 @@ let own_cap t = function
         | Some topo -> Float.min t.link.Spec.p2p_bandwidth topo.internode_bandwidth
         | None -> t.link.Spec.p2p_bandwidth)
 
-let latency_of t = function
+let setup_latency t = function
   | P2p (i, j) when not (same_node t i j) -> (
       match t.topology with
       | Some topo -> t.link.Spec.link_latency +. topo.internode_latency
@@ -234,8 +245,43 @@ let latency_of t = function
       match t.flavor with Nvlink_mesh { nv_latency; _ } -> nv_latency | _ -> assert false)
   | H2d _ | D2h _ | P2p _ -> t.link.Spec.link_latency
 
-let standalone_bandwidth t dir =
-  List.fold_left (fun acc r -> Float.min acc (capacity t r)) (own_cap t dir) (resources_of t dir)
+(* H2d i, then D2h i, then P2p (i, j) row by row; the devices are
+   checked here so that no out-of-range pair aliases another's slot. *)
+let route_index t = function
+  | H2d i ->
+      check_dev t i;
+      i
+  | D2h i ->
+      check_dev t i;
+      t.num_gpus + i
+  | P2p (i, j) ->
+      check_dev t i;
+      check_dev t j;
+      ((2 + i) * t.num_gpus) + j
+
+let route t dir =
+  let k = route_index t dir in
+  if Array.length t.routes = 0 then
+    t.routes <- Array.make ((2 + t.num_gpus) * t.num_gpus) None;
+  match t.routes.(k) with
+  | Some r -> r
+  | None ->
+      let res = resources_of t dir in
+      let own = own_cap t dir in
+      let r =
+        {
+          res;
+          rids = Array.of_list (List.map (rid_of t) res);
+          own;
+          latency = setup_latency t dir;
+          alone = List.fold_left (fun acc r -> Float.min acc (capacity t r)) own res;
+        }
+      in
+      t.routes.(k) <- Some r;
+      r
+
+let latency_of t dir = (route t dir).latency
+let standalone_bandwidth t dir = (route t dir).alone
 
 let transfer_time_alone t dir ~bytes =
   if bytes <= 0 then 0.0
@@ -276,14 +322,14 @@ let make_flows t reqs_arr completions =
       if req.bytes = 0 then
         completions.(idx) <- Some { req; start = req.ready; finish = req.ready }
       else begin
-        let res = resources_of t req.direction in
+        let r = route t req.direction in
         flows :=
           {
             idx;
-            res;
-            rids = Array.of_list (List.map (rid_of t) res);
-            cap = own_cap t req.direction;
-            arrive = req.ready +. latency_of t req.direction;
+            res = r.res;
+            rids = r.rids (* shared with every flow on this route; read only *);
+            cap = r.own;
+            arrive = req.ready +. r.latency;
             total = float_of_int req.bytes;
             remaining = float_of_int req.bytes;
             rate = 0.0;

@@ -85,11 +85,14 @@ val flavor_name : t -> string
 val num_gpus : t -> int
 
 val standalone_bandwidth : t -> direction -> float
-(** Peak rate of a transfer running alone (min of its caps). *)
+(** Peak rate of a transfer running alone (min of its caps).
+    @raise Invalid_argument on an out-of-range device or a [P2p] whose
+    source is its destination. *)
 
 val latency_of : t -> direction -> float
 (** Per-transfer setup latency (link latency, plus the internode latency
-    for cross-node peer transfers). *)
+    for cross-node peer transfers). Raises like {!standalone_bandwidth}.
+    Both read a per-direction route computed on first use and kept. *)
 
 val transfer_time_alone : t -> direction -> bytes:int -> float
 (** Latency + bytes / standalone rate; the uncontended duration. *)

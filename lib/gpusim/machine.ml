@@ -227,7 +227,7 @@ let run_transfers_spans t ~label reqs =
             (Trace.record t.trace ~causes
                ~resource:(resource_of_direction c.req.direction)
                ~category:(category_of_direction c.req.direction)
-               ~label:(Printf.sprintf "%s:%s" label c.req.tag)
+               ~label:(label ^ ":" ^ c.req.tag)
                ~start:c.start ~finish:c.finish ~bytes:c.req.bytes ())
         else None
       in

@@ -482,6 +482,20 @@ let fold_scalar_partials env scalar_partials =
       Host_interp.set_scalar env name result)
     scalar_partials
 
+(* The collective plan for one (loop site, ship wave). Planning is a
+   pure function of (mode, fabric, ops) and a session fixes the mode and
+   the fabric: a launch whose ops equal the site's last ones (iterative
+   apps re-run their loops with stable bounds) reuses that plan and its
+   stats, exactly what planning afresh would return. Any other op list
+   is planned and replaces the entry. *)
+let plan_collective t site ops =
+  match Hashtbl.find_opt t.collectives site with
+  | Some (last, planned) when last = ops -> planned
+  | Some _ | None ->
+      let planned = Collective.plan ~cfg:t.cfg ~fabric:(fabric_of t) ops in
+      Hashtbl.replace t.collectives site (ops, planned);
+      planned
+
 (* A step of the reconciliation. Its order is the gate's: the barrier
    runs the dirty-bit scan, then every op in one wave, then the replay
    and combine kernels; the overlap engine runs wave 1, then the replay
@@ -789,7 +803,7 @@ let launch t env loop plan =
       | Ship { wave; ops; by_round } ->
           let ph = open_phase t gate Blame.Gpu_gpu ~label:"comm" in
           (if Rt_config.planned_collectives t.cfg then begin
-             let cplan, cstats = Collective.plan ~cfg:t.cfg ~fabric:(fabric_of t) ops in
+             let cplan, cstats = plan_collective t (loop.Loop_info.loop_loc, wave) ops in
              Profiler.add_collective t.profiler ~rings:cstats.Collective.rings
                ~hierarchies:cstats.Collective.hierarchies
                ~direct_groups:cstats.Collective.direct_groups ~segments:cstats.Collective.segments;

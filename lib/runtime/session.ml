@@ -17,6 +17,11 @@ type t = {
   scheduler : Mgacc_sched.Scheduler.t;
   darrays : (string, Darray.t) Hashtbl.t;
   compiled : (Loc.t, Launch.compiled) Hashtbl.t;
+  collectives :
+    (Loc.t * int, Comm_manager.op list * (Collective.plan * Collective.stats)) Hashtbl.t;
+      (** planned collectives: the last op list each (loop site, ship
+          wave) handed the planner, with its plan and stats, reused while
+          the site's ops repeat (docs/MODEL.md, "Collectives") *)
   events : Event.t;  (** per-GPU data-readiness timelines *)
   seen_ranges : (Loc.t, Task_map.range array) Hashtbl.t;
       (** lazy coherence: last-observed iteration split per loop, used to
@@ -51,6 +56,7 @@ let create ?(tenant = "default") ?(start = 0.0) cfg plans =
         ~knobs:Mgacc_sched.Feedback.default_knobs;
     darrays = Hashtbl.create 16;
     compiled = Hashtbl.create 16;
+    collectives = Hashtbl.create 16;
     events = Event.create ~num_gpus:cfg.Rt_config.num_gpus;
     seen_ranges = Hashtbl.create 16;
     repacked = Hashtbl.create 4;

@@ -391,6 +391,152 @@ let test_execute_respects_deps () =
         (fin +. 1e-12 >= gate it.Collective.dep && fin +. 1e-12 >= gate it.Collective.dep2))
     plan
 
+(* ---------------- planning is pure; the runtime reuses plans ---------------- *)
+
+let machine_of spec =
+  match Mgacc.Machine.spec_of_string spec with
+  | Ok s -> Mgacc.Machine.of_spec s
+  | Error e -> failwith e
+
+(* Every shape the planner handles, on any machine with n >= 2 GPUs: a
+   large and a small broadcast, an allreduce (whose hierarchical lowering
+   walks a Hashtbl), a binomial tree and point-to-point ops. *)
+let mixed_ops n =
+  let others root = List.filter (fun g -> g <> root) (List.init n Fun.id) in
+  List.map (fun d -> mk_op ~group:1 ~bytes:(8 * 1024 * 1024) 0 d) (others 0)
+  @ List.map (fun d -> mk_op ~group:2 ~bytes:64 (n - 1) d) (others (n - 1))
+  @ List.map
+      (fun s -> mk_op ~kind:Comm_manager.Red_gather ~group:3 ~bytes:(4 * 1024 * 1024) s 0)
+      (others 0)
+  @ List.map
+      (fun d -> mk_op ~kind:Comm_manager.Red_bcast ~group:3 ~bytes:(4 * 1024 * 1024) 0 d)
+      (others 0)
+  @ List.filter_map
+      (fun (round, s, d) ->
+        if d < n then Some (mk_op ~kind:Comm_manager.Red_bcast ~round ~group:4 ~bytes:512 s d)
+        else None)
+      [ (0, 0, 1); (1, 0, 2); (1, 1, 3) ]
+  @ [
+      mk_op ~kind:Comm_manager.Miss_ship ~group:(-1) ~bytes:100 0 1;
+      mk_op ~kind:Comm_manager.Halo_segment ~group:(-1) ~bytes:200 1 0;
+    ]
+
+(* The same ops as fresh records with fresh strings: structurally equal,
+   physically shared with nothing. *)
+let deep_copy ops =
+  List.map
+    (fun (op : Comm_manager.op) ->
+      {
+        op with
+        Comm_manager.tag = String.init (String.length op.Comm_manager.tag) (String.get op.tag);
+        array = String.init (String.length op.Comm_manager.array) (String.get op.array);
+      })
+    ops
+
+let test_plan_is_pure () =
+  (* The runtime reuses a site's plan when its ops repeat; that is sound
+     only if planning depends on nothing but (mode, fabric, ops). *)
+  let shapes = ref Collective.no_stats in
+  List.iter
+    (fun spec ->
+      let machine = machine_of spec in
+      let fabric = machine.Mgacc.Machine.fabric in
+      let ops = mixed_ops (Mgacc.Machine.num_gpus machine) in
+      let copy = deep_copy ops in
+      check Alcotest.bool "the copy shares no record" false (List.hd ops == List.hd copy);
+      List.iter
+        (fun mode ->
+          let cfg = cfg_for machine mode in
+          let name what =
+            Printf.sprintf "%s %s: %s" spec ((Rt_config.find "collective").Rt_config.read cfg) what
+          in
+          let ((_, stats) as first) = Collective.plan ~cfg ~fabric ops in
+          shapes := Collective.add_stats !shapes stats;
+          check Alcotest.bool (name "planning twice gives equal plans") true
+            (first = Collective.plan ~cfg ~fabric ops);
+          check Alcotest.bool (name "an equal op list gives an equal plan") true
+            (first = Collective.plan ~cfg ~fabric copy))
+        [ Rt_config.Direct; Rt_config.Ring; Rt_config.Auto ])
+    [ "desktop"; "cluster:2x2"; "fattree:4x4" ];
+  let { Collective.rings; hierarchies; direct_groups; allreduces; _ } = !shapes in
+  check Alcotest.bool "every lowering was exercised" true
+    (rings > 0 && hierarchies > 0 && direct_groups > 0 && allreduces > 0)
+
+(* Multi-iteration spmv on a 16-GPU fat tree under auto collectives,
+   driven through [Acc_runtime.create]/[execute]; [seed] pre-fills the
+   session's plan table. *)
+let spmv_session ?(seed = []) ~overlap () =
+  let app = Spmv.app { Spmv.rows = 2048; width = 6; iterations = 4; seed = 7 } in
+  let program = Mgacc.parse_string ~name:"spmv.c" app.App_common.source in
+  let cfg =
+    Rt_config.make ~collective:Rt_config.Auto ~overlap (machine_of "fattree:4x4")
+  in
+  let s =
+    Mgacc.Acc_runtime.create cfg
+      (Mgacc.Program_plan.build ~options:cfg.Rt_config.translator program)
+  in
+  List.iter (fun (site, entry) -> Hashtbl.replace s.Mgacc.Session.collectives site entry) seed;
+  ignore (Mgacc.Acc_runtime.execute s);
+  (s, Mgacc.Acc_runtime.report s)
+
+let entries (s : Mgacc.Session.t) =
+  Hashtbl.fold (fun site entry acc -> (site, entry) :: acc) s.Mgacc.Session.collectives []
+
+let test_plans_reused_per_site () =
+  List.iter
+    (fun overlap ->
+      let first, report = spmv_session ~overlap () in
+      (* One entry per (site, wave): the barrier ships once per launch,
+         the overlap gate in two waves. *)
+      let sites = Hashtbl.length first.Mgacc.Session.compiled in
+      let waves = if overlap then [ 1; 2 ] else [ 1 ] in
+      let table = entries first in
+      check Alcotest.int "one entry per (site, wave)" (sites * List.length waves)
+        (List.length table);
+      List.iter
+        (fun ((_, wave), _) ->
+          check Alcotest.bool "a wave the gate ships" true (List.mem wave waves))
+        table;
+      check Alcotest.bool "spmv plans a collective" true
+        (List.exists (fun (_, (_, (plan, _))) -> Array.length plan > 0) table);
+      (* A session seeded with those entries sees the same ops at every
+         launch and so never plans: each entry still holds the very plan
+         it was seeded with, and the run is the same run. *)
+      let reused, report' = spmv_session ~seed:table ~overlap () in
+      List.iter
+        (fun (site, (_, planned)) ->
+          let _, planned' = Hashtbl.find reused.Mgacc.Session.collectives site in
+          check Alcotest.bool "later launches reuse the plan physically" true (planned' == planned))
+        table;
+      check Alcotest.bool "reuse leaves the report unchanged" true (report = report');
+      (* Seeded with the same plans under op lists that differ in one op's
+         bytes or destination, every launch re-plans: the entries hold
+         fresh plans equal to the real ones, and the run is unchanged. *)
+      let alter i (op : Comm_manager.op) =
+        match op.Comm_manager.dir with
+        | Fabric.P2p (a, b) when i mod 2 = 1 ->
+            { op with Comm_manager.dir = Fabric.P2p (a, (b + 1) mod 16) }
+        | _ -> { op with Comm_manager.bytes = op.Comm_manager.bytes + 1 }
+      in
+      let stale =
+        List.mapi
+          (fun i (site, (ops, planned)) ->
+            (site, ((match ops with [] -> [] | op :: rest -> alter i op :: rest), planned)))
+          table
+      in
+      let replanned, report'' = spmv_session ~seed:stale ~overlap () in
+      List.iter
+        (fun (site, (ops, planned)) ->
+          let ops', planned' = Hashtbl.find replanned.Mgacc.Session.collectives site in
+          check Alcotest.bool "the entry holds the real ops" true (ops' = ops);
+          if ops <> [] then
+            check Alcotest.bool "a changed op list re-plans" false (planned' == planned);
+          check Alcotest.bool "the fresh plan equals the first session's" true
+            (planned' = planned))
+        table;
+      check Alcotest.bool "a stale entry leaves the report unchanged" true (report = report''))
+    [ false; true ]
+
 (* ---------------- property: conservation under random groups ---------------- *)
 
 let prop_plan_conserves_bytes (mode_i, payload, dst_count) =
@@ -427,6 +573,8 @@ let suite =
     tc "malformed allreduce groups stay direct" test_allreduce_malformed_stays_direct;
     tc "non-group ops pass through untouched" test_non_group_ops_pass_through;
     tc "execute respects plan dependencies" test_execute_respects_deps;
+    tc "planning is a pure function of (mode, fabric, ops)" test_plan_is_pure;
+    tc "each (site, wave) plans once and re-plans on change" test_plans_reused_per_site;
     qtest "plans conserve payload bytes"
       QCheck2.Gen.(triple (int_bound 5) (int_range 1 4_000_000) (int_bound 5))
       prop_plan_conserves_bytes;

@@ -90,10 +90,16 @@ dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster --overlap on \
   --trace-json "$tmp/run_trace.json" --blame > /dev/null
 dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster --overlap off \
   --trace-json "$tmp/barrier_trace.json" --blame > /dev/null
+# On a fat tree under auto collectives, heat2d's halo exchanges repeat
+# every iteration, so each launch site reuses its first plan: a reused
+# plan must still cite spans of the launch that runs it.
+dune exec bin/accc.exe -- run samples/heat2d.c --machine fattree:4x4 --collective auto \
+  --overlap on --trace-json "$tmp/reuse_trace.json" --blame > /dev/null
 dune exec bin/accc.exe -- serve samples/fleet.trace \
   --metrics "$tmp/fleet.prom" --trace-json "$tmp/fleet_trace.json" > /dev/null
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/run_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/barrier_trace.json"
+dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/reuse_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/fleet_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- metrics "$tmp/fleet.prom"
 echo "check.sh: all green"
