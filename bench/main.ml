@@ -5,7 +5,7 @@
      dune exec bench/main.exe                 -- everything, default scale
      dune exec bench/main.exe -- fig7         -- one experiment
      dune exec bench/main.exe -- --scale small all
-     dune exec bench/main.exe -- --bechamel   -- Bechamel wall-clock probes
+     dune exec bench/main.exe -- --smoke overlap  -- tiny configuration, writes nothing
 
    Absolute numbers come from the simulated machines (Table I presets);
    the paper's shapes — who wins, by what factor, where communication
@@ -15,6 +15,7 @@
 open Mgacc
 open Mgacc_apps
 module Table = Mgacc_util.Table
+module Json = Mgacc_util.Json
 
 type scale = Small | Default | Paper
 
@@ -84,22 +85,12 @@ let desktop n = Rt_config.make ~num_gpus:n (Machine.desktop ())
 (* [cfg] with mode switch [name] set to the value spelled [v]. *)
 let set_mode cfg name v = match Rt_config.set cfg name v with Ok cfg -> cfg | Error e -> failwith e
 
-(* "ok" when every run's results match the sequential reference. *)
-let verdict app ~against envs =
-  if List.for_all (fun env -> App_common.verify app ~against env = Ok ()) envs then "ok"
-  else "MISMATCH"
-
-(* Comparison-bench machines: (name, fresh machine, GPUs used). *)
-let desktop_m = ("desktop", (fun () -> Machine.desktop ()), 2)
-let supernode_m = ("supernode", (fun () -> Machine.supernode ()), 3)
-let cluster_m = ("cluster", (fun () -> Machine.cluster ~nodes:2 ~gpus_per_node:2 ()), 4)
-
 (* A tracked BENCH_*.json is written only from the configuration it
    records: never from a --smoke run, and, for artifacts that carry a
    "scale" key, only at that declared scale ([scale] is the pair (this
    run's scale, declared scale)). Any other run prints its table and
    leaves the committed artifact alone. *)
-let write_artifact ?scale ~smoke file contents =
+let write_artifact ?scale ~smoke file json =
   match scale with
   | _ when smoke -> Printf.printf "\nsmoke configuration: no %s written\n" file
   | Some (run, declared) when run <> declared ->
@@ -107,7 +98,7 @@ let write_artifact ?scale ~smoke file contents =
         file (scale_name declared)
   | _ ->
       let oc = open_out file in
-      output_string oc contents;
+      output_string oc (Json.to_string json ^ "\n");
       close_out oc;
       Printf.printf "\nwrote %s\n" file
 
@@ -213,35 +204,47 @@ let table2 scale =
   Table.print t;
   print_newline ()
 
+(* One table per platform: [headers] names its columns, [rows t c] adds
+   the rows of each app collected on it. *)
+let per_platform collected ~headers rows =
+  List.iter
+    (fun platform ->
+      Printf.printf "\n-- %s --\n" platform.pname;
+      let t = Table.create ~headers:(headers platform) in
+      List.iter (fun c -> if c.platform = platform.pname then rows t c) collected;
+      Table.print t)
+    platforms
+
+(* Figs. 8 and 9: one row per proposal run, [cols ~base r] normalized by
+   [base] of the app's 1-GPU run. *)
+let per_gpu_count collected ~headers ~base cols =
+  per_platform collected
+    ~headers:(fun _ -> "app" :: "GPUs" :: headers)
+    (fun t c ->
+      let base = match List.assoc_opt 1 c.proposals with Some r -> base r | None -> 1.0 in
+      List.iter
+        (fun (n, r) ->
+          Table.add_row t
+            (app_name c.kind :: string_of_int n
+            :: List.map (Printf.sprintf "%.3f") (cols ~base r)))
+        c.proposals;
+      Table.add_separator t)
+
 (* ------------------------------------------------------------------ *)
 (* Fig. 7: relative performance normalized to OpenMP                   *)
 (* ------------------------------------------------------------------ *)
 
 let fig7 collected =
   print_endline "== Fig. 7: performance relative to OpenMP (higher is better) ==";
-  List.iter
-    (fun platform ->
-      Printf.printf "\n-- %s --\n" platform.pname;
-      let headers =
-        [ "app"; "OpenMP"; "PGI(1)"; "CUDA(1)" ]
-        @ List.map (fun n -> Printf.sprintf "Proposal(%d)" n) platform.gpu_counts
-      in
-      let t = Table.create ~headers in
-      List.iter
-        (fun kind ->
-          match
-            List.find_opt (fun c -> c.platform = platform.pname && c.kind = kind) collected
-          with
-          | None -> ()
-          | Some c ->
-              let base = c.openmp.Report.total_time in
-              let rel (r : Report.t) = Printf.sprintf "%.2f" (base /. r.Report.total_time) in
-              Table.add_row t
-                ([ app_name kind; "1.00"; rel c.pgi; rel c.cuda ]
-                @ List.map (fun (_, r) -> rel r) c.proposals))
-        all_apps;
-      Table.print t)
-    platforms;
+  per_platform collected
+    ~headers:(fun platform ->
+      [ "app"; "OpenMP"; "PGI(1)"; "CUDA(1)" ]
+      @ List.map (fun n -> Printf.sprintf "Proposal(%d)" n) platform.gpu_counts)
+    (fun t c ->
+      let base = c.openmp.Report.total_time in
+      let rel (r : Report.t) = Printf.sprintf "%.2f" (base /. r.Report.total_time) in
+      Table.add_row t
+        ([ app_name c.kind; "1.00"; rel c.pgi; rel c.cuda ] @ List.map (fun (_, r) -> rel r) c.proposals));
   print_endline
     "\npaper shapes: MD/KMEANS beat OpenMP and scale with GPUs (up to 6.75x desktop, 2.95x\n\
      supernode); Proposal(multi-GPU) beats CUDA(1); BFS gains little and can lose on the\n\
@@ -253,40 +256,18 @@ let fig7 collected =
 
 let fig8 collected =
   print_endline "== Fig. 8: execution-time breakdown, normalized to 1-GPU total ==";
-  List.iter
-    (fun platform ->
-      Printf.printf "\n-- %s --\n" platform.pname;
-      let t =
-        Table.create ~headers:[ "app"; "GPUs"; "KERNELS"; "CPU-GPU"; "GPU-GPU"; "total" ]
-      in
-      List.iter
-        (fun kind ->
-          match
-            List.find_opt (fun c -> c.platform = platform.pname && c.kind = kind) collected
-          with
-          | None -> ()
-          | Some c ->
-              let base =
-                match List.assoc_opt 1 c.proposals with
-                | Some r -> r.Report.total_time
-                | None -> 1.0
-              in
-              List.iter
-                (fun (n, (r : Report.t)) ->
-                  Table.add_row t
-                    [
-                      app_name kind;
-                      string_of_int n;
-                      Printf.sprintf "%.3f" (r.Report.kernel_time /. base);
-                      Printf.sprintf "%.3f" (r.Report.cpu_gpu_time /. base);
-                      Printf.sprintf "%.3f" ((r.Report.gpu_gpu_time +. r.Report.overhead_time) /. base);
-                      Printf.sprintf "%.3f" (r.Report.total_time /. base);
-                    ])
-                c.proposals;
-              Table.add_separator t)
-        all_apps;
-      Table.print t)
-    platforms;
+  per_gpu_count collected
+    ~headers:[ "KERNELS"; "CPU-GPU"; "GPU-GPU"; "total" ]
+    ~base:(fun r -> r.Report.total_time)
+    (fun ~base r ->
+      List.map
+        (fun v -> v /. base)
+        [
+          r.Report.kernel_time;
+          r.Report.cpu_gpu_time;
+          r.Report.gpu_gpu_time +. r.Report.overhead_time;
+          r.Report.total_time;
+        ]);
   print_endline
     "\npaper shapes: KERNELS shrinks with GPU count; CPU-GPU does not (host link saturates);\n\
      GPU-GPU is zero for MD, small for KMEANS, and dominant for BFS on multiple GPUs.\n"
@@ -297,39 +278,12 @@ let fig8 collected =
 
 let fig9 collected =
   print_endline "== Fig. 9: device memory usage, normalized to 1-GPU user total ==";
-  List.iter
-    (fun platform ->
-      Printf.printf "\n-- %s --\n" platform.pname;
-      let t = Table.create ~headers:[ "app"; "GPUs"; "User"; "System"; "total" ] in
-      List.iter
-        (fun kind ->
-          match
-            List.find_opt (fun c -> c.platform = platform.pname && c.kind = kind) collected
-          with
-          | None -> ()
-          | Some c ->
-              let base =
-                match List.assoc_opt 1 c.proposals with
-                | Some r -> float_of_int r.Report.mem_user_bytes
-                | None -> 1.0
-              in
-              List.iter
-                (fun (n, (r : Report.t)) ->
-                  let u = float_of_int r.Report.mem_user_bytes /. base in
-                  let s = float_of_int r.Report.mem_system_bytes /. base in
-                  Table.add_row t
-                    [
-                      app_name kind;
-                      string_of_int n;
-                      Printf.sprintf "%.3f" u;
-                      Printf.sprintf "%.3f" s;
-                      Printf.sprintf "%.3f" (u +. s);
-                    ])
-                c.proposals;
-              Table.add_separator t)
-        all_apps;
-      Table.print t)
-    platforms;
+  per_gpu_count collected ~headers:[ "User"; "System"; "total" ]
+    ~base:(fun r -> float_of_int r.Report.mem_user_bytes)
+    (fun ~base r ->
+      let u = float_of_int r.Report.mem_user_bytes /. base in
+      let s = float_of_int r.Report.mem_system_bytes /. base in
+      [ u; s; u +. s ]);
   print_endline
     "\npaper shapes: User memory grows only mildly with GPU count (distribution policy);\n\
      System overhead is largest for BFS but stays under ~30%.\n"
@@ -338,44 +292,17 @@ let fig9 collected =
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let chunk_sweep scale =
-  Printf.printf "== Ablation A: dirty-bit chunk size (BFS, 2 GPUs, scale: %s) ==\n"
-    (scale_name scale);
-  print_endline "(the paper picks 1MB experimentally, §IV-D-1)\n";
+(* Ablations A and B: BFS on 2 desktop GPUs under each (label, two-level
+   dirty bits, chunk size). *)
+let dirty_bit_table scale first settings =
   let app = app_of BFS scale in
-  let t = Table.create ~headers:[ "chunk"; "GPU-GPU bytes"; "GPU-GPU time"; "total time" ] in
-  List.iter
-    (fun chunk ->
-      let _, r =
-        App_common.proposal (Rt_config.make ~chunk_bytes:chunk ~num_gpus:2 (Machine.desktop ())) app
-      in
-      Table.add_row t
-        [
-          Bytesize.to_string chunk;
-          Bytesize.to_string r.Report.gpu_gpu_bytes;
-          Printf.sprintf "%.6fs" r.Report.gpu_gpu_time;
-          Printf.sprintf "%.6fs" r.Report.total_time;
-        ])
-    [ 4 * 1024; 64 * 1024; 256 * 1024; 1024 * 1024; 4 * 1024 * 1024 ];
-  Table.print t;
-  print_newline ()
-
-let dirty_levels scale =
-  Printf.printf "== Ablation B: one- vs two-level dirty bits (BFS, 2 GPUs, scale: %s) ==\n"
-    (scale_name scale);
-  print_endline
-    "(the chunk must be smaller than the array for the second level to matter;\n\
-     at paper scale the 444MB levels array dwarfs the 1MB chunk)\n";
-  let app = app_of BFS scale in
-  let t = Table.create ~headers:[ "mechanism"; "GPU-GPU bytes"; "GPU-GPU time"; "total time" ] in
+  let t = Table.create ~headers:[ first; "GPU-GPU bytes"; "GPU-GPU time"; "total time" ] in
   List.iter
     (fun (label, two_level, chunk) ->
-      let _, r =
-        App_common.proposal
-          (Rt_config.make ~two_level_dirty:two_level ~chunk_bytes:chunk ~num_gpus:2
-             (Machine.desktop ()))
-          app
+      let config =
+        Rt_config.make ~two_level_dirty:two_level ~chunk_bytes:chunk ~num_gpus:2 (Machine.desktop ())
       in
+      let _, r = App_common.proposal config app in
       Table.add_row t
         [
           label;
@@ -383,13 +310,31 @@ let dirty_levels scale =
           Printf.sprintf "%.6fs" r.Report.gpu_gpu_time;
           Printf.sprintf "%.6fs" r.Report.total_time;
         ])
+    settings;
+  Table.print t;
+  print_newline ()
+
+let chunk_sweep scale =
+  Printf.printf "== Ablation A: dirty-bit chunk size (BFS, 2 GPUs, scale: %s) ==\n"
+    (scale_name scale);
+  print_endline "(the paper picks 1MB experimentally, §IV-D-1)\n";
+  dirty_bit_table scale "chunk"
+    (List.map
+       (fun chunk -> (Bytesize.to_string chunk, true, chunk))
+       [ 4 * 1024; 64 * 1024; 256 * 1024; 1024 * 1024; 4 * 1024 * 1024 ])
+
+let dirty_levels scale =
+  Printf.printf "== Ablation B: one- vs two-level dirty bits (BFS, 2 GPUs, scale: %s) ==\n"
+    (scale_name scale);
+  print_endline
+    "(the chunk must be smaller than the array for the second level to matter;\n\
+     at paper scale the 444MB levels array dwarfs the 1MB chunk)\n";
+  dirty_bit_table scale "mechanism"
     [
       ("single-level", false, 1024 * 1024);
       ("two-level (16KB chunks)", true, 16 * 1024);
       ("two-level (64KB chunks)", true, 64 * 1024);
-    ];
-  Table.print t;
-  print_newline ()
+    ]
 
 let policy scale =
   Printf.printf
@@ -419,11 +364,9 @@ let policy scale =
           ("distribution", Kernel_plan.default_options);
           ( "replica-only",
             {
-              Kernel_plan.enable_distribution = false;
-              enable_layout_transform = true;
+              Kernel_plan.default_options with
+              enable_distribution = false;
               enable_miss_check_elim = false;
-              enable_fusion = false;
-              enable_decomp2d = false;
             } );
         ];
       Table.add_separator t)
@@ -519,15 +462,10 @@ let expert scale =
      overlaps transfers — everything the proposed runtime automates; paper §II-B)\n";
   let p = md_params scale in
   let t = Table.create ~headers:[ "variant"; "total"; "KERNELS"; "CPU-GPU"; "overhead vs expert" ] in
-  let rows = ref [] in
   List.iter
     (fun gpus ->
-      let _, r_expert = Md.run_cuda_multi ~machine:(Machine.desktop ()) ~gpus p in
-      let _, r_prop = App_common.proposal (desktop gpus) (Md.app p) in
-      rows := (gpus, r_expert, r_prop) :: !rows)
-    [ 1; 2 ];
-  List.iter
-    (fun (gpus, (e : Report.t), (pr : Report.t)) ->
+      let _, e = Md.run_cuda_multi ~machine:(Machine.desktop ()) ~gpus p in
+      let _, pr = App_common.proposal (desktop gpus) (Md.app p) in
       Table.add_row t
         [
           Printf.sprintf "cuda-multi(%d)" gpus;
@@ -545,7 +483,7 @@ let expert scale =
           Printf.sprintf "%+.1f%%" (100.0 *. (pr.Report.total_time /. e.Report.total_time -. 1.0));
         ];
       Table.add_separator t)
-    (List.rev !rows);
+    [ 1; 2 ];
   Table.print t;
   print_newline ()
 
@@ -664,409 +602,6 @@ let paper_validate () =
         [ 1; 2 ])
     [ MD; BFS ]
 
-(* ------------------------------------------------------------------ *)
-(* Overlap engine: barrier vs dependency-driven launch pipeline        *)
-(* ------------------------------------------------------------------ *)
-
-(* Every run is checked against the sequential reference — overlap must
-   change timings only, never results. The JSON lands in
-   BENCH_overlap.json for CI trend tracking. *)
-let overlap_bench scale ~smoke =
-  Printf.printf "== Overlap engine: barrier vs dependency-driven (scale: %s%s) ==\n"
-    (scale_name scale)
-    (if smoke then "; smoke" else "");
-  print_endline
-    "(--overlap on gates every transfer/replay on its own producer's events instead of\n\
-     phase barriers; see docs/OVERLAP.md. 'hidden' is activity off the critical path.)\n";
-  let apps =
-    [
-      ("md", app_of MD scale);
-      ("kmeans", app_of KMEANS scale);
-      ("bfs", app_of BFS scale);
-      ("spmv", Spmv.app Spmv.default_params);
-      ("montecarlo", Montecarlo.app Montecarlo.default_params);
-    ]
-  in
-  let machines =
-    if smoke then [ desktop_m ]
-    else [ desktop_m; ("desktop-mixed", (fun () -> Machine.desktop_mixed ()), 2); supernode_m ]
-  in
-  let t =
-    Table.create
-      ~headers:[ "app"; "machine"; "barrier"; "overlap"; "gain"; "hidden"; "prefetch"; "check" ]
-  in
-  let json_entries = ref [] in
-  List.iter
-    (fun (name, app) ->
-      let seq = App_common.sequential app in
-      List.iter
-        (fun (mname, fresh, gpus) ->
-          progress "  [overlap] %s on %s..." name mname;
-          let _, off = App_common.proposal (Rt_config.make ~num_gpus:gpus (fresh ())) app in
-          let env, on =
-            App_common.proposal (Rt_config.make ~overlap:true ~num_gpus:gpus (fresh ())) app
-          in
-          let ok = verdict app ~against:seq [ env ] in
-          let gain = 100.0 *. (1.0 -. (on.Report.total_time /. off.Report.total_time)) in
-          Table.add_row t
-            [
-              name;
-              Printf.sprintf "%s(%d)" mname gpus;
-              Printf.sprintf "%.6fs" off.Report.total_time;
-              Printf.sprintf "%.6fs" on.Report.total_time;
-              Printf.sprintf "%+.1f%%" gain;
-              Printf.sprintf "%.6fs" on.Report.hidden_seconds;
-              string_of_int on.Report.prefetch_hits;
-              ok;
-            ];
-          json_entries :=
-            Printf.sprintf
-              "    {\"app\": %S, \"machine\": %S, \"gpus\": %d, \"barrier_seconds\": %.9g, \
-               \"overlap_seconds\": %.9g, \"hidden_seconds\": %.9g, \"prefetch_hits\": %d, \
-               \"results_match\": %b}"
-              name mname gpus off.Report.total_time on.Report.total_time on.Report.hidden_seconds
-              on.Report.prefetch_hits (ok = "ok")
-            :: !json_entries)
-        machines)
-    apps;
-  Table.print t;
-  write_artifact ~scale:(scale, Small) ~smoke "BENCH_overlap.json"
-    (Printf.sprintf
-    "{\n\
-    \  \"scale\": %S,\n\
-    \  \"flags\": {\"overlap\": \"off-vs-on\", \"coherence\": \"eager\", \"collective\": \"direct\"},\n\
-    \  \"runs\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (scale_name scale)
-    (String.concat ",\n" (List.rev !json_entries)));
-  print_endline
-    "shape: bfs (dirty-chunk reconciliation + irregular per-launch imbalance) gains the\n\
-     most — the slow GPU's exchange streams while the fast one proceeds. kmeans can lose\n\
-     slightly: the barrier model optimistically charged reduction broadcasts concurrently\n\
-     with the gathers they depend on; the DAG serializes gather -> combine -> bcast.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Coherence: eager all-pairs reconciliation vs demand-driven shipping  *)
-(* ------------------------------------------------------------------ *)
-
-(* Every run is checked against the sequential reference — lazy coherence
-   must change traffic and timings only, never results. 'coh bytes' is
-   the replicated-array + reduction reconciliation traffic (shipped plus
-   on-demand pulls); distributed halo/miss traffic is identical in both
-   modes and excluded. The JSON lands in BENCH_coherence.json. *)
-let coherence_bench scale ~smoke =
-  Printf.printf "== Coherence: eager vs demand-driven lazy (scale: %s%s) ==\n" (scale_name scale)
-    (if smoke then "; smoke" else "");
-  print_endline
-    "(--coherence lazy ships a writer's dirty intervals only to GPUs whose next read\n\
-     window covers them; unread data stays stale and is pulled on demand. See\n\
-     docs/COHERENCE.md. 'elided' is deferred traffic nobody ever needed.)\n";
-  let apps =
-    [
-      ("md", app_of MD scale);
-      ("kmeans", app_of KMEANS scale);
-      ("bfs", app_of BFS scale);
-      ("spmv", Spmv.app Spmv.default_params);
-      ("montecarlo", Montecarlo.app Montecarlo.default_params);
-    ]
-  in
-  let machines = if smoke then [ cluster_m ] else [ desktop_m; supernode_m; cluster_m ] in
-  let coh_bytes (r : Report.t) = r.Report.coh_shipped_bytes + r.Report.coh_pulled_bytes in
-  let t =
-    Table.create
-      ~headers:
-        [ "app"; "machine"; "eager coh"; "lazy coh"; "cut"; "elided"; "eager t"; "lazy t"; "check" ]
-  in
-  let json_entries = ref [] in
-  List.iter
-    (fun (name, app) ->
-      let seq = App_common.sequential app in
-      List.iter
-        (fun (mname, fresh, gpus) ->
-          progress "  [coherence] %s on %s(%d)..." name mname gpus;
-          let _, eager = App_common.proposal (Rt_config.make ~num_gpus:gpus (fresh ())) app in
-          let env, lz =
-            App_common.proposal
-              (Rt_config.make ~coherence:Rt_config.Lazy ~num_gpus:gpus (fresh ()))
-              app
-          in
-          let ok = verdict app ~against:seq [ env ] in
-          let eb = coh_bytes eager and lb = coh_bytes lz in
-          let cut = if eb = 0 then 0.0 else 100.0 *. (1.0 -. (float_of_int lb /. float_of_int eb)) in
-          Table.add_row t
-            [
-              name;
-              Printf.sprintf "%s(%d)" mname gpus;
-              Mgacc_util.Bytesize.to_string eb;
-              Mgacc_util.Bytesize.to_string lb;
-              Printf.sprintf "%+.1f%%" cut;
-              Mgacc_util.Bytesize.to_string (Report.coh_elided_bytes lz);
-              Printf.sprintf "%.6fs" eager.Report.total_time;
-              Printf.sprintf "%.6fs" lz.Report.total_time;
-              ok;
-            ];
-          json_entries :=
-            Printf.sprintf
-              "    {\"app\": %S, \"machine\": %S, \"gpus\": %d, \"eager_seconds\": %.9g, \
-               \"lazy_seconds\": %.9g, \"eager_coh_bytes\": %d, \"lazy_coh_bytes\": %d, \
-               \"eager_gpu_gpu_bytes\": %d, \"lazy_gpu_gpu_bytes\": %d, \
-               \"lazy_shipped_bytes\": %d, \"lazy_deferred_bytes\": %d, \"lazy_pulled_bytes\": \
-               %d, \"lazy_elided_bytes\": %d, \"results_match\": %b}"
-              name mname gpus eager.Report.total_time lz.Report.total_time eb lb
-              eager.Report.gpu_gpu_bytes lz.Report.gpu_gpu_bytes lz.Report.coh_shipped_bytes
-              lz.Report.coh_deferred_bytes lz.Report.coh_pulled_bytes (Report.coh_elided_bytes lz)
-              (ok = "ok")
-            :: !json_entries)
-        machines)
-    apps;
-  Table.print t;
-  (* The overlap DAG under lazy coherence: the binomial-tree broadcast
-     rounds must not regress kmeans below its barrier-mode time. *)
-  let kmeans = app_of KMEANS scale in
-  let km_seq = App_common.sequential kmeans in
-  let km_entries = ref [] in
-  let kt = Table.create ~headers:[ "machine"; "barrier"; "overlap"; "gain"; "check" ] in
-  List.iter
-    (fun (mname, fresh, gpus) ->
-      progress "  [coherence] kmeans overlap on %s(%d)..." mname gpus;
-      let _, off =
-        App_common.proposal
-          (Rt_config.make ~coherence:Rt_config.Lazy ~num_gpus:gpus (fresh ()))
-          kmeans
-      in
-      let env, on =
-        App_common.proposal
-          (Rt_config.make ~coherence:Rt_config.Lazy ~overlap:true ~num_gpus:gpus (fresh ()))
-          kmeans
-      in
-      let ok = verdict kmeans ~against:km_seq [ env ] in
-      let gain = 100.0 *. (1.0 -. (on.Report.total_time /. off.Report.total_time)) in
-      Table.add_row kt
-        [
-          Printf.sprintf "%s(%d)" mname gpus;
-          Printf.sprintf "%.6fs" off.Report.total_time;
-          Printf.sprintf "%.6fs" on.Report.total_time;
-          Printf.sprintf "%+.1f%%" gain;
-          ok;
-        ];
-      km_entries :=
-        Printf.sprintf
-          "    {\"machine\": %S, \"gpus\": %d, \"barrier_seconds\": %.9g, \"overlap_seconds\": \
-           %.9g, \"results_match\": %b}"
-          mname gpus off.Report.total_time on.Report.total_time (ok = "ok")
-        :: !km_entries)
-    machines;
-  print_endline "\n-- kmeans under lazy coherence: barrier vs overlap --";
-  Table.print kt;
-  write_artifact ~scale:(scale, Default) ~smoke "BENCH_coherence.json"
-    (Printf.sprintf
-    "{\n\
-    \  \"scale\": %S,\n\
-    \  \"flags\": {\"coherence\": \"eager-vs-lazy\", \"overlap\": \"off\", \"collective\": \
-     \"direct\", \"kmeans_overlap_section\": \"lazy, overlap off-vs-on\"},\n\
-    \  \"runs\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"kmeans_overlap\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (scale_name scale)
-    (String.concat ",\n" (List.rev !json_entries))
-    (String.concat ",\n" (List.rev !km_entries)));
-  print_endline
-    "shape: kmeans cuts the most — reduction results fan out as per-GPU windows instead of\n\
-     whole-array broadcasts, and self-reads elide the rest. spmv ships one contiguous run\n\
-     per destination instead of padded dirty chunks; bfs ships sparse frontier runs. md and\n\
-     montecarlo reconcile distributed/private data and are unchanged by design.\n"
-
-(* Cost-model-guided kernel fusion (--fuse on, docs/FUSION.md): adjacent
-   compatible parallel loops become one kernel, group-confined create
-   temporaries contract to scalars (vanishing from the device and from
-   the coherence layer), and strided read-only arrays get a one-time
-   layout repack. Every run is checked against the sequential reference;
-   bfs rides along as a control the pass must leave untouched. The JSON
-   lands in BENCH_fusion.json. *)
-let fusion_bench scale ~smoke =
-  Printf.printf "== Fusion: --fuse off vs on (scale: %s%s) ==\n" (scale_name scale)
-    (if smoke then "; smoke" else "");
-  print_endline
-    "(fusion-friendly md/kmeans variants: chains of adjacent clause-free parallel loops\n\
-     with create temporaries that die inside the fused group. 'coh bytes' is shipped plus\n\
-     pulled reconciliation traffic; contracted temporaries stop generating any.)\n";
-  let apps =
-    [
-      ("md", Fusionable.md Fusionable.default_md);
-      ("kmeans", Fusionable.kmeans Fusionable.default_kmeans);
-      ("bfs", app_of BFS scale);
-    ]
-  in
-  let machines = if smoke then [ cluster_m ] else [ desktop_m; cluster_m ] in
-  let coh_bytes (r : Report.t) = r.Report.coh_shipped_bytes + r.Report.coh_pulled_bytes in
-  let t =
-    Table.create
-      ~headers:
-        [ "app"; "machine"; "off t"; "on t"; "gain"; "off coh"; "on coh"; "fused"; "contr"; "check" ]
-  in
-  let json_entries = ref [] in
-  List.iter
-    (fun (name, app) ->
-      let seq = App_common.sequential app in
-      List.iter
-        (fun (mname, fresh, gpus) ->
-          progress "  [fusion] %s on %s(%d)..." name mname gpus;
-          let env_off, off = App_common.proposal (Rt_config.make ~num_gpus:gpus (fresh ())) app in
-          let fused = set_mode (Rt_config.make ~num_gpus:gpus (fresh ())) "fuse" "on" in
-          let env_on, on = App_common.proposal fused app in
-          let ok = verdict app ~against:seq [ env_off; env_on ] in
-          let gain = 100.0 *. (1.0 -. (on.Report.total_time /. off.Report.total_time)) in
-          Table.add_row t
-            [
-              name;
-              Printf.sprintf "%s(%d)" mname gpus;
-              Printf.sprintf "%.6fs" off.Report.total_time;
-              Printf.sprintf "%.6fs" on.Report.total_time;
-              Printf.sprintf "%+.1f%%" gain;
-              Mgacc_util.Bytesize.to_string (coh_bytes off);
-              Mgacc_util.Bytesize.to_string (coh_bytes on);
-              string_of_int on.Report.fused_kernels;
-              string_of_int on.Report.contracted_arrays;
-              ok;
-            ];
-          json_entries :=
-            Printf.sprintf
-              "    {\"app\": %S, \"machine\": %S, \"gpus\": %d, \"unfused_seconds\": %.9g, \
-               \"fused_seconds\": %.9g, \"unfused_coh_bytes\": %d, \"fused_coh_bytes\": %d, \
-               \"unfused_gpu_gpu_bytes\": %d, \"fused_gpu_gpu_bytes\": %d, \"fused_kernels\": \
-               %d, \"contracted_arrays\": %d, \"relayouts\": %d, \"results_match\": %b}"
-              name mname gpus off.Report.total_time on.Report.total_time (coh_bytes off)
-              (coh_bytes on) off.Report.gpu_gpu_bytes on.Report.gpu_gpu_bytes
-              on.Report.fused_kernels on.Report.contracted_arrays on.Report.relayouts (ok = "ok")
-            :: !json_entries)
-        machines)
-    apps;
-  Table.print t;
-  write_artifact ~scale:(scale, Default) ~smoke "BENCH_fusion.json"
-    (Printf.sprintf
-      "{\n\
-      \  \"scale\": %S,\n\
-      \  \"flags\": {\"fuse\": \"off-vs-on\", \"overlap\": \"off\", \"coherence\": \"eager\", \
-       \"collective\": \"direct\"},\n\
-      \  \"runs\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      (scale_name scale)
-      (String.concat ",\n" (List.rev !json_entries)));
-  print_endline
-    "shape: md fuses its three velocity-Verlet loops into one kernel and contracts the\n\
-     acceleration temporary outright; kmeans fuses assignment with membership, contracts\n\
-     both per-point temporaries and repacks the strided point matrix once. bfs has no\n\
-     adjacent compatible loops and must be byte-identical in both columns.\n"
-
-(* ------------------------------------------------------------------ *)
-(* Collectives: direct star/tree vs topology-aware planned schedules    *)
-(* ------------------------------------------------------------------ *)
-
-(* Every run is checked against the sequential reference — the planner
-   reshapes who sends what to whom, never what arrives. 'wire' is the
-   inter-node subset of GPU-GPU traffic: the planner's job is moving the
-   same payloads while crossing the wire less (ring chains and
-   hierarchical staging) and hiding latency (chunked pipelining). The
-   JSON lands in BENCH_collective.json. *)
-let collective_bench scale ~smoke =
-  Printf.printf "== Collectives: direct vs topology-aware auto (scale: %s%s) ==\n"
-    (scale_name scale)
-    (if smoke then "; smoke" else "");
-  print_endline
-    "(--collective auto lowers replicated-array reconciliation and reduction broadcasts\n\
-     into ring or hierarchical schedules with segment pipelining when the cost model\n\
-     says they beat the star; see docs/MODEL.md 'Collectives'.)\n";
-  let apps =
-    [
-      ("md", app_of MD scale);
-      ("kmeans", app_of KMEANS scale);
-      ("bfs", app_of BFS scale);
-      ("spmv", Spmv.app Spmv.default_params);
-      ("montecarlo", Montecarlo.app Montecarlo.default_params);
-    ]
-  in
-  let machines = if smoke then [ cluster_m ] else [ desktop_m; supernode_m; cluster_m ] in
-  let coherences = (Rt_config.find "coherence").Rt_config.spellings in
-  let t =
-    Table.create
-      ~headers:
-        [ "app"; "machine"; "coh"; "direct t"; "auto t"; "gain"; "direct wire"; "auto wire";
-          "rings/hier"; "check" ]
-  in
-  let json_entries = ref [] in
-  List.iter
-    (fun (name, app) ->
-      let seq = App_common.sequential app in
-      List.iter
-        (fun (mname, fresh, gpus) ->
-          List.iter
-            (fun cname ->
-              progress "  [collective] %s on %s(%d) %s..." name mname gpus cname;
-              let run collective =
-                let config = Rt_config.make ~collective ~num_gpus:gpus (fresh ()) in
-                App_common.proposal (set_mode config "coherence" cname) app
-              in
-              let env_d, direct = run Rt_config.Direct in
-              let env_a, auto = run Rt_config.Auto in
-              let ok = verdict app ~against:seq [ env_d; env_a ] in
-              let gain =
-                100.0 *. (1.0 -. (auto.Report.total_time /. direct.Report.total_time))
-              in
-              Table.add_row t
-                [
-                  name;
-                  Printf.sprintf "%s(%d)" mname gpus;
-                  cname;
-                  Printf.sprintf "%.6fs" direct.Report.total_time;
-                  Printf.sprintf "%.6fs" auto.Report.total_time;
-                  Printf.sprintf "%+.1f%%" gain;
-                  Mgacc_util.Bytesize.to_string direct.Report.wire_bytes;
-                  Mgacc_util.Bytesize.to_string auto.Report.wire_bytes;
-                  Printf.sprintf "%d/%d" auto.Report.collective_rings
-                    auto.Report.collective_hierarchies;
-                  ok;
-                ];
-              json_entries :=
-                Printf.sprintf
-                  "    {\"app\": %S, \"machine\": %S, \"gpus\": %d, \"coherence\": %S, \
-                   \"direct_seconds\": %.9g, \"auto_seconds\": %.9g, \
-                   \"direct_gpu_gpu_seconds\": %.9g, \"auto_gpu_gpu_seconds\": %.9g, \
-                   \"gpu_gpu_bytes\": %d, \"direct_wire_bytes\": %d, \"auto_wire_bytes\": %d, \
-                   \"rings\": %d, \"hierarchies\": %d, \"segments\": %d, \"results_match\": %b}"
-                  name mname gpus cname direct.Report.total_time auto.Report.total_time
-                  direct.Report.gpu_gpu_time auto.Report.gpu_gpu_time auto.Report.gpu_gpu_bytes
-                  direct.Report.wire_bytes auto.Report.wire_bytes auto.Report.collective_rings
-                  auto.Report.collective_hierarchies auto.Report.collective_segments (ok = "ok")
-                :: !json_entries)
-            coherences)
-        machines)
-    apps;
-  Table.print t;
-  write_artifact ~scale:(scale, Default) ~smoke "BENCH_collective.json"
-    (Printf.sprintf
-    "{\n\
-    \  \"scale\": %S,\n\
-    \  \"flags\": {\"collective\": \"direct-vs-auto\", \"coherence\": \"eager-and-lazy\", \
-     \"overlap\": \"off\"},\n\
-    \  \"runs\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    (scale_name scale)
-    (String.concat ",\n" (List.rev !json_entries)));
-  print_endline
-    "shape: the wins concentrate on the 4-GPU cluster and the replica-heavy apps (kmeans,\n\
-     spmv, bfs): a ring or hierarchical schedule crosses the 3.2GB/s wire once per node\n\
-     instead of once per remote destination. md and montecarlo reconcile little or nothing\n\
-     and stay direct under the cost model; single-node machines gain only pipelining.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Fleet: multi-tenant job scheduling over a shared simulated cluster  *)
@@ -1129,8 +664,8 @@ let fleet_bench scale ~smoke =
         [ "policy"; "mean wait"; "p95 latency"; "throughput"; "makespan"; "fairness"; "cache";
           "evict"; "spilled" ]
   in
-  let json_entries = ref [] in
-  List.iter
+  let stats =
+    List.map
     (fun policy ->
       progress "  [fleet] %d jobs under %s..." job_count (Mgacc.Fleet.policy_name policy);
       let config =
@@ -1152,29 +687,29 @@ let fleet_bench scale ~smoke =
           string_of_int s.Mgacc.Fleet.evictions;
           Mgacc_util.Bytesize.to_string s.Mgacc.Fleet.spilled_bytes;
         ];
-      json_entries := Printf.sprintf "    %s" (Mgacc.Fleet.stats_to_json s) :: !json_entries)
-    [ Mgacc.Fleet.Fifo; Mgacc.Fleet.Sjf; Mgacc.Fleet.Fair ];
+      s)
+    [ Mgacc.Fleet.Fifo; Mgacc.Fleet.Sjf; Mgacc.Fleet.Fair ]
+  in
   Table.print t;
   write_artifact ~scale:(scale, Small) ~smoke "BENCH_fleet.json"
-    (Printf.sprintf
-      "{\n\
-      \  \"scale\": %S,\n\
-      \  \"flags\": {\"policy\": \"fifo-vs-sjf-vs-fair\", \"keep_warm\": true},\n\
-      \  \"machine\": \"cluster\",\n\
-      \  \"gpus\": 4,\n\
-      \  \"job_count\": %d,\n\
-      \  \"mem_budget_bytes\": %d,\n\
-      \  \"policies\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      (scale_name scale) job_count budget
-      (String.concat ",\n" (List.rev !json_entries)));
+    Json.(
+      Obj
+        [
+          ("scale", Str (scale_name scale));
+          ("flags", Obj [ ("policy", Str "fifo-vs-sjf-vs-fair"); ("keep_warm", Bool true) ]);
+          ("machine", Str "cluster");
+          ("gpus", int 4);
+          ("job_count", int job_count);
+          ("mem_budget_bytes", int budget);
+          (* The library's own serialization of each policy's stats. *)
+          ("policies", Arr (List.map (fun s -> of_string (Mgacc.Fleet.stats_to_json s)) stats));
+        ]);
   print_endline
     "shape: the burst arrives long-and-short interleaved, so FIFO makes short jobs queue\n\
      behind long ones; SJF reorders the backlog shortest-first and wins on mean wait at\n\
      equal throughput (same work, same machine). Fair-share interleaves tenants by\n\
      accumulated service, trading a little mean wait for a flatter slowdown spread.\n"
+
 
 (* ------------------------------------------------------------------ *)
 (* bench sim: fabric event-loop microbenchmark                         *)
@@ -1243,7 +778,7 @@ let sim_time_runs ~iters f =
    test_gpusim catches reverts independently of machine speed. *)
 let sim_floor_events_per_second = 500.0
 
-let sim_bench ~smoke ?machine_override () =
+let sim_bench ~smoke =
   let nodes = if smoke then 2 else 16 in
   let gpus_per_node = 4 in
   let flows = if smoke then 300 else 4000 in
@@ -1282,34 +817,6 @@ let sim_bench ~smoke ?machine_override () =
   let ref_median, ref_spread, ref_eps = measure "reference" true in
   let inc_median, inc_spread, inc_eps = measure "incremental" false in
   let speedup = ref_median /. inc_median in
-  (* Optional --machine override: replay an equivalent storm on a
-     user-chosen topology and report its incremental throughput as an
-     extra, purely informational data point. The pinned 64-GPU cluster
-     numbers above are what CI trends; the override never replaces them. *)
-  let override_cell =
-    match machine_override with
-    | None -> None
-    | Some spec ->
-        let m = Machine.of_spec spec in
-        let fab = m.Machine.fabric in
-        (match Fabric.topology fab with
-        | None ->
-            progress "  [sim] --machine %s has no multi-node topology; skipping override"
-              (Machine.spec_to_string spec);
-            None
-        | Some _ ->
-            let spec_str = Machine.spec_to_string spec in
-            progress "  [sim] --machine %s: timing incremental allocator..." spec_str;
-            let oreqs = sim_storm fab ~flows ~waves ~seed:20260807 in
-            let omedian, _ = sim_time_runs ~iters (fun () -> ignore (Fabric.run_batch fab oreqs)) in
-            let oeps = float_of_int (2 * flows) /. omedian in
-            Some (spec_str, Machine.num_gpus m, omedian, oeps))
-  in
-  (match override_cell with
-  | None -> ()
-  | Some (spec_str, gpus, omedian, oeps) ->
-      Printf.printf "  --machine %s (%d GPUs): incremental median %.4fs, %.0f events/s\n" spec_str
-        gpus omedian oeps);
   let t =
     Table.create ~headers:[ "allocator"; "iters"; "median"; "spread"; "events/s"; "vs reference" ]
   in
@@ -1330,36 +837,29 @@ let sim_bench ~smoke ?machine_override () =
       Printf.sprintf "%.2fx" speedup;
     ];
   Table.print t;
+  let side median spread eps =
+    Json.(
+      Obj [ ("median_seconds", Num median); ("spread_seconds", Num spread); ("events_per_second", Num eps) ])
+  in
   write_artifact ~smoke "BENCH_sim.json"
-    (Printf.sprintf
-      "{\n\
-      \  \"flags\": {\"allocator\": \"incremental-vs-reference\", \"storm\": \
-       \"h2d-d2h-p2p-mixed\"},\n\
-      \  \"machine\": \"cluster\",\n\
-      \  \"nodes\": %d,\n\
-      \  \"gpus_per_node\": %d,\n\
-      \  \"gpus\": %d,\n\
-      \  \"flows\": %d,\n\
-      \  \"waves\": %d,\n\
-      \  \"events\": %d,\n\
-      \  \"iterations\": %d,\n\
-      \  \"reference\": {\"median_seconds\": %.9g, \"spread_seconds\": %.9g, \
-       \"events_per_second\": %.9g},\n\
-      \  \"incremental\": {\"median_seconds\": %.9g, \"spread_seconds\": %.9g, \
-       \"events_per_second\": %.9g},\n\
-      \  \"speedup\": %.9g,\n\
-      \  \"floor_events_per_second\": %.9g%s\n\
-       }\n"
-      nodes gpus_per_node (nodes * gpus_per_node) flows waves events iters ref_median ref_spread
-      ref_eps inc_median inc_spread inc_eps speedup sim_floor_events_per_second
-      (match override_cell with
-      | None -> ""
-      | Some (spec_str, gpus, omedian, oeps) ->
-          Printf.sprintf
-            ",\n\
-            \  \"machine_override\": {\"spec\": %S, \"gpus\": %d, \"median_seconds\": %.9g, \
-             \"events_per_second\": %.9g}"
-            spec_str gpus omedian oeps));
+    Json.(
+      Obj
+        [
+          ( "flags",
+            Obj [ ("allocator", Str "incremental-vs-reference"); ("storm", Str "h2d-d2h-p2p-mixed") ] );
+          ("machine", Str "cluster");
+          ("nodes", int nodes);
+          ("gpus_per_node", int gpus_per_node);
+          ("gpus", int (nodes * gpus_per_node));
+          ("flows", int flows);
+          ("waves", int waves);
+          ("events", int events);
+          ("iterations", int iters);
+          ("reference", side ref_median ref_spread ref_eps);
+          ("incremental", side inc_median inc_spread inc_eps);
+          ("speedup", Num speedup);
+          ("floor_events_per_second", Num sim_floor_events_per_second);
+        ]);
   Printf.printf
     "shape: the reference allocator rebuilds hashtable water-filling state on every\n\
      arrival/completion event, so per-event cost grows with active flows x resources;\n\
@@ -1368,19 +868,145 @@ let sim_bench ~smoke ?machine_override () =
      resources. Throughput floor for CI: %.0f events/s.\n"
     sim_floor_events_per_second
 
+
 (* ------------------------------------------------------------------ *)
-(* bench scale: past 4 GPUs — decomposition and collective scaling     *)
+(* Mode sweeps: overlap, coherence, fusion, collectives, scale-out      *)
 (* ------------------------------------------------------------------ *)
 
-(* The scaling sweep the tentpole claims are made at: jacobi (a 2-D
-   stencil with an inner parallel column loop, so it is 2-D eligible)
-   and spmv (a replicated gather vector reconciled every iteration, so
-   its traffic is collective-shaped) on 4-, 16- and 64-GPU machines
-   built from --machine specs, crossing 1-D vs 2-D decomposition with
-   star (direct) vs ring collectives. Tracked shapes: the 2-D tiles'
-   per-GPU halo bytes drop below the 1-D rows' once the machine has
-   >= 16 GPUs (perimeter vs full row width), and the ring schedule puts
-   fewer bytes on the inter-node wire than the star at 64 GPUs. *)
+(* A sweep cell: one app on one machine under one configuration.
+   [machine] is the label its row carries. *)
+type cell = { app : App_common.t; machine : string; config : Rt_config.t }
+
+(* A mode comparison: its cells, the prose around its table, and the
+   scale its artifact is tracked at. *)
+type sweep = { title : string; note : string; cells : cell list; shape : string; tracked_at : scale }
+
+(* Every combination of the given switch settings, the first switch
+   outermost: [modes [ ("a", [ "x"; "y" ]); ("b", [ "u" ]) ]] is
+   [[ [ ("a", "x"); ("b", "u") ]; [ ("a", "y"); ("b", "u") ] ]]. *)
+let rec modes = function
+  | [] -> [ [] ]
+  | (name, values) :: rest ->
+      List.concat_map (fun v -> List.map (fun m -> (name, v) :: m) (modes rest)) values
+
+(* The cells of apps x machines x settings, nested in that order; a
+   machine is (label, fresh machine, GPUs used). *)
+let cells apps machines settings =
+  List.concat_map
+    (fun app ->
+      List.concat_map
+        (fun (machine, fresh, gpus) ->
+          List.map
+            (fun modes ->
+              let config = Rt_config.make ~num_gpus:gpus (fresh ()) in
+              let config = List.fold_left (fun cfg (name, v) -> set_mode cfg name v) config modes in
+              { app; machine; config })
+            settings)
+        machines)
+    apps
+
+let spellings config =
+  List.map (fun (s : Rt_config.switch) -> s.Rt_config.read config) Rt_config.switches
+
+(* Run each distinct cell once, check every run against the sequential
+   oracle and print one table. A wrong answer stops the bench (exit 1,
+   naming each mismatched cell) before any artifact is written; else the
+   rows go to BENCH_<target>.json: app, machine, GPUs, every mode switch
+   by its spelling, the [Report.metrics], and [results_match]. *)
+let run_sweep scale ~smoke target sw =
+  let artifact = "BENCH_" ^ target ^ ".json" in
+  Printf.printf "== %s (scale: %s%s) ==\n" sw.title (scale_name scale) (if smoke then "; smoke" else "");
+  print_endline sw.note;
+  let key c = (c.app.App_common.source, c.machine, c.config.Rt_config.num_gpus, spellings c.config) in
+  let cells =
+    List.rev
+      (List.fold_left
+         (fun seen c -> if List.exists (fun d -> key d = key c) seen then seen else c :: seen)
+         [] sw.cells)
+  in
+  let label c =
+    Printf.sprintf "%s on %s(%d) %s" c.app.App_common.name c.machine c.config.Rt_config.num_gpus
+      (String.concat "/" (spellings c.config))
+  in
+  let apps = List.sort_uniq compare (List.map (fun c -> c.app) cells) in
+  let oracles = List.map (fun (app : App_common.t) -> (app.source, App_common.sequential app)) apps in
+  let runs =
+    List.map
+      (fun c ->
+        progress "  [%s] %s..." target (label c);
+        let env, report = App_common.proposal c.config c.app in
+        (c, report, App_common.verify c.app ~against:(List.assoc c.app.source oracles) env))
+      cells
+  in
+  (* The switches this sweep varies get a column each. *)
+  let varying =
+    List.filter
+      (fun (s : Rt_config.switch) ->
+        List.exists (fun c -> s.Rt_config.read c.config <> s.Rt_config.read (List.hd cells).config) cells)
+      Rt_config.switches
+  in
+  let t =
+    Table.create
+      ~headers:
+        ([ "app"; "machine" ]
+        @ List.map (fun (s : Rt_config.switch) -> s.Rt_config.name) varying
+        @ [ "time"; "GPU-GPU"; "coh"; "wire"; "hidden"; "prefetch"; "fused/contr"; "rings/hier"; "check" ])
+  in
+  List.iter
+    (fun (c, (r : Report.t), verdict) ->
+      Table.add_row t
+        ([ c.app.App_common.name; Printf.sprintf "%s(%d)" c.machine c.config.Rt_config.num_gpus ]
+        @ List.map (fun (s : Rt_config.switch) -> s.Rt_config.read c.config) varying
+        @ [
+            Printf.sprintf "%.6fs" r.Report.total_time;
+            Bytesize.to_string r.Report.gpu_gpu_bytes;
+            Bytesize.to_string (r.Report.coh_shipped_bytes + r.Report.coh_pulled_bytes);
+            Bytesize.to_string r.Report.wire_bytes;
+            Printf.sprintf "%.6fs" r.Report.hidden_seconds;
+            string_of_int r.Report.prefetch_hits;
+            Printf.sprintf "%d/%d" r.Report.fused_kernels r.Report.contracted_arrays;
+            Printf.sprintf "%d/%d" r.Report.collective_rings r.Report.collective_hierarchies;
+            (if verdict = Ok () then "ok" else "MISMATCH");
+          ]))
+    runs;
+  Table.print t;
+  let mismatches =
+    List.filter_map
+      (fun (c, _, verdict) ->
+        Result.fold ~ok:(fun () -> None) ~error:(fun e -> Some (label c ^ ": " ^ e)) verdict)
+      runs
+  in
+  if mismatches <> [] then begin
+    prerr_endline
+      ("bench: results diverged from the sequential reference, no " ^ artifact ^ " written:\n  "
+     ^ String.concat "\n  " mismatches);
+    exit 1
+  end;
+  let row (c, r, _) =
+    Json.(
+      Obj
+        ([ ("app", Str c.app.App_common.name); ("machine", Str c.machine) ]
+        @ [ ("gpus", int c.config.num_gpus) ]
+        @ List.map (fun (s : Rt_config.switch) -> (s.name, Str (s.read c.config))) Rt_config.switches
+        @ List.map (fun (key, metric) -> (key, Num (metric r))) Report.metrics
+        @ [ ("results_match", Bool true) (* a mismatch exited above *) ]))
+  in
+  write_artifact ~scale:(scale, sw.tracked_at) ~smoke artifact
+    Json.(Obj [ ("scale", Str (scale_name scale)); ("runs", Arr (List.map row runs)) ]);
+  print_endline sw.shape
+
+(* Sweep machines: (label, fresh machine, GPUs used). *)
+let desktop_m = ("desktop", (fun () -> Machine.desktop ()), 2)
+let desktop_mixed_m = ("desktop-mixed", (fun () -> Machine.desktop_mixed ()), 2)
+let supernode_m = ("supernode", (fun () -> Machine.supernode ()), 3)
+let cluster_m = ("cluster", (fun () -> Machine.cluster ~nodes:2 ~gpus_per_node:2 ()), 4)
+
+let five_apps scale =
+  List.map (fun kind -> app_of kind scale) all_apps
+  @ [ Spmv.app Spmv.default_params; Montecarlo.app Montecarlo.default_params ]
+
+(* jacobi: a 2-D stencil with an inner parallel column loop, so it is
+   2-D eligible. *)
 let jacobi_scale_app ~rows ~cols ~iters =
   {
     App_common.name = "jacobi";
@@ -1419,169 +1045,128 @@ let jacobi_scale_app ~rows ~cols ~iters =
     result_arrays = [ "u"; "v" ];
   }
 
-let scale_bench scale ~smoke =
-  Printf.printf "== bench scale: 1-D vs 2-D decomposition, star vs ring, 4 to 64 GPUs (scale: %s%s) ==\n"
-    (scale_name scale)
-    (if smoke then "; smoke" else "");
-  print_endline
-    "(machines built from --machine specs; 2-D tiles the stencil over a sqrt(P)-ish GPU\n\
-     grid so halo traffic follows the tile perimeter; ring collectives cross each\n\
-     inter-node wire once per node instead of once per remote GPU. See docs/TOPOLOGY.md.)\n";
-  let machine_specs =
-    if smoke then [ "cluster:2x2" ] else [ "cluster:2x2"; "fattree:4x4"; "fattree:16x4" ]
-  in
-  let rows, cols, iters, spmv_rows, spmv_width, spmv_iters =
-    if smoke then (32, 24, 2, 256, 6, 2)
-    else
-      match scale with
-      | Small -> (96, 96, 2, 1024, 8, 2)
-      | Default | Paper -> (192, 192, 3, 4096, 8, 3)
-  in
-  let apps =
-    [
-      jacobi_scale_app ~rows ~cols ~iters;
-      Spmv.app { Spmv.rows = spmv_rows; width = spmv_width; iterations = spmv_iters; seed = 19 };
-    ]
-  in
-  let decomps = (Rt_config.find "decomp").Rt_config.spellings in
-  (* BENCH_scale.json labels the direct schedule "star". *)
-  let collective_label cfg =
-    if cfg.Rt_config.collective = Rt_config.Direct then "star"
-    else (Rt_config.find "collective").Rt_config.read cfg
-  in
-  let t =
-    Table.create
-      ~headers:
-        [ "app"; "machine"; "gpus"; "decomp"; "coll"; "time"; "halo/GPU"; "wire"; "rings"; "check" ]
-  in
-  let json_entries = ref [] in
-  let mismatches = ref [] in
-  List.iter
-    (fun (app : App_common.t) ->
-      let seq = App_common.sequential app in
-      List.iter
-        (fun spec_str ->
-          let spec =
-            match Machine.spec_of_string spec_str with
-            | Ok s -> s
-            | Error e -> failwith e
-          in
-          let gpus = Machine.spec_gpus spec in
-          List.iter
-            (fun dname ->
-              List.iter
-                (fun collective ->
-                  let config =
-                    set_mode
-                      (Rt_config.make ~collective ~num_gpus:gpus (Machine.of_spec spec))
-                      "decomp" dname
-                  in
-                  let cname = collective_label config in
-                  progress "  [scale] %s on %s %s/%s..." app.App_common.name spec_str dname cname;
-                  let env, report = App_common.proposal config app in
-                  let ok =
-                    match App_common.verify app ~against:seq env with
-                    | Ok () -> true
-                    | Error e ->
-                        mismatches :=
-                          Printf.sprintf "%s on %s %s/%s: %s" app.App_common.name spec_str dname
-                            cname e
-                          :: !mismatches;
-                        false
-                  in
-                  let halo_per_gpu = report.Report.gpu_gpu_bytes / gpus in
-                  Table.add_row t
-                    [
-                      app.App_common.name;
-                      spec_str;
-                      string_of_int gpus;
-                      dname;
-                      cname;
-                      Printf.sprintf "%.6fs" report.Report.total_time;
-                      Mgacc_util.Bytesize.to_string halo_per_gpu;
-                      Mgacc_util.Bytesize.to_string report.Report.wire_bytes;
-                      string_of_int report.Report.collective_rings;
-                      (if ok then "ok" else "MISMATCH");
-                    ];
-                  json_entries :=
-                    Printf.sprintf
-                      "    {\"app\": %S, \"machine\": %S, \"gpus\": %d, \"decomp\": %S, \
-                       \"collective\": %S, \"seconds\": %.9g, \"gpu_gpu_bytes\": %d, \
-                       \"halo_bytes_per_gpu\": %d, \"wire_bytes\": %d, \"rings\": %d, \
-                       \"hierarchies\": %d, \"results_match\": %b}"
-                      app.App_common.name spec_str gpus dname cname report.Report.total_time
-                      report.Report.gpu_gpu_bytes halo_per_gpu report.Report.wire_bytes
-                      report.Report.collective_rings report.Report.collective_hierarchies ok
-                    :: !json_entries)
-                [ Rt_config.Direct; Rt_config.Ring ])
-            decomps)
-        machine_specs)
-    apps;
-  Table.print t;
-  if !mismatches <> [] then
-    failwith ("bench scale: results diverged from the sequential reference:\n  "
-              ^ String.concat "\n  " !mismatches);
-  write_artifact ~scale:(scale, Default) ~smoke "BENCH_scale.json"
-    (Printf.sprintf
-      "{\n\
-      \  \"scale\": %S,\n\
-      \  \"flags\": {\"decomp\": \"1d-vs-2d\", \"collective\": \"star-vs-ring\", \
-       \"coherence\": \"eager\", \"overlap\": \"off\"},\n\
-      \  \"runs\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      (scale_name scale)
-      (String.concat ",\n" (List.rev !json_entries)));
-  print_endline
-    "shape: at 4 GPUs the 2x2 tile perimeter roughly matches the 1-D halo rows, so the\n\
-     decompositions tie; from 16 GPUs up the tiles win on per-GPU halo bytes and the gap\n\
-     widens with P. spmv's replicated gather vector makes the collective planner earn its\n\
-     keep: at 64 GPUs the ring schedule crosses each inter-node wire once per node where\n\
-     the star crosses it once per remote GPU.\n"
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel probes                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_probes () =
-  let open Bechamel in
-  let scale = Small in
-  let test_of name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    Test.make_grouped ~name:"mgacc"
-      [
-        test_of "table2:md-plan" (fun () ->
-            ignore (Mgacc.compile (Mgacc.parse_string ~name:"md.c" (Md.source (md_params scale)))));
-        test_of "fig7:md-proposal2" (fun () ->
-            ignore
-              (App_common.proposal (desktop 2) (app_of MD scale)));
-        test_of "fig7:kmeans-proposal2" (fun () ->
-            ignore
-              (App_common.proposal (desktop 2) (app_of KMEANS scale)));
-        test_of "fig8:bfs-proposal2" (fun () ->
-            ignore
-              (App_common.proposal (desktop 2) (app_of BFS scale)));
-        test_of "fig9:bfs-memory" (fun () ->
-            ignore
-              (App_common.proposal (desktop 1) (app_of BFS scale)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:4 ~quota:(Time.second 1.0) ~kde:None () in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  print_endline "== Bechamel wall-clock of the harness itself (small scale) ==";
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "  %-28s %10.3f ms/run\n" name (est /. 1e6)
-      | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-    results
+(* The five mode comparisons, by target name. Every cell is checked
+   against the sequential reference: a mode may change traffic and
+   timings, never results. *)
+let sweep scale ~smoke = function
+  | "overlap" ->
+      {
+        title = "Overlap engine: barrier vs dependency-driven";
+        note =
+          "(--overlap on gates every transfer/replay on its own producer's events instead of\n\
+           phase barriers; see docs/OVERLAP.md. 'hidden' is activity off the critical path.)\n";
+        cells =
+          cells (five_apps scale)
+            (if smoke then [ desktop_m ] else [ desktop_m; desktop_mixed_m; supernode_m ])
+            (modes [ ("overlap", [ "off"; "on" ]) ]);
+        shape =
+          "shape: bfs (dirty-chunk reconciliation + irregular per-launch imbalance) gains the\n\
+           most — the slow GPU's exchange streams while the fast one proceeds. kmeans can lose\n\
+           slightly: the barrier model optimistically charged reduction broadcasts concurrently\n\
+           with the gathers they depend on; the DAG serializes gather -> combine -> bcast.\n";
+        tracked_at = Small;
+      }
+  | "coherence" ->
+      let machines = if smoke then [ cluster_m ] else [ desktop_m; supernode_m; cluster_m ] in
+      {
+        title = "Coherence: eager vs demand-driven lazy";
+        note =
+          "(--coherence lazy ships a writer's dirty intervals only to GPUs whose next read\n\
+           window covers them; unread data stays stale and is pulled on demand. See\n\
+           docs/COHERENCE.md. 'coh' is shipped plus pulled replica/reduction traffic. kmeans\n\
+           also runs lazy under the overlap engine, whose broadcast rounds must not lose to\n\
+           barriers.)\n";
+        cells =
+          cells (five_apps scale) machines (modes [ ("coherence", [ "eager"; "lazy" ]) ])
+          @ cells [ app_of KMEANS scale ] machines
+              (modes [ ("coherence", [ "lazy" ]); ("overlap", [ "off"; "on" ]) ]);
+        shape =
+          "shape: kmeans cuts the most — reduction results fan out as per-GPU windows instead of\n\
+           whole-array broadcasts, and self-reads elide the rest. spmv ships one contiguous run\n\
+           per destination instead of padded dirty chunks; bfs ships sparse frontier runs. md and\n\
+           montecarlo reconcile distributed/private data and are unchanged by design.\n";
+        tracked_at = Default;
+      }
+  | "fusion" ->
+      {
+        title = "Fusion: --fuse off vs on";
+        note =
+          "(fusion-friendly md/kmeans variants: chains of adjacent clause-free parallel loops\n\
+           with create temporaries that die inside the fused group; contracted temporaries stop\n\
+           generating coherence traffic. bfs is the control the pass must leave untouched.)\n";
+        cells =
+          cells
+            [
+              Fusionable.md Fusionable.default_md;
+              Fusionable.kmeans Fusionable.default_kmeans;
+              app_of BFS scale;
+            ]
+            (if smoke then [ cluster_m ] else [ desktop_m; cluster_m ])
+            (modes [ ("fuse", [ "off"; "on" ]) ]);
+        shape =
+          "shape: md fuses its three velocity-Verlet loops into one kernel and contracts the\n\
+           acceleration temporary outright; kmeans fuses assignment with membership, contracts\n\
+           both per-point temporaries and repacks the strided point matrix once. bfs has no\n\
+           adjacent compatible loops and its two rows must be equal on every metric.\n";
+        tracked_at = Default;
+      }
+  | "collective" ->
+      {
+        title = "Collectives: direct vs topology-aware auto";
+        note =
+          "(--collective auto lowers replicated-array reconciliation and reduction broadcasts\n\
+           into ring or hierarchical schedules with segment pipelining when the cost model\n\
+           says they beat the star; see docs/MODEL.md 'Collectives'. 'wire' is the inter-node\n\
+           subset of GPU-GPU traffic.)\n";
+        cells =
+          cells (five_apps scale)
+            (if smoke then [ cluster_m ] else [ desktop_m; supernode_m; cluster_m ])
+            (modes [ ("coherence", [ "eager"; "lazy" ]); ("collective", [ "direct"; "auto" ]) ]);
+        shape =
+          "shape: the wins concentrate on the 4-GPU cluster and the replica-heavy apps (kmeans,\n\
+           spmv, bfs): a ring or hierarchical schedule crosses the 3.2GB/s wire once per node\n\
+           instead of once per remote destination. md and montecarlo reconcile little or nothing\n\
+           and stay direct under the cost model; single-node machines gain only pipelining.\n";
+        tracked_at = Default;
+      }
+  | "scale" ->
+      let rows, cols, iters, spmv_rows, spmv_width, spmv_iters =
+        if smoke then (32, 24, 2, 256, 6, 2)
+        else
+          match scale with
+          | Small -> (96, 96, 2, 1024, 8, 2)
+          | Default | Paper -> (192, 192, 3, 4096, 8, 3)
+      in
+      let machine spec_str =
+        match Machine.spec_of_string spec_str with
+        | Ok spec -> (spec_str, (fun () -> Machine.of_spec spec), Machine.spec_gpus spec)
+        | Error e -> failwith e
+      in
+      {
+        title = "bench scale: 1-D vs 2-D decomposition, direct vs ring, 4 to 64 GPUs";
+        note =
+          "(machines built from --machine specs; 2-D tiles the stencil over a sqrt(P)-ish GPU\n\
+           grid so halo traffic follows the tile perimeter; ring collectives cross each\n\
+           inter-node wire once per node instead of once per remote GPU. See docs/TOPOLOGY.md.)\n";
+        cells =
+          cells
+            [
+              jacobi_scale_app ~rows ~cols ~iters;
+              Spmv.app { Spmv.rows = spmv_rows; width = spmv_width; iterations = spmv_iters; seed = 19 };
+            ]
+            (List.map machine
+               (if smoke then [ "cluster:2x2" ] else [ "cluster:2x2"; "fattree:4x4"; "fattree:16x4" ]))
+            (modes [ ("decomp", [ "1d"; "2d" ]); ("collective", [ "direct"; "ring" ]) ]);
+        shape =
+          "shape: at 4 GPUs the 2x2 tile perimeter roughly matches the 1-D halo rows, so the\n\
+           decompositions tie; from 16 GPUs up the tiles win on per-GPU halo bytes and the gap\n\
+           widens with P. spmv's replicated gather vector makes the collective planner earn its\n\
+           keep: at 64 GPUs the ring schedule crosses each inter-node wire once per node where\n\
+           the direct star crosses it once per remote GPU.\n";
+        tracked_at = Default;
+      }
+  | target -> invalid_arg ("sweep " ^ target)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1589,28 +1174,16 @@ let bechamel_probes () =
 
 let usage () =
   print_endline
-    "usage: main.exe [--scale small|default|paper] [--bechamel] \
-     [--smoke] \
-     [--machine SPEC] \
+    "usage: main.exe [--scale small|default|paper] [--smoke] \
      [all|table1|table2|fig7|fig8|fig9|chunk-sweep|dirty-levels|policy|misscheck|layout|extended|expert|contention|cluster|balance|overlap|coherence|fusion|collective|fleet|sim|scale|paper-validate]";
   exit 1
 
 let () =
   let scale = ref Default in
-  let bechamel = ref false in
   let smoke = ref false in
-  let machine_override = ref None in
   let targets = ref [] in
   let rec parse = function
     | [] -> ()
-    | "--machine" :: s :: rest ->
-        (machine_override :=
-           match Machine.spec_of_string s with
-           | Ok spec -> Some spec
-           | Error e ->
-               prerr_endline ("bench: " ^ e);
-               exit 1);
-        parse rest
     | "--scale" :: s :: rest ->
         (scale :=
            match s with
@@ -1618,9 +1191,6 @@ let () =
            | "default" -> Default
            | "paper" -> Paper
            | _ -> usage ());
-        parse rest
-    | "--bechamel" :: rest ->
-        bechamel := true;
         parse rest
     | "--smoke" :: rest ->
         smoke := true;
@@ -1630,67 +1200,41 @@ let () =
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !bechamel then bechamel_probes ()
-  else begin
-    let targets = if !targets = [] then [ "all" ] else List.rev !targets in
-    let scale = !scale in
-    if scale = Paper then
-      prerr_endline
-        "note: paper-scale inputs run interpreted — MD takes minutes per variant, BFS tens of\n\
-         minutes, KMEANS (494020x34x37 iterations) many hours. See EXPERIMENTS.md for recorded\n\
-         paper-scale results.";
-    let needs_collection =
-      List.exists (fun t -> List.mem t [ "all"; "fig7"; "fig8"; "fig9" ]) targets
-    in
-    let collected = if needs_collection then collect scale else [] in
-    List.iter
-      (function
-        | "all" ->
-            table1 ();
-            table2 scale;
-            fig7 collected;
-            fig8 collected;
-            fig9 collected;
-            chunk_sweep scale;
-            dirty_levels scale;
-            policy scale;
-            misscheck scale;
-            layout scale;
-            extended scale;
-            expert scale;
-            contention ();
-            cluster scale;
-            balance ~smoke:!smoke;
-            overlap_bench scale ~smoke:!smoke;
-            coherence_bench scale ~smoke:!smoke;
-            fusion_bench scale ~smoke:!smoke;
-            collective_bench scale ~smoke:!smoke;
-            fleet_bench scale ~smoke:!smoke;
-            sim_bench ~smoke:!smoke ?machine_override:!machine_override ();
-            scale_bench scale ~smoke:!smoke
-        | "table1" -> table1 ()
-        | "table2" -> table2 scale
-        | "fig7" -> fig7 collected
-        | "fig8" -> fig8 collected
-        | "fig9" -> fig9 collected
-        | "chunk-sweep" -> chunk_sweep scale
-        | "dirty-levels" -> dirty_levels scale
-        | "policy" -> policy scale
-        | "misscheck" -> misscheck scale
-        | "layout" -> layout scale
-        | "extended" -> extended scale
-        | "contention" -> contention ()
-        | "expert" -> expert scale
-        | "cluster" -> cluster scale
-        | "balance" -> balance ~smoke:!smoke
-        | "overlap" -> overlap_bench scale ~smoke:!smoke
-        | "coherence" -> coherence_bench scale ~smoke:!smoke
-        | "fusion" -> fusion_bench scale ~smoke:!smoke
-        | "collective" -> collective_bench scale ~smoke:!smoke
-        | "fleet" -> fleet_bench scale ~smoke:!smoke
-        | "sim" -> sim_bench ~smoke:!smoke ?machine_override:!machine_override ()
-        | "scale" -> scale_bench scale ~smoke:!smoke
-        | "paper-validate" -> paper_validate ()
-        | _ -> usage ())
-      targets
-  end
+  let targets = if !targets = [] then [ "all" ] else List.rev !targets in
+  let scale = !scale and smoke = !smoke in
+  if scale = Paper then
+    prerr_endline
+      "note: paper-scale inputs run interpreted — MD takes minutes per variant, BFS tens of\n\
+       minutes, KMEANS (494020x34x37 iterations) many hours. See EXPERIMENTS.md for recorded\n\
+       paper-scale results.";
+  let needs_collection = List.exists (fun t -> List.mem t [ "all"; "fig7"; "fig8"; "fig9" ]) targets in
+  let collected = if needs_collection then collect scale else [] in
+  let rec run = function
+    | "all" ->
+        List.iter run
+          [ "table1"; "table2"; "fig7"; "fig8"; "fig9"; "chunk-sweep"; "dirty-levels"; "policy";
+            "misscheck"; "layout"; "extended"; "expert"; "contention"; "cluster"; "balance";
+            "overlap"; "coherence"; "fusion"; "collective"; "fleet"; "sim"; "scale" ]
+    | "table1" -> table1 ()
+    | "table2" -> table2 scale
+    | "fig7" -> fig7 collected
+    | "fig8" -> fig8 collected
+    | "fig9" -> fig9 collected
+    | "chunk-sweep" -> chunk_sweep scale
+    | "dirty-levels" -> dirty_levels scale
+    | "policy" -> policy scale
+    | "misscheck" -> misscheck scale
+    | "layout" -> layout scale
+    | "extended" -> extended scale
+    | "contention" -> contention ()
+    | "expert" -> expert scale
+    | "cluster" -> cluster scale
+    | "balance" -> balance ~smoke
+    | ("overlap" | "coherence" | "fusion" | "collective" | "scale") as target ->
+        run_sweep scale ~smoke target (sweep scale ~smoke target)
+    | "fleet" -> fleet_bench scale ~smoke
+    | "sim" -> sim_bench ~smoke
+    | "paper-validate" -> paper_validate ()
+    | _ -> usage ()
+  in
+  List.iter run targets

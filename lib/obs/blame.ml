@@ -137,7 +137,7 @@ let to_json s =
        (List.map
           (fun (cat, e, h) ->
             Printf.sprintf "\"%s\":{\"exposed\":%.9g,\"hidden\":%.9g}"
-              (Trace.json_escape (category_label cat))
+              (Mgacc_util.Json.escape (category_label cat))
               e h)
           s.s_categories));
   Buffer.add_string buf "},\"rows\":[";
@@ -147,8 +147,8 @@ let to_json s =
           (fun r ->
             Printf.sprintf
               "{\"category\":\"%s\",\"label\":\"%s\",\"exposed\":%.9g,\"hidden\":%.9g,\"spans\":%d}"
-              (Trace.json_escape (category_label r.r_category))
-              (Trace.json_escape r.r_label) r.r_exposed r.r_hidden r.r_spans)
+              (Mgacc_util.Json.escape (category_label r.r_category))
+              (Mgacc_util.Json.escape r.r_label) r.r_exposed r.r_hidden r.r_spans)
           s.s_rows));
   Buffer.add_string buf "]}";
   Buffer.contents buf

@@ -1,5 +1,3 @@
-open Mgacc_sim
-
 type hist = {
   buckets : float array; (* strictly increasing finite upper bounds *)
   counts : int array; (* length buckets + 1; last is the +Inf overflow *)
@@ -208,13 +206,14 @@ let events_to_jsonl t =
   List.iter
     (fun ev ->
       Buffer.add_string buf
-        (Printf.sprintf "{\"t\":%.9g,\"event\":\"%s\"" ev.ev_time (Trace.json_escape ev.ev_name));
+        (Printf.sprintf "{\"t\":%.9g,\"event\":\"%s\"" ev.ev_time
+           (Mgacc_util.Json.escape ev.ev_name));
       if ev.ev_fields <> [] then begin
         Buffer.add_string buf ",\"fields\":{";
         Buffer.add_string buf
           (String.concat ","
              (List.map
-                (fun (k, v) -> Printf.sprintf "\"%s\":%.9g" (Trace.json_escape k) v)
+                (fun (k, v) -> Printf.sprintf "\"%s\":%.9g" (Mgacc_util.Json.escape k) v)
                 ev.ev_fields));
         Buffer.add_char buf '}'
       end;

@@ -119,18 +119,26 @@ let with_blame t blame = { t with blame = Some blame }
 let speedup_vs t ~baseline = baseline.total_time /. t.total_time
 let coh_elided_bytes t = max 0 (t.coh_deferred_bytes - t.coh_pulled_bytes)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let metrics =
+  let count f t = float_of_int (f t) in
+  [
+    ("seconds", fun t -> t.total_time);
+    ("gpu_gpu_seconds", fun t -> t.gpu_gpu_time);
+    ("hidden_seconds", fun t -> t.hidden_seconds);
+    ("gpu_gpu_bytes", count (fun t -> t.gpu_gpu_bytes));
+    ("wire_bytes", count (fun t -> t.wire_bytes));
+    ("prefetch_hits", count (fun t -> t.prefetch_hits));
+    ("coh_shipped_bytes", count (fun t -> t.coh_shipped_bytes));
+    ("coh_deferred_bytes", count (fun t -> t.coh_deferred_bytes));
+    ("coh_pulled_bytes", count (fun t -> t.coh_pulled_bytes));
+    ("coh_elided_bytes", count coh_elided_bytes);
+    ("rings", count (fun t -> t.collective_rings));
+    ("hierarchies", count (fun t -> t.collective_hierarchies));
+    ("segments", count (fun t -> t.collective_segments));
+    ("fused_kernels", count (fun t -> t.fused_kernels));
+    ("contracted_arrays", count (fun t -> t.contracted_arrays));
+    ("relayouts", count (fun t -> t.relayouts));
+  ]
 
 let to_json t =
   (* The "blame" sub-object is appended only when present, so default
@@ -153,12 +161,13 @@ let to_json t =
       (List.map
          (fun (name, shipped, deferred, pulled) ->
            Printf.sprintf {|{"name":"%s","shipped_bytes":%d,"deferred_bytes":%d,"pulled_bytes":%d}|}
-             (json_escape name) shipped deferred pulled)
+             (Mgacc_util.Json.escape name) shipped deferred pulled)
          t.coh_arrays)
   in
   Printf.sprintf
     {|{"machine":"%s","variant":"%s","num_gpus":%d,"total_time":%.9g,"kernel_time":%.9g,"cpu_gpu_time":%.9g,"gpu_gpu_time":%.9g,"overhead_time":%.9g,"cpu_gpu_bytes":%d,"gpu_gpu_bytes":%d,"wire_bytes":%d,"loops":%d,"launches":%d,"rebalances":%d,"mean_imbalance":%.9g,"hidden_seconds":%.9g,"prefetch_hits":%d,"mem_user_bytes":%d,"mem_system_bytes":%d,"queue_seconds":%.9g,"spills":%d,"spilled_bytes":%d,"collective":{"rings":%d,"hierarchies":%d,"direct_groups":%d,"segments":%d},"coherence":{"shipped_bytes":%d,"deferred_bytes":%d,"pulled_bytes":%d,"elided_bytes":%d,"arrays":[%s]}%s%s}|}
-    (json_escape t.machine) (json_escape t.variant) t.num_gpus t.total_time t.kernel_time
+    (Mgacc_util.Json.escape t.machine) (Mgacc_util.Json.escape t.variant) t.num_gpus t.total_time
+    t.kernel_time
     t.cpu_gpu_time t.gpu_gpu_time t.overhead_time t.cpu_gpu_bytes t.gpu_gpu_bytes t.wire_bytes
     t.loops t.launches t.rebalances t.mean_imbalance t.hidden_seconds t.prefetch_hits
     t.mem_user_bytes t.mem_system_bytes t.queue_seconds t.spills t.spilled_bytes

@@ -73,6 +73,15 @@ val speedup_vs : t -> baseline:t -> float
 val coh_elided_bytes : t -> int
 (** Deferred bytes never pulled: transfers lazy coherence avoided outright. *)
 
+val metrics : (string * (t -> float)) list
+(** The numbers one bench sweep row carries, by JSON key, in row order:
+    [seconds] ([total_time]), [gpu_gpu_seconds], [hidden_seconds],
+    [gpu_gpu_bytes], [wire_bytes], [prefetch_hits], the coherence
+    counters [coh_shipped_bytes], [coh_deferred_bytes],
+    [coh_pulled_bytes] and [coh_elided_bytes], the collective counters
+    [rings], [hierarchies] and [segments], and the fusion counters
+    [fused_kernels], [contracted_arrays] and [relayouts]. *)
+
 val to_json : t -> string
 (** One-line JSON object with every field, including a ["coherence"]
     sub-object with totals, elided bytes and the per-array breakdown. *)

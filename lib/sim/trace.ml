@@ -63,19 +63,6 @@ let busy_union t pred =
   in
   sweep 0.0 None sorted
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_chrome_json ?(process_name = "mgacc simulated machine") t =
   let spans = spans t in
   let tids = Hashtbl.create 8 in
@@ -112,8 +99,8 @@ let to_chrome_json ?(process_name = "mgacc simulated machine") t =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"bytes\":%d,\"span\":%d%s}}"
-           (json_escape s.label)
-           (json_escape (category_label s.category))
+           (Mgacc_util.Json.escape s.label)
+           (Mgacc_util.Json.escape (category_label s.category))
            (s.start *. 1e6)
            ((s.finish -. s.start) *. 1e6)
            tid s.bytes s.id causes))
@@ -144,14 +131,14 @@ let to_chrome_json ?(process_name = "mgacc simulated machine") t =
     spans;
   emit
     (Printf.sprintf "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"%s\"}}"
-       (json_escape process_name));
+       (Mgacc_util.Json.escape process_name));
   List.iter
     (fun resource ->
       let tid = Hashtbl.find tids resource in
       emit
         (Printf.sprintf
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           tid (json_escape resource));
+           tid (Mgacc_util.Json.escape resource));
       emit
         (Printf.sprintf
            "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"sort_index\":%d}}"

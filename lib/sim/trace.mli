@@ -77,7 +77,3 @@ val to_chrome_json : ?process_name:string -> t -> string
     between spans are emitted as Perfetto flow events ([ph:"s"]/[ph:"f"])
     so the dependency DAG renders as arrows, and metadata ([ph:"M"])
     events name the process and each resource row. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal (no surrounding
-    quotes added). Shared by the other exporters in this tree. *)

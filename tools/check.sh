@@ -43,7 +43,8 @@ dune exec bench/main.exe -- --smoke fusion
 # (see docs/TOPOLOGY.md).
 dune exec bench/main.exe -- --smoke scale
 # Overlap, coherence and collective smoke: every run is checked against
-# the sequential reference; none of them may write its artifact.
+# the sequential reference and a mismatch fails the sweep (exit 1); none
+# of them may write its artifact.
 dune exec bench/main.exe -- --scale small --smoke overlap coherence collective
 # End-to-end smoke: the four e2e workloads on their four machine shapes,
 # through the compiled host path. Every run is checked against the

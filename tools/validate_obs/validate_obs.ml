@@ -3,169 +3,28 @@
      validate_obs trace FILE.json    # chrome trace: spans + causal flow events
      validate_obs metrics FILE.prom  # Prometheus text exposition
 
-   Hand-rolled parsing (no JSON library in the build), same spirit as
-   test/test_bench_artifacts.ml: the goal is that a malformed or
-   internally inconsistent artifact fails CI loudly, not to be a general
-   parser. *)
+   JSON is read with the tree's one parser, [Mgacc_util.Json]; the goal
+   is that a malformed or internally inconsistent artifact fails CI
+   loudly. *)
+
+module Json = Mgacc_util.Json
 
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("validate_obs: " ^ msg); exit 1) fmt
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error e -> fail "%s" e
-  | ic ->
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      s
-
-(* ---------------- minimal JSON ---------------- *)
-
-type json = Null | Bool of bool | Num of float | Str of string | Arr of json list | Obj of (string * json) list
-
-let parse_json file (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let bad msg = fail "%s: %s at byte %d" file msg !pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else bad ("expected " ^ word)
-  in
-  let parse_string () =
-    (match peek () with Some '"' -> advance () | _ -> bad "expected '\"'");
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> bad "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' ->
-              Buffer.add_char b '\n';
-              advance ();
-              go ()
-          | Some c ->
-              Buffer.add_char b c;
-              advance ();
-              go ()
-          | None -> bad "unterminated escape")
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then bad "expected a number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> bad "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let members = ref [] in
-          let rec member () =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            (match peek () with Some ':' -> advance () | _ -> bad "expected ':'");
-            let v = parse_value () in
-            members := (key, v) :: !members;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                member ()
-            | Some '}' -> advance ()
-            | _ -> bad "expected ',' or '}'"
-          in
-          member ();
-          Obj (List.rev !members)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec item () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                item ()
-            | Some ']' -> advance ()
-            | _ -> bad "expected ',' or ']'"
-          in
-          item ();
-          Arr (List.rev !items)
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> bad "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then bad "trailing garbage";
-  v
+let read_file path = try In_channel.with_open_bin path In_channel.input_all with Sys_error e -> fail "%s" e
 
 (* ---------------- chrome trace ---------------- *)
 
 let validate_trace file =
   let events =
-    match parse_json file (read_file file) with
-    | Arr events -> events
+    match Json.of_string (read_file file) with
+    | Json.Arr events -> events
     | _ -> fail "%s: top level is not an array" file
+    | exception Json.Parse_error e -> fail "%s: %s" file e
   in
-  let str key = function Obj kvs -> (match List.assoc_opt key kvs with Some (Str s) -> Some s | _ -> None) | _ -> None in
-  let num key = function
-    | Obj kvs -> ( match List.assoc_opt key kvs with Some (Num f) -> Some f | _ -> None)
-    | _ -> None
-  in
-  let arg key = function
-    | Obj kvs -> (
-        match List.assoc_opt "args" kvs with
-        | Some (Obj args) -> List.assoc_opt key args
-        | _ -> None)
-    | _ -> None
-  in
+  let str key ev = match Json.member key ev with Some (Json.Str s) -> Some s | _ -> None in
+  let num key ev = match Json.member key ev with Some (Json.Num f) -> Some f | _ -> None in
+  let arg key ev = Option.bind (Json.member "args" ev) (Json.member key) in
   let span_ids = Hashtbl.create 256 in
   let flow_starts = Hashtbl.create 256 in
   let spans = ref 0 and flow_s = ref 0 and flow_f = ref 0 and meta = ref 0 in
@@ -175,7 +34,7 @@ let validate_trace file =
       | Some "X" -> (
           incr spans;
           match arg "span" ev with
-          | Some (Num id) -> Hashtbl.replace span_ids id ()
+          | Some (Json.Num id) -> Hashtbl.replace span_ids id ()
           | _ -> fail "%s: an X event is missing args.span" file)
       | Some "M" -> incr meta
       | _ -> ())
@@ -187,7 +46,7 @@ let validate_trace file =
           if ph = "s" then incr flow_s else incr flow_f;
           let span =
             match arg "span" ev with
-            | Some (Num id) ->
+            | Some (Json.Num id) ->
                 if not (Hashtbl.mem span_ids id) then
                   fail "%s: flow %s event references unknown span %g" file ph id;
                 id
