@@ -246,6 +246,15 @@ let extras =
         [ ("coherence", "lazy"); ("collective", "auto") ]
         (source "tree.c" tree_source);
       both "if-false desktop" ~spec:"desktop" [] (source "if_false.c" if_false_source);
+      (* Lazy coherence at 16 GPUs: bfs reads [levels] through
+         data-dependent indices, so every writer's scattered runs
+         broadcast to 15 peers. *)
+      both "bfs fattree:4x4" ~spec:"fattree:4x4"
+        [ ("coherence", "lazy"); ("collective", "direct") ]
+        (program_named "bfs");
+      both "bfs fattree:4x4" ~spec:"fattree:4x4"
+        [ ("coherence", "lazy"); ("collective", "auto") ]
+        (program_named "bfs");
     ]
 
 (* One replay of the sample job trace on a shared desktop, three jobs
