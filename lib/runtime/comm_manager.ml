@@ -79,13 +79,14 @@ let merge_replicated cfg (da : Darray.t) ~fresh_group =
           (* Every destination receives the same full dirty payload, so
              the per-src star is a broadcast the planner may reshape. *)
           let group = fresh_group () in
+          let tag = da.Darray.name ^ ":dirty" in
           for dst = 0 to num_gpus - 1 do
             if dst <> src then begin
               ops :=
                 {
                   dir = Fabric.P2p (src, dst);
                   bytes;
-                  tag = da.Darray.name ^ ":dirty";
+                  tag;
                   array = da.Darray.name;
                   kind = Dirty_chunk;
                   round = 0;
@@ -126,12 +127,17 @@ let merge_replicated cfg (da : Darray.t) ~fresh_group =
    is deferred: the destination replica is marked stale there and pulls
    on demand if a later consumer shows up. Writers are processed in
    ascending GPU order exactly like the eager path, so overlapping
-   writes resolve to the same final values. *)
+   writes resolve to the same final values.
+
+   A destination that takes a writer's whole run set shares that set
+   physically ([s == w] below), so each writer's payload size is
+   computed once and a broadcast is a physical-equality test. *)
 let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh_group =
   let r = Darray.replica_of da in
   let num_gpus = cfg.Rt_config.num_gpus in
   let mem g = (Mgacc_gpusim.Machine.device cfg.Rt_config.machine g).Mgacc_gpusim.Device.memory in
   let elem_bytes = Darray.elem_bytes da in
+  let tag = da.Darray.name ^ ":dirty" in
   let ranged_bytes s =
     List.fold_left
       (fun acc (iv : Interval.t) -> acc + (Interval.length iv * elem_bytes) + 8)
@@ -150,21 +156,30 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
           :: !scans;
         if Dirty.any_dirty d then runs.(src) <- Dirty.dirty_runs d
   done;
+  (* What each pair ships and its ranged payload ([ship.(g).(g)] is
+     empty, so the diagonal is 0). *)
   let ship = Array.make_matrix num_gpus num_gpus Interval.Set.empty in
+  let ship_bytes = Array.make_matrix num_gpus num_gpus 0 in
   for src = 0 to num_gpus - 1 do
-    if not (Interval.Set.is_empty runs.(src)) then
+    let w = runs.(src) in
+    if not (Interval.Set.is_empty w) then begin
+      let w_payload = ranged_bytes w in
       for dst = 0 to num_gpus - 1 do
-        if dst <> src then
-          ship.(src).(dst) <-
-            (match window with
+        if dst <> src then begin
+          let s =
+            match window with
             | Cw_none -> Interval.Set.empty
-            | Cw_all -> runs.(src)
-            | Cw_windows ws -> Interval.Set.inter runs.(src) ws.(dst))
+            | Cw_all -> w
+            | Cw_windows ws ->
+                let s = Interval.Set.inter w ws.(dst) in
+                if Interval.Set.equal s w then w else s
+          in
+          ship.(src).(dst) <- s;
+          ship_bytes.(src).(dst) <- (if s == w then w_payload else ranged_bytes s)
+        end
       done
+    end
   done;
-  (* Each pair's ranged payload, computed once ([ship.(g).(g)] is empty,
-     so the diagonal is 0). *)
-  let ship_bytes = Array.map (Array.map ranged_bytes) ship in
   (* Staging as in the eager path, sized for the ranged payloads. *)
   let staging = ref [] in
   let send_bytes = Array.map (Array.fold_left max 0) ship_bytes in
@@ -180,9 +195,6 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
   for src = 0 to num_gpus - 1 do
     let w = runs.(src) in
     if not (Interval.Set.is_empty w) then begin
-      for dst = 0 to num_gpus - 1 do
-        if dst <> src then r.Darray.valid.(dst) <- Interval.Set.diff r.Darray.valid.(dst) w
-      done;
       r.Darray.valid.(src) <- Interval.Set.union r.Darray.valid.(src) w;
       let w_bytes = Interval.Set.total_length w * elem_bytes in
       (* Collective-eligible only when every peer receives the full dirty
@@ -191,7 +203,7 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
       let is_broadcast =
         let ok = ref true in
         for dst = 0 to num_gpus - 1 do
-          if dst <> src && not (Interval.Set.equal ship.(src).(dst) w) then ok := false
+          if dst <> src && ship.(src).(dst) != w then ok := false
         done;
         !ok
       in
@@ -199,7 +211,17 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
       for dst = 0 to num_gpus - 1 do
         if dst <> src then begin
           let s = ship.(src).(dst) in
-          deferred := !deferred + w_bytes - (Interval.Set.total_length s * elem_bytes);
+          (* The writer's runs go stale on [dst] and the shipped part
+             becomes valid again: [(v \ w) ∪ s]. When [s] is all of [w]
+             that is [v ∪ w], one union, and a normalized set has one
+             representation, so both forms give the same list. *)
+          if s == w then r.Darray.valid.(dst) <- Interval.Set.union r.Darray.valid.(dst) w
+          else begin
+            deferred := !deferred + w_bytes - (Interval.Set.total_length s * elem_bytes);
+            let stale = Interval.Set.diff r.Darray.valid.(dst) w in
+            r.Darray.valid.(dst) <-
+              (if Interval.Set.is_empty s then stale else Interval.Set.union stale s)
+          end;
           if not (Interval.Set.is_empty s) then begin
             let bytes = ship_bytes.(src).(dst) in
             shipped := !shipped + bytes;
@@ -207,7 +229,7 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
               {
                 dir = Fabric.P2p (src, dst);
                 bytes;
-                tag = da.Darray.name ^ ":dirty";
+                tag;
                 array = da.Darray.name;
                 kind = Dirty_chunk;
                 round = 0;
@@ -216,8 +238,7 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
               :: !ops;
             List.iter
               (fun seg -> Darray.copy_replica_seg da r ~src ~dst seg)
-              (Interval.Set.to_list s);
-            r.Darray.valid.(dst) <- Interval.Set.union r.Darray.valid.(dst) s
+              (Interval.Set.to_list s)
           end
         end
       done

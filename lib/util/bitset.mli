@@ -32,6 +32,8 @@ val runs : t -> Interval.Set.t
 (** The set bits as a normalized interval set of maximal runs. *)
 
 val runs_in_range : t -> lo:int -> hi:int -> Interval.Set.t
+(** The set bits in [\[lo, hi)], clamped to the bitset, as maximal runs.
+    Whole bytes that continue the current state are skipped. *)
 
 val union_into : dst:t -> src:t -> unit
 (** [union_into ~dst ~src] ors [src] into [dst]. Lengths must match. *)

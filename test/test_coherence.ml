@@ -265,6 +265,166 @@ let test_consumed_reduction_tree_bcast () =
       Array.iteri (fun i v -> check (Alcotest.float 1e-9) "sums" v got.(i)) reference)
     [ false; true ]
 
+(* ---------------- the lazy merge against its per-pair oracle ---------------- *)
+
+module Interval = Mgacc_util.Interval
+module Darray = Mgacc_runtime.Darray
+module Dirty = Mgacc_runtime.Dirty
+module Comm_manager = Mgacc_runtime.Comm_manager
+
+(* A destination's read window, relative to writer [k]'s marks: equal to
+   them, containing them, a random set (so overlapping or not), their
+   complement (disjoint), nothing or everything. *)
+type window_spec =
+  | Equal of int
+  | Containing of int * (int * int) list
+  | Random of (int * int) list
+  | Disjoint of int
+  | Nothing
+  | Everything
+
+type merge_case = {
+  gpus : int;
+  n : int;
+  ints : bool;
+  prior : (int * int) list array;  (** each replica's valid (lo, len) runs *)
+  marks : (int * int) list array;  (** each GPU's dirty (lo, len) runs *)
+  window : [ `None | `All | `Same of window_spec | `Each of window_spec array ];
+}
+
+let gen_merge_case =
+  let open QCheck2.Gen in
+  let* gpus = int_range 2 6 in
+  let* n = int_range 1 200 in
+  let runs = list_size (int_bound 6) (pair (int_bound (n - 1)) (int_range 1 40)) in
+  let spec =
+    let* k = int_bound (gpus - 1) in
+    oneof
+      [
+        pure (Equal k);
+        map (fun l -> Containing (k, l)) runs;
+        map (fun l -> Random l) runs;
+        pure (Disjoint k);
+        pure Nothing;
+        pure Everything;
+      ]
+  in
+  let* ints = bool in
+  let* prior = array_repeat gpus runs in
+  let* marks = array_repeat gpus (oneof [ pure []; runs ]) in
+  let+ window =
+    oneof
+      [
+        pure `None;
+        pure `All;
+        map (fun s -> `Same s) spec;
+        map (fun ws -> `Each ws) (array_repeat gpus spec);
+      ]
+  in
+  { gpus; n; ints; prior; marks; window }
+
+let print_merge_case c =
+  let runs l = String.concat ";" (List.map (fun (lo, len) -> Printf.sprintf "%d+%d" lo len) l) in
+  let per_gpu a = String.concat " | " (Array.to_list (Array.map runs a)) in
+  let spec = function
+    | Equal k -> Printf.sprintf "equal %d" k
+    | Containing (k, l) -> Printf.sprintf "containing %d + {%s}" k (runs l)
+    | Random l -> Printf.sprintf "{%s}" (runs l)
+    | Disjoint k -> Printf.sprintf "disjoint %d" k
+    | Nothing -> "nothing"
+    | Everything -> "everything"
+  in
+  Printf.sprintf "gpus=%d n=%d ints=%b\nprior: %s\nmarks: %s\nwindow: %s" c.gpus c.n c.ints
+    (per_gpu c.prior) (per_gpu c.marks)
+    (match c.window with
+    | `None -> "none"
+    | `All -> "all"
+    | `Same s -> "same " ^ spec s
+    | `Each ws -> String.concat ", " (Array.to_list (Array.map spec ws)))
+
+(* One side of the comparison: a fresh 6-GPU machine and the array in the
+   case's state, merged by [merge]. Returns the result, every valid set,
+   every replica's contents and each device's system-memory peak. *)
+let merge_side c merge =
+  let cfg =
+    Rt_config.make ~num_gpus:c.gpus ~coherence:Rt_config.Lazy
+      (Mgacc.Machine.cluster ~nodes:2 ~gpus_per_node:3 ())
+  in
+  let set_of l =
+    Interval.Set.of_list (List.map (fun (lo, len) -> Interval.make lo (min c.n (lo + len))) l)
+  in
+  let full = Interval.Set.of_interval (Interval.make 0 c.n) in
+  let da = Ref_merge.replicated cfg ~ints:c.ints ~n:c.n in
+  let r = Darray.replica_of da in
+  Array.iteri (fun g l -> r.Darray.valid.(g) <- set_of l) c.prior;
+  (* Keep the invariant: every element is valid somewhere. *)
+  r.Darray.valid.(0) <-
+    Interval.Set.union r.Darray.valid.(0)
+      (Array.fold_left Interval.Set.diff full r.Darray.valid);
+  Array.iteri
+    (fun g l ->
+      match r.Darray.dirty.(g) with
+      | Some d ->
+          List.iter
+            (fun (iv : Interval.t) ->
+              for i = iv.Interval.lo to iv.Interval.hi - 1 do
+                Dirty.mark d i
+              done)
+            (Interval.Set.to_list (set_of l))
+      | None -> failwith "merge_side: no dirty bits")
+    c.marks;
+  let of_spec = function
+    | Equal k -> set_of c.marks.(k)
+    | Containing (k, l) -> Interval.Set.union (set_of c.marks.(k)) (set_of l)
+    | Random l -> set_of l
+    | Disjoint k -> Interval.Set.diff full (set_of c.marks.(k))
+    | Nothing -> Interval.Set.empty
+    | Everything -> full
+  in
+  let window =
+    match c.window with
+    | `None -> Comm_manager.Cw_none
+    | `All -> Comm_manager.Cw_all
+    | `Same s -> Comm_manager.Cw_windows (Array.make c.gpus (of_spec s))
+    | `Each ws -> Comm_manager.Cw_windows (Array.map of_spec ws)
+  in
+  let result = merge cfg da ~window in
+  let contents =
+    Array.map
+      (fun buf ->
+        if c.ints then Array.map float_of_int (Mgacc.Memory.int_data buf)
+        else Array.copy (Mgacc.Memory.float_data buf))
+      r.Darray.bufs
+  in
+  let peaks =
+    Array.init c.gpus (fun g ->
+        Mgacc.Memory.peak_class
+          (Mgacc.Machine.device cfg.Rt_config.machine g).Mgacc_gpusim.Device.memory `System)
+  in
+  let dirty_left =
+    Array.exists (function Some d -> Dirty.any_dirty d | None -> false) r.Darray.dirty
+  in
+  (result, Array.map Interval.Set.to_list r.Darray.valid, contents, peaks, dirty_left)
+
+let prop_lazy_merge_matches_oracle c =
+  let result, valid, contents, peaks, dirty_left = merge_side c Ref_merge.reconcile_runtime in
+  let result', valid', contents', peaks', dirty_left' = merge_side c Ref_merge.reconcile in
+  let differs what = QCheck2.Test.fail_reportf "%s differ from the per-pair oracle" what in
+  if result.Comm_manager.ops <> result'.Comm_manager.ops then
+    differs "ops (dir, bytes, tag, kind, round, group)"
+  else if result.Comm_manager.scans <> result'.Comm_manager.scans then differs "scans"
+  else if result.Comm_manager.coh <> result'.Comm_manager.coh then differs "coherence counts"
+  else if valid <> valid' then differs "valid sets"
+  else if contents <> contents' then differs "replica contents"
+  else if peaks <> peaks' then differs "staging peaks"
+  else if dirty_left || dirty_left' then differs "dirty bits left set"
+  else result = result'
+
+let test_qcheck_lazy_merge_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"lazy merge == per-pair oracle (ops, valid sets, contents)"
+       ~print:print_merge_case gen_merge_case prop_lazy_merge_matches_oracle)
+
 let suite =
   [
     tc "lazy: five apps match the sequential reference" test_lazy_results_match_sequential;
@@ -273,4 +433,5 @@ let suite =
     tc "lazy: consumer windows limit dirty shipping" test_window_limits_shipping;
     tc "lazy: unread reduction broadcast is deferred" test_unread_reduction_deferred;
     tc "lazy: consumed reduction re-publishes via the tree" test_consumed_reduction_tree_bcast;
+    test_qcheck_lazy_merge_matches_oracle;
   ]

@@ -982,6 +982,34 @@ for (i = 0; i < n; i++) {
   if Float.abs (twice -. once) > 16.0 then
     Alcotest.failf "1000 iterations allocated %.0f minor words, 2000 allocated %.0f" once twice
 
+(* The lazy merge does a writer's work once, not once per destination:
+   one writer's 1,000 scattered dirty runs broadcast to fully valid peers
+   allocate about the same on 16 GPUs as on 4. A merge that re-conses
+   the runs for every destination allocates about 4.6 times as much on
+   16 and fails. *)
+let test_lazy_merge_allocation_flat_in_peers () =
+  let module Rt_config = Mgacc_runtime.Rt_config in
+  let words gpus =
+    let cfg =
+      Rt_config.make ~num_gpus:gpus ~coherence:Rt_config.Lazy
+        (Mgacc.Machine.cluster ~nodes:4 ~gpus_per_node:4 ())
+    in
+    let da = Ref_merge.replicated cfg ~ints:false ~n:4000 in
+    (match (Mgacc_runtime.Darray.replica_of da).Mgacc_runtime.Darray.dirty.(0) with
+    | Some d ->
+        for k = 0 to 999 do
+          Mgacc_runtime.Dirty.mark d (4 * k)
+        done
+    | None -> Alcotest.fail "no dirty bits");
+    let before = Gc.minor_words () in
+    ignore (Ref_merge.reconcile_runtime cfg da ~window:Mgacc_runtime.Comm_manager.Cw_all);
+    Gc.minor_words () -. before
+  in
+  ignore (Lazy.force Ref_merge.plan);
+  let four = words 4 and sixteen = words 16 in
+  if sixteen >= 2.0 *. four then
+    Alcotest.failf "the merge allocated %.0f minor words on 4 GPUs and %.0f on 16" four sixteen
+
 let test_kernel_frames_count_separately () =
   let kc =
     compile_loop saxpy_src
@@ -1028,5 +1056,6 @@ let suite =
     tc "kernel: every operand shape matches the reference, counts included" test_kernel_shape_matrix;
     prop_kernel_matches_reference;
     tc "kernel: a double body allocates nothing per iteration" test_kernel_allocates_nothing_per_iteration;
+    tc "lazy merge: allocation flat in the number of peers" test_lazy_merge_allocation_flat_in_peers;
     tc "kernel: each frame has its own cost counter" test_kernel_frames_count_separately;
   ]

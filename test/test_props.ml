@@ -95,31 +95,60 @@ let prop_of_sorted_disjoint_agrees l =
 
 (* ---------------- Bitset vs boolean array ---------------- *)
 
+(* Single-bit sets and clears plus whole ranges, on up to 600 bits so
+   full [0xFF] bytes are common; then scans over random, possibly
+   unaligned or out-of-range bounds. *)
 let gen_bit_ops =
-  QCheck2.Gen.(pair (int_range 1 120) (list_size (int_bound 40) (pair bool (int_bound 200))))
+  QCheck2.Gen.(
+    let* n = int_range 1 600 in
+    let op =
+      oneof
+        [
+          map (fun i -> `Set i) (int_bound (n - 1));
+          map (fun i -> `Clear i) (int_bound (n - 1));
+          map2 (fun lo len -> `Range (lo, lo + len)) (int_bound (n - 1)) (int_bound 80);
+        ]
+    in
+    let* ops = list_size (int_bound 40) op in
+    let bound = int_range (-4) (n + 4) in
+    let+ scans = list_size (int_range 1 8) (pair bound bound) in
+    (n, ops, scans))
 
-let prop_bitset (n, ops) =
+let prop_bitset (n, ops, scans) =
   let b = Bitset.create n in
   let model = Array.make n false in
   List.iter
-    (fun (set, raw) ->
-      let i = raw mod n in
-      if set then begin
-        Bitset.set b i;
-        model.(i) <- true
-      end
-      else begin
-        Bitset.clear b i;
-        model.(i) <- false
-      end)
+    (function
+      | `Set i ->
+          Bitset.set b i;
+          model.(i) <- true
+      | `Clear i ->
+          Bitset.clear b i;
+          model.(i) <- false
+      | `Range (lo, hi) ->
+          Bitset.set_range b ~lo ~hi;
+          for i = lo to min n hi - 1 do
+            model.(i) <- true
+          done)
     ops;
   let count_ok = Bitset.count b = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 model in
   let gets_ok = Array.for_all Fun.id (Array.init n (fun i -> Bitset.get b i = model.(i))) in
-  let runs = Bitset.runs b in
-  let runs_ok =
-    Array.for_all Fun.id (Array.init n (fun i -> Interval.Set.mem runs i = model.(i)))
+  let model_runs lo hi =
+    List.init (max 0 (min n hi - max 0 lo)) (fun k -> max 0 lo + k)
+    |> List.filter (fun i -> model.(i))
+    |> List.map (fun i -> Interval.make i (i + 1))
+    |> Interval.Set.of_list
   in
-  count_ok && gets_ok && runs_ok
+  let runs_ok = Interval.Set.equal (Bitset.runs b) (model_runs 0 n) in
+  let ranges_ok =
+    List.for_all
+      (fun (lo, hi) ->
+        let expected = model_runs lo hi in
+        Interval.Set.equal (Bitset.runs_in_range b ~lo ~hi) expected
+        && Bitset.count_in_range b ~lo ~hi = Interval.Set.total_length expected)
+      scans
+  in
+  count_ok && gets_ok && runs_ok && ranges_ok
 
 (* ---------------- Task splits ---------------- *)
 
