@@ -797,9 +797,7 @@ let sim_bench ~smoke =
      on this storm, else the speedup compares different simulations. *)
   progress "  [sim] equivalence check (%d flows)..." flows;
   let fast = Fabric.run_batch fabric reqs in
-  Fabric.set_reference_allocator fabric true;
-  let slow = Fabric.run_batch fabric reqs in
-  Fabric.set_reference_allocator fabric false;
+  let slow = Fabric.run_batch_reference fabric reqs in
   List.iter2
     (fun (a : Fabric.completion) (b : Fabric.completion) ->
       if not (Float.equal a.Fabric.start b.Fabric.start && Float.equal a.Fabric.finish b.Fabric.finish)
@@ -807,15 +805,13 @@ let sim_bench ~smoke =
     fast slow;
   (* Every request is one arrival plus one completion. *)
   let events = 2 * flows in
-  let measure name use_reference =
+  let measure name run =
     progress "  [sim] timing %s allocator (%d iterations)..." name iters;
-    Fabric.set_reference_allocator fabric use_reference;
-    let median, spread = sim_time_runs ~iters (fun () -> ignore (Fabric.run_batch fabric reqs)) in
-    Fabric.set_reference_allocator fabric false;
+    let median, spread = sim_time_runs ~iters (fun () -> ignore (run fabric reqs)) in
     (median, spread, float_of_int events /. median)
   in
-  let ref_median, ref_spread, ref_eps = measure "reference" true in
-  let inc_median, inc_spread, inc_eps = measure "incremental" false in
+  let ref_median, ref_spread, ref_eps = measure "reference" Fabric.run_batch_reference in
+  let inc_median, inc_spread, inc_eps = measure "incremental" Fabric.run_batch in
   let speedup = ref_median /. inc_median in
   let t =
     Table.create ~headers:[ "allocator"; "iters"; "median"; "spread"; "events/s"; "vs reference" ]

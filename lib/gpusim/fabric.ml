@@ -66,7 +66,6 @@ type t = {
   mutable routes : route option array;
       (* indexed by [route_index]; empty until the first lookup, so
          [create] stays as cheap as it was *)
-  mutable use_reference : bool;
 }
 
 let node_of t g =
@@ -144,7 +143,6 @@ let create ?(flavor = Wire) ?topology link ~num_gpus =
       nodes;
       caps = Array.make ((2 * num_gpus) + (3 * nodes) + extra) 0.0;
       routes = [||];
-      use_reference = false;
     }
   in
   for g = 0 to num_gpus - 1 do
@@ -172,9 +170,6 @@ let create ?(flavor = Wire) ?topology link ~num_gpus =
         t.caps.(rid_of t (Nv_in g)) <- capacity t (Nv_in g)
       done);
   t
-
-let set_reference_allocator t flag = t.use_reference <- flag
-let reference_allocator t = t.use_reference
 
 let check_dev t i =
   if i < 0 || i >= t.num_gpus then invalid_arg (Printf.sprintf "Fabric: device %d out of range" i)
@@ -547,7 +542,7 @@ let waterfill t ~count ~remcap ~workcount active lo hi =
     done
   done
 
-let run_batch_incremental t reqs =
+let run_batch t reqs =
   let reqs_arr = Array.of_list reqs in
   let n = Array.length reqs_arr in
   let completions = Array.make n None in
@@ -645,6 +640,3 @@ let run_batch_incremental t reqs =
     end
   done;
   collect t reqs_arr completions
-
-let run_batch t reqs =
-  if t.use_reference then run_batch_reference t reqs else run_batch_incremental t reqs

@@ -112,10 +112,3 @@ val run_batch_reference : t -> request list -> completion list
     bit-identical completions — as {!run_batch}; kept as the equivalence
     oracle for the incremental fast path and as the baseline that
     [bench sim] measures its speedup against. *)
-
-val set_reference_allocator : t -> bool -> unit
-(** When set, {!run_batch} routes through {!run_batch_reference}. For
-    benchmarking and differential testing only. *)
-
-val reference_allocator : t -> bool
-(** Whether the reference allocator is selected. *)

@@ -29,7 +29,12 @@ type assign_op = Set | Add_set | Sub_set | Mul_set | Div_set
 
 type redop = Rplus | Rmul | Rmax | Rmin
 
-type subarray = { sub_array : string; sub_start : expr option; sub_len : expr option }
+type subarray = {
+  sub_array : string;
+  sub_start : expr option;
+  sub_len : expr option;
+  sub_loc : Loc.t;
+}
 
 type data_kind = Copy | Copyin | Copyout | Create | Present
 

@@ -197,15 +197,16 @@ let parse_redop p =
   | tok -> Loc.error loc "expected reduction operator (+, *, max, min), found %s" (Token.to_string tok)
 
 let parse_subarray p =
+  let sub_loc = cur_loc p in
   let name = expect_ident p in
   if eat_punct p "[" then begin
     let start = parse_expr_p p in
     expect_punct p ":";
     let len = parse_expr_p p in
     expect_punct p "]";
-    { sub_array = name; sub_start = Some start; sub_len = Some len }
+    { sub_array = name; sub_start = Some start; sub_len = Some len; sub_loc }
   end
-  else { sub_array = name; sub_start = None; sub_len = None }
+  else { sub_array = name; sub_start = None; sub_len = None; sub_loc }
 
 let parse_subarray_list p =
   expect_punct p "(";

@@ -19,12 +19,32 @@ type epoch = {
 type t = { mutable eps : epoch list (* reversed *) }
 
 let create () = { eps = [] }
-let clear t = t.eps <- []
 
 let charge t cat ~label ~exposed ~hidden ~spans =
   t.eps <- { e_category = cat; e_label = label; e_exposed = exposed; e_hidden = hidden; e_spans = spans } :: t.eps
 
 let epochs t = List.rev t.eps
+
+type totals = { t_categories : (category * float * float) list; t_hidden : float }
+
+let categories = [ Kernel; Cpu_gpu; Gpu_gpu; Overhead ]
+let index = function Kernel -> 0 | Cpu_gpu -> 1 | Gpu_gpu -> 2 | Overhead -> 3
+
+(* Running sums in charge order: the one definition of the run's
+   category seconds, so every reader sees the same floats. *)
+let totals t =
+  let exposed = Array.make 4 0. and hidden = Array.make 4 0. and off_path = ref 0. in
+  List.iter
+    (fun ep ->
+      let i = index ep.e_category in
+      exposed.(i) <- exposed.(i) +. ep.e_exposed;
+      hidden.(i) <- hidden.(i) +. ep.e_hidden;
+      if ep.e_hidden > 0. then off_path := !off_path +. ep.e_hidden)
+    (epochs t);
+  {
+    t_categories = List.map (fun c -> (c, exposed.(index c), hidden.(index c))) categories;
+    t_hidden = !off_path;
+  }
 
 type row = { r_category : category; r_label : string; r_exposed : float; r_hidden : float; r_spans : int }
 
@@ -46,20 +66,6 @@ let normalize_label label =
 
 let summarize t ~trace =
   let eps = epochs t in
-  (* Category totals are straight epoch sums — bit-compatible with the
-     profiler charges the epochs mirror. *)
-  let cat_totals =
-    List.map
-      (fun cat ->
-        let exposed, hidden =
-          List.fold_left
-            (fun (e, h) ep ->
-              if ep.e_category = cat then (e +. ep.e_exposed, h +. ep.e_hidden) else (e, h))
-            (0., 0.) eps
-        in
-        (cat, exposed, hidden))
-      [ Kernel; Cpu_gpu; Gpu_gpu; Overhead ]
-  in
   let span_of = Hashtbl.create 64 in
   List.iter (fun s -> Hashtbl.replace span_of s.Trace.id s) (Trace.spans trace);
   (* Per-(category, label) rows: split each epoch across its spans by
@@ -102,7 +108,7 @@ let summarize t ~trace =
   let cp = Critical_path.analyze (Trace.spans trace) in
   {
     s_makespan = cp.Critical_path.makespan;
-    s_categories = cat_totals;
+    s_categories = (totals t).t_categories;
     s_rows;
     s_path = cp.Critical_path.path;
     s_path_seconds = cp.Critical_path.path_seconds;

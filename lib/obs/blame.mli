@@ -1,13 +1,12 @@
-(** Critical-path blame: per-span exposed/hidden attribution that
-    reconciles exactly with the profiler's Fig. 8 category breakdown.
+(** Critical-path blame ledger: the one store of a run's simulated
+    seconds.
 
-    The runtime records one {e epoch} per profiler charge (the same
-    exposed/hidden seconds it adds to a category, plus the span ids the
-    charge covered) — the profiler's one charge point writes both. Summarizing a ledger therefore reproduces the
-    profiler's per-category totals by construction, while the span ids
-    let each makespan second be blamed on a concrete (category,
-    array/kernel label) pair and the trace DAG yields the critical
-    path. *)
+    The runtime records one {e epoch} per profiler charge: the exposed
+    and hidden seconds of one phase, plus the trace span ids the charge
+    covered. {!totals} sums them into the Fig. 8 categories that reports
+    print, while the span ids let each makespan second be blamed on a
+    concrete (category, array/kernel label) pair and the trace DAG yields
+    the critical path. *)
 
 type category = Kernel | Cpu_gpu | Gpu_gpu | Overhead
 (** The profiler's Fig. 8 categories (H2D and D2H fold into [Cpu_gpu]). *)
@@ -26,15 +25,28 @@ type t
 (** A blame ledger; one per runtime session. *)
 
 val create : unit -> t
-val clear : t -> unit
 
 val charge :
   t -> category -> label:string -> exposed:float -> hidden:float -> spans:int list -> unit
 (** Record one epoch. The runtime's ledger is written only by
-    [Profiler.charge], together with the profiler's counters. *)
+    [Profiler.charge]. *)
 
 val epochs : t -> epoch list
 (** In recording order. *)
+
+type totals = {
+  t_categories : (category * float * float) list;
+      (** (category, exposed, hidden) in the fixed order
+          [Kernel; Cpu_gpu; Gpu_gpu; Overhead]: each a running sum of the
+          category's epochs in recording order *)
+  t_hidden : float;
+      (** the positive [e_hidden] of every epoch, summed in recording
+          order: the seconds that ran off the critical path *)
+}
+
+val totals : t -> totals
+(** The run's Fig. 8 breakdown. Reports and {!summarize} both read it,
+    so they agree bit for bit. *)
 
 type row = {
   r_category : category;
@@ -47,8 +59,7 @@ type row = {
 type summary = {
   s_makespan : float;
   s_categories : (category * float * float) list;
-      (** (category, exposed, hidden) — exact epoch sums, fixed order
-          [Kernel; Cpu_gpu; Gpu_gpu; Overhead] *)
+      (** [(totals t).t_categories] *)
   s_rows : row list;  (** per-(category, label) blame, sorted by exposed desc *)
   s_path : Mgacc_sim.Trace.span list;  (** critical path through the trace DAG *)
   s_path_seconds : float;

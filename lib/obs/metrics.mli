@@ -10,7 +10,7 @@
     cell, registering one name with two different kinds raises. *)
 
 type t
-(** A registry. One per profiler / fleet run. *)
+(** A registry. One per fleet run. *)
 
 val create : unit -> t
 

@@ -282,7 +282,7 @@ let on_data_enter t env clauses =
       | Ast.Copyin | Ast.Create -> ()
       | Ast.Present ->
           if da.Darray.state = Darray.Unallocated && da.Darray.region_depth <= 1 then
-            Loc.error Loc.dummy "present(%s): array is not on the device" sub.Ast.sub_array)
+            Loc.error sub.Ast.sub_loc "present(%s): array is not on the device" sub.Ast.sub_array)
     (subarrays_of_clauses clauses)
 
 let on_data_exit t env clauses =
@@ -919,8 +919,8 @@ let hooks t =
     on_update_device = (fun env subs -> on_update_device t env subs);
   }
 
-let finish ?(keep_resident = false) t =
-  if keep_resident then
+let finish t =
+  if t.cfg.Rt_config.keep_resident then
     (* Warm-pool finish: flush what must reach the host, keep everything
        allocated. The session's present table survives as the fleet's
        warm entry — the admission controller spills it under pressure. *)
@@ -951,11 +951,11 @@ let finish ?(keep_resident = false) t =
    must interpret the rewritten loops the plans were built from. *)
 let execute t =
   let env = Host_interp.run_program ~hooks:(hooks t) (Program_plan.program t.plans) in
-  finish ~keep_resident:t.cfg.Rt_config.keep_resident t;
+  finish t;
   env
 
 let blame t =
-  Blame.summarize (Profiler.ledger t.profiler) ~trace:t.cfg.Rt_config.machine.Machine.trace
+  Blame.summarize t.profiler.Profiler.ledger ~trace:t.cfg.Rt_config.machine.Machine.trace
 
 let report ?variant t =
   let variant =

@@ -42,15 +42,15 @@ type t = Session.t
 val create : Rt_config.t -> Mgacc_translator.Program_plan.t -> t
 val hooks : t -> Mgacc_exec.Host_interp.hooks
 
-val finish : ?keep_resident:bool -> t -> unit
+val finish : t -> unit
 (** Flush and free every remaining device array; charge the transfers.
-    With [keep_resident] (fleet warm-pool mode) only copyout data is
-    flushed and allocations stay live for {!Session.spill_all}. *)
+    Under the session's [keep_resident] config (fleet warm-pool mode)
+    only copyout data is flushed and allocations stay live for
+    {!Session.spill_all}. *)
 
 val execute : t -> Mgacc_exec.Host_interp.env
 (** Drive the session's program (the plans' program, which fusion may
-    have rewritten) through it: [hooks] + interpret + [finish], honoring
-    the session's [keep_resident] config. *)
+    have rewritten) through it: [hooks] + interpret + [finish]. *)
 
 val report : ?variant:string -> t -> Report.t
 (** Snapshot the session's profiler into a report (queue wait included). *)

@@ -1,21 +1,42 @@
-(** Accounting of simulated time and device memory for the evaluation.
+(** Tally of one run for the evaluation.
 
-    Time is accumulated per category exactly as the paper's Fig. 8 reports
-    it: wall-clock of the load phases (CPU-GPU), of the kernel phases
-    (KERNELS), and of the inter-GPU reconciliation phases (GPU-GPU).
-    Byte counters and event counts feed the analysis tables, and the
-    memory report splits device usage into User and System (Fig. 9). *)
+    Simulated seconds live only in the blame ledger: {!charge} records one
+    epoch per phase, and the Fig. 8 categories (KERNELS, CPU-GPU,
+    GPU-GPU, OVERHEAD) are the ledger's sums ({!Mgacc_obs.Blame.totals}).
+    The record holds what is not a time: byte and event counts for the
+    analysis tables, the per-array coherence traffic, and the device
+    memory peaks split into User and System (Fig. 9). {!Report.of_profiler}
+    reads it directly; only the functions below write it, and each
+    raises [Invalid_argument] on a negative time, byte count or count. *)
 
-type t
+type memory_report = { user_bytes : int; system_bytes : int }
+type coh_cell
+
+type t = private {
+  ledger : Mgacc_obs.Blame.t;  (** every charged epoch (docs/OBSERVABILITY.md) *)
+  coh : (string, coh_cell) Hashtbl.t;
+  mutable cpu_gpu_bytes : int;
+  mutable gpu_gpu_bytes : int;
+  mutable wire_bytes : int;
+  mutable collective_rings : int;
+  mutable collective_hierarchies : int;
+  mutable collective_direct_groups : int;
+  mutable collective_segments : int;
+  mutable kernel_launches : int;
+  mutable loops : int;
+  mutable rebalances : int;
+  mutable imbalance_sum : float;
+  mutable imbalance_samples : int;
+  mutable prefetch_hits : int;
+  mutable fused_kernels : int;
+  mutable contracted_arrays : int;
+  mutable relayouts : int;
+  mutable spills : int;
+  mutable spilled_bytes : int;
+  mutable mem : memory_report;
+}
 
 val create : unit -> t
-
-val metrics : t -> Mgacc_obs.Metrics.t
-(** The registry backing every scalar counter of this profiler (names
-    under the [rt_] prefix; see docs/OBSERVABILITY.md). Rendering it with
-    {!Mgacc_obs.Metrics.to_prometheus} exports the run's counters without
-    any extra bookkeeping — the profiler accumulates directly into the
-    registry cells. *)
 
 val charge :
   t ->
@@ -26,15 +47,9 @@ val charge :
   bytes:int ->
   spans:int list ->
   unit
-(** Charge one epoch: [exposed] seconds to the category, [hidden] (when
-    positive) to the hidden counter, [bytes] to the category's byte
-    counter ([Cpu_gpu] and [Gpu_gpu] only; ignored otherwise), and one
-    epoch with the covered trace [spans] to the blame ledger. This is
-    the only writer of those counters and of the ledger, so the ledger's
-    category sums reproduce the profiler's bit for bit. *)
-
-val ledger : t -> Mgacc_obs.Blame.t
-(** The blame ledger {!charge} writes (docs/OBSERVABILITY.md). *)
+(** Charge one epoch with the covered trace [spans] to the ledger, and
+    [bytes] to the category's byte counter ([Cpu_gpu] and [Gpu_gpu] only;
+    ignored otherwise). This is the only writer of the ledger. *)
 
 val incr_kernel_launches : t -> unit
 val incr_loops : t -> unit
@@ -62,22 +77,6 @@ val coh_rows : t -> (string * int * int * int) list
 (** Per-array (shipped, deferred, pulled) byte counters, sorted by array
     name. Bytes deferred but never pulled were elided outright. *)
 
-val cpu_gpu_time : t -> float
-val gpu_gpu_time : t -> float
-val kernel_time : t -> float
-val overhead_time : t -> float
-val total_time : t -> float
-(** Sum of all categories: the parallel-region execution time. Under the
-    overlap engine the categories hold exposed (critical-path) time only,
-    so this is the makespan; hidden time is reported separately. *)
-
-val hidden_time : t -> float
-(** Overlap engine only: seconds of transfer/kernel activity that ran in
-    the shadow of the critical path (the category counters get only the
-    exposed share, so they sum to the makespan). *)
-
-val prefetch_hits : t -> int
-
 val add_fused_kernels : t -> count:int -> unit
 (** Kernel launches saved by loop fusion at one fused launch: one fused
     group of [k] constituent loops counts [k - 1] per execution. *)
@@ -90,17 +89,10 @@ val add_relayout : t -> unit
 (** One array's transposed device copy materialized (one-time repack for
     a fusion-mode layout transformation). *)
 
-val fused_kernels : t -> int
-val contracted_arrays : t -> int
-val relayouts : t -> int
-
 val add_spill : t -> bytes:int -> unit
 (** Fleet memory pressure: one eviction of this session's warm device
     data, with [bytes] of dirty data written back to the host (0 when
     everything evicted was clean — writeback semantics). *)
-
-val spilled_bytes : t -> int
-val spills : t -> int
 
 val add_wire_bytes : t -> bytes:int -> unit
 (** Bytes that crossed the inter-node network (always 0 on single-node
@@ -111,26 +103,6 @@ val add_collective : t -> rings:int -> hierarchies:int -> direct_groups:int -> s
 (** One reconciliation's collective-planner decisions (see
     {!Collective.stats}). *)
 
-val cpu_gpu_bytes : t -> int
-val gpu_gpu_bytes : t -> int
-val wire_bytes : t -> int
-val collective_rings : t -> int
-val collective_hierarchies : t -> int
-val collective_direct_groups : t -> int
-val collective_segments : t -> int
-val kernel_launches : t -> int
-val loops_executed : t -> int
-val rebalances : t -> int
-
-val mean_imbalance : t -> float
-(** Mean recorded launch imbalance; 0 when no multi-GPU launch happened. *)
-
-type memory_report = { user_bytes : int; system_bytes : int }
-
 val record_memory_peaks : t -> Mgacc_gpusim.Machine.t -> num_gpus:int -> unit
 (** Capture the current per-class peak usage summed over the first
     [num_gpus] devices. *)
-
-val memory : t -> memory_report
-
-val pp : Format.formatter -> t -> unit

@@ -1,3 +1,5 @@
+module Blame = Mgacc_obs.Blame
+
 type t = {
   machine : string;
   variant : string;
@@ -32,85 +34,55 @@ type t = {
   queue_seconds : float;
   spills : int;
   spilled_bytes : int;
-  blame : Mgacc_obs.Blame.summary option;
+  blame : Blame.summary option;
 }
 
-let of_profiler p ~machine ~variant ~num_gpus =
-  let mem = Profiler.memory p in
+let of_profiler (p : Profiler.t) ~machine ~variant ~num_gpus =
+  let totals = Blame.totals p.ledger in
+  let exposed cat =
+    let _, e, _ = List.find (fun (c, _, _) -> c = cat) totals.t_categories in
+    e
+  in
+  let kernel_time = exposed Blame.Kernel and cpu_gpu_time = exposed Blame.Cpu_gpu in
+  let gpu_gpu_time = exposed Blame.Gpu_gpu and overhead_time = exposed Blame.Overhead in
   let coh_arrays = Profiler.coh_rows p in
   let sum f = List.fold_left (fun acc row -> acc + f row) 0 coh_arrays in
   {
     machine;
     variant;
     num_gpus;
-    total_time = Profiler.total_time p;
-    kernel_time = Profiler.kernel_time p;
-    cpu_gpu_time = Profiler.cpu_gpu_time p;
-    gpu_gpu_time = Profiler.gpu_gpu_time p;
-    overhead_time = Profiler.overhead_time p;
-    cpu_gpu_bytes = Profiler.cpu_gpu_bytes p;
-    gpu_gpu_bytes = Profiler.gpu_gpu_bytes p;
-    wire_bytes = Profiler.wire_bytes p;
-    collective_rings = Profiler.collective_rings p;
-    collective_hierarchies = Profiler.collective_hierarchies p;
-    collective_direct_groups = Profiler.collective_direct_groups p;
-    collective_segments = Profiler.collective_segments p;
-    loops = Profiler.loops_executed p;
-    launches = Profiler.kernel_launches p;
-    rebalances = Profiler.rebalances p;
-    mean_imbalance = Profiler.mean_imbalance p;
-    hidden_seconds = Profiler.hidden_time p;
-    prefetch_hits = Profiler.prefetch_hits p;
-    fused_kernels = Profiler.fused_kernels p;
-    contracted_arrays = Profiler.contracted_arrays p;
-    relayouts = Profiler.relayouts p;
-    mem_user_bytes = mem.Profiler.user_bytes;
-    mem_system_bytes = mem.Profiler.system_bytes;
+    total_time = cpu_gpu_time +. gpu_gpu_time +. kernel_time +. overhead_time;
+    kernel_time;
+    cpu_gpu_time;
+    gpu_gpu_time;
+    overhead_time;
+    cpu_gpu_bytes = p.cpu_gpu_bytes;
+    gpu_gpu_bytes = p.gpu_gpu_bytes;
+    wire_bytes = p.wire_bytes;
+    collective_rings = p.collective_rings;
+    collective_hierarchies = p.collective_hierarchies;
+    collective_direct_groups = p.collective_direct_groups;
+    collective_segments = p.collective_segments;
+    loops = p.loops;
+    launches = p.kernel_launches;
+    rebalances = p.rebalances;
+    mean_imbalance =
+      (if p.imbalance_samples = 0 then 0.0
+       else p.imbalance_sum /. float_of_int p.imbalance_samples);
+    hidden_seconds = totals.t_hidden;
+    prefetch_hits = p.prefetch_hits;
+    fused_kernels = p.fused_kernels;
+    contracted_arrays = p.contracted_arrays;
+    relayouts = p.relayouts;
+    mem_user_bytes = p.mem.user_bytes;
+    mem_system_bytes = p.mem.system_bytes;
     coh_shipped_bytes = sum (fun (_, s, _, _) -> s);
     coh_deferred_bytes = sum (fun (_, _, d, _) -> d);
     coh_pulled_bytes = sum (fun (_, _, _, p) -> p);
     coh_arrays;
     queue_seconds = 0.0;
-    spills = Profiler.spills p;
-    spilled_bytes = Profiler.spilled_bytes p;
-    blame = None;
-  }
-
-let host_only ~machine ~variant ~seconds =
-  {
-    machine;
-    variant;
-    num_gpus = 0;
-    total_time = seconds;
-    kernel_time = seconds;
-    cpu_gpu_time = 0.0;
-    gpu_gpu_time = 0.0;
-    overhead_time = 0.0;
-    cpu_gpu_bytes = 0;
-    gpu_gpu_bytes = 0;
-    wire_bytes = 0;
-    collective_rings = 0;
-    collective_hierarchies = 0;
-    collective_direct_groups = 0;
-    collective_segments = 0;
-    loops = 0;
-    launches = 0;
-    rebalances = 0;
-    mean_imbalance = 0.0;
-    hidden_seconds = 0.0;
-    prefetch_hits = 0;
-    fused_kernels = 0;
-    contracted_arrays = 0;
-    relayouts = 0;
-    mem_user_bytes = 0;
-    mem_system_bytes = 0;
-    coh_shipped_bytes = 0;
-    coh_deferred_bytes = 0;
-    coh_pulled_bytes = 0;
-    coh_arrays = [];
-    queue_seconds = 0.0;
-    spills = 0;
-    spilled_bytes = 0;
+    spills = p.spills;
+    spilled_bytes = p.spilled_bytes;
     blame = None;
   }
 
@@ -146,7 +118,7 @@ let to_json t =
   let blame_json =
     match t.blame with
     | None -> ""
-    | Some b -> Printf.sprintf {|,"blame":%s|} (Mgacc_obs.Blame.to_json b)
+    | Some b -> Printf.sprintf {|,"blame":%s|} (Blame.to_json b)
   in
   (* Likewise the "fusion" sub-object appears only when the pass actually
      did something, so fuse-off reports stay byte-identical. *)
@@ -176,7 +148,7 @@ let to_json t =
     fusion_json blame_json
 
 let pp_blame ppf t =
-  match t.blame with None -> () | Some b -> Mgacc_obs.Blame.pp ppf b
+  match t.blame with None -> () | Some b -> Blame.pp ppf b
 
 let pp ppf t =
   Format.fprintf ppf

@@ -52,9 +52,8 @@ type t = {
 }
 
 val of_profiler : Profiler.t -> machine:string -> variant:string -> num_gpus:int -> t
-
-val host_only : machine:string -> variant:string -> seconds:float -> t
-(** A CPU-baseline report: all time in [total_time]/[kernel_time]. *)
+(** The category seconds and [hidden_seconds] are the ledger's
+    {!Mgacc_obs.Blame.totals}; [total_time] is their sum. *)
 
 val with_queue : t -> seconds:float -> t
 (** The same report with [queue_seconds] set (clamped at 0). *)

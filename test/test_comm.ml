@@ -265,10 +265,14 @@ let test_openmp_thread_count_matters () =
 (* ---------------- Report ---------------- *)
 
 let test_report_speedup () =
-  let base = Report.host_only ~machine:"m" ~variant:"omp" ~seconds:2.0 in
-  let p = Profiler.create () in
-  Profiler.charge p Mgacc_obs.Blame.Kernel ~label:"k" ~exposed:0.5 ~hidden:0.0 ~bytes:0 ~spans:[];
-  let r = Report.of_profiler p ~machine:"m" ~variant:"acc" ~num_gpus:2 in
+  let report ~seconds ~variant ~num_gpus =
+    let p = Profiler.create () in
+    Profiler.charge p Mgacc_obs.Blame.Kernel ~label:"k" ~exposed:seconds ~hidden:0.0 ~bytes:0
+      ~spans:[];
+    Report.of_profiler p ~machine:"m" ~variant ~num_gpus
+  in
+  let base = report ~seconds:2.0 ~variant:"omp" ~num_gpus:0 in
+  let r = report ~seconds:0.5 ~variant:"acc" ~num_gpus:2 in
   check (Alcotest.float 1e-12) "speedup" 4.0 (Report.speedup_vs r ~baseline:base);
   check Alcotest.int "gpus" 2 r.Report.num_gpus
 

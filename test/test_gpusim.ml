@@ -190,11 +190,7 @@ let test_fabric_incremental_identity () =
   let f = cluster_fabric ~nodes:2 ~gpus_per_node:2 in
   let reqs = storm f ~flows:120 ~waves:10 ~seed:7 in
   let fast = Fabric.run_batch f reqs in
-  check Alcotest.bool "default path is the incremental allocator" false
-    (Fabric.reference_allocator f);
-  Fabric.set_reference_allocator f true;
-  let slow = Fabric.run_batch f reqs in
-  Fabric.set_reference_allocator f false;
+  let slow = Fabric.run_batch_reference f reqs in
   check Alcotest.int "same completion count" (List.length slow) (List.length fast);
   List.iter2
     (fun (a : Fabric.completion) (b : Fabric.completion) ->
@@ -214,17 +210,14 @@ let test_fabric_incremental_identity () =
 let test_fabric_incremental_perf_gate () =
   let f = cluster_fabric ~nodes:2 ~gpus_per_node:4 in
   let reqs = storm f ~flows:400 ~waves:8 ~seed:11 in
-  let time use_reference =
-    Fabric.set_reference_allocator f use_reference;
-    ignore (Fabric.run_batch f reqs) (* warm up *);
+  let time run =
+    ignore (run f reqs) (* warm up *);
     let t0 = Sys.time () in
-    ignore (Fabric.run_batch f reqs);
-    let dt = Sys.time () -. t0 in
-    Fabric.set_reference_allocator f false;
-    dt
+    ignore (run f reqs);
+    Sys.time () -. t0
   in
-  let slow = time true in
-  let fast = time false in
+  let slow = time Fabric.run_batch_reference in
+  let fast = time Fabric.run_batch in
   if fast *. 3.0 > slow then
     Alcotest.failf "incremental allocator only %.2fx faster than reference (%.4fs vs %.4fs)"
       (slow /. fast) fast slow

@@ -274,6 +274,17 @@ let test_present_clause_checks () =
       check Alcotest.bool "mentions present" true (String.length msg > 0)
   | _ -> Alcotest.fail "present() on absent array must fail"
 
+(* The error points at the directive, not at a dummy location. *)
+let test_present_error_location () =
+  let src = "void main() { int n = 8; double a[n];\n  #pragma acc data present(a)\n  { }\n}\n" in
+  let config = Mgacc.Rt_config.make (Mgacc.Machine.desktop ()) in
+  match Mgacc.run_acc ~config (Mgacc.parse_string ~name:"present.c" src) with
+  | exception Loc.Error (loc, msg) ->
+      check Alcotest.string "file" "present.c" loc.Loc.file;
+      check Alcotest.int "line" 2 loc.Loc.line;
+      check Alcotest.string "message" "present(a): array is not on the device" msg
+  | _ -> Alcotest.fail "present() on absent array must fail"
+
 let test_nested_data_regions () =
   let src =
     {|void main() { int n = 64; double a[n]; int i;
@@ -371,6 +382,7 @@ let suite =
     tc "runtime: mode switch table" test_rt_config_switches;
     tc "runtime: plain write to reduction dest rejected" test_plain_write_to_reduction_dest_rejected;
     tc "runtime: present() checks" test_present_clause_checks;
+    tc "runtime: present() error names the directive" test_present_error_location;
     tc "runtime: nested data regions" test_nested_data_regions;
     tc "runtime: gang/worker/vector clauses accepted" test_gang_worker_clauses_accepted;
   ]

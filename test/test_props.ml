@@ -317,8 +317,7 @@ let prop_fabric_incremental_matches_reference txs =
   let f = Fabric.create ~topology Spec.pcie_gen2_desktop ~num_gpus:4 in
   let reqs = cluster_reqs txs in
   let fast = Fabric.run_batch f reqs in
-  Fabric.set_reference_allocator f true;
-  let slow = Fabric.run_batch f reqs in
+  let slow = Fabric.run_batch_reference f reqs in
   List.length fast = List.length slow
   && List.for_all2
        (fun (a : Fabric.completion) (b : Fabric.completion) ->
@@ -327,6 +326,44 @@ let prop_fabric_incremental_matches_reference txs =
             would eventually show up as a BENCH artifact diff. *)
          Float.equal a.Fabric.start b.Fabric.start && Float.equal a.Fabric.finish b.Fabric.finish)
        fast slow
+
+(* ---------------- Profiler totals come from the ledger ---------------- *)
+
+(* Random charges: any category, exposed >= 0 (sometimes tiny, so sums
+   round), hidden negative, zero or positive, random bytes. *)
+let gen_charges =
+  QCheck2.Gen.(
+    let seconds = float_bound_inclusive 1.0 in
+    list_size (int_bound 40)
+      (quad (int_bound 3)
+         (oneof [ pure 0.0; seconds; map (fun x -> x *. 1e-7) seconds ])
+         (oneof [ pure 0.0; seconds; map Float.neg seconds ])
+         (int_bound 1_000_000)))
+
+(* The report must equal, bit for bit, an independent fold of the same
+   charges: per-category running sums in charge order, hidden added only
+   when positive, total summed as cpu-gpu + gpu-gpu + kernels + overhead.
+   Any change to that order moves the golden corpus's floats. *)
+let prop_report_matches_counter_fold charges =
+  let cats = Mgacc_obs.Blame.[| Kernel; Cpu_gpu; Gpu_gpu; Overhead |] in
+  let p = Profiler.create () in
+  let exposed = Array.make 4 0.0 and hidden = ref 0.0 and bytes = Array.make 4 0 in
+  List.iter
+    (fun (i, e, h, b) ->
+      Profiler.charge p cats.(i) ~label:"x" ~exposed:e ~hidden:h ~bytes:b ~spans:[];
+      exposed.(i) <- exposed.(i) +. e;
+      if h > 0.0 then hidden := !hidden +. h;
+      bytes.(i) <- bytes.(i) + b)
+    charges;
+  let r = Report.of_profiler p ~machine:"m" ~variant:"v" ~num_gpus:1 in
+  Float.equal r.Report.kernel_time exposed.(0)
+  && Float.equal r.Report.cpu_gpu_time exposed.(1)
+  && Float.equal r.Report.gpu_gpu_time exposed.(2)
+  && Float.equal r.Report.overhead_time exposed.(3)
+  && Float.equal r.Report.total_time (exposed.(1) +. exposed.(2) +. exposed.(0) +. exposed.(3))
+  && Float.equal r.Report.hidden_seconds !hidden
+  && r.Report.cpu_gpu_bytes = bytes.(1)
+  && r.Report.gpu_gpu_bytes = bytes.(2)
 
 (* ---------------- 2-D tile decomposition ---------------- *)
 
@@ -601,6 +638,8 @@ let suite =
       prop_fabric_makespan_monotone;
     qtest ~count:300 "fabric incremental allocator matches reference bit-for-bit"
       gen_cluster_batch prop_fabric_incremental_matches_reference;
+    qtest ~count:300 "report category seconds = a running fold in charge order" gen_charges
+      prop_report_matches_counter_fold;
     qtest ~count:120 "2-D tiles partition the index space" gen_tiling prop_tiles_partition;
     qtest ~count:15 "2-D stencil: lazy coherence matches eager bit-for-bit" gen_stencil
       prop_stencil_2d_lazy_eq_eager;

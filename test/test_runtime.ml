@@ -295,13 +295,36 @@ let test_profiler () =
   charge Mgacc_obs.Blame.Gpu_gpu ~seconds:0.5 ~bytes:50;
   charge Mgacc_obs.Blame.Kernel ~seconds:2.0 ~bytes:0;
   charge Mgacc_obs.Blame.Overhead ~seconds:0.25 ~bytes:0;
-  check (Alcotest.float 1e-12) "total" 3.75 (Profiler.total_time p);
-  check Alcotest.int "bytes" 100 (Profiler.cpu_gpu_bytes p);
+  check Alcotest.int "bytes" 100 p.Profiler.cpu_gpu_bytes;
   check Alcotest.int "one ledger epoch per charge" 4
-    (List.length (Mgacc_obs.Blame.epochs (Profiler.ledger p)));
+    (List.length (Mgacc_obs.Blame.epochs p.Profiler.ledger));
   Profiler.incr_loops p;
   Profiler.incr_kernel_launches p;
-  check Alcotest.int "loops" 1 (Profiler.loops_executed p)
+  check Alcotest.int "loops" 1 p.Profiler.loops;
+  let r = Report.of_profiler p ~machine:"m" ~variant:"v" ~num_gpus:2 in
+  check (Alcotest.float 1e-12) "total" 3.75 r.Report.total_time;
+  check (Alcotest.float 1e-12) "gpu-gpu" 0.5 r.Report.gpu_gpu_time;
+  check Alcotest.int "report bytes" 50 r.Report.gpu_gpu_bytes;
+  check Alcotest.int "launches" 1 r.Report.launches
+
+(* A tally only grows: a negative time, byte count or count is refused
+   before anything is recorded. *)
+let test_profiler_rejects_negative () =
+  let p = Profiler.create () in
+  let raises what f = Alcotest.check_raises what (Invalid_argument ("Profiler: negative " ^ what)) f in
+  raises "exposed seconds" (fun () ->
+      Profiler.charge p Mgacc_obs.Blame.Kernel ~label:"k" ~exposed:(-1e-9) ~hidden:0.0 ~bytes:0
+        ~spans:[]);
+  raises "bytes" (fun () ->
+      Profiler.charge p Mgacc_obs.Blame.Cpu_gpu ~label:"h2d" ~exposed:0.0 ~hidden:0.0 ~bytes:(-1)
+        ~spans:[]);
+  raises "wire bytes" (fun () -> Profiler.add_wire_bytes p ~bytes:(-1));
+  raises "prefetch hits" (fun () -> Profiler.add_prefetch_hits p ~count:(-1));
+  raises "segments" (fun () ->
+      Profiler.add_collective p ~rings:0 ~hierarchies:0 ~direct_groups:0 ~segments:(-1));
+  raises "spilled bytes" (fun () -> Profiler.add_spill p ~bytes:(-1));
+  raises "imbalance" (fun () -> Profiler.add_imbalance p ~ratio:(-0.5));
+  check Alcotest.int "nothing charged" 0 (List.length (Mgacc_obs.Blame.epochs p.Profiler.ledger))
 
 let suite =
   [
@@ -321,4 +344,5 @@ let suite =
     tc "comm: three-GPU halo exchange" test_halo_exchange_three_gpus;
     tc "comm: miss records preserve program order" test_miss_records_preserve_order;
     tc "profiler: accumulation" test_profiler;
+    tc "profiler: negative increments raise" test_profiler_rejects_negative;
   ]
