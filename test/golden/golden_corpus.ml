@@ -255,6 +255,21 @@ let extras =
       both "bfs fattree:4x4" ~spec:"fattree:4x4"
         [ ("coherence", "lazy"); ("collective", "auto") ]
         (program_named "bfs");
+      (* The same two programs under eager coherence: the reduction
+         result's star broadcast to three peers, and every writer's dirty
+         chunks broadcast to 15 peers. *)
+      both "tree cluster:2x2" ~spec:"cluster:2x2"
+        [ ("coherence", "eager"); ("collective", "direct") ]
+        (source "tree.c" tree_source);
+      both "tree cluster:2x2" ~spec:"cluster:2x2"
+        [ ("coherence", "eager"); ("collective", "auto") ]
+        (source "tree.c" tree_source);
+      both "bfs fattree:4x4" ~spec:"fattree:4x4"
+        [ ("coherence", "eager"); ("collective", "direct") ]
+        (program_named "bfs");
+      both "bfs fattree:4x4" ~spec:"fattree:4x4"
+        [ ("coherence", "eager"); ("collective", "auto") ]
+        (program_named "bfs");
     ]
 
 (* One replay of the sample job trace on a shared desktop, three jobs
