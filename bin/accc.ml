@@ -103,6 +103,11 @@ let dump_heads env names show =
 let at_least flag floor v =
   if v >= floor then Ok () else Error (Printf.sprintf "--%s %d: must be at least %d" flag v floor)
 
+(* An out-of-range subscript, raised by the host arrays and the device
+   views alike. *)
+let bounds_error name index length =
+  Printf.sprintf "array %s: index %d out of bounds (length %d)" name index length
+
 let run_cmd file machine_name variant gpus schedule_name settings chunk_kb no_distribution
     no_layout no_misscheck single_level_dirty dump_arrays show_trace trace_json blame json_report
     check_results verbose =
@@ -176,6 +181,7 @@ let run_cmd file machine_name variant gpus schedule_name settings chunk_kb no_di
            "localaccess violation on GPU %d: array %s index %d (%s) — the directive does not \
             cover this access"
            gpu array index what)
+  | Mgacc.View.Bounds { name; index; length } -> Error (bounds_error name index length)
 
 (* ---------------- scale ---------------- *)
 
@@ -220,6 +226,7 @@ let scale_cmd file machine_name =
   | Mgacc.Loc.Error (loc, msg) -> Error (Printf.sprintf "%s: %s" (Mgacc.Loc.to_string loc) msg)
   | Mgacc.Launch.Window_violation { array; index; gpu; what } ->
       Error (Printf.sprintf "localaccess violation on GPU %d: array %s index %d (%s)" gpu array index what)
+  | Mgacc.View.Bounds { name; index; length } -> Error (bounds_error name index length)
 
 (* ---------------- serve ---------------- *)
 

@@ -35,106 +35,35 @@ type result = {
 let scan_base_seconds = 2e-6
 let scan_per_chunk_seconds = 20e-9
 
-(* Element-wise merge of GPU [src]'s dirty runs into every other replica.
-   The exchanged chunks stage through system buffers on both ends (paper
-   §IV-D: the receiver needs the chunk payload plus its bits to merge), so
-   the staging shows up in the Fig. 9 "System" accounting. Because of the
-   staging, a chunk may be in flight while the receiver's kernel still
+(* Element-wise merge of each writer's dirty runs into the other
+   replicas (paper §IV-D). The coherence policy is three choices:
+   - the read window: what a destination takes of a writer's runs. Eager
+     coherence passes [Cw_all]; lazy coherence passes the next reader's
+     window, so a destination takes the runs inside it ([Cw_windows]) or
+     nothing ([Cw_none]) and the rest is deferred;
+   - the payload: eager ships the dirty chunks plus their first-level bits
+     ({!Dirty.transfer_bytes}); lazy ships ranged runs, the run lengths
+     plus an 8-byte (base, count) header per run, merged by range;
+   - validity: only lazy coherence tracks it. A destination's replica
+     goes stale on the writer's runs it did not take, and pulls them on
+     demand if a later consumer shows up. Eager replicas are always fully
+     valid and nothing reads their valid sets.
+   Writers merge in ascending GPU order, so overlapping writes resolve to
+   the same values under both policies. The shipped runs stage through
+   system buffers on both ends (the receiver needs the payload to merge),
+   so the staging shows up in the Fig. 9 "System" accounting. Because of
+   the staging, a run may be in flight while the receiver's kernel still
    runs: the overlap engine only gates the send on the *source's* kernel
-   finish plus this array's scan. *)
-let merge_replicated cfg (da : Darray.t) ~fresh_group =
-  let r = Darray.replica_of da in
-  let num_gpus = cfg.Rt_config.num_gpus in
-  let mem g = (Mgacc_gpusim.Machine.device cfg.Rt_config.machine g).Mgacc_gpusim.Device.memory in
-  let ops = ref [] in
-  let scans = ref [] in
-  let staging = ref [] in
-  (* One send buffer per writing GPU and one receive buffer per GPU (sized
-     for the largest incoming batch): the chunks stream through these. *)
-  let send_bytes = Array.make num_gpus 0 in
-  for src = 0 to num_gpus - 1 do
-    match r.Darray.dirty.(src) with
-    | None -> ()
-    | Some d -> if Dirty.any_dirty d then send_bytes.(src) <- Dirty.transfer_bytes d
-  done;
-  for g = 0 to num_gpus - 1 do
-    if send_bytes.(g) > 0 then staging := (g, Memory.alloc_raw (mem g) `System send_bytes.(g)) :: !staging;
-    let incoming =
-      Array.fold_left max 0 (Array.mapi (fun src b -> if src = g then 0 else b) send_bytes)
-    in
-    if incoming > 0 then staging := (g, Memory.alloc_raw (mem g) `System incoming) :: !staging
-  done;
-  for src = 0 to num_gpus - 1 do
-    match r.Darray.dirty.(src) with
-    | None -> ()
-    | Some d ->
-        scans :=
-          ( src,
-            da.Darray.name,
-            scan_base_seconds +. (float_of_int (Dirty.total_chunks d) *. scan_per_chunk_seconds) )
-          :: !scans;
-        if Dirty.any_dirty d then begin
-          let bytes = Dirty.transfer_bytes d in
-          let runs = Dirty.dirty_runs d in
-          (* Every destination receives the same full dirty payload, so
-             the per-src star is a broadcast the planner may reshape. *)
-          let group = fresh_group () in
-          let tag = da.Darray.name ^ ":dirty" in
-          for dst = 0 to num_gpus - 1 do
-            if dst <> src then begin
-              ops :=
-                {
-                  dir = Fabric.P2p (src, dst);
-                  bytes;
-                  tag;
-                  array = da.Darray.name;
-                  kind = Dirty_chunk;
-                  round = 0;
-                  group;
-                }
-                :: !ops;
-              (* Functional merge of exactly the dirty elements. *)
-              (match da.Darray.elem with
-              | Ast.Edouble ->
-                  let s = Memory.float_data r.Darray.bufs.(src) in
-                  let t = Memory.float_data r.Darray.bufs.(dst) in
-                  List.iter
-                    (fun (iv : Interval.t) ->
-                      Array.blit s iv.Interval.lo t iv.Interval.lo (Interval.length iv))
-                    (Interval.Set.to_list runs)
-              | Ast.Eint ->
-                  let s = Memory.int_data r.Darray.bufs.(src) in
-                  let t = Memory.int_data r.Darray.bufs.(dst) in
-                  List.iter
-                    (fun (iv : Interval.t) ->
-                      Array.blit s iv.Interval.lo t iv.Interval.lo (Interval.length iv))
-                    (Interval.Set.to_list runs))
-            end
-          done
-        end
-  done;
-  (* All replicas agree again; staging buffers are released (their peak
-     remains in the memory accounting). *)
-  List.iter (fun (g, buf) -> Memory.free (mem g) buf) !staging;
-  Array.iter (function Some d -> Dirty.clear d | None -> ()) r.Darray.dirty;
-  (List.rev !ops, List.rev !scans)
-
-(* Lazy (consumer-driven) variant: intersect each writer's exact dirty
-   runs with each destination's upcoming read window and ship only the
-   surviving intervals, coalesced into ranged transfers (payload = run
-   lengths + an 8-byte (base, count) header per run — no chunk bits ride
-   along, the receiver merges by range). Everything outside the window
-   is deferred: the destination replica is marked stale there and pulls
-   on demand if a later consumer shows up. Writers are processed in
-   ascending GPU order exactly like the eager path, so overlapping
-   writes resolve to the same final values.
+   finish plus this array's scan.
 
    A destination that takes a writer's whole run set shares that set
-   physically ([s == w] below), so each writer's payload size is
-   computed once and a broadcast is a physical-equality test. *)
-let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh_group =
+   physically ([s == w] below), so each writer's payload size is computed
+   once and a broadcast is a physical-equality test. Only per-destination
+   windows need per-pair tables. *)
+let merge_replicated cfg (da : Darray.t) ~(window : consumer_window) ~fresh_group =
   let r = Darray.replica_of da in
   let num_gpus = cfg.Rt_config.num_gpus in
+  let lazy_mode = Rt_config.lazy_coherence cfg in
   let mem g = (Mgacc_gpusim.Machine.device cfg.Rt_config.machine g).Mgacc_gpusim.Device.memory in
   let elem_bytes = Darray.elem_bytes da in
   let tag = da.Darray.name ^ ":dirty" in
@@ -145,6 +74,7 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
   in
   let scans = ref [] in
   let runs = Array.make num_gpus Interval.Set.empty in
+  let payload = Array.make num_gpus 0 in
   for src = 0 to num_gpus - 1 do
     match r.Darray.dirty.(src) with
     | None -> ()
@@ -154,40 +84,55 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
             da.Darray.name,
             scan_base_seconds +. (float_of_int (Dirty.total_chunks d) *. scan_per_chunk_seconds) )
           :: !scans;
-        if Dirty.any_dirty d then runs.(src) <- Dirty.dirty_runs d
-  done;
-  (* What each pair ships and its ranged payload ([ship.(g).(g)] is
-     empty, so the diagonal is 0). *)
-  let ship = Array.make_matrix num_gpus num_gpus Interval.Set.empty in
-  let ship_bytes = Array.make_matrix num_gpus num_gpus 0 in
-  for src = 0 to num_gpus - 1 do
-    let w = runs.(src) in
-    if not (Interval.Set.is_empty w) then begin
-      let w_payload = ranged_bytes w in
-      for dst = 0 to num_gpus - 1 do
-        if dst <> src then begin
-          let s =
-            match window with
-            | Cw_none -> Interval.Set.empty
-            | Cw_all -> w
-            | Cw_windows ws ->
-                let s = Interval.Set.inter w ws.(dst) in
-                if Interval.Set.equal s w then w else s
-          in
-          ship.(src).(dst) <- s;
-          ship_bytes.(src).(dst) <- (if s == w then w_payload else ranged_bytes s)
+        if Dirty.any_dirty d then begin
+          runs.(src) <- Dirty.dirty_runs d;
+          payload.(src) <- (if lazy_mode then ranged_bytes runs.(src) else Dirty.transfer_bytes d)
         end
-      done
-    end
   done;
-  (* Staging as in the eager path, sized for the ranged payloads. *)
+  let pairs =
+    match window with
+    | Cw_windows ws ->
+        Array.mapi
+          (fun src w ->
+            Array.init num_gpus (fun dst ->
+                if dst = src || Interval.Set.is_empty w then (Interval.Set.empty, 0)
+                else
+                  let s = Interval.Set.inter w ws.(dst) in
+                  if Interval.Set.equal s w then (w, payload.(src)) else (s, ranged_bytes s)))
+          runs
+    | Cw_none | Cw_all -> [||]
+  in
+  (* What [dst] takes of [src]'s runs, and its payload. *)
+  let ship src dst =
+    match window with
+    | Cw_none -> Interval.Set.empty
+    | Cw_all -> runs.(src)
+    | Cw_windows _ -> fst pairs.(src).(dst)
+  in
+  let ship_bytes src dst =
+    match window with
+    | Cw_none -> 0
+    | Cw_all -> payload.(src)
+    | Cw_windows _ -> snd pairs.(src).(dst)
+  in
+  (* One send buffer per writing GPU and one receive buffer per GPU, each
+     sized for its largest ship: the runs stream through these. *)
+  let send_bytes = Array.make num_gpus 0 and incoming = Array.make num_gpus 0 in
+  for src = 0 to num_gpus - 1 do
+    for dst = 0 to num_gpus - 1 do
+      if dst <> src then begin
+        let b = ship_bytes src dst in
+        send_bytes.(src) <- max send_bytes.(src) b;
+        incoming.(dst) <- max incoming.(dst) b
+      end
+    done
+  done;
   let staging = ref [] in
-  let send_bytes = Array.map (Array.fold_left max 0) ship_bytes in
   for g = 0 to num_gpus - 1 do
     if send_bytes.(g) > 0 then
       staging := (g, Memory.alloc_raw (mem g) `System send_bytes.(g)) :: !staging;
-    let incoming = Array.fold_left (fun acc row -> max acc row.(g)) 0 ship_bytes in
-    if incoming > 0 then staging := (g, Memory.alloc_raw (mem g) `System incoming) :: !staging
+    if incoming.(g) > 0 then
+      staging := (g, Memory.alloc_raw (mem g) `System incoming.(g)) :: !staging
   done;
   let ops = ref [] in
   let shipped = ref 0 in
@@ -195,7 +140,7 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
   for src = 0 to num_gpus - 1 do
     let w = runs.(src) in
     if not (Interval.Set.is_empty w) then begin
-      r.Darray.valid.(src) <- Interval.Set.union r.Darray.valid.(src) w;
+      if lazy_mode then r.Darray.valid.(src) <- Interval.Set.union r.Darray.valid.(src) w;
       let w_bytes = Interval.Set.total_length w * elem_bytes in
       (* Collective-eligible only when every peer receives the full dirty
          payload (same content everywhere — a true broadcast). Per-window
@@ -203,27 +148,28 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
       let is_broadcast =
         let ok = ref true in
         for dst = 0 to num_gpus - 1 do
-          if dst <> src && ship.(src).(dst) != w then ok := false
+          if dst <> src && ship src dst != w then ok := false
         done;
         !ok
       in
       let group = if is_broadcast then fresh_group () else -1 in
       for dst = 0 to num_gpus - 1 do
         if dst <> src then begin
-          let s = ship.(src).(dst) in
+          let s = ship src dst in
+          if s != w then
+            deferred := !deferred + w_bytes - (Interval.Set.total_length s * elem_bytes);
           (* The writer's runs go stale on [dst] and the shipped part
              becomes valid again: [(v \ w) ∪ s]. When [s] is all of [w]
              that is [v ∪ w], one union, and a normalized set has one
              representation, so both forms give the same list. *)
-          if s == w then r.Darray.valid.(dst) <- Interval.Set.union r.Darray.valid.(dst) w
-          else begin
-            deferred := !deferred + w_bytes - (Interval.Set.total_length s * elem_bytes);
-            let stale = Interval.Set.diff r.Darray.valid.(dst) w in
+          if lazy_mode then
             r.Darray.valid.(dst) <-
-              (if Interval.Set.is_empty s then stale else Interval.Set.union stale s)
-          end;
+              (if s == w then Interval.Set.union r.Darray.valid.(dst) w
+               else
+                 let stale = Interval.Set.diff r.Darray.valid.(dst) w in
+                 if Interval.Set.is_empty s then stale else Interval.Set.union stale s);
           if not (Interval.Set.is_empty s) then begin
-            let bytes = ship_bytes.(src).(dst) in
+            let bytes = ship_bytes src dst in
             shipped := !shipped + bytes;
             ops :=
               {
@@ -244,6 +190,8 @@ let merge_replicated_lazy cfg (da : Darray.t) ~(window : consumer_window) ~fresh
       done
     end
   done;
+  (* Staging buffers are released (their peak remains in the memory
+     accounting). *)
   List.iter (fun (g, buf) -> Memory.free (mem g) buf) !staging;
   Array.iter (function Some d -> Dirty.clear d | None -> ()) r.Darray.dirty;
   (List.rev !ops, List.rev !scans, !shipped, !deferred)
@@ -269,70 +217,51 @@ let drain_misses cfg (da : Darray.t) =
           Array.iteri
             (fun owner entries_rev ->
               let entries = List.rev entries_rev in
-              if entries <> [] && owner <> src then begin
-                let payload =
-                  if Rt_config.lazy_coherence cfg then begin
-                    (* RLE the record indices into (base, count) range
-                       ships: an 8-byte header per contiguous run plus
-                       one value per unique index, instead of a
-                       4+elem-byte record per write. *)
-                    let idxs = List.sort_uniq compare (List.map fst entries) in
-                    let runs, _ =
-                      List.fold_left
-                        (fun (runs, prev) i ->
-                          match prev with
-                          | Some p when i = p + 1 -> (runs, Some i)
-                          | _ -> (runs + 1, Some i))
-                        (0, None) idxs
-                    in
-                    (runs * 8) + (List.length idxs * Darray.elem_bytes da)
-                  end
-                  else List.length entries * record_bytes
-                in
-                ops :=
-                  {
-                    dir = Fabric.P2p (src, owner);
-                    bytes = payload;
-                    tag = da.Darray.name ^ ":miss";
-                    array = da.Darray.name;
-                    kind = Miss_ship;
-                    round = 0;
-                    group = -1;
-                  }
-                  :: !ops;
-                (* The records stage in a system buffer on the owner until
-                   the replay kernel consumes them. *)
-                let mem =
-                  (Mgacc_gpusim.Machine.device cfg.Rt_config.machine owner)
-                    .Mgacc_gpusim.Device.memory
-                in
-                Memory.free mem (Memory.alloc_raw mem `System payload);
-                replay_counts.(owner) <- replay_counts.(owner) + List.length entries;
-                (* Functional replay into the owner's partition
-                   (offset through the part, which may be a 2-D tile). *)
-                let opart = dist.Darray.parts.(owner) in
-                let off idx = Darray.offset_in_part dist.Darray.spec opart idx in
-                (match da.Darray.elem with
-                | Ast.Edouble ->
-                    let d = Memory.float_data opart.Darray.buf in
-                    List.iter
-                      (fun (idx, v) ->
-                        match v with
-                        | Miss_buffer.Vf f -> d.(off idx) <- f
-                        | Miss_buffer.Vi _ -> assert false)
-                      entries
-                | Ast.Eint ->
-                    let d = Memory.int_data opart.Darray.buf in
-                    List.iter
-                      (fun (idx, v) ->
-                        match v with
-                        | Miss_buffer.Vi n -> d.(off idx) <- n
-                        | Miss_buffer.Vf _ -> assert false)
-                      entries)
-              end
-              else if entries <> [] && owner = src then begin
-                (* A "miss" that is actually owned locally (conservative
-                   check): apply in place, no traffic. *)
+              if entries <> [] then begin
+                if owner <> src then begin
+                  let payload =
+                    if Rt_config.lazy_coherence cfg then begin
+                      (* RLE the record indices into (base, count) range
+                         ships: an 8-byte header per contiguous run plus
+                         one value per unique index, instead of a
+                         4+elem-byte record per write. *)
+                      let idxs = List.sort_uniq compare (List.map fst entries) in
+                      let runs, _ =
+                        List.fold_left
+                          (fun (runs, prev) i ->
+                            match prev with
+                            | Some p when i = p + 1 -> (runs, Some i)
+                            | _ -> (runs + 1, Some i))
+                          (0, None) idxs
+                      in
+                      (runs * 8) + (List.length idxs * Darray.elem_bytes da)
+                    end
+                    else List.length entries * record_bytes
+                  in
+                  ops :=
+                    {
+                      dir = Fabric.P2p (src, owner);
+                      bytes = payload;
+                      tag = da.Darray.name ^ ":miss";
+                      array = da.Darray.name;
+                      kind = Miss_ship;
+                      round = 0;
+                      group = -1;
+                    }
+                    :: !ops;
+                  (* The records stage in a system buffer on the owner
+                     until the replay kernel consumes them. *)
+                  let mem =
+                    (Mgacc_gpusim.Machine.device cfg.Rt_config.machine owner)
+                      .Mgacc_gpusim.Device.memory
+                  in
+                  Memory.free mem (Memory.alloc_raw mem `System payload);
+                  replay_counts.(owner) <- replay_counts.(owner) + List.length entries
+                end;
+                (* Functional replay into the owner's partition (offset
+                   through the part, which may be a 2-D tile). A "miss"
+                   owned locally (conservative check) applies in place,
+                   with no traffic. *)
                 let opart = dist.Darray.parts.(owner) in
                 let off idx = Darray.offset_in_part dist.Darray.spec opart idx in
                 match da.Darray.elem with
@@ -482,23 +411,7 @@ let halo_exchange cfg (da : Darray.t) =
                     group = -1;
                   }
                   :: !ops;
-                (* Functional copy owner -> dst. *)
-                let src_part = dist.Darray.parts.(owner) in
-                let slo = src_part.Darray.window.Interval.lo in
-                let dlo = part.Darray.window.Interval.lo in
-                match da.Darray.elem with
-                | Ast.Edouble ->
-                    let s = Memory.float_data src_part.Darray.buf in
-                    let d = Memory.float_data part.Darray.buf in
-                    for i = seg.Interval.lo to seg.Interval.hi - 1 do
-                      d.(i - dlo) <- s.(i - slo)
-                    done
-                | Ast.Eint ->
-                    let s = Memory.int_data src_part.Darray.buf in
-                    let d = Memory.int_data part.Darray.buf in
-                    for i = seg.Interval.lo to seg.Interval.hi - 1 do
-                      d.(i - dlo) <- s.(i - slo)
-                    done
+                Darray.copy_part_to_part da ~src:dist.Darray.parts.(owner) ~dst:part seg
               end;
               cursor := max seg_hi (!cursor + 1)
             done)
@@ -513,6 +426,8 @@ let reconcile cfg plan ~get_darray ~reductions ~wrote ~next_window =
      reversed once at the end (the old [l := !l @ x] was quadratic in the
      number of transfers). *)
   let lazy_mode = Rt_config.lazy_coherence cfg in
+  (* Eager coherence is the lazy protocol with a whole-array window. *)
+  let window name = if lazy_mode then next_window name else Cw_all in
   let ops = ref [] in
   let replays = ref [] in
   let combines = ref [] in
@@ -525,7 +440,6 @@ let reconcile cfg plan ~get_darray ~reductions ~wrote ~next_window =
     !gid
   in
   let prepend_all dst xs = List.iter (fun x -> dst := x :: !dst) xs in
-  let op_bytes xs = List.fold_left (fun acc (o : op) -> acc + o.bytes) 0 xs in
   List.iter
     (fun (c : Array_config.t) ->
       let name = c.Array_config.array in
@@ -534,21 +448,14 @@ let reconcile cfg plan ~get_darray ~reductions ~wrote ~next_window =
         Darray.mark_device_written da;
         match Kernel_plan.placement_of plan name with
         | Array_config.Replicated ->
-            if cfg.Rt_config.num_gpus > 1 then
-              if lazy_mode then begin
-                let x, s, shipped, deferred =
-                  merge_replicated_lazy cfg da ~window:(next_window name) ~fresh_group
-                in
-                prepend_all ops x;
-                prepend_all scans s;
-                coh := (name, shipped, deferred) :: !coh
-              end
-              else begin
-                let x, s = merge_replicated cfg da ~fresh_group in
-                prepend_all ops x;
-                prepend_all scans s;
-                coh := (name, op_bytes x, 0) :: !coh
-              end
+            if cfg.Rt_config.num_gpus > 1 then begin
+              let x, s, shipped, deferred =
+                merge_replicated cfg da ~window:(window name) ~fresh_group
+              in
+              prepend_all ops x;
+              prepend_all scans s;
+              coh := (name, shipped, deferred) :: !coh
+            end
         | Array_config.Distributed ->
             let x_miss, r = drain_misses cfg da in
             let x_halo = if da.Darray.written_since_halo_sync then halo_exchange cfg da else [] in
@@ -561,85 +468,54 @@ let reconcile cfg plan ~get_darray ~reductions ~wrote ~next_window =
   List.iter
     (fun (name, red) ->
       let da = get_darray name in
-      let kind_of = function Reduction.Gather -> Red_gather | Reduction.Bcast -> Red_bcast in
+      let ship =
+        match window name with
+        | Cw_none -> `Defer
+        | Cw_all | Cw_windows _ -> if lazy_mode then `Tree else `Star
+      in
+      let m = Reduction.merge cfg red da ~ship in
       (* Every broadcast edge (star or binomial tree alike) carries the
          same combined result, so all of an array's Red_bcast ops form
          one collective group. Under planned collectives, when the result
          is actually broadcast (not deferred), the gathers join the same
          group: the pair is an allreduce the planner can lower to ring
          reduce-scatter/all-gather. Otherwise gathers pass through as
-         point-to-point partial ships, exactly as before. *)
+         point-to-point partial ships. *)
+      let allreduce =
+        Rt_config.planned_collectives cfg
+        && List.exists (fun (_, role, _) -> role = Reduction.Bcast) m.Reduction.xfers
+      in
       let red_group = ref (-1) in
       let shared () =
         if !red_group < 0 then red_group := fresh_group ();
         !red_group
       in
-      let group_of ~allreduce = function
-        | Reduction.Gather -> if allreduce then shared () else -1
-        | Reduction.Bcast -> shared ()
-      in
-      if lazy_mode then begin
-        let ship = match next_window name with Cw_none -> `Defer | _ -> `Tree in
-        let m = Reduction.merge_lazy cfg red da ~ship in
-        let allreduce =
-          Rt_config.planned_collectives cfg
-          && List.exists (fun (_, role, _) -> role = Reduction.Bcast) m.Reduction.rounds
-        in
-        prepend_all ops
-          (List.map
-             (fun ((x : Darray.xfer), role, round) ->
-               {
-                 dir = x.Darray.dir;
-                 bytes = x.Darray.bytes;
-                 tag = x.Darray.tag;
-                 array = name;
-                 kind = kind_of role;
-                 round;
-                 group = group_of ~allreduce role;
-               })
-             m.Reduction.rounds);
-        if not (Cost.is_zero m.Reduction.lazy_combine_cost) then
-          combines :=
-            { gpu = 0; array = name; cost = m.Reduction.lazy_combine_cost; label = name ^ ":combine" }
-            :: !combines;
-        coh :=
-          ( name,
-            List.fold_left (fun acc ((x : Darray.xfer), _, _) -> acc + x.Darray.bytes) 0
-              m.Reduction.rounds,
-            m.Reduction.deferred_bytes )
-          :: !coh
-      end
-      else begin
-        let m = Reduction.merge cfg red da in
-        let allreduce =
-          Rt_config.planned_collectives cfg
-          && List.exists (fun (_, role) -> role = Reduction.Bcast) m.Reduction.xfers
-        in
-        prepend_all ops
-          (List.map
-             (fun ((x : Darray.xfer), role) ->
-               {
-                 dir = x.Darray.dir;
-                 bytes = x.Darray.bytes;
-                 tag = x.Darray.tag;
-                 array = name;
-                 kind = kind_of role;
-                 round = 0;
-                 group = group_of ~allreduce role;
-               })
-             m.Reduction.xfers);
-        if not (Cost.is_zero m.Reduction.combine_cost) then
-          combines :=
-            { gpu = 0; array = name; cost = m.Reduction.combine_cost; label = name ^ ":combine" }
-            :: !combines;
-        coh :=
-          ( name,
-            List.fold_left
-              (fun acc ((x : Darray.xfer), _) -> acc + x.Darray.bytes)
-              0 m.Reduction.xfers,
-            0 )
-          :: !coh
-      end)
+      let shipped = ref 0 in
+      List.iter
+        (fun ((x : Darray.xfer), role, round) ->
+          let kind, group =
+            match role with
+            | Reduction.Gather -> (Red_gather, if allreduce then shared () else -1)
+            | Reduction.Bcast -> (Red_bcast, shared ())
+          in
+          shipped := !shipped + x.Darray.bytes;
+          ops :=
+            {
+              dir = x.Darray.dir;
+              bytes = x.Darray.bytes;
+              tag = x.Darray.tag;
+              array = name;
+              kind;
+              round;
+              group;
+            }
+            :: !ops)
+        m.Reduction.xfers;
+      if not (Cost.is_zero m.Reduction.combine_cost) then
+        combines :=
+          { gpu = 0; array = name; cost = m.Reduction.combine_cost; label = name ^ ":combine" }
+          :: !combines;
+      coh := (name, !shipped, m.Reduction.deferred_bytes) :: !coh)
     reductions;
   let scans = List.rev !scans in
   {

@@ -3,14 +3,22 @@
     Called right after the kernels of a parallel loop complete. Three jobs:
 
     - {b Replicated arrays}: scan the second-level dirty bits, ship each
-      dirty chunk (payload + its slice of first-level bits) from the
-      writing GPU to every other replica, merge element-wise, clear the
-      bits. Under single-level dirty bits the whole array ships instead.
+      writer's dirty runs to the other replicas, merge element-wise, clear
+      the bits.
     - {b Distributed arrays}: drain the write-miss buffers — ship the
       (index, value) records to the owning GPUs and replay them there with
       a small kernel — then refresh stale halo copies from their owners.
     - {b Reduction arrays}: fold the per-GPU partials (gather to GPU 0,
-      combine, broadcast), via {!Reduction.merge}.
+      combine, publish), via {!Reduction.merge}.
+
+    Both coherence policies run the same merges; a policy is three
+    choices. Eager coherence (the paper's) takes the whole array as every
+    destination's read window, ships dirty chunks with their first-level
+    bits (the whole array and bit array under single-level dirty bits)
+    and broadcasts a reduction result as a star from GPU 0. Lazy
+    coherence takes the next reader's window, ships ranged runs, defers
+    the rest, and broadcasts down a binomial tree or defers (see
+    docs/COHERENCE.md).
 
     All movement is returned as {e timed op descriptors}: each op names
     the producing GPU (the transfer's source endpoint), the consuming
@@ -65,7 +73,9 @@ type gpu_kernel = {
 
 type consumer_window =
   | Cw_none  (** no future device read: defer everything *)
-  | Cw_all  (** unknown or whole-array consumer: ship all dirty runs *)
+  | Cw_all
+      (** eager coherence, or an unknown or whole-array consumer: ship
+          all dirty runs *)
   | Cw_windows of Mgacc_util.Interval.Set.t array
       (** the next reader's predicted per-GPU read windows *)
 
@@ -102,5 +112,5 @@ val reconcile :
 (** [wrote name] says whether any GPU actually executed writes to the array
     in this launch (empty iteration ranges write nothing). [next_window]
     supplies the next consumer's predicted read window per array; it is
-    only consulted under lazy coherence (pass [fun _ -> Cw_all]
-    otherwise). *)
+    only consulted under lazy coherence (eager coherence is the same
+    reconciliation with [Cw_all] for every array). *)

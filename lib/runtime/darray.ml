@@ -192,10 +192,10 @@ let copy_replica_seg t r ~src ~dst (seg : Interval.t) =
   if not (Interval.is_empty seg) then
     match t.elem with
     | Ast.Edouble ->
-        let s = Memory.float_data r.bufs.(src) and d = Memory.float_data r.bufs.(dst) in
-        for i = seg.Interval.lo to seg.Interval.hi - 1 do
-          d.(i) <- s.(i)
-        done
+        (* A float blit is one memmove; an int blit into a major-heap
+           array runs the write barrier per element, so ints loop. *)
+        Array.blit (Memory.float_data r.bufs.(src)) seg.Interval.lo
+          (Memory.float_data r.bufs.(dst)) seg.Interval.lo (Interval.length seg)
     | Ast.Eint ->
         let s = Memory.int_data r.bufs.(src) and d = Memory.int_data r.bufs.(dst) in
         for i = seg.Interval.lo to seg.Interval.hi - 1 do

@@ -50,6 +50,11 @@ let int_only name =
   let bad () = invalid_arg (name ^ ": double access on int array") in
   ((fun _ _ _ -> bad ()), fun _ _ _ -> bad ())
 
+(* An out-of-range subscript names the array. The device views test the
+   range inline in front of unchecked access (as [View.of_float_array]
+   does), so a kernel does the work of the implicit check it replaces. *)
+let out_of_bounds name length i = raise (View.Bounds { name; index = i; length })
+
 (* Replicated array on one GPU: direct access, dirty marking on writes. The
    dirty-bit instrumentation the translator inserts costs a couple of
    integer ops per write, charged to the kernel's cost record. *)
@@ -64,16 +69,23 @@ let replicated_view (da : Darray.t) ~gpu ~(dirty : Dirty.t option) ~(cost : Cost
         match dirty with
         | Some d ->
             fun i bank s ->
-              data.(i) <- bank.(s);
+              if i < 0 || i >= length then out_of_bounds name length i;
+              Array.unsafe_set data i bank.(s);
               cost.Cost.int_ops <- cost.Cost.int_ops + 2;
               Dirty.mark d i
-        | None -> fun i bank s -> data.(i) <- bank.(s)
+        | None ->
+            fun i bank s ->
+              if i < 0 || i >= length then out_of_bounds name length i;
+              Array.unsafe_set data i bank.(s)
       in
       {
         View.name;
         elem = Ast.Edouble;
         length;
-        load_f = (fun i bank s -> bank.(s) <- data.(i));
+        load_f =
+          (fun i bank s ->
+            if i < 0 || i >= length then out_of_bounds name length i;
+            bank.(s) <- Array.unsafe_get data i);
         store_f;
         reduce_f = no_reduce_f name;
         get_i;
@@ -87,16 +99,23 @@ let replicated_view (da : Darray.t) ~gpu ~(dirty : Dirty.t option) ~(cost : Cost
         match dirty with
         | Some d ->
             fun i v ->
-              data.(i) <- v;
+              if i < 0 || i >= length then out_of_bounds name length i;
+              Array.unsafe_set data i v;
               cost.Cost.int_ops <- cost.Cost.int_ops + 2;
               Dirty.mark d i
-        | None -> fun i v -> data.(i) <- v
+        | None ->
+            fun i v ->
+              if i < 0 || i >= length then out_of_bounds name length i;
+              Array.unsafe_set data i v
       in
       {
         View.name;
         elem = Ast.Eint;
         length;
-        get_i = (fun i -> data.(i));
+        get_i =
+          (fun i ->
+            if i < 0 || i >= length then out_of_bounds name length i;
+            Array.unsafe_get data i);
         set_i;
         reduce_i = no_reduce_i name;
         load_f;
@@ -110,7 +129,7 @@ let reduction_view (da : Darray.t) ~gpu (red : Reduction.t) =
   let buf = Darray.buf_for da ~gpu in
   let name = da.Darray.name and length = da.Darray.length in
   let declared = Reduction.op red in
-  let check op =
+  let check_op op =
     if op <> declared then
       invalid_arg
         (Printf.sprintf "array %s: reduction operator mismatch (%s declared)" name
@@ -125,11 +144,15 @@ let reduction_view (da : Darray.t) ~gpu (red : Reduction.t) =
         View.name;
         elem = Ast.Edouble;
         length;
-        load_f = (fun i bank s -> bank.(s) <- data.(i));
+        load_f =
+          (fun i bank s ->
+            if i < 0 || i >= length then out_of_bounds name length i;
+            bank.(s) <- Array.unsafe_get data i);
         store_f = (fun _ _ _ -> plain_write ());
         reduce_f =
           (fun op i bank s ->
-            check op;
+            check_op op;
+            if i < 0 || i >= length then out_of_bounds name length i;
             Reduction.reduce_f red ~gpu i bank s);
         get_i;
         set_i;
@@ -142,11 +165,15 @@ let reduction_view (da : Darray.t) ~gpu (red : Reduction.t) =
         View.name;
         elem = Ast.Eint;
         length;
-        get_i = (fun i -> data.(i));
+        get_i =
+          (fun i ->
+            if i < 0 || i >= length then out_of_bounds name length i;
+            Array.unsafe_get data i);
         set_i = (fun _ _ -> plain_write ());
         reduce_i =
           (fun op i v ->
-            check op;
+            check_op op;
+            if i < 0 || i >= length then out_of_bounds name length i;
             Reduction.reduce_i red ~gpu i v);
         load_f;
         store_f;
@@ -155,8 +182,10 @@ let reduction_view (da : Darray.t) ~gpu (red : Reduction.t) =
 
 (* Out-of-block writes on a distributed array: with the miss check, a
    checked write costs one int op and a missed one a buffered transaction
-   of [bytes]; without it, a directive violation. *)
-let miss_write ~miss_check ~(cost : Cost.t) ~name ~gpu ~what part ~bytes i v =
+   of [bytes]; without it, a directive violation. A write outside the
+   array is a bounds error either way. *)
+let miss_write ~miss_check ~(cost : Cost.t) ~name ~length ~gpu ~what part ~bytes i v =
+  if i < 0 || i >= length then out_of_bounds name length i;
   if miss_check then begin
     cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
     cost.Cost.random_bytes <- cost.Cost.random_bytes + bytes;
@@ -176,11 +205,13 @@ let tiled_distributed_view (da : Darray.t) (part : Darray.part) ~gpu ~miss_check
   let off i = Darray.offset_in_part spec part i in
   let owns i = Darray.part_owns spec part i in
   let check_read i =
-    if not (Darray.part_contains spec part i) then
+    if not (Darray.part_contains spec part i) then begin
+      if i < 0 || i >= length then out_of_bounds name length i;
       raise (Window_violation { array = name; index = i; gpu; what = "read outside window" })
+    end
   in
   let miss =
-    miss_write ~miss_check ~cost ~name ~gpu
+    miss_write ~miss_check ~cost ~name ~length ~gpu
       ~what:"write outside owned tile (miss checks eliminated)" part
   in
   let check () = if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1 in
@@ -239,11 +270,13 @@ let distributed_view (da : Darray.t) ~gpu ~miss_check ~(cost : Cost.t) =
       let win = part.Darray.window and own = part.Darray.own in
       let lo = win.Interval.lo in
       let check_read i =
-        if not (Interval.contains win i) then
+        if not (Interval.contains win i) then begin
+          if i < 0 || i >= length then out_of_bounds name length i;
           raise (Window_violation { array = name; index = i; gpu; what = "read outside window" })
+        end
       in
       let miss =
-        miss_write ~miss_check ~cost ~name ~gpu
+        miss_write ~miss_check ~cost ~name ~length ~gpu
           ~what:"write outside owned block (miss checks eliminated)" part
       in
       match da.Darray.elem with

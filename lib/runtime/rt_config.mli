@@ -29,9 +29,13 @@ type t = {
           of the bulk-synchronous barrier chain (docs/OVERLAP.md). [false]
           keeps the original barrier semantics bit-for-bit. *)
   coherence : coherence;
-      (** replica-reconciliation policy. [Eager] keeps the legacy
-          all-pairs exchange bit-for-bit; [Lazy] tracks per-replica
-          validity intervals and defers unread chunks. *)
+      (** replica-reconciliation policy: both run the same merges and
+          differ in three choices (docs/COHERENCE.md). [Eager] (the
+          paper's) gives every destination a whole-array read window,
+          ships dirty chunks and broadcasts reduction results as a star;
+          [Lazy] ships ranged runs inside the next reader's window,
+          defers the rest, tracks per-replica validity intervals and
+          broadcasts down a binomial tree or defers. *)
   collective : collective;
       (** how broadcast-shaped transfer groups are scheduled on the
           fabric. [Direct] keeps the legacy point-to-point stars
@@ -61,8 +65,8 @@ val make :
   t
 (** Defaults: all of the machine's GPUs, 1 MB chunks (the paper's choice),
     two-level dirty bits, overlap off (barrier semantics), eager
-    coherence (legacy all-pairs reconciliation), direct collectives
-    (legacy point-to-point schedules), the translator's default options
+    coherence (the paper's reconcile-every-replica protocol), direct
+    collectives (legacy point-to-point schedules), the translator's default options
     (placement, layout and miss-check optimizations on; fusion off; 1-D
     decomposition) and the equal-split schedule. *)
 

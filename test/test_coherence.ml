@@ -425,6 +425,132 @@ let test_qcheck_lazy_merge_matches_oracle =
     (QCheck2.Test.make ~count:300 ~name:"lazy merge == per-pair oracle (ops, valid sets, contents)"
        ~print:print_merge_case gen_merge_case prop_lazy_merge_matches_oracle)
 
+(* ---------------- eager coherence against its oracle ---------------- *)
+
+(* Eager coherence is the lazy merge with a whole-array window, chunk
+   payloads and a star broadcast; [Ref_merge.reconcile_eager] keeps the
+   eager merges it replaced. *)
+type eager_case = {
+  e_gpus : int;
+  two_level : bool;
+  chunk_bytes : int;
+  planned : bool;  (** auto collectives (the reduction is an allreduce) *)
+  e_n : int;
+  e_ints : bool;
+  e_marks : (int * int) list array;  (** each GPU's dirty (lo, len) runs *)
+  red_n : int;
+  red_ints : bool;
+  redop : Mgacc.Ast.redop;
+  contribs : (int * int) list array;  (** each GPU's (element, value) contributions *)
+}
+
+let gen_eager_case =
+  let open QCheck2.Gen in
+  let* e_gpus = int_range 2 16 in
+  let* two_level = bool in
+  let* chunk_bytes = oneofl [ 8; 64; 256; 1 lsl 20 ] in
+  let* planned = bool in
+  let* e_n = int_range 1 200 in
+  let* e_ints = bool in
+  let runs = list_size (int_bound 6) (pair (int_bound (e_n - 1)) (int_range 1 40)) in
+  let* e_marks = array_repeat e_gpus (oneof [ pure []; runs ]) in
+  let* red_n = int_range 1 64 in
+  let* red_ints = bool in
+  let* redop = oneofl Mgacc.Ast.[ Rplus; Rmul; Rmax; Rmin ] in
+  let+ contribs =
+    array_repeat e_gpus
+      (oneof [ pure []; list_size (int_bound 8) (pair (int_bound (red_n - 1)) (int_range (-40) 40)) ])
+  in
+  { e_gpus; two_level; chunk_bytes; planned; e_n; e_ints; e_marks; red_n; red_ints; redop; contribs }
+
+let print_eager_case c =
+  let pairs l = String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) l) in
+  let per_gpu a = String.concat " | " (Array.to_list (Array.map pairs a)) in
+  Printf.sprintf
+    "gpus=%d two_level=%b chunk_bytes=%d planned=%b\n\
+     n=%d ints=%b marks (lo,len): %s\n\
+     reduction %s n=%d ints=%b contribs (i,v): %s"
+    c.e_gpus c.two_level c.chunk_bytes c.planned c.e_n c.e_ints (per_gpu c.e_marks)
+    (Mgacc.Ast.redop_to_string c.redop) c.red_n c.red_ints (per_gpu c.contribs)
+
+(* One side: a fresh 16-GPU machine, the written array with the case's
+   dirty marks and the reduction target, reconciled by [side]. Returns
+   the result, both arrays' valid sets and replica contents, each
+   device's system-memory peak and whether any dirty bit is left. *)
+let eager_side c side =
+  let cfg =
+    Rt_config.make ~num_gpus:c.e_gpus ~coherence:Rt_config.Eager ~two_level_dirty:c.two_level
+      ~chunk_bytes:c.chunk_bytes
+      ~collective:(if c.planned then Rt_config.Auto else Rt_config.Direct)
+      (Mgacc.Machine.cluster ~nodes:4 ~gpus_per_node:4 ())
+  in
+  let da = Ref_merge.replicated cfg ~ints:c.e_ints ~n:c.e_n in
+  let r = Darray.replica_of da in
+  Array.iteri
+    (fun g l ->
+      match r.Darray.dirty.(g) with
+      | Some d ->
+          List.iter
+            (fun (lo, len) ->
+              for i = lo to min c.e_n (lo + len) - 1 do
+                Dirty.mark d i
+              done)
+            l
+      | None -> failwith "eager_side: no dirty bits")
+    c.e_marks;
+  let target = Ref_merge.reduction_target cfg ~ints:c.red_ints ~n:c.red_n in
+  let result = side cfg da { Ref_merge.target; op = c.redop; contribs = c.contribs } in
+  let arrays = [ da; target ] in
+  let contents =
+    List.map
+      (fun (a : Darray.t) ->
+        Array.map
+          (fun buf ->
+            match a.Darray.elem with
+            | Mgacc.Ast.Eint -> Array.map float_of_int (Mgacc.Memory.int_data buf)
+            | Mgacc.Ast.Edouble -> Array.copy (Mgacc.Memory.float_data buf))
+          (Darray.replica_of a).Darray.bufs)
+      arrays
+  in
+  let valid =
+    List.map
+      (fun a -> Array.map Interval.Set.to_list (Darray.replica_of a).Darray.valid)
+      arrays
+  in
+  let peaks =
+    Array.init c.e_gpus (fun g ->
+        Mgacc.Memory.peak_class
+          (Mgacc.Machine.device cfg.Rt_config.machine g).Mgacc_gpusim.Device.memory `System)
+  in
+  let dirty_left =
+    Array.exists (function Some d -> Dirty.any_dirty d | None -> false) r.Darray.dirty
+  in
+  (result, valid, contents, peaks, dirty_left)
+
+let prop_eager_merge_matches_oracle c =
+  let result, valid, contents, peaks, dirty_left =
+    eager_side c Ref_merge.reconcile_eager_runtime
+  in
+  let result', valid', contents', peaks', dirty_left' = eager_side c Ref_merge.reconcile_eager in
+  let differs what = QCheck2.Test.fail_reportf "%s differ from the eager oracle" what in
+  if result.Comm_manager.ops <> result'.Comm_manager.ops then
+    differs "ops (dir, bytes, tag, kind, round, group)"
+  else if result.Comm_manager.scans <> result'.Comm_manager.scans then differs "scans"
+  else if result.Comm_manager.coh <> result'.Comm_manager.coh then differs "coherence counts"
+  else if result.Comm_manager.combines <> result'.Comm_manager.combines then
+    differs "combine kernels"
+  else if compare contents contents' <> 0 then differs "replica contents"
+  else if valid <> valid' then differs "valid sets"
+  else if peaks <> peaks' then differs "staging peaks"
+  else if dirty_left || dirty_left' then differs "dirty bits left set"
+  else compare result result' = 0
+
+let test_qcheck_eager_merge_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:"eager merge == eager oracle (ops, combines, contents, staging)"
+       ~print:print_eager_case gen_eager_case prop_eager_merge_matches_oracle)
+
 let suite =
   [
     tc "lazy: five apps match the sequential reference" test_lazy_results_match_sequential;
@@ -434,4 +560,5 @@ let suite =
     tc "lazy: unread reduction broadcast is deferred" test_unread_reduction_deferred;
     tc "lazy: consumed reduction re-publishes via the tree" test_consumed_reduction_tree_bcast;
     test_qcheck_lazy_merge_matches_oracle;
+    test_qcheck_eager_merge_matches_oracle;
   ]

@@ -25,7 +25,7 @@ let test_reduction_merge_values () =
   Reduction.reduce_f red ~gpu:0 0 [| 5.0 |] 0;
   Reduction.reduce_f red ~gpu:0 2 [| 1.0 |] 0;
   Reduction.reduce_f red ~gpu:1 0 [| 7.0 |] 0;
-  let m = Reduction.merge cfg red da in
+  let m = Reduction.merge cfg red da ~ship:`Star in
   (* final = base + partial0 + partial1, on every replica. *)
   let r = Darray.replica_of da in
   List.iter
@@ -46,7 +46,7 @@ let test_reduction_merge_single_gpu () =
   let _ = Darray.ensure_replicated cfg da ~dirty_tracking:false in
   let red = Reduction.allocate cfg da Mgacc_minic.Ast.Rmax in
   Reduction.reduce_f red ~gpu:0 0 [| 9.0 |] 0;
-  let m = Reduction.merge cfg red da in
+  let m = Reduction.merge cfg red da ~ship:`Star in
   check Alcotest.int "no transfers on one GPU" 0 (List.length m.Reduction.xfers);
   let r = Darray.replica_of da in
   check (Alcotest.float 1e-12) "max applied" 9.0 (Memory.float_data r.Darray.bufs.(0)).(0)
@@ -59,7 +59,7 @@ let test_reduction_partials_accounted () =
   let before = Memory.used_class (mem 0) `System in
   let red = Reduction.allocate cfg da Mgacc_minic.Ast.Rplus in
   check Alcotest.int "partial charged as system" (before + 8000) (Memory.used_class (mem 0) `System);
-  let _ = Reduction.merge cfg red da in
+  let _ = Reduction.merge cfg red da ~ship:`Star in
   check Alcotest.int "partial freed after merge" before (Memory.used_class (mem 0) `System)
 
 (* ---------------- Dirty merge via a program ---------------- *)

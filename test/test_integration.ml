@@ -381,6 +381,67 @@ let test_window_violation_detected () =
   | exception Mgacc_runtime.Launch.Window_violation { array = "a"; _ } -> ()
   | _ -> Alcotest.fail "expected a window violation"
 
+(* An out-of-range subscript raises [View.Bounds] naming the array, the
+   index and the length, on the host and on one or two GPUs: a plain
+   write to a replicated array, a read of an int array, a
+   [reductiontoarray] update, a miss-checked write to a distributed
+   array and a host statement. *)
+let test_out_of_range_subscripts () =
+  let cases =
+    [
+      ( "replicated write",
+        {|void main() { int n = 16; double a[n]; int i;
+            for (i = 0; i < n; i++) { a[i] = 0.0; }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) { a[i + 100] = 1.0; } }|},
+        ("a", 100, 16) );
+      ( "int read",
+        {|void main() { int n = 16; int a[n]; int i;
+            for (i = 0; i < n; i++) { a[i] = i; }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) { a[i] = a[i] + a[i - 20]; } }|},
+        ("a", -20, 16) );
+      ( "reductiontoarray",
+        {|void main() { int n = 16; double h[4]; double x[n]; int i;
+            for (i = 0; i < 4; i++) { h[i] = 0.0; }
+            for (i = 0; i < n; i++) { x[i] = 1.0; }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+              #pragma acc reductiontoarray(+: h)
+              h[i] += x[i];
+            } }|},
+        ("h", 4, 4) );
+      ( "distributed miss write",
+        {|void main() { int n = 16; double a[n]; int i;
+            for (i = 0; i < n; i++) { a[i] = 0.0; }
+            #pragma acc parallel loop localaccess(a: stride(1))
+            for (i = 0; i < n; i++) { a[i + 100] = 1.0; } }|},
+        ("a", 100, 16) );
+      ( "host statement",
+        {|void main() { int n = 16; double a[n]; int i;
+            for (i = 0; i < n; i++) { a[i] = 0.0; }
+            a[n + 3] = 1.0; }|},
+        ("a", 19, 16) );
+    ]
+  in
+  List.iter
+    (fun (what, src, (name, index, length)) ->
+      let expect where run =
+        match run () with
+        | exception Mgacc.View.Bounds b ->
+            check
+              Alcotest.(triple string int int)
+              (what ^ " on " ^ where) (name, index, length)
+              (b.name, b.index, b.length)
+        | _ -> Alcotest.failf "%s on %s: no bounds error" what where
+      in
+      expect "the host" (fun () -> ignore (reference src));
+      List.iter
+        (fun num_gpus ->
+          expect (Printf.sprintf "%d GPU(s)" num_gpus) (fun () -> ignore (run_acc ~num_gpus src)))
+        [ 1; 2 ])
+    cases
+
 (* ---------------- reductions ---------------- *)
 
 let test_scalar_reduction_across_gpus () =
@@ -554,6 +615,7 @@ let suite =
     tc "2-D stencil: 2-D run identical to 1-D, halos exchanged" test_stencil2d_2d_matches_1d;
     tc "nested parallelism: vector lanes raise occupancy" test_inner_vector_improves_occupancy;
     tc "lying localaccess directives are caught" test_window_violation_detected;
+    tc "out-of-range subscripts name the array" test_out_of_range_subscripts;
     tc "scalar reductions merge across GPUs" test_scalar_reduction_across_gpus;
     tc "reductiontoarray: histogram" test_reduction_to_array;
     tc "update host/device directives" test_update_directives;

@@ -82,6 +82,19 @@ rejects() {
 rejects chunk-kb run samples/heat2d.c --chunk-kb 0
 rejects max-concurrent serve samples/fleet.trace --max-concurrent 0
 rejects overlap run samples/heat2d.c --overlap bogus
+# An out-of-range subscript is a printable error naming the array, on the
+# device path and the host path alike.
+cat > "$tmp/oob.c" <<'EOF'
+void main() {
+  int n = 16;
+  double a[n];
+  int i;
+  #pragma acc parallel loop
+  for (i = 0; i < n; i++) { a[i + 100] = 1.0; }
+}
+EOF
+rejects "array a: index 100" run "$tmp/oob.c"
+rejects "array a: index 100" run "$tmp/oob.c" --variant seq
 # Observability smoke: a traced run under each launch gate (overlap and
 # barrier) and a metered fleet replay, with the emitted artifacts
 # validated for internal consistency (the trace parses, every flow event
