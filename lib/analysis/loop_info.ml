@@ -56,6 +56,42 @@ let rec collect_array_reductions stmts acc =
           acc)
     acc stmts
 
+(* A reduction destination is only ever reduced into, and with one
+   operator, in source order: the first [reductiontoarray] for an array
+   fixes its operator. *)
+let check_array_reductions t =
+  let ops = Hashtbl.create 4 in
+  let destination a = List.exists (fun (_, d) -> d = a) t.array_reductions in
+  let rec stmt s =
+    match s.sdesc with
+    | Spragma (Dreduction_to_array { rta_op; rta_array }, inner) -> (
+        (match Hashtbl.find_opt ops rta_array with
+        | Some op when op <> rta_op ->
+            Loc.error s.sloc "reductiontoarray: %s is reduced with both %s and %s" rta_array
+              (redop_to_string op) (redop_to_string rta_op)
+        | Some _ -> ()
+        | None -> Hashtbl.add ops rta_array rta_op);
+        match inner.sdesc with
+        | (Sassign (Lindex (a, _), _, _) | Sincr (Lindex (a, _), _)) when a = rta_array -> ()
+        | _ -> stmt inner)
+    | Sassign (Lindex (a, _), _, _) | Sincr (Lindex (a, _), _) ->
+        if destination a then
+          Loc.error s.sloc "plain write to %s, a reductiontoarray destination of this loop" a
+    | Spragma (_, inner) -> stmt inner
+    | Sif (_, a, b) ->
+        List.iter stmt a;
+        List.iter stmt b
+    | Swhile (_, b) | Sblock b -> List.iter stmt b
+    | Sfor (hdr, b) ->
+        Option.iter stmt hdr.for_init;
+        Option.iter stmt hdr.for_update;
+        List.iter stmt b
+    | Sdecl _ | Sarray_decl _ | Sassign (Lvar _, _, _) | Sincr (Lvar _, _) | Sexpr _ | Sreturn _
+    | Sbreak | Scontinue ->
+        ()
+  in
+  List.iter stmt t.body
+
 (* Walk down a pragma stack, accumulating directives, until the statement. *)
 let rec peel_pragmas s acc =
   match s.sdesc with Spragma (d, inner) -> peel_pragmas inner ((d, s.sloc) :: acc) | _ -> (s, acc)

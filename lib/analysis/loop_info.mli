@@ -35,6 +35,11 @@ val extract : Ast.func -> t list
 (** All parallel loops of a function, in source order. Raises {!Loc.Error}
     if an annotated loop cannot be normalized. *)
 
+val check_array_reductions : t -> unit
+(** Raises {!Loc.Error}, located at the statement, when the body writes a
+    [reductiontoarray] destination with a plain store, or reduces one
+    array with two different operators. *)
+
 val localaccess_for : t -> string -> Ast.localaccess_spec option
 (** The window declared for a given array, if any. *)
 

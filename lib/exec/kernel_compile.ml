@@ -251,9 +251,11 @@ let seq fs =
 (* Operands.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* An int operand: a slot read in place (a variable or a constant), or
+(* An int operand: a slot read in place (a variable or a constant),
+   [a*b + c] or [a*b - c] over three such slots (a row-major subscript,
+   computed in place at an array access and charged its two int ops), or
    code returning the value. *)
-type iop = Islot of int | Icode of (Frame.t -> int)
+type iop = Islot of int | Iaff of { a : int; b : int; c : int; neg : bool } | Icode of (Frame.t -> int)
 
 (* A double operand: a slot read in place, or code that leaves the value
    in the slot. No double ever crosses a closure boundary. *)
@@ -263,8 +265,16 @@ type fop = Fslot of int | Fcode of (Frame.t -> unit) * int
    closure per (slot | code) x (slot | code) pair. Where both operands are
    code, the right one runs first. *)
 
+let[@inline] affine (is : int array) a b c neg =
+  let p = Array.unsafe_get is a * Array.unsafe_get is b in
+  if neg then p - Array.unsafe_get is c else p + Array.unsafe_get is c
+
 let code_of_iop = function
   | Islot s -> fun (fr : Frame.t) -> Array.unsafe_get fr.Frame.ints s
+  | Iaff { a; b; c; neg } ->
+      fun fr ->
+        int_ops fr 2;
+        affine fr.Frame.ints a b c neg
   | Icode f -> f
 
 let parts_of_fop = function Fslot s -> (nop, s) | Fcode (c, s) -> (c, s)
@@ -273,6 +283,66 @@ let parts_of_fop = function Fslot s -> (nop, s) | Fcode (c, s) -> (c, s)
 (* Expression compilation.                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The slot an int variable or literal is read from in place. *)
+let int_slot ctx e =
+  match e.edesc with
+  | Int_lit v -> Some (Frame.Layout.const_int ctx.layout v)
+  | Var v -> (
+      match Frame.Layout.lookup ctx.layout v with Some (Frame.Int_slot i, _) -> Some i | _ -> None)
+  | _ -> None
+
+(* [x*y + z], [z + x*y] or [x*y - z] over int slots. *)
+let affine_of ctx e =
+  let make m z neg =
+    match (m.edesc, int_slot ctx z) with
+    | Binop (Mul, x, y), Some c -> (
+        match (int_slot ctx x, int_slot ctx y) with
+        | Some a, Some b -> Some (Iaff { a; b; c; neg })
+        | _ -> None)
+    | _ -> None
+  in
+  match e.edesc with
+  | Binop (Add, l, r) -> ( match make l r false with None -> make r l false | op -> op)
+  | Binop (Sub, l, r) -> make l r true
+  | _ -> None
+
+(* Whether [body] holds a [break] or [continue] that leaves it, rather
+   than one that ends a loop nested inside it. *)
+let rec jumps body =
+  List.exists
+    (fun s ->
+      match s.sdesc with
+      | Sbreak | Scontinue -> true
+      | Sif (_, a, b) -> jumps a || jumps b
+      | Sblock b -> jumps b
+      | Spragma (_, inner) -> jumps [ inner ]
+      | Swhile _ | Sfor _ | Sdecl _ | Sarray_decl _ | Sassign _ | Sincr _ | Sexpr _ | Sreturn _ ->
+          false)
+    body
+
+(* A loop body's code, ending the iteration on [continue] only if it can. *)
+let catch_continue body cb = if jumps body then fun fr -> try cb fr with Cnt -> () else cb
+
+(* One iteration of a parallel loop, on every path: a jump out of it is a
+   located error. *)
+let iteration (loop : Loop_info.t) code =
+  let loc = loop.Loop_info.loop_loc in
+  if jumps loop.Loop_info.body then fun fr ->
+    try code fr with Brk | Cnt -> Loc.error loc "break/continue escaping a parallel loop iteration"
+  else code
+
+(* [for (init; v op b; v++)] or [v--], [v] an int variable, [b] an int
+   variable or literal, and no jump out of [body]: the comparison, the
+   counter's slot, the bound's slot and the step. *)
+let counted_loop ctx hdr body =
+  match (hdr.for_cond, hdr.for_update) with
+  | ( Some
+        { edesc = Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), ({ edesc = Var v; _ } as ve), bound); _ },
+      Some { sdesc = Sincr (Lvar v', d); _ } )
+    when v = v' && not (jumps body) -> (
+      match (int_slot ctx ve, int_slot ctx bound) with Some i, Some b -> Some (op, i, b, d) | _ -> None)
+  | _ -> None
+
 let rec comp_iop ctx e : iop =
   match (ty_of ctx e, e.edesc) with
   | Tint, Int_lit v -> Islot (Frame.Layout.const_int ctx.layout v)
@@ -280,6 +350,8 @@ let rec comp_iop ctx e : iop =
       match slot_of ctx e.eloc v with
       | Frame.Int_slot i, _ -> Islot i
       | _ -> Loc.error e.eloc "%s is not an int variable" v)
+  | Tint, Binop ((Add | Sub), _, _) -> (
+      match affine_of ctx e with Some op -> op | None -> Icode (comp_i ctx e))
   | _ -> Icode (comp_i ctx e)
 
 and comp_fop ctx e : fop =
@@ -302,7 +374,9 @@ and comp_f_into ctx e dst : Frame.t -> unit =
       | Islot s ->
           fun fr ->
             Array.unsafe_set fr.Frame.floats dst (float_of_int (Array.unsafe_get fr.Frame.ints s))
-      | Icode f -> fun fr -> Array.unsafe_set fr.Frame.floats dst (float_of_int (f fr)))
+      | op ->
+          let f = code_of_iop op in
+          fun fr -> Array.unsafe_set fr.Frame.floats dst (float_of_int (f fr)))
   | Tdouble -> comp_f_native ctx e dst
   | t -> Loc.error e.eloc "expected numeric expression, got %s" (typ_to_string t)
 
@@ -327,6 +401,12 @@ and comp_f_native ctx e dst : Frame.t -> unit =
             access fr tr 8;
             (Array.unsafe_get fr.Frame.views vi).View.load_f
               (Array.unsafe_get fr.Frame.ints s) fr.Frame.floats dst
+      | Iaff { a; b; c; neg } ->
+          fun fr ->
+            int_ops fr 2;
+            access fr tr 8;
+            (Array.unsafe_get fr.Frame.views vi).View.load_f
+              (affine fr.Frame.ints a b c neg) fr.Frame.floats dst
       | Icode ci ->
           fun fr ->
             access fr tr 8;
@@ -476,16 +556,19 @@ and comp_cond ctx e : Frame.t -> bool =
                 int_ops fr 1;
                 let is = fr.Frame.ints in
                 icmp op (Array.unsafe_get is a) (Array.unsafe_get is b)
-          | Icode f, Islot b ->
+          | x, Islot b ->
+              let f = code_of_iop x in
               fun fr ->
                 int_ops fr 1;
                 icmp op (f fr) (Array.unsafe_get fr.Frame.ints b)
-          | Islot a, Icode g ->
+          | Islot a, y ->
+              let g = code_of_iop y in
               fun fr ->
                 int_ops fr 1;
                 let y = g fr in
                 icmp op (Array.unsafe_get fr.Frame.ints a) y
-          | Icode f, Icode g ->
+          | x, y ->
+              let f = code_of_iop x and g = code_of_iop y in
               fun fr ->
                 int_ops fr 1;
                 let y = g fr in
@@ -512,7 +595,9 @@ and comp_cond ctx e : Frame.t -> bool =
       | _ -> (
           match comp_iop ctx e with
           | Islot a -> fun fr -> Array.unsafe_get fr.Frame.ints a <> 0
-          | Icode f -> fun fr -> f fr <> 0))
+          | op ->
+              let f = code_of_iop op in
+              fun fr -> f fr <> 0))
 
 and comp_i_native ctx e : Frame.t -> int =
   match e.edesc with
@@ -534,6 +619,11 @@ and comp_i_native ctx e : Frame.t -> int =
           fun fr ->
             access fr tr 4;
             (Array.unsafe_get fr.Frame.views vi).View.get_i (Array.unsafe_get fr.Frame.ints s)
+      | Iaff { a; b; c; neg } ->
+          fun fr ->
+            int_ops fr 2;
+            access fr tr 4;
+            (Array.unsafe_get fr.Frame.views vi).View.get_i (affine fr.Frame.ints a b c neg)
       | Icode ci ->
           fun fr ->
             access fr tr 4;
@@ -544,7 +634,8 @@ and comp_i_native ctx e : Frame.t -> int =
           fun fr ->
             int_ops fr 1;
             -Array.unsafe_get fr.Frame.ints a
-      | Icode f ->
+      | op ->
+          let f = code_of_iop op in
           fun fr ->
             int_ops fr 1;
             -f fr)
@@ -580,17 +671,20 @@ and comp_i_native ctx e : Frame.t -> int =
             int_ops fr 1;
             let is = fr.Frame.ints in
             iarith loc op (Array.unsafe_get is a) (Array.unsafe_get is b)
-      | Icode f, Islot b ->
+      | x, Islot b ->
+          let f = code_of_iop x in
           fun fr ->
             int_ops fr 1;
             let x = f fr in
             iarith loc op x (Array.unsafe_get fr.Frame.ints b)
-      | Islot a, Icode g ->
+      | Islot a, y ->
+          let g = code_of_iop y in
           fun fr ->
             int_ops fr 1;
             let y = g fr in
             iarith loc op (Array.unsafe_get fr.Frame.ints a) y
-      | Icode f, Icode g ->
+      | x, y ->
+          let f = code_of_iop x and g = code_of_iop y in
           fun fr ->
             int_ops fr 1;
             let y = g fr in
@@ -723,7 +817,9 @@ and comp_stmt ctx s : Frame.t -> unit =
           fun fr ->
             let is = fr.Frame.ints in
             Array.unsafe_set is i (Array.unsafe_get is a)
-      | Frame.Int_slot i, Some (Icode f) -> fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
+      | Frame.Int_slot i, Some op ->
+          let f = code_of_iop op in
+          fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
       | _ -> Loc.error s.sloc "unsupported declaration of %s" name)
   | Sarray_decl (elem, name, len) ->
       if ctx.host = None then
@@ -740,10 +836,12 @@ and comp_stmt ctx s : Frame.t -> unit =
         | Edouble -> fun n -> View.of_float_array ~name (Array.make n 0.0)
       in
       let loc = s.sloc in
+      let too_large n = Loc.error loc "array %s: length %d is too large to allocate" name n in
       fun fr ->
         let n = cl fr in
         if n < 0 then Loc.error loc "negative array length for %s" name;
-        fr.Frame.views.(vi) <- make n
+        if n > Sys.max_array_length then too_large n;
+        fr.Frame.views.(vi) <- (try make n with Out_of_memory -> too_large n)
   | Sassign (Lvar v, op, rhs) -> comp_assign_var ctx s v op rhs
   | Sassign (Lindex (a, idx), op, rhs) -> comp_assign_index ctx s a idx op rhs
   | Sincr (lv, d) -> (
@@ -781,34 +879,53 @@ and comp_stmt ctx s : Frame.t -> unit =
             if cc fr then ct fr else ce fr)
   | Swhile (c, body) ->
       let cc = comp_cond ctx c in
-      let cb = comp_block ctx body in
+      let cb = catch_continue body (comp_block ctx body) in
       fun fr ->
         (try
            while
              int_ops fr 1;
              cc fr
            do
-             try cb fr with Cnt -> ()
+             cb fr
            done
          with Brk -> ())
-  | Sfor (hdr, body) ->
+  | Sfor (hdr, body) -> (
       Frame.Layout.enter_scope ctx.layout;
       let init = match hdr.for_init with Some s' -> comp_stmt ctx s' | None -> nop in
-      let cond = match hdr.for_cond with Some e -> comp_cond ctx e | None -> fun _ -> true in
-      let update = match hdr.for_update with Some s' -> comp_stmt ctx s' | None -> nop in
-      let cb = comp_block_no_scope ctx body in
-      Frame.Layout.leave_scope ctx.layout;
-      fun fr ->
-        init fr;
-        (try
-           while
-             int_ops fr 1;
-             cond fr
-           do
-             (try cb fr with Cnt -> ());
-             update fr
-           done
-         with Brk -> ())
+      match counted_loop ctx hdr body with
+      | Some (op, v, b, d) ->
+          (* One OCaml loop over the counter's and the bound's slots, with
+             the charges of the general form: 2 int ops per test (the loop's
+             and the comparison's), 1 per update. *)
+          let cb = comp_block_no_scope ctx body in
+          Frame.Layout.leave_scope ctx.layout;
+          fun fr ->
+            init fr;
+            let is = fr.Frame.ints in
+            while
+              int_ops fr 2;
+              icmp op (Array.unsafe_get is v) (Array.unsafe_get is b)
+            do
+              cb fr;
+              int_ops fr 1;
+              Array.unsafe_set is v (Array.unsafe_get is v + d)
+            done
+      | None ->
+          let cond = match hdr.for_cond with Some e -> comp_cond ctx e | None -> fun _ -> true in
+          let update = match hdr.for_update with Some s' -> comp_stmt ctx s' | None -> nop in
+          let cb = catch_continue body (comp_block_no_scope ctx body) in
+          Frame.Layout.leave_scope ctx.layout;
+          fun fr ->
+            init fr;
+            (try
+               while
+                 int_ops fr 1;
+                 cond fr
+               do
+                 cb fr;
+                 update fr
+               done
+             with Brk -> ()))
   | Sreturn e -> (
       if ctx.host = None then Loc.error s.sloc "return is not allowed inside a kernel";
       match (e, ctx.result) with
@@ -848,6 +965,21 @@ and comp_stmt ctx s : Frame.t -> unit =
                 let v = Array.unsafe_get fr.Frame.views vi in
                 cc fr;
                 v.View.reduce_f rta_op (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
+          | Iaff { a; b; c = k; neg }, Fslot c ->
+              fun fr ->
+                flops fr 1;
+                scatter fr 8;
+                int_ops fr 2;
+                (Array.unsafe_get fr.Frame.views vi).View.reduce_f rta_op
+                  (affine fr.Frame.ints a b k neg) fr.Frame.floats c
+          | Iaff { a; b; c = k; neg }, Fcode (cc, c) ->
+              fun fr ->
+                flops fr 1;
+                scatter fr 8;
+                let v = Array.unsafe_get fr.Frame.views vi in
+                cc fr;
+                int_ops fr 2;
+                v.View.reduce_f rta_op (affine fr.Frame.ints a b k neg) fr.Frame.floats c
           | Icode ci, Fslot c ->
               fun fr ->
                 flops fr 1;
@@ -908,13 +1040,16 @@ and comp_assign_var ctx s v op rhs =
           fun fr ->
             let is = fr.Frame.ints in
             Array.unsafe_set is i (Array.unsafe_get is a)
-      | Set, Icode f -> fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
+      | Set, r ->
+          let f = code_of_iop r in
+          fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
       | _, Islot a ->
           fun fr ->
             int_ops fr 1;
             let is = fr.Frame.ints in
             Array.unsafe_set is i (iassign loc op (Array.unsafe_get is i) (Array.unsafe_get is a))
-      | _, Icode f ->
+      | _, r ->
+          let f = code_of_iop r in
           fun fr ->
             int_ops fr 1;
             let r = f fr in
@@ -961,6 +1096,19 @@ and comp_assign_index ctx s a idx op rhs =
               let v = Array.unsafe_get fr.Frame.views vi in
               c fr;
               v.View.store_f (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats b
+        | Iaff { a; b = y; c = z; neg }, Fslot b ->
+            fun fr ->
+              access fr tw 8;
+              int_ops fr 2;
+              (Array.unsafe_get fr.Frame.views vi).View.store_f
+                (affine fr.Frame.ints a y z neg) fr.Frame.floats b
+        | Iaff { a; b = y; c = z; neg }, Fcode (c, b) ->
+            fun fr ->
+              access fr tw 8;
+              let v = Array.unsafe_get fr.Frame.views vi in
+              c fr;
+              int_ops fr 2;
+              v.View.store_f (affine fr.Frame.ints a y z neg) fr.Frame.floats b
         | Icode ci, Fslot b ->
             fun fr ->
               access fr tw 8;
@@ -997,18 +1145,35 @@ and comp_assign_index ctx s a idx op rhs =
               let is = fr.Frame.ints in
               (Array.unsafe_get fr.Frame.views vi).View.set_i (Array.unsafe_get is k)
                 (Array.unsafe_get is b)
-        | Islot k, Icode f ->
+        | Islot k, r ->
+            let f = code_of_iop r in
             fun fr ->
               access fr tw 4;
               let v = Array.unsafe_get fr.Frame.views vi in
               let x = f fr in
               v.View.set_i (Array.unsafe_get fr.Frame.ints k) x
+        | Iaff { a; b = y; c = z; neg }, Islot b ->
+            fun fr ->
+              access fr tw 4;
+              int_ops fr 2;
+              let is = fr.Frame.ints in
+              (Array.unsafe_get fr.Frame.views vi).View.set_i (affine is a y z neg)
+                (Array.unsafe_get is b)
+        | Iaff { a; b = y; c = z; neg }, r ->
+            let f = code_of_iop r in
+            fun fr ->
+              access fr tw 4;
+              let v = Array.unsafe_get fr.Frame.views vi in
+              let x = f fr in
+              int_ops fr 2;
+              v.View.set_i (affine fr.Frame.ints a y z neg) x
         | Icode ci, Islot b ->
             fun fr ->
               access fr tw 4;
               let v = Array.unsafe_get fr.Frame.views vi in
               v.View.set_i (ci fr) (Array.unsafe_get fr.Frame.ints b)
-        | Icode ci, Icode f ->
+        | Icode ci, r ->
+            let f = code_of_iop r in
             fun fr ->
               access fr tw 4;
               let v = Array.unsafe_get fr.Frame.views vi in
@@ -1043,16 +1208,13 @@ and comp_sequential ctx (loop : Loop_info.t) =
     | Frame.Int_slot i -> i
     | _ -> assert false
   in
-  let body = comp_block ctx loop.Loop_info.body in
+  let body = iteration loop (comp_block ctx loop.Loop_info.body) in
   Frame.Layout.leave_scope ctx.layout;
-  let loc = loop.Loop_info.loop_loc in
   fun fr lo hi ->
-    try
-      for i = lo to hi - 1 do
-        Array.unsafe_set fr.Frame.ints iv i;
-        body fr
-      done
-    with Brk | Cnt -> Loc.error loc "break/continue escaping a parallel loop iteration"
+    for i = lo to hi - 1 do
+      Array.unsafe_set fr.Frame.ints iv i;
+      body fr
+    done
 
 (* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
@@ -1066,7 +1228,7 @@ let compile ~loop ~params ~classify =
   let param_slots =
     List.map (fun (name, ty) -> (name, Frame.Layout.declare layout loop_loc name ty, ty)) params
   in
-  let body = comp_block ctx loop.Loop_info.body in
+  let body = iteration loop (comp_block ctx loop.Loop_info.body) in
   let iv_index = match iv_slot with Frame.Int_slot i -> i | _ -> assert false in
   {
     run_iter =

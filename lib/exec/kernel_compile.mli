@@ -17,8 +17,14 @@
     through views with the slot-passing accessors of {!View.t}. Operands
     are specialized by shape at compile time: a variable or literal operand
     is read from its slot inside the operator's closure rather than called,
-    an int comparison used as a condition yields a [bool] directly, and a
-    builtin call resolves its operation once. Evaluation order is fixed:
+    an int comparison used as a condition yields a [bool] directly, a
+    subscript [a*b + c], [c + a*b] or [a*b - c] over int variables and
+    literals is computed inside the access's closure, and a builtin call
+    resolves its operation once. A counted loop, [for (init; v op b; v++)]
+    or [v--] with [v] an int variable, [b] an int variable or literal and
+    no [break] or [continue] leaving its body, runs as one OCaml loop over
+    the two slots; other loops install a [continue] handler only when their
+    body can jump. Shape never changes a charge. Evaluation order is fixed:
     the right operand of a binary operator runs before the left, a plain
     element assignment runs its value before its subscript, and a compound
     one its subscript first; so a statement with two faults raises the
@@ -56,7 +62,8 @@ val compile :
   t
 (** [params] lists the kernel's free variables (loop-uniform scalars and
     arrays) with their host types; [classify array subscript] chooses the
-    coalescing mode charged for that access site. *)
+    coalescing mode charged for that access site. A [break] or [continue]
+    escaping an iteration raises a located {!Loc.Error} when it runs. *)
 
 val extract_reduction :
   Ast.redop -> Ast.stmt -> Ast.expr * Ast.expr

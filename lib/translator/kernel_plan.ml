@@ -34,6 +34,7 @@ type t = {
 }
 
 let of_loop ?(options = default_options) loop =
+  Loop_info.check_array_reductions loop;
   let accesses = Access.analyze loop in
   let inner_parallel = Loop_info.find_inner_parallel loop in
   (* With an inner vector loop, adjacent threads differ in the *inner*

@@ -494,6 +494,55 @@ let test_escaping_break_is_located () =
       check Alcotest.int "line" 4 loc.Loc.line
   | _ -> Alcotest.fail "an escaping break must raise"
 
+(* On the multi-GPU path too, each of these is a located error rather
+   than an escaping exception: a jump out of a kernel iteration, an array
+   too large to allocate, a plain store into a reduction destination, and
+   one destination reduced with two operators. *)
+let test_device_path_errors_are_located () =
+  let expect what (line, message) src =
+    let config = Mgacc.Rt_config.make ~num_gpus:2 (Mgacc.Machine.desktop ()) in
+    match Mgacc.run_acc ~config (Mgacc.parse_string ~name:"t" src) with
+    | exception Loc.Error (loc, msg) ->
+        check Alcotest.int (what ^ ": line") line loc.Loc.line;
+        check Alcotest.string what message msg
+    | _ -> Alcotest.failf "%s: must raise a located error" what
+  in
+  expect "break" (4, "break/continue escaping a parallel loop iteration")
+    {|void main() {
+  int n = 8; int x[n]; int i;
+  #pragma acc parallel loop
+  for (i = 0; i < n; i++) { x[i] = i; if (i == 3) { break; } }
+}|};
+  List.iter
+    (fun n ->
+      expect ("array of " ^ n) (3, "array x: length " ^ n ^ " is too large to allocate")
+        (Printf.sprintf {|void main() {
+  int n = %s;
+  double x[n];
+}|} n))
+    [ "4611686018427387903"; "9007199254740992" ];
+  expect "plain store" (7, "plain write to c, a reductiontoarray destination of this loop")
+    {|void main() {
+  int n = 8; double c[n]; int i;
+  #pragma acc parallel loop
+  for (i = 0; i < n; i++) {
+    #pragma acc reductiontoarray(+: c)
+    c[i % 4] += 1.0;
+    c[3] = 5;
+  }
+}|};
+  expect "two operators" (7, "reductiontoarray: c is reduced with both + and *")
+    {|void main() {
+  int n = 8; double c[n]; int i;
+  #pragma acc parallel loop
+  for (i = 0; i < n; i++) {
+    #pragma acc reductiontoarray(+: c)
+    c[i % 4] += 1.0;
+    #pragma acc reductiontoarray(*: c)
+    c[i % 4] *= 2.0;
+  }
+}|}
+
 (* ---------------- Compiled host path against the reference ---------------- *)
 
 (* Generated host programs: nested for/while/if over int and double
@@ -611,6 +660,21 @@ let rec gen_stmt sc ~level ~in_loop ~ret depth : string Gen.t =
             Gen.map2
               (fun n b -> Printf.sprintf "for (%s = 0; %s < %d; %s++) { %s }" counter counter n counter b)
               (Gen.int_range 0 3)
+              (body ~sc:inner ~level:(level + 1) ~in_loop:true) );
+          (* Bounded by a variable, stepping down, or writing the counter or
+             the bound; each still ends within a few iterations. *)
+          ( 2,
+            Gen.map3
+              (fun n form b ->
+                let c = counter and j = Printf.sprintf "j%d" level in
+                match form with
+                | 0 -> Printf.sprintf "{ int %s = %d; for (%s = 0; %s < %s; %s++) { %s } }" j n c c j c b
+                | 1 -> Printf.sprintf "for (%s = %d; %s >= 0; %s--) { %s }" c n c c b
+                | 2 -> Printf.sprintf "for (%s = 0; %s <= %d; %s++) { %s %s = %s + 1; }" c c n c b c c
+                | _ ->
+                    Printf.sprintf "{ int %s = %d; for (%s = 0; %s < %s; %s++) { %s = %s - 1; %s } }" j n c
+                      c j c j j b)
+              (Gen.int_range 0 3) (Gen.int_range 0 3)
               (body ~sc:inner ~level:(level + 1) ~in_loop:true) );
           ( 1,
             Gen.map3
@@ -811,7 +875,9 @@ let check_kernel body =
    both types. The compound int operand is never zero, so it can divide. *)
 let int_shapes = [ "x0"; "3"; "((a[p] & 7) + 1)" ]
 let dbl_shapes = [ "y0"; "1.5"; "(y1 * d[p])" ]
-let index_shapes = [ "p"; "2"; "((x0 + p) % 6)" ]
+(* The affine shapes [a*b + c], [a*b - c] and [c + a*b], over variables
+   and literals, stay in range too. *)
+let index_shapes = [ "p"; "2"; "((x0 + p) % 6)"; "i0 * m + p"; "p * 2 - p"; "m + i0 * p"; "2 * 2 + 1" ]
 let kernel_locals = "int x0 = 7; int x1 = 5; double y0 = 0.75; double y1 = (-1.25); int i0;"
 
 let shape_matrix =
@@ -900,6 +966,24 @@ let shape_matrix =
         "{ int x0 = 1; a[p] = x0; }";
         "y0 + y1; x0 + 1;";
         "\n#pragma acc parallel loop\nfor (i0 = 0; i0 < 2; i0++) { d[p] = d[p] + i0; }";
+        (* Counted loops: a literal or variable bound, every comparison,
+           both steps, a body that writes the counter or the bound, and
+           jumps that end a nested loop rather than the counted one. *)
+        "for (i0 = 0; i0 < 3; i0++) { d[i0 * 2 + 1] = d[i0 * 2 - i0] * y0; a[m + i0 * 0] += i0; }";
+        "for (x1 = 0; x1 < 2; x1++) { for (i0 = 0; i0 < 3; i0++) { y1 = y1 + d[x1 * 3 + i0] * \
+         d[i0 * 1 - 0]; } }";
+        "for (i0 = 5; i0 >= 0; i0--) { a[i0] = a[i0 * 1 + 0] + i0; }";
+        "for (i0 = 6; i0 > p; i0--) { y1 = y1 + d[i0 - 1]; }";
+        "for (i0 = 0; i0 <= x1; i0++) { x1 = x1 - 1; y1 = y1 + 1.0; }";
+        "for (i0 = 0; i0 != 6; i0++) { i0 = i0 + 1; a[i0] = i0 * 2 + x0; }";
+        "for (i0 = 1; i0 == 1; i0++) { x1 = x1 + 1; }";
+        "for (i0 = 0; i0 < 3; i0++) { for (x1 = 0; x1 < 4; x1++) { if (x1 == i0) { break; } \
+         y1 = y1 + 1.0; } }";
+        "for (i0 = 0; i0 < 3; i0++) { while (x0 > i0) { x0 = x0 - 1; if (x0 == 4) { continue; } \
+         y1 = y1 + 0.5; } }";
+        "for (i0 = 0; i0 < 2; i0++) {\n#pragma acc reductiontoarray(+: d)\nd[i0 * 3 + p % 3] += y0 * i0;\n\
+         #pragma acc reductiontoarray(+: a)\na[i0 * 2 - 0] += x1; }";
+        "for (i0 = 0; i0 < m; i0++) { if (i0 == 2) { continue; } y1 = y1 + d[i0]; }";
       ];
     ]
   |> List.map (fun stmt -> kernel_locals ^ " " ^ stmt)
@@ -935,10 +1019,49 @@ let prop_kernel_matches_reference =
          | Ok () -> true
          | Error msg -> QCheck2.Test.fail_reportf "%s@.%s" msg body))
 
-(* A straight-line double body (kmeans's distance step) allocates nothing
-   per iteration: running it twice as long allocates the same. *)
+(* A kernel allocates nothing per iteration: running it twice as long
+   allocates the same. [bind name slot] binds each parameter. *)
+let check_allocates_nothing what src ~params ~bind =
+  let kc = compile_loop src ~params in
+  let words iters =
+    let frame = kc.Kernel_compile.make_frame () in
+    List.iter (fun (name, slot, _) -> bind frame name slot) kc.Kernel_compile.params;
+    let before = Gc.minor_words () in
+    for i = 0 to iters - 1 do
+      kc.Kernel_compile.run_iter frame i
+    done;
+    Gc.minor_words () -. before
+  in
+  let once = words 1000 and twice = words 2000 in
+  if Float.abs (twice -. once) > 16.0 then
+    Alcotest.failf "%s: 1000 iterations allocated %.0f minor words, 2000 allocated %.0f" what once twice
+
+let kmeans_params =
+  [
+    ("f", Ast.Tint);
+    ("k", Ast.Tint);
+    ("x", Ast.Tarray Ast.Edouble);
+    ("centers", Ast.Tarray Ast.Edouble);
+    ("out", Ast.Tarray Ast.Edouble);
+    ("membership", Ast.Tarray Ast.Eint);
+    ("delta", Ast.Tint);
+  ]
+
+let bind_kmeans frame name slot =
+  match name with
+  | "f" -> Frame.set_int frame slot 16
+  | "k" -> Frame.set_int frame slot 5
+  | "x" -> Frame.set_view frame slot (View.of_float_array ~name (Array.init 32000 float_of_int))
+  | "centers" -> Frame.set_view frame slot (View.of_float_array ~name (Array.make 80 0.5))
+  | "out" -> Frame.set_view frame slot (View.of_float_array ~name (Array.make 2000 0.0))
+  | "membership" -> Frame.set_view frame slot (View.of_int_array ~name (Array.make 2000 (-1)))
+  | _ -> ()
+
+(* kmeans: a straight-line double step, and the whole distance body, two
+   nested counted loops over row-major subscripts; bfs: the int edge scan,
+   a counted loop bounded by a local. *)
 let test_kernel_allocates_nothing_per_iteration () =
-  let src =
+  check_allocates_nothing "kmeans step"
     {|void main() { int n = 2000; int f = 16; int k = 5; double x[n]; double centers[k*f]; double out[n]; int i;
 #pragma acc parallel loop
 for (i = 0; i < n; i++) {
@@ -948,39 +1071,69 @@ for (i = 0; i < n; i++) {
   dist = dist + d*d;
   out[i] = dist;
 } }|}
-  in
-  let kc =
-    compile_loop src
-      ~params:
-        [
-          ("f", Ast.Tint);
-          ("k", Ast.Tint);
-          ("x", Ast.Tarray Ast.Edouble);
-          ("centers", Ast.Tarray Ast.Edouble);
-          ("out", Ast.Tarray Ast.Edouble);
-        ]
-  in
-  let words iters =
-    let frame = kc.Kernel_compile.make_frame () in
-    List.iter
-      (fun (name, slot, _) ->
-        match name with
-        | "f" -> Frame.set_int frame slot 16
-        | "k" -> Frame.set_int frame slot 5
-        | "x" -> Frame.set_view frame slot (View.of_float_array ~name (Array.init 2000 float_of_int))
-        | "centers" -> Frame.set_view frame slot (View.of_float_array ~name (Array.make 80 0.5))
-        | "out" -> Frame.set_view frame slot (View.of_float_array ~name (Array.make 2000 0.0))
-        | _ -> ())
-      kc.Kernel_compile.params;
-    let before = Gc.minor_words () in
-    for i = 0 to iters - 1 do
-      kc.Kernel_compile.run_iter frame i
-    done;
-    Gc.minor_words () -. before
-  in
-  let once = words 1000 and twice = words 2000 in
-  if Float.abs (twice -. once) > 16.0 then
-    Alcotest.failf "1000 iterations allocated %.0f minor words, 2000 allocated %.0f" once twice
+    ~params:(List.filter (fun (v, _) -> v <> "membership" && v <> "delta") kmeans_params)
+    ~bind:bind_kmeans;
+  check_allocates_nothing "kmeans distance body"
+    {|void main() { int n = 2000; int f = 16; int k = 5; double x[n*f]; double centers[k*f]; int membership[n];
+int delta = 0; int i;
+#pragma acc parallel loop reduction(+: delta)
+for (i = 0; i < n; i++) {
+  double best = 1.0e30;
+  int bc = 0;
+  int c;
+  int j2;
+  for (c = 0; c < k; c++) {
+    double dist = 0.0;
+    for (j2 = 0; j2 < f; j2++) {
+      double d = x[i*f + j2] - centers[c*f + j2];
+      dist = dist + d*d;
+    }
+    if (dist < best) { best = dist; bc = c; }
+  }
+  if (bc != membership[i]) { delta = delta + 1; membership[i] = bc; }
+} }|}
+    ~params:(List.filter (fun (v, _) -> v <> "out") kmeans_params)
+    ~bind:bind_kmeans;
+  let maxdeg = 6 in
+  check_allocates_nothing "bfs edge scan"
+    {|void main() { int n = 2000; int maxdeg = 6; int edges[n*maxdeg]; int degree[n]; int levels[n];
+int level = 0; int changed = 0; int i;
+#pragma acc parallel loop reduction(+: changed)
+for (i = 0; i < n; i++) {
+  if (levels[i] == level) {
+    int deg = degree[i];
+    int e2;
+    for (e2 = 0; e2 < deg; e2++) {
+      int j = edges[i*maxdeg + e2];
+      if (levels[j] == 0 - 1) {
+        levels[j] = level + 1;
+        changed = changed + 1;
+      }
+    }
+  }
+} }|}
+    ~params:
+      [
+        ("maxdeg", Ast.Tint);
+        ("edges", Ast.Tarray Ast.Eint);
+        ("degree", Ast.Tarray Ast.Eint);
+        ("levels", Ast.Tarray Ast.Eint);
+        ("level", Ast.Tint);
+        ("changed", Ast.Tint);
+      ]
+    ~bind:(fun frame name slot ->
+      match name with
+      | "maxdeg" -> Frame.set_int frame slot maxdeg
+      | "edges" ->
+          Frame.set_view frame slot
+            (View.of_int_array ~name (Array.init (2000 * maxdeg) (fun e -> (e * 7919) mod 2000)))
+      | "degree" ->
+          Frame.set_view frame slot (View.of_int_array ~name (Array.init 2000 (fun i -> i mod 7)))
+      | "levels" ->
+          (* Every node and every neighbour on the current level: each
+             scan runs its full degree and writes nothing. *)
+          Frame.set_view frame slot (View.of_int_array ~name (Array.make 2000 0))
+      | _ -> ())
 
 (* The lazy merge does a writer's work once, not once per destination:
    one writer's 1,000 scattered dirty runs broadcast to fully valid peers
@@ -1052,6 +1205,7 @@ let suite =
     tc "env: loop ids follow first execution" test_loop_ids_follow_first_execution;
     tc "env: a hook sees the pragma's scope" test_env_scope_is_the_pragmas;
     tc "env: an escaping break is a located error" test_escaping_break_is_located;
+    tc "runtime: device-path faults are located errors" test_device_path_errors_are_located;
     prop_compiled_matches_reference;
     tc "kernel: every operand shape matches the reference, counts included" test_kernel_shape_matrix;
     prop_kernel_matches_reference;

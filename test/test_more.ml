@@ -255,8 +255,10 @@ let test_plain_write_to_reduction_dest_rejected () =
       }|}
   in
   match run_acc src with
-  | exception Invalid_argument msg ->
-      check Alcotest.bool "names the array" true (String.length msg > 0)
+  | exception Loc.Error (loc, msg) ->
+      check Alcotest.int "at the store" 8 loc.Loc.line;
+      check Alcotest.string "names the array"
+        "plain write to h, a reductiontoarray destination of this loop" msg
   | _ -> Alcotest.fail "plain write to a reduction destination must fail"
 
 let test_present_clause_checks () =

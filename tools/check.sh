@@ -95,6 +95,55 @@ void main() {
 EOF
 rejects "array a: index 100" run "$tmp/oob.c"
 rejects "array a: index 100" run "$tmp/oob.c" --variant seq
+# So is a break out of a kernel iteration on the device path, an array
+# too large to allocate, and a reductiontoarray destination that is also
+# stored to plainly or reduced with a second operator.
+cat > "$tmp/break.c" <<'EOF'
+void main() {
+  int n = 8;
+  int x[n];
+  int i;
+  #pragma acc parallel loop
+  for (i = 0; i < n; i++) {
+    x[i] = i;
+    if (i == 3) { break; }
+  }
+}
+EOF
+rejects "break.c:6:3: break/continue escaping a parallel loop iteration" run "$tmp/break.c"
+for n in 4611686018427387903 9007199254740992; do
+  printf 'void main() {\n  int n = %s;\n  double x[n];\n}\n' "$n" > "$tmp/huge.c"
+  rejects "huge.c:3:3: array x: length $n is too large" run "$tmp/huge.c"
+done
+cat > "$tmp/lying.c" <<'EOF'
+void main() {
+  int n = 8;
+  double c[n];
+  int i;
+  #pragma acc parallel loop
+  for (i = 0; i < n; i++) {
+    #pragma acc reductiontoarray(+: c)
+    c[i % 4] += 1.0;
+    c[3] = 5;
+  }
+}
+EOF
+rejects "lying.c:9:5: plain write to c" run "$tmp/lying.c"
+cat > "$tmp/mixed.c" <<'EOF'
+void main() {
+  int n = 8;
+  double c[n];
+  int i;
+  #pragma acc parallel loop
+  for (i = 0; i < n; i++) {
+    #pragma acc reductiontoarray(+: c)
+    c[i % 4] += 1.0;
+    #pragma acc reductiontoarray(*: c)
+    c[i % 4] *= 2.0;
+  }
+}
+EOF
+rejects "mixed.c:9:5: reductiontoarray: c is reduced with both + and \*" run "$tmp/mixed.c"
 # Observability smoke: a traced run under each launch gate (overlap and
 # barrier) and a metered fleet replay, with the emitted artifacts
 # validated for internal consistency (the trace parses, every flow event
