@@ -270,6 +270,12 @@ let extras =
       both "bfs fattree:4x4" ~spec:"fattree:4x4"
         [ ("coherence", "eager"); ("collective", "auto") ]
         (program_named "bfs");
+      (* 64 GPUs: spmv's hierarchical broadcasts put about a thousand
+         flows in one fabric batch, so the digest pins the resource
+         names, labels and times of batches that large. *)
+      both "spmv fattree:16x4 rows=2048" ~spec:"fattree:16x4"
+        [ ("coherence", "eager"); ("collective", "auto") ]
+        (app_program (Spmv.app { Spmv.rows = 2048; width = 4; iterations = 2; seed = 7 }));
     ]
 
 (* One replay of the sample job trace on a shared desktop, three jobs
