@@ -97,6 +97,12 @@ val latency_of : t -> direction -> float
 val transfer_time_alone : t -> direction -> bytes:int -> float
 (** Latency + bytes / standalone rate; the uncontended duration. *)
 
+val resource_name : t -> direction -> string
+(** The trace resource a transfer's span records: [pcie:h2dI],
+    [pcie:d2hI] or [pcie:p2pI-J]. Read from the same per-direction route
+    as {!latency_of}, so every span of a direction shares one string.
+    Raises like {!standalone_bandwidth}. *)
+
 val run_batch : t -> request list -> completion list
 (** Simulate the batch under fair sharing. Completions are returned in the
     order of the requests. The fabric is stateless across batches (the BSP
@@ -105,6 +111,13 @@ val run_batch : t -> request list -> completion list
     @raise Invalid_argument if a request has negative bytes, or (naming
     the request's tag) if the event loop ever fails to complete a flow —
     a simulator invariant violation, never expected in normal use. *)
+
+val map_batch : t -> ('a -> request) -> ('a -> completion -> 'b) -> 'a list -> 'b list
+(** [map_batch t req_of f xs] runs the batch [List.map req_of xs] like
+    {!run_batch} and returns [f x c] for each element and its completion,
+    calling [f] in list order. It saves a caller that pairs requests with
+    data of its own from copying them out and zipping the completions
+    back. *)
 
 val run_batch_reference : t -> request list -> completion list
 (** The from-scratch allocator: rebuilds the water-filling state on every

@@ -1,5 +1,5 @@
-(* Growable array used by simulator hot loops (formerly private to
-   Fabric.run_batch). The water-filling allocation is numerically
+(* Growable array used by the fabric's reference allocator
+   (Fabric.run_batch_reference). The water-filling allocation is numerically
    order-dependent, so iteration order is part of the contract: push
    appends, iter/fold visit in push order, and filter_in_place compacts
    stably. Vacated slots (after filter_in_place or clear) are overwritten

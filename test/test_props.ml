@@ -284,9 +284,13 @@ let prop_fabric_makespan_monotone (txs, idx, extra) =
 (* Incremental vs reference allocator: the fast path in Fabric.run_batch
    must reproduce the from-scratch water-filling bit for bit — not just
    within tolerance, because BENCH artifacts pin exact completion times.
-   Random batches over a 2x2 cluster mix H2d/D2h, same-node and
-   cross-node P2p, zero-byte requests, and coincident arrivals (ready
-   times drawn from a coarse grid so ties are common). *)
+   Two generators. Small random batches over a 2x2 cluster mix H2d/D2h,
+   same-node and cross-node P2p, zero-byte requests, and coincident
+   arrivals (ready times drawn from a coarse grid so ties are common).
+   Large batches over a 4x4 fat tree (spine included) add the shapes the
+   collectives send: up to ~300 requests, whole broadcasts (one source
+   to every peer, equal bytes, equal ready), ready times reversed
+   against request order or all tied, and zero-byte requests. *)
 let gen_cluster_batch =
   QCheck2.Gen.(
     list_size (int_range 1 24)
@@ -310,22 +314,101 @@ let cluster_reqs txs =
       { Fabric.direction; bytes; ready = float_of_int slot *. 1e-4; tag = "eq" })
     txs
 
-let prop_fabric_incremental_matches_reference txs =
+let cluster_fabric () =
   let topology =
     { Fabric.gpus_per_node = 2; internode_bandwidth = 3.2e9; internode_latency = 25e-6 }
   in
-  let f = Fabric.create ~topology Spec.pcie_gen2_desktop ~num_gpus:4 in
-  let reqs = cluster_reqs txs in
+  Fabric.create ~topology Spec.pcie_gen2_desktop ~num_gpus:4
+
+let fat_tree_fabric () =
+  let topology =
+    { Fabric.gpus_per_node = 4; internode_bandwidth = 3.2e9; internode_latency = 25e-6 }
+  in
+  Fabric.create ~flavor:(Fabric.Fat_tree { oversub = 2.0 }) ~topology Spec.pcie_gen2_desktop
+    ~num_gpus:16
+
+(* A fat-tree batch piece: a broadcast from [src] to its 15 peers, or
+   one transfer. Zero bytes come up often. *)
+type piece = Bcast of int * int * int | One of int * int * int * int * int
+
+let gen_fat_tree_bytes = QCheck2.Gen.(oneof [ pure 0; int_range 1 4096; int_bound 50_000_000 ])
+
+let gen_piece =
+  QCheck2.Gen.(
+    oneof
+      [
+        map3 (fun src bytes slot -> Bcast (src, bytes, slot)) (int_bound 15) gen_fat_tree_bytes
+          (int_bound 5);
+        map
+          (fun ((kind, a, b), (bytes, slot)) -> One (kind, a, b, bytes, slot))
+          (pair (triple (int_bound 2) (int_bound 15) (int_bound 15))
+             (pair gen_fat_tree_bytes (int_bound 5)));
+      ])
+
+(* [order]: 0 keeps the drawn ready times, 1 reverses them against
+   request order, 2 ties every request at one ready time. *)
+let gen_fat_tree_batch = QCheck2.Gen.(pair (list_size (int_range 1 40) gen_piece) (int_bound 2))
+
+let fat_tree_reqs (pieces, order) =
+  let req direction bytes slot = { Fabric.direction; bytes; ready = float_of_int slot *. 1e-5; tag = "ft" } in
+  let reqs =
+    List.concat_map
+      (function
+        | Bcast (src, bytes, slot) ->
+            List.filter_map
+              (fun dst -> if dst = src then None else Some (req (Fabric.P2p (src, dst)) bytes slot))
+              (List.init 16 Fun.id)
+        | One (kind, a, b, bytes, slot) ->
+            let direction =
+              match kind with
+              | 0 -> Fabric.H2d a
+              | 1 -> Fabric.D2h a
+              | _ -> Fabric.P2p (a, if a = b then (b + 1) mod 16 else b)
+            in
+            [ req direction bytes slot ])
+      pieces
+    |> List.filteri (fun i _ -> i < 300)
+  in
+  match order with
+  | 0 -> reqs
+  | 1 ->
+      (* The latest-ready requests first: the stable sort must move
+         every group, and ties within a group keep request order. *)
+      List.stable_sort
+        (fun (a : Fabric.request) (b : Fabric.request) -> Float.compare b.Fabric.ready a.Fabric.ready)
+        reqs
+  | _ -> List.map (fun (r : Fabric.request) -> { r with Fabric.ready = 2e-5 }) reqs
+
+type batch = Cluster of (int * int * int * int) list | Fat_tree of (piece list * int)
+
+let gen_fabric_batch =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun txs -> Cluster txs) gen_cluster_batch;
+        map (fun b -> Fat_tree b) gen_fat_tree_batch;
+      ])
+
+let prop_fabric_incremental_matches_reference batch =
+  let f, reqs =
+    match batch with
+    | Cluster txs -> (cluster_fabric (), cluster_reqs txs)
+    | Fat_tree b -> (fat_tree_fabric (), fat_tree_reqs b)
+  in
   let fast = Fabric.run_batch f reqs in
   let slow = Fabric.run_batch_reference f reqs in
-  List.length fast = List.length slow
+  List.length fast = List.length reqs
+  && List.length slow = List.length reqs
   && List.for_all2
-       (fun (a : Fabric.completion) (b : Fabric.completion) ->
-         (* Bit identity, not tolerance: Float.equal distinguishes nothing
+       (fun r ((a : Fabric.completion), (b : Fabric.completion)) ->
+         (* Each completion carries the request at its own position, and
+            bit identity, not tolerance: Float.equal distinguishes nothing
             a compare-based check would miss, and any divergence here
             would eventually show up as a BENCH artifact diff. *)
-         Float.equal a.Fabric.start b.Fabric.start && Float.equal a.Fabric.finish b.Fabric.finish)
-       fast slow
+         a.Fabric.req == r && b.Fabric.req == r
+         && Float.equal a.Fabric.start b.Fabric.start
+         && Float.equal a.Fabric.finish b.Fabric.finish)
+       reqs (List.combine fast slow)
 
 (* ---------------- Profiler totals come from the ledger ---------------- *)
 
@@ -637,7 +720,7 @@ let suite =
       QCheck2.Gen.(triple gen_transfers (int_bound 9) (int_range 1 10_000_000))
       prop_fabric_makespan_monotone;
     qtest ~count:300 "fabric incremental allocator matches reference bit-for-bit"
-      gen_cluster_batch prop_fabric_incremental_matches_reference;
+      gen_fabric_batch prop_fabric_incremental_matches_reference;
     qtest ~count:300 "report category seconds = a running fold in charge order" gen_charges
       prop_report_matches_counter_fold;
     qtest ~count:120 "2-D tiles partition the index space" gen_tiling prop_tiles_partition;

@@ -1,92 +1,9 @@
-(* Unit tests for the simulation core: event queue, timelines, traces. *)
+(* Unit tests for the simulation core: bags, timelines, traces. *)
 
 open Mgacc_sim
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
-
-let test_event_queue_order () =
-  let q = Event_queue.create () in
-  Event_queue.push q ~time:3.0 "c";
-  Event_queue.push q ~time:1.0 "a";
-  Event_queue.push q ~time:2.0 "b";
-  check (Alcotest.option (Alcotest.float 1e-12)) "peek" (Some 1.0) (Event_queue.peek_time q);
-  let order = List.init 3 (fun _ -> match Event_queue.pop q with Some (_, v) -> v | None -> "?") in
-  check (Alcotest.list Alcotest.string) "sorted" [ "a"; "b"; "c" ] order;
-  check Alcotest.bool "empty" true (Event_queue.is_empty q)
-
-let test_event_queue_fifo_ties () =
-  let q = Event_queue.create () in
-  List.iter (fun v -> Event_queue.push q ~time:1.0 v) [ "x"; "y"; "z" ];
-  let order = List.init 3 (fun _ -> match Event_queue.pop q with Some (_, v) -> v | None -> "?") in
-  check (Alcotest.list Alcotest.string) "fifo among equal keys" [ "x"; "y"; "z" ] order
-
-let test_event_queue_interleaved () =
-  let q = Event_queue.create () in
-  for i = 0 to 99 do
-    Event_queue.push q ~time:(float_of_int ((i * 37) mod 100)) i
-  done;
-  let prev = ref neg_infinity in
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Event_queue.pop q with
-    | None -> continue := false
-    | Some (t, _) ->
-        if t < !prev then Alcotest.failf "not monotone: %f after %f" t !prev;
-        prev := t;
-        incr count
-  done;
-  check Alcotest.int "drained all" 100 !count
-
-let test_event_queue_of_list () =
-  (* of_list must pop exactly like push-one-by-one: sorted by time, FIFO
-     among equal keys (list order). *)
-  let entries = [ (2.0, "b1"); (1.0, "a1"); (2.0, "b2"); (0.5, "z"); (1.0, "a2") ] in
-  let q = Event_queue.of_list entries in
-  check Alcotest.int "size" 5 (Event_queue.size q);
-  let order = List.init 5 (fun _ -> match Event_queue.pop q with Some (_, v) -> v | None -> "?") in
-  check (Alcotest.list Alcotest.string) "sorted, FIFO ties" [ "z"; "a1"; "a2"; "b1"; "b2" ] order;
-  (* Larger randomized cross-check against push-one-by-one. *)
-  let entries = List.init 200 (fun i -> (float_of_int ((i * 37) mod 50), i)) in
-  let bulk = Event_queue.of_list entries in
-  let incr_q = Event_queue.create () in
-  List.iter (fun (t, v) -> Event_queue.push incr_q ~time:t v) entries;
-  for _ = 1 to 200 do
-    check
-      (Alcotest.option (Alcotest.pair (Alcotest.float 0.0) Alcotest.int))
-      "same pop sequence" (Event_queue.pop incr_q) (Event_queue.pop bulk)
-  done
-
-let test_event_queue_pop_min_next_time () =
-  let q = Event_queue.of_list [ (3.0, "c"); (1.0, "a") ] in
-  check (Alcotest.float 1e-12) "next_time" 1.0 (Event_queue.next_time q);
-  check Alcotest.string "pop_min" "a" (Event_queue.pop_min q);
-  check Alcotest.string "pop_min again" "c" (Event_queue.pop_min q);
-  check Alcotest.bool "next_time empty = infinity" true (Event_queue.next_time q = infinity);
-  Alcotest.check_raises "pop_min on empty" (Invalid_argument "Event_queue.pop_min: empty")
-    (fun () -> ignore (Event_queue.pop_min q))
-
-let test_event_queue_no_retention () =
-  (* A popped value must be collectable: the queue used to keep every
-     popped entry alive in its backing array. Observed through a Weak
-     pointer surviving (or not) a full major GC. *)
-  let q = Event_queue.create () in
-  let w = Weak.create 1 in
-  let () =
-    let v = ref 42 in
-    Weak.set w 0 (Some v);
-    Event_queue.push q ~time:1.0 v;
-    Event_queue.push q ~time:2.0 (ref 0);
-    match Event_queue.pop q with
-    | Some (_, popped) -> check Alcotest.int "popped value" 42 !popped
-    | None -> Alcotest.fail "expected a value"
-  in
-  Gc.full_major ();
-  Gc.full_major ();
-  check Alcotest.bool "popped value was collected (queue still non-empty)" false
-    (Weak.check w 0);
-  check Alcotest.int "remaining entry intact" 1 (Event_queue.size q)
 
 let test_bag_basics () =
   let b = Bag.create () in
@@ -186,12 +103,6 @@ let test_trace_gantt_renders () =
 
 let suite =
   [
-    tc "event queue: time order" test_event_queue_order;
-    tc "event queue: FIFO ties" test_event_queue_fifo_ties;
-    tc "event queue: monotone drain" test_event_queue_interleaved;
-    tc "event queue: of_list bulk heapify" test_event_queue_of_list;
-    tc "event queue: pop_min and next_time" test_event_queue_pop_min_next_time;
-    tc "event queue: popped values are not retained" test_event_queue_no_retention;
     tc "bag: push/get/fold/clear" test_bag_basics;
     tc "bag: stable filter_in_place" test_bag_filter_stable;
     tc "bag: removed values are not retained" test_bag_no_retention;
