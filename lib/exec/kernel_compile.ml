@@ -59,9 +59,8 @@ type stager = {
 }
 
 (* Host code: the program's functions, each compiled once, on first
-   reference, into a layout of its own. Every host frame charges
-   [host_cost]. *)
-type host = { prog : program; stager : stager; funcs : (string, fn) Hashtbl.t; host_cost : Cost.t }
+   reference, into a layout of its own. Host code pays no charges. *)
+type host = { prog : program; stager : stager; funcs : (string, fn) Hashtbl.t }
 
 and fn = {
   fn_layout : Frame.Layout.t;
@@ -76,9 +75,13 @@ type ctx = {
   classify : string -> Ast.expr -> Coalesce.mode;
   host : host option;  (** [None] while compiling a kernel body *)
   result : Frame.slot option;  (** where [return e] leaves [e] *)
+  mutable charge : Cost.t;  (** the static charge of the segment being compiled *)
 }
 
 let host_classify _ _ = Coalesce.Coalesced
+
+(* The counter of every host frame. Host code never writes it. *)
+let uncharged = Cost.zero ()
 
 let ty_of ctx e =
   let lookup v = Option.map snd (Frame.Layout.lookup ctx.layout v) in
@@ -100,21 +103,28 @@ let fresh_float ctx loc =
   match Frame.Layout.fresh ctx.layout loc Tdouble with Frame.Float_slot i -> i | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Charges, written into the closures that execute them.               *)
+(* Charges, added to the segment being compiled.                       *)
 (* ------------------------------------------------------------------ *)
 
-let[@inline] flops (fr : Frame.t) n =
-  let c = fr.Frame.cost in
+(* A segment is straight-line code: a block up to and including its first
+   statement that can jump, an [if] or [?:] branch, the right side of
+   [&&] or [||], a loop's test, step or body. Every operation compiled
+   into one runs exactly once each time it runs to its end, so its
+   operations' charges add up at compile time and the segment pays their
+   sum when it starts. *)
+
+let flops ctx n =
+  let c = ctx.charge in
   c.Cost.flops <- c.Cost.flops + n
 
-let[@inline] int_ops (fr : Frame.t) n =
-  let c = fr.Frame.cost in
+let int_ops ctx n =
+  let c = ctx.charge in
   c.Cost.int_ops <- c.Cost.int_ops + n
 
 (* One array access at a site whose coalescing mode [classify] fixed when
    the site compiled. *)
-let[@inline] access (fr : Frame.t) mode width =
-  let c = fr.Frame.cost in
+let access ctx mode width =
+  let c = ctx.charge in
   match mode with
   | Coalesce.Coalesced -> c.Cost.coalesced_bytes <- c.Cost.coalesced_bytes + width
   | Coalesce.Broadcast -> c.Cost.broadcast_bytes <- c.Cost.broadcast_bytes + width
@@ -124,10 +134,38 @@ let[@inline] access (fr : Frame.t) mode width =
 
 (* A reduction update behaves like an atomic scatter: one transaction plus
    the combine op. *)
-let[@inline] scatter (fr : Frame.t) width =
-  let c = fr.Frame.cost in
+let scatter ctx width =
+  let c = ctx.charge in
   c.Cost.random_accesses <- c.Cost.random_accesses + 1;
   c.Cost.random_bytes <- c.Cost.random_bytes + width
+
+(* [f ()] compiled as a segment of its own: its code and its charge. The
+   enclosing segment's charge is untouched. *)
+let in_segment ctx f =
+  let outer = ctx.charge in
+  ctx.charge <- Cost.zero ();
+  let code = f () in
+  let c = ctx.charge in
+  ctx.charge <- outer;
+  (code, c)
+
+(* Adds [n] times charge [c] to counter [k], inline. *)
+let[@inline] pay (k : Cost.t) (c : Cost.t) n =
+  k.Cost.flops <- k.Cost.flops + (c.Cost.flops * n);
+  k.Cost.int_ops <- k.Cost.int_ops + (c.Cost.int_ops * n);
+  k.Cost.coalesced_bytes <- k.Cost.coalesced_bytes + (c.Cost.coalesced_bytes * n);
+  k.Cost.broadcast_bytes <- k.Cost.broadcast_bytes + (c.Cost.broadcast_bytes * n);
+  k.Cost.random_accesses <- k.Cost.random_accesses + (c.Cost.random_accesses * n);
+  k.Cost.random_bytes <- k.Cost.random_bytes + (c.Cost.random_bytes * n)
+
+(* [f ()] compiled as a segment that pays its charge with one add when it
+   starts, or with none when the charge is zero or the code is host code. *)
+let segment ctx f =
+  let code, c = in_segment ctx f in
+  if ctx.host <> None || Cost.is_zero c then code
+  else fun fr ->
+    pay fr.Frame.cost c 1;
+    code fr
 
 (* ------------------------------------------------------------------ *)
 (* Operators, applied inline.                                          *)
@@ -269,15 +307,29 @@ let[@inline] affine (is : int array) a b c neg =
   let p = Array.unsafe_get is a * Array.unsafe_get is b in
   if neg then p - Array.unsafe_get is c else p + Array.unsafe_get is c
 
-let code_of_iop = function
+(* Code returning an int operand's value; an affine subscript charges its
+   two int ops to the segment. *)
+let code_of_iop ctx = function
   | Islot s -> fun (fr : Frame.t) -> Array.unsafe_get fr.Frame.ints s
   | Iaff { a; b; c; neg } ->
-      fun fr ->
-        int_ops fr 2;
-        affine fr.Frame.ints a b c neg
+      int_ops ctx 2;
+      fun fr -> affine fr.Frame.ints a b c neg
   | Icode f -> f
 
 let parts_of_fop = function Fslot s -> (nop, s) | Fcode (c, s) -> (c, s)
+
+(* Loads: element [i] in place when [i] is in the view's read window, else
+   through the view's accessor, which raises whatever a bad read raises.
+   The in-place read keeps OCaml's bounds check: a view of the other
+   element type has an empty array there, so a read through a mistyped
+   slot raises instead of reading outside it. *)
+let[@inline] read_f (v : View.t) i (bank : float array) dst =
+  if i >= v.View.lo && i < v.View.hi then
+    Array.unsafe_set bank dst (Array.get v.View.fdata (i - v.View.lo))
+  else v.View.load_f i bank dst
+
+let[@inline] read_i (v : View.t) i =
+  if i >= v.View.lo && i < v.View.hi then Array.get v.View.idata (i - v.View.lo) else v.View.get_i i
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation.                                             *)
@@ -375,7 +427,7 @@ and comp_f_into ctx e dst : Frame.t -> unit =
           fun fr ->
             Array.unsafe_set fr.Frame.floats dst (float_of_int (Array.unsafe_get fr.Frame.ints s))
       | op ->
-          let f = code_of_iop op in
+          let f = code_of_iop ctx op in
           fun fr -> Array.unsafe_set fr.Frame.floats dst (float_of_int (f fr)))
   | Tdouble -> comp_f_native ctx e dst
   | t -> Loc.error e.eloc "expected numeric expression, got %s" (typ_to_string t)
@@ -394,80 +446,75 @@ and comp_f_native ctx e dst : Frame.t -> unit =
       let vi, elem = view_slot_of ctx e.eloc a in
       if elem <> Edouble then Loc.error e.eloc "%s is not a double array" a;
       let ix = comp_iop ctx idx in
-      let tr = ctx.classify a idx in
+      access ctx (ctx.classify a idx) 8;
       match ix with
       | Islot s ->
           fun fr ->
-            access fr tr 8;
-            (Array.unsafe_get fr.Frame.views vi).View.load_f
-              (Array.unsafe_get fr.Frame.ints s) fr.Frame.floats dst
+            read_f (Array.unsafe_get fr.Frame.views vi) (Array.unsafe_get fr.Frame.ints s)
+              fr.Frame.floats dst
       | Iaff { a; b; c; neg } ->
+          int_ops ctx 2;
           fun fr ->
-            int_ops fr 2;
-            access fr tr 8;
-            (Array.unsafe_get fr.Frame.views vi).View.load_f
-              (affine fr.Frame.ints a b c neg) fr.Frame.floats dst
+            read_f (Array.unsafe_get fr.Frame.views vi) (affine fr.Frame.ints a b c neg)
+              fr.Frame.floats dst
       | Icode ci ->
           fun fr ->
-            access fr tr 8;
-            (Array.unsafe_get fr.Frame.views vi).View.load_f (ci fr) fr.Frame.floats dst)
+            let i = ci fr in
+            read_f (Array.unsafe_get fr.Frame.views vi) i fr.Frame.floats dst)
   | Unop (Neg, x) -> (
+      flops ctx 1;
       match comp_fop ctx x with
       | Fslot a ->
           fun fr ->
-            flops fr 1;
             let fl = fr.Frame.floats in
             Array.unsafe_set fl dst (-.Array.unsafe_get fl a)
       | Fcode (cx, a) ->
           fun fr ->
-            flops fr 1;
             cx fr;
             let fl = fr.Frame.floats in
             Array.unsafe_set fl dst (-.Array.unsafe_get fl a))
   | Unop (Cast_double, x) -> comp_f_into ctx x dst
   | Unop ((Not | Bit_not | Cast_int), _) -> assert false (* typed Tint *)
   | Binop (((Add | Sub | Mul | Div) as op), x, y) -> (
+      flops ctx 1;
       let fx = comp_fop ctx x and fy = comp_fop ctx y in
       match (fx, fy) with
       | Fslot a, Fslot b ->
           fun fr ->
-            flops fr 1;
             let fl = fr.Frame.floats in
             Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
       | Fcode (cx, a), Fslot b ->
           fun fr ->
-            flops fr 1;
             cx fr;
             let fl = fr.Frame.floats in
             Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
       | Fslot a, Fcode (cy, b) ->
           fun fr ->
-            flops fr 1;
             cy fr;
             let fl = fr.Frame.floats in
             Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
       | Fcode (cx, a), Fcode (cy, b) ->
           fun fr ->
-            flops fr 1;
             cy fr;
             cx fr;
             let fl = fr.Frame.floats in
             Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b)))
   | Binop (_, _, _) -> assert false (* typed Tint *)
   | Ternary (c, a, b) ->
-      let cc = comp_cond ctx c and ca = comp_f_into ctx a dst and cb = comp_f_into ctx b dst in
-      fun fr ->
-        int_ops fr 1;
-        if cc fr then ca fr else cb fr
+      int_ops ctx 1;
+      let cc = comp_cond ctx c in
+      let ca = segment ctx (fun () -> comp_f_into ctx a dst)
+      and cb = segment ctx (fun () -> comp_f_into ctx b dst) in
+      fun fr -> if cc fr then ca fr else cb fr
   | Call (name, args) -> (
       match Builtins.find name with
       | Some b when b.Builtins.result = Tdouble -> (
-          let n = b.Builtins.flops and op = b.Builtins.op in
+          flops ctx b.Builtins.flops;
+          let op = b.Builtins.op in
           match List.map (comp_fop ctx) args with
           | [ x ] when b.Builtins.arity = 1 ->
               let cx, a = parts_of_fop x in
               fun fr ->
-                flops fr n;
                 cx fr;
                 let fl = fr.Frame.floats in
                 let v = Array.unsafe_get fl a in
@@ -475,7 +522,6 @@ and comp_f_native ctx e dst : Frame.t -> unit =
           | [ x; y ] when b.Builtins.arity = 2 ->
               let cx, a = parts_of_fop x and cy, b = parts_of_fop y in
               fun fr ->
-                flops fr n;
                 cy fr;
                 cx fr;
                 let fl = fr.Frame.floats in
@@ -522,81 +568,70 @@ and comp_cond ctx e : Frame.t -> bool =
       match e.edesc with
       | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), x, y)
         when ty_of ctx x = Tdouble || ty_of ctx y = Tdouble -> (
+          flops ctx 1;
           let fx = comp_fop ctx x and fy = comp_fop ctx y in
           match (fx, fy) with
           | Fslot a, Fslot b ->
               fun fr ->
-                flops fr 1;
                 let fl = fr.Frame.floats in
                 fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b)
           | Fcode (cx, a), Fslot b ->
               fun fr ->
-                flops fr 1;
                 cx fr;
                 let fl = fr.Frame.floats in
                 fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b)
           | Fslot a, Fcode (cy, b) ->
               fun fr ->
-                flops fr 1;
                 cy fr;
                 let fl = fr.Frame.floats in
                 fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b)
           | Fcode (cx, a), Fcode (cy, b) ->
               fun fr ->
-                flops fr 1;
                 cy fr;
                 cx fr;
                 let fl = fr.Frame.floats in
                 fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
       | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), x, y) -> (
+          int_ops ctx 1;
           let fx = comp_iop ctx x and fy = comp_iop ctx y in
           match (fx, fy) with
           | Islot a, Islot b ->
               fun fr ->
-                int_ops fr 1;
                 let is = fr.Frame.ints in
                 icmp op (Array.unsafe_get is a) (Array.unsafe_get is b)
           | x, Islot b ->
-              let f = code_of_iop x in
-              fun fr ->
-                int_ops fr 1;
-                icmp op (f fr) (Array.unsafe_get fr.Frame.ints b)
+              let f = code_of_iop ctx x in
+              fun fr -> icmp op (f fr) (Array.unsafe_get fr.Frame.ints b)
           | Islot a, y ->
-              let g = code_of_iop y in
+              let g = code_of_iop ctx y in
               fun fr ->
-                int_ops fr 1;
                 let y = g fr in
                 icmp op (Array.unsafe_get fr.Frame.ints a) y
           | x, y ->
-              let f = code_of_iop x and g = code_of_iop y in
+              let f = code_of_iop ctx x and g = code_of_iop ctx y in
               fun fr ->
-                int_ops fr 1;
                 let y = g fr in
                 let x = f fr in
                 icmp op x y)
       | Binop (Land, x, y) ->
-          let fx = comp_cond ctx x and fy = comp_cond ctx y in
-          fun fr ->
-            int_ops fr 1;
-            fx fr && fy fr
+          int_ops ctx 1;
+          let fx = comp_cond ctx x in
+          let fy = segment ctx (fun () -> comp_cond ctx y) in
+          fun fr -> fx fr && fy fr
       | Binop (Lor, x, y) ->
-          let fx = comp_cond ctx x and fy = comp_cond ctx y in
-          fun fr ->
-            int_ops fr 1;
-            fx fr || fy fr
+          int_ops ctx 1;
+          let fx = comp_cond ctx x in
+          let fy = segment ctx (fun () -> comp_cond ctx y) in
+          fun fr -> fx fr || fy fr
       | Unop (Not, x) ->
+          if ty_of ctx x = Tdouble then flops ctx 1 else int_ops ctx 1;
           let c = comp_cond ctx x in
-          if ty_of ctx x = Tdouble then fun fr ->
-            flops fr 1;
-            not (c fr)
-          else fun fr ->
-            int_ops fr 1;
-            not (c fr)
+          fun fr -> not (c fr)
       | _ -> (
           match comp_iop ctx e with
           | Islot a -> fun fr -> Array.unsafe_get fr.Frame.ints a <> 0
           | op ->
-              let f = code_of_iop op in
+              let f = code_of_iop ctx op in
               fun fr -> f fr <> 0))
 
 and comp_i_native ctx e : Frame.t -> int =
@@ -613,48 +648,36 @@ and comp_i_native ctx e : Frame.t -> int =
       let vi, elem = view_slot_of ctx e.eloc a in
       if elem <> Eint then Loc.error e.eloc "%s is not an int array" a;
       let ix = comp_iop ctx idx in
-      let tr = ctx.classify a idx in
+      access ctx (ctx.classify a idx) 4;
       match ix with
       | Islot s ->
-          fun fr ->
-            access fr tr 4;
-            (Array.unsafe_get fr.Frame.views vi).View.get_i (Array.unsafe_get fr.Frame.ints s)
+          fun fr -> read_i (Array.unsafe_get fr.Frame.views vi) (Array.unsafe_get fr.Frame.ints s)
       | Iaff { a; b; c; neg } ->
-          fun fr ->
-            int_ops fr 2;
-            access fr tr 4;
-            (Array.unsafe_get fr.Frame.views vi).View.get_i (affine fr.Frame.ints a b c neg)
+          int_ops ctx 2;
+          fun fr -> read_i (Array.unsafe_get fr.Frame.views vi) (affine fr.Frame.ints a b c neg)
       | Icode ci ->
           fun fr ->
-            access fr tr 4;
-            (Array.unsafe_get fr.Frame.views vi).View.get_i (ci fr))
+            let i = ci fr in
+            read_i (Array.unsafe_get fr.Frame.views vi) i)
   | Unop (Neg, x) -> (
+      int_ops ctx 1;
       match comp_iop ctx x with
-      | Islot a ->
-          fun fr ->
-            int_ops fr 1;
-            -Array.unsafe_get fr.Frame.ints a
+      | Islot a -> fun fr -> -Array.unsafe_get fr.Frame.ints a
       | op ->
-          let f = code_of_iop op in
-          fun fr ->
-            int_ops fr 1;
-            -f fr)
+          let f = code_of_iop ctx op in
+          fun fr -> -f fr)
   | Unop (Bit_not, x) ->
+      int_ops ctx 1;
       let f = comp_i ctx x in
-      fun fr ->
-        int_ops fr 1;
-        lnot (f fr)
+      fun fr -> lnot (f fr)
   | Unop (Cast_int, x) -> (
       match ty_of ctx x with
       | Tdouble -> (
+          int_ops ctx 1;
           match comp_fop ctx x with
-          | Fslot a ->
-              fun fr ->
-                int_ops fr 1;
-                int_of_float (Array.unsafe_get fr.Frame.floats a)
+          | Fslot a -> fun fr -> int_of_float (Array.unsafe_get fr.Frame.floats a)
           | Fcode (c, a) ->
               fun fr ->
-                int_ops fr 1;
                 c fr;
                 int_of_float (Array.unsafe_get fr.Frame.floats a))
       | _ -> comp_i ctx x)
@@ -663,56 +686,48 @@ and comp_i_native ctx e : Frame.t -> int =
       let c = comp_cond ctx e in
       fun fr -> if c fr then 1 else 0
   | Binop (op, x, y) -> (
+      int_ops ctx 1;
       let loc = e.eloc in
       let fx = comp_iop ctx x and fy = comp_iop ctx y in
       match (fx, fy) with
       | Islot a, Islot b ->
           fun fr ->
-            int_ops fr 1;
             let is = fr.Frame.ints in
             iarith loc op (Array.unsafe_get is a) (Array.unsafe_get is b)
       | x, Islot b ->
-          let f = code_of_iop x in
+          let f = code_of_iop ctx x in
           fun fr ->
-            int_ops fr 1;
             let x = f fr in
             iarith loc op x (Array.unsafe_get fr.Frame.ints b)
       | Islot a, y ->
-          let g = code_of_iop y in
+          let g = code_of_iop ctx y in
           fun fr ->
-            int_ops fr 1;
             let y = g fr in
             iarith loc op (Array.unsafe_get fr.Frame.ints a) y
       | x, y ->
-          let f = code_of_iop x and g = code_of_iop y in
+          let f = code_of_iop ctx x and g = code_of_iop ctx y in
           fun fr ->
-            int_ops fr 1;
             let y = g fr in
             let x = f fr in
             iarith loc op x y)
   | Ternary (c, a, b) ->
-      let cc = comp_cond ctx c and fa = comp_i ctx a and fb = comp_i ctx b in
-      fun fr ->
-        int_ops fr 1;
-        if cc fr then fa fr else fb fr
+      int_ops ctx 1;
+      let cc = comp_cond ctx c in
+      let fa = segment ctx (fun () -> comp_i ctx a) and fb = segment ctx (fun () -> comp_i ctx b) in
+      fun fr -> if cc fr then fa fr else fb fr
   | Call (name, args) -> (
       match Builtins.find name with
       | Some b when b.Builtins.result = Tint -> (
-          let n = b.Builtins.flops in
+          int_ops ctx b.Builtins.flops;
           match (b.Builtins.op, List.map (comp_i ctx) args) with
-          | Builtins.Abs, [ f ] ->
-              fun fr ->
-                int_ops fr n;
-                abs (f fr)
+          | Builtins.Abs, [ f ] -> fun fr -> abs (f fr)
           | Builtins.Min, [ f; g ] ->
               fun fr ->
-                int_ops fr n;
                 let y = g fr in
                 let x = f fr in
                 min x y
           | Builtins.Max, [ f; g ] ->
               fun fr ->
-                int_ops fr n;
                 let y = g fr in
                 let x = f fr in
                 max x y
@@ -758,7 +773,7 @@ and comp_call ctx loc name args =
   in
   let binds = Array.of_list (List.map2 bind fn.fn_params args) in
   ( (fun fr ->
-      let callee = Frame.create fn.fn_layout h.host_cost in
+      let callee = Frame.create fn.fn_layout uncharged in
       Array.iter (fun b -> b fr callee) binds;
       (try fn.fn_body callee with Return -> ());
       callee),
@@ -784,7 +799,7 @@ and function_of h loc name =
         { fn_layout = layout; fn_params = params; fn_result = result; fn_body = nop; fn_scope = Frame.Layout.scope layout }
       in
       Hashtbl.replace h.funcs name fn;
-      let ctx = { layout; classify = host_classify; host = Some h; result } in
+      let ctx = { layout; classify = host_classify; host = Some h; result; charge = Cost.zero () } in
       (* Parameters and the body's own declarations share one scope, as in C. *)
       fn.fn_body <- comp_block_no_scope ctx f.fbody;
       fn.fn_scope <- Frame.Layout.scope layout;
@@ -818,7 +833,7 @@ and comp_stmt ctx s : Frame.t -> unit =
             let is = fr.Frame.ints in
             Array.unsafe_set is i (Array.unsafe_get is a)
       | Frame.Int_slot i, Some op ->
-          let f = code_of_iop op in
+          let f = code_of_iop ctx op in
           fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
       | _ -> Loc.error s.sloc "unsupported declaration of %s" name)
   | Sarray_decl (elem, name, len) ->
@@ -849,8 +864,8 @@ and comp_stmt ctx s : Frame.t -> unit =
       | Lvar v -> (
           match slot_of ctx s.sloc v with
           | Frame.Int_slot i, _ ->
+              int_ops ctx 1;
               fun fr ->
-                int_ops fr 1;
                 let is = fr.Frame.ints in
                 Array.unsafe_set is i (Array.unsafe_get is i + d)
           | _ -> comp_assign_var ctx s v Add_set { edesc = Int_lit d; eloc = s.sloc })
@@ -866,26 +881,20 @@ and comp_stmt ctx s : Frame.t -> unit =
         let f = comp_i ctx e in
         fun fr -> ignore (f fr : int)
   | Sif (c, then_, else_) -> (
+      int_ops ctx 1;
       let cc = comp_cond ctx c in
       let ct = comp_block ctx then_ and ce = comp_block ctx else_ in
-      match else_ with
-      | [] ->
-          fun fr ->
-            int_ops fr 1;
-            if cc fr then ct fr
-      | _ ->
-          fun fr ->
-            int_ops fr 1;
-            if cc fr then ct fr else ce fr)
+      match else_ with [] -> fun fr -> if cc fr then ct fr | _ -> fun fr -> if cc fr then ct fr else ce fr)
   | Swhile (c, body) ->
-      let cc = comp_cond ctx c in
+      let cc =
+        segment ctx (fun () ->
+            int_ops ctx 1;
+            comp_cond ctx c)
+      in
       let cb = catch_continue body (comp_block ctx body) in
       fun fr ->
         (try
-           while
-             int_ops fr 1;
-             cc fr
-           do
+           while cc fr do
              cb fr
            done
          with Brk -> ())
@@ -894,34 +903,44 @@ and comp_stmt ctx s : Frame.t -> unit =
       let init = match hdr.for_init with Some s' -> comp_stmt ctx s' | None -> nop in
       match counted_loop ctx hdr body with
       | Some (op, v, b, d) ->
-          (* One OCaml loop over the counter's and the bound's slots, with
-             the charges of the general form: 2 int ops per test (the loop's
-             and the comparison's), 1 per update. *)
-          let cb = comp_block_no_scope ctx body in
+          (* One OCaml loop over the counter's and the bound's slots. The
+             body cannot jump, so it is one segment, and the loop pays for
+             every trip at once when it ends: the body's charge plus 3 int
+             ops per trip (2 for the test, the loop's and the comparison's,
+             and 1 for the step), and 2 for the test that ends it. *)
+          let cb, per_trip = in_segment ctx (fun () -> comp_stmts ctx body) in
           Frame.Layout.leave_scope ctx.layout;
+          per_trip.Cost.int_ops <- per_trip.Cost.int_ops + 3;
+          let charged = ctx.host = None in
           fun fr ->
             init fr;
             let is = fr.Frame.ints in
-            while
-              int_ops fr 2;
-              icmp op (Array.unsafe_get is v) (Array.unsafe_get is b)
-            do
+            let trips = ref 0 in
+            while icmp op (Array.unsafe_get is v) (Array.unsafe_get is b) do
               cb fr;
-              int_ops fr 1;
+              incr trips;
               Array.unsafe_set is v (Array.unsafe_get is v + d)
-            done
+            done;
+            if charged then begin
+              let k = fr.Frame.cost in
+              pay k per_trip !trips;
+              k.Cost.int_ops <- k.Cost.int_ops + 2
+            end
       | None ->
-          let cond = match hdr.for_cond with Some e -> comp_cond ctx e | None -> fun _ -> true in
-          let update = match hdr.for_update with Some s' -> comp_stmt ctx s' | None -> nop in
+          let cond =
+            segment ctx (fun () ->
+                int_ops ctx 1;
+                match hdr.for_cond with Some e -> comp_cond ctx e | None -> fun _ -> true)
+          in
+          let update =
+            match hdr.for_update with Some s' -> segment ctx (fun () -> comp_stmt ctx s') | None -> nop
+          in
           let cb = catch_continue body (comp_block_no_scope ctx body) in
           Frame.Layout.leave_scope ctx.layout;
           fun fr ->
             init fr;
             (try
-               while
-                 int_ops fr 1;
-                 cond fr
-               do
+               while cond fr do
                  cb fr;
                  update fr
                done
@@ -950,54 +969,44 @@ and comp_stmt ctx s : Frame.t -> unit =
       let ix = comp_iop ctx idx in
       match elem with
       | Edouble -> (
+          flops ctx 1;
+          scatter ctx 8;
           (* The contribution runs before the subscript. *)
           match (ix, comp_fop ctx contrib) with
           | Islot k, Fslot c ->
               fun fr ->
-                flops fr 1;
-                scatter fr 8;
                 (Array.unsafe_get fr.Frame.views vi).View.reduce_f rta_op
                   (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
           | Islot k, Fcode (cc, c) ->
               fun fr ->
-                flops fr 1;
-                scatter fr 8;
                 let v = Array.unsafe_get fr.Frame.views vi in
                 cc fr;
                 v.View.reduce_f rta_op (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
           | Iaff { a; b; c = k; neg }, Fslot c ->
+              int_ops ctx 2;
               fun fr ->
-                flops fr 1;
-                scatter fr 8;
-                int_ops fr 2;
                 (Array.unsafe_get fr.Frame.views vi).View.reduce_f rta_op
                   (affine fr.Frame.ints a b k neg) fr.Frame.floats c
           | Iaff { a; b; c = k; neg }, Fcode (cc, c) ->
+              int_ops ctx 2;
               fun fr ->
-                flops fr 1;
-                scatter fr 8;
                 let v = Array.unsafe_get fr.Frame.views vi in
                 cc fr;
-                int_ops fr 2;
                 v.View.reduce_f rta_op (affine fr.Frame.ints a b k neg) fr.Frame.floats c
           | Icode ci, Fslot c ->
               fun fr ->
-                flops fr 1;
-                scatter fr 8;
                 let v = Array.unsafe_get fr.Frame.views vi in
                 v.View.reduce_f rta_op (ci fr) fr.Frame.floats c
           | Icode ci, Fcode (cc, c) ->
               fun fr ->
-                flops fr 1;
-                scatter fr 8;
                 let v = Array.unsafe_get fr.Frame.views vi in
                 cc fr;
                 v.View.reduce_f rta_op (ci fr) fr.Frame.floats c)
       | Eint ->
-          let ci = code_of_iop ix and cf = comp_i ctx contrib in
+          int_ops ctx 1;
+          scatter ctx 4;
+          let ci = code_of_iop ctx ix and cf = comp_i ctx contrib in
           fun fr ->
-            int_ops fr 1;
-            scatter fr 4;
             let v = Array.unsafe_get fr.Frame.views vi in
             let x = cf fr in
             v.View.reduce_i rta_op (ci fr) x)
@@ -1041,35 +1050,34 @@ and comp_assign_var ctx s v op rhs =
             let is = fr.Frame.ints in
             Array.unsafe_set is i (Array.unsafe_get is a)
       | Set, r ->
-          let f = code_of_iop r in
+          let f = code_of_iop ctx r in
           fun fr -> Array.unsafe_set fr.Frame.ints i (f fr)
       | _, Islot a ->
+          int_ops ctx 1;
           fun fr ->
-            int_ops fr 1;
             let is = fr.Frame.ints in
             Array.unsafe_set is i (iassign loc op (Array.unsafe_get is i) (Array.unsafe_get is a))
       | _, r ->
-          let f = code_of_iop r in
+          int_ops ctx 1;
+          let f = code_of_iop ctx r in
           fun fr ->
-            int_ops fr 1;
             let r = f fr in
             let is = fr.Frame.ints in
             Array.unsafe_set is i (iassign loc op (Array.unsafe_get is i) r))
   | Frame.Float_slot i, _ -> (
       if op = Set then comp_f_into ctx rhs i
-      else
+      else (
+        flops ctx 1;
         match comp_fop ctx rhs with
         | Fslot a ->
             fun fr ->
-              flops fr 1;
               let fl = fr.Frame.floats in
               Array.unsafe_set fl i (fassign op (Array.unsafe_get fl i) (Array.unsafe_get fl a))
         | Fcode (c, a) ->
             fun fr ->
-              flops fr 1;
               c fr;
               let fl = fr.Frame.floats in
-              Array.unsafe_set fl i (fassign op (Array.unsafe_get fl i) (Array.unsafe_get fl a)))
+              Array.unsafe_set fl i (fassign op (Array.unsafe_get fl i) (Array.unsafe_get fl a))))
   | Frame.View_slot _, _ -> Loc.error s.sloc "cannot assign whole array %s" v
 
 (* [a[idx] = rhs] evaluates the right-hand side, then the subscript;
@@ -1080,6 +1088,8 @@ and comp_assign_index ctx s a idx op rhs =
   let ix = comp_iop ctx idx in
   let width = elem_ty_size elem in
   let tw = ctx.classify a idx in
+  access ctx tw width;
+  if op <> Set then access ctx (ctx.classify a idx) width;
   match elem with
   | Edouble -> (
       let r = comp_fop ctx rhs in
@@ -1087,109 +1097,91 @@ and comp_assign_index ctx s a idx op rhs =
         match (ix, r) with
         | Islot k, Fslot b ->
             fun fr ->
-              access fr tw 8;
               (Array.unsafe_get fr.Frame.views vi).View.store_f
                 (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats b
         | Islot k, Fcode (c, b) ->
             fun fr ->
-              access fr tw 8;
               let v = Array.unsafe_get fr.Frame.views vi in
               c fr;
               v.View.store_f (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats b
         | Iaff { a; b = y; c = z; neg }, Fslot b ->
+            int_ops ctx 2;
             fun fr ->
-              access fr tw 8;
-              int_ops fr 2;
               (Array.unsafe_get fr.Frame.views vi).View.store_f
                 (affine fr.Frame.ints a y z neg) fr.Frame.floats b
         | Iaff { a; b = y; c = z; neg }, Fcode (c, b) ->
+            int_ops ctx 2;
             fun fr ->
-              access fr tw 8;
               let v = Array.unsafe_get fr.Frame.views vi in
               c fr;
-              int_ops fr 2;
               v.View.store_f (affine fr.Frame.ints a y z neg) fr.Frame.floats b
         | Icode ci, Fslot b ->
             fun fr ->
-              access fr tw 8;
               let v = Array.unsafe_get fr.Frame.views vi in
               v.View.store_f (ci fr) fr.Frame.floats b
         | Icode ci, Fcode (c, b) ->
             fun fr ->
-              access fr tw 8;
               let v = Array.unsafe_get fr.Frame.views vi in
               c fr;
               v.View.store_f (ci fr) fr.Frame.floats b
-      else
-        let tr = ctx.classify a idx in
-        let ci = code_of_iop ix and c, b = parts_of_fop r in
+      else (
+        flops ctx 1;
+        let ci = code_of_iop ctx ix and c, b = parts_of_fop r in
         let t = fresh_float ctx s.sloc in
         fun fr ->
-          flops fr 1;
-          access fr tr width;
-          access fr tw width;
           let v = Array.unsafe_get fr.Frame.views vi in
           let i = ci fr in
           c fr;
           let fl = fr.Frame.floats in
           v.View.load_f i fl t;
           Array.unsafe_set fl t (fassign op (Array.unsafe_get fl t) (Array.unsafe_get fl b));
-          v.View.store_f i fl t)
+          v.View.store_f i fl t))
   | Eint -> (
       let r = comp_iop ctx rhs in
       if op = Set then
         match (ix, r) with
         | Islot k, Islot b ->
             fun fr ->
-              access fr tw 4;
               let is = fr.Frame.ints in
               (Array.unsafe_get fr.Frame.views vi).View.set_i (Array.unsafe_get is k)
                 (Array.unsafe_get is b)
         | Islot k, r ->
-            let f = code_of_iop r in
+            let f = code_of_iop ctx r in
             fun fr ->
-              access fr tw 4;
               let v = Array.unsafe_get fr.Frame.views vi in
               let x = f fr in
               v.View.set_i (Array.unsafe_get fr.Frame.ints k) x
         | Iaff { a; b = y; c = z; neg }, Islot b ->
+            int_ops ctx 2;
             fun fr ->
-              access fr tw 4;
-              int_ops fr 2;
               let is = fr.Frame.ints in
               (Array.unsafe_get fr.Frame.views vi).View.set_i (affine is a y z neg)
                 (Array.unsafe_get is b)
         | Iaff { a; b = y; c = z; neg }, r ->
-            let f = code_of_iop r in
+            int_ops ctx 2;
+            let f = code_of_iop ctx r in
             fun fr ->
-              access fr tw 4;
               let v = Array.unsafe_get fr.Frame.views vi in
               let x = f fr in
-              int_ops fr 2;
               v.View.set_i (affine fr.Frame.ints a y z neg) x
         | Icode ci, Islot b ->
             fun fr ->
-              access fr tw 4;
               let v = Array.unsafe_get fr.Frame.views vi in
               v.View.set_i (ci fr) (Array.unsafe_get fr.Frame.ints b)
         | Icode ci, r ->
-            let f = code_of_iop r in
+            let f = code_of_iop ctx r in
             fun fr ->
-              access fr tw 4;
               let v = Array.unsafe_get fr.Frame.views vi in
               let x = f fr in
               v.View.set_i (ci fr) x
-      else
-        let tr = ctx.classify a idx in
-        let loc = s.sloc and ci = code_of_iop ix and f = code_of_iop r in
+      else (
+        int_ops ctx 1;
+        let loc = s.sloc and ci = code_of_iop ctx ix and f = code_of_iop ctx r in
         fun fr ->
-          int_ops fr 1;
-          access fr tr width;
-          access fr tw width;
           let v = Array.unsafe_get fr.Frame.views vi in
           let i = ci fr in
           let x = f fr in
-          v.View.set_i i (iassign loc op (v.View.get_i i) x))
+          v.View.set_i i (iassign loc op (v.View.get_i i) x)))
 
 and comp_block ctx body =
   Frame.Layout.enter_scope ctx.layout;
@@ -1197,7 +1189,21 @@ and comp_block ctx body =
   Frame.Layout.leave_scope ctx.layout;
   f
 
-and comp_block_no_scope ctx body = seq (List.map (comp_stmt ctx) body)
+and comp_stmts ctx body = seq (List.map (comp_stmt ctx) body)
+
+(* A kernel block runs as segments, each up to and including the first
+   statement that can jump, so a jump never leaves a later statement paid
+   for; host code is one piece. *)
+and comp_block_no_scope ctx body =
+  match ctx.host with
+  | Some _ -> comp_stmts ctx body
+  | None ->
+      let rec split cur = function
+        | [] -> if cur = [] then [] else [ List.rev cur ]
+        | st :: rest ->
+            if jumps [ st ] then List.rev (st :: cur) :: split [] rest else split (st :: cur) rest
+      in
+      seq (List.map (fun stmts -> segment ctx (fun () -> comp_stmts ctx stmts)) (split [] body))
 
 (* A parallel loop's iterations [lo, hi), run in order in the host frame
    with a fresh loop variable. *)
@@ -1222,7 +1228,7 @@ and comp_sequential ctx (loop : Loop_info.t) =
 
 let compile ~loop ~params ~classify =
   let layout = Frame.Layout.create () in
-  let ctx = { layout; classify; host = None; result = None } in
+  let ctx = { layout; classify; host = None; result = None; charge = Cost.zero () } in
   let loop_loc = loop.Loop_info.loop_loc in
   let iv_slot = Frame.Layout.declare layout loop_loc loop.Loop_info.loop_var Tint in
   let param_slots =
@@ -1239,13 +1245,13 @@ let compile ~loop ~params ~classify =
     params = param_slots;
   }
 
-let host prog stager = { prog; stager; funcs = Hashtbl.create 8; host_cost = Cost.zero () }
+let host prog stager = { prog; stager; funcs = Hashtbl.create 8 }
 
 let compile_function h name =
   let fn = function_of h Loc.dummy name in
   ( fn.fn_scope,
     fun () ->
-      let fr = Frame.create fn.fn_layout h.host_cost in
+      let fr = Frame.create fn.fn_layout uncharged in
       (try fn.fn_body fr with Return -> ());
       fr )
 
@@ -1253,7 +1259,7 @@ let compile_function h name =
    above the frame's own slots and runs on a copy with room for them. *)
 let eval h scope fr comp =
   let layout = Frame.layout_above scope fr in
-  let code = comp { layout; classify = host_classify; host = Some h; result = None } in
+  let code = comp { layout; classify = host_classify; host = Some h; result = None; charge = Cost.zero () } in
   code (Frame.extend fr layout)
 
 let eval_int h scope e fr = eval h scope fr (fun ctx -> comp_i ctx e)

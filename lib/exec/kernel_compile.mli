@@ -30,13 +30,33 @@
     one its subscript first; so a statement with two faults raises the
     same located error however its operands are shaped.
 
-    While executing, the closures charge the {!Frame.t.cost} of the frame
-    they run in: arithmetic by operator type, and array traffic by the
-    coalescing mode the [classify] callback assigns to each syntactic
-    access site when it compiles (this is where the data-layout
-    transformation changes the accounting). Each charge is written inside
-    the closure that executes the operation. A kernel frame gets a counter
-    of its own, so a compiled kernel is re-entrant; host frames share one.
+    A kernel charges the {!Frame.t.cost} of the frame it runs in:
+    arithmetic by operator type, and array traffic by the coalescing mode
+    the [classify] callback assigns to each syntactic access site when it
+    compiles (this is where the data-layout transformation changes the
+    accounting). The charges are static. Compilation adds each operation's
+    charge to the {e segment} being compiled, a piece of straight-line
+    code that, once started, runs every operation in it exactly once
+    unless it faults: a block up to and including its first statement
+    that can jump ([break] or [continue] leaving it), each [if] and [?:]
+    branch, the right side of [&&] and [||], a loop's test, step and body,
+    and a parallel iteration. A segment pays its whole charge with one add
+    when it starts, and nothing when the charge is zero. A counted loop
+    cannot jump, so it counts its trips and pays once when it ends: (body
+    + 3 int ops) per trip, plus 2 for the test that ends it. The totals
+    equal those of charging each operation as it runs, except after a
+    fault: an operation that raises ([Bounds], a window violation, a
+    division by zero) leaves the rest of its segment paid for and any
+    enclosing counted loop unpaid. No caller reads a counter after a
+    fault; the launch that raised is abandoned. Charges the runtime's
+    views make themselves (dirty bits, miss checks) are dynamic and stay
+    in the views. A kernel frame gets a counter of its own, so a compiled
+    kernel is re-entrant. Host code pays nothing.
+
+    Loads read in place: a subscript inside the view's read window
+    ({!View.t.lo}) is one array read, and only one outside it calls the
+    view's accessor ({!read_f}, {!read_i}). Stores, reduction updates and
+    the read of a compound assignment go through the accessors.
 
     Kernel restrictions enforced here (with located errors): no user
     function calls, no array declarations, no [return], and no data or
@@ -64,6 +84,14 @@ val compile :
     arrays) with their host types; [classify array subscript] chooses the
     coalescing mode charged for that access site. A [break] or [continue]
     escaping an iteration raises a located {!Loc.Error} when it runs. *)
+
+val read_f : View.t -> int -> float array -> int -> unit
+val read_i : View.t -> int -> int
+(** The loads compiled code performs: [read_f v i bank slot] leaves
+    element [i] in [bank.(slot)] and [read_i v i] returns it, read in
+    place when [i] is in [v]'s read window and through [v.load_f] or
+    [v.get_i] otherwise. A read returns what the accessor would, or raises
+    what it would. *)
 
 val extract_reduction :
   Ast.redop -> Ast.stmt -> Ast.expr * Ast.expr

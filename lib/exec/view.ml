@@ -5,6 +5,10 @@ type t = {
   name : string;
   elem : elem_ty;
   length : int;
+  fdata : float array;
+  idata : int array;
+  lo : int;
+  hi : int;
   load_f : int -> float array -> int -> unit;
   store_f : int -> float array -> int -> unit;
   reduce_f : redop -> int -> float array -> int -> unit;
@@ -40,53 +44,74 @@ let redop_identity_i = function
 let wrong_type name what =
   invalid_arg (Printf.sprintf "View: %s access on wrong-typed view %s" what name)
 
-let of_float_array ~name data =
-  let n = Array.length data in
-  let check i = if i < 0 || i >= n then raise (Bounds { name; index = i; length = n }) in
+let check_window name ~lo ~hi n =
+  if lo < 0 || hi < lo || hi - lo > n then
+    invalid_arg
+      (Printf.sprintf "View: window [%d, %d) of %s does not fit its %d-element array" lo hi name n)
+
+let doubles ~name ~length ~data ~lo ~hi ~load_f ~store_f ~reduce_f =
+  check_window name ~lo ~hi (Array.length data);
   {
     name;
     elem = Edouble;
-    length = n;
-    load_f =
-      (fun i bank s ->
-        check i;
-        bank.(s) <- Array.unsafe_get data i);
-    store_f =
-      (fun i bank s ->
-        check i;
-        Array.unsafe_set data i bank.(s));
-    reduce_f =
-      (fun op i bank s ->
-        check i;
-        Array.unsafe_set data i (apply_redop_f op (Array.unsafe_get data i) bank.(s)));
+    length;
+    fdata = data;
+    idata = [||];
+    lo;
+    hi;
+    load_f;
+    store_f;
+    reduce_f;
     get_i = (fun _ -> wrong_type name "int get");
     set_i = (fun _ _ -> wrong_type name "int set");
     reduce_i = (fun _ _ _ -> wrong_type name "int reduce");
   }
 
-let of_int_array ~name data =
-  let n = Array.length data in
-  let check i = if i < 0 || i >= n then raise (Bounds { name; index = i; length = n }) in
+let ints ~name ~length ~data ~lo ~hi ~get_i ~set_i ~reduce_i =
+  check_window name ~lo ~hi (Array.length data);
   {
     name;
     elem = Eint;
-    length = n;
-    get_i =
-      (fun i ->
-        check i;
-        Array.unsafe_get data i);
-    set_i =
-      (fun i v ->
-        check i;
-        Array.unsafe_set data i v);
-    reduce_i =
-      (fun op i v ->
-        check i;
-        Array.unsafe_set data i (apply_redop_i op (Array.unsafe_get data i) v));
+    length;
+    fdata = [||];
+    idata = data;
+    lo;
+    hi;
+    get_i;
+    set_i;
+    reduce_i;
     load_f = (fun _ _ _ -> wrong_type name "float load");
     store_f = (fun _ _ _ -> wrong_type name "float store");
     reduce_f = (fun _ _ _ _ -> wrong_type name "float reduce");
   }
+
+let of_float_array ~name data =
+  let n = Array.length data in
+  let check i = if i < 0 || i >= n then raise (Bounds { name; index = i; length = n }) in
+  doubles ~name ~length:n ~data ~lo:0 ~hi:n
+    ~load_f:(fun i bank s ->
+      check i;
+      bank.(s) <- Array.unsafe_get data i)
+    ~store_f:(fun i bank s ->
+      check i;
+      Array.unsafe_set data i bank.(s))
+    ~reduce_f:(fun op i bank s ->
+      check i;
+      Array.unsafe_set data i (apply_redop_f op (Array.unsafe_get data i) bank.(s)))
+
+let of_int_array ~name data =
+  let n = Array.length data in
+  let check i = if i < 0 || i >= n then raise (Bounds { name; index = i; length = n }) in
+  ints ~name ~length:n ~data ~lo:0 ~hi:n
+    ~get_i:(fun i ->
+      check i;
+      Array.unsafe_get data i)
+    ~set_i:(fun i v ->
+      check i;
+      Array.unsafe_set data i v)
+    ~reduce_i:(fun op i v ->
+      check i;
+      Array.unsafe_set data i (apply_redop_i op (Array.unsafe_get data i) v))
 
 let unbound =
   let fail () = invalid_arg "Frame.get_view: unbound view slot" in
@@ -94,6 +119,10 @@ let unbound =
     name = "<unbound>";
     elem = Edouble;
     length = 0;
+    fdata = [||];
+    idata = [||];
+    lo = 0;
+    hi = 0;
     load_f = (fun _ _ _ -> fail ());
     store_f = (fun _ _ _ -> fail ());
     reduce_f = (fun _ _ _ _ -> fail ());

@@ -18,10 +18,24 @@
 
 open Mgacc_minic
 
-type t = {
+type t = private {
   name : string;
   elem : Ast.elem_ty;
   length : int;  (** logical element count *)
+  fdata : float array;  (** a double view's backing array; [\[||\]] in an int view *)
+  idata : int array;  (** an int view's backing array; [\[||\]] in a double view *)
+  lo : int;
+  hi : int;
+      (** The read window [\[lo, hi)]: for every logical index [i] in it,
+          element [i] is [data.(i - lo)] in the backing array of the view's
+          element type, and reading it through the accessors would return
+          exactly that. Invariant: [0 <= lo <= hi] and [hi - lo] is at most
+          that array's length. Host arrays, replicated views and reduction
+          views expose [\[0, length)]; a 1-D distributed part exposes its
+          resident window; tiled parts and {!unbound} expose an empty one.
+          Compiled code reads inside the window in place and calls
+          [load_f]/[get_i] only outside it, so every bad read still raises
+          from the accessor. Writes always go through the accessors. *)
   load_f : int -> float array -> int -> unit;
   store_f : int -> float array -> int -> unit;
   reduce_f : Ast.redop -> int -> float array -> int -> unit;
@@ -34,6 +48,32 @@ type t = {
 
 exception Bounds of { name : string; index : int; length : int }
 (** Raised by the host-array accessors on out-of-range logical indices. *)
+
+val doubles :
+  name:string ->
+  length:int ->
+  data:float array ->
+  lo:int ->
+  hi:int ->
+  load_f:(int -> float array -> int -> unit) ->
+  store_f:(int -> float array -> int -> unit) ->
+  reduce_f:(Ast.redop -> int -> float array -> int -> unit) ->
+  t
+(** A double view over [data] with read window [\[lo, hi)]; its int
+    accessors raise [Invalid_argument]. Raises [Invalid_argument] if the
+    window does not fit [data]. *)
+
+val ints :
+  name:string ->
+  length:int ->
+  data:int array ->
+  lo:int ->
+  hi:int ->
+  get_i:(int -> int) ->
+  set_i:(int -> int -> unit) ->
+  reduce_i:(Ast.redop -> int -> int -> unit) ->
+  t
+(** The int counterpart of {!doubles}. *)
 
 val of_float_array : name:string -> float array -> t
 (** Bounds-checked direct view over (and aliasing) a host array;

@@ -41,15 +41,6 @@ let no_reduce_f name : Ast.redop -> int -> float array -> int -> unit =
 let no_reduce_i name : Ast.redop -> int -> int -> unit =
  fun _ _ _ -> invalid_arg (Printf.sprintf "array %s is not a reduction destination" name)
 
-(* The accessors of the other element type. *)
-let double_only name =
-  let bad () = invalid_arg (name ^ ": int access on double array") in
-  ((fun _ -> bad ()), (fun _ _ -> bad ()))
-
-let int_only name =
-  let bad () = invalid_arg (name ^ ": double access on int array") in
-  ((fun _ _ _ -> bad ()), fun _ _ _ -> bad ())
-
 (* An out-of-range subscript names the array. The device views test the
    range inline in front of unchecked access (as [View.of_float_array]
    does), so a kernel does the work of the implicit check it replaces. *)
@@ -57,14 +48,14 @@ let out_of_bounds name length i = raise (View.Bounds { name; index = i; length }
 
 (* Replicated array on one GPU: direct access, dirty marking on writes. The
    dirty-bit instrumentation the translator inserts costs a couple of
-   integer ops per write, charged to the kernel's cost record. *)
+   integer ops per write, charged to the kernel's cost record. Compiled
+   reads inside [0, length) go straight to the replica. *)
 let replicated_view (da : Darray.t) ~gpu ~(dirty : Dirty.t option) ~(cost : Cost.t) =
   let buf = Darray.buf_for da ~gpu in
   let name = da.Darray.name and length = da.Darray.length in
   match da.Darray.elem with
   | Ast.Edouble ->
       let data = Memory.float_data buf in
-      let get_i, set_i = double_only name in
       let store_f =
         match dirty with
         | Some d ->
@@ -78,23 +69,13 @@ let replicated_view (da : Darray.t) ~gpu ~(dirty : Dirty.t option) ~(cost : Cost
               if i < 0 || i >= length then out_of_bounds name length i;
               Array.unsafe_set data i bank.(s)
       in
-      {
-        View.name;
-        elem = Ast.Edouble;
-        length;
-        load_f =
-          (fun i bank s ->
-            if i < 0 || i >= length then out_of_bounds name length i;
-            bank.(s) <- Array.unsafe_get data i);
-        store_f;
-        reduce_f = no_reduce_f name;
-        get_i;
-        set_i;
-        reduce_i = no_reduce_i name;
-      }
+      View.doubles ~name ~length ~data ~lo:0 ~hi:length
+        ~load_f:(fun i bank s ->
+          if i < 0 || i >= length then out_of_bounds name length i;
+          bank.(s) <- Array.unsafe_get data i)
+        ~store_f ~reduce_f:(no_reduce_f name)
   | Ast.Eint ->
       let data = Memory.int_data buf in
-      let load_f, store_f = int_only name in
       let set_i =
         match dirty with
         | Some d ->
@@ -108,20 +89,11 @@ let replicated_view (da : Darray.t) ~gpu ~(dirty : Dirty.t option) ~(cost : Cost
               if i < 0 || i >= length then out_of_bounds name length i;
               Array.unsafe_set data i v
       in
-      {
-        View.name;
-        elem = Ast.Eint;
-        length;
-        get_i =
-          (fun i ->
-            if i < 0 || i >= length then out_of_bounds name length i;
-            Array.unsafe_get data i);
-        set_i;
-        reduce_i = no_reduce_i name;
-        load_f;
-        store_f;
-        reduce_f = no_reduce_f name;
-      }
+      View.ints ~name ~length ~data ~lo:0 ~hi:length
+        ~get_i:(fun i ->
+          if i < 0 || i >= length then out_of_bounds name length i;
+          Array.unsafe_get data i)
+        ~set_i ~reduce_i:(no_reduce_i name)
 
 (* Replicated array that is a reduction destination: reads see the
    pre-loop values; reduction updates go to the GPU's partial. *)
@@ -139,46 +111,26 @@ let reduction_view (da : Darray.t) ~gpu (red : Reduction.t) =
   match da.Darray.elem with
   | Ast.Edouble ->
       let data = Memory.float_data buf in
-      let get_i, set_i = double_only name in
-      {
-        View.name;
-        elem = Ast.Edouble;
-        length;
-        load_f =
-          (fun i bank s ->
-            if i < 0 || i >= length then out_of_bounds name length i;
-            bank.(s) <- Array.unsafe_get data i);
-        store_f = (fun _ _ _ -> plain_write ());
-        reduce_f =
-          (fun op i bank s ->
-            check_op op;
-            if i < 0 || i >= length then out_of_bounds name length i;
-            Reduction.reduce_f red ~gpu i bank s);
-        get_i;
-        set_i;
-        reduce_i = no_reduce_i name;
-      }
+      View.doubles ~name ~length ~data ~lo:0 ~hi:length
+        ~load_f:(fun i bank s ->
+          if i < 0 || i >= length then out_of_bounds name length i;
+          bank.(s) <- Array.unsafe_get data i)
+        ~store_f:(fun _ _ _ -> plain_write ())
+        ~reduce_f:(fun op i bank s ->
+          check_op op;
+          if i < 0 || i >= length then out_of_bounds name length i;
+          Reduction.reduce_f red ~gpu i bank s)
   | Ast.Eint ->
       let data = Memory.int_data buf in
-      let load_f, store_f = int_only name in
-      {
-        View.name;
-        elem = Ast.Eint;
-        length;
-        get_i =
-          (fun i ->
-            if i < 0 || i >= length then out_of_bounds name length i;
-            Array.unsafe_get data i);
-        set_i = (fun _ _ -> plain_write ());
-        reduce_i =
-          (fun op i v ->
-            check_op op;
-            if i < 0 || i >= length then out_of_bounds name length i;
-            Reduction.reduce_i red ~gpu i v);
-        load_f;
-        store_f;
-        reduce_f = no_reduce_f name;
-      }
+      View.ints ~name ~length ~data ~lo:0 ~hi:length
+        ~get_i:(fun i ->
+          if i < 0 || i >= length then out_of_bounds name length i;
+          Array.unsafe_get data i)
+        ~set_i:(fun _ _ -> plain_write ())
+        ~reduce_i:(fun op i v ->
+          check_op op;
+          if i < 0 || i >= length then out_of_bounds name length i;
+          Reduction.reduce_i red ~gpu i v)
 
 (* Out-of-block writes on a distributed array: with the miss check, a
    checked write costs one int op and a missed one a buffered transaction
@@ -196,7 +148,9 @@ let miss_write ~miss_check ~(cost : Cost.t) ~name ~length ~gpu ~what part ~bytes
 (* 2-D variant: the part's buffer is a packed [trow_win x tcol_win] box;
    membership and offsets go through the tile-aware [Darray] helpers. The
    instrumentation cost model is identical to the 1-D view (the 2-D index
-   arithmetic folds into the same address computation on real hardware). *)
+   arithmetic folds into the same address computation on real hardware).
+   The box is not one range of logical indices, so the read window is
+   empty and every read goes through the accessors. *)
 let tiled_distributed_view (da : Darray.t) (part : Darray.part) ~gpu ~miss_check ~(cost : Cost.t) =
   let name = da.Darray.name and length = da.Darray.length in
   let spec =
@@ -218,49 +172,30 @@ let tiled_distributed_view (da : Darray.t) (part : Darray.part) ~gpu ~miss_check
   match da.Darray.elem with
   | Ast.Edouble ->
       let data = Memory.float_data part.Darray.buf in
-      let get_i, set_i = double_only name in
-      {
-        View.name;
-        elem = Ast.Edouble;
-        length;
-        load_f =
-          (fun i bank s ->
-            check_read i;
-            bank.(s) <- data.(off i));
-        store_f =
-          (fun i bank s ->
-            check ();
-            if owns i then data.(off i) <- bank.(s)
-            else miss ~bytes:12 i (Miss_buffer.Vf bank.(s)));
-        reduce_f = no_reduce_f name;
-        get_i;
-        set_i;
-        reduce_i = no_reduce_i name;
-      }
+      View.doubles ~name ~length ~data ~lo:0 ~hi:0
+        ~load_f:(fun i bank s ->
+          check_read i;
+          bank.(s) <- data.(off i))
+        ~store_f:(fun i bank s ->
+          check ();
+          if owns i then data.(off i) <- bank.(s)
+          else miss ~bytes:12 i (Miss_buffer.Vf bank.(s)))
+        ~reduce_f:(no_reduce_f name)
   | Ast.Eint ->
       let data = Memory.int_data part.Darray.buf in
-      let load_f, store_f = int_only name in
-      {
-        View.name;
-        elem = Ast.Eint;
-        length;
-        get_i =
-          (fun i ->
-            check_read i;
-            data.(off i));
-        set_i =
-          (fun i v ->
-            check ();
-            if owns i then data.(off i) <- v else miss ~bytes:8 i (Miss_buffer.Vi v));
-        reduce_i = no_reduce_i name;
-        load_f;
-        store_f;
-        reduce_f = no_reduce_f name;
-      }
+      View.ints ~name ~length ~data ~lo:0 ~hi:0
+        ~get_i:(fun i ->
+          check_read i;
+          data.(off i))
+        ~set_i:(fun i v ->
+          check ();
+          if owns i then data.(off i) <- v else miss ~bytes:8 i (Miss_buffer.Vi v))
+        ~reduce_i:(no_reduce_i name)
 
 (* Distributed array: logical indices translate into the partition; reads
-   must stay in the declared window; writes are ownership-checked. When the
-   check is eliminated, an out-of-block write is a directive violation. *)
+   must stay in the declared window, which is also the view's read window;
+   writes are ownership-checked. When the check is eliminated, an
+   out-of-block write is a directive violation. *)
 let distributed_view (da : Darray.t) ~gpu ~miss_check ~(cost : Cost.t) =
   let part = Darray.part_for da ~gpu in
   let name = da.Darray.name and length = da.Darray.length in
@@ -268,7 +203,7 @@ let distributed_view (da : Darray.t) ~gpu ~miss_check ~(cost : Cost.t) =
   | Some _ -> tiled_distributed_view da part ~gpu ~miss_check ~cost
   | None -> (
       let win = part.Darray.window and own = part.Darray.own in
-      let lo = win.Interval.lo in
+      let lo = win.Interval.lo and hi = win.Interval.hi in
       let check_read i =
         if not (Interval.contains win i) then begin
           if i < 0 || i >= length then out_of_bounds name length i;
@@ -282,46 +217,26 @@ let distributed_view (da : Darray.t) ~gpu ~miss_check ~(cost : Cost.t) =
       match da.Darray.elem with
       | Ast.Edouble ->
           let data = Memory.float_data part.Darray.buf in
-          let get_i, set_i = double_only name in
-          {
-            View.name;
-            elem = Ast.Edouble;
-            length;
-            load_f =
-              (fun i bank s ->
-                check_read i;
-                bank.(s) <- data.(i - lo));
-            store_f =
-              (fun i bank s ->
-                if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-                if Interval.contains own i then data.(i - lo) <- bank.(s)
-                else miss ~bytes:12 i (Miss_buffer.Vf bank.(s)));
-            reduce_f = no_reduce_f name;
-            get_i;
-            set_i;
-            reduce_i = no_reduce_i name;
-          }
+          View.doubles ~name ~length ~data ~lo ~hi
+            ~load_f:(fun i bank s ->
+              check_read i;
+              bank.(s) <- data.(i - lo))
+            ~store_f:(fun i bank s ->
+              if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+              if Interval.contains own i then data.(i - lo) <- bank.(s)
+              else miss ~bytes:12 i (Miss_buffer.Vf bank.(s)))
+            ~reduce_f:(no_reduce_f name)
       | Ast.Eint ->
           let data = Memory.int_data part.Darray.buf in
-          let load_f, store_f = int_only name in
-          {
-            View.name;
-            elem = Ast.Eint;
-            length;
-            get_i =
-              (fun i ->
-                check_read i;
-                data.(i - lo));
-            set_i =
-              (fun i v ->
-                if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1;
-                if Interval.contains own i then data.(i - lo) <- v
-                else miss ~bytes:8 i (Miss_buffer.Vi v));
-            reduce_i = no_reduce_i name;
-            load_f;
-            store_f;
-            reduce_f = no_reduce_f name;
-          })
+          View.ints ~name ~length ~data ~lo ~hi
+            ~get_i:(fun i ->
+              check_read i;
+              data.(i - lo))
+            ~set_i:(fun i v ->
+              if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1;
+              if Interval.contains own i then data.(i - lo) <- v
+              else miss ~bytes:8 i (Miss_buffer.Vi v))
+            ~reduce_i:(no_reduce_i name))
 
 let view_for plan ~gpu ~cost ~get_darray ~get_reduction name =
   let da = get_darray name in

@@ -29,6 +29,31 @@ exception Window_violation of { array : string; index : int; gpu : int; what : s
     declared — the directive is wrong (runtime validation of the paper's
     §III-C contract that iteration [i] stays inside its window). *)
 
+(** {1 Device views}
+
+    The views {!run_on_gpus} binds, one per array parameter and GPU. Each
+    exposes a read window ({!Mgacc_exec.View.t.lo}): the whole array for
+    replicated and reduction views, the resident window for a 1-D
+    distributed part, nothing for a tiled one. Reads outside the window
+    go through the accessors, which raise {!Mgacc_exec.View.Bounds}
+    outside the array and {!Window_violation} outside a distributed
+    part's window. *)
+
+val replicated_view :
+  Darray.t -> gpu:int -> dirty:Dirty.t option -> cost:Mgacc_gpusim.Cost.t -> Mgacc_exec.View.t
+(** GPU [gpu]'s replica; with [dirty], each write marks its element and
+    charges [cost] two int ops. *)
+
+val reduction_view : Darray.t -> gpu:int -> Reduction.t -> Mgacc_exec.View.t
+(** A reduction destination: reads see the replica, reduction updates go
+    to GPU [gpu]'s partial, plain writes raise [Invalid_argument]. *)
+
+val distributed_view :
+  Darray.t -> gpu:int -> miss_check:bool -> cost:Mgacc_gpusim.Cost.t -> Mgacc_exec.View.t
+(** GPU [gpu]'s part (1-D or tiled): reads must stay in its window;
+    writes outside the owned block are buffered misses with [miss_check],
+    else {!Window_violation}. *)
+
 type gpu_run = {
   gpu : int;
   iterations : int;

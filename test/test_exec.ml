@@ -759,7 +759,8 @@ let prop_compiled_matches_reference =
   in
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| 20131001 |])
-    (QCheck2.Test.make ~count:300 ~name:"compiled host code matches the reference interpreter"
+    (QCheck2.Test.make ~count:300 ~long_factor:10
+       ~name:"compiled host code matches the reference interpreter"
        ~print:Fun.id gen_host_program prop)
 
 (* ---------------- Compiled kernels against the reference, counts included ---------------- *)
@@ -984,6 +985,32 @@ let shape_matrix =
         "for (i0 = 0; i0 < 2; i0++) {\n#pragma acc reductiontoarray(+: d)\nd[i0 * 3 + p % 3] += y0 * i0;\n\
          #pragma acc reductiontoarray(+: a)\na[i0 * 2 - 0] += x1; }";
         "for (i0 = 0; i0 < m; i0++) { if (i0 == 2) { continue; } y1 = y1 + d[i0]; }";
+        (* Segment boundaries: counted loops paying once for every trip
+           (a body that moves its counter or bound, none, nested three
+           deep), jumps mid-block with charged statements after them, and
+           right sides and branches that load. *)
+        "for (i0 = 0; i0 < x1; i0++) { x1 = x1 - 1; y1 = y1 + d[i0] * 2.0; a[i0] += 1; }";
+        "for (i0 = 0; i0 < 6; i0++) { a[i0] += 2; i0 = i0 + 1; y1 = y1 - d[i0 % 6]; }";
+        "for (i0 = 0; i0 < 0; i0++) { y1 = y1 + d[i0]; } y1 = y1 * 2.0;";
+        "for (x1 = 5; x1 < 2; x1++) { y1 = y1 + d[x1]; a[p] += x1; }";
+        "for (i0 = 0; i0 < 2; i0++) { for (x1 = 0; x1 < 3; x1++) { for (x0 = 0; x0 < 2; x0++) { y1 = \
+         y1 + d[i0 * 3 + x1] * x0; } a[x1] += i0; } y0 = y0 * 1.5; }";
+        "while (x0 > 0) { x0 = x0 - 1; y1 = y1 + d[x0 % 6]; if (x0 == 3) { break; } y1 = y1 * 2.0; \
+         a[p] += x0; }";
+        "while (x0 > 0) { x0 = x0 - 1; if (x0 % 2 == 0) { continue; } y1 = y1 + d[x0 % 6] * 0.5; a[p] \
+         = a[p] + 1; }";
+        "for (i0 = 0; i0 < 10; i0 = i0 + 2) { y1 = y1 + d[i0 % 6]; if (i0 == 4) { break; } y1 = y1 - \
+         0.25; a[i0 % 6] += 1; }";
+        "for (i0 = 0; i0 < 8; i0 = i0 + 1) { if (i0 % 3 == 1) { continue; } d[i0 % 6] = d[i0 % 6] + \
+         y0; y1 = y1 + 1.0; }";
+        "for (i0 = 0; i0 < 6; i0++) { y1 = y1 + d[i0]; if (y1 > 0.0) { break; } x1 = x1 + a[i0]; }";
+        "if (x0 > 3 && d[p] > 0.0) { y1 = 1.0; }";
+        "if (p < 2 || a[p] > 0) { x1 = 1; }";
+        "x1 = (p > 2) && (d[p * 1 + 0] < 0.5);";
+        "x1 = (p < 2) || (a[(p + 1) % 6] > 0);";
+        "y1 = p > 2 ? d[p] * 2.0 : d[0] + y0;";
+        "x1 = p % 2 == 0 ? a[p] + 1 : a[5 - p] * 2;";
+        "y1 = (p > 1 && d[p] > (-0.5)) ? d[p] : y0 - d[1];";
       ];
     ]
   |> List.map (fun stmt -> kernel_locals ^ " " ^ stmt)
@@ -1012,22 +1039,156 @@ end
 let prop_kernel_matches_reference =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| 20131002 |])
-    (QCheck2.Test.make ~count:300
+    (QCheck2.Test.make ~count:300 ~long_factor:10
        ~name:"compiled kernels match the reference, cost counts included" ~print:Fun.id Kgen.body
        (fun body ->
          match kernel_vs_reference body with
          | Ok () -> true
          | Error msg -> QCheck2.Test.fail_reportf "%s@.%s" msg body))
 
-(* A kernel allocates nothing per iteration: running it twice as long
-   allocates the same. [bind name slot] binds each parameter. *)
-let check_allocates_nothing what src ~params ~bind =
+(* ---------------- The in-place read path ---------------- *)
+
+module Darray = Mgacc_runtime.Darray
+module Launch = Mgacc_runtime.Launch
+module Task_map = Mgacc_runtime.Task_map
+module Rt_config = Mgacc_runtime.Rt_config
+
+(* A double array of [n] elements whose replicas and parts hold [g * 1000 +
+   i + 0.5] at [i] on GPU [g] (ints: the same without the half), so a
+   read from the wrong replica or offset shows. *)
+let device_array cfg ~ints ~name n =
+  let host =
+    if ints then View.of_int_array ~name (Array.init n (fun i -> -i))
+    else View.of_float_array ~name (Array.init n (fun i -> -.float_of_int i))
+  in
+  Darray.create cfg ~name ~host
+
+let fill_device (da : Darray.t) =
+  let fill g buf ~lo =
+    let module Memory = Mgacc_gpusim.Memory in
+    match da.Darray.elem with
+    | Ast.Edouble ->
+        let d = Memory.float_data buf in
+        Array.iteri (fun k _ -> d.(k) <- float_of_int ((g * 1000) + lo + k) +. 0.5) d
+    | Ast.Eint ->
+        let d = Memory.int_data buf in
+        Array.iteri (fun k _ -> d.(k) <- (g * 1000) + lo + k) d
+  in
+  match da.Darray.state with
+  | Darray.Replicated r -> Array.iteri (fun g buf -> fill g buf ~lo:0) r.Darray.bufs
+  | Darray.Distributed d ->
+      Array.iteri (fun g (p : Darray.part) -> fill g p.Darray.buf ~lo:p.Darray.window.Mgacc_util.Interval.lo)
+        d.Darray.parts
+  | Darray.Unallocated -> ()
+
+(* Every index in [-2, length + 2): the compiled read returns what the
+   accessor returns, or raises the same exception with the same fields. *)
+let read_disagreement (v : View.t) =
+  let outcome f = match f () with x -> Ok x | exception e -> Error e in
+  let show = function Ok x -> x | Error e -> "raises " ^ Printexc.to_string e in
+  let rec go i =
+    if i >= v.View.length + 2 then None
+    else
+      let inline, accessor =
+        match v.View.elem with
+        | Ast.Edouble ->
+            let read f = outcome (fun () -> let bank = [| 0.0 |] in f bank; Printf.sprintf "%h" bank.(0)) in
+            (read (fun b -> Kernel_compile.read_f v i b 0), read (fun b -> v.View.load_f i b 0))
+        | Ast.Eint ->
+            ( outcome (fun () -> string_of_int (Kernel_compile.read_i v i)),
+              outcome (fun () -> string_of_int (v.View.get_i i)) )
+      in
+      if inline = accessor then go (i + 1)
+      else Some (Printf.sprintf "%s[%d]: inline %s, accessor %s" v.View.name i (show inline) (show accessor))
+  in
+  go (-2)
+
+(* Every view [Launch] binds: replicated (with and without dirty bits),
+   reduction, 1-D distributed parts (one with [lo > 0], one with an empty
+   window) and tiled parts, for both element types; and the host views. *)
+let launch_views ~ints ~n ~stride ~left ~right ~cut =
+  let machine = Mgacc.Machine.cluster ~nodes:2 ~gpus_per_node:2 () in
+  let cfg3 = Rt_config.make ~num_gpus:3 machine and cfg4 = Rt_config.make ~num_gpus:4 machine in
+  let cost = Cost.zero () in
+  let rep = device_array cfg3 ~ints ~name:"rep" n in
+  ignore (Darray.ensure_replicated cfg3 rep ~dirty_tracking:true);
+  fill_device rep;
+  let dirty g = (Darray.replica_of rep).Darray.dirty.(g) in
+  let red = device_array cfg3 ~ints ~name:"red" n in
+  ignore (Darray.ensure_replicated cfg3 red ~dirty_tracking:false);
+  fill_device red;
+  let r = Mgacc_runtime.Reduction.allocate cfg3 red Ast.Rplus in
+  (* GPU 1's range is empty, so its window is; GPU 2's starts past 0, as
+     [cut > left]. *)
+  let dist = device_array cfg3 ~ints ~name:"dist" (n * stride) in
+  let ranges = [| { Task_map.start_ = 0; stop_ = cut }; { start_ = cut; stop_ = cut }; { start_ = cut; stop_ = n } |] in
+  ignore (Darray.ensure_distributed cfg3 dist ~spec:{ Darray.stride; left; right; tile = None } ~ranges);
+  fill_device dist;
+  let tiled = device_array cfg4 ~ints ~name:"tiled" (n * stride) in
+  let spec =
+    {
+      Darray.stride;
+      left = 0;
+      right = 0;
+      tile = Some { Darray.pr = 2; pc = 2; row_left = left; row_right = right; col_left = 1; col_right = 0 };
+    }
+  in
+  let rows = Task_map.split ~lower:0 ~upper:n ~parts:2 in
+  ignore (Darray.ensure_distributed cfg4 tiled ~spec ~ranges:(Array.init 4 (fun g -> rows.(g / 2))));
+  fill_device tiled;
+  let dist_views d gpus = List.map (fun gpu -> Launch.distributed_view d ~gpu ~miss_check:false ~cost) gpus in
+  let windows = List.map (fun (v : View.t) -> (v.View.lo, v.View.hi)) (dist_views dist [ 1; 2 ]) in
+  (match windows with
+  | [ (lo1, hi1); (lo2, _) ] when lo1 = hi1 && lo2 > 0 -> ()
+  | _ -> Alcotest.fail "the distributed parts do not cover an empty window and one with lo > 0");
+  List.concat
+    [
+      List.concat_map
+        (fun gpu ->
+          [
+            Launch.replicated_view rep ~gpu ~dirty:(dirty gpu) ~cost;
+            Launch.replicated_view rep ~gpu ~dirty:None ~cost;
+            Launch.reduction_view red ~gpu r;
+          ])
+        [ 0; 1; 2 ];
+      dist_views dist [ 0; 1; 2 ];
+      dist_views tiled [ 0; 1; 2; 3 ];
+      [
+        (if ints then View.of_int_array ~name:"host" (Array.init n (fun i -> 7 * i))
+         else View.of_float_array ~name:"host" (Array.init n (fun i -> float_of_int i /. 3.0)));
+        View.unbound;
+      ];
+    ]
+
+let prop_inline_read_matches_accessors =
+  let gen =
+    QCheck2.Gen.(
+      map
+        (fun ((ints, n), (stride, left, right, k)) -> ((ints, n), (stride, left, right, 2 + (k mod (n - 2)))))
+        (pair (pair bool (int_range 3 24)) (quad (int_range 1 3) (int_bound 1) (int_bound 2) (int_bound 20))))
+  in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 20131003 |])
+    (QCheck2.Test.make ~count:60 ~name:"view: the inline read agrees with the accessors on every Launch view"
+       ~print:(fun ((ints, n), (stride, left, right, cut)) ->
+         Printf.sprintf "ints=%b n=%d stride=%d left=%d right=%d cut=%d" ints n stride left right cut)
+       gen
+       (fun ((ints, n), (stride, left, right, cut)) ->
+         let views = launch_views ~ints ~n ~stride ~left ~right ~cut in
+         match List.find_map read_disagreement views with
+         | None -> true
+         | Some msg -> QCheck2.Test.fail_reportf "%s" msg))
+
+(* A kernel allocates nothing per iteration: running it twice as long,
+   from iteration [first], allocates the same. [bind name slot] binds each
+   parameter. *)
+let check_allocates_nothing ?(first = 0) what src ~params ~bind =
   let kc = compile_loop src ~params in
   let words iters =
     let frame = kc.Kernel_compile.make_frame () in
     List.iter (fun (name, slot, _) -> bind frame name slot) kc.Kernel_compile.params;
     let before = Gc.minor_words () in
-    for i = 0 to iters - 1 do
+    for i = first to first + iters - 1 do
       kc.Kernel_compile.run_iter frame i
     done;
     Gc.minor_words () -. before
@@ -1059,7 +1220,9 @@ let bind_kmeans frame name slot =
 
 (* kmeans: a straight-line double step, and the whole distance body, two
    nested counted loops over row-major subscripts; bfs: the int edge scan,
-   a counted loop bounded by a local. *)
+   a counted loop bounded by a local; spmv: the row body, on the device
+   views GPU 1 of 2 binds (its parts start past 0), so the in-place read
+   and the counted loop's trip count are gated on those too. *)
 let test_kernel_allocates_nothing_per_iteration () =
   check_allocates_nothing "kmeans step"
     {|void main() { int n = 2000; int f = 16; int k = 5; double x[n]; double centers[k*f]; double out[n]; int i;
@@ -1133,6 +1296,60 @@ for (i = 0; i < n; i++) {
           (* Every node and every neighbour on the current level: each
              scan runs its full degree and writes nothing. *)
           Frame.set_view frame slot (View.of_int_array ~name (Array.make 2000 0))
+      | _ -> ());
+  let rows = 6000 and width = 12 in
+  let cfg = Rt_config.make ~num_gpus:2 (Mgacc.Machine.desktop ()) in
+  let cost = Cost.zero () in
+  let ranges = Task_map.split ~lower:0 ~upper:rows ~parts:2 in
+  let distributed ~stride da =
+    ignore (Darray.ensure_distributed cfg da ~spec:{ Darray.stride; left = 0; right = 0; tile = None } ~ranges);
+    let v = Launch.distributed_view da ~gpu:1 ~miss_check:true ~cost in
+    if v.View.lo <= 0 then Alcotest.failf "%s: GPU 1's part starts at %d" v.View.name v.View.lo;
+    v
+  in
+  let host_f name n f = Darray.create cfg ~name ~host:(View.of_float_array ~name (Array.init n f)) in
+  let vals = distributed ~stride:width (host_f "vals" (rows * width) (fun e -> float_of_int (e mod 7))) in
+  let cols =
+    distributed ~stride:width
+      (Darray.create cfg ~name:"cols"
+         ~host:
+           (View.of_int_array ~name:"cols"
+              (Array.init (rows * width) (fun e -> if e mod 5 = 4 then -1 else e * 7919 mod rows))))
+  in
+  let y = distributed ~stride:1 (host_f "y" rows (fun _ -> 0.0)) in
+  let xa = host_f "x" rows (fun i -> float_of_int i /. 100.0) in
+  ignore (Darray.ensure_replicated cfg xa ~dirty_tracking:true);
+  let x = Launch.replicated_view xa ~gpu:1 ~dirty:(Darray.replica_of xa).Darray.dirty.(1) ~cost in
+  check_allocates_nothing ~first:ranges.(1).Task_map.start_ "spmv row body on device views"
+    {|void main() { int n = 6000; int k = 12; double vals[n*k]; int cols[n*k]; double x[n]; double y[n];
+double norm2 = 0.0; int i;
+#pragma acc parallel loop reduction(+: norm2)
+for (i = 0; i < n; i++) {
+  double s = 0.0;
+  int e2;
+  for (e2 = 0; e2 < k; e2++) {
+    int c = cols[i*k + e2];
+    if (c >= 0) { s = s + vals[i*k + e2] * x[c]; }
+  }
+  y[i] = s;
+  norm2 += s * s;
+} }|}
+    ~params:
+      [
+        ("k", Ast.Tint);
+        ("vals", Ast.Tarray Ast.Edouble);
+        ("cols", Ast.Tarray Ast.Eint);
+        ("x", Ast.Tarray Ast.Edouble);
+        ("y", Ast.Tarray Ast.Edouble);
+        ("norm2", Ast.Tdouble);
+      ]
+    ~bind:(fun frame name slot ->
+      match name with
+      | "k" -> Frame.set_int frame slot width
+      | "vals" -> Frame.set_view frame slot vals
+      | "cols" -> Frame.set_view frame slot cols
+      | "x" -> Frame.set_view frame slot x
+      | "y" -> Frame.set_view frame slot y
       | _ -> ())
 
 (* The lazy merge does a writer's work once, not once per destination:
@@ -1209,6 +1426,7 @@ let suite =
     prop_compiled_matches_reference;
     tc "kernel: every operand shape matches the reference, counts included" test_kernel_shape_matrix;
     prop_kernel_matches_reference;
+    prop_inline_read_matches_accessors;
     tc "kernel: a double body allocates nothing per iteration" test_kernel_allocates_nothing_per_iteration;
     tc "lazy merge: allocation flat in the number of peers" test_lazy_merge_allocation_flat_in_peers;
     tc "kernel: each frame has its own cost counter" test_kernel_frames_count_separately;

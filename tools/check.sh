@@ -19,6 +19,10 @@ else
 fi
 dune build
 dune runtest
+# The executor's two sweeps against the reference interpreter (random host
+# programs; random kernels, cost counts included) once more, ten times as
+# long as in the tier-1 run.
+QCHECK_LONG=1 dune exec test/test_main.exe -- test exec
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 # The smoke runs below must never touch a committed artifact: a bench
