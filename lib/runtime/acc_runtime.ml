@@ -437,18 +437,9 @@ let next_window_for t plan name =
             | Some ranges ->
                 Comm_manager.Cw_windows
                   (Array.map
-                     (fun (rg : Task_map.range) ->
-                       if rg.Task_map.stop_ <= rg.Task_map.start_ then
-                         Mgacc_util.Interval.Set.empty
-                       else begin
-                         let lo_it = rg.Task_map.start_ and hi_it = rg.Task_map.stop_ - 1 in
-                         let lo, hi =
-                           if coeff >= 0 then ((coeff * lo_it) + cmin, (coeff * hi_it) + cmax + 1)
-                           else ((coeff * hi_it) + cmin, (coeff * lo_it) + cmax + 1)
-                         in
-                         Mgacc_util.Interval.Set.of_interval
-                           (Mgacc_util.Interval.make (max 0 lo) hi)
-                       end)
+                     (fun rg ->
+                       Mgacc_util.Interval.Set.of_interval
+                         (Task_map.affine_window rg ~coeff ~cmin ~cmax))
                      ranges)))
 
 

@@ -35,6 +35,13 @@ type result = {
 let scan_base_seconds = 2e-6
 let scan_per_chunk_seconds = 20e-9
 
+(* [v ∪ w] for runs [w] inside [\[0, n)]: a valid set that is already
+   the whole array stays what it is, without walking [w]. *)
+let cover ~n v w =
+  match Interval.Set.to_list v with
+  | [ { Interval.lo = 0; hi } ] when hi = n -> v
+  | _ -> Interval.Set.union v w
+
 (* Element-wise merge of each writer's dirty runs into the other
    replicas (paper §IV-D). The coherence policy is three choices:
    - the read window: what a destination takes of a writer's runs. Eager
@@ -59,7 +66,11 @@ let scan_per_chunk_seconds = 20e-9
    A destination that takes a writer's whole run set shares that set
    physically ([s == w] below), so each writer's payload size is computed
    once and a broadcast is a physical-equality test. Only per-destination
-   windows need per-pair tables. *)
+   windows need per-pair tables. The work follows the writer's runs, not
+   runs x destinations: all the destinations that take the whole set are
+   filled in one pass over the runs, and a destination whose valid set
+   is already the whole array keeps it without walking the runs. Only a
+   destination that takes part of the runs copies and diffs on its own. *)
 let merge_replicated cfg (da : Darray.t) ~(window : consumer_window) ~fresh_group =
   let r = Darray.replica_of da in
   let num_gpus = cfg.Rt_config.num_gpus in
@@ -140,7 +151,7 @@ let merge_replicated cfg (da : Darray.t) ~(window : consumer_window) ~fresh_grou
   for src = 0 to num_gpus - 1 do
     let w = runs.(src) in
     if not (Interval.Set.is_empty w) then begin
-      if lazy_mode then r.Darray.valid.(src) <- Interval.Set.union r.Darray.valid.(src) w;
+      if lazy_mode then r.Darray.valid.(src) <- cover ~n:da.Darray.length r.Darray.valid.(src) w;
       let w_bytes = Interval.Set.total_length w * elem_bytes in
       (* Collective-eligible only when every peer receives the full dirty
          payload (same content everywhere — a true broadcast). Per-window
@@ -153,6 +164,9 @@ let merge_replicated cfg (da : Darray.t) ~(window : consumer_window) ~fresh_grou
         !ok
       in
       let group = if is_broadcast then fresh_group () else -1 in
+      (* The destinations that take all of [w], filled in one pass after
+         the ops are built. *)
+      let whole = ref [] in
       for dst = 0 to num_gpus - 1 do
         if dst <> src then begin
           let s = ship src dst in
@@ -160,11 +174,11 @@ let merge_replicated cfg (da : Darray.t) ~(window : consumer_window) ~fresh_grou
             deferred := !deferred + w_bytes - (Interval.Set.total_length s * elem_bytes);
           (* The writer's runs go stale on [dst] and the shipped part
              becomes valid again: [(v \ w) ∪ s]. When [s] is all of [w]
-             that is [v ∪ w], one union, and a normalized set has one
-             representation, so both forms give the same list. *)
+             that is [v ∪ w], one union or none, and a normalized set has
+             one representation, so every form gives the same list. *)
           if lazy_mode then
             r.Darray.valid.(dst) <-
-              (if s == w then Interval.Set.union r.Darray.valid.(dst) w
+              (if s == w then cover ~n:da.Darray.length r.Darray.valid.(dst) w
                else
                  let stale = Interval.Set.diff r.Darray.valid.(dst) w in
                  if Interval.Set.is_empty s then stale else Interval.Set.union stale s);
@@ -182,12 +196,12 @@ let merge_replicated cfg (da : Darray.t) ~(window : consumer_window) ~fresh_grou
                 group;
               }
               :: !ops;
-            List.iter
-              (fun seg -> Darray.copy_replica_seg da r ~src ~dst seg)
-              (Interval.Set.to_list s)
+            if s == w then whole := dst :: !whole
+            else Darray.copy_replica_runs da r ~src ~dsts:[ dst ] s
           end
         end
-      done
+      done;
+      Darray.copy_replica_runs da r ~src ~dsts:!whole w
     end
   done;
   (* Staging buffers are released (their peak remains in the memory

@@ -186,21 +186,49 @@ let free_state cfg t =
 
 let full_set t = Interval.Set.of_interval (Interval.make 0 t.length)
 
-(* Functional copy between two replica buffers over [seg] (absolute
-   element indices; replica buffers span the whole array). *)
-let copy_replica_seg t r ~src ~dst (seg : Interval.t) =
-  if not (Interval.is_empty seg) then
-    match t.elem with
-    | Ast.Edouble ->
-        (* A float blit is one memmove; an int blit into a major-heap
-           array runs the write barrier per element, so ints loop. *)
-        Array.blit (Memory.float_data r.bufs.(src)) seg.Interval.lo
-          (Memory.float_data r.bufs.(dst)) seg.Interval.lo (Interval.length seg)
-    | Ast.Eint ->
-        let s = Memory.int_data r.bufs.(src) and d = Memory.int_data r.bufs.(dst) in
-        for i = seg.Interval.lo to seg.Interval.hi - 1 do
+(* The loops of [copy_replica_runs], closure-free: the coherence merge
+   calls it once per writer and once per partial destination. *)
+let rec fetch data bufs ds k = function
+  | [] -> ds
+  | g :: rest ->
+      ds.(k) <- data bufs.(g);
+      fetch data bufs ds (k + 1) rest
+
+let rec blit_runs s ds = function
+  | [] -> ()
+  | (iv : Interval.t) :: rest ->
+      for k = 0 to Array.length ds - 1 do
+        Array.blit s iv.Interval.lo ds.(k) iv.Interval.lo (Interval.length iv)
+      done;
+      blit_runs s ds rest
+
+(* A float blit is one memmove; an int blit into a major-heap array runs
+   the write barrier per element, so ints loop. *)
+let rec loop_runs (s : int array) ds = function
+  | [] -> ()
+  | (iv : Interval.t) :: rest ->
+      for k = 0 to Array.length ds - 1 do
+        let d = ds.(k) in
+        for i = iv.Interval.lo to iv.Interval.hi - 1 do
           d.(i) <- s.(i)
         done
+      done;
+      loop_runs s ds rest
+
+(* Functional copy of every run of [runs] from replica [src] into each
+   replica of [dsts], in one pass over the runs with every buffer fetched
+   once (replica buffers span the whole array). *)
+let copy_replica_runs t r ~src ~dsts (runs : Interval.Set.t) =
+  if dsts <> [] then begin
+    let n = List.length dsts and runs = Interval.Set.to_list runs in
+    match t.elem with
+    | Ast.Edouble ->
+        let s = Memory.float_data r.bufs.(src) in
+        blit_runs s (fetch Memory.float_data r.bufs (Array.make n s) 0 dsts) runs
+    | Ast.Eint ->
+        let s = Memory.int_data r.bufs.(src) in
+        loop_runs s (fetch Memory.int_data r.bufs (Array.make n s) 0 dsts) runs
+  end
 
 let pull_valid (cfg : Rt_config.t) t ~gpu ~(want : Interval.Set.t) =
   match t.state with
@@ -230,9 +258,9 @@ let pull_valid (cfg : Rt_config.t) t ~gpu ~(want : Interval.Set.t) =
         List.iter (fun src ->
           if src <> gpu && not (Interval.Set.is_empty !remaining) then begin
             let grab = Interval.Set.inter r.valid.(src) !remaining in
+            copy_replica_runs t r ~src ~dsts:[ gpu ] grab;
             List.iter
               (fun seg ->
-                copy_replica_seg t r ~src ~dst:gpu seg;
                 xfers :=
                   {
                     dir = Fabric.P2p (src, gpu);

@@ -110,9 +110,13 @@ val pull_valid : Rt_config.t -> t -> gpu:int -> want:Interval.Set.t -> xfer list
 val full_set : t -> Interval.Set.t
 (** The whole index range [\[0, length)] as an interval set. *)
 
-val copy_replica_seg : t -> replica -> src:int -> dst:int -> Interval.t -> unit
-(** Functional copy of one absolute-index segment between two replica
-    buffers (no transfer descriptor — callers account the traffic). *)
+val copy_replica_runs : t -> replica -> src:int -> dsts:int list -> Interval.Set.t -> unit
+(** Functional copy of every run of the set (absolute element indices)
+    from replica [src] into each replica of [dsts], in one pass over the
+    runs with every buffer fetched once. The coherence merge fills all
+    the destinations that take a writer's whole run set with one call,
+    and each destination that takes part of it with one call of its own.
+    No transfer descriptor — callers account the traffic. *)
 
 val load_from_host : Rt_config.t -> t -> xfer list
 (** Push the host copy into whatever device state exists (used by

@@ -37,17 +37,8 @@ let pull_for_launch cfg plan ~(ranges : Task_map.range array) ~get_darray =
                       match window with
                       | Program_plan.Whole_array -> Darray.full_set da
                       | Program_plan.Affine_window { coeff; cmin; cmax } ->
-                          let rg = ranges.(g) in
-                          if rg.Task_map.stop_ <= rg.Task_map.start_ then Interval.Set.empty
-                          else begin
-                            let lo_it = rg.Task_map.start_ and hi_it = rg.Task_map.stop_ - 1 in
-                            let lo, hi =
-                              if coeff >= 0 then
-                                ((coeff * lo_it) + cmin, (coeff * hi_it) + cmax + 1)
-                              else ((coeff * hi_it) + cmin, (coeff * lo_it) + cmax + 1)
-                            in
-                            Interval.Set.of_interval (Interval.make (max 0 lo) hi)
-                          end
+                          Interval.Set.of_interval
+                            (Task_map.affine_window ranges.(g) ~coeff ~cmin ~cmax)
                     in
                     List.concat
                       (List.init (Array.length ranges) (fun g ->

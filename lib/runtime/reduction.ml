@@ -133,8 +133,8 @@ let merge (cfg : Rt_config.t) t (da : Darray.t) ~ship =
         deferred := !deferred + bytes
       done
   | (`Star | `Tree) as shape -> (
+      Darray.copy_replica_runs da r ~src:0 ~dsts:(List.init (g_count - 1) succ) full;
       for g = 1 to g_count - 1 do
-        Darray.copy_replica_seg da r ~src:0 ~dst:g (Mgacc_util.Interval.make 0 t.length);
         r.Darray.valid.(g) <- full
       done;
       match shape with

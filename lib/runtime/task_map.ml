@@ -59,3 +59,13 @@ let window r ~stride ~left ~right ~max_len =
     Mgacc_util.Interval.clamp
       (Mgacc_util.Interval.make ((stride * r.start_) - left) ((stride * r.stop_) + right))
       ~lo:0 ~hi:max_len
+
+let affine_window r ~coeff ~cmin ~cmax =
+  if length r = 0 then Mgacc_util.Interval.empty
+  else
+    let lo_it = r.start_ and hi_it = r.stop_ - 1 in
+    let lo, hi =
+      if coeff >= 0 then ((coeff * lo_it) + cmin, (coeff * hi_it) + cmax + 1)
+      else ((coeff * hi_it) + cmin, (coeff * lo_it) + cmax + 1)
+    in
+    Mgacc_util.Interval.make (max 0 lo) hi

@@ -28,3 +28,10 @@ val window :
 (** The element window a GPU needs for a [localaccess] array given its
     iteration range: [\[stride*start - left, stride*stop + right)] clamped
     to [\[0, max_len)]. Empty iteration ranges give empty windows. *)
+
+val affine_window : range -> coeff:int -> cmin:int -> cmax:int -> Mgacc_util.Interval.t
+(** The elements a GPU reads under an affine read summary (every read is
+    [coeff*i + c] with [c] in [\[cmin, cmax\]]) given its iteration
+    range: [\[coeff*start + cmin, coeff*(stop-1) + cmax\]] for
+    [coeff >= 0], the mirror image otherwise, with the low end clamped
+    at 0. Empty iteration ranges give empty windows. *)

@@ -104,23 +104,31 @@ let runs_in_range t ~lo ~hi =
   let run_start = ref (-1) in
   let i = ref lo in
   while !i < hi do
-    let byte = Bytes.get_uint8 t.bits (!i lsr 3) in
-    let byte_end = min hi ((!i lor 7) + 1) in
-    (* A whole byte that continues the current state (clear outside a
-       run, full inside one) is skipped; otherwise its bits in range are
-       tested directly. *)
-    if byte_end - !i = 8 && byte = (if !run_start < 0 then 0 else 0xFF) then i := byte_end
-    else
-      while !i < byte_end do
-        (if byte land (1 lsl (!i land 7)) <> 0 then begin
-           if !run_start < 0 then run_start := !i
-         end
-         else if !run_start >= 0 then begin
-           acc := Interval.make !run_start !i :: !acc;
-           run_start := -1
-         end);
-        incr i
-      done
+    (* A whole aligned word, else a whole byte, that continues the current
+       state (clear outside a run, full inside one) is skipped; otherwise
+       the byte's bits in range are tested directly. All-clear and all-set
+       words read the same in either byte order. *)
+    if
+      !i land 63 = 0
+      && hi - !i >= 64
+      && Bytes.get_int64_ne t.bits (!i lsr 3) = if !run_start < 0 then 0L else -1L
+    then i := !i + 64
+    else begin
+      let byte = Bytes.get_uint8 t.bits (!i lsr 3) in
+      let byte_end = min hi ((!i lor 7) + 1) in
+      if byte_end - !i = 8 && byte = (if !run_start < 0 then 0 else 0xFF) then i := byte_end
+      else
+        while !i < byte_end do
+          (if byte land (1 lsl (!i land 7)) <> 0 then begin
+             if !run_start < 0 then run_start := !i
+           end
+           else if !run_start >= 0 then begin
+             acc := Interval.make !run_start !i :: !acc;
+             run_start := -1
+           end);
+          incr i
+        done
+    end
   done;
   if !run_start >= 0 then acc := Interval.make !run_start hi :: !acc;
   (* The scan emits sorted, disjoint, non-adjacent runs by construction. *)

@@ -33,7 +33,8 @@ val runs : t -> Interval.Set.t
 
 val runs_in_range : t -> lo:int -> hi:int -> Interval.Set.t
 (** The set bits in [\[lo, hi)], clamped to the bitset, as maximal runs.
-    Whole bytes that continue the current state are skipped. *)
+    Whole aligned 64-bit words, then whole bytes, that continue the
+    current state (clear outside a run, set inside one) are skipped. *)
 
 val union_into : dst:t -> src:t -> unit
 (** [union_into ~dst ~src] ors [src] into [dst]. Lengths must match. *)

@@ -107,9 +107,7 @@ let merge cfg (da : Darray.t) ~(window : Comm_manager.consumer_window) ~fresh_gr
                 group;
               }
               :: !ops;
-            List.iter
-              (fun seg -> Darray.copy_replica_seg da r ~src ~dst seg)
-              (Interval.Set.to_list s);
+            Darray.copy_replica_runs da r ~src ~dsts:[ dst ] s;
             r.Darray.valid.(dst) <- Interval.Set.union r.Darray.valid.(dst) s
           end
         end

@@ -292,10 +292,15 @@ type merge_case = {
   window : [ `None | `All | `Same of window_spec | `Each of window_spec array ];
 }
 
+(* Dozens of single-element runs, the shape of a BFS level's writes: on
+   arrays of a few hundred elements they cross 64-bit words of the dirty
+   bits. *)
+let scattered n = QCheck2.Gen.(list_size (int_range 12 60) (pair (int_bound (n - 1)) (pure 1)))
+
 let gen_merge_case =
   let open QCheck2.Gen in
   let* gpus = int_range 2 6 in
-  let* n = int_range 1 200 in
+  let* n = oneof [ int_range 1 200; int_range 200 600 ] in
   let runs = list_size (int_bound 6) (pair (int_bound (n - 1)) (int_range 1 40)) in
   let spec =
     let* k = int_bound (gpus - 1) in
@@ -310,8 +315,9 @@ let gen_merge_case =
       ]
   in
   let* ints = bool in
-  let* prior = array_repeat gpus runs in
-  let* marks = array_repeat gpus (oneof [ pure []; runs ]) in
+  (* A prior is random runs or the whole array. *)
+  let* prior = array_repeat gpus (oneof [ runs; pure [ (0, n) ] ]) in
+  let* marks = array_repeat gpus (oneof [ pure []; runs; scattered n ]) in
   let+ window =
     oneof
       [
@@ -422,7 +428,8 @@ let prop_lazy_merge_matches_oracle c =
 
 let test_qcheck_lazy_merge_matches_oracle =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:300 ~name:"lazy merge == per-pair oracle (ops, valid sets, contents)"
+    (QCheck2.Test.make ~count:300 ~long_factor:10
+       ~name:"lazy merge == per-pair oracle (ops, valid sets, contents)"
        ~print:print_merge_case gen_merge_case prop_lazy_merge_matches_oracle)
 
 (* ---------------- eager coherence against its oracle ---------------- *)
@@ -450,10 +457,10 @@ let gen_eager_case =
   let* two_level = bool in
   let* chunk_bytes = oneofl [ 8; 64; 256; 1 lsl 20 ] in
   let* planned = bool in
-  let* e_n = int_range 1 200 in
+  let* e_n = oneof [ int_range 1 200; int_range 200 600 ] in
   let* e_ints = bool in
   let runs = list_size (int_bound 6) (pair (int_bound (e_n - 1)) (int_range 1 40)) in
-  let* e_marks = array_repeat e_gpus (oneof [ pure []; runs ]) in
+  let* e_marks = array_repeat e_gpus (oneof [ pure []; runs; scattered e_n ]) in
   let* red_n = int_range 1 64 in
   let* red_ints = bool in
   let* redop = oneofl Mgacc.Ast.[ Rplus; Rmul; Rmax; Rmin ] in
@@ -547,7 +554,7 @@ let prop_eager_merge_matches_oracle c =
 
 let test_qcheck_eager_merge_matches_oracle =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:200
+    (QCheck2.Test.make ~count:200 ~long_factor:10
        ~name:"eager merge == eager oracle (ops, combines, contents, staging)"
        ~print:print_eager_case gen_eager_case prop_eager_merge_matches_oracle)
 

@@ -10,8 +10,8 @@ module Fabric = Mgacc_gpusim.Fabric
 module Spec = Mgacc_gpusim.Spec
 open Mgacc_runtime
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?long_factor ~name gen prop)
 
 (* ---------------- Interval sets vs a model ---------------- *)
 
@@ -95,18 +95,21 @@ let prop_of_sorted_disjoint_agrees l =
 
 (* ---------------- Bitset vs boolean array ---------------- *)
 
-(* Single-bit sets and clears plus whole ranges, on up to 600 bits so
-   full [0xFF] bytes are common; then scans over random, possibly
-   unaligned or out-of-range bounds. *)
+(* Single-bit sets and clears plus whole ranges, on up to about 2,000
+   bits so that full [0xFF] bytes, full and clear 64-bit words and a
+   trailing partial word are common. Word-aligned ranges put run starts
+   and ends on word boundaries, next to full or clear words. Then scans
+   over random, possibly unaligned or out-of-range bounds. *)
 let gen_bit_ops =
   QCheck2.Gen.(
-    let* n = int_range 1 600 in
+    let* n = oneof [ int_range 1 600; int_range 600 2000 ] in
     let op =
       oneof
         [
           map (fun i -> `Set i) (int_bound (n - 1));
           map (fun i -> `Clear i) (int_bound (n - 1));
-          map2 (fun lo len -> `Range (lo, lo + len)) (int_bound (n - 1)) (int_bound 80);
+          map2 (fun lo len -> `Range (lo, lo + len)) (int_bound (n - 1)) (int_bound 300);
+          map2 (fun w k -> `Range (64 * w, 64 * (w + k))) (int_bound (n / 64)) (int_range 1 4);
         ]
     in
     let* ops = list_size (int_bound 40) op in
@@ -709,7 +712,7 @@ let suite =
     qtest ~count:10 "large interval set ops match the fold-based reference"
       (QCheck2.Gen.pair gen_large_intervals gen_large_intervals)
       agrees_with_reference;
-    qtest "bitset matches boolean array" gen_bit_ops prop_bitset;
+    qtest ~long_factor:10 "bitset matches boolean array" gen_bit_ops prop_bitset;
     qtest "task split covers and balances" gen_split prop_split_covers;
     qtest "dirty runs equal marked set" gen_dirty prop_dirty_runs_match_marks;
     qtest "fabric respects physics" gen_transfers prop_fabric_bounds;

@@ -23,6 +23,10 @@ dune runtest
 # programs; random kernels, cost counts included) once more, ten times as
 # long as in the tier-1 run.
 QCHECK_LONG=1 dune exec test/test_main.exe -- test exec
+# The lazy and eager merges against their oracles, and the bitset against
+# its boolean model, ten times as long as in the tier-1 run.
+QCHECK_LONG=1 dune exec test/test_main.exe -- test coherence
+QCHECK_LONG=1 dune exec test/test_main.exe -- test properties
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 # The smoke runs below must never touch a committed artifact: a bench
