@@ -478,10 +478,12 @@ let fold_scalar_partials env scalar_partials =
    the fabric: a launch whose ops equal the site's last ones (iterative
    apps re-run their loops with stable bounds) reuses that plan and its
    stats, exactly what planning afresh would return. Any other op list
-   is planned and replaces the entry. *)
+   is planned and replaces the entry. The check compares field by field
+   ([Comm_manager.equal_ops]): each launch rebuilds its ops, tags
+   included, so it walks the whole list when the plan is reused. *)
 let plan_collective t site ops =
   match Hashtbl.find_opt t.collectives site with
-  | Some (last, planned) when last = ops -> planned
+  | Some (last, planned) when Comm_manager.equal_ops last ops -> planned
   | Some _ | None ->
       let planned = Collective.plan ~cfg:t.cfg ~fabric:(fabric_of t) ops in
       Hashtbl.replace t.collectives site (ops, planned);

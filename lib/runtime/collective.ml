@@ -31,60 +31,56 @@ let add_stats a b =
     segments = a.segments + b.segments;
     allreduces = a.allreduces + b.allreduces;
   }
-
 (* ------------------------------------------------------------------ *)
 (* Group analysis                                                      *)
 
+(* A group's ops reach one destination each, so the shape keeps them in
+   an array indexed by GPU id: analysis, ordering and lowering each take
+   one pass over the destinations or the GPUs. *)
 type group_shape = {
   root : int;
-  dsts : int list;  (* distinct, in op order *)
+  dsts : int array;  (* distinct, in op order *)
   payload : int;  (* bytes, identical across the group's ops *)
-  op_of_dst : (int, Comm_manager.op) Hashtbl.t;
+  op_of_dst : Comm_manager.op option array;  (* by GPU id; [None] if not a destination *)
 }
 
-let endpoints (op : Comm_manager.op) =
-  match op.Comm_manager.dir with
-  | Fabric.P2p (s, d) -> Some (s, d)
-  | Fabric.H2d _ | Fabric.D2h _ -> None
+let op_to shape d = Option.get shape.op_of_dst.(d)
 
 (* A group is reshapeable iff it is a well-formed broadcast: every op is
    peer-to-peer with the same byte count, destinations are distinct, and
    exactly one endpoint (the root) sends without ever receiving. Tree
-   schedules qualify — sources vary but all carry the same payload. *)
-let analyze (gops : Comm_manager.op list) =
+   schedules qualify — sources vary but all carry the same payload.
+   [n] is the fabric's GPU count; {!plan} has checked every endpoint. *)
+let analyze n (gops : Comm_manager.op list) =
   match gops with
   | [] -> None
-  | first :: _ -> (
-      match endpoints first with
-      | None -> None
-      | Some _ ->
-          let payload = first.Comm_manager.bytes in
-          let op_of_dst = Hashtbl.create 8 in
-          let dsts = ref [] and srcs = ref [] in
-          let ok = ref true in
-          List.iter
-            (fun (op : Comm_manager.op) ->
-              match endpoints op with
-              | None -> ok := false
-              | Some (s, d) ->
-                  if op.Comm_manager.bytes <> payload then ok := false;
-                  if Hashtbl.mem op_of_dst d then ok := false
-                  else begin
-                    Hashtbl.replace op_of_dst d op;
-                    dsts := d :: !dsts;
-                    srcs := s :: !srcs
-                  end)
-            gops;
-          let dsts = List.rev !dsts in
-          let roots =
-            List.sort_uniq compare !srcs
-            |> List.filter (fun s -> not (Hashtbl.mem op_of_dst s))
-          in
-          if (not !ok) || payload <= 0 then None
-          else
-            match roots with
-            | [ root ] -> Some { root; dsts; payload; op_of_dst }
-            | _ -> None)
+  | first :: _ ->
+      let payload = first.Comm_manager.bytes in
+      let op_of_dst = Array.make n None and sends = Array.make n false in
+      let dsts = Array.make (List.length gops) 0 in
+      let rec scan k = function
+        | [] -> payload > 0
+        | (op : Comm_manager.op) :: rest -> (
+            match op.Comm_manager.dir with
+            | Fabric.P2p (s, d)
+              when op.Comm_manager.bytes = payload && Option.is_none op_of_dst.(d) ->
+                op_of_dst.(d) <- Some op;
+                sends.(s) <- true;
+                dsts.(k) <- d;
+                scan (k + 1) rest
+            | Fabric.P2p _ | Fabric.H2d _ | Fabric.D2h _ -> false)
+      in
+      if not (scan 0 gops) then None
+      else begin
+        let root = ref (-1) and roots = ref 0 in
+        for g = 0 to n - 1 do
+          if sends.(g) && Option.is_none op_of_dst.(g) then begin
+            root := g;
+            incr roots
+          end
+        done;
+        if !roots = 1 then Some { root = !root; dsts; payload; op_of_dst } else None
+      end
 
 (* An allreduce group pairs a reduction's gathers (every member ships its
    partial to the root) with the broadcast of the combined result. It is
@@ -97,7 +93,7 @@ type allreduce_shape = {
   gather_of_src : (int, Comm_manager.op) Hashtbl.t;
 }
 
-let analyze_allreduce (gops : Comm_manager.op list) =
+let analyze_allreduce n (gops : Comm_manager.op list) =
   let gathers, rest =
     List.partition (fun (op : Comm_manager.op) -> op.Comm_manager.kind = Comm_manager.Red_gather) gops
   in
@@ -106,15 +102,15 @@ let analyze_allreduce (gops : Comm_manager.op list) =
   in
   if gathers = [] || bcasts = [] || other <> [] then None
   else
-    match analyze bcasts with
+    match analyze n bcasts with
     | None -> None
     | Some shape ->
         let gather_of_src = Hashtbl.create 8 in
         let ok = ref true in
         List.iter
           (fun (op : Comm_manager.op) ->
-            match endpoints op with
-            | Some (s, d)
+            match op.Comm_manager.dir with
+            | Fabric.P2p (s, d)
               when d = shape.root && s <> shape.root
                    && op.Comm_manager.bytes = shape.payload
                    && not (Hashtbl.mem gather_of_src s) ->
@@ -124,26 +120,60 @@ let analyze_allreduce (gops : Comm_manager.op list) =
         let srcs =
           Hashtbl.fold (fun s _ acc -> s :: acc) gather_of_src [] |> List.sort compare
         in
-        if !ok && srcs = List.sort compare shape.dsts then
+        if !ok && srcs = List.sort compare (Array.to_list shape.dsts) then
           Some { bcast = shape; gather_of_src }
         else None
 
 (* ------------------------------------------------------------------ *)
 (* Cost model (selection only; timing comes from the simulation)       *)
 
+(* Link costs per class of GPU pair: index 0 is same-node, 1 cross-node.
+   A fabric has one link spec, and which resources a peer-to-peer route
+   crosses, and their caps, depend only on whether its ends share a node,
+   so every pair of a class has one setup latency and one standalone
+   bandwidth (docs/MODEL.md, "Collectives"). A plan reads each class from
+   the fabric once, at the first pair of that class it prices. *)
+type costs = { fabric : Fabric.t; lat : float array; bw : float array }
+
+let costs fabric = { fabric; lat = [| nan; nan |]; bw = [| nan; nan |] }
+
+let link_class c a b =
+  let k = if Fabric.same_node c.fabric a b then 0 else 1 in
+  if Float.is_nan c.lat.(k) then begin
+    let dir = Fabric.P2p (a, b) in
+    c.lat.(k) <- Fabric.latency_of c.fabric dir;
+    c.bw.(k) <- Fabric.standalone_bandwidth c.fabric dir
+  end;
+  k
+
 let num_nodes fabric =
   match Fabric.topology fabric with
   | None -> 1
   | Some t -> (Fabric.num_gpus fabric + t.Fabric.gpus_per_node - 1) / t.Fabric.gpus_per_node
 
-(* Node-grouped chain: root first, then destinations sorted so GPUs
-   sharing the root's node come before other nodes in cyclic order —
-   the chain crosses the wire once per node boundary. *)
+(* Node-grouped chain: root first, then the destinations of the root's
+   node, then those of the following nodes in cyclic order, each node's
+   in ascending GPU id — the chain crosses the wire once per node
+   boundary. A node holds consecutive GPU ids, so that is every
+   destination in ascending id from the first GPU of the root's node,
+   wrapping around. *)
 let ring_order fabric shape =
-  let nn = num_nodes fabric in
-  let root_node = Fabric.node_of fabric shape.root in
-  let key d = (((Fabric.node_of fabric d - root_node) + nn) mod nn, d) in
-  shape.root :: List.sort (fun a b -> compare (key a) (key b)) shape.dsts
+  let n = Array.length shape.op_of_dst in
+  let start =
+    match Fabric.topology fabric with
+    | None -> 0
+    | Some t -> Fabric.node_of fabric shape.root * t.Fabric.gpus_per_node
+  in
+  let order = Array.make (Array.length shape.dsts + 1) shape.root in
+  let k = ref 1 in
+  for i = 0 to n - 1 do
+    let g = (start + i) mod n in
+    if Option.is_some shape.op_of_dst.(g) then begin
+      order.(!k) <- g;
+      incr k
+    end
+  done;
+  order
 
 let segment_sizes payload s =
   let base = payload / s and extra = payload mod s in
@@ -159,39 +189,39 @@ let segment_candidates payload =
   |> List.map (fun s -> min 16 (min cap (max 1 s)))
   |> List.sort_uniq compare
 
-(* Pipelined chain estimate: fill the pipe along every hop with one
-   segment, then stream the remaining S-1 segments through the
-   bottleneck hop. Each forwarded segment pays its hop latency (the
-   schedule gates segment k+1 on segment k clearing the edge). *)
-let ring_time fabric order payload s =
+(* Pipelined chain estimate over the hops' latencies and standalone
+   bandwidths: fill the pipe along every hop with one segment, then
+   stream the remaining S-1 segments through the bottleneck hop. Each
+   forwarded segment pays its hop latency (the schedule gates segment
+   k+1 on segment k clearing the edge). *)
+let ring_time lat bw payload s =
   let seg = float_of_int payload /. float_of_int s in
   let fill = ref 0.0 and slot = ref 0.0 in
-  let rec hops = function
-    | a :: (b :: _ as rest) ->
-        let dir = Fabric.P2p (a, b) in
-        let lat = Fabric.latency_of fabric dir in
-        let bw = Fabric.standalone_bandwidth fabric dir in
-        fill := !fill +. lat +. (seg /. bw);
-        slot := Float.max !slot (lat +. (seg /. bw));
-        hops rest
-    | _ -> ()
-  in
-  hops order;
+  for h = 0 to Array.length lat - 1 do
+    fill := !fill +. lat.(h) +. (seg /. bw.(h));
+    slot := Float.max !slot (lat.(h) +. (seg /. bw.(h)))
+  done;
   !fill +. (float_of_int (s - 1) *. !slot)
 
-let best_ring fabric order payload =
+let best_ring c order payload =
+  let hops = Array.length order - 1 in
+  let lat = Array.make hops 0.0 and bw = Array.make hops 0.0 in
+  for h = 0 to hops - 1 do
+    let k = link_class c order.(h) order.(h + 1) in
+    lat.(h) <- c.lat.(k);
+    bw.(h) <- c.bw.(k)
+  done;
   List.fold_left
     (fun (bs, bt) s ->
-      let t = ring_time fabric order payload s in
+      let t = ring_time lat bw payload s in
       if t < bt then (s, t) else (bs, bt))
-    (1, ring_time fabric order payload 1)
+    (1, ring_time lat bw payload 1)
     (segment_candidates payload)
 
 (* NCCL-style ring-allreduce estimate: 2(p-1) rounds, each bounded by the
    slowest ring edge moving one payload/p chunk. The node-grouped order
    keeps the wire crossed once per node boundary per round. *)
-let allreduce_ring_time fabric order payload =
-  let ring = Array.of_list order in
+let allreduce_ring_time fabric ring payload =
   let p = Array.length ring in
   if p < 2 then infinity
   else begin
@@ -208,75 +238,80 @@ let allreduce_ring_time fabric order payload =
 
 (* Star estimate: every copy leaves the root's egress link back to back;
    cross-node copies additionally serialize on the node's uplink. *)
-let direct_time fabric shape =
+let direct_time c shape =
   let b = float_of_int shape.payload in
   let lat_max = ref 0.0 and egress = ref 0.0 and remote = ref 0 in
-  List.iter
-    (fun d ->
-      let dir = Fabric.P2p (shape.root, d) in
-      lat_max := Float.max !lat_max (Fabric.latency_of fabric dir);
-      egress := Float.max !egress (Fabric.standalone_bandwidth fabric dir);
-      if not (Fabric.same_node fabric shape.root d) then incr remote)
-    shape.dsts;
-  let copies = float_of_int (List.length shape.dsts) in
+  for i = 0 to Array.length shape.dsts - 1 do
+    let k = link_class c shape.root shape.dsts.(i) in
+    lat_max := Float.max !lat_max c.lat.(k);
+    egress := Float.max !egress c.bw.(k);
+    if k = 1 then incr remote
+  done;
+  let copies = float_of_int (Array.length shape.dsts) in
   let egress_time = if !egress > 0.0 then copies *. b /. !egress else infinity in
   let wire_time =
-    match Fabric.topology fabric with
+    match Fabric.topology c.fabric with
     | Some t when !remote > 0 -> float_of_int !remote *. b /. t.Fabric.internode_bandwidth
     | _ -> 0.0
   in
   !lat_max +. Float.max egress_time wire_time
 
-(* Destinations bucketed per node; the root's node first, leaders are the
-   smallest GPU id of each remote bucket. *)
+(* Destinations bucketed per node, each bucket in op order: the root's
+   node's bucket, then one (leader, members) per remote node in ascending
+   node order, the leader being the smallest GPU id of the bucket. *)
+type buckets = { locals : int array; remotes : (int * int array) array }
+
 let node_buckets fabric shape =
-  let tbl = Hashtbl.create 4 in
-  List.iter
+  let nn = num_nodes fabric in
+  let size = Array.make nn 0 in
+  Array.iter
     (fun d ->
-      let n = Fabric.node_of fabric d in
-      Hashtbl.replace tbl n (d :: (try Hashtbl.find tbl n with Not_found -> [])))
+      let m = Fabric.node_of fabric d in
+      size.(m) <- size.(m) + 1)
+    shape.dsts;
+  let bucket = Array.map (fun k -> Array.make k 0) size in
+  let fill = Array.make nn 0 in
+  Array.iter
+    (fun d ->
+      let m = Fabric.node_of fabric d in
+      bucket.(m).(fill.(m)) <- d;
+      fill.(m) <- fill.(m) + 1)
     shape.dsts;
   let root_node = Fabric.node_of fabric shape.root in
-  let locals = try List.rev (Hashtbl.find tbl root_node) with Not_found -> [] in
-  let remotes =
-    Hashtbl.fold (fun n ds acc -> if n = root_node then acc else (n, List.rev ds) :: acc) tbl []
-    |> List.sort compare
-    |> List.map (fun (n, ds) -> (n, List.fold_left min (List.hd ds) ds, ds))
-  in
-  (locals, remotes)
+  let remotes = ref [] in
+  for m = nn - 1 downto 0 do
+    if m <> root_node && size.(m) > 0 then
+      remotes := (Array.fold_left Int.min max_int bucket.(m), bucket.(m)) :: !remotes
+  done;
+  { locals = bucket.(root_node); remotes = Array.of_list !remotes }
 
 (* Two-stage pipeline estimate: the wire stage pushes one copy per
    remote node through the uplink, the relay stage fans out on the widest
    node; segments stream the second behind the first. *)
-let hier_time fabric shape =
-  match Fabric.topology fabric with
+let hier_time c bk shape =
+  match Fabric.topology c.fabric with
   | None -> (1, infinity)
   | Some t ->
-      let locals, remotes = node_buckets fabric shape in
-      if remotes = [] then (1, infinity)
+      if Array.length bk.remotes = 0 then (1, infinity)
       else
         let b = float_of_int shape.payload in
-        let n_rem = float_of_int (List.length remotes) in
+        let n_rem = float_of_int (Array.length bk.remotes) in
         let fanout =
-          List.fold_left
-            (fun m (_, _, ds) -> max m (List.length ds - 1))
-            (List.length locals) remotes
+          Array.fold_left
+            (fun m (_, ds) -> Int.max m (Array.length ds - 1))
+            (Array.length bk.locals) bk.remotes
         in
+        let leader = fst bk.remotes.(0) in
         let local_bw, local_lat =
-          let sample =
-            match locals @ List.map (fun (_, l, _) -> l) remotes with
-            | d :: _ -> Fabric.P2p (shape.root, d)
-            | [] -> Fabric.P2p (shape.root, shape.root)
+          (* the first local destination's pair, else the first leader's *)
+          let k =
+            link_class c shape.root (if Array.length bk.locals > 0 then bk.locals.(0) else leader)
           in
-          (Fabric.standalone_bandwidth fabric sample, Fabric.latency_of fabric sample)
+          (c.bw.(k), c.lat.(k))
         in
-        let wire_lat =
-          (* full cross-node hop latency, matching what the fabric will
-             actually charge (link latency + internode latency) *)
-          match remotes with
-          | (_, leader, _) :: _ -> Fabric.latency_of fabric (Fabric.P2p (shape.root, leader))
-          | [] -> t.Fabric.internode_latency
-        in
+        (* full cross-node hop latency, matching what the fabric will
+           actually charge (link latency + internode latency) *)
+        let wire_lat = c.lat.(link_class c shape.root leader) in
         let time s =
           let seg = b /. float_of_int s in
           let wire_slot = wire_lat +. (n_rem *. seg /. t.Fabric.internode_bandwidth) in
@@ -320,18 +355,26 @@ let passthrough b (op : Comm_manager.op) =
          op;
        })
 
+(* [tag ^ suffix], built once per run of equal tags (a group's ops
+   usually share one). *)
+let suffixer suffix =
+  let last = ref "" and built = ref suffix in
+  fun tag ->
+    if not (String.equal tag !last) then begin
+      last := tag;
+      built := tag ^ suffix
+    end;
+    !built
+
 (* Keep a group's own schedule (star or binomial tree) but make its data
    dependencies explicit: a tree edge may not leave its source before the
-   item that delivered the payload there has finished. *)
-let direct_group b (gops : Comm_manager.op list) =
-  let delivered = Hashtbl.create 8 in
+   item that delivered the payload there has finished. [n] is the
+   fabric's GPU count. *)
+let direct_group b n (gops : Comm_manager.op list) =
+  let delivered = Array.make n (-1) in
   List.iter
     (fun (op : Comm_manager.op) ->
-      let dep =
-        match endpoints op with
-        | Some (s, _) -> ( try Hashtbl.find delivered s with Not_found -> -1)
-        | None -> -1
-      in
+      let dep = match op.Comm_manager.dir with Fabric.P2p (s, _) -> delivered.(s) | _ -> -1 in
       let i =
         push b
           {
@@ -344,9 +387,7 @@ let direct_group b (gops : Comm_manager.op list) =
             op;
           }
       in
-      match endpoints op with
-      | Some (_, d) -> Hashtbl.replace delivered d i
-      | None -> ())
+      match op.Comm_manager.dir with Fabric.P2p (_, d) -> delivered.(d) <- i | _ -> ())
     gops;
   b.st <- add_stats b.st { no_stats with direct_groups = 1 }
 
@@ -356,30 +397,21 @@ let direct_group b (gops : Comm_manager.op list) =
    so every level is one independent fabric batch. *)
 let ring_group b shape order s =
   let sizes = segment_sizes shape.payload s in
-  let hops = List.length order - 1 in
+  let hops = Array.length order - 1 in
   let idx = Array.make_matrix s (hops + 1) (-1) in
-  let rec emit h = function
-    | src :: (dst :: _ as rest) ->
-        let op = Hashtbl.find shape.op_of_dst dst in
-        for k = 0 to s - 1 do
-          let dep = if h >= 2 then idx.(k).(h - 1) else -1 in
-          let dep2 = if k >= 1 then idx.(k - 1).(h) else -1 in
-          idx.(k).(h) <-
-            push b
-              {
-                dir = Fabric.P2p (src, dst);
-                bytes = sizes.(k);
-                tag = op.Comm_manager.tag ^ ":ring";
-                level = h - 1 + k;
-                dep;
-                dep2;
-                op;
-              }
-        done;
-        emit (h + 1) rest
-    | _ -> ()
-  in
-  emit 1 order;
+  let ring_tag = suffixer ":ring" in
+  for h = 1 to hops do
+    let src = order.(h - 1) and dst = order.(h) in
+    let op = op_to shape dst in
+    let tag = ring_tag op.Comm_manager.tag in
+    for k = 0 to s - 1 do
+      let dep = if h >= 2 then idx.(k).(h - 1) else -1 in
+      let dep2 = if k >= 1 then idx.(k - 1).(h) else -1 in
+      idx.(k).(h) <-
+        push b
+          { dir = Fabric.P2p (src, dst); bytes = sizes.(k); tag; level = h - 1 + k; dep; dep2; op }
+    done
+  done;
   b.st <- add_stats b.st { no_stats with rings = 1; segments = s }
 
 (* Two-hop tree: the root feeds its local peers and one leader per remote
@@ -387,42 +419,41 @@ let ring_group b shape order s =
    (level k+1, gated on the wire segment's arrival). [base_level] shifts
    the whole tree down (an allreduce runs it behind its gather stage) and
    [gate] is a plan index every root-outgoing edge must wait for. *)
-let hier_group ?(base_level = 0) ?(gate = -1) b fabric shape s =
+let hier_group ?(base_level = 0) ?(gate = -1) b bk shape s =
   let sizes = segment_sizes shape.payload s in
-  let locals, remotes = node_buckets fabric shape in
-  let chain = Hashtbl.create 8 in
-  (* previous segment's item on each edge, keyed by destination *)
+  (* previous segment's item on each edge, by destination *)
+  let chain = Array.make (Array.length shape.op_of_dst) (-1) in
+  let hier_tag = suffixer ":hier" in
   let edge ~seg ~level ~dep src dst =
-    let op = Hashtbl.find shape.op_of_dst dst in
-    let dep2 = try Hashtbl.find chain dst with Not_found -> -1 in
+    let op = op_to shape dst in
     let i =
       push b
         {
           dir = Fabric.P2p (src, dst);
           bytes = sizes.(seg);
-          tag = op.Comm_manager.tag ^ ":hier";
+          tag = hier_tag op.Comm_manager.tag;
           level;
           dep;
-          dep2;
+          dep2 = chain.(dst);
           op;
         }
     in
-    Hashtbl.replace chain dst i;
+    chain.(dst) <- i;
     i
   in
   for k = 0 to s - 1 do
-    List.iter
+    Array.iter
       (fun d -> ignore (edge ~seg:k ~level:(base_level + k) ~dep:gate shape.root d))
-      locals;
-    List.iter
-      (fun (_, leader, members) ->
+      bk.locals;
+    Array.iter
+      (fun (leader, members) ->
         let wire = edge ~seg:k ~level:(base_level + k) ~dep:gate shape.root leader in
-        List.iter
+        Array.iter
           (fun d ->
             if d <> leader then
               ignore (edge ~seg:k ~level:(base_level + k + 1) ~dep:wire leader d))
           members)
-      remotes
+      bk.remotes
   done;
   b.st <- add_stats b.st { no_stats with hierarchies = 1; segments = s }
 
@@ -437,8 +468,7 @@ let hier_group ?(base_level = 0) ?(gate = -1) b fabric shape s =
    carries its partial sums), all-gather hops to the receiver's broadcast
    op (the hop delivers its share of the result), so arrival bookkeeping
    downstream needs no new cases. *)
-let allreduce_ring_group b ar order =
-  let ring = Array.of_list order in
+let allreduce_ring_group b ar ring =
   let p = Array.length ring in
   let sizes = segment_sizes ar.bcast.payload p in
   let some_gather =
@@ -446,11 +476,11 @@ let allreduce_ring_group b ar order =
     | op :: _ -> op
     | [] -> assert false
   in
-  let some_bcast = Hashtbl.find ar.bcast.op_of_dst (List.hd ar.bcast.dsts) in
+  let some_bcast = op_to ar.bcast ar.bcast.dsts.(0) in
   let op_rs src =
     try Hashtbl.find ar.gather_of_src src with Not_found -> some_gather
   in
-  let op_ag dst = try Hashtbl.find ar.bcast.op_of_dst dst with Not_found -> some_bcast in
+  let op_ag dst = match ar.bcast.op_of_dst.(dst) with Some op -> op | None -> some_bcast in
   let idx = Array.make_matrix (2 * (p - 1)) p (-1) in
   for r = 0 to (2 * (p - 1)) - 1 do
     let rs = r < p - 1 in
@@ -482,8 +512,17 @@ let allreduce_ring_group b ar order =
 
 (* Star gathers at level 0 feeding a hierarchical result broadcast: the
    wire is still crossed once per remote member on the way in, but only
-   once per node on the way out. *)
-let allreduce_hier_group b fabric ar s =
+   once per node on the way out.
+
+   [gather_of_src] stays a Hashtbl, walked in its own order, because the
+   order is load-bearing. Every root-outgoing broadcast edge is gated on
+   [gate], the gather item pushed last, which is the last one
+   [Hashtbl.iter] visits — not the combine. Under the barrier gate that
+   one gather is the broadcast's only gate, so another table or order
+   would move simulated numbers; under the overlap gate [op_ready]'s
+   combine slot covers it. docs/OVERLAP.md lists it with the barrier
+   gate's quirks. *)
+let allreduce_hier_group b bk ar s =
   let gate = ref (-1) in
   Hashtbl.iter
     (fun _ (op : Comm_manager.op) ->
@@ -499,73 +538,100 @@ let allreduce_hier_group b fabric ar s =
             op;
           })
     ar.gather_of_src;
-  hier_group ~base_level:1 ~gate:!gate b fabric ar.bcast s;
+  hier_group ~base_level:1 ~gate:!gate b bk ar.bcast s;
   b.st <- add_stats b.st { no_stats with allreduces = 1 }
 
 (* ------------------------------------------------------------------ *)
 
-let plan_allreduce b cfg fabric (gops : Comm_manager.op list) =
-  match analyze_allreduce gops with
-  | None -> direct_group b gops
-  | Some ar when List.length ar.bcast.dsts < 2 -> direct_group b gops
+let plan_allreduce b cfg c (gops : Comm_manager.op list) =
+  let n = Fabric.num_gpus c.fabric in
+  match analyze_allreduce n gops with
+  | None -> direct_group b n gops
+  | Some ar when Array.length ar.bcast.dsts < 2 -> direct_group b n gops
   | Some ar -> (
-      let order = ring_order fabric ar.bcast in
+      let order = ring_order c.fabric ar.bcast in
       match cfg.Rt_config.collective with
-      | Rt_config.Direct -> direct_group b gops
+      | Rt_config.Direct -> direct_group b n gops
       | Rt_config.Ring -> allreduce_ring_group b ar order
       | Rt_config.Auto ->
-          let t_ring = allreduce_ring_time fabric order ar.bcast.payload in
+          let t_ring = allreduce_ring_time c.fabric order ar.bcast.payload in
           (* the gather stage of star and hier is the same ingress star as
              [direct_time]'s egress star, by link symmetry *)
-          let t_star = 2.0 *. direct_time fabric ar.bcast in
-          let s_hier, t_hier_bcast = hier_time fabric ar.bcast in
-          let t_hier = direct_time fabric ar.bcast +. t_hier_bcast in
+          let t_star = 2.0 *. direct_time c ar.bcast in
+          let bk = node_buckets c.fabric ar.bcast in
+          let s_hier, t_hier_bcast = hier_time c bk ar.bcast in
+          let t_hier = direct_time c ar.bcast +. t_hier_bcast in
           if t_ring < t_star && t_ring <= t_hier then allreduce_ring_group b ar order
-          else if t_hier < t_star then allreduce_hier_group b fabric ar s_hier
-          else direct_group b gops)
+          else if t_hier < t_star then allreduce_hier_group b bk ar s_hier
+          else direct_group b n gops)
 
-let plan_group b cfg fabric (gops : Comm_manager.op list) =
+let plan_group b cfg c (gops : Comm_manager.op list) =
+  let n = Fabric.num_gpus c.fabric in
   if
     List.exists
       (fun (op : Comm_manager.op) -> op.Comm_manager.kind = Comm_manager.Red_gather)
       gops
-  then plan_allreduce b cfg fabric gops
+  then plan_allreduce b cfg c gops
   else
-    match analyze gops with
-    | None -> direct_group b gops
-    | Some shape when List.length shape.dsts < 2 -> direct_group b gops
+    match analyze n gops with
+    | None -> direct_group b n gops
+    | Some shape when Array.length shape.dsts < 2 -> direct_group b n gops
     | Some shape -> (
-        let order = ring_order fabric shape in
-        let s_ring, t_ring = best_ring fabric order shape.payload in
         match cfg.Rt_config.collective with
-        | Rt_config.Direct -> direct_group b gops
-        | Rt_config.Ring -> ring_group b shape order s_ring
+        | Rt_config.Direct -> direct_group b n gops
+        | Rt_config.Ring ->
+            let order = ring_order c.fabric shape in
+            ring_group b shape order (fst (best_ring c order shape.payload))
         | Rt_config.Auto ->
-            let t_direct = direct_time fabric shape in
-            let s_hier, t_hier = hier_time fabric shape in
-            if t_hier <= t_ring && t_hier < t_direct then hier_group b fabric shape s_hier
+            let order = ring_order c.fabric shape in
+            let s_ring, t_ring = best_ring c order shape.payload in
+            let t_direct = direct_time c shape in
+            let bk = node_buckets c.fabric shape in
+            let s_hier, t_hier = hier_time c bk shape in
+            if t_hier <= t_ring && t_hier < t_direct then hier_group b bk shape s_hier
             else if t_ring < t_direct then ring_group b shape order s_ring
-            else direct_group b gops)
+            else direct_group b n gops)
+
+(* A position in the plan: an ungrouped op, or the group first seen
+   there (its ops in reverse order). *)
+type slot = Pass of Comm_manager.op | Group of Comm_manager.op list ref
 
 let plan ~cfg ~fabric (ops : Comm_manager.op list) =
+  let n = Fabric.num_gpus fabric in
+  let check g =
+    if g < 0 || g >= n then
+      invalid_arg (Printf.sprintf "Collective.plan: device %d out of range" g)
+  in
   let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (op : Comm_manager.op) ->
-      let g = op.Comm_manager.group in
-      if g >= 0 then
-        Hashtbl.replace groups g (op :: (try Hashtbl.find groups g with Not_found -> [])))
-    ops;
+  let slots =
+    List.fold_left
+      (fun slots (op : Comm_manager.op) ->
+        let g = op.Comm_manager.group in
+        if g < 0 then Pass op :: slots
+        else begin
+          (match op.Comm_manager.dir with
+          | Fabric.P2p (s, d) ->
+              check s;
+              check d
+          | Fabric.H2d _ | Fabric.D2h _ -> ());
+          match Hashtbl.find_opt groups g with
+          | Some rev_ops ->
+              rev_ops := op :: !rev_ops;
+              slots
+          | None ->
+              let rev_ops = ref [ op ] in
+              Hashtbl.add groups g rev_ops;
+              Group rev_ops :: slots
+        end)
+      [] ops
+  in
   let b = { rev_items = []; count = 0; st = no_stats } in
-  let emitted = Hashtbl.create 8 in
+  let c = costs fabric in
   List.iter
-    (fun (op : Comm_manager.op) ->
-      let g = op.Comm_manager.group in
-      if g < 0 then passthrough b op
-      else if not (Hashtbl.mem emitted g) then begin
-        Hashtbl.replace emitted g ();
-        plan_group b cfg fabric (List.rev (Hashtbl.find groups g))
-      end)
-    ops;
+    (function
+      | Pass op -> passthrough b op
+      | Group rev_ops -> plan_group b cfg c (List.rev !rev_ops))
+    (List.rev slots);
   (Array.of_list (List.rev b.rev_items), b.st)
 
 (* ------------------------------------------------------------------ *)
@@ -605,10 +671,3 @@ let execute ~plan ~base ~run ~on_complete () =
           idxs comps
   done;
   Array.fold_left Float.max neg_infinity finish
-
-let simulate ~fabric ~plan ~ready =
-  execute ~plan
-    ~base:(fun _ -> (ready, []))
-    ~run:(Fabric.map_batch fabric fst (fun _ c -> (c, None)))
-    ~on_complete:(fun _ _ _ -> ())
-    ()

@@ -24,7 +24,13 @@
     Algorithm choice per group is a payload-size/latency cost model in
     the NCCL style; [--collective direct] bypasses this module entirely
     (the legacy schedules, bit for bit). Non-broadcast ops (window
-    ships, misses, halos, gathers) pass through point-to-point. *)
+    ships, misses, halos, gathers) pass through point-to-point.
+
+    Planning a broadcast group costs O(destinations + GPUs) array steps:
+    its ops are indexed by destination GPU, the ring order is one pass
+    over the GPU ids, and the estimates read a pair's latency and
+    bandwidth per class (same-node or cross-node), which the fabric
+    makes uniform, so a plan reads each class from the fabric once. *)
 
 module Fabric = Mgacc_gpusim.Fabric
 
@@ -73,7 +79,9 @@ val plan : cfg:Rt_config.t -> fabric:Fabric.t -> Comm_manager.op list -> plan * 
     totals are conserved: the plan carries exactly [p-1] copies of each
     group payload, however it is shaped. With [cfg.collective = Ring]
     eligible groups always take the ring; with [Auto] the cost model
-    picks direct, ring or hierarchical per group. *)
+    picks direct, ring or hierarchical per group. Raises
+    [Invalid_argument] if a grouped peer-to-peer op names a device
+    outside the fabric. *)
 
 val execute :
   plan:plan ->
@@ -92,8 +100,3 @@ val execute :
     [run] returns the span id recorded for each completion (so forwarded
     segments chain into a visible flow in the trace). Returns the max
     finish, or [neg_infinity] for an empty plan. *)
-
-val simulate : fabric:Fabric.t -> plan:plan -> ready:float -> float
-(** {!execute} against a bare fabric with a constant base ready and no
-    completion callback — the planner's own cost probe and the unit
-    tests' measuring stick. *)

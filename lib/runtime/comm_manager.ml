@@ -18,6 +18,24 @@ type op = {
   group : int;
 }
 
+(* Field by field, every comparison at its own type: no polymorphic
+   compare walks the records, and [String.equal] returns at once on a
+   physically shared string. *)
+let equal_dir (a : Fabric.direction) (b : Fabric.direction) =
+  match (a, b) with
+  | Fabric.H2d x, Fabric.H2d y | Fabric.D2h x, Fabric.D2h y -> Int.equal x y
+  | Fabric.P2p (s, d), Fabric.P2p (s', d') -> Int.equal s s' && Int.equal d d'
+  | (Fabric.H2d _ | Fabric.D2h _ | Fabric.P2p _), _ -> false
+
+let equal_op a b =
+  equal_dir a.dir b.dir && Int.equal a.bytes b.bytes && String.equal a.tag b.tag
+  && String.equal a.array b.array
+  (* constant constructors: physical equality is equality *)
+  && a.kind == b.kind
+  && Int.equal a.round b.round && Int.equal a.group b.group
+
+let equal_ops = List.equal equal_op
+
 type gpu_kernel = { gpu : int; array : string; cost : Cost.t; label : string }
 
 type consumer_window = Cw_none | Cw_all | Cw_windows of Interval.Set.t array

@@ -61,6 +61,11 @@ type op = {
           is structurally guaranteed, never inferred from byte counts. *)
 }
 
+val equal_ops : op list -> op list -> bool
+(** Structural equality of op lists, compared field by field at each
+    field's own type (strings with [String.equal]); the runtime's
+    collective plan reuse check (docs/MODEL.md, "Collectives"). *)
+
 type gpu_kernel = {
   gpu : int;
   array : string;

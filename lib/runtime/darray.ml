@@ -85,20 +85,48 @@ let mem_of cfg g = (Machine.device cfg.Rt_config.machine g).Device.memory
 
 (* ---------------- functional copies host <-> device ---------------- *)
 
+(* Host-to-device loads copy host elements [lo, hi) to [d.(i - off)].
+   Inside the host view's read window they read its backing array in
+   place: a blit for doubles, a typed loop for ints (an int blit into a
+   major-heap array would run the write barrier per element). Outside it
+   they call the accessors, so a bad index raises what it always did,
+   after the same elements have been copied. *)
+let load_doubles (v : View.t) d ~off ~lo ~hi =
+  let wlo = min hi (max lo v.View.lo) in
+  let whi = max wlo (min hi v.View.hi) in
+  for i = lo to wlo - 1 do
+    v.View.load_f i d (i - off)
+  done;
+  if whi > wlo then Array.blit v.View.fdata (wlo - v.View.lo) d (wlo - off) (whi - wlo);
+  for i = whi to hi - 1 do
+    v.View.load_f i d (i - off)
+  done
+
+let load_ints (v : View.t) (d : int array) ~off ~lo ~hi =
+  let wlo = min hi (max lo v.View.lo) in
+  let whi = max wlo (min hi v.View.hi) in
+  for i = lo to wlo - 1 do
+    d.(i - off) <- v.View.get_i i
+  done;
+  let src = v.View.idata in
+  for i = wlo to whi - 1 do
+    d.(i - off) <- src.(i - v.View.lo)
+  done;
+  for i = whi to hi - 1 do
+    d.(i - off) <- v.View.get_i i
+  done
+
 let copy_host_to_buf t buf ~win_lo (iv : Interval.t) =
   if not (Interval.is_empty iv) then
     match t.elem with
     | Ast.Edouble ->
-        let d = Memory.float_data buf in
-        for i = iv.Interval.lo to iv.Interval.hi - 1 do
-          t.host.View.load_f i d (i - win_lo)
-        done
+        load_doubles t.host (Memory.float_data buf) ~off:win_lo ~lo:iv.Interval.lo
+          ~hi:iv.Interval.hi
     | Ast.Eint ->
-        let d = Memory.int_data buf in
-        for i = iv.Interval.lo to iv.Interval.hi - 1 do
-          d.(i - win_lo) <- t.host.View.get_i i
-        done
+        load_ints t.host (Memory.int_data buf) ~off:win_lo ~lo:iv.Interval.lo ~hi:iv.Interval.hi
 
+(* Flushes write through the accessors: a view's window promises reads
+   only (view.mli). *)
 let copy_buf_to_host t buf ~win_lo (iv : Interval.t) =
   if not (Interval.is_empty iv) then
     match t.elem with
@@ -124,17 +152,17 @@ let copy_host_to_tile t buf ~stride tl ~(rows : Interval.t) ~(cols : Interval.t)
         let d = Memory.float_data buf in
         for r = rows.Interval.lo to rows.Interval.hi - 1 do
           let base = ((r - tl.trow_win.Interval.lo) * w) - tl.tcol_win.Interval.lo in
-          for c = cols.Interval.lo to cols.Interval.hi - 1 do
-            t.host.View.load_f ((r * stride) + c) d (base + c)
-          done
+          load_doubles t.host d ~off:((r * stride) - base)
+            ~lo:((r * stride) + cols.Interval.lo)
+            ~hi:((r * stride) + cols.Interval.hi)
         done
     | Ast.Eint ->
         let d = Memory.int_data buf in
         for r = rows.Interval.lo to rows.Interval.hi - 1 do
           let base = ((r - tl.trow_win.Interval.lo) * w) - tl.tcol_win.Interval.lo in
-          for c = cols.Interval.lo to cols.Interval.hi - 1 do
-            d.(base + c) <- t.host.View.get_i ((r * stride) + c)
-          done
+          load_ints t.host d ~off:((r * stride) - base)
+            ~lo:((r * stride) + cols.Interval.lo)
+            ~hi:((r * stride) + cols.Interval.hi)
         done
 
 let copy_tile_to_host t buf ~stride tl ~(rows : Interval.t) ~(cols : Interval.t) =

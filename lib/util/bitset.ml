@@ -98,36 +98,70 @@ let iter_set t f =
       done
   done
 
+(* Trailing-zero count of a nonzero 32-bit value: multiplying its lowest
+   set bit by a de Bruijn constant puts a distinct 5-bit pattern in the
+   top bits, which the table maps back to the bit's position. *)
+let debruijn = 0x077CB531
+
+let debruijn_pos =
+  let tbl = Array.make 32 0 in
+  for k = 0 to 31 do
+    tbl.((((1 lsl k) * debruijn) land 0xFFFFFFFF) lsr 27) <- k
+  done;
+  tbl
+
+let ctz32 x = debruijn_pos.((((x land -x) * debruijn) land 0xFFFFFFFF) lsr 27)
+
+(* The 32 bits from element [base] (a multiple of 32) as a native int,
+   read little-endian so that bit k is element [base + k]; bytes past the
+   end of the storage read as zero. *)
+let word32 t base =
+  let b = base lsr 3 in
+  if b + 4 <= Bytes.length t.bits then
+    Bytes.get_uint16_le t.bits b lor (Bytes.get_uint16_le t.bits (b + 2) lsl 16)
+  else begin
+    let w = ref 0 in
+    for k = 0 to Bytes.length t.bits - b - 1 do
+      w := !w lor (Bytes.get_uint8 t.bits (b + k) lsl (8 * k))
+    done;
+    !w
+  end
+
 let runs_in_range t ~lo ~hi =
   let lo = max 0 lo and hi = min t.n hi in
   let acc = ref [] in
   let run_start = ref (-1) in
   let i = ref lo in
   while !i < hi do
-    (* A whole aligned word, else a whole byte, that continues the current
-       state (clear outside a run, full inside one) is skipped; otherwise
-       the byte's bits in range are tested directly. All-clear and all-set
-       words read the same in either byte order. *)
+    (* An aligned 64-bit word that continues the current state (all clear
+       outside a run, all set inside one) is skipped whole; such words
+       read the same in either byte order. Otherwise, in the aligned
+       32-bit word holding bit [!i], find the first bit from [!i] on that
+       differs from the current state: the next run boundary, or none in
+       this word. *)
     if
       !i land 63 = 0
       && hi - !i >= 64
       && Bytes.get_int64_ne t.bits (!i lsr 3) = if !run_start < 0 then 0L else -1L
     then i := !i + 64
     else begin
-      let byte = Bytes.get_uint8 t.bits (!i lsr 3) in
-      let byte_end = min hi ((!i lor 7) + 1) in
-      if byte_end - !i = 8 && byte = (if !run_start < 0 then 0 else 0xFF) then i := byte_end
-      else
-        while !i < byte_end do
-          (if byte land (1 lsl (!i land 7)) <> 0 then begin
-             if !run_start < 0 then run_start := !i
-           end
-           else if !run_start >= 0 then begin
-             acc := Interval.make !run_start !i :: !acc;
-             run_start := -1
-           end);
-          incr i
-        done
+      let base = !i land lnot 31 in
+      let w = word32 t base in
+      let change = (if !run_start < 0 then w else w lxor 0xFFFFFFFF) land (-1 lsl (!i - base)) in
+      if change = 0 then i := base + 32
+      else begin
+        let j = base + ctz32 change in
+        if j >= hi then i := hi
+        else begin
+          if !run_start < 0 then run_start := j
+          else begin
+            acc := Interval.make !run_start j :: !acc;
+            run_start := -1
+          end;
+          (* bit [j] matches the new state *)
+          i := j + 1
+        end
+      end
     end
   done;
   if !run_start >= 0 then acc := Interval.make !run_start hi :: !acc;

@@ -33,8 +33,11 @@ val runs : t -> Interval.Set.t
 
 val runs_in_range : t -> lo:int -> hi:int -> Interval.Set.t
 (** The set bits in [\[lo, hi)], clamped to the bitset, as maximal runs.
-    Whole aligned 64-bit words, then whole bytes, that continue the
-    current state (clear outside a run, set inside one) are skipped. *)
+    The scan skips whole aligned 64-bit words that continue the current
+    state (clear outside a run, set inside one); in any other word it
+    jumps from one run boundary to the next with a count of trailing
+    zeros over aligned 32-bit words. It allocates nothing beyond its
+    result. *)
 
 val union_into : dst:t -> src:t -> unit
 (** [union_into ~dst ~src] ors [src] into [dst]. Lengths must match. *)

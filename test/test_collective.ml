@@ -118,6 +118,15 @@ let mk_op ?(kind = Comm_manager.Dirty_chunk) ?(round = 0) ~group ~bytes src dst 
     group;
   }
 
+(* {!Collective.execute} against a bare fabric with a constant ready time
+   and no completion callback: the measuring stick of the tests below. *)
+let simulate ~fabric ~plan ~ready =
+  Collective.execute ~plan
+    ~base:(fun _ -> (ready, []))
+    ~run:(Fabric.map_batch fabric fst (fun _ c -> (c, None)))
+    ~on_complete:(fun _ _ _ -> ())
+    ()
+
 let cfg_for machine collective =
   Rt_config.make ~num_gpus:(Mgacc.Machine.num_gpus machine) ~collective machine
 
@@ -215,8 +224,8 @@ let test_auto_beats_direct_on_cluster () =
   in
   check Alcotest.bool "auto reshapes the group" true
     (stats.Collective.rings + stats.Collective.hierarchies = 1);
-  let t_auto = Collective.simulate ~fabric ~plan:auto_plan ~ready:0.0 in
-  let t_direct = Collective.simulate ~fabric ~plan:direct_plan ~ready:0.0 in
+  let t_auto = simulate ~fabric ~plan:auto_plan ~ready:0.0 in
+  let t_direct = simulate ~fabric ~plan:direct_plan ~ready:0.0 in
   check Alcotest.bool
     (Printf.sprintf "auto (%.6fs) faster than direct (%.6fs)" t_auto t_direct)
     true (t_auto < t_direct);
@@ -305,8 +314,8 @@ let test_allreduce_auto_beats_star_on_cluster () =
     Collective.plan ~cfg:(cfg_for machine Rt_config.Direct) ~fabric ops
   in
   check Alcotest.int "auto reshapes the allreduce" 1 stats.Collective.allreduces;
-  let t_auto = Collective.simulate ~fabric ~plan:auto_plan ~ready:0.0 in
-  let t_direct = Collective.simulate ~fabric ~plan:direct_plan ~ready:0.0 in
+  let t_auto = simulate ~fabric ~plan:auto_plan ~ready:0.0 in
+  let t_direct = simulate ~fabric ~plan:direct_plan ~ready:0.0 in
   check Alcotest.bool
     (Printf.sprintf "auto (%.6fs) faster than star pair (%.6fs)" t_auto t_direct)
     true (t_auto < t_direct);
@@ -537,6 +546,252 @@ let test_plans_reused_per_site () =
       check Alcotest.bool "a stale entry leaves the report unchanged" true (report = report''))
     [ false; true ]
 
+(* ---------------- the reuse check ---------------- *)
+
+let test_reuse_check_is_field_by_field () =
+  (* The runtime reuses a site's plan when [Comm_manager.equal_ops] holds
+     between its last ops and this launch's, so the check must see
+     through fresh strings and see any single changed field. *)
+  let ops = mixed_ops 4 in
+  let copy = deep_copy ops in
+  let head = List.hd ops and head' = List.hd copy in
+  check Alcotest.bool "the copy's strings are fresh" false
+    (head.Comm_manager.tag == head'.Comm_manager.tag
+    || head.Comm_manager.array == head'.Comm_manager.array);
+  check Alcotest.bool "equal to its deep copy" true (Comm_manager.equal_ops ops copy);
+  check Alcotest.bool "unequal to a shorter list" false
+    (Comm_manager.equal_ops ops (List.tl copy));
+  let other_kind = function
+    | Comm_manager.Dirty_chunk -> Comm_manager.Miss_ship
+    | Miss_ship -> Halo_segment
+    | Halo_segment -> Red_gather
+    | Red_gather -> Red_bcast
+    | Red_bcast -> Dirty_chunk
+  in
+  let changes =
+    [
+      ( "dir source",
+        fun (op : Comm_manager.op) ->
+          match op.Comm_manager.dir with
+          | Fabric.P2p (s, d) -> { op with Comm_manager.dir = Fabric.P2p (s + 1, d) }
+          | Fabric.H2d g -> { op with dir = Fabric.H2d (g + 1) }
+          | Fabric.D2h g -> { op with dir = Fabric.D2h (g + 1) } );
+      ( "dir destination",
+        fun op ->
+          match op.Comm_manager.dir with
+          | Fabric.P2p (s, d) -> { op with Comm_manager.dir = Fabric.P2p (s, d + 1) }
+          | Fabric.H2d g | Fabric.D2h g -> { op with dir = Fabric.P2p (g, g) } );
+      ( "dir kind",
+        fun op ->
+          match op.Comm_manager.dir with
+          | Fabric.P2p (_, d) -> { op with Comm_manager.dir = Fabric.H2d d }
+          | Fabric.H2d g -> { op with dir = Fabric.D2h g }
+          | Fabric.D2h g -> { op with dir = Fabric.H2d g } );
+      ("bytes", fun op -> { op with Comm_manager.bytes = op.Comm_manager.bytes + 1 });
+      ("tag", fun op -> { op with Comm_manager.tag = op.Comm_manager.tag ^ "'" });
+      ("array", fun op -> { op with Comm_manager.array = op.Comm_manager.array ^ "'" });
+      ("kind", fun op -> { op with Comm_manager.kind = other_kind op.Comm_manager.kind });
+      ("round", fun op -> { op with Comm_manager.round = op.Comm_manager.round + 1 });
+      ("group", fun op -> { op with Comm_manager.group = op.Comm_manager.group + 1 });
+    ]
+  in
+  let last = List.length copy - 1 in
+  List.iter
+    (fun (field, change) ->
+      List.iter
+        (fun at ->
+          let changed = List.mapi (fun i op -> if i = at then change op else op) copy in
+          check Alcotest.bool
+            (Printf.sprintf "unequal when op %d's %s changes" at field)
+            false
+            (Comm_manager.equal_ops ops changed))
+        [ 0; last / 2; last ])
+    changes
+
+(* ---------------- property: the planner against the reference planner ---------------- *)
+
+(* Machines of every fabric flavor and node shape, from 2 to 64 GPUs. *)
+let oracle_specs =
+  [|
+    "desktop"; "desktop-mixed"; "supernode"; "cluster:2x2"; "cluster:3x3"; "fattree:4x4";
+    "fattree:3x5"; "fattree:16x4"; "multirail:2x4"; "nvmesh:2x4";
+  |]
+
+let oracle_machines = lazy (Array.map machine_of oracle_specs)
+
+(* Payloads log-uniform over 1 B .. 64 MiB, or within 2 bytes of a
+   multiple of the 4 KiB segment floor: both sides of every star, ring
+   and hierarchy crossover and of the segment-count cuts. *)
+let gen_payload =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun e m -> (1 lsl e) + ((1 lsl e) * m / 1024)) (int_bound 25) (int_bound 1023);
+        map2 (fun k d -> max 1 ((k * 4096) + d)) (int_range 1 4096) (int_range (-2) 2);
+      ])
+
+(* One group's ops. Well-formed: a star broadcast, binomial-tree rounds
+   of [Red_bcast], or an allreduce (gathers to the root plus a star or
+   tree of the result). Malformed: one of those with a duplicate
+   destination, an unequal payload, an [H2d] op, a second root or zero
+   bytes. Tags vary per destination in some groups. *)
+let gen_group n group =
+  let open QCheck2.Gen in
+  let* root = int_bound (n - 1) in
+  let* shuffled = shuffle_l (List.filter (fun g -> g <> root) (List.init n Fun.id)) in
+  let* k = int_range 1 (n - 1) in
+  let members = List.filteri (fun i _ -> i < k) shuffled in
+  let* bytes = gen_payload in
+  let* per_dst_tags = bool in
+  let tag d = if per_dst_tags then Printf.sprintf "g%d:%d" group (d mod 3) else Printf.sprintf "g%d" group in
+  let op ?(kind = Comm_manager.Dirty_chunk) ?(round = 0) ?(bytes = bytes) dir =
+    let d = match dir with Fabric.P2p (_, d) | Fabric.H2d d | Fabric.D2h d -> d in
+    { Comm_manager.dir; bytes; tag = tag d; array = "a"; kind; round; group }
+  in
+  let star kind = List.map (fun d -> op ~kind (Fabric.P2p (root, d))) members in
+  let tree () =
+    (* round r: every GPU holding the payload sends to one that does not *)
+    let rec rounds r holders rest acc =
+      if rest = [] then List.rev acc
+      else
+        let rec pair hs rest acc new_holders =
+          match (hs, rest) with
+          | h :: hs, d :: rest ->
+              pair hs rest (op ~kind:Comm_manager.Red_bcast ~round:r (Fabric.P2p (h, d)) :: acc)
+                (d :: new_holders)
+          | _ -> (rest, acc, new_holders)
+        in
+        let rest, acc, fresh = pair holders rest acc [] in
+        rounds (r + 1) (holders @ List.rev fresh) rest acc
+    in
+    rounds 0 [ root ] members []
+  in
+  let gathers () =
+    List.map (fun s -> op ~kind:Comm_manager.Red_gather (Fabric.P2p (s, root))) members
+  in
+  let* shape = int_bound 5 in
+  let* result_tree = bool in
+  let* gather_order = shuffle_l (gathers ()) in
+  let base =
+    match shape with
+    | 0 -> star Comm_manager.Dirty_chunk
+    | 1 -> star Comm_manager.Red_bcast
+    | 2 -> tree ()
+    | _ ->
+        gather_order
+        @ if result_tree then tree () else star Comm_manager.Red_bcast
+  in
+  let* flaw = int_bound 9 in
+  let* at = int_bound (List.length base - 1) in
+  let flawed =
+    match flaw with
+    | 0 -> (* duplicate destination *) base @ [ List.nth base at ]
+    | 1 ->
+        (* unequal payload *)
+        List.mapi (fun i (o : Comm_manager.op) -> if i = at then { o with bytes = o.bytes + 1 } else o) base
+    | 2 ->
+        (* an H2d op *)
+        List.mapi
+          (fun i (o : Comm_manager.op) ->
+            match o.Comm_manager.dir with
+            | Fabric.P2p (_, d) when i = at -> { o with dir = Fabric.H2d d }
+            | _ -> o)
+          base
+    | 3 -> (
+        (* a second root: some GPU outside the group sends to a member *)
+        match List.filter (fun g -> g <> root && not (List.mem g members)) (List.init n Fun.id) with
+        | s :: _ -> base @ [ op (Fabric.P2p (s, List.hd members)) ]
+        | [] -> base)
+    | 4 -> (* zero bytes *) List.map (fun (o : Comm_manager.op) -> { o with bytes = 0 }) base
+    | _ -> base
+  in
+  return flawed
+
+let gen_ungrouped n =
+  let open QCheck2.Gen in
+  let* kind = oneofl [ Comm_manager.Miss_ship; Comm_manager.Halo_segment; Comm_manager.Dirty_chunk ] in
+  let* s = int_bound (n - 1) in
+  let* d = int_bound (n - 2) in
+  let* dir =
+    oneofl [ Fabric.P2p (s, if d >= s then d + 1 else d); Fabric.H2d s; Fabric.D2h s ]
+  in
+  let* bytes = gen_payload in
+  return { Comm_manager.dir; bytes; tag = "u"; array = "u"; kind; round = 0; group = -1 }
+
+(* A machine index and its op list: 1-5 groups as blocks with ungrouped
+   ops between them, the blocks in random order, sometimes every op
+   shuffled. *)
+let gen_oracle_case =
+  let open QCheck2.Gen in
+  let* mi = int_bound (Array.length oracle_specs - 1) in
+  let n = Mgacc.Machine.num_gpus (Lazy.force oracle_machines).(mi) in
+  let* groups = int_range 1 5 in
+  let* blocks = flatten_l (List.init groups (fun g -> gen_group n (g + 1))) in
+  let* loose = list_size (int_bound 4) (map (fun op -> [ op ]) (gen_ungrouped n)) in
+  let* blocks = shuffle_l (blocks @ loose) in
+  let* scramble = int_bound 3 in
+  let ops = List.concat blocks in
+  let* ops = if scramble = 0 then shuffle_l ops else return ops in
+  return (mi, ops)
+
+let show_op (op : Comm_manager.op) =
+  let dir =
+    match op.Comm_manager.dir with
+    | Fabric.P2p (s, d) -> Printf.sprintf "%d->%d" s d
+    | Fabric.H2d g -> Printf.sprintf "h2d%d" g
+    | Fabric.D2h g -> Printf.sprintf "d2h%d" g
+  in
+  let kind =
+    match op.Comm_manager.kind with
+    | Comm_manager.Dirty_chunk -> "chunk"
+    | Miss_ship -> "miss"
+    | Halo_segment -> "halo"
+    | Red_gather -> "gather"
+    | Red_bcast -> "bcast"
+  in
+  Printf.sprintf "g%d %s %s %dB r%d %s" op.Comm_manager.group kind dir op.Comm_manager.bytes
+    op.Comm_manager.round op.Comm_manager.tag
+
+let show_oracle_case (mi, ops) =
+  Printf.sprintf "%s: [%s]" oracle_specs.(mi) (String.concat "; " (List.map show_op ops))
+
+(* The first item or stat where the two plans differ, if any; the items'
+   ops compared by physical identity. *)
+let plan_difference (items, stats) (ref_items, ref_stats) =
+  let same (a : Collective.item) (b : Collective.item) =
+    a.Collective.dir = b.Collective.dir && a.bytes = b.bytes && String.equal a.tag b.tag
+    && a.level = b.level && a.dep = b.dep && a.dep2 = b.dep2 && a.op == b.op
+  in
+  let show (it : Collective.item) =
+    Printf.sprintf "{%s; %dB; %s; level %d; dep %d; dep2 %d}" (show_op it.Collective.op)
+      it.Collective.bytes it.Collective.tag it.Collective.level it.Collective.dep
+      it.Collective.dep2
+  in
+  if stats <> ref_stats then Some "stats differ"
+  else if Array.length items <> Array.length ref_items then
+    Some (Printf.sprintf "%d items, reference %d" (Array.length items) (Array.length ref_items))
+  else
+    let rec go i =
+      if i = Array.length items then None
+      else if same items.(i) ref_items.(i) then go (i + 1)
+      else Some (Printf.sprintf "item %d: %s, reference %s" i (show items.(i)) (show ref_items.(i)))
+    in
+    go 0
+
+let prop_planner_matches_reference (mi, ops) =
+  let machine = (Lazy.force oracle_machines).(mi) in
+  let fabric = machine.Mgacc.Machine.fabric in
+  List.for_all
+    (fun mode ->
+      let cfg = cfg_for machine mode in
+      match
+        plan_difference (Collective.plan ~cfg ~fabric ops) (Ref_collective.plan ~cfg ~fabric ops)
+      with
+      | None -> true
+      | Some why ->
+          QCheck2.Test.fail_reportf "%s, %s" ((Rt_config.find "collective").Rt_config.read cfg) why)
+    [ Rt_config.Direct; Rt_config.Ring; Rt_config.Auto ]
+
 (* ---------------- property: conservation under random groups ---------------- *)
 
 let prop_plan_conserves_bytes (mode_i, payload, dst_count) =
@@ -575,6 +830,10 @@ let suite =
     tc "execute respects plan dependencies" test_execute_respects_deps;
     tc "planning is a pure function of (mode, fabric, ops)" test_plan_is_pure;
     tc "each (site, wave) plans once and re-plans on change" test_plans_reused_per_site;
+    tc "reuse check: equal through fresh strings, unequal on any field" test_reuse_check_is_field_by_field;
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~long_factor:10 ~name:"planner == reference planner"
+         ~print:show_oracle_case gen_oracle_case prop_planner_matches_reference);
     qtest "plans conserve payload bytes"
       QCheck2.Gen.(triple (int_bound 5) (int_range 1 4_000_000) (int_bound 5))
       prop_plan_conserves_bytes;

@@ -276,6 +276,110 @@ let test_report_speedup () =
   check (Alcotest.float 1e-12) "speedup" 4.0 (Report.speedup_vs r ~baseline:base);
   check Alcotest.int "gpus" 2 r.Report.num_gpus
 
+(* ---------------- Host-to-device loads ---------------- *)
+
+module View = Mgacc_exec.View
+
+(* A host view of [n] elements holding [7i - 3] (a quarter of it in a
+   double view) whose accessors raise [View.Bounds] out of range and at
+   [poison], an index outside the read window [\[wlo, whi)]. With
+   [~windowed:false] the window is empty, so a load calls the accessors
+   for every element, as loads did before they read the window in
+   place. *)
+let host_view ~ints ~n ~wlo ~whi ~poison ~windowed =
+  let name = "h" in
+  let fail i = raise (View.Bounds { name; index = i; length = n }) in
+  let bad i = i < 0 || i >= n || poison = Some i in
+  let lo, hi = if windowed then (wlo, whi) else (0, 0) in
+  let value i = (7 * i) - 3 in
+  if ints then
+    View.ints ~name ~length:n ~data:(Array.init (hi - lo) (fun k -> value (lo + k))) ~lo ~hi
+      ~get_i:(fun i -> if bad i then fail i else value i)
+      ~set_i:(fun i _ -> fail i)
+      ~reduce_i:(fun _ i _ -> fail i)
+  else
+    let f i = float_of_int (value i) /. 4.0 in
+    View.doubles ~name ~length:n ~data:(Array.init (hi - lo) (fun k -> f (lo + k))) ~lo ~hi
+      ~load_f:(fun i bank slot -> if bad i then fail i else bank.(slot) <- f i)
+      ~store_f:(fun i _ _ -> fail i)
+      ~reduce_f:(fun _ i _ _ -> fail i)
+
+(* Place an array over [host] on a fresh 2x2 cluster and return what the
+   load raised, if anything, and every device buffer's contents. *)
+let load_outcome layout host =
+  let cfg gpus = Rt_config.make ~num_gpus:gpus (Machine.cluster ~nodes:2 ~gpus_per_node:2 ()) in
+  let n = host.View.length in
+  let placed cfg f =
+    let da = Darray.create cfg ~name:"h" ~host in
+    let raised = match f da with _ -> None | exception e -> Some e in
+    let bufs =
+      match da.Darray.state with
+      | Darray.Replicated r -> Array.to_list r.Darray.bufs
+      | Darray.Distributed d -> List.map (fun (p : Darray.part) -> p.Darray.buf) (Array.to_list d.Darray.parts)
+      | Darray.Unallocated -> []
+    in
+    let contents buf =
+      match host.View.elem with
+      | Mgacc_minic.Ast.Edouble -> `F (Array.copy (Memory.float_data buf))
+      | Mgacc_minic.Ast.Eint -> `I (Array.copy (Memory.int_data buf))
+    in
+    (raised, List.map contents bufs)
+  in
+  match layout with
+  | `Replicated gpus ->
+      let cfg = cfg gpus in
+      placed cfg (fun da -> Darray.ensure_replicated cfg da ~dirty_tracking:false)
+  | `Distributed (gpus, left, right) ->
+      let cfg = cfg gpus in
+      let ranges = Task_map.split ~lower:0 ~upper:n ~parts:gpus in
+      placed cfg (fun da ->
+          Darray.ensure_distributed cfg da ~spec:{ Darray.stride = 1; left; right; tile = None } ~ranges)
+  | `Tiled (stride, row_halo, col_halo) ->
+      let cfg = cfg 4 in
+      let rows = Task_map.split ~lower:0 ~upper:(n / stride) ~parts:2 in
+      let tile =
+        { Darray.pr = 2; pc = 2; row_left = row_halo; row_right = row_halo; col_left = col_halo; col_right = col_halo }
+      in
+      placed cfg (fun da ->
+          Darray.ensure_distributed cfg da
+            ~spec:{ Darray.stride; left = 0; right = 0; tile = Some tile }
+            ~ranges:(Array.init 4 (fun g -> rows.(g / 2))))
+
+let gen_load_case =
+  QCheck2.Gen.(
+    let* ints = bool in
+    let* layout =
+      oneof
+        [
+          map (fun g -> `Replicated g) (int_range 1 4);
+          map3 (fun g l r -> `Distributed (g, l, r)) (int_range 1 4) (int_bound 3) (int_bound 3);
+          map3 (fun s rh ch -> `Tiled (s, rh, ch)) (int_range 1 5) (int_bound 1) (int_bound 1);
+        ]
+    in
+    let* rows = int_range 1 12 in
+    let* short = int_bound 2 in
+    let n = match layout with `Tiled (stride, _, _) -> rows * stride | _ -> (rows * 3) - short in
+    let* a = int_bound n in
+    let* b = int_bound n in
+    let wlo = min a b and whi = max a b in
+    let outside = List.filter (fun i -> i < wlo || i >= whi) (List.init n Fun.id) in
+    let* poison =
+      if outside = [] then return None else option (oneofl outside)
+    in
+    return (ints, layout, n, wlo, whi, poison))
+
+let show_load_case (ints, layout, n, wlo, whi, poison) =
+  Printf.sprintf "%s n=%d window=[%d,%d) poison=%s %s" (if ints then "int" else "double") n wlo whi
+    (match poison with Some p -> string_of_int p | None -> "none")
+    (match layout with
+    | `Replicated g -> Printf.sprintf "replicated on %d" g
+    | `Distributed (g, l, r) -> Printf.sprintf "distributed on %d, halos %d/%d" g l r
+    | `Tiled (s, rh, ch) -> Printf.sprintf "tiled 2x2, stride %d, halos %d/%d" s rh ch)
+
+let prop_loads_match_accessors (ints, layout, n, wlo, whi, poison) =
+  let outcome windowed = load_outcome layout (host_view ~ints ~n ~wlo ~whi ~poison ~windowed) in
+  outcome true = outcome false
+
 let suite =
   [
     tc "reduction: merge folds partials into replicas" test_reduction_merge_values;
@@ -290,4 +394,7 @@ let suite =
     tc "openmp: shared scalar semantics" test_openmp_shared_scalars;
     tc "openmp: thread scaling visible" test_openmp_thread_count_matters;
     tc "report: speedup arithmetic" test_report_speedup;
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"loads: the host window equals the accessors, errors included"
+         ~print:show_load_case gen_load_case prop_loads_match_accessors);
   ]

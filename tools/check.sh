@@ -27,6 +27,9 @@ QCHECK_LONG=1 dune exec test/test_main.exe -- test exec
 # its boolean model, ten times as long as in the tier-1 run.
 QCHECK_LONG=1 dune exec test/test_main.exe -- test coherence
 QCHECK_LONG=1 dune exec test/test_main.exe -- test properties
+# The collective planner against the reference planner (test/ref_collective.ml)
+# on generated op lists over ten machines, ten times as long as in tier-1.
+QCHECK_LONG=1 dune exec test/test_main.exe -- test collective
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 # The smoke runs below must never touch a committed artifact: a bench
