@@ -110,8 +110,17 @@ let bounds_error name index length =
 
 let run_cmd file machine_name variant gpus schedule_name settings chunk_kb no_distribution
     no_layout no_misscheck single_level_dirty dump_arrays show_trace trace_json blame json_report
-    check_results verbose =
+    check_results wall_profile verbose =
   setup_logs verbose;
+  (* The host-time table goes to stderr once the run is over, before any
+     --check, so stdout is the same with or without it. *)
+  if wall_profile then Mgacc.Wall.start ();
+  let wall_table () =
+    if wall_profile then begin
+      Mgacc.Wall.stop ();
+      Format.eprintf "host time by layer:@.%a@." Mgacc.Wall.pp ()
+    end
+  in
   let ( let* ) = Result.bind in
   let* program = read_program file in
   let* spec, fresh_machine = machine_of machine_name in
@@ -141,15 +150,18 @@ let run_cmd file machine_name variant gpus schedule_name settings chunk_kb no_di
     match variant with
     | "seq" ->
         let env = Mgacc.run_sequential program in
+        wall_table ();
         dump_heads env dump_arrays (fun name xs ->
             Format.printf "%s = [|%s ...|]@." name (String.concat "; " xs));
         Ok ()
     | "openmp" ->
         let _, report = Mgacc.run_openmp ~machine program in
+        wall_table ();
         Format.printf "%a@." Mgacc.Report.pp report;
         Ok ()
     | "acc" ->
         let env, report = Mgacc.run_acc ~config ~with_blame:blame program in
+        wall_table ();
         if json_report then print_endline (Mgacc.Report.to_json report)
         else begin
           Format.printf "%a@." Mgacc.Report.pp report;
@@ -387,12 +399,18 @@ let run_term =
     Arg.(value & flag
          & info [ "json" ] ~doc:"print the report as one JSON object (includes coherence counters)")
   in
+  let wall_profile =
+    Arg.(value & flag
+         & info [ "wall-profile" ]
+             ~doc:"print the run's host wall time by layer (parse, plan, host code, each \
+                   loop-hook phase) to stderr")
+  in
   Term.(
-    const (fun file m v g sch st c nd nl nm sl d tr tj bl js ck vb ->
-        exits_of (run_cmd file m v g sch st c nd nl nm sl d tr tj bl js ck vb))
+    const (fun file m v g sch st c nd nl nm sl d tr tj bl js ck wp vb ->
+        exits_of (run_cmd file m v g sch st c nd nl nm sl d tr tj bl js ck wp vb))
     $ file_arg $ machine $ variant $ gpus $ schedule $ settings $ chunk $ no_dist $ no_layout
     $ no_misscheck $ single_level $ dump $ trace $ trace_json $ blame $ json_report $ check_results
-    $ verbose)
+    $ wall_profile $ verbose)
 
 let check_term = Term.(const (fun file -> exits_of (check_cmd file)) $ file_arg)
 

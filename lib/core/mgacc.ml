@@ -20,6 +20,7 @@ module Trace = Mgacc_sim.Trace
 module Metrics = Mgacc_obs.Metrics
 module Critical_path = Mgacc_obs.Critical_path
 module Blame = Mgacc_obs.Blame
+module Wall = Mgacc_obs.Wall
 module Sched_policy = Mgacc_sched.Policy
 module Sched_feedback = Mgacc_sched.Feedback
 module Scheduler = Mgacc_sched.Scheduler
@@ -41,14 +42,20 @@ module Xorshift = Mgacc_util.Xorshift
 module Table = Mgacc_util.Table
 module Bytesize = Mgacc_util.Bytesize
 
-let parse_string ~name src = Parser.parse ~file:name src
+let parse ~file src =
+  Wall.enter Wall.Parse;
+  let program = Parser.parse ~file src in
+  Wall.leave ();
+  program
+
+let parse_string ~name src = parse ~file:name src
 
 let parse_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let src = really_input_string ic len in
   close_in ic;
-  Parser.parse ~file:path src
+  parse ~file:path src
 
 let compile ?options program = Program_plan.build ?options program
 

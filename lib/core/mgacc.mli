@@ -42,6 +42,7 @@ module Trace = Mgacc_sim.Trace
 module Metrics = Mgacc_obs.Metrics
 module Critical_path = Mgacc_obs.Critical_path
 module Blame = Mgacc_obs.Blame
+module Wall = Mgacc_obs.Wall
 module Sched_policy = Mgacc_sched.Policy
 module Sched_feedback = Mgacc_sched.Feedback
 module Scheduler = Mgacc_sched.Scheduler

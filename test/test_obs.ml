@@ -90,6 +90,57 @@ let test_identity_tuned () =
       check Alcotest.string name (List.assoc name golden_tuned) (Mgacc.Report.to_json r))
     apps
 
+(* ---------------- host wall-clock spans ---------------- *)
+
+module Wall = Mgacc_obs.Wall
+
+let clock () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+(* A run's simulated output, everything a user sees of it: the report and
+   the Chrome trace. *)
+let simulated_output ~tuned (_, app) =
+  let machine = Mgacc.Machine.cluster () in
+  let _, r =
+    if tuned then tuned_proposal ~machine app
+    else App_common.proposal (Rt_config.make ~num_gpus:4 machine) app
+  in
+  Mgacc.Report.to_json r ^ Mgacc.Trace.to_chrome_json machine.Mgacc.Machine.trace
+
+(* With the recorder on, every app's report and trace are byte-identical
+   to the recorder-off run; the layers' times sum to no more than the
+   wall time measured around the run; the loop-hook phases all recorded
+   spans; and, off, a span costs no allocation. *)
+let test_wall_profile () =
+  List.iter
+    (fun ((name, _) as app) ->
+      List.iter
+        (fun tuned ->
+          let off = simulated_output ~tuned app in
+          let t0 = clock () in
+          Wall.start ();
+          let on = simulated_output ~tuned app in
+          Wall.stop ();
+          let outside = clock () -. t0 in
+          check Alcotest.string (name ^ ": simulated output with the recorder on") off on;
+          let sum = List.fold_left (fun acc l -> acc +. Wall.seconds l) 0.0 Wall.all in
+          (* The layers partition the recorded time exactly in
+             nanoseconds; their sum in seconds may round up. *)
+          if not (sum <= Wall.elapsed () *. (1.0 +. 1e-9) && Wall.elapsed () <= outside) then
+            Alcotest.failf "%s: layers sum to %.9f s, recorded %.9f s, measured %.9f s" name sum
+              (Wall.elapsed ()) outside;
+          List.iter
+            (fun l ->
+              if Wall.spans l = 0 then Alcotest.failf "%s: no %s span" name (Wall.name l))
+            Wall.[ Plan; Host; Kernel_compile; Load; Kernels; Reconcile; Comms; Charge; Hook; Data; Report ])
+        [ false; true ])
+    apps;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Wall.enter Wall.Kernels;
+    Wall.leave ()
+  done;
+  check (Alcotest.float 0.0) "minor words of 1000 spans while off" 0.0 (Gc.minor_words () -. before)
+
 (* ---------------- critical-path pass ---------------- *)
 
 let rec_span tr ?(causes = []) ~resource ~start ~finish () =
@@ -502,6 +553,7 @@ let suite =
   [
     tc "identity pin: default config reports are byte-stable" test_identity_default;
     tc "identity pin: tuned config reports are byte-stable" test_identity_tuned;
+    tc "wall profile: simulated output unchanged, layers within the run" test_wall_profile;
     tc "critical path: chain" test_cp_chain;
     tc "critical path: diamond picks the long arm" test_cp_diamond;
     tc "critical path: two chains, longer wins" test_cp_two_chains;

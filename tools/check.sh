@@ -176,4 +176,11 @@ dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/barrier_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/reuse_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/fleet_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- metrics "$tmp/fleet.prom"
+# The host-time recorder prints its table to stderr and leaves stdout,
+# the simulated output, unchanged.
+dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster --json > "$tmp/plain.json"
+dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster --json --wall-profile \
+  > "$tmp/wall.json" 2> "$tmp/wall.txt"
+cmp "$tmp/plain.json" "$tmp/wall.json"
+grep -q "kernel executor" "$tmp/wall.txt"
 echo "check.sh: all green"
