@@ -76,7 +76,13 @@ type ctx = {
   host : host option;  (** [None] while compiling a kernel body *)
   result : Frame.slot option;  (** where [return e] leaves [e] *)
   mutable charge : Cost.t;  (** the static charge of the segment being compiled *)
+  mutable scratch : int;
+      (** the float slot a fused operator's loads pass through outside
+          their view's read window, [-1] until one needs it *)
 }
+
+let context ?result layout classify host =
+  { layout; classify; host; result; charge = Cost.zero (); scratch = -1 }
 
 let host_classify _ _ = Coalesce.Coalesced
 
@@ -101,6 +107,13 @@ let view_slot_of ctx loc a =
 
 let fresh_float ctx loc =
   match Frame.Layout.fresh ctx.layout loc Tdouble with Frame.Float_slot i -> i | _ -> assert false
+
+(* A fused operator reads a load outside its view's window through the
+   view's accessor into this slot and takes the value out at once, so one
+   slot serves every fused operator of a layout. *)
+let scratch ctx =
+  if ctx.scratch < 0 then ctx.scratch <- fresh_float ctx Loc.dummy;
+  ctx.scratch
 
 (* ------------------------------------------------------------------ *)
 (* Charges, added to the segment being compiled.                       *)
@@ -295,13 +308,21 @@ let seq fs =
    code returning the value. *)
 type iop = Islot of int | Iaff of { a : int; b : int; c : int; neg : bool } | Icode of (Frame.t -> int)
 
-(* A double operand: a slot read in place, or code that leaves the value
-   in the slot. No double ever crosses a closure boundary. *)
+(* A placed double operand: a slot read in place, or code that leaves the
+   value in the slot. No double ever crosses a closure boundary. *)
 type fop = Fslot of int | Fcode of (Frame.t -> unit) * int
 
+(* A double operand as a float operator sees it: placed; an in-place load,
+   element [sub] of the double array in view slot [view], [sub] a slot or
+   an affine subscript; or a float operator over two slots or two in-place
+   loads. A load or an operator is charged when it is built, and compiled
+   by the operator that uses it: inside that operator's own closure where
+   one of the fused shapes below matches, else placed in a temporary. *)
+type fopnd = Placed of fop | Load of { view : int; sub : iop } | Arith of binop * fopnd * fopnd
+
 (* Operators specialize on their operands' shapes when they compile: one
-   closure per (slot | code) x (slot | code) pair. Where both operands are
-   code, the right one runs first. *)
+   closure per (slot | code) x (slot | code) pair, and one per fused shape.
+   Where both operands are code, the right one runs first. *)
 
 let[@inline] affine (is : int array) a b c neg =
   let p = Array.unsafe_get is a * Array.unsafe_get is b in
@@ -319,17 +340,29 @@ let code_of_iop ctx = function
 let parts_of_fop = function Fslot s -> (nop, s) | Fcode (c, s) -> (c, s)
 
 (* Loads: element [i] in place when [i] is in the view's read window, else
-   through the view's accessor, which raises whatever a bad read raises.
-   The in-place read keeps OCaml's bounds check: a view of the other
-   element type has an empty array there, so a read through a mistyped
-   slot raises instead of reading outside it. *)
-let[@inline] read_f (v : View.t) i (bank : float array) dst =
-  if i >= v.View.lo && i < v.View.hi then
-    Array.unsafe_set bank dst (Array.get v.View.fdata (i - v.View.lo))
-  else v.View.load_f i bank dst
+   through the view's accessor, which raises whatever a bad read raises;
+   a double one passes through slot [via] of [bank] on that path. The
+   in-place read keeps OCaml's bounds check: a view of the other element
+   type has an empty array there, so a read through a mistyped slot raises
+   instead of reading outside it. Every double load, fused or not, is
+   [load_f]. *)
+let[@inline] load_f (v : View.t) i (bank : float array) via =
+  if i >= v.View.lo && i < v.View.hi then Array.get v.View.fdata (i - v.View.lo)
+  else begin
+    v.View.load_f i bank via;
+    Array.unsafe_get bank via
+  end
 
-let[@inline] read_i (v : View.t) i =
+let[@inline] load_i (v : View.t) i =
   if i >= v.View.lo && i < v.View.hi then Array.get v.View.idata (i - v.View.lo) else v.View.get_i i
+
+(* A fused load's subscript as [a*b + c] or [a*b - c]: a slot subscript
+   [s] runs as [s*1 + 0], charged as a slot when the load was built. The
+   two constants are allocated only here, once a fused shape matched. *)
+let affine_parts ctx = function
+  | Iaff { a; b; c; neg } -> (a, b, c, neg)
+  | Islot s -> (s, Frame.Layout.const_int ctx.layout 1, Frame.Layout.const_int ctx.layout 0, false)
+  | Icode _ -> assert false (* a load's subscript is a slot or affine *)
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation.                                             *)
@@ -395,9 +428,21 @@ let counted_loop ctx hdr body =
       match (int_slot ctx ve, int_slot ctx bound) with Some i, Some b -> Some (op, i, b, d) | _ -> None)
   | _ -> None
 
+(* The value of [a + b], [a - b] or [a * b] over two int literals, which
+   compiles to a constant; its user still charges its int op. [/] and [%]
+   stay operators, so a division by zero is a located run-time error. *)
+let fold e =
+  match e.edesc with
+  | Binop (((Add | Sub | Mul) as op), { edesc = Int_lit a; _ }, { edesc = Int_lit b; _ }) ->
+      Some (iarith e.eloc op a b)
+  | _ -> None
+
 let rec comp_iop ctx e : iop =
   match (ty_of ctx e, e.edesc) with
   | Tint, Int_lit v -> Islot (Frame.Layout.const_int ctx.layout v)
+  | Tint, Binop _ when fold e <> None ->
+      int_ops ctx 1;
+      Islot (Frame.Layout.const_int ctx.layout (Option.get (fold e)))
   | Tint, Var v -> (
       match slot_of ctx e.eloc v with
       | Frame.Int_slot i, _ -> Islot i
@@ -417,6 +462,119 @@ and comp_fop ctx e : fop =
   | _ ->
       let t = fresh_float ctx e.eloc in
       Fcode (comp_f_into ctx e t, t)
+
+(* [e] as a float operator's operand: an in-place load or an operator over
+   two slots or two loads is charged now and compiled by its user. *)
+and comp_operand ctx e : fopnd =
+  match (ty_of ctx e, e.edesc) with
+  | Tdouble, Index (a, idx) -> (
+      match comp_load ctx e a idx with
+      | vi, ((Islot _ | Iaff _) as sub) -> Load { view = vi; sub }
+      | vi, ix ->
+          let t = fresh_float ctx e.eloc in
+          Placed (Fcode (read_into vi ix t, t)))
+  | Tdouble, Binop (((Add | Sub | Mul | Div) as op), x, y) -> (
+      flops ctx 1;
+      let ox = comp_operand ctx x and oy = comp_operand ctx y in
+      match (ox, oy) with
+      | Placed (Fslot _), Placed (Fslot _) | Load _, Load _ -> Arith (op, ox, oy)
+      | _ ->
+          let t = fresh_float ctx e.eloc in
+          Placed (Fcode (comp_arith ctx op ox oy t, t)))
+  | _ -> Placed (comp_fop ctx e)
+
+(* A double array element: the array's view slot and the subscript,
+   charged its access class, and 2 int ops for an affine subscript. *)
+and comp_load ctx e a idx =
+  let vi, elem = view_slot_of ctx e.eloc a in
+  if elem <> Edouble then Loc.error e.eloc "%s is not a double array" a;
+  let ix = comp_iop ctx idx in
+  access ctx (ctx.classify a idx) 8;
+  (match ix with Iaff _ -> int_ops ctx 2 | Islot _ | Icode _ -> ());
+  (vi, ix)
+
+(* Code that loads element [ix] of view [vi] into float slot [dst]. *)
+and read_into vi ix dst : Frame.t -> unit =
+  match ix with
+  | Islot s ->
+      fun fr ->
+        let fl = fr.Frame.floats in
+        Array.unsafe_set fl dst
+          (load_f (Array.unsafe_get fr.Frame.views vi) (Array.unsafe_get fr.Frame.ints s) fl dst)
+  | Iaff { a; b; c; neg } ->
+      fun fr ->
+        let fl = fr.Frame.floats in
+        Array.unsafe_set fl dst
+          (load_f (Array.unsafe_get fr.Frame.views vi) (affine fr.Frame.ints a b c neg) fl dst)
+  | Icode ci ->
+      fun fr ->
+        let i = ci fr in
+        let fl = fr.Frame.floats in
+        Array.unsafe_set fl dst (load_f (Array.unsafe_get fr.Frame.views vi) i fl dst)
+
+(* An operand placed: a load or an operator compiled into a temporary. *)
+and place ctx = function
+  | Placed f -> f
+  | Load { view; sub } ->
+      let t = fresh_float ctx Loc.dummy in
+      Fcode (read_into view sub t, t)
+  | Arith (op, x, y) ->
+      let t = fresh_float ctx Loc.dummy in
+      Fcode (comp_arith ctx op x y t, t)
+
+(* [x op y] into float slot [dst], over operands already charged (the
+   operator's flop included). Three shapes fuse into one closure, each for
+   a site of the benchmark's workloads: two loads (kmeans's
+   [x[i*f + j] - centers[c*f + j]]), and a slot with an operator over two
+   slots or two loads (kmeans's [dist + d*d], spmv's
+   [s + vals[i*k + e] * x[c]]). The right operand runs first, as in the
+   placed shapes. *)
+and comp_arith ctx op x y dst : Frame.t -> unit =
+  match (x, y) with
+  | Load lx, Load ly ->
+      let xa, xb, xc, xn = affine_parts ctx lx.sub and ya, yb, yc, yn = affine_parts ctx ly.sub in
+      let xv = lx.view and yv = ly.view and via = scratch ctx in
+      fun fr ->
+        let fl = fr.Frame.floats and is = fr.Frame.ints and vs = fr.Frame.views in
+        let y = load_f (Array.unsafe_get vs yv) (affine is ya yb yc yn) fl via in
+        let x = load_f (Array.unsafe_get vs xv) (affine is xa xb xc xn) fl via in
+        Array.unsafe_set fl dst (farith op x y)
+  | Placed (Fslot a), Arith (op2, Placed (Fslot b), Placed (Fslot c)) ->
+      fun fr ->
+        let fl = fr.Frame.floats in
+        Array.unsafe_set fl dst
+          (farith op (Array.unsafe_get fl a) (farith op2 (Array.unsafe_get fl b) (Array.unsafe_get fl c)))
+  | Placed (Fslot a), Arith (op2, Load lb, Load lc) ->
+      let ba, bb, bc, bn = affine_parts ctx lb.sub and ca, cb, cc, cn = affine_parts ctx lc.sub in
+      let bv = lb.view and cv = lc.view and via = scratch ctx in
+      fun fr ->
+        let fl = fr.Frame.floats and is = fr.Frame.ints and vs = fr.Frame.views in
+        let z = load_f (Array.unsafe_get vs cv) (affine is ca cb cc cn) fl via in
+        let y = load_f (Array.unsafe_get vs bv) (affine is ba bb bc bn) fl via in
+        Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (farith op2 y z))
+  | _ -> (
+      let fx = place ctx x and fy = place ctx y in
+      match (fx, fy) with
+      | Fslot a, Fslot b ->
+          fun fr ->
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
+      | Fcode (cx, a), Fslot b ->
+          fun fr ->
+            cx fr;
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
+      | Fslot a, Fcode (cy, b) ->
+          fun fr ->
+            cy fr;
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
+      | Fcode (cx, a), Fcode (cy, b) ->
+          fun fr ->
+            cy fr;
+            cx fr;
+            let fl = fr.Frame.floats in
+            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b)))
 
 (* Code that leaves the value of [e], as a double, in float slot [dst]. *)
 and comp_f_into ctx e dst : Frame.t -> unit =
@@ -442,25 +600,9 @@ and comp_f_native ctx e dst : Frame.t -> unit =
             let fl = fr.Frame.floats in
             Array.unsafe_set fl dst (Array.unsafe_get fl i)
       | _ -> Loc.error e.eloc "%s is not a double variable" v)
-  | Index (a, idx) -> (
-      let vi, elem = view_slot_of ctx e.eloc a in
-      if elem <> Edouble then Loc.error e.eloc "%s is not a double array" a;
-      let ix = comp_iop ctx idx in
-      access ctx (ctx.classify a idx) 8;
-      match ix with
-      | Islot s ->
-          fun fr ->
-            read_f (Array.unsafe_get fr.Frame.views vi) (Array.unsafe_get fr.Frame.ints s)
-              fr.Frame.floats dst
-      | Iaff { a; b; c; neg } ->
-          int_ops ctx 2;
-          fun fr ->
-            read_f (Array.unsafe_get fr.Frame.views vi) (affine fr.Frame.ints a b c neg)
-              fr.Frame.floats dst
-      | Icode ci ->
-          fun fr ->
-            let i = ci fr in
-            read_f (Array.unsafe_get fr.Frame.views vi) i fr.Frame.floats dst)
+  | Index (a, idx) ->
+      let vi, ix = comp_load ctx e a idx in
+      read_into vi ix dst
   | Unop (Neg, x) -> (
       flops ctx 1;
       match comp_fop ctx x with
@@ -475,30 +617,10 @@ and comp_f_native ctx e dst : Frame.t -> unit =
             Array.unsafe_set fl dst (-.Array.unsafe_get fl a))
   | Unop (Cast_double, x) -> comp_f_into ctx x dst
   | Unop ((Not | Bit_not | Cast_int), _) -> assert false (* typed Tint *)
-  | Binop (((Add | Sub | Mul | Div) as op), x, y) -> (
+  | Binop (((Add | Sub | Mul | Div) as op), x, y) ->
       flops ctx 1;
-      let fx = comp_fop ctx x and fy = comp_fop ctx y in
-      match (fx, fy) with
-      | Fslot a, Fslot b ->
-          fun fr ->
-            let fl = fr.Frame.floats in
-            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
-      | Fcode (cx, a), Fslot b ->
-          fun fr ->
-            cx fr;
-            let fl = fr.Frame.floats in
-            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
-      | Fslot a, Fcode (cy, b) ->
-          fun fr ->
-            cy fr;
-            let fl = fr.Frame.floats in
-            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
-      | Fcode (cx, a), Fcode (cy, b) ->
-          fun fr ->
-            cy fr;
-            cx fr;
-            let fl = fr.Frame.floats in
-            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b)))
+      let ox = comp_operand ctx x and oy = comp_operand ctx y in
+      comp_arith ctx op ox oy dst
   | Binop (_, _, _) -> assert false (* typed Tint *)
   | Ternary (c, a, b) ->
       int_ops ctx 1;
@@ -651,14 +773,14 @@ and comp_i_native ctx e : Frame.t -> int =
       access ctx (ctx.classify a idx) 4;
       match ix with
       | Islot s ->
-          fun fr -> read_i (Array.unsafe_get fr.Frame.views vi) (Array.unsafe_get fr.Frame.ints s)
+          fun fr -> load_i (Array.unsafe_get fr.Frame.views vi) (Array.unsafe_get fr.Frame.ints s)
       | Iaff { a; b; c; neg } ->
           int_ops ctx 2;
-          fun fr -> read_i (Array.unsafe_get fr.Frame.views vi) (affine fr.Frame.ints a b c neg)
+          fun fr -> load_i (Array.unsafe_get fr.Frame.views vi) (affine fr.Frame.ints a b c neg)
       | Icode ci ->
           fun fr ->
             let i = ci fr in
-            read_i (Array.unsafe_get fr.Frame.views vi) i)
+            load_i (Array.unsafe_get fr.Frame.views vi) i)
   | Unop (Neg, x) -> (
       int_ops ctx 1;
       match comp_iop ctx x with
@@ -685,6 +807,10 @@ and comp_i_native ctx e : Frame.t -> int =
   | Unop (Not, _) | Binop ((Eq | Ne | Lt | Le | Gt | Ge | Land | Lor), _, _) ->
       let c = comp_cond ctx e in
       fun fr -> if c fr then 1 else 0
+  | Binop _ when fold e <> None ->
+      int_ops ctx 1;
+      let v = Option.get (fold e) in
+      fun _ -> v
   | Binop (op, x, y) -> (
       int_ops ctx 1;
       let loc = e.eloc in
@@ -799,7 +925,7 @@ and function_of h loc name =
         { fn_layout = layout; fn_params = params; fn_result = result; fn_body = nop; fn_scope = Frame.Layout.scope layout }
       in
       Hashtbl.replace h.funcs name fn;
-      let ctx = { layout; classify = host_classify; host = Some h; result; charge = Cost.zero () } in
+      let ctx = context ?result layout host_classify (Some h) in
       (* Parameters and the body's own declarations share one scope, as in C. *)
       fn.fn_body <- comp_block_no_scope ctx f.fbody;
       fn.fn_scope <- Frame.Layout.scope layout;
@@ -972,36 +1098,51 @@ and comp_stmt ctx s : Frame.t -> unit =
           flops ctx 1;
           scatter ctx 8;
           (* The contribution runs before the subscript. *)
-          match (ix, comp_fop ctx contrib) with
-          | Islot k, Fslot c ->
-              fun fr ->
-                (Array.unsafe_get fr.Frame.views vi).View.reduce_f rta_op
-                  (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
-          | Islot k, Fcode (cc, c) ->
-              fun fr ->
-                let v = Array.unsafe_get fr.Frame.views vi in
-                cc fr;
-                v.View.reduce_f rta_op (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
-          | Iaff { a; b; c = k; neg }, Fslot c ->
+          match (ix, comp_operand ctx contrib) with
+          | Iaff { a; b; c = k; neg }, Load l ->
+              (* kmeans's [newcenters[c*f + j] += x[i*f + j]]: the update reads
+                 its contribution itself, staged in a temporary for
+                 [reduce_f]. *)
               int_ops ctx 2;
-              fun fr ->
-                (Array.unsafe_get fr.Frame.views vi).View.reduce_f rta_op
-                  (affine fr.Frame.ints a b k neg) fr.Frame.floats c
-          | Iaff { a; b; c = k; neg }, Fcode (cc, c) ->
-              int_ops ctx 2;
+              let la, lb, lc, ln = affine_parts ctx l.sub and lv = l.view in
+              let t = fresh_float ctx s.sloc in
               fun fr ->
                 let v = Array.unsafe_get fr.Frame.views vi in
-                cc fr;
-                v.View.reduce_f rta_op (affine fr.Frame.ints a b k neg) fr.Frame.floats c
-          | Icode ci, Fslot c ->
-              fun fr ->
-                let v = Array.unsafe_get fr.Frame.views vi in
-                v.View.reduce_f rta_op (ci fr) fr.Frame.floats c
-          | Icode ci, Fcode (cc, c) ->
-              fun fr ->
-                let v = Array.unsafe_get fr.Frame.views vi in
-                cc fr;
-                v.View.reduce_f rta_op (ci fr) fr.Frame.floats c)
+                let fl = fr.Frame.floats and is = fr.Frame.ints in
+                let x = load_f (Array.unsafe_get fr.Frame.views lv) (affine is la lb lc ln) fl t in
+                Array.unsafe_set fl t x;
+                v.View.reduce_f rta_op (affine is a b k neg) fl t
+          | ix, contrib -> (
+              match (ix, place ctx contrib) with
+              | Islot k, Fslot c ->
+                  fun fr ->
+                    (Array.unsafe_get fr.Frame.views vi).View.reduce_f rta_op
+                      (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
+              | Islot k, Fcode (cc, c) ->
+                  fun fr ->
+                    let v = Array.unsafe_get fr.Frame.views vi in
+                    cc fr;
+                    v.View.reduce_f rta_op (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
+              | Iaff { a; b; c = k; neg }, Fslot c ->
+                  int_ops ctx 2;
+                  fun fr ->
+                    (Array.unsafe_get fr.Frame.views vi).View.reduce_f rta_op
+                      (affine fr.Frame.ints a b k neg) fr.Frame.floats c
+              | Iaff { a; b; c = k; neg }, Fcode (cc, c) ->
+                  int_ops ctx 2;
+                  fun fr ->
+                    let v = Array.unsafe_get fr.Frame.views vi in
+                    cc fr;
+                    v.View.reduce_f rta_op (affine fr.Frame.ints a b k neg) fr.Frame.floats c
+              | Icode ci, Fslot c ->
+                  fun fr ->
+                    let v = Array.unsafe_get fr.Frame.views vi in
+                    v.View.reduce_f rta_op (ci fr) fr.Frame.floats c
+              | Icode ci, Fcode (cc, c) ->
+                  fun fr ->
+                    let v = Array.unsafe_get fr.Frame.views vi in
+                    cc fr;
+                    v.View.reduce_f rta_op (ci fr) fr.Frame.floats c))
       | Eint ->
           int_ops ctx 1;
           scatter ctx 4;
@@ -1228,7 +1369,7 @@ and comp_sequential ctx (loop : Loop_info.t) =
 
 let compile ~loop ~params ~classify =
   let layout = Frame.Layout.create () in
-  let ctx = { layout; classify; host = None; result = None; charge = Cost.zero () } in
+  let ctx = context layout classify None in
   let loop_loc = loop.Loop_info.loop_loc in
   let iv_slot = Frame.Layout.declare layout loop_loc loop.Loop_info.loop_var Tint in
   let param_slots =
@@ -1259,7 +1400,7 @@ let compile_function h name =
    above the frame's own slots and runs on a copy with room for them. *)
 let eval h scope fr comp =
   let layout = Frame.layout_above scope fr in
-  let code = comp { layout; classify = host_classify; host = Some h; result = None; charge = Cost.zero () } in
+  let code = comp (context layout host_classify (Some h)) in
   code (Frame.extend fr layout)
 
 let eval_int h scope e fr = eval h scope fr (fun ctx -> comp_i ctx e)

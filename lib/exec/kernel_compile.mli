@@ -19,7 +19,8 @@
     is read from its slot inside the operator's closure rather than called,
     an int comparison used as a condition yields a [bool] directly, a
     subscript [a*b + c], [c + a*b] or [a*b - c] over int variables and
-    literals is computed inside the access's closure, and a builtin call
+    literals is computed inside the access's closure, [a + b], [a - b] or
+    [a * b] over two int literals is a constant, and a builtin call
     resolves its operation once. A counted loop, [for (init; v op b; v++)]
     or [v--] with [v] an int variable, [b] an int variable or literal and
     no [break] or [continue] leaving its body, runs as one OCaml loop over
@@ -29,6 +30,24 @@
     element assignment runs its value before its subscript, and a compound
     one its subscript first; so a statement with two faults raises the
     same located error however its operands are shaped.
+
+    A double operand of a float operator ([+ - * /]) has two more shapes
+    than a slot or code: an {e in-place load}, [a\[i\]] of a double array
+    whose subscript is a slot or an affine form, and an {e operator} over
+    two slots or two in-place loads. Both are charged when they compile
+    and run inside the closure of the operator that uses them when one of
+    three fused shapes matches: two in-place loads under one operator
+    (kmeans's [x\[i*f + j\] - centers\[c*f + j\]]), and a slot with an
+    operator over two slots or two loads (kmeans's [dist + d*d], spmv's
+    [s + vals\[i*k + e\] * x\[c\]]). Otherwise they are compiled into a
+    temporary like any code operand. A reduction update with an affine
+    subscript reads an in-place load contribution itself (kmeans's
+    [newcenters\[c*f + j\] = newcenters\[c*f + j\] + x\[i*f + j\]]). Fusing
+    changes neither order nor charges: the right operand still runs first,
+    a fused load raises what an unfused one raises, and the segment's
+    static charge is the same sum (a flop per operator; per load its
+    access class, and 2 int ops for an affine subscript, a slot subscript
+    being run as [s*1 + 0] but charged as a slot).
 
     A kernel charges the {!Frame.t.cost} of the frame it runs in:
     arithmetic by operator type, and array traffic by the coalescing mode
@@ -54,9 +73,11 @@
     kernel is re-entrant. Host code pays nothing.
 
     Loads read in place: a subscript inside the view's read window
-    ({!View.t.lo}) is one array read, and only one outside it calls the
-    view's accessor ({!read_f}, {!read_i}). Stores, reduction updates and
-    the read of a compound assignment go through the accessors.
+    ({!View.t.lo}) is one checked read of the view's backing array, and
+    only one outside it calls the view's accessor ([load_f], [get_i]), so
+    a bad read raises what the accessor raises; every load, fused or not,
+    goes through one read helper. Stores, reduction updates and the read
+    of a compound assignment go through the accessors.
 
     Kernel restrictions enforced here (with located errors): no user
     function calls, no array declarations, no [return], and no data or
@@ -84,14 +105,6 @@ val compile :
     arrays) with their host types; [classify array subscript] chooses the
     coalescing mode charged for that access site. A [break] or [continue]
     escaping an iteration raises a located {!Loc.Error} when it runs. *)
-
-val read_f : View.t -> int -> float array -> int -> unit
-val read_i : View.t -> int -> int
-(** The loads compiled code performs: [read_f v i bank slot] leaves
-    element [i] in [bank.(slot)] and [read_i v i] returns it, read in
-    place when [i] is in [v]'s read window and through [v.load_f] or
-    [v.get_i] otherwise. A read returns what the accessor would, or raises
-    what it would. *)
 
 val extract_reduction :
   Ast.redop -> Ast.stmt -> Ast.expr * Ast.expr

@@ -179,8 +179,10 @@ and eval_binop env loc op x y =
       int_ops env 1;
       Vint (if truthy (eval env x) || truthy (eval env y) then 1 else 0)
   | _ -> (
-      let a = eval env x in
+      (* The right operand first, as compiled code runs it: of two faults,
+         the right one's is raised. *)
       let b = eval env y in
+      let a = eval env x in
       let cmp r =
         (match (a, b) with Vint _, Vint _ -> int_ops env 1 | _ -> flop env);
         Vint (if r then 1 else 0)
@@ -331,7 +333,13 @@ and exec_stmt env s =
                 view.View.set_i i (View.apply_redop_i rta_op (view.View.get_i i) (as_int v))
               else store_f view i (View.apply_redop_f rta_op (load_f view i) (as_float v))
           | _ -> Loc.error s.sloc "indexing non-array %s" a)
-      | _ -> failwith "Ref_interp: only a[k] += v and a[k] *= v reductions are modelled")
+      | Sassign (Lindex (a, idx), Set, { edesc = Binop (Add, { edesc = Index (a', idx'); _ }, v); _ })
+        when a = rta_array && a' = a && rta_op = Rplus
+             && Pretty.expr_to_string idx = Pretty.expr_to_string idx' ->
+          (* kmeans's form, [a[k] = a[k] + v], is [a[k] += v]. *)
+          exec_stmt env
+            { s with sdesc = Spragma (Dreduction_to_array { rta_op; rta_array }, { inner with sdesc = Sassign (Lindex (a, idx), Add_set, v) }) }
+      | _ -> failwith "Ref_interp: only a[k] += v, a[k] = a[k] + v and a[k] *= v reductions are modelled")
   | Spragma ((Dparallel_loop _ | Dlocalaccess _), inner) when env.meter <> None ->
       (* Nested parallelism inside a kernel runs as the plain loop. *)
       exec_stmt env inner

@@ -800,7 +800,7 @@ let cost_fields (c : Cost.t) =
 (* Compile [body] as a kernel, run every iteration in one frame, and run
    the reference on its own copy of the inputs. [Ok ()] when both agree on
    the arrays and on every cost field, or both fail. *)
-let kernel_vs_reference body =
+let kernel_vs_reference ?(same_error = false) body =
   let program = Parser.parse ~file:"k.c" (kernel_source body) in
   Typecheck.check_program program;
   let loop = List.hd (Loop_info.extract (Option.get (Ast.find_func program "main"))) in
@@ -852,6 +852,8 @@ let kernel_vs_reference body =
     | exception e -> Error e
   in
   match (compiled, reference) with
+  | Error c, Error r when same_error && Printexc.to_string c <> Printexc.to_string r ->
+      Error (Printf.sprintf "the compiled kernel raised %s, the reference %s" (Printexc.to_string c) (Printexc.to_string r))
   | Error _, Error _ -> Ok ()
   | Error e, Ok _ -> Error (Printf.sprintf "only the compiled kernel raised %s" (Printexc.to_string e))
   | Ok _, Error e -> Error (Printf.sprintf "only the reference raised %s" (Printexc.to_string e))
@@ -866,8 +868,8 @@ let kernel_vs_reference body =
       else if counts <> [] then Error ("counts differ: " ^ String.concat ", " counts)
       else Ok ()
 
-let check_kernel body =
-  match kernel_vs_reference body with
+let check_kernel ?same_error body =
+  match kernel_vs_reference ?same_error body with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "%s@.kernel body: %s" msg body
   | exception e -> Alcotest.failf "%s@.kernel body: %s" (Printexc.to_string e) body
@@ -880,6 +882,91 @@ let dbl_shapes = [ "y0"; "1.5"; "(y1 * d[p])" ]
    and literals, stay in range too. *)
 let index_shapes = [ "p"; "2"; "((x0 + p) % 6)"; "i0 * m + p"; "p * 2 - p"; "m + i0 * p"; "2 * 2 + 1" ]
 let kernel_locals = "int x0 = 7; int x1 = 5; double y0 = 0.75; double y1 = (-1.25); int i0;"
+
+(* The subscripts of a load by shape: slots, the three affine forms, and
+   code. A fused operator reads the first four in its own closure. *)
+let load_index_shapes = [ "p"; "i0 * m + p"; "p * 2 - p"; "m + i0 * p"; "((x0 + p) % 6)" ]
+
+(* The operands of the fused shapes: slots, literals and loads. *)
+let fused_operands = [ "y0"; "1.5"; "x0"; "d[p]"; "d[i0 * m + p]"; "d[(x0 + p) % 6]" ]
+
+(* Fused operators: two loads under each float operator, load and slot
+   mixes on both sides, [x op y*z] and [y*z op x], an operator over a slot
+   and another operator, and kmeans's reduction update; literal-only int
+   arithmetic, which folds, in value, condition and subscript context. *)
+let fused_matrix =
+  let ops = [ "+"; "-"; "*"; "/" ] in
+  let pairs xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs in
+  let loads = List.map (Printf.sprintf "d[%s]") load_index_shapes in
+  let each ps f = List.concat_map (fun op -> List.map (fun (l, r) -> f op l r) ps) ops in
+  List.concat
+    [
+      each (pairs loads loads) (fun op l r -> Printf.sprintf "y1 = %s %s %s;" l op r);
+      each (pairs loads loads) (fun op l r -> Printf.sprintf "y1 = 0.5 * (%s %s %s);" l op r);
+      each (pairs loads loads) (fun op l r -> Printf.sprintf "y1 = y1 - (%s %s %s);" l op r);
+      each (pairs loads [ "y0"; "1.5"; "x0" ] @ pairs [ "y0"; "1.5"; "x0" ] loads) (fun op l r ->
+          Printf.sprintf "y1 = %s %s %s;" l op r);
+      List.concat_map
+        (fun (x, (y, z)) ->
+          List.concat_map
+            (fun (op, inner) ->
+              [
+                Printf.sprintf "y1 = %s %s %s %s %s;" x op y inner z;
+                Printf.sprintf "y1 = %s %s %s %s %s;" y inner z op x;
+              ])
+            [ ("+", "*"); ("-", "*"); ("+", "/"); ("-", "/") ])
+        (pairs fused_operands (pairs fused_operands fused_operands));
+      List.concat_map
+        (fun op -> List.map (fun inner -> Printf.sprintf "y1 = y0 %s (y1 %s 1.5);" op inner) ops)
+        ops;
+      List.concat_map
+        (fun (dst, src) ->
+          [
+            Printf.sprintf "\n#pragma acc reductiontoarray(+: d)\nd[%s] = d[%s] + d[%s];" dst dst src;
+            Printf.sprintf "\n#pragma acc reductiontoarray(+: d)\nd[%s] += d[%s];" dst src;
+            Printf.sprintf "\n#pragma acc reductiontoarray(*: d)\nd[%s] *= d[%s];" dst src;
+          ])
+        (pairs index_shapes load_index_shapes);
+      [
+        "double dist = 0.0; for (i0 = 0; i0 < m; i0++) { double e = d[p * 1 + 0] - \
+         d[i0 * 1 + 1]; dist = dist + e * e; } y1 = dist;";
+        "x1 = 0 - 1;";
+        "x1 = 2 * 3 + x0;";
+        "x1 = x0 - (4 - 9);";
+        "y1 = 5 - 7;";
+        "a[p] = 3 * 2;";
+        "if (a[p] == 0 - 1) { x1 = 1; } else { x1 = 2; }";
+        "if (a[p] < 0 - 1 && x0 > 2 * 3) { x1 = 1; }";
+        "x1 = a[1 + 1] + a[2 * 2 + 1];";
+        "d[0 * 0 + 1] = d[6 - 5];";
+        "for (i0 = 0; i0 < 2 + 1; i0++) { y1 = y1 + d[i0]; }";
+        "x1 = p > 2 ? 0 - 1 : 1 - 0;";
+        "x1 = 7 / 0;";
+        "x1 = 7 % 0;";
+      ];
+    ]
+  |> List.map (fun stmt -> kernel_locals ^ " " ^ stmt)
+
+(* Both loads of a fused operator fault (x0 is 7 and m is 4, past d's
+   6 elements): the right operand's fault is the one raised, as in the
+   reference. *)
+let fused_faults =
+  let bad = [ "d[x0]"; "d[x0 * 2 + p]"; "d[m + x0 * 3]"; "d[x0 * x0 - p]" ] in
+  List.concat_map
+    (fun l ->
+      Printf.sprintf "\n#pragma acc reductiontoarray(+: d)\nd[x0 * 3 + p] += %s;" l
+      :: List.concat_map
+           (fun r ->
+             if l = r then []
+             else
+               [
+                 Printf.sprintf "y1 = %s - %s;" l r;
+                 Printf.sprintf "y1 = y0 + %s * %s;" l r;
+                 Printf.sprintf "y1 = 0.5 * (%s / %s);" l r;
+               ])
+           bad)
+    bad
+  |> List.map (fun stmt -> kernel_locals ^ " " ^ stmt)
 
 let shape_matrix =
   let pairs xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs in
@@ -1017,6 +1104,10 @@ let shape_matrix =
 
 let test_kernel_shape_matrix () = List.iter check_kernel shape_matrix
 
+let test_kernel_fused_matrix () =
+  List.iter check_kernel fused_matrix;
+  List.iter (check_kernel ~same_error:true) fused_faults
+
 module Kgen = struct
   let scope = { ints = [ "x0"; "x1"; "n"; "m"; "p" ]; dbls = [ "y0"; "y1"; "s" ]; pure = false; calls = false }
 
@@ -1081,25 +1172,92 @@ let fill_device (da : Darray.t) =
         d.Darray.parts
   | Darray.Unallocated -> ()
 
-(* Every index in [-2, length + 2): the compiled read returns what the
+(* The loads of compiled kernels, each reading [v[p]] on iteration [p]
+   into the scalar parameter [t] or [x], or into [z[0]] by a reduction:
+   plain, with an affine subscript, fused with a second load under one
+   operator, inside a nested operator, and as a reduction's contribution
+   ([u] is 0.0 and [z] holds 0.0 and 1.0, so each body's value is
+   [v[p]]'s). *)
+let load_kernels ~ints =
+  let src body =
+    Printf.sprintf
+      "void main() { int n = 4; double v[n]; int w[n]; double z[2]; double t; double u; int x; int p;\n\
+       #pragma acc parallel loop\n\
+       for (p = 0; p < n; p++) { %s } }"
+      body
+  in
+  let params =
+    [
+      ("v", Ast.Tarray Ast.Edouble);
+      ("w", Ast.Tarray Ast.Eint);
+      ("z", Ast.Tarray Ast.Edouble);
+      ("t", Ast.Tdouble);
+      ("u", Ast.Tdouble);
+      ("x", Ast.Tint);
+    ]
+  in
+  let bodies =
+    if ints then [ "x = w[p];"; "x = w[p * 1 + 0];" ]
+    else
+      [
+        "t = v[p];";
+        "t = v[p * 1 + 0] * 1.0;";
+        "t = v[p] + z[0];";
+        "t = u + v[p] * z[1];";
+        "\n#pragma acc reductiontoarray(+: z)\nz[p * 0 + 0] += v[p];";
+      ]
+  in
+  List.map (fun body -> (body, compile_loop (src body) ~params)) bodies
+
+let load_kernels_f = lazy (load_kernels ~ints:false)
+let load_kernels_i = lazy (load_kernels ~ints:true)
+
+(* Every index in [-2, length + 2): each compiled load returns what the
    accessor returns, or raises the same exception with the same fields. *)
 let read_disagreement (v : View.t) =
   let outcome f = match f () with x -> Ok x | exception e -> Error e in
   let show = function Ok x -> x | Error e -> "raises " ^ Printexc.to_string e in
+  let kernels, accessor =
+    match v.View.elem with
+    | Ast.Edouble ->
+        ( Lazy.force load_kernels_f,
+          fun i ->
+            let bank = [| 0.0 |] in
+            v.View.load_f i bank 0;
+            Printf.sprintf "%h" bank.(0) )
+    | Ast.Eint -> (Lazy.force load_kernels_i, fun i -> string_of_int (v.View.get_i i))
+  in
+  let compiled body kc i =
+    let frame = kc.Kernel_compile.make_frame () in
+    let z = [| 0.0; 1.0 |] in
+    let result = ref (fun () -> Printf.sprintf "%h" z.(0)) in
+    let reduces = String.contains body '#' in
+    List.iter
+      (fun (name, slot, _) ->
+        match name with
+        | "v" | "w" -> Frame.set_view frame slot v
+        | "z" -> Frame.set_view frame slot (View.of_float_array ~name z)
+        | "t" when v.View.elem = Ast.Edouble && not reduces -> result := fun () -> Printf.sprintf "%h" (Frame.get_float frame slot)
+        | "x" when v.View.elem = Ast.Eint -> result := fun () -> string_of_int (Frame.get_int frame slot)
+        | _ -> ())
+      kc.Kernel_compile.params;
+    kc.Kernel_compile.run_iter frame i;
+    !result ()
+  in
   let rec go i =
     if i >= v.View.length + 2 then None
     else
-      let inline, accessor =
-        match v.View.elem with
-        | Ast.Edouble ->
-            let read f = outcome (fun () -> let bank = [| 0.0 |] in f bank; Printf.sprintf "%h" bank.(0)) in
-            (read (fun b -> Kernel_compile.read_f v i b 0), read (fun b -> v.View.load_f i b 0))
-        | Ast.Eint ->
-            ( outcome (fun () -> string_of_int (Kernel_compile.read_i v i)),
-              outcome (fun () -> string_of_int (v.View.get_i i)) )
-      in
-      if inline = accessor then go (i + 1)
-      else Some (Printf.sprintf "%s[%d]: inline %s, accessor %s" v.View.name i (show inline) (show accessor))
+      let want = outcome (fun () -> accessor i) in
+      match
+        List.find_map
+          (fun (body, kc) ->
+            let got = outcome (fun () -> compiled body kc i) in
+            if got = want then None
+            else Some (Printf.sprintf "%s[%d] in %S: compiled %s, accessor %s" v.View.name i body (show got) (show want)))
+          kernels
+      with
+      | None -> go (i + 1)
+      | msg -> msg
   in
   go (-2)
 
@@ -1218,8 +1376,9 @@ let bind_kmeans frame name slot =
   | "membership" -> Frame.set_view frame slot (View.of_int_array ~name (Array.make 2000 (-1)))
   | _ -> ()
 
-(* kmeans: a straight-line double step, and the whole distance body, two
-   nested counted loops over row-major subscripts; bfs: the int edge scan,
+(* kmeans: a straight-line double step, the whole distance body, two
+   nested counted loops over row-major subscripts, and the centre
+   reduction, whose update reads its contribution; bfs: the int edge scan,
    a counted loop bounded by a local; spmv: the row body, on the device
    views GPU 1 of 2 binds (its parts start past 0), so the in-place read
    and the counted loop's trip count are gated on those too. *)
@@ -1257,6 +1416,41 @@ for (i = 0; i < n; i++) {
 } }|}
     ~params:(List.filter (fun (v, _) -> v <> "out") kmeans_params)
     ~bind:bind_kmeans;
+  check_allocates_nothing "kmeans centre reduction"
+    {|void main() { int n = 2000; int f = 16; int k = 5; double x[n*f]; int membership[n]; double newcenters[k*f];
+int counts[k]; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) {
+  int c = membership[i];
+  int j3;
+  #pragma acc reductiontoarray(+: counts)
+  counts[c] = counts[c] + 1;
+  for (j3 = 0; j3 < f; j3++) {
+    #pragma acc reductiontoarray(+: newcenters)
+    newcenters[c*f + j3] = newcenters[c*f + j3] + x[i*f + j3];
+  }
+} }|}
+    ~params:
+      [
+        ("f", Ast.Tint);
+        ("x", Ast.Tarray Ast.Edouble);
+        ("membership", Ast.Tarray Ast.Eint);
+        ("newcenters", Ast.Tarray Ast.Edouble);
+        ("counts", Ast.Tarray Ast.Eint);
+      ]
+    ~bind:(fun frame name slot ->
+      (* The destinations are the reduction views GPU 1 of 2 binds. *)
+      let cfg = Rt_config.make ~num_gpus:2 (Mgacc.Machine.desktop ()) in
+      let partials host =
+        let da = Darray.create cfg ~name ~host in
+        ignore (Darray.ensure_replicated cfg da ~dirty_tracking:false);
+        Launch.reduction_view da ~gpu:1 (Mgacc_runtime.Reduction.allocate cfg da Ast.Rplus)
+      in
+      match name with
+      | "membership" -> Frame.set_view frame slot (View.of_int_array ~name (Array.init 2000 (fun i -> i mod 5)))
+      | "newcenters" -> Frame.set_view frame slot (partials (View.of_float_array ~name (Array.make 80 0.0)))
+      | "counts" -> Frame.set_view frame slot (partials (View.of_int_array ~name (Array.make 5 0)))
+      | _ -> bind_kmeans frame name slot);
   let maxdeg = 6 in
   check_allocates_nothing "bfs edge scan"
     {|void main() { int n = 2000; int maxdeg = 6; int edges[n*maxdeg]; int degree[n]; int levels[n];
@@ -1425,6 +1619,8 @@ let suite =
     tc "runtime: device-path faults are located errors" test_device_path_errors_are_located;
     prop_compiled_matches_reference;
     tc "kernel: every operand shape matches the reference, counts included" test_kernel_shape_matrix;
+    tc "kernel: fused operators and folded literals match the reference, faults included"
+      test_kernel_fused_matrix;
     prop_kernel_matches_reference;
     prop_inline_read_matches_accessors;
     tc "kernel: a double body allocates nothing per iteration" test_kernel_allocates_nothing_per_iteration;
