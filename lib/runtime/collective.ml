@@ -184,10 +184,27 @@ let segment_sizes payload s =
 let segment_candidates payload =
   let floor_bytes = 4096 and seg_bytes = 256 * 1024 in
   let cap = max 1 (payload / floor_bytes) in
-  let target = (payload + seg_bytes - 1) / seg_bytes in
-  [ 1; 2; 4; 8; 16; target ]
-  |> List.map (fun s -> min 16 (min cap (max 1 s)))
-  |> List.sort_uniq compare
+  let hi = min 16 cap in
+  let target = min hi (max 1 ((payload + seg_bytes - 1) / seg_bytes)) in
+  (* Clamped to [hi], the powers of two are the ones below it, then [hi];
+     the target joins them in order, once. *)
+  let[@tail_mod_cons] rec powers p = if p < hi then p :: powers (2 * p) else [ hi ] in
+  let[@tail_mod_cons] rec insert = function
+    | [] -> [ target ]
+    | s :: rest as l -> if target < s then target :: l else if target = s then l else s :: insert rest
+  in
+  insert (powers 1)
+
+(* The candidate with the least [time], the first one on a tie, starting
+   from one segment. *)
+let best_segments time payload =
+  let rec go bs bt = function
+    | [] -> (bs, bt)
+    | s :: rest ->
+        let t = time s in
+        if t < bt then go s t rest else go bs bt rest
+  in
+  go 1 (time 1) (segment_candidates payload)
 
 (* Pipelined chain estimate over the hops' latencies and standalone
    bandwidths: fill the pipe along every hop with one segment, then
@@ -211,12 +228,7 @@ let best_ring c order payload =
     lat.(h) <- c.lat.(k);
     bw.(h) <- c.bw.(k)
   done;
-  List.fold_left
-    (fun (bs, bt) s ->
-      let t = ring_time lat bw payload s in
-      if t < bt then (s, t) else (bs, bt))
-    (1, ring_time lat bw payload 1)
-    (segment_candidates payload)
+  best_segments (ring_time lat bw payload) payload
 
 (* NCCL-style ring-allreduce estimate: 2(p-1) rounds, each bounded by the
    slowest ring edge moving one payload/p chunk. The node-grouped order
@@ -321,12 +333,7 @@ let hier_time c bk shape =
           in
           wire_slot +. relay_slot +. (float_of_int (s - 1) *. Float.max wire_slot relay_slot)
         in
-        List.fold_left
-          (fun (bs, bt) s ->
-            let ts = time s in
-            if ts < bt then (s, ts) else (bs, bt))
-          (1, time 1)
-          (segment_candidates shape.payload)
+        best_segments time shape.payload
 
 (* ------------------------------------------------------------------ *)
 (* Schedule construction                                               *)

@@ -127,46 +127,38 @@ let word32 t base =
     !w
   end
 
+(* The first bit in [\[i, hi)] that differs from [set], or [hi] if none.
+   An aligned 64-bit word that continues the state (all clear outside a
+   run, all set inside one) is skipped whole; such words read the same in
+   either byte order. Otherwise, in the aligned 32-bit word holding bit
+   [i], the first bit from [i] on that differs is the next run boundary,
+   or there is none in this word. *)
+let rec boundary t ~set i hi =
+  if i >= hi then hi
+  else if
+    i land 63 = 0
+    && hi - i >= 64
+    && Bytes.get_int64_ne t.bits (i lsr 3) = if set then -1L else 0L
+  then boundary t ~set (i + 64) hi
+  else begin
+    let base = i land lnot 31 in
+    let w = word32 t base in
+    let change = (if set then w lxor 0xFFFFFFFF else w) land (-1 lsl (i - base)) in
+    if change = 0 then boundary t ~set (base + 32) hi else min hi (base + ctz32 change)
+  end
+
+(* The runs from [i], which is outside a run, in order. *)
+let[@tail_mod_cons] rec runs_from t i hi =
+  let j = boundary t ~set:false i hi in
+  if j >= hi then []
+  else
+    let k = boundary t ~set:true (j + 1) hi in
+    Interval.make j k :: runs_from t k hi
+
 let runs_in_range t ~lo ~hi =
   let lo = max 0 lo and hi = min t.n hi in
-  let acc = ref [] in
-  let run_start = ref (-1) in
-  let i = ref lo in
-  while !i < hi do
-    (* An aligned 64-bit word that continues the current state (all clear
-       outside a run, all set inside one) is skipped whole; such words
-       read the same in either byte order. Otherwise, in the aligned
-       32-bit word holding bit [!i], find the first bit from [!i] on that
-       differs from the current state: the next run boundary, or none in
-       this word. *)
-    if
-      !i land 63 = 0
-      && hi - !i >= 64
-      && Bytes.get_int64_ne t.bits (!i lsr 3) = if !run_start < 0 then 0L else -1L
-    then i := !i + 64
-    else begin
-      let base = !i land lnot 31 in
-      let w = word32 t base in
-      let change = (if !run_start < 0 then w else w lxor 0xFFFFFFFF) land (-1 lsl (!i - base)) in
-      if change = 0 then i := base + 32
-      else begin
-        let j = base + ctz32 change in
-        if j >= hi then i := hi
-        else begin
-          if !run_start < 0 then run_start := j
-          else begin
-            acc := Interval.make !run_start j :: !acc;
-            run_start := -1
-          end;
-          (* bit [j] matches the new state *)
-          i := j + 1
-        end
-      end
-    end
-  done;
-  if !run_start >= 0 then acc := Interval.make !run_start hi :: !acc;
   (* The scan emits sorted, disjoint, non-adjacent runs by construction. *)
-  Interval.Set.of_sorted_disjoint (List.rev !acc)
+  Interval.Set.of_sorted_disjoint (runs_from t lo hi)
 
 let runs t = runs_in_range t ~lo:0 ~hi:t.n
 

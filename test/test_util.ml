@@ -167,6 +167,23 @@ let test_bitset_runs_multi () =
     Interval.[ make 1 4; make 9 10; make 20 22; make 63 64 ]
     runs
 
+(* The dirty-run scan builds each run once: an interval and its list
+   cell, 6 words. A scan that builds the list reversed and then reverses
+   it takes 9 words per run and fails. *)
+let test_bitset_runs_allocation () =
+  let runs = 1000 in
+  let b = Bitset.create (64 * runs) in
+  for k = 0 to runs - 1 do
+    Bitset.set b ((64 * k) + 1)
+  done;
+  ignore (Bitset.runs b);
+  let before = Gc.minor_words () in
+  let found = Bitset.runs b in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "runs" runs (List.length (Mgacc_util.Interval.Set.to_list found));
+  if words > float_of_int ((6 * runs) + 64) then
+    Alcotest.failf "the scan of %d runs allocated %.0f minor words" runs words
+
 let test_bitset_union () =
   let a = Bitset.create 40 and b = Bitset.create 40 in
   Bitset.set a 3;
@@ -210,6 +227,7 @@ let suite =
     tc "bitset: basics" test_bitset_basics;
     tc "bitset: ranges" test_bitset_ranges;
     tc "bitset: multi runs" test_bitset_runs_multi;
+    tc "bitset: a run scan conses each run once" test_bitset_runs_allocation;
     tc "bitset: union_into" test_bitset_union;
     tc "bytesize: formatting" test_bytesize;
     tc "table: render and arity" test_table;
