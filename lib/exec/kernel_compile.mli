@@ -104,6 +104,15 @@
     in the views. A kernel frame gets a counter of its own, so a compiled
     kernel is re-entrant. Host code pays nothing.
 
+    A compiled kernel's closures capture no mutable state that runs: the
+    segment charges they capture are written while compiling and only
+    read after, and everything a running iteration writes (slots,
+    temporaries, a counted loop's trip count, the cost counter) is in its
+    frame or local to the call. So frames of one compiled kernel may run
+    on different domains at the same time, each touching only its own
+    frame and the views bound in it; the multi-GPU launch relies on this
+    ([Mgacc_runtime.Launch]). Host code is single-domain.
+
     Loads read in place: a subscript inside the view's read window
     ({!View.t.lo}) is one checked read of the view's backing array, and
     only one outside it calls the view's accessor ([load_f], [get_i]), so

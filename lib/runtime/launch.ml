@@ -8,8 +8,45 @@ module Host_interp = Mgacc_exec.Host_interp
 module Kernel_plan = Mgacc_translator.Kernel_plan
 module Tile2d = Mgacc_analysis.Tile2d
 module Interval = Mgacc_util.Interval
+module Pool = Mgacc_util.Pool
 
-type compiled = { kc : Kernel_compile.t; param_types : (string * Ast.typ) list }
+exception No_fault
+
+(* One launch's per-task state, task [k] being the [k]-th GPU with work.
+   A compiled kernel keeps it from launch to launch, so a launch's
+   bookkeeping allocates no arrays once the kernel has run on as many GPUs. *)
+type slots = {
+  mutable ranges : Task_map.range array;  (* the launch's ranges, by GPU *)
+  mutable gpus : int array;  (* task k's GPU *)
+  mutable frames : Frame.t array;  (* task k's frame; [idle] between launches *)
+  mutable faults : exn array;  (* what task k's iterations raised, else [No_fault] *)
+  idle : Frame.t;
+}
+
+type compiled = {
+  kc : Kernel_compile.t;
+  slots : slots;
+  task : int -> unit;  (* runs task k's iterations in its frame *)
+}
+
+let task_words : (gpu:int -> iterations:int -> words:float -> unit) option ref = ref None
+
+let iterate (kc : Kernel_compile.t) frame (range : Task_map.range) =
+  for i = range.Task_map.start_ to range.Task_map.stop_ - 1 do
+    kc.Kernel_compile.run_iter frame i
+  done
+
+(* A task records its fault instead of raising it, so every task of a
+   launch runs and the caller picks the lowest GPU's fault. *)
+let task kc s k =
+  let frame = s.frames.(k) and range = s.ranges.(s.gpus.(k)) in
+  match !task_words with
+  | None -> ( try iterate kc frame range with e -> s.faults.(k) <- e)
+  | Some report ->
+      let before = Gc.minor_words () in
+      (try iterate kc frame range with e -> s.faults.(k) <- e);
+      let words = Gc.minor_words () -. before in
+      report ~gpu:s.gpus.(k) ~iterations:(Task_map.length range) ~words
 
 let compile_kernel plan ~param_types =
   (* Under a 2-D plan the inner column loop is restricted to
@@ -25,7 +62,16 @@ let compile_kernel plan ~param_types =
   let kc =
     Kernel_compile.compile ~loop ~params:param_types ~classify:(Kernel_plan.classifier plan)
   in
-  { kc; param_types }
+  let slots =
+    {
+      ranges = [||];
+      gpus = [||];
+      frames = [||];
+      faults = [||];
+      idle = kc.Kernel_compile.make_frame ();
+    }
+  in
+  { kc; slots; task = task kc slots }
 
 exception Window_violation of { array : string; index : int; gpu : int; what : string }
 
@@ -258,60 +304,119 @@ let view_for plan ~gpu ~cost ~get_darray ~get_reduction name =
 (* Execution.                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Bind phase: GPU [gpu]'s frame, its views and its scalars, on the
+   calling domain. *)
+let bind_gpu ?col_bounds plan compiled ~gpu ~get_scalar ~get_darray ~get_reduction =
+  let scalar_reductions = plan.Kernel_plan.loop.Mgacc_analysis.Loop_info.scalar_reductions in
+  let frame = compiled.kc.Kernel_compile.make_frame () in
+  List.iter
+    (fun (name, slot, ty) ->
+      match ty with
+      | Ast.Tarray _ ->
+          Frame.set_view frame slot
+            (view_for plan ~gpu ~cost:frame.Frame.cost ~get_darray ~get_reduction name)
+      | Ast.Tint when name = Tile2d.col_lo_param ->
+          Frame.set_int frame slot (match col_bounds with Some b -> fst b.(gpu) | None -> min_int)
+      | Ast.Tint when name = Tile2d.col_hi_param ->
+          Frame.set_int frame slot (match col_bounds with Some b -> snd b.(gpu) | None -> max_int)
+      | Ast.Tint | Ast.Tdouble -> (
+          let red_op =
+            List.find_map (fun (op, v) -> if v = name then Some op else None) scalar_reductions
+          in
+          match (red_op, ty) with
+          | Some op, Ast.Tdouble -> Frame.set_float frame slot (View.redop_identity_f op)
+          | Some op, Ast.Tint -> Frame.set_int frame slot (View.redop_identity_i op)
+          | None, Ast.Tdouble -> (
+              match get_scalar name with
+              | Host_interp.Vfloat f -> Frame.set_float frame slot f
+              | Host_interp.Vint n -> Frame.set_float frame slot (float_of_int n))
+          | None, Ast.Tint -> (
+              match get_scalar name with
+              | Host_interp.Vint n -> Frame.set_int frame slot n
+              | Host_interp.Vfloat f -> Frame.set_int frame slot (int_of_float f))
+          | _, (Ast.Tvoid | Ast.Tarray _) -> assert false)
+      | Ast.Tvoid -> assert false)
+    compiled.kc.Kernel_compile.params;
+  frame
+
+let reserve s n =
+  if Array.length s.frames < n then begin
+    s.gpus <- Array.make n 0;
+    s.frames <- Array.make n s.idle;
+    s.faults <- Array.make n No_fault
+  end
+
+(* The runs of tasks [0, k], in GPU order, onto [acc]. *)
+let rec runs_upto s k acc =
+  if k < 0 then acc
+  else
+    let gpu = s.gpus.(k) in
+    let run =
+      { gpu; iterations = Task_map.length s.ranges.(gpu); cost = s.frames.(k).Frame.cost }
+    in
+    runs_upto s (k - 1) (run :: acc)
+
+let rec partials_upto s slot ty k acc =
+  if k < 0 then acc
+  else
+    let frame = s.frames.(k) in
+    let v =
+      match ty with
+      | Ast.Tdouble -> Host_interp.Vfloat (Frame.get_float frame slot)
+      | Ast.Tint -> Host_interp.Vint (Frame.get_int frame slot)
+      | _ -> assert false
+    in
+    partials_upto s slot ty (k - 1) (v :: acc)
+
+(* The lowest task's fault, every fault slot cleared. *)
+let rec first_fault s tasks k found =
+  if k >= tasks then found
+  else begin
+    let e = s.faults.(k) in
+    s.faults.(k) <- No_fault;
+    first_fault s tasks (k + 1) (if found == No_fault then e else found)
+  end
+
+(* Drop the launch's frames and ranges, so the slots keep no views alive. *)
+let release s tasks =
+  Array.fill s.frames 0 tasks s.idle;
+  s.ranges <- [||]
+
+let inline = Pool.create ~workers:0
+let shared = lazy (Pool.create ~workers:(Domain.recommended_domain_count () - 1))
+
 let run_on_gpus ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~get_reduction =
-  let loop = plan.Kernel_plan.loop in
-  let scalar_reductions = loop.Mgacc_analysis.Loop_info.scalar_reductions in
-  let runs = ref [] in
-  let partial_frames = ref [] in
-  Array.iteri
-    (fun gpu range ->
-      (* Empty ranges launch nothing: no frame, no kernel record, no
-         zero-length transfers. Scalar reductions stay correct because a
-         missing partial folds as the identity. *)
-      let iterations = Task_map.length range in
-      if iterations > 0 then begin
-        let frame = compiled.kc.Kernel_compile.make_frame () in
-        (* Bind parameters. *)
-        List.iter
-          (fun (name, slot, ty) ->
-            match ty with
-            | Ast.Tarray _ ->
-                Frame.set_view frame slot
-                  (view_for plan ~gpu ~cost:frame.Frame.cost ~get_darray ~get_reduction name)
-            | Ast.Tint when name = Tile2d.col_lo_param ->
-                Frame.set_int frame slot
-                  (match col_bounds with Some b -> fst b.(gpu) | None -> min_int)
-            | Ast.Tint when name = Tile2d.col_hi_param ->
-                Frame.set_int frame slot
-                  (match col_bounds with Some b -> snd b.(gpu) | None -> max_int)
-            | Ast.Tint | Ast.Tdouble -> (
-                let red_op =
-                  List.find_map
-                    (fun (op, v) -> if v = name then Some op else None)
-                    scalar_reductions
-                in
-                match (red_op, ty) with
-                | Some op, Ast.Tdouble -> Frame.set_float frame slot (View.redop_identity_f op)
-                | Some op, Ast.Tint -> Frame.set_int frame slot (View.redop_identity_i op)
-                | None, Ast.Tdouble -> (
-                    match get_scalar name with
-                    | Host_interp.Vfloat f -> Frame.set_float frame slot f
-                    | Host_interp.Vint n -> Frame.set_float frame slot (float_of_int n))
-                | None, Ast.Tint -> (
-                    match get_scalar name with
-                    | Host_interp.Vint n -> Frame.set_int frame slot n
-                    | Host_interp.Vfloat f -> Frame.set_int frame slot (int_of_float f))
-                | _, (Ast.Tvoid | Ast.Tarray _) -> assert false)
-            | Ast.Tvoid -> assert false)
-          compiled.kc.Kernel_compile.params;
-        for i = range.Task_map.start_ to range.Task_map.stop_ - 1 do
-          compiled.kc.Kernel_compile.run_iter frame i
-        done;
-        (* The frame's counter started at zero: it holds this GPU's cost. *)
-        runs := { gpu; iterations; cost = frame.Frame.cost } :: !runs;
-        partial_frames := (gpu, frame) :: !partial_frames
-      end)
-    ranges;
+  let s = compiled.slots in
+  let n = Array.length ranges in
+  reserve s n;
+  s.ranges <- ranges;
+  (* Empty ranges launch nothing: no frame, no kernel record, no
+     zero-length transfers. Scalar reductions stay correct because a
+     missing partial folds as the identity. A binding fault ends the bind
+     phase: no GPU from the faulting one on runs. *)
+  let bound = ref 0 in
+  let bind_fault =
+    try
+      for gpu = 0 to n - 1 do
+        if Task_map.length ranges.(gpu) > 0 then begin
+          s.frames.(!bound) <-
+            bind_gpu ?col_bounds plan compiled ~gpu ~get_scalar ~get_darray ~get_reduction;
+          s.gpus.(!bound) <- gpu;
+          incr bound
+        end
+      done;
+      No_fault
+    with e -> e
+  in
+  let tasks = !bound in
+  Pool.run (if tasks >= 2 then Lazy.force shared else inline) tasks compiled.task;
+  let fault = first_fault s tasks 0 No_fault in
+  if fault != No_fault || bind_fault != No_fault then begin
+    release s tasks;
+    raise (if fault != No_fault then fault else bind_fault)
+  end;
+  (* The frame's counter started at zero: it holds this GPU's cost. *)
+  let runs = runs_upto s (tasks - 1) [] in
   let scalar_partials =
     List.map
       (fun (op, name) ->
@@ -322,17 +427,8 @@ let run_on_gpus ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~get_r
         in
         match slot_ty with
         | None -> (name, op, [])
-        | Some (slot, ty) ->
-            let values =
-              List.rev_map
-                (fun (_, frame) ->
-                  match ty with
-                  | Ast.Tdouble -> Host_interp.Vfloat (Frame.get_float frame slot)
-                  | Ast.Tint -> Host_interp.Vint (Frame.get_int frame slot)
-                  | _ -> assert false)
-                !partial_frames
-            in
-            (name, op, values))
-      scalar_reductions
+        | Some (slot, ty) -> (name, op, partials_upto s slot ty (tasks - 1) []))
+      plan.Kernel_plan.loop.Mgacc_analysis.Loop_info.scalar_reductions
   in
-  (List.rev !runs, scalar_partials)
+  release s tasks;
+  (runs, scalar_partials)

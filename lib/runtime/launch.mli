@@ -6,14 +6,39 @@
     checked and missed writes buffered, reduction updates go to the GPU's
     partial. Each GPU's partition runs in a frame of its own, whose cost
     counter (charged by the compiled code and by these views) feeds the
-    roofline model. *)
+    roofline model.
+
+    {b Domains.} A launch has two phases. The bind phase runs on the
+    calling domain, in GPU order: it builds each GPU's frame and views and
+    binds its scalars, so {!view_for}'s callbacks, {!Darray}, {!Reduction}
+    and {!Mgacc_gpusim.Memory} are only ever used from that domain. The
+    run phase runs each GPU's iteration range as one task of a
+    {!Mgacc_util.Pool} shared by every launch, with
+    [Domain.recommended_domain_count () - 1] workers and the caller
+    running tasks too; the pool is created at the first launch with two
+    or more GPUs with work. Tasks may run at the same time because each
+    touches only its own frame and the views bound in it: GPU [g]'s
+    replica, dirty bits, distributed part and miss buffer (on [g]'s own
+    {!Mgacc_gpusim.Memory.t}), its reduction partial, and its frame's cost
+    counter; the one array reduction state shared by all GPUs,
+    [touched], is written only at the task's own index. A compiled
+    kernel's closures capture no mutable state that runs
+    ({!Mgacc_exec.Kernel_compile}). Results are read back per GPU after
+    the pool returns, so the order in which partitions finish changes no
+    number.
+
+    Allocation counters ([Gc.minor_words], [Gc.allocated_bytes]) count
+    the calling domain only (OCaml 5.1), so whatever a task allocates on
+    a worker is missing from the caller's; kernels allocate nothing per
+    iteration (tier-1 "launch: tasks allocate nothing per iteration").
+    OCaml 5.1 also refuses [Unix.fork] once a second domain has run: a
+    process that forks must do so before its first multi-GPU launch. *)
 
 open Mgacc_minic
 
-type compiled = {
-  kc : Mgacc_exec.Kernel_compile.t;
-  param_types : (string * Ast.typ) list;
-}
+type compiled
+(** A compiled kernel, with the per-task arrays its launches reuse. One
+    domain launches it at a time. *)
 
 val compile_kernel :
   Mgacc_translator.Kernel_plan.t ->
@@ -76,4 +101,17 @@ val run_on_gpus :
     scalars are firstprivate copies of the host values. [col_bounds] gives
     each GPU's owned column block under a 2-D launch; omitted, the
     sentinel bounds make a tile2d kernel behave exactly like the
-    unrestricted 1-D one. *)
+    unrestricted 1-D one.
+
+    A launch raises what running the GPUs one after another would: the
+    fault of the lowest GPU that faults, in binding or in its iterations,
+    and no GPU after a binding fault runs. The one difference from
+    sequential order: when a lower GPU faults, the other bound partitions
+    still run to completion before the launch raises. Either way the
+    launch is abandoned; no caller reads its costs, replicas or dirty
+    bits. *)
+
+val task_words : (gpu:int -> iterations:int -> words:float -> unit) option ref
+(** Test instrumentation, [None] in every run of the program. When set,
+    each task reads [Gc.minor_words] around its iterations, on the domain
+    that runs them, and reports the difference, from that domain. *)

@@ -326,6 +326,163 @@ let test_profiler_rejects_negative () =
   raises "imbalance" (fun () -> Profiler.add_imbalance p ~ratio:(-0.5));
   check Alcotest.int "nothing charged" 0 (List.length (Mgacc_obs.Blame.epochs p.Profiler.ledger))
 
+(* ---------------- Parallel launches ---------------- *)
+
+module Launch = Mgacc_runtime.Launch
+
+(* A program on a [--machine] spec under [config]. *)
+let run_shape source spec config =
+  let spec = match Machine.spec_of_string spec with Ok s -> s | Error e -> failwith e in
+  let machine = Machine.of_spec spec in
+  Mgacc.run_acc ~config:(config machine) (Mgacc.parse_string ~name:"t" source)
+
+(* A launch whose iteration [w] reads outside its GPU's window under a
+   localaccess that claims no halo ([Window_violation]) and whose
+   iteration [b] reads past the end of [a] ([View.Bounds]); [-1] turns
+   a fault off. GPU g of [gpus] runs iterations [25g, 25g + 25) of 100
+   on 4 GPUs and [50g, 50g + 50) on 2. *)
+let faulting_launch ~gpus ~w ~b =
+  let src =
+    Printf.sprintf
+      {|void main() {
+        int n = 100; double a[n]; double b[n]; int i;
+        for (i = 0; i < n; i++) { a[i] = 0.0; b[i] = i; }
+        #pragma acc data copy(a[0:n]) copyin(b[0:n])
+        {
+          #pragma acc parallel loop localaccess(b: stride(1, 0, 0))
+          for (i = 0; i < n; i++) {
+            double v = b[i];
+            if (i == %d) { v = b[(i + 50) %% n]; }
+            if (i == %d) { v = a[i + 1000]; }
+            a[i] = v;
+          }
+        }
+      }|}
+      w b
+  in
+  let spec = if gpus = 2 then "desktop" else Printf.sprintf "cluster:%dx2" (gpus / 2) in
+  fun () -> ignore (run_shape src spec (fun m -> Rt_config.make m))
+
+let window_violation ~index ~gpu =
+  Launch.Window_violation { array = "b"; index; gpu; what = "read outside window" }
+
+let out_of_bounds index = Mgacc_exec.View.Bounds { name = "a"; index; length = 100 }
+
+(* The GPUs' partitions run at the same time; the launch still raises the
+   lowest faulting GPU's error, as running them in GPU order did. *)
+let test_launch_raises_lowest_gpu_fault () =
+  let raises what expected ~gpus ~w ~b =
+    Alcotest.check_raises what expected (faulting_launch ~gpus ~w ~b)
+  in
+  raises "2 GPUs: GPU 0's window violation before GPU 1's bounds error"
+    (window_violation ~index:60 ~gpu:0) ~gpus:2 ~w:10 ~b:60;
+  raises "2 GPUs: GPU 0's bounds error before GPU 1's window violation" (out_of_bounds 1010)
+    ~gpus:2 ~w:60 ~b:10;
+  raises "4 GPUs: GPU 1's bounds error before GPU 3's window violation" (out_of_bounds 1030)
+    ~gpus:4 ~w:80 ~b:30;
+  raises "4 GPUs: GPU 2's window violation before GPU 3's bounds error"
+    (window_violation ~index:5 ~gpu:2) ~gpus:4 ~w:55 ~b:80;
+  raises "2 GPUs: only GPU 1 faults" (out_of_bounds 1060) ~gpus:2 ~w:(-1) ~b:60;
+  raises "4 GPUs: only GPU 3 faults" (window_violation ~index:40 ~gpu:3) ~gpus:4 ~w:90 ~b:(-1);
+  (* After a faulting launch, the same program without faults runs. *)
+  faulting_launch ~gpus:4 ~w:(-1) ~b:(-1) ()
+
+(* The end-to-end benchmark's four shapes at their smoke sizes. *)
+let e2e_smoke_shapes () =
+  let module A = Mgacc_apps in
+  let tuned m =
+    Rt_config.make ~coherence:Rt_config.Lazy ~collective:Rt_config.Auto ~overlap:true
+      ~translator:
+        { Mgacc.Kernel_plan.default_options with Mgacc.Kernel_plan.enable_fusion = true }
+      m
+  in
+  let kmeans =
+    A.Kmeans.app
+      {
+        A.Kmeans.points = 300;
+        features = 8;
+        clusters = 5;
+        iterations = 2;
+        seed = A.Kmeans.default_params.A.Kmeans.seed;
+      }
+  in
+  let bfs max_degree =
+    A.Bfs.app { A.Bfs.nodes = 600; max_degree; seed = A.Bfs.default_params.A.Bfs.seed }
+  in
+  let spmv =
+    A.Spmv.app
+      { A.Spmv.rows = 600; width = 6; iterations = 2; seed = A.Spmv.default_params.A.Spmv.seed }
+  in
+  [
+    ("kmeans on desktop", kmeans, "desktop", fun m -> Rt_config.make m);
+    ("bfs on desktop", bfs 16, "desktop", fun m -> Rt_config.make m);
+    ("bfs tuned on fattree:4x4", bfs 6, "fattree:4x4", tuned);
+    ( "spmv auto on fattree:16x4",
+      spmv,
+      "fattree:16x4",
+      fun m -> Rt_config.make ~collective:Rt_config.Auto m );
+  ]
+
+(* Allocation counters count the domain that reads them, so a task must
+   not allocate where the caller's counters cannot see it: every task of
+   every launch allocates nothing on the domain that runs it. *)
+let test_tasks_allocate_nothing () =
+  let tasks = Atomic.make 0 and allocating = Atomic.make 0 and worst = Atomic.make 0 in
+  let report ~gpu:_ ~iterations:_ ~words =
+    Atomic.incr tasks;
+    if words <> 0.0 then begin
+      Atomic.incr allocating;
+      let w = int_of_float words in
+      let rec raise_to () =
+        let m = Atomic.get worst in
+        if w > m && not (Atomic.compare_and_set worst m w) then raise_to ()
+      in
+      raise_to ()
+    end
+  in
+  Fun.protect
+    ~finally:(fun () -> Launch.task_words := None)
+    (fun () ->
+      List.iter
+        (fun (what, (app : Mgacc_apps.App_common.t), spec, config) ->
+          Atomic.set tasks 0;
+          Launch.task_words := Some report;
+          ignore (run_shape app.source spec config);
+          Launch.task_words := None;
+          if Atomic.get tasks = 0 then Alcotest.failf "%s: no task reported" what;
+          if Atomic.get allocating > 0 then
+            Alcotest.failf "%s: %d of %d tasks allocated, up to %d minor words" what
+              (Atomic.get allocating) (Atomic.get tasks) (Atomic.get worst))
+        (e2e_smoke_shapes ()))
+
+(* Partitions finish in whatever order the domains take them; nothing a
+   run reports or computes may depend on it. *)
+let test_parallel_runs_deterministic () =
+  List.iter
+    (fun (what, (app : Mgacc_apps.App_common.t), spec, config) ->
+      (* Doubles as their bits, so NaNs and signed zeros count. *)
+      let snapshot () =
+        let env, report = run_shape app.source spec config in
+        let arrays =
+          List.map
+            (fun name ->
+              match Mgacc.Host_interp.find_array env name with
+              | { Mgacc_exec.View.elem = Mgacc_minic.Ast.Edouble; _ } ->
+                  Array.map Int64.bits_of_float (Mgacc.float_results env name)
+              | _ -> Array.map Int64.of_int (Mgacc.int_results env name))
+            app.result_arrays
+        in
+        (Report.to_json report, arrays)
+      in
+      let json, arrays = snapshot () in
+      for run = 2 to 10 do
+        let json', arrays' = snapshot () in
+        if json' <> json then Alcotest.failf "%s: run %d's report differs from run 1's" what run;
+        if arrays' <> arrays then
+          Alcotest.failf "%s: run %d's result arrays differ from run 1's" what run
+      done)
+    (e2e_smoke_shapes ())
+
 let suite =
   [
     tc "task map: even split" test_split_even;
@@ -345,4 +502,7 @@ let suite =
     tc "comm: miss records preserve program order" test_miss_records_preserve_order;
     tc "profiler: accumulation" test_profiler;
     tc "profiler: negative increments raise" test_profiler_rejects_negative;
+    tc "launch: the lowest faulting GPU's error is raised" test_launch_raises_lowest_gpu_fault;
+    tc "launch: tasks allocate nothing per iteration" test_tasks_allocate_nothing;
+    tc "launch: ten runs of each e2e shape are identical" test_parallel_runs_deterministic;
   ]

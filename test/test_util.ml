@@ -213,6 +213,88 @@ let test_table () =
     (Invalid_argument "Table.add_row: 3 cells, expected 2")
     (fun () -> Table.add_row t [ "a"; "b"; "c" ])
 
+(* ---------------- Pool ---------------- *)
+
+let pool_workers = Domain.recommended_domain_count () - 1
+
+(* [run] under [pool] with [n] tasks; how many times each index ran. *)
+let run_counts pool n =
+  let counts = Array.init n (fun _ -> Atomic.make 0) in
+  Pool.run pool n (fun k -> Atomic.incr counts.(k));
+  Array.map Atomic.get counts
+
+let test_pool_runs_each_task_once () =
+  let pool = Pool.create ~workers:pool_workers in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      for n = 1 to 64 do
+        Array.iteri
+          (fun k c -> if c <> 1 then Alcotest.failf "%d tasks: task %d ran %d times" n k c)
+          (run_counts pool n)
+      done;
+      check Alcotest.int "no task" 0 (Array.length (run_counts pool 0)))
+
+let test_pool_zero_workers_inline () =
+  let pool = Pool.create ~workers:0 in
+  check Alcotest.int "no worker" 0 (Pool.workers pool);
+  let self = (Domain.self () :> int) in
+  let order = ref [] in
+  Pool.run pool 8 (fun k ->
+      if (Domain.self () :> int) <> self then Alcotest.fail "task left the caller's domain";
+      order := k :: !order);
+  check Alcotest.(list int) "in index order" [ 0; 1; 2; 3; 4; 5; 6; 7 ] (List.rev !order)
+
+(* Workers persist: over 10,000 jobs, tasks run on the caller and on at
+   most the pool's workers, never on a domain spawned for a job. In the
+   first 100 jobs, task 0 waits (a bounded while) for a task to start
+   elsewhere, so the workers take part. *)
+let test_pool_reuses_workers () =
+  let pool = Pool.create ~workers:pool_workers in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      check Alcotest.int "workers" pool_workers (Pool.workers pool);
+      let self = (Domain.self () :> int) in
+      let seen = Hashtbl.create 8 and ran_on = Array.make 4 0 and elsewhere = Atomic.make false in
+      for job = 1 to 10_000 do
+        Atomic.set elsewhere false;
+        Pool.run pool 4 (fun k ->
+            let d = (Domain.self () :> int) in
+            ran_on.(k) <- d;
+            if d <> self then Atomic.set elsewhere true
+            else if k = 0 && job <= 100 && pool_workers > 0 then begin
+              let spins = ref 0 in
+              while (not (Atomic.get elsewhere)) && !spins < 1_000_000 do
+                Domain.cpu_relax ();
+                incr spins
+              done
+            end);
+        Array.iter (fun d -> if d <> self then Hashtbl.replace seen d ()) ran_on
+      done;
+      if Hashtbl.length seen > pool_workers then
+        Alcotest.failf "tasks ran on %d domains besides the caller, with %d workers"
+          (Hashtbl.length seen) pool_workers;
+      if pool_workers > 0 && Hashtbl.length seen = 0 then
+        Alcotest.fail "no task ran on a worker")
+
+let test_pool_survives_raising_task () =
+  let pool = Pool.create ~workers:pool_workers in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let counts = Array.init 8 (fun _ -> Atomic.make 0) in
+      Alcotest.check_raises "the lowest raising task's exception" (Failure "task 3") (fun () ->
+          Pool.run pool 8 (fun k ->
+              Atomic.incr counts.(k);
+              if k = 3 || k = 6 then failwith (Printf.sprintf "task %d" k)));
+      Array.iteri
+        (fun k c -> check Alcotest.int (Printf.sprintf "task %d ran" k) 1 (Atomic.get c))
+        counts;
+      Array.iteri
+        (fun k c -> check Alcotest.int (Printf.sprintf "next job: task %d" k) 1 c)
+        (run_counts pool 16))
+
 let suite =
   [
     tc "xorshift: deterministic" test_xorshift_deterministic;
@@ -231,4 +313,8 @@ let suite =
     tc "bitset: union_into" test_bitset_union;
     tc "bytesize: formatting" test_bytesize;
     tc "table: render and arity" test_table;
+    tc "pool: every task runs once, 1 to 64 tasks" test_pool_runs_each_task_once;
+    tc "pool: zero workers run a job inline, in order" test_pool_zero_workers_inline;
+    tc "pool: 10,000 jobs reuse the same workers" test_pool_reuses_workers;
+    tc "pool: a raising task leaves the workers working" test_pool_survives_raising_task;
   ]
