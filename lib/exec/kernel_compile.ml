@@ -398,9 +398,12 @@ type fop = Fslot of int | Fcode of (Frame.t -> unit) * int
    one of the fused shapes below matches, else placed in a temporary. *)
 type fopnd = Placed of fop | Load of { view : int; sub : iop } | Arith of binop * fopnd * fopnd
 
-(* Operators specialize on their operands' shapes when they compile: one
-   closure per (slot | code) x (slot | code) pair, and one per fused shape.
-   Where both operands are code, the right one runs first. *)
+(* A user reads its operands in one normal form, code and a slot: a slot
+   operand's code is [nop] ([parts_of_fop]), and an int operand is code
+   returning its value ([code_of_iop]). One generic closure per user
+   serves every operand kind, and the right operand runs first. A user has
+   a closure of its own for a shape only where a workload runs it heavily
+   (the fused shapes below, and those named in kernel_compile.mli). *)
 
 let[@inline] affine (is : int array) a b c neg =
   let p = Array.unsafe_get is a * Array.unsafe_get is b in
@@ -438,11 +441,15 @@ let[@inline] store_i (v : View.t) i x =
   if i >= v.View.lo && i < v.View.whi then Array.set v.View.idata (i - v.View.lo) x
   else v.View.set_i i x
 
-(* A fused load's subscript as [a*b + c] or [a*b - c]: a slot subscript
-   [s] runs as [s*1 + 0], charged as a slot when the load was built. The
-   two constants are allocated only here, once a fused shape matched. *)
+(* An in-place load's subscript as [a*b + c] or [a*b - c], read by the
+   closure that reads the load: an affine form charges its two int ops
+   here, and a slot subscript [s] runs as [s*1 + 0], charged as a slot
+   when the load was built. The two constants are allocated only here,
+   once a shape matched. *)
 let affine_parts ctx = function
-  | Iaff { a; b; c; neg } -> (a, b, c, neg)
+  | Iaff { a; b; c; neg } ->
+      int_ops ctx 2;
+      (a, b, c, neg)
   | Islot s -> (s, Frame.Layout.const_int ctx.layout 1, Frame.Layout.const_int ctx.layout 0, false)
   | Iarith _ | Iload _ | Icode _ -> assert false (* a load's subscript is a slot or affine *)
 
@@ -453,9 +460,9 @@ let[@inline] arith is l = iapply l.op (Array.unsafe_get is l.x) (Array.unsafe_ge
 let[@inline] load_at (fr : Frame.t) v a b c neg =
   load_i (Array.unsafe_get fr.Frame.views v) (affine fr.Frame.ints a b c neg)
 
-(* Code returning an int operand's value; an affine form charges its two
-   int ops to the segment, and an operator or a load was charged when it
-   was built. *)
+(* Code returning an int operand's value. An affine form charges its two
+   int ops to the segment here, where it is read, as [affine_parts] does;
+   an operator or a load was charged when it was built. *)
 let code_of_iop ctx = function
   | Islot s -> fun (fr : Frame.t) -> Array.unsafe_get fr.Frame.ints s
   | Iaff { a; b; c; neg } ->
@@ -465,8 +472,6 @@ let code_of_iop ctx = function
       fun fr ->
         let is = fr.Frame.ints in
         iapply op (Array.unsafe_get is x) (Array.unsafe_get is y)
-  | Iload { view; sub = Islot s } ->
-      fun fr -> load_i (Array.unsafe_get fr.Frame.views view) (Array.unsafe_get fr.Frame.ints s)
   | Iload { view; sub } ->
       let a, b, c, neg = affine_parts ctx sub in
       fun fr -> load_at fr view a b c neg
@@ -601,10 +606,7 @@ let rec comp_iop ctx e : iop =
       let ix = subscript ctx (comp_iop ctx idx) in
       access ctx (ctx.classify a idx) 4;
       match ix with
-      | Islot _ -> Iload { view = vi; sub = ix }
-      | Iaff _ ->
-          int_ops ctx 2;
-          Iload { view = vi; sub = ix }
+      | Islot _ | Iaff _ -> Iload { view = vi; sub = ix }
       | _ ->
           let ci = code_of_iop ctx ix in
           Icode
@@ -655,13 +657,13 @@ and comp_operand ctx e : fopnd =
   | _ -> Placed (comp_fop ctx e)
 
 (* A double array element: the array's view slot and the subscript,
-   charged its access class, and 2 int ops for an affine subscript. *)
+   charged its access class (an affine subscript pays its 2 int ops where
+   it is read). *)
 and comp_load ctx e a idx =
   let vi, elem = view_slot_of ctx e.eloc a in
   if elem <> Edouble then Loc.error e.eloc "%s is not a double array" a;
   let ix = subscript ctx (comp_iop ctx idx) in
   access ctx (ctx.classify a idx) 8;
-  (match ix with Iaff _ -> int_ops ctx 2 | _ -> ());
   (vi, ix)
 
 (* Code that loads element [ix] of view [vi] into float slot [dst]. *)
@@ -672,11 +674,6 @@ and read_into ctx vi ix dst : Frame.t -> unit =
         let fl = fr.Frame.floats in
         Array.unsafe_set fl dst
           (load_f (Array.unsafe_get fr.Frame.views vi) (Array.unsafe_get fr.Frame.ints s) fl dst)
-  | Iaff { a; b; c; neg } ->
-      fun fr ->
-        let fl = fr.Frame.floats in
-        Array.unsafe_set fl dst
-          (load_f (Array.unsafe_get fr.Frame.views vi) (affine fr.Frame.ints a b c neg) fl dst)
   | ix ->
       let ci = code_of_iop ctx ix in
       fun fr ->
@@ -700,7 +697,7 @@ and place ctx = function
    [x[i*f + j] - centers[c*f + j]]), and a slot with an operator over two
    slots or two loads (kmeans's [dist + d*d], spmv's
    [s + vals[i*k + e] * x[c]]). The right operand runs first, as in the
-   placed shapes. *)
+   generic arm. *)
 and comp_arith ctx op x y dst : Frame.t -> unit =
   match (x, y) with
   | Load lx, Load ly ->
@@ -724,41 +721,20 @@ and comp_arith ctx op x y dst : Frame.t -> unit =
         let z = load_f (Array.unsafe_get vs cv) (affine is ca cb cc cn) fl via in
         let y = load_f (Array.unsafe_get vs bv) (affine is ba bb bc bn) fl via in
         Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (farith op2 y z))
-  | _ -> (
-      let fx = place ctx x and fy = place ctx y in
-      match (fx, fy) with
-      | Fslot a, Fslot b ->
-          fun fr ->
-            let fl = fr.Frame.floats in
-            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
-      | Fcode (cx, a), Fslot b ->
-          fun fr ->
-            cx fr;
-            let fl = fr.Frame.floats in
-            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
-      | Fslot a, Fcode (cy, b) ->
-          fun fr ->
-            cy fr;
-            let fl = fr.Frame.floats in
-            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
-      | Fcode (cx, a), Fcode (cy, b) ->
-          fun fr ->
-            cy fr;
-            cx fr;
-            let fl = fr.Frame.floats in
-            Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b)))
+  | _ ->
+      let cx, a = parts_of_fop (place ctx x) and cy, b = parts_of_fop (place ctx y) in
+      fun fr ->
+        cy fr;
+        cx fr;
+        let fl = fr.Frame.floats in
+        Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
 
 (* Code that leaves the value of [e], as a double, in float slot [dst]. *)
 and comp_f_into ctx e dst : Frame.t -> unit =
   match ty_of ctx e with
-  | Tint -> (
-      match comp_iop ctx e with
-      | Islot s ->
-          fun fr ->
-            Array.unsafe_set fr.Frame.floats dst (float_of_int (Array.unsafe_get fr.Frame.ints s))
-      | op ->
-          let f = code_of_iop ctx op in
-          fun fr -> Array.unsafe_set fr.Frame.floats dst (float_of_int (f fr)))
+  | Tint ->
+      let f = code_of_iop ctx (comp_iop ctx e) in
+      fun fr -> Array.unsafe_set fr.Frame.floats dst (float_of_int (f fr))
   | Tdouble -> comp_f_native ctx e dst
   | t -> Loc.error e.eloc "expected numeric expression, got %s" (typ_to_string t)
 
@@ -775,25 +751,18 @@ and comp_f_native ctx e dst : Frame.t -> unit =
   | Index (a, idx) ->
       let vi, ix = comp_load ctx e a idx in
       read_into ctx vi ix dst
-  | Unop (Neg, x) -> (
+  | Unop (Neg, x) ->
       flops ctx 1;
-      match comp_fop ctx x with
-      | Fslot a ->
-          fun fr ->
-            let fl = fr.Frame.floats in
-            Array.unsafe_set fl dst (-.Array.unsafe_get fl a)
-      | Fcode (cx, a) ->
-          fun fr ->
-            cx fr;
-            let fl = fr.Frame.floats in
-            Array.unsafe_set fl dst (-.Array.unsafe_get fl a))
+      let cx, a = parts_of_fop (comp_fop ctx x) in
+      fun fr ->
+        cx fr;
+        let fl = fr.Frame.floats in
+        Array.unsafe_set fl dst (-.Array.unsafe_get fl a)
   | Unop (Cast_double, x) -> comp_f_into ctx x dst
-  | Unop ((Not | Bit_not | Cast_int), _) -> assert false (* typed Tint *)
   | Binop (((Add | Sub | Mul | Div) as op), x, y) ->
       flops ctx 1;
       let ox = comp_operand ctx x and oy = comp_operand ctx y in
       comp_arith ctx op ox oy dst
-  | Binop (_, _, _) -> assert false (* typed Tint *)
   | Ternary (c, a, b) ->
       int_ops ctx 1;
       let cc = comp_cond ctx c in
@@ -831,18 +800,17 @@ and comp_f_native ctx e dst : Frame.t -> unit =
                 let callee = call fr in
                 Array.unsafe_set fr.Frame.floats dst (Array.unsafe_get callee.Frame.floats r)
           | _ -> assert false (* typed by the function's result *)))
-  | Int_lit _ | Length _ -> assert false (* typed Tint *)
+  | Unop ((Not | Bit_not | Cast_int), _) | Binop _ | Int_lit _ | Length _ ->
+      assert false (* typed Tint *)
 
 and comp_i ctx e : Frame.t -> int =
   match ty_of ctx e with
-  | Tdouble -> (
+  | Tdouble ->
       (* C-style implicit truncation. *)
-      match comp_fop ctx e with
-      | Fslot a -> fun fr -> int_of_float (Array.unsafe_get fr.Frame.floats a)
-      | Fcode (c, a) ->
-          fun fr ->
-            c fr;
-            int_of_float (Array.unsafe_get fr.Frame.floats a))
+      let c, a = parts_of_fop (comp_fop ctx e) in
+      fun fr ->
+        c fr;
+        int_of_float (Array.unsafe_get fr.Frame.floats a)
   | Tint -> comp_i_native ctx e
   | t -> Loc.error e.eloc "expected numeric expression, got %s" (typ_to_string t)
 
@@ -851,13 +819,11 @@ and comp_i ctx e : Frame.t -> int =
    are those of the int-valued operator, and the test itself is free. *)
 and comp_cond ctx e : Frame.t -> bool =
   match ty_of ctx e with
-  | Tdouble -> (
-      match comp_fop ctx e with
-      | Fslot a -> fun fr -> Array.unsafe_get fr.Frame.floats a <> 0.0
-      | Fcode (c, a) ->
-          fun fr ->
-            c fr;
-            Array.unsafe_get fr.Frame.floats a <> 0.0)
+  | Tdouble ->
+      let c, a = parts_of_fop (comp_fop ctx e) in
+      fun fr ->
+        c fr;
+        Array.unsafe_get fr.Frame.floats a <> 0.0
   | _ -> (
       match e.edesc with
       | Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), x, y)
@@ -865,21 +831,13 @@ and comp_cond ctx e : Frame.t -> bool =
           flops ctx 1;
           let fx = comp_fop ctx x and fy = comp_fop ctx y in
           match (fx, fy) with
+          (* kmeans's [dist < best]. *)
           | Fslot a, Fslot b ->
               fun fr ->
                 let fl = fr.Frame.floats in
                 fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b)
-          | Fcode (cx, a), Fslot b ->
-              fun fr ->
-                cx fr;
-                let fl = fr.Frame.floats in
-                fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b)
-          | Fslot a, Fcode (cy, b) ->
-              fun fr ->
-                cy fr;
-                let fl = fr.Frame.floats in
-                fcmp op (Array.unsafe_get fl a) (Array.unsafe_get fl b)
-          | Fcode (cx, a), Fcode (cy, b) ->
+          | fx, fy ->
+              let cx, a = parts_of_fop fx and cy, b = parts_of_fop fy in
               fun fr ->
                 cy fr;
                 cx fr;
@@ -901,12 +859,9 @@ and comp_cond ctx e : Frame.t -> bool =
           if ty_of ctx x = Tdouble then flops ctx 1 else int_ops ctx 1;
           let c = comp_cond ctx x in
           fun fr -> not (c fr)
-      | _ -> (
-          match comp_iop ctx e with
-          | Islot a -> fun fr -> Array.unsafe_get fr.Frame.ints a <> 0
-          | op ->
-              let f = code_of_iop ctx op in
-              fun fr -> f fr <> 0))
+      | _ ->
+          let f = code_of_iop ctx (comp_iop ctx e) in
+          fun fr -> f fr <> 0)
 
 (* An int comparison [x op y], charged. A slot, a slot operator or an
    in-place load against a slot is left to its user to read (bfs's
@@ -920,15 +875,6 @@ and int_test ctx op x y =
   match (fx, fy) with
   | (Islot _ | Iarith _ | Iload _), Islot b -> Tcmp (op, fx, b)
   | Islot a, (Iarith _ | Iload _) -> Tcmp (flip op, fy, a)
-  | x, Islot b ->
-      let f = code_of_iop ctx x in
-      Tcode (fun fr -> icmp op (f fr) (Array.unsafe_get fr.Frame.ints b))
-  | Islot a, y ->
-      let g = code_of_iop ctx y in
-      Tcode
-        (fun fr ->
-          let y = g fr in
-          icmp op (Array.unsafe_get fr.Frame.ints a) y)
   | x, y ->
       let f = code_of_iop ctx x and g = code_of_iop ctx y in
       Tcode
@@ -943,15 +889,6 @@ and cond_of_test ctx = function
       fun fr ->
         let is = fr.Frame.ints in
         icmp op (Array.unsafe_get is a) (Array.unsafe_get is b)
-  | Tcmp (op, Iarith l, b) ->
-      fun fr ->
-        let is = fr.Frame.ints in
-        icmp op (arith is l) (Array.unsafe_get is b)
-  | Tcmp (op, Iload l, b) ->
-      let la, lb, lc, ln = affine_parts ctx l.sub and lv = l.view in
-      fun fr ->
-        let is = fr.Frame.ints in
-        icmp op (load_at fr lv la lb lc ln) (Array.unsafe_get is b)
   | Tcmp (op, x, b) ->
       let f = code_of_iop ctx x in
       fun fr -> icmp op (f fr) (Array.unsafe_get fr.Frame.ints b)
@@ -977,29 +914,18 @@ and comp_i_native ctx e : Frame.t -> int =
       let vi, _ = view_slot_of ctx e.eloc a in
       fun fr -> (Frame.get_view fr vi).View.length
   | Index _ -> code_of_iop ctx (comp_iop ctx e)
-  | Unop (Neg, x) -> (
+  | Unop (Neg, x) ->
       int_ops ctx 1;
-      match comp_iop ctx x with
-      | Islot a -> fun fr -> -Array.unsafe_get fr.Frame.ints a
-      | op ->
-          let f = code_of_iop ctx op in
-          fun fr -> -f fr)
+      let f = code_of_iop ctx (comp_iop ctx x) in
+      fun fr -> -f fr
   | Unop (Bit_not, x) ->
       int_ops ctx 1;
       let f = comp_i ctx x in
       fun fr -> lnot (f fr)
-  | Unop (Cast_int, x) -> (
-      match ty_of ctx x with
-      | Tdouble -> (
-          int_ops ctx 1;
-          match comp_fop ctx x with
-          | Fslot a -> fun fr -> int_of_float (Array.unsafe_get fr.Frame.floats a)
-          | Fcode (c, a) ->
-              fun fr ->
-                c fr;
-                int_of_float (Array.unsafe_get fr.Frame.floats a))
-      | _ -> comp_i ctx x)
-  | Unop (Cast_double, _) -> assert false (* typed Tdouble *)
+  | Unop (Cast_int, x) ->
+      (* A double truncates as [comp_i] truncates it, for one int op. *)
+      if ty_of ctx x = Tdouble then int_ops ctx 1;
+      comp_i ctx x
   | Unop (Not, _) | Binop ((Eq | Ne | Lt | Le | Gt | Ge | Land | Lor), _, _) ->
       let c = comp_cond ctx e in
       fun fr -> if c fr then 1 else 0
@@ -1016,38 +942,18 @@ and comp_i_native ctx e : Frame.t -> int =
           fun fr ->
             let is = fr.Frame.ints in
             iapply o (Array.unsafe_get is a) (Array.unsafe_get is b)
-      (* An operator over slots read in place on either side, bfs's [(i +
-         1) % n] and [1 + seed % maxdeg], or on both, its [(i + 1) + seed
-         % 2000]; and an affine left side, the generators' [(seed *
-         1103515245 + 12345) % 2147483648]. *)
-      | Iarith l, Islot b ->
-          fun fr ->
-            let is = fr.Frame.ints in
-            iapply o (arith is l) (Array.unsafe_get is b)
-      | Islot a, Iarith r ->
-          fun fr ->
-            let is = fr.Frame.ints in
-            iapply o (Array.unsafe_get is a) (arith is r)
+      (* An operator over two slot operators, bfs's [(i + 1) + seed % 2000]. *)
       | Iarith l, Iarith r ->
           fun fr ->
             let is = fr.Frame.ints in
             let y = arith is r in
             iapply o (arith is l) y
-      | Iaff { a; b; c; neg }, Islot d ->
-          int_ops ctx 2;
-          fun fr ->
-            let is = fr.Frame.ints in
-            iapply o (affine is a b c neg) (Array.unsafe_get is d)
+      (* Code over a slot, bfs's [(i + 1) % n], spmv's [(i + 1 + seed % 500) % n]. *)
       | x, Islot b ->
           let f = code_of_iop ctx x in
           fun fr ->
             let x = f fr in
             iapply o x (Array.unsafe_get fr.Frame.ints b)
-      | Islot a, y ->
-          let g = code_of_iop ctx y in
-          fun fr ->
-            let y = g fr in
-            iapply o (Array.unsafe_get fr.Frame.ints a) y
       | x, y ->
           let f = code_of_iop ctx x and g = code_of_iop ctx y in
           fun fr ->
@@ -1082,7 +988,7 @@ and comp_i_native ctx e : Frame.t -> int =
           match fn.fn_result with
           | Some (Frame.Int_slot r) -> fun fr -> Array.unsafe_get (call fr).Frame.ints r
           | _ -> assert false (* typed by the function's result *)))
-  | Float_lit _ -> assert false (* typed Tdouble *)
+  | Unop (Cast_double, _) | Float_lit _ -> assert false (* typed Tdouble *)
 
 (* A call to a user function runs its body in a fresh frame and returns
    that frame. Scalar arguments are passed by value; array arguments pass
@@ -1158,14 +1064,13 @@ and comp_stmt ctx s : Frame.t -> unit =
   | Sdecl (Tdouble, name, init) ->
       (* The initializer sees the names in force before the declaration and
          leaves its value straight in the new variable's slot. *)
-      let slot = Frame.Layout.fresh ctx.layout s.sloc Tdouble in
-      let i = match slot with Frame.Float_slot i -> i | _ -> assert false in
+      let i = fresh_float ctx s.sloc in
       let code =
         match init with
         | Some e -> comp_f_into ctx e i
         | None -> fun fr -> Array.unsafe_set fr.Frame.floats i 0.0
       in
-      Frame.Layout.bind ctx.layout s.sloc name Tdouble slot;
+      Frame.Layout.bind ctx.layout s.sloc name Tdouble (Frame.Float_slot i);
       code
   | Sdecl (ty, name, init) -> (
       let init = match (ty, init) with Tint, Some e -> Some (comp_iop ctx e) | _ -> None in
@@ -1222,8 +1127,11 @@ and comp_stmt ctx s : Frame.t -> unit =
       int_ops ctx 1;
       let test = comp_test ctx c in
       let ct = comp_block ctx then_ and ce = comp_block ctx else_ in
-      (* A comparison of a slot, a slot operator or a load with a slot is
-         tested in the [if]'s own closure. *)
+      (* Tested in the [if]'s own closure: a slot with a slot (spmv's [c
+         >= 0]; bfs's [e == 0] and spmv's [pad == 0], with an [else]), a
+         slot operator with a slot and an [else] (bfs's [seed % 10 < 8]),
+         and a load with a slot and no [else] (bfs's [levels[i] == level],
+         kmeans's [bc != membership[i]]). *)
       match (test, else_) with
       | Tcmp (op, Islot a, b), [] ->
           fun fr ->
@@ -1233,12 +1141,7 @@ and comp_stmt ctx s : Frame.t -> unit =
           fun fr ->
             let is = fr.Frame.ints in
             if icmp op (Array.unsafe_get is a) (Array.unsafe_get is b) then ct fr else ce fr
-      | Tcmp (op, Iarith l, b), [] ->
-          fun fr ->
-            let is = fr.Frame.ints in
-            if icmp op (arith is l) (Array.unsafe_get is b)
-            then ct fr
-      | Tcmp (op, Iarith l, b), _ ->
+      | Tcmp (op, Iarith l, b), _ :: _ ->
           fun fr ->
             let is = fr.Frame.ints in
             if icmp op (arith is l) (Array.unsafe_get is b)
@@ -1250,13 +1153,6 @@ and comp_stmt ctx s : Frame.t -> unit =
             let is = fr.Frame.ints in
             if icmp op (load_at fr lv la lb lc ln) (Array.unsafe_get is b)
             then ct fr
-      | Tcmp (op, Iload l, b), _ ->
-          let la, lb, lc, ln = affine_parts ctx l.sub and lv = l.view in
-          fun fr ->
-            let is = fr.Frame.ints in
-            if icmp op (load_at fr lv la lb lc ln) (Array.unsafe_get is b)
-            then ct fr
-            else ce fr
       | test, [] ->
           let cc = cond_of_test ctx test in
           fun fr -> if cc fr then ct fr
@@ -1351,11 +1247,11 @@ and comp_stmt ctx s : Frame.t -> unit =
           scatter ctx 8;
           (* The contribution runs before the subscript. *)
           match (ix, comp_operand ctx contrib) with
-          | Iaff { a; b; c = k; neg }, Load l ->
+          | (Iaff _ as ix), Load l ->
               (* kmeans's [newcenters[c*f + j] += x[i*f + j]]: the update reads
                  its contribution itself, staged in a temporary for
                  [reduce_f]. *)
-              int_ops ctx 2;
+              let a, b, k, neg = affine_parts ctx ix in
               let la, lb, lc, ln = affine_parts ctx l.sub and lv = l.view in
               let t = fresh_float ctx s.sloc in
               fun fr ->
@@ -1364,39 +1260,13 @@ and comp_stmt ctx s : Frame.t -> unit =
                 let x = load_f (Array.unsafe_get fr.Frame.views lv) (affine is la lb lc ln) fl t in
                 Array.unsafe_set fl t x;
                 v.View.reduce_f rta_op (affine is a b k neg) fl t
-          | ix, contrib -> (
-              match (ix, place ctx contrib) with
-              | Islot k, Fslot c ->
-                  fun fr ->
-                    (Array.unsafe_get fr.Frame.views vi).View.reduce_f rta_op
-                      (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
-              | Islot k, Fcode (cc, c) ->
-                  fun fr ->
-                    let v = Array.unsafe_get fr.Frame.views vi in
-                    cc fr;
-                    v.View.reduce_f rta_op (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats c
-              | Iaff { a; b; c = k; neg }, Fslot c ->
-                  int_ops ctx 2;
-                  fun fr ->
-                    (Array.unsafe_get fr.Frame.views vi).View.reduce_f rta_op
-                      (affine fr.Frame.ints a b k neg) fr.Frame.floats c
-              | Iaff { a; b; c = k; neg }, Fcode (cc, c) ->
-                  int_ops ctx 2;
-                  fun fr ->
-                    let v = Array.unsafe_get fr.Frame.views vi in
-                    cc fr;
-                    v.View.reduce_f rta_op (affine fr.Frame.ints a b k neg) fr.Frame.floats c
-              | ix, Fslot c ->
-                  let ci = code_of_iop ctx ix in
-                  fun fr ->
-                    let v = Array.unsafe_get fr.Frame.views vi in
-                    v.View.reduce_f rta_op (ci fr) fr.Frame.floats c
-              | ix, Fcode (cc, c) ->
-                  let ci = code_of_iop ctx ix in
-                  fun fr ->
-                    let v = Array.unsafe_get fr.Frame.views vi in
-                    cc fr;
-                    v.View.reduce_f rta_op (ci fr) fr.Frame.floats c))
+          | ix, contrib ->
+              let cc, c = parts_of_fop (place ctx contrib) in
+              let ci = code_of_iop ctx ix in
+              fun fr ->
+                let v = Array.unsafe_get fr.Frame.views vi in
+                cc fr;
+                v.View.reduce_f rta_op (ci fr) fr.Frame.floats c)
       | Eint ->
           int_ops ctx 1;
           scatter ctx 4;
@@ -1446,8 +1316,8 @@ and set_int ctx e dst : Frame.t -> unit =
       int_ops ctx 1;
       let o = iopr e.eloc op y and b = Option.get (int_slot ctx y) in
       match comp_iop ctx x with
-      | Iaff { a; b = ab; c; neg } ->
-          int_ops ctx 2;
+      | Iaff _ as x ->
+          let a, ab, c, neg = affine_parts ctx x in
           fun fr ->
             let is = fr.Frame.ints in
             Array.unsafe_set is dst (iapply o (affine is a ab c neg) (Array.unsafe_get is b))
@@ -1482,36 +1352,25 @@ and set_iop ctx op dst : Frame.t -> unit =
    plain double assignment leaves the value straight in the variable. *)
 and comp_assign_var ctx s v op rhs =
   match slot_of ctx s.sloc v with
-  | Frame.Int_slot i, _ -> (
+  | Frame.Int_slot i, _ ->
       let loc = s.sloc in
       if op = Set then set_int ctx rhs i
       else (
         int_ops ctx 1;
-        match comp_iop ctx rhs with
-        | Islot a ->
-            fun fr ->
-              let is = fr.Frame.ints in
-              Array.unsafe_set is i (iassign loc op (Array.unsafe_get is i) (Array.unsafe_get is a))
-        | r ->
-            let f = code_of_iop ctx r in
-            fun fr ->
-              let r = f fr in
-              let is = fr.Frame.ints in
-              Array.unsafe_set is i (iassign loc op (Array.unsafe_get is i) r)))
-  | Frame.Float_slot i, _ -> (
+        let f = code_of_iop ctx (comp_iop ctx rhs) in
+        fun fr ->
+          let r = f fr in
+          let is = fr.Frame.ints in
+          Array.unsafe_set is i (iassign loc op (Array.unsafe_get is i) r))
+  | Frame.Float_slot i, _ ->
       if op = Set then comp_f_into ctx rhs i
       else (
         flops ctx 1;
-        match comp_fop ctx rhs with
-        | Fslot a ->
-            fun fr ->
-              let fl = fr.Frame.floats in
-              Array.unsafe_set fl i (fassign op (Array.unsafe_get fl i) (Array.unsafe_get fl a))
-        | Fcode (c, a) ->
-            fun fr ->
-              c fr;
-              let fl = fr.Frame.floats in
-              Array.unsafe_set fl i (fassign op (Array.unsafe_get fl i) (Array.unsafe_get fl a))))
+        let c, a = parts_of_fop (comp_fop ctx rhs) in
+        fun fr ->
+          c fr;
+          let fl = fr.Frame.floats in
+          Array.unsafe_set fl i (fassign op (Array.unsafe_get fl i) (Array.unsafe_get fl a)))
   | Frame.View_slot _, _ -> Loc.error s.sloc "cannot assign whole array %s" v
 
 (* [a[idx] = rhs] evaluates the right-hand side, then the subscript;
@@ -1526,44 +1385,15 @@ and comp_assign_index ctx s a idx op rhs =
   access ctx tw width;
   if op <> Set then access ctx (ctx.classify a idx) width;
   match elem with
-  | Edouble -> (
-      let r = comp_fop ctx rhs in
-      if op = Set then
-        match (ix, r) with
-        | Islot k, Fslot b ->
-            fun fr ->
-              let v = Array.unsafe_get fr.Frame.views vi in
-              store_f v (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats b
-        | Islot k, Fcode (c, b) ->
-            fun fr ->
-              let v = Array.unsafe_get fr.Frame.views vi in
-              c fr;
-              store_f v (Array.unsafe_get fr.Frame.ints k) fr.Frame.floats b
-        | Iaff { a; b = y; c = z; neg }, Fslot b ->
-            int_ops ctx 2;
-            fun fr ->
-              let v = Array.unsafe_get fr.Frame.views vi in
-              store_f v (affine fr.Frame.ints a y z neg) fr.Frame.floats b
-        | Iaff { a; b = y; c = z; neg }, Fcode (c, b) ->
-            int_ops ctx 2;
-            fun fr ->
-              let v = Array.unsafe_get fr.Frame.views vi in
-              c fr;
-              store_f v (affine fr.Frame.ints a y z neg) fr.Frame.floats b
-        | ix, Fslot b ->
-            let ci = code_of_iop ctx ix in
-            fun fr ->
-              let v = Array.unsafe_get fr.Frame.views vi in
-              store_f v (ci fr) fr.Frame.floats b
-        | ix, Fcode (c, b) ->
-            let ci = code_of_iop ctx ix in
-            fun fr ->
-              let v = Array.unsafe_get fr.Frame.views vi in
-              c fr;
-              store_f v (ci fr) fr.Frame.floats b
+  | Edouble ->
+      let c, b = parts_of_fop (comp_fop ctx rhs) in
+      let ci = code_of_iop ctx ix in
+      if op = Set then fun fr ->
+        let v = Array.unsafe_get fr.Frame.views vi in
+        c fr;
+        store_f v (ci fr) fr.Frame.floats b
       else (
         flops ctx 1;
-        let ci = code_of_iop ctx ix and c, b = parts_of_fop r in
         let t = fresh_float ctx s.sloc in
         fun fr ->
           let v = Array.unsafe_get fr.Frame.views vi in
@@ -1572,7 +1402,7 @@ and comp_assign_index ctx s a idx op rhs =
           let fl = fr.Frame.floats in
           let old = load_f v i fl t in
           Array.unsafe_set fl t (fassign op old (Array.unsafe_get fl b));
-          store_f v i fl t))
+          store_f v i fl t)
   | Eint -> (
       let r = comp_iop ctx rhs in
       if op = Set then
@@ -1588,30 +1418,13 @@ and comp_assign_index ctx s a idx op rhs =
               let is = fr.Frame.ints in
               let x = arith is r in
               store_i (Array.unsafe_get fr.Frame.views vi) (Array.unsafe_get is k) x
-        | Islot k, r ->
-            let f = code_of_iop ctx r in
-            fun fr ->
-              let v = Array.unsafe_get fr.Frame.views vi in
-              let x = f fr in
-              store_i v (Array.unsafe_get fr.Frame.ints k) x
-        | Iaff { a; b = y; c = z; neg }, Islot b ->
-            int_ops ctx 2;
+        (* bfs's [edges[i*maxdeg + e] = j]. *)
+        | (Iaff _ as ix), Islot b ->
+            let a, y, z, neg = affine_parts ctx ix in
             fun fr ->
               let is = fr.Frame.ints in
               let v = Array.unsafe_get fr.Frame.views vi in
               store_i v (affine is a y z neg) (Array.unsafe_get is b)
-        | Iaff { a; b = y; c = z; neg }, r ->
-            int_ops ctx 2;
-            let f = code_of_iop ctx r in
-            fun fr ->
-              let v = Array.unsafe_get fr.Frame.views vi in
-              let x = f fr in
-              store_i v (affine fr.Frame.ints a y z neg) x
-        | ix, Islot b ->
-            let ci = code_of_iop ctx ix in
-            fun fr ->
-              let v = Array.unsafe_get fr.Frame.views vi in
-              store_i v (ci fr) (Array.unsafe_get fr.Frame.ints b)
         | ix, r ->
             let ci = code_of_iop ctx ix and f = code_of_iop ctx r in
             fun fr ->

@@ -15,9 +15,10 @@
     (the destination variable's own slot for a declaration or plain
     assignment, else a temporary from {!Frame.Layout.fresh}), and moves
     through views with the slot-passing accessors of {!View.t}. Operands
-    are specialized by shape at compile time: a variable or literal operand
-    is read from its slot inside the operator's closure rather than called,
-    an int comparison used as a condition yields a [bool] directly, a
+    are specialized by shape at compile time where a workload pays for it
+    (the kept shapes are listed below): a variable or literal operand is
+    read from its slot inside its user's closure rather than called, an
+    int comparison used as a condition yields a [bool] directly, a
     subscript [a*b + c], [c + a*b] or [a*b - c] over int variables and
     literals is computed inside the access's closure, [a + b], [a - b] or
     [a * b] over two int literals is a constant, and a builtin call
@@ -53,16 +54,45 @@
     code: an {e operator} over two int slots ([i + 1], [seed % 10]) and
     an {e in-place load}, [a\[i\]] of an int array whose subscript is a
     slot or an affine form. Both are charged when they compile (an int op
-    for the operator; the access class, and 2 int ops for an affine
-    subscript, for the load) and are read inside the closure of the user
-    that has a shape for them: a binary operator (a shape with a slot on
-    either side, two operators, or an affine form with a slot), a
-    comparison with a slot (a slot against a shape is turned around), a
-    plain assignment, a declaration, and an int store. Anywhere else, a
-    subscript for one, they compile to code. An [if] whose condition
-    compares a slot, an operator or a load with a slot tests it in its own
-    closure, and a plain int assignment [v = x op b] with [b] a slot
-    applies the operator in its own closure whatever [x] is.
+    for the operator; the access class for the load, whose affine
+    subscript pays its 2 int ops where it is read, like any affine form)
+    and are read inside the closure of the user that has a shape for
+    them (listed below). Anywhere else, a subscript for one, they compile
+    to code.
+
+    {b Operands in one normal form.} Every user of an operand has one
+    generic closure that reads a double operand as code and a slot (a
+    slot's code is a no-op) and an int operand as code returning its
+    value, so one closure serves every operand kind; the right operand
+    still runs first. A user has a closure of its own for a shape only
+    where an end-to-end workload runs it heavily. The kept shapes, each
+    with the workload that pays for it (docs/PERF.md, "Executor shapes
+    kept by the census", gives the runs per run):
+    - the three fused float shapes: two loads under one operator
+      (kmeans), a slot with an operator over two slots (kmeans) or two
+      loads (spmv); and the centre reduction reading its load
+      contribution (kmeans);
+    - a double comparison of two slots (kmeans's [dist < best]);
+    - a double load at a slot subscript into a temporary (spmv's [y\[i\]
+      * inv]);
+    - an [if] over a slot compared with a slot (spmv's [c >= 0], with an
+      [else] bfs's [e == 0]), a slot operator compared with a slot, with
+      an [else] (bfs's [seed % 10 < 8]), and a load compared with a slot,
+      without one (bfs's [levels\[i\] == level], kmeans's [bc !=
+      membership\[i\]]);
+    - an int operator over two slots, over two slot operators (bfs's
+      [(i + 1) + seed % 2000]) and over code and a slot (bfs's [(i + 1) %
+      n], spmv's [(i + 1 + seed % 500) % n]);
+    - a plain int assignment or declaration of a slot, a slot operator or
+      a load (all four workloads), and [v = x op b] with [b] a slot,
+      which applies the operator itself, to an affine [x] (the
+      generators' LCG) or to code (bfs's [j = (i + 1 + seed % 2000) %
+      n]);
+    - int stores of a slot at a slot, of a slot operator at a slot (bfs's
+      [levels\[j\] = level + 1]) and of a slot at an affine subscript
+      (bfs's [edges\[i*maxdeg + e\] = j]);
+    - a counted loop, and blocks of two to four statements without the
+      array loop (all four workloads).
 
     Division and remainder by a positive int literal [d] need no hardware
     divide: [d = 2^k] is a shift or a mask, with the dividend biased by [d
@@ -78,8 +108,8 @@
     operand still runs first, so of two faulting operands the right one's
     fault is raised; a division check raises the same located error
     inline as out of line; and each segment's static charge is the same
-    sum (an int op per operator and comparison, one per [if], and per load
-    its access class plus 2 int ops for an affine subscript).
+    sum (an int op per operator and comparison, one per [if], per load
+    its access class, and 2 int ops per affine form).
 
     A kernel charges the {!Frame.t.cost} of the frame it runs in:
     arithmetic by operator type, and array traffic by the coalescing mode

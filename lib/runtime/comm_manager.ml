@@ -237,18 +237,17 @@ let drain_misses cfg (da : Darray.t) =
       let replay_counts = Array.make num_gpus 0 in
       for src = 0 to num_gpus - 1 do
         let part = dist.Darray.parts.(src) in
-        if not (Miss_buffer.is_empty part.Darray.miss) then begin
-          (* Group records by owner, preserving order. *)
+        let mb = part.Darray.miss in
+        if not (Miss_buffer.is_empty mb) then begin
+          (* Group record positions by owner, preserving order. *)
           let per_owner = Array.make num_gpus [] in
-          List.iter
-            (fun (idx, v) ->
-              let owner = Darray.owner_of dist idx in
-              per_owner.(owner) <- (idx, v) :: per_owner.(owner))
-            (Miss_buffer.entries part.Darray.miss);
+          for k = Miss_buffer.count mb - 1 downto 0 do
+            let owner = Darray.owner_of dist (Miss_buffer.index mb k) in
+            per_owner.(owner) <- k :: per_owner.(owner)
+          done;
           let record_bytes = 4 + Darray.elem_bytes da in
           Array.iteri
-            (fun owner entries_rev ->
-              let entries = List.rev entries_rev in
+            (fun owner entries ->
               if entries <> [] then begin
                 if owner <> src then begin
                   let payload =
@@ -257,7 +256,7 @@ let drain_misses cfg (da : Darray.t) =
                          ships: an 8-byte header per contiguous run plus
                          one value per unique index, instead of a
                          4+elem-byte record per write. *)
-                      let idxs = List.sort_uniq compare (List.map fst entries) in
+                      let idxs = List.sort_uniq compare (List.map (Miss_buffer.index mb) entries) in
                       let runs, _ =
                         List.fold_left
                           (fun (runs, prev) i ->
@@ -300,22 +299,16 @@ let drain_misses cfg (da : Darray.t) =
                 | Ast.Edouble ->
                     let d = Memory.float_data opart.Darray.buf in
                     List.iter
-                      (fun (idx, v) ->
-                        match v with
-                        | Miss_buffer.Vf f -> d.(off idx) <- f
-                        | Miss_buffer.Vi _ -> assert false)
+                      (fun k -> d.(off (Miss_buffer.index mb k)) <- Miss_buffer.float_value mb k)
                       entries
                 | Ast.Eint ->
                     let d = Memory.int_data opart.Darray.buf in
                     List.iter
-                      (fun (idx, v) ->
-                        match v with
-                        | Miss_buffer.Vi n -> d.(off idx) <- n
-                        | Miss_buffer.Vf _ -> assert false)
+                      (fun k -> d.(off (Miss_buffer.index mb k)) <- Miss_buffer.int_value mb k)
                       entries
               end)
             per_owner;
-          Miss_buffer.drain part.Darray.miss
+          Miss_buffer.drain mb
         end
       done;
       let replays =

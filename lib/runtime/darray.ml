@@ -602,7 +602,7 @@ let repartition cfg t (d : dist) ~spec ~ranges ~num_gpus =
           own;
           tile = None;
           buf = alloc_buf cfg g t (Interval.length window);
-          miss = Miss_buffer.create (mem_of cfg g) ~name:t.name ~elem_bytes:(elem_bytes t);
+          miss = Miss_buffer.create (mem_of cfg g) ~elem_bytes:(elem_bytes t);
         })
   in
   let xfers = ref [] in
@@ -667,7 +667,7 @@ let ensure_distributed cfg t ~spec ~ranges =
               own;
               tile;
               buf = alloc_buf cfg g t (part_size window tile);
-              miss = Miss_buffer.create (mem_of cfg g) ~name:t.name ~elem_bytes:(elem_bytes t);
+              miss = Miss_buffer.create (mem_of cfg g) ~elem_bytes:(elem_bytes t);
             })
       in
       t.state <- Distributed { parts; spec; ranges = Array.copy ranges };

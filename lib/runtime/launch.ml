@@ -180,16 +180,13 @@ let reduction_view (da : Darray.t) ~gpu (red : Reduction.t) =
 
 (* Out-of-block writes on a distributed array: with the miss check, a
    checked write costs one int op and a missed one a buffered transaction
-   of [bytes]; without it, a directive violation. A write outside the
-   array is a bounds error either way. *)
-let miss_write ~miss_check ~(cost : Cost.t) ~name ~length ~gpu ~what part ~bytes i v =
+   of [bytes], which the caller then records; without it, a directive
+   violation. A write outside the array is a bounds error either way. *)
+let miss_write ~miss_check ~(cost : Cost.t) ~name ~length ~gpu ~what ~bytes i =
   if i < 0 || i >= length then out_of_bounds name length i;
-  if miss_check then begin
-    cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
-    cost.Cost.random_bytes <- cost.Cost.random_bytes + bytes;
-    Miss_buffer.record part.Darray.miss i v
-  end
-  else raise (Window_violation { array = name; index = i; gpu; what })
+  if not miss_check then raise (Window_violation { array = name; index = i; gpu; what });
+  cost.Cost.random_accesses <- cost.Cost.random_accesses + 1;
+  cost.Cost.random_bytes <- cost.Cost.random_bytes + bytes
 
 (* 2-D variant: the part's buffer is a packed [trow_win x tcol_win] box;
    membership and offsets go through the tile-aware [Darray] helpers. The
@@ -212,7 +209,7 @@ let tiled_distributed_view (da : Darray.t) (part : Darray.part) ~gpu ~miss_check
   in
   let miss =
     miss_write ~miss_check ~cost ~name ~length ~gpu
-      ~what:"write outside owned tile (miss checks eliminated)" part
+      ~what:"write outside owned tile (miss checks eliminated)"
   in
   let check () = if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1 in
   match da.Darray.elem with
@@ -225,7 +222,10 @@ let tiled_distributed_view (da : Darray.t) (part : Darray.part) ~gpu ~miss_check
         ~store_f:(fun i bank s ->
           check ();
           if owns i then data.(off i) <- bank.(s)
-          else miss ~bytes:12 i (Miss_buffer.Vf bank.(s)))
+          else begin
+            miss ~bytes:12 i;
+            Miss_buffer.record_f part.Darray.miss i bank s
+          end)
         ~reduce_f:(no_reduce_f name)
   | Ast.Eint ->
       let data = Memory.int_data part.Darray.buf in
@@ -235,7 +235,11 @@ let tiled_distributed_view (da : Darray.t) (part : Darray.part) ~gpu ~miss_check
           data.(off i))
         ~set_i:(fun i v ->
           check ();
-          if owns i then data.(off i) <- v else miss ~bytes:8 i (Miss_buffer.Vi v))
+          if owns i then data.(off i) <- v
+          else begin
+            miss ~bytes:8 i;
+            Miss_buffer.record_i part.Darray.miss i v
+          end)
         ~reduce_i:(no_reduce_i name)
 
 (* Distributed array: logical indices translate into the partition; reads
@@ -258,7 +262,7 @@ let distributed_view (da : Darray.t) ~gpu ~miss_check ~(cost : Cost.t) =
       in
       let miss =
         miss_write ~miss_check ~cost ~name ~length ~gpu
-          ~what:"write outside owned block (miss checks eliminated)" part
+          ~what:"write outside owned block (miss checks eliminated)"
       in
       match da.Darray.elem with
       | Ast.Edouble ->
@@ -270,7 +274,10 @@ let distributed_view (da : Darray.t) ~gpu ~miss_check ~(cost : Cost.t) =
             ~store_f:(fun i bank s ->
               if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1;
               if Interval.contains own i then data.(i - lo) <- bank.(s)
-              else miss ~bytes:12 i (Miss_buffer.Vf bank.(s)))
+              else begin
+                miss ~bytes:12 i;
+                Miss_buffer.record_f part.Darray.miss i bank s
+              end)
             ~reduce_f:(no_reduce_f name)
       | Ast.Eint ->
           let data = Memory.int_data part.Darray.buf in
@@ -281,7 +288,10 @@ let distributed_view (da : Darray.t) ~gpu ~miss_check ~(cost : Cost.t) =
             ~set_i:(fun i v ->
               if miss_check then cost.Cost.int_ops <- cost.Cost.int_ops + 1;
               if Interval.contains own i then data.(i - lo) <- v
-              else miss ~bytes:8 i (Miss_buffer.Vi v))
+              else begin
+                miss ~bytes:8 i;
+                Miss_buffer.record_i part.Darray.miss i v
+              end)
             ~reduce_i:(no_reduce_i name))
 
 let view_for plan ~gpu ~cost ~get_darray ~get_reduction name =
@@ -305,9 +315,15 @@ let view_for plan ~gpu ~cost ~get_darray ~get_reduction name =
 (* ------------------------------------------------------------------ *)
 
 (* Bind phase: GPU [gpu]'s frame, its views and its scalars, on the
-   calling domain. *)
+   calling domain. The GPUs are bound one after another, so each GPU's
+   frame would sit next to the previous GPU's views, while the two run
+   on different domains. A task writes its frame on every iteration: the
+   72 bytes allocated first keep it off the cache lines the previous
+   GPU's task reads (sharing them made kmeans-paper's runs about a
+   quarter slower). *)
 let bind_gpu ?col_bounds plan compiled ~gpu ~get_scalar ~get_darray ~get_reduction =
   let scalar_reductions = plan.Kernel_plan.loop.Mgacc_analysis.Loop_info.scalar_reductions in
+  ignore (Sys.opaque_identity (Array.make 8 0) : int array);
   let frame = compiled.kc.Kernel_compile.make_frame () in
   List.iter
     (fun (name, slot, ty) ->

@@ -17,17 +17,23 @@ open Mgacc_apps
 
 type run = { name : string; lines : unit -> string list }
 
-let samples_dir () =
+(* [dir/rel] for the working directory or its nearest ancestor [dir]
+   that has it: the repository root, test/, and dune's copy of the tree
+   under _build all find the same files. *)
+let find_up rel =
   let rec find dir =
-    let candidate = Filename.concat dir "samples" in
-    if Sys.file_exists candidate && Sys.is_directory candidate then candidate
+    let candidate = Filename.concat dir rel in
+    if Sys.file_exists candidate then candidate
     else
       let parent = Filename.dirname dir in
-      if parent = dir then failwith "golden corpus: samples/ not found" else find parent
+      if parent = dir then failwith ("golden corpus: " ^ rel ^ " not found") else find parent
   in
   find (Sys.getcwd ())
 
-let sample name = Filename.concat (samples_dir ()) name
+let sample name = Filename.concat (find_up "samples") name
+
+(* The committed corpus. *)
+let corpus_file () = find_up (Filename.concat "test" (Filename.concat "golden" "corpus.golden"))
 
 let report_lines (r : Report.t) =
   [

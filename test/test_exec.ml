@@ -1603,12 +1603,12 @@ let test_device_stores_use_accessors () =
         @ buffer r.Darray.bufs.(1)
     | Darray.Distributed _ ->
         let part = Darray.part_for da ~gpu:1 in
-        List.map
-          (fun (i, v) ->
-            match v with
-            | Miss_buffer.Vi x -> Printf.sprintf "miss %d:%d" i x
-            | Miss_buffer.Vf x -> Printf.sprintf "miss %d:%h" i x)
-          (Miss_buffer.entries part.Darray.miss)
+        let mb = part.Darray.miss in
+        List.init (Miss_buffer.count mb) (fun k ->
+            let i = Miss_buffer.index mb k in
+            match da.Darray.elem with
+            | Ast.Eint -> Printf.sprintf "miss %d:%d" i (Miss_buffer.int_value mb k)
+            | Ast.Edouble -> Printf.sprintf "miss %d:%h" i (Miss_buffer.float_value mb k))
         @ buffer part.Darray.buf
     | Darray.Unallocated -> []
   in
@@ -1750,7 +1750,8 @@ let bind_kmeans frame name slot =
 
 (* kmeans: a straight-line double step, the whole distance body, two
    nested counted loops over row-major subscripts, and the centre
-   reduction, whose update reads its contribution; bfs: the int edge scan,
+   reduction, whose update reads its contribution; the generic arms of
+   reductions, stores, comparisons and negation; bfs: the int edge scan,
    a counted loop bounded by a local; spmv: the row body, on the device
    views GPU 1 of 2 binds (its parts start past 0), so the in-place read
    and the counted loop's trip count are gated on those too. *)
@@ -1852,6 +1853,35 @@ for (i = 0; i < n; i++) {
       | "membership" -> Frame.set_view frame slot (View.of_int_array ~name (Array.init 2000 (fun i -> i mod 5)))
       | "newcenters" -> Frame.set_view frame slot (View.of_float_array ~name (Array.make 80 0.0))
       | "counts" -> Frame.set_view frame slot (View.of_int_array ~name (Array.make 5 0))
+      | _ -> bind_kmeans frame name slot);
+  (* The generic arms that serve both a slot and a code operand: a
+     reduction with a code subscript and a code contribution, a double
+     store of a slot, a double comparison of two code operands, and the
+     negation of a product. *)
+  check_allocates_nothing "generic operand arms"
+    {|void main() { int n = 2000; int f = 16; int k = 5; double x[n*f]; double centers[k*f]; double out[n];
+int membership[n]; double newc[k]; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) {
+  #pragma acc reductiontoarray(+: newc)
+  newc[membership[i]] = newc[membership[i]] + x[i] * 2.0;
+  double s = x[i] * 0.5;
+  out[i] = s;
+  if (x[i] + 1.0 < out[i] * 4.0) { out[i] = -(x[i] * centers[i % f]); }
+} }|}
+    ~params:
+      [
+        ("f", Ast.Tint);
+        ("x", Ast.Tarray Ast.Edouble);
+        ("centers", Ast.Tarray Ast.Edouble);
+        ("out", Ast.Tarray Ast.Edouble);
+        ("membership", Ast.Tarray Ast.Eint);
+        ("newc", Ast.Tarray Ast.Edouble);
+      ]
+    ~bind:(fun frame name slot ->
+      match name with
+      | "membership" -> Frame.set_view frame slot (View.of_int_array ~name (Array.init 2000 (fun i -> i mod 5)))
+      | "newc" -> Frame.set_view frame slot (View.of_float_array ~name (Array.make 5 0.0))
       | _ -> bind_kmeans frame name slot);
   let maxdeg = 6 in
   check_allocates_nothing "bfs edge scan"

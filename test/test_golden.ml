@@ -3,14 +3,11 @@
    float, the blame category sums and the trace digest. A mismatch names
    the first differing run and shows both versions of it. *)
 
-let golden_file = Filename.concat "golden" "corpus.golden"
-
 let show (name, lines) = String.concat "\n" (("run " ^ name) :: List.map (( ^ ) "  ") lines)
 
 let test_corpus () =
-  let expected =
-    Golden_corpus.parse (In_channel.with_open_bin golden_file In_channel.input_all)
-  in
+  let file = Golden_corpus.corpus_file () in
+  let expected = Golden_corpus.parse (In_channel.with_open_bin file In_channel.input_all) in
   let actual = Golden_corpus.blocks () in
   let rec first = function
     | e :: es, a :: as_ -> if e = a then first (es, as_) else Some (Some e, Some a)

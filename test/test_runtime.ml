@@ -92,22 +92,48 @@ let test_dirty_footprint_accounted () =
 
 let test_miss_buffer () =
   let mem = mk_mem () in
-  let b = Miss_buffer.create mem ~name:"a" ~elem_bytes:8 in
+  let b = Miss_buffer.create mem ~elem_bytes:8 in
   check Alcotest.bool "empty" true (Miss_buffer.is_empty b);
-  Miss_buffer.record b 5 (Miss_buffer.Vf 1.5);
-  Miss_buffer.record b 9 (Miss_buffer.Vf 2.5);
+  let bank = [| 1.5; 2.5 |] in
+  Miss_buffer.record_f b 5 bank 0;
+  Miss_buffer.record_f b 9 bank 1;
   check Alcotest.int "count" 2 (Miss_buffer.count b);
   check Alcotest.int "payload" 24 (Miss_buffer.payload_bytes b);
-  (match Miss_buffer.entries b with
-  | [ (5, Miss_buffer.Vf a); (9, Miss_buffer.Vf c) ] ->
-      check (Alcotest.float 1e-12) "order preserved" 1.5 a;
-      check (Alcotest.float 1e-12) "second" 2.5 c
-  | _ -> Alcotest.fail "entries");
+  check Alcotest.(list int) "indices in order" [ 5; 9 ] [ Miss_buffer.index b 0; Miss_buffer.index b 1 ];
+  check (Alcotest.float 1e-12) "order preserved" 1.5 (Miss_buffer.float_value b 0);
+  check (Alcotest.float 1e-12) "second" 2.5 (Miss_buffer.float_value b 1);
   check Alcotest.bool "device accounted" true (Memory.used_class mem `System > 0);
   Miss_buffer.drain b;
   check Alcotest.bool "drained" true (Miss_buffer.is_empty b);
   check Alcotest.int "memory released" 0 (Memory.used_class mem `System);
-  check Alcotest.bool "peak kept" true (Miss_buffer.peak_bytes b > 0)
+  check Alcotest.bool "peak kept" true (Miss_buffer.peak_bytes b > 0);
+  (* A drained buffer records from the start again. *)
+  Miss_buffer.record_f b 3 bank 1;
+  check Alcotest.int "index after drain" 3 (Miss_buffer.index b 0);
+  check (Alcotest.float 1e-12) "value after drain" 2.5 (Miss_buffer.float_value b 0)
+
+(* Recording allocates nothing per miss, amortized: 100,000 misses into
+   one buffer of each element type, on this domain. *)
+let test_miss_buffer_allocation () =
+  let n = 100_000 in
+  let mem = mk_mem () in
+  let per_miss record =
+    let before = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      record i
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let fb = Miss_buffer.create mem ~elem_bytes:8 and bank = [| 0.5 |] in
+  let f = per_miss (fun i -> Miss_buffer.record_f fb i bank 0) in
+  let ib = Miss_buffer.create mem ~elem_bytes:4 in
+  let i = per_miss (fun i -> Miss_buffer.record_i ib (n - i) i) in
+  if f >= 1.0 || i >= 1.0 then
+    Alcotest.failf "minor words per miss: %.3f (double), %.3f (int)" f i;
+  check Alcotest.int "every double kept" n (Miss_buffer.count fb);
+  check (Alcotest.float 0.0) "last double" 0.5 (Miss_buffer.float_value fb (n - 1));
+  check Alcotest.(pair int int) "last int" (1, n - 1)
+    (Miss_buffer.index ib (n - 1), Miss_buffer.int_value ib (n - 1))
 
 (* ---------------- Darray state machine ---------------- *)
 
@@ -493,6 +519,7 @@ let suite =
     tc "dirty: single-level ships everything" test_dirty_single_level;
     tc "dirty: system memory accounting" test_dirty_footprint_accounted;
     tc "miss buffer: record/drain/peak" test_miss_buffer;
+    tc "miss buffer: a miss allocates less than a word" test_miss_buffer_allocation;
     tc "darray: replicate, reuse, content" test_darray_replicate_and_reuse;
     tc "darray: distribution windows and owners" test_darray_distribute_windows;
     tc "darray: placement transition flushes" test_darray_transition_flushes;

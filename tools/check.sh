@@ -33,10 +33,18 @@ QCHECK_LONG=1 dune exec test/test_main.exe -- test collective
 # A launch runs its GPUs' partitions at the same time on a domain pool;
 # a result that depended on which partition finished first would show as
 # a golden mismatch on some run. Five more runs give it more chances.
-# (The corpus path is relative to test/.)
 for _ in 1 2 3 4 5; do
-  (cd test && dune exec ./test_main.exe -- test golden)
+  dune exec test/test_main.exe -- test golden
 done
+# Ratchet: the failwith/assert false lines in lib may only fall. A change
+# that removes some lowers the number here; none may raise it.
+max_failure_sites=37
+sites="$(grep -rE 'failwith|assert false' lib | wc -l)"
+if [ "$sites" -gt "$max_failure_sites" ]; then
+  echo "check.sh: $sites failwith/assert false lines in lib, more than $max_failure_sites:" >&2
+  grep -rnE 'failwith|assert false' lib >&2
+  exit 1
+fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 # The smoke runs below must never touch a committed artifact: a bench
