@@ -797,7 +797,7 @@ let sim_bench ~smoke =
      on this storm, else the speedup compares different simulations. *)
   progress "  [sim] equivalence check (%d flows)..." flows;
   let fast = Fabric.run_batch fabric reqs in
-  let slow = Fabric.run_batch_reference fabric reqs in
+  let slow = Ref_fabric.run_batch_reference fabric reqs in
   List.iter2
     (fun (a : Fabric.completion) (b : Fabric.completion) ->
       if not (Float.equal a.Fabric.start b.Fabric.start && Float.equal a.Fabric.finish b.Fabric.finish)
@@ -810,7 +810,7 @@ let sim_bench ~smoke =
     let median, spread = sim_time_runs ~iters (fun () -> ignore (run fabric reqs)) in
     (median, spread, float_of_int events /. median)
   in
-  let ref_median, ref_spread, ref_eps = measure "reference" Fabric.run_batch_reference in
+  let ref_median, ref_spread, ref_eps = measure "reference" Ref_fabric.run_batch_reference in
   let inc_median, inc_spread, inc_eps = measure "incremental" Fabric.run_batch in
   let speedup = ref_median /. inc_median in
   let t =

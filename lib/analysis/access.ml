@@ -124,13 +124,6 @@ let analyze (loop : Loop_info.t) =
 let find accesses name = List.find_opt (fun a -> a.array = name) accesses
 
 let read_only a = a.writes = [] && a.reduction_writes = [] && a.reads <> []
-let write_only a = a.reads = [] && (a.writes <> [] || a.reduction_writes <> [])
-
-let all_affine loop idxs =
-  List.for_all (fun i -> match classify_index loop i with Affine _ -> true | Dynamic -> false) idxs
-
-let all_reads_affine loop a = all_affine loop a.reads
-let all_writes_affine loop a = all_affine loop a.writes
 
 let pp loop ppf a =
   let pp_class ppf idx =

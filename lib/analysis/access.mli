@@ -35,11 +35,4 @@ val classify_index : Loop_info.t -> Ast.expr -> index_class
 val read_only : array_access -> bool
 (** Some reads, no writes of either kind. *)
 
-val write_only : array_access -> bool
-
-val all_reads_affine : Loop_info.t -> array_access -> bool
-(** Every plain-read subscript is affine in the strict sense. *)
-
-val all_writes_affine : Loop_info.t -> array_access -> bool
-
 val pp : Loop_info.t -> Format.formatter -> array_access -> unit

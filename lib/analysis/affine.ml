@@ -108,17 +108,6 @@ let rec of_expr ~loop_var ~is_uniform e =
       if mentions_var e loop_var then None else uniform_leaf ()
 
 let is_literal t = t.terms = []
-let is_uniform_form t = t.coeff = 0
-
-let offset_expr ~loc t =
-  let const = { edesc = Int_lit t.const; eloc = loc } in
-  match t.terms with
-  | [] -> const
-  | first :: rest ->
-      let sum =
-        List.fold_left (fun acc term -> { edesc = Binop (Add, acc, term); eloc = loc }) first rest
-      in
-      if t.const = 0 then sum else { edesc = Binop (Add, sum, const); eloc = loc }
 
 let equal a b =
   a.coeff = b.coeff && a.const = b.const

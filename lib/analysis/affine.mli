@@ -33,12 +33,5 @@ val of_expr : loop_var:string -> is_uniform:(string -> bool) -> Ast.expr -> t op
 val is_literal : t -> bool
 (** No symbolic terms: the form is [coeff * i + const] exactly. *)
 
-val is_uniform_form : t -> bool
-(** [coeff = 0]: the subscript does not depend on the loop variable. *)
-
-val offset_expr : loc:Loc.t -> t -> Ast.expr
-(** The offset part ([const + terms]) as an expression, for runtime
-    evaluation in the host environment. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

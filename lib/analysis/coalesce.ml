@@ -43,10 +43,4 @@ let make (loop : Loop_info.t) =
         | `Linear -> Strided 0
         | `Zero | `No -> Random)
 
-let mode_to_string = function
-  | Broadcast -> "broadcast"
-  | Coalesced -> "coalesced"
-  | Strided s -> Printf.sprintf "strided(%d)" s
-  | Random -> "random"
-
 let apply_layout_transform = function Strided _ -> Coalesced | m -> m

@@ -24,8 +24,6 @@ type classifier = Mgacc_minic.Ast.expr -> mode
 val make : Loop_info.t -> classifier
 (** Build a classifier for subscripts of the given loop. *)
 
-val mode_to_string : mode -> string
-
 val apply_layout_transform : mode -> mode
 (** The effect of transposing the array: strided affine accesses become
     coalesced; other modes are unchanged. *)

@@ -129,13 +129,6 @@ let inputs p =
 let compute_forces ~cost ~pos ~nl ~force ~atoms ~max_neighbors =
   compute_forces_range ~cost ~pos ~nl ~force ~lo:0 ~hi:atoms ~max_neighbors
 
-let cuda_reference_forces p =
-  let pos, nl = inputs p in
-  let force = Array.make (3 * p.atoms) 0.0 in
-  compute_forces ~cost:(Cost.zero ()) ~pos ~nl ~force ~atoms:p.atoms
-    ~max_neighbors:p.max_neighbors;
-  force
-
 let run_cuda_multi ~machine ~gpus p =
   if gpus < 1 || gpus > Machine.num_gpus machine then invalid_arg "Md.run_cuda_multi";
   let pos, nl = inputs p in

@@ -24,10 +24,6 @@ val run_cuda : machine:Mgacc.Machine.t -> params -> float array * Mgacc.Report.t
     timing report. Inputs are regenerated identically to the mini-C
     source. *)
 
-val cuda_reference_forces : params -> float array
-(** The forces the CUDA kernel computes (for cross-checking against the
-    sequential mini-C run). *)
-
 val run_cuda_multi :
   machine:Mgacc.Machine.t -> gpus:int -> params -> float array * Mgacc.Report.t
 (** Hand-written *multi-GPU* CUDA: the expert manually replicates the

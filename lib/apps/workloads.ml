@@ -1,14 +1,5 @@
 let lcg_next seed = ((seed * 1103515245) + 12345) mod 2147483648
 
-let lcg_stream ~seed n =
-  let out = Array.make n 0 in
-  let s = ref seed in
-  for i = 0 to n - 1 do
-    s := lcg_next !s;
-    out.(i) <- !s
-  done;
-  out
-
 let lcg_c_snippet = "seed = (seed * 1103515245 + 12345) % 2147483648;"
 
 (* The float expressions below must mirror the mini-C sources exactly

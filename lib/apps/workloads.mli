@@ -10,9 +10,6 @@
 val lcg_next : int -> int
 (** One LCG step; the state is also the output (in [\[0, 2^31)]). *)
 
-val lcg_stream : seed:int -> int -> int array
-(** [lcg_stream ~seed n] is the first [n] outputs starting from [seed]. *)
-
 val lcg_c_snippet : string
 (** The mini-C statement implementing one step (for embedding in sources,
     assumes an int variable [seed]). *)

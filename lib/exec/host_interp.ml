@@ -123,8 +123,6 @@ let set_scalar env name v =
   | slot, Vint n -> Frame.set_float env.frame slot (float_of_int n)
   | slot, Vfloat f -> Frame.set_float env.frame slot f
 
-let program_of env = env.run.prog
-
 let run_loop_sequentially env (loop : Loop_info.t) =
   let lo = eval_int env loop.Loop_info.lower in
   let hi = eval_int env loop.Loop_info.upper in

@@ -29,19 +29,17 @@ type hooks = {
   on_update_device : env -> Ast.subarray list -> unit;
 }
 
-val sequential_hooks : hooks
-(** Ignore data directives; execute parallel loops sequentially in the host
-    environment (the semantic reference). *)
-
 val run_program : ?hooks:hooks -> Ast.program -> env
 (** Typecheck and execute [main] (which must exist and take no
-    parameters). [main] and its callees are compiled first, once.
+    parameters). [main] and its callees are compiled first, once. The
+    default [hooks] ignore data directives and run parallel loops with
+    {!run_loop_sequentially}: the semantic reference.
     Returns the final environment of [main] (its frame and the names of
     its body), for inspecting results. *)
 
 val run_loop_sequentially : env -> Mgacc_analysis.Loop_info.t -> unit
 (** Execute a parallel loop's iterations in order in the host environment
-    (used by {!sequential_hooks} and as the fallback semantics). The env
+    (the default hooks' loop, and the fallback semantics). The env
     must be the one the loop's [on_parallel_loop] hook received; the body
     was compiled once for that loop site. A [break] or [continue] that
     escapes an iteration raises a located {!Loc.Error}. *)
@@ -56,4 +54,3 @@ val find_array : env -> string -> View.t
 val find_array_opt : env -> string -> View.t option
 val get_scalar : env -> string -> value
 val set_scalar : env -> string -> value -> unit
-val program_of : env -> Ast.program

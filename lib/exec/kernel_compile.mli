@@ -187,7 +187,10 @@ val extract_reduction :
     assignment into (destination subscript, contribution expression),
     checking the statement really is an [op]-reduction (e.g.
     [a\[k\] += v], [a\[k\] = a\[k\] + v], [a\[k\] = fmax(a\[k\], v)]).
-    Raises {!Loc.Error} otherwise. *)
+    Raises {!Loc.Error} otherwise. Exported for "kernel: reduction statement
+    extraction", which checks each accepted and rejected form on a bare
+    statement; a run reaches it only while compiling a whole kernel, where a
+    rejected form is the run's error. *)
 
 (** {1 Host code} *)
 

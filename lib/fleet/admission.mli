@@ -35,6 +35,10 @@ val warm_bytes : t -> int
 val reserved : t -> int
 val free_bytes : t -> int
 val warm_count : t -> int
+(** Warm pools held. No run reads it; "admission: warm eviction runs the
+    spill" counts the pools around an eviction, which {!warm_bytes} cannot
+    tell apart. *)
+
 val evictions : t -> int
 val spilled_bytes : t -> int
 (** Dirty bytes written back by evictions so far (clean pools spill for

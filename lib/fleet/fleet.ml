@@ -78,6 +78,7 @@ let static_trip_count (p : Kernel_plan.t) =
   | Ast.Int_lit lo, Ast.Int_lit hi when hi > lo -> hi - lo
   | _ -> 65536 (* runtime-sized loop: a nominal count keeps ranking by cost shape *)
 
+(* The SJF fallback: summed roofline duration of the program's kernels. *)
 let static_estimate machine ~num_gpus plans =
   List.fold_left
     (fun acc p ->

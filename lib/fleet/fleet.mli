@@ -60,7 +60,6 @@ type job_result = {
   report : Report.t;  (** per-job runtime report, queue wait included *)
 }
 
-val wait_of : job_result -> float
 val latency_of : job_result -> float
 
 type tenant_row = {
@@ -111,10 +110,6 @@ val lookup : config -> Plan_cache.t -> name:string -> string -> Plan_cache.entry
     through it; a lookup without the machine key misses and returns a
     fresh, unmeasured entry. *)
 
-val static_estimate : Machine.t -> num_gpus:int -> Mgacc_translator.Program_plan.t -> float
-(** The SJF fallback: summed roofline duration of the program's kernels. *)
-
 val stats_to_json : stats -> string
 val to_json : outcome -> string
-val pp_stats : Format.formatter -> stats -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

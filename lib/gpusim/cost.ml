@@ -35,8 +35,6 @@ let scale t k =
     random_bytes = t.random_bytes * k;
   }
 
-let total_bytes t = t.coalesced_bytes + t.broadcast_bytes + t.random_bytes
-
 let is_zero t =
   t.flops = 0 && t.int_ops = 0 && t.coalesced_bytes = 0 && t.broadcast_bytes = 0
   && t.random_accesses = 0 && t.random_bytes = 0

@@ -31,6 +31,5 @@ val scale : t -> int -> t
 (** [scale t k] is a fresh record with every counter multiplied by [k]
     (used to extrapolate a sampled execution). *)
 
-val total_bytes : t -> int
 val is_zero : t -> bool
 val pp : Format.formatter -> t -> unit

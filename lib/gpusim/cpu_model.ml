@@ -1,3 +1,4 @@
+(* Fraction of random accesses assumed to miss in the last-level cache. *)
 let random_miss_ratio = 0.5
 let hyperthread_boost = 1.2
 

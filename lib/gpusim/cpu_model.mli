@@ -13,8 +13,7 @@ val duration : Spec.cpu -> threads:int -> Cost.t -> float
     hyper-threads contribute a small factor, not full cores. *)
 
 val serial_duration : Spec.cpu -> Cost.t -> float
-(** Single-threaded execution (used for the sequential parts of the
-    baseline applications). *)
-
-val random_miss_ratio : float
-(** Fraction of random accesses assumed to miss in the last-level cache. *)
+(** Single-threaded execution (used for the sequential parts of the baseline
+    applications). No run calls it; "cpu model: thread scaling" checks that
+    one OpenMP thread pays a derating that plain serial code does not, and
+    {!duration} always derates. *)

@@ -58,6 +58,8 @@ let memcpy_p2p_floats c ~dst ~src =
         (Fabric.P2p (src_dev, dst_dev))
         ~bytes:(8 * Array.length s) ~label:"p2p"
 
+(* Serializes on the device, not the host clock; returns the kernel
+   finish time. *)
 let launch_async c ~threads ~label body =
   let cost = body () in
   let _, finish = Machine.launch_kernel c.m ~dev:c.dev ~ready:c.clock ~threads ~label cost in
@@ -65,5 +67,4 @@ let launch_async c ~threads ~label body =
 
 let launch c ~threads ~label body = c.clock <- launch_async c ~threads ~label body
 
-let wait_until c t = if t > c.clock then c.clock <- t
 let elapsed = now

@@ -12,9 +12,12 @@ val init : Machine.t -> context
 val machine : context -> Machine.t
 
 val set_device : context -> int -> unit
-(** Select the current device (like [cudaSetDevice]). *)
+(** Select the current device (like [cudaSetDevice]). The CUDA baselines run
+    on device 0, so only "cuda: malloc/memcpy/launch" and "cuda: p2p copies
+    and conceptual charges" select a device. *)
 
 val current_device : context -> int
+(** Only "cuda: malloc/memcpy/launch" reads it, to check {!set_device}. *)
 
 val now : context -> float
 (** The context's simulated clock (host thread time). *)
@@ -35,11 +38,15 @@ val memcpy_d2h_floats : context -> src:Memory.buf -> float array -> unit
 val memcpy_d2h_ints : context -> src:Memory.buf -> int array -> unit
 
 val memcpy_p2p_floats : context -> dst:Memory.buf -> src:Memory.buf -> unit
-(** Peer copy between devices (whole buffers; lengths must match). *)
+(** Peer copy between devices (whole buffers; lengths must match). No baseline
+    copies between peers through this API; "cuda: p2p copies and conceptual
+    charges" pins it. *)
 
 val charge_h2d : context -> bytes:int -> label:string -> unit
-(** Account a host-to-device transfer of a buffer the caller manages
-    outside the simulator (advances the clock, records the span). *)
+(** Account a host-to-device transfer of a buffer the caller manages outside
+    the simulator (advances the clock, records the span). The baselines charge
+    only device-to-host copies; "cuda: p2p copies and conceptual charges" pins
+    this one. *)
 
 val charge_d2h : context -> bytes:int -> label:string -> unit
 
@@ -47,14 +54,6 @@ val launch : context -> threads:int -> label:string -> (unit -> Cost.t) -> unit
 (** [launch ctx ~threads ~label body] runs [body] functionally (it mutates
     device buffers and returns the dynamic cost), then advances the clock by
     the simulated kernel duration on the current device. *)
-
-val launch_async : context -> threads:int -> label:string -> (unit -> Cost.t) -> float
-(** Like {!launch} but only serializes on the device, not the host clock;
-    returns the kernel finish time. Use {!wait_until} to join. *)
-
-val wait_until : context -> float -> unit
-(** Advance the context clock to at least the given time
-    (like [cudaDeviceSynchronize] against a known completion). *)
 
 val elapsed : context -> float
 (** Alias for {!now}: total simulated time consumed so far. *)

@@ -24,8 +24,6 @@ let record_host t time = if time > t.host then t.host <- time
 
 let join t = Array.fold_left Float.max t.host t.gpu
 
-let join_gpus t = Array.fold_left Float.max 0.0 t.gpu
-
 let barrier t =
   let m = join t in
   Array.fill t.gpu 0 (Array.length t.gpu) m;

@@ -22,7 +22,9 @@ val gpu_ready : t -> int -> float
 (** When GPU [g]'s device data was last fully reconciled. *)
 
 val host_ready : t -> float
-(** The host program-order cursor. *)
+(** The host program-order cursor. Only "event: barrier collapses, reset
+    restarts" reads it; {!join} folds it into the GPU cursors, so the host
+    cursor alone is visible only here. *)
 
 val record : t -> int -> float -> unit
 (** Max-join [time] into GPU [g]'s event (no-op if earlier). *)
@@ -31,9 +33,6 @@ val record_host : t -> float -> unit
 
 val join : t -> float
 (** The global synchronization point: max over every GPU and the host. *)
-
-val join_gpus : t -> float
-(** Max over the GPU events only. *)
 
 val barrier : t -> float
 (** Collapse everything to the global join (a bulk-synchronous point,

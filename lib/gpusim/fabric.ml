@@ -1,5 +1,3 @@
-module Bag = Mgacc_sim.Bag
-
 type topology = {
   gpus_per_node : int;
   internode_bandwidth : float;
@@ -30,15 +28,15 @@ type request = { direction : direction; bytes : int; ready : float; tag : string
 
 type completion = { req : request; start : float; finish : float }
 
+type route_info = { rids : int array; caps : float array; own : float; latency : float }
+
 (* What the fabric knows about one transfer direction: the resources it
-   crosses (listed for the reference allocator, interned for the
-   incremental one), its own cap, its setup latency, its standalone
+   crosses, interned, its own cap, its setup latency, its standalone
    rate and the name its spans carry in the trace. Transfers and the
    collective cost model ask about the same GPU pairs over and over, so
    each is computed once, on first use; the name only once a span needs
    it, since the cost model asks about pairs that never transfer. *)
 type route = {
-  res : resource list;
   rids : int array;
   own : float;
   latency : float;
@@ -279,7 +277,6 @@ let route t dir =
       let own = own_cap t dir in
       let r =
         {
-          res;
           rids = Array.of_list (List.map (rid_of t) res);
           own;
           latency = setup_latency t dir;
@@ -289,6 +286,10 @@ let route t dir =
       in
       t.routes.(k) <- Some r;
       r
+
+let route_info t dir : route_info =
+  let r = route t dir in
+  { rids = r.rids; caps = Array.map (Array.get t.caps) r.rids; own = r.own; latency = r.latency }
 
 let latency_of t dir = (route t dir).latency
 let standalone_bandwidth t dir = (route t dir).alone
@@ -301,58 +302,10 @@ let transfer_time_alone t dir ~bytes =
 let topology t = t.topology
 let flavor t = t.flavor
 
-let flavor_name t =
-  match t.flavor with
-  | Wire -> "wire"
-  | Fat_tree _ -> "fattree"
-  | Multi_rail _ -> "multirail"
-  | Nvlink_mesh _ -> "nvmesh"
-
 let num_gpus t = t.num_gpus
-
-(* One in-flight transfer of the reference allocator's fluid simulation. *)
-type flow = {
-  idx : int;
-  res : resource list;
-  cap : float;
-  arrive : float;  (* ready + latency: when bytes start flowing *)
-  total : float;  (* original size; completion threshold is relative to it *)
-  mutable remaining : float;
-  mutable rate : float;
-  mutable fixed : bool;
-  mutable start_time : float;
-  mutable finish_time : float;
-}
 
 let check_bytes (req : request) =
   if req.bytes < 0 then invalid_arg "Fabric.run_batch: negative bytes"
-
-let make_flows t reqs_arr completions =
-  let flows = ref [] in
-  Array.iteri
-    (fun idx (req : request) ->
-      check_bytes req;
-      if req.bytes = 0 then
-        completions.(idx) <- Some { req; start = req.ready; finish = req.ready }
-      else begin
-        let r = route t req.direction in
-        flows :=
-          {
-            idx;
-            res = r.res;
-            cap = r.own;
-            arrive = req.ready +. r.latency;
-            total = float_of_int req.bytes;
-            remaining = float_of_int req.bytes;
-            rate = 0.0;
-            fixed = false;
-            start_time = req.ready;
-            finish_time = nan;
-          }
-          :: !flows
-      end)
-    reqs_arr;
-  List.rev !flows
 
 (* The residue below which a flow counts as drained must scale with
    the flow, or tiny transfers finish early and huge ones drag a
@@ -374,9 +327,6 @@ let[@inline] time_floor ~now rate = rate *. (8.0 *. epsilon_float *. Float.max 1
 let[@inline] is_drained ~now ~rate ~remaining ~total =
   remaining <= Float.max (time_floor ~now rate) (Float.max 1e-9 (1e-12 *. total))
 
-let drained ~now (f : flow) =
-  is_drained ~now ~rate:f.rate ~remaining:f.remaining ~total:f.total
-
 (* Every flow must either have completed or been zero-byte; a hole here
    means the event loop dropped a request. Failing loudly beats
    fabricating a zero-duration completion that would silently corrupt
@@ -384,114 +334,14 @@ let drained ~now (f : flow) =
 let never_completed idx (req : request) =
   invalid_arg (Printf.sprintf "Fabric.run_batch: request %d (tag %S) never completed" idx req.tag)
 
-let collect reqs_arr completions =
-  Array.to_list
-    (Array.mapi
-       (fun idx c -> match c with Some c -> c | None -> never_completed idx reqs_arr.(idx))
-       completions)
-
-(* ------------------------------------------------------------------ *)
-(* Reference path: the from-scratch allocator.                         *)
-(*                                                                     *)
-(* This is the pre-incremental event loop, kept verbatim: it rebuilds  *)
-(* the water-filling state (fresh hashtables, full fixed point) on     *)
-(* every event and min-scans the active set for the next completion.   *)
-(* It exists as the equivalence oracle for the incremental path (the   *)
-(* QCheck property in test_props pins bit-identical completions) and   *)
-(* as the baseline the `bench sim` speedup is measured against.        *)
-(* ------------------------------------------------------------------ *)
-
-(* Max-min fair allocation by water filling over the active flows. *)
-let assign_rates_reference t active =
-  Bag.iter
-    (fun f ->
-      f.fixed <- false;
-      f.rate <- 0.0)
-    active;
-  let remcap = Hashtbl.create 8 in
-  let count = Hashtbl.create 8 in
-  let touch r =
-    if not (Hashtbl.mem remcap r) then Hashtbl.replace remcap r (capacity t r);
-    Hashtbl.replace count r (1 + Option.value ~default:0 (Hashtbl.find_opt count r))
-  in
-  Bag.iter (fun f -> List.iter touch f.res) active;
-  let unfixed = ref (Bag.length active) in
-  while !unfixed > 0 do
-    let bound f =
-      List.fold_left
-        (fun acc r ->
-          let share = Hashtbl.find remcap r /. float_of_int (Hashtbl.find count r) in
-          Float.min acc share)
-        f.cap f.res
-    in
-    let lambda =
-      Bag.fold (fun acc f -> if f.fixed then acc else Float.min acc (bound f)) infinity active
-    in
-    let eps = lambda *. 1e-9 in
-    Bag.iter
-      (fun f ->
-        if (not f.fixed) && bound f <= lambda +. eps then begin
-          f.fixed <- true;
-          f.rate <- Float.max lambda 1.0 (* avoid zero rates from degenerate caps *);
-          decr unfixed;
-          List.iter
-            (fun r ->
-              Hashtbl.replace remcap r (Float.max 0.0 (Hashtbl.find remcap r -. f.rate));
-              Hashtbl.replace count r (Hashtbl.find count r - 1))
-            f.res
-        end)
-      active
-  done
-
-let run_batch_reference t reqs =
-  let reqs_arr = Array.of_list reqs in
-  let n = Array.length reqs_arr in
-  let completions = Array.make n None in
-  let flows = make_flows t reqs_arr completions in
-  let pending = ref (List.sort (fun a b -> compare a.arrive b.arrive) flows) in
-  let active = Bag.create () in
-  let now = ref 0.0 in
-  (match !pending with [] -> () | f :: _ -> now := f.arrive);
-  while !pending <> [] || not (Bag.is_empty active) do
-    (* Admit arrivals: [pending] is arrive-sorted, so the due flows form
-       a prefix; push them in order (matching the old list append). *)
-    let rec admit = function
-      | f :: rest when f.arrive <= !now +. 1e-15 ->
-          Bag.push active f;
-          admit rest
-      | rest -> rest
-    in
-    pending := admit !pending;
-    if Bag.is_empty active then begin
-      match !pending with
-      | f :: _ -> now := f.arrive
-      | [] -> ()
-    end
-    else begin
-      assign_rates_reference t active;
-      (* Next event: earliest completion among active, or next arrival. *)
-      let next_completion =
-        Bag.fold (fun acc f -> Float.min acc (!now +. (f.remaining /. f.rate))) infinity active
-      in
-      let next_arrival = match !pending with [] -> infinity | f :: _ -> f.arrive in
-      let t_next = Float.min next_completion next_arrival in
-      let dt = t_next -. !now in
-      Bag.iter (fun f -> f.remaining <- f.remaining -. (f.rate *. dt)) active;
-      now := t_next;
-      Bag.filter_in_place active
-        ~keep:(fun f -> not (drained ~now:!now f))
-        ~removed:(fun f ->
-          f.finish_time <- !now;
-          completions.(f.idx) <-
-            Some { req = reqs_arr.(f.idx); start = f.start_time; finish = f.finish_time })
-    end
-  done;
-  collect reqs_arr completions
-
 (* ------------------------------------------------------------------ *)
 (* Incremental path.                                                   *)
 (*                                                                     *)
-(* Same fluid simulation, same floats, near-constant per-event work:   *)
+(* The only allocator. The from-scratch one it replaced lives on as a  *)
+(* test oracle and bench baseline (test/ref_fabric/ref_fabric.ml); it  *)
+(* runs the same fluid simulation, with the same floats, and rebuilds  *)
+(* the water-filling state on every event. This path does near-       *)
+(* constant per-event work:                                            *)
 (*  - resources are dense ints; capacity lives in [t.caps], and the    *)
 (*    active-flow count per resource is maintained incrementally on    *)
 (*    admit/complete instead of being rebuilt from the whole active    *)
@@ -578,9 +428,9 @@ let[@inline] arrival_at c pending next = if next < c.n then c.arrive.(pending.(n
 
 (* Water filling over the slots [active[lo..hi)] against the persistent
    per-rid [count], using [remcap]/[workcount] as per-run scratch.
-   Bit-for-bit the same arithmetic as [assign_rates_reference]: same
-   flow visit order, same per-resource visit order, same Float.min
-   folds. *)
+   Bit-for-bit the same arithmetic as the reference's from-scratch
+   fill: same flow visit order, same per-resource visit order, same
+   Float.min folds. *)
 let waterfill t ~count ~remcap ~workcount c active lo hi =
   Array.blit t.caps 0 remcap 0 (Array.length t.caps);
   Array.blit count 0 workcount 0 (Array.length count);

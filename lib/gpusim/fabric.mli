@@ -79,9 +79,6 @@ val topology : t -> topology option
 
 val flavor : t -> flavor
 
-val flavor_name : t -> string
-(** The flavor's spec keyword: wire, fattree, multirail or nvmesh. *)
-
 val num_gpus : t -> int
 
 val standalone_bandwidth : t -> direction -> float
@@ -119,9 +116,22 @@ val map_batch : t -> ('a -> request) -> ('a -> completion -> 'b) -> 'a list -> '
     data of its own from copying them out and zipping the completions
     back. *)
 
-val run_batch_reference : t -> request list -> completion list
-(** The from-scratch allocator: rebuilds the water-filling state on every
-    event instead of maintaining it incrementally. Same contract — and
-    bit-identical completions — as {!run_batch}; kept as the equivalence
-    oracle for the incremental fast path and as the baseline that
-    [bench sim] measures its speedup against. *)
+type route_info = {
+  rids : int array;  (** the resources the route crosses, interned, in route order *)
+  caps : float array;  (** their capacities, index for index *)
+  own : float;  (** the transfer's own cap *)
+  latency : float;  (** its setup latency *)
+}
+
+val route_info : t -> direction -> route_info
+(** What {!run_batch}'s allocator knows about a direction's route. The
+    from-scratch reference allocator (test/ref_fabric), the oracle of
+    the incremental one, reads routes through this. Raises like
+    {!standalone_bandwidth}. *)
+
+val is_drained : now:float -> rate:float -> remaining:float -> total:float -> bool
+(** Whether a flow of [total] bytes with [remaining] bytes left, moving
+    at [rate], counts as finished at time [now]: the threshold scales
+    with the flow and stays above one representable step of the clock.
+    Exported so that the reference allocator drains flows exactly where
+    {!run_batch} does. *)

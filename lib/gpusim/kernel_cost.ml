@@ -6,6 +6,7 @@ let occupancy (g : Spec.gpu) ~threads =
     let full = float_of_int g.cores *. latency_hiding_factor in
     Float.min 1.0 (Float.max (float_of_int threads /. full) 1e-3)
 
+(* Arithmetic pipeline time at full occupancy, seconds. *)
 let compute_time (g : Spec.gpu) (c : Cost.t) =
   let dp_throughput = g.dp_gflops *. 1e9 *. g.compute_efficiency in
   (* One integer ALU op per core per cycle. *)

@@ -11,11 +11,11 @@ val occupancy : Spec.gpu -> threads:int -> float
     resident threads. Reaches 1 at [latency_hiding_factor * cores]
     threads. *)
 
-val compute_time : Spec.gpu -> Cost.t -> float
-(** Arithmetic pipeline time at full occupancy, seconds. *)
-
 val memory_time : Spec.gpu -> Cost.t -> float
-(** Device-memory time at full occupancy, seconds. *)
+(** Device-memory time at full occupancy, seconds. Exported for "kernel cost:
+    broadcast discount" and "kernel cost: L2 hit ratio monotone", which
+    compare memory terms; {!duration} takes their max with the compute time
+    and adds launch overhead, which hides the ratio. *)
 
 val duration : Spec.gpu -> threads:int -> Cost.t -> float
 (** Full launch duration including launch overhead. [threads] is the number

@@ -10,6 +10,7 @@ type t = {
   default_omp_threads : int;
 }
 
+(* A machine with a per-device spec array, allowing mixed GPUs. *)
 let custom_hetero ?flavor ?topology ~name ~cpu ~gpus ~link ~omp_threads () =
   let num_gpus = Array.length gpus in
   if num_gpus <= 0 then invalid_arg "Machine.custom_hetero: no GPUs";
@@ -60,6 +61,10 @@ let cluster ?(nodes = 2) ?(gpus_per_node = 2) () =
     ~cpu:Spec.core_i7_970 ~gpu:Spec.tesla_c2075 ~link:Spec.pcie_gen2_desktop
     ~num_gpus:(nodes * gpus_per_node) ~omp_threads:12 ()
 
+(* Cross-node flows also share a fat-tree spine of bisection
+   [internode_bandwidth * nodes / oversub]: per-node injection is
+   unchanged, but an all-to-all phase saturates the core, which the
+   collective cost model can see. *)
 let fat_tree ?(oversub = 2.0) ~nodes ~gpus_per_node () =
   if nodes < 1 || gpus_per_node < 1 then invalid_arg "Machine.fat_tree";
   custom
@@ -71,6 +76,9 @@ let fat_tree ?(oversub = 2.0) ~nodes ~gpus_per_node () =
     ~cpu:Spec.core_i7_970 ~gpu:Spec.tesla_c2075 ~link:Spec.pcie_gen2_desktop
     ~num_gpus:(nodes * gpus_per_node) ~omp_threads:12 ()
 
+(* [rails] independent inter-node networks; each node pair's traffic is
+   pinned to one rail, so aggregate cross-node bandwidth scales with the
+   rail count. *)
 let multi_rail ?(rails = 2) ~nodes ~gpus_per_node () =
   if nodes < 1 || gpus_per_node < 1 then invalid_arg "Machine.multi_rail";
   custom
@@ -82,6 +90,8 @@ let multi_rail ?(rails = 2) ~nodes ~gpus_per_node () =
     ~cpu:Spec.core_i7_970 ~gpu:Spec.tesla_c2075 ~link:Spec.pcie_gen2_desktop
     ~num_gpus:(nodes * gpus_per_node) ~omp_threads:12 ()
 
+(* Same-node peer transfers ride dedicated NVLink-class port pairs
+   (20 GB/s, 5 us) instead of PCIe and the host root complex. *)
 let nv_mesh ~nodes ~gpus_per_node () =
   if nodes < 1 || gpus_per_node < 1 then invalid_arg "Machine.nv_mesh";
   custom

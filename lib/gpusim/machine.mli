@@ -31,13 +31,9 @@ val custom :
   ?topology:Fabric.topology ->
   name:string -> cpu:Spec.cpu -> gpu:Spec.gpu -> link:Spec.link -> num_gpus:int ->
   omp_threads:int -> unit -> t
-
-val custom_hetero :
-  ?flavor:Fabric.flavor ->
-  ?topology:Fabric.topology ->
-  name:string -> cpu:Spec.cpu -> gpus:Spec.gpu array -> link:Spec.link ->
-  omp_threads:int -> unit -> t
-(** Like [custom] but with a per-device spec array, allowing mixed GPUs. *)
+(** A machine from its parts. Only "device OOM and distribution capacity"
+    calls it, to build a machine around a GPU of its own; {!spec_of_string}
+    names preset GPUs only. *)
 
 val cluster : ?nodes:int -> ?gpus_per_node:int -> unit -> t
 (** A GPU cluster (paper §VI, second future-work item): [nodes] desktop-class
@@ -45,21 +41,6 @@ val cluster : ?nodes:int -> ?gpus_per_node:int -> unit -> t
     a QDR-InfiniBand-class network (3.2 GB/s, 25 us). Peer transfers between
     nodes stage through both hosts and the wire; the OpenACC runtime needs no
     changes — only the fabric knows. *)
-
-val fat_tree : ?oversub:float -> nodes:int -> gpus_per_node:int -> unit -> t
-(** A cluster whose cross-node flows additionally share a fat-tree spine of
-    bisection [internode_bandwidth * nodes / oversub] (default oversub 2.0):
-    per-node injection is unchanged but an all-to-all phase saturates the
-    core, which the collective cost model can see. *)
-
-val multi_rail : ?rails:int -> nodes:int -> gpus_per_node:int -> unit -> t
-(** A cluster with [rails] (default 2) independent inter-node networks; each
-    node pair's traffic is pinned to one rail, scaling aggregate cross-node
-    bandwidth with the rail count. *)
-
-val nv_mesh : nodes:int -> gpus_per_node:int -> unit -> t
-(** A cluster whose same-node peer transfers ride dedicated NVLink-class
-    port pairs (20 GB/s, 5 us) instead of PCIe + host root complex. *)
 
 type spec =
   | Preset of string  (** desktop | desktop-mixed | supernode | cluster *)

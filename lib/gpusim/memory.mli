@@ -31,6 +31,10 @@ val create : device_id:int -> capacity:int -> t
 val capacity : t -> int
 val used : t -> int
 val used_class : t -> klass -> int
+(** Bytes in use by one class. No run reads it; the memory, dirty-bit,
+    miss-buffer and reduction accounting tests check that a charge lands in
+    its class, which {!used} sums away. *)
+
 val peak_class : t -> klass -> int
 
 val alloc_float : t -> klass -> int -> buf

@@ -25,27 +25,3 @@ let all =
 
 let find name = List.find_opt (fun b -> b.name = name) all
 let is_builtin name = find name <> None
-
-let op_of name = Option.map (fun b -> b.op) (find name)
-
-let apply_double name args =
-  match (op_of name, args) with
-  | Some Sqrt, [ x ] -> sqrt x
-  | Some Fabs, [ x ] -> Float.abs x
-  | Some Exp, [ x ] -> exp x
-  | Some Log, [ x ] -> log x
-  | Some Pow, [ x; y ] -> Float.pow x y
-  | Some Sin, [ x ] -> sin x
-  | Some Cos, [ x ] -> cos x
-  | Some Floor, [ x ] -> floor x
-  | Some Ceil, [ x ] -> ceil x
-  | Some Fmin, [ x; y ] -> Float.min x y
-  | Some Fmax, [ x; y ] -> Float.max x y
-  | _ -> invalid_arg (Printf.sprintf "Builtins.apply_double: %s/%d" name (List.length args))
-
-let apply_int name args =
-  match (op_of name, args) with
-  | Some Abs, [ x ] -> abs x
-  | Some Min, [ x; y ] -> min x y
-  | Some Max, [ x; y ] -> max x y
-  | _ -> invalid_arg (Printf.sprintf "Builtins.apply_int: %s/%d" name (List.length args))

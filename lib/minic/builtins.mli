@@ -20,9 +20,3 @@ type t = {
 val find : string -> t option
 val all : t list
 val is_builtin : string -> bool
-
-val apply_double : string -> float list -> float
-(** Evaluate a double builtin. Raises [Invalid_argument] on unknown name or
-    arity mismatch. *)
-
-val apply_int : string -> int list -> int

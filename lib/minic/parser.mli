@@ -11,7 +11,12 @@ val parse : file:string -> string -> Ast.program
     any syntax error. *)
 
 val parse_expr : file:string -> string -> Ast.expr
-(** Parse a standalone expression (used by tests and by tools). *)
+(** Parse a standalone expression (used by tests and by tools). Only the
+    parser, affine and coalescing tests call it; {!parse} reaches an
+    expression only inside a whole program. *)
 
 val parse_directive : file:string -> line:int -> string -> Ast.directive
-(** Parse a pragma payload, i.e. the text after [#pragma]. *)
+(** Parse a pragma payload, i.e. the text after [#pragma]. Only tests call it
+    ("parser: directives", "parser: directive errors", "pragma parser is total
+    on clause soup"): they feed pragma payloads alone, and {!parse} reaches
+    one only inside a whole program. *)

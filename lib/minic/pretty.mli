@@ -5,6 +5,4 @@
 
 val expr_to_string : Ast.expr -> string
 val directive_to_string : Ast.directive -> string
-val stmt_to_string : ?indent:int -> Ast.stmt -> string
-val func_to_string : Ast.func -> string
 val program_to_string : Ast.program -> string

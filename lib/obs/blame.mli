@@ -32,7 +32,9 @@ val charge :
     [Profiler.charge]. *)
 
 val epochs : t -> epoch list
-(** In recording order. *)
+(** In recording order. Only "profiler: accumulation" and "profiler: negative
+    increments raise" read it, to count one epoch per charge; {!totals} and
+    {!summarize} fold the epochs away. *)
 
 type totals = {
   t_categories : (category * float * float) list;

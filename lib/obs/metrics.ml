@@ -70,16 +70,14 @@ let inc c v =
   if v < 0. then invalid_arg "Metrics.inc: negative increment";
   c := !c +. v
 
-let counter_value c = !c
-
 let gauge t ?help ?labels name =
   match register t ?help ?labels name (fun () -> Gauge (ref 0.)) with
   | Gauge r -> r
   | c -> invalid_arg (Printf.sprintf "Metrics: %s is a %s, not a gauge" name (kind_of_cell c))
 
 let set g v = g := v
-let gauge_value g = !g
 
+(* Exponential seconds-scale buckets, 1e-6 .. 100. *)
 let default_buckets =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 100.0 |]
 
@@ -106,9 +104,6 @@ let observe h v =
   h.counts.(!i) <- h.counts.(!i) + 1;
   h.h_sum <- h.h_sum +. v;
   h.h_total <- h.h_total + 1
-
-let histogram_count h = h.h_total
-let histogram_sum h = h.h_sum
 
 let quantile h q =
   if h.h_total = 0 then 0.

@@ -25,14 +25,8 @@ val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> c
 val inc : counter -> float -> unit
 (** Add [v >= 0]; negative increments raise [Invalid_argument]. *)
 
-val counter_value : counter -> float
-
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
-
-val default_buckets : float array
-(** Exponential seconds-scale buckets, 1e-6 .. 100. *)
 
 val histogram :
   t -> ?help:string -> ?labels:(string * string) list -> ?buckets:float array -> string -> histogram
@@ -40,8 +34,6 @@ val histogram :
     [+Inf] overflow bucket is always appended. *)
 
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
 
 val quantile : histogram -> float -> float
 (** Deterministic quantile estimate: the upper bound of the first bucket

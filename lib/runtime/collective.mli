@@ -69,8 +69,12 @@ type stats = {
 }
 
 val no_stats : stats
+(** The reference planner (test/ref_collective.ml) counts its shapes with this
+    and {!add_stats}, so both planners add stats the same way; "planning is a
+    pure function of (mode, fabric, ops)" sums them too. *)
 
 val add_stats : stats -> stats -> stats
+(** Field by field. Exported with {!no_stats}. *)
 
 val plan : cfg:Rt_config.t -> fabric:Fabric.t -> Comm_manager.op list -> plan * stats
 (** Lower the ops (in order) into an executable plan. Ops sharing a

@@ -103,8 +103,10 @@ val halo_exchange : Rt_config.t -> Darray.t -> op list
 (** Refresh every stale halo copy of a distributed array from its owners,
     performing the functional copies immediately and returning one
     {!Halo_segment} op per (owner, destination) segment — a halo interval
-    spanning several owners yields several ops. No-op (and no ops) when
-    the array is not distributed. *)
+    spanning several owners yields several ops. No-op (and no ops) when the
+    array is not distributed. A run calls it inside {!reconcile}, which mixes
+    its ops with the launch's other ops; "comm: halo interval spanning several
+    owners" calls it alone to see one exchange. *)
 
 val reconcile :
   Rt_config.t ->

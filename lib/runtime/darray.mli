@@ -79,7 +79,6 @@ type t = {
 val create : Rt_config.t -> name:string -> host:Mgacc_exec.View.t -> t
 
 val elem_bytes : t -> int
-val state_name : t -> string
 
 val ensure_replicated : Rt_config.t -> t -> dirty_tracking:bool -> xfer list
 (** Make the array fully replicated and valid on every GPU, allocating and

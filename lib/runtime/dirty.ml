@@ -56,8 +56,6 @@ let mark t i =
   end
 
 let any_dirty t = t.dirty_elems > 0
-let dirty_element_count t = t.dirty_elems
-let dirty_chunk_count t = Bitset.count t.second
 let total_chunks t = (t.length + t.chunk_elems - 1) / t.chunk_elems
 let dirty_runs t = Bitset.runs t.first
 

@@ -27,8 +27,6 @@ val mark : t -> int -> unit
 (** Record a write to element [i] (sets both bit levels). *)
 
 val any_dirty : t -> bool
-val dirty_element_count : t -> int
-val dirty_chunk_count : t -> int
 val total_chunks : t -> int
 
 val dirty_runs : t -> Mgacc_util.Interval.Set.t

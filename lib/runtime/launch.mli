@@ -67,17 +67,25 @@ exception Window_violation of { array : string; index : int; gpu : int; what : s
 val replicated_view :
   Darray.t -> gpu:int -> dirty:Dirty.t option -> cost:Mgacc_gpusim.Cost.t -> Mgacc_exec.View.t
 (** GPU [gpu]'s replica; with [dirty], each write marks its element and
-    charges [cost] two int ops. *)
+    charges [cost] two int ops. Exported, with {!reduction_view} and
+    {!distributed_view}, for the tests that drive single loads and stores on a
+    Launch view and count its allocation per iteration ("view: the inline read
+    agrees with the accessors on every Launch view", "view: device views never
+    write in place ...", "kernel: a double body allocates nothing per
+    iteration"); a whole launch hides each view behind binding, reconcile and
+    the pool. *)
 
 val reduction_view : Darray.t -> gpu:int -> Reduction.t -> Mgacc_exec.View.t
-(** A reduction destination: reads see the replica, reduction updates go
-    to GPU [gpu]'s partial, plain writes raise [Invalid_argument]. *)
+(** A reduction destination: reads see the replica, reduction updates go to
+    GPU [gpu]'s partial, plain writes raise [Invalid_argument]. Exported with
+    {!replicated_view}, for the same tests. *)
 
 val distributed_view :
   Darray.t -> gpu:int -> miss_check:bool -> cost:Mgacc_gpusim.Cost.t -> Mgacc_exec.View.t
-(** GPU [gpu]'s part (1-D or tiled): reads must stay in its window;
-    writes outside the owned block are buffered misses with [miss_check],
-    else {!Window_violation}. *)
+(** GPU [gpu]'s part (1-D or tiled): reads must stay in its window; writes
+    outside the owned block are buffered misses with [miss_check], else
+    {!Window_violation}. Exported with {!replicated_view}, for the same
+    tests. *)
 
 type gpu_run = {
   gpu : int;
@@ -112,6 +120,8 @@ val run_on_gpus :
     bits. *)
 
 val task_words : (gpu:int -> iterations:int -> words:float -> unit) option ref
-(** Test instrumentation, [None] in every run of the program. When set,
-    each task reads [Gc.minor_words] around its iterations, on the domain
-    that runs them, and reports the difference, from that domain. *)
+(** Test instrumentation, [None] in every run of the program. When set, each
+    task reads [Gc.minor_words] around its iterations, on the domain that runs
+    them, and reports the difference, from that domain. Read by "launch: tasks
+    allocate nothing per iteration"; the counters of a pool worker's domain
+    are visible nowhere else. *)

@@ -36,11 +36,15 @@ val int_value : t -> int -> int
     {!record_i} respectively. *)
 
 val payload_bytes : t -> int
-(** Bytes to ship: one (index, value) record per entry. *)
+(** Bytes to ship: one (index, value) record per entry. No run reads it; "miss
+    buffer: record/drain/peak" pins it. *)
 
 val drain : t -> unit
 (** Clear after replay; releases the accounted memory. *)
 
 val peak_bytes : t -> int
+(** The largest payload held so far; it survives a drain. No run reads it;
+    "miss buffer: record/drain/peak" pins it. *)
+
 val release : t -> unit
 (** Free all accounted memory (end of array lifetime). *)

@@ -43,7 +43,6 @@ let allocate (cfg : Rt_config.t) (da : Darray.t) op =
     touched = Array.make g_count false;
   }
 
-let array_name t = t.name
 let op t = t.op
 
 (* [touched] is one array for every GPU, and GPUs run at the same time:

@@ -19,7 +19,6 @@ type t
 val allocate : Rt_config.t -> Darray.t -> Ast.redop -> t
 (** The destination array must currently be replicated. *)
 
-val array_name : t -> string
 val op : t -> Ast.redop
 
 val reduce_f : t -> gpu:int -> int -> float array -> int -> unit

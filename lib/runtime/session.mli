@@ -56,7 +56,9 @@ val set_queue_seconds : t -> float -> unit
 val queue_seconds : t -> float
 
 val darray_device_bytes : Darray.t -> int
-(** Device bytes the darray's current placement pins (0 if unallocated). *)
+(** Device bytes the darray's current placement pins (0 if unallocated).
+    Exported for "spilled-then-restored darray is value-identical", which
+    spills a darray outside any session; {!resident_bytes} needs a session. *)
 
 val resident_bytes : t -> int
 (** Total device bytes pinned by this session's present table. *)

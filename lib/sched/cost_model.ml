@@ -30,6 +30,9 @@ let nominal_iter_cost () =
     random_bytes = 0;
   }
 
+(* Predicted iteration rate (iterations/second) of each device if it ran
+   the whole loop alone. A zero [iter_cost] falls back to a nominal
+   memory-bound mix so heterogeneity still registers. *)
 let device_rates machine ~num_gpus ~iterations ~threads_per_iter ~iter_cost =
   if num_gpus <= 0 then invalid_arg "Cost_model.device_rates: num_gpus <= 0";
   let iter_cost = if Cost.is_zero iter_cost then nominal_iter_cost () else iter_cost in

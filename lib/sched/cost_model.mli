@@ -15,17 +15,6 @@ val homogeneous : Mgacc_gpusim.Machine.t -> num_gpus:int -> bool
 val uniform : int -> float array
 (** [uniform n] is [n] equal weights summing to 1. *)
 
-val device_rates :
-  Mgacc_gpusim.Machine.t ->
-  num_gpus:int ->
-  iterations:int ->
-  threads_per_iter:int ->
-  iter_cost:Mgacc_gpusim.Cost.t ->
-  float array
-(** Predicted iteration rate (iterations/second) of each device if it ran
-    the whole loop alone. A zero [iter_cost] falls back to a nominal
-    memory-bound mix so heterogeneity still registers. *)
-
 val quantize : ?grid:int -> float array -> float array
 (** Snap weights to multiples of [1/grid] (default 64, at least one unit
     per device) by largest-remainder apportionment. Quantization is

@@ -38,7 +38,9 @@ val rates : t -> float array option
     least one sample (a device that never ran cannot be rated). *)
 
 val proposed_weights : t -> float array option
-(** Rates normalized into the time-equalizing weight vector. *)
+(** Rates normalized into the time-equalizing weight vector. Only "feedback:
+    skew favors the fast GPU" reads the vector itself; the scheduler
+    normalizes {!rates} on its own. *)
 
 val launch_time : weights:float array -> rates:float array -> float
 (** Straggler time of one launch up to the iteration-count factor:

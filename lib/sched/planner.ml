@@ -9,6 +9,9 @@ type decision =
       predicted_move : float;
     }
 
+(* Bytes of block-distributed state that change owners under the new
+   split: the displaced iteration fraction times the per-iteration
+   footprint. *)
 let move_bytes ~current ~proposed ~iterations ~bytes_per_iter =
   let moved_fraction = ref 0.0 in
   Array.iteri

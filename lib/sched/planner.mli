@@ -16,12 +16,6 @@ type decision =
       predicted_move : float;  (** one-time redistribution seconds *)
     }
 
-val move_bytes :
-  current:float array -> proposed:float array -> iterations:int -> bytes_per_iter:int -> int
-(** Bytes of block-distributed state that change owners under the new
-    split: the displaced iteration fraction times the per-iteration
-    footprint. *)
-
 val decide :
   machine:Mgacc_gpusim.Machine.t ->
   knobs:Feedback.knobs ->

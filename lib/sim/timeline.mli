@@ -16,7 +16,9 @@ val create : string -> t
 val name : t -> string
 
 val available_at : t -> float
-(** The time at which the resource frees up, given everything submitted. *)
+(** The time at which the resource frees up, given everything submitted. Only
+    "timeline: serializes reservations" reads it; a reservation reports its
+    start and finish, not the cursor. *)
 
 val reserve : t -> ready:float -> duration:float -> float * float
 (** [reserve t ~ready ~duration] schedules an operation; returns
@@ -24,7 +26,8 @@ val reserve : t -> ready:float -> duration:float -> float * float
     be non-negative; [ready] is the earliest permissible start. *)
 
 val busy_time : t -> float
-(** Total occupied time across all reservations so far. *)
+(** Total occupied time across all reservations so far. No run reads it; the
+    timeline tests pin it. *)
 
 val reset : t -> unit
 (** Forget all reservations; the timeline becomes available at 0 again. *)

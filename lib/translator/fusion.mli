@@ -34,9 +34,3 @@ val apply : Ast.program -> Ast.program * summary
     returned with identical structure (and an identity summary). *)
 
 (** {2 Cost-model tunables (documented in docs/FUSION.md)} *)
-
-val launch_overhead_seconds : float
-val reconcile_seconds_per_byte : float
-val op_budget : int
-val op_penalty_seconds : float
-val nominal_iterations : int

@@ -85,6 +85,11 @@ let relayout_amortize_launches = 8
 let base_classifier t =
   match t.inner_parallel with Some (inner, _) -> Coalesce.make inner | None -> Coalesce.make t.loop
 
+(* Fusion-mode data-layout transposition (paper §V): true for replicated
+   read-only arrays with at least one strided affine read site, no
+   data-dependent site and no localaccess window, when the amortized
+   repack check passes. Always false unless both [enable_fusion] and
+   [enable_layout_transform] are set. *)
 let fusion_relayout t name =
   t.options.enable_fusion && t.options.enable_layout_transform
   &&

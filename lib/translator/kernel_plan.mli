@@ -64,19 +64,9 @@ val layout_transformed : t -> string -> bool
     the plan's options (baseline localaccess-gated rule, or the fusion-mode
     relayout below). *)
 
-val fusion_relayout : t -> string -> bool
-(** Fusion-mode data-layout transposition (paper §V): true for replicated
-    read-only arrays with at least one strided affine read site, no
-    data-dependent site, and no localaccess window, when the cost model's
-    amortized repack check passes. Always false unless both
-    [enable_fusion] and [enable_layout_transform] are set. *)
-
 val relayout_arrays : t -> string list
 (** Arrays of this plan selected by {!fusion_relayout}, in config order.
     The runtime charges their one-time repack on first launch. *)
-
-val relayout_amortize_launches : int
-(** Nominal launch count the repack cost is amortized over. *)
 
 val needs_miss_check : t -> string -> bool
 (** True for distributed arrays with plain writes that are not provably

@@ -73,7 +73,8 @@ val read_window_of : Kernel_plan.t -> array:string -> window option
 
 val read_window_of_uncached : Kernel_plan.t -> array:string -> window option
 (** The computation behind {!read_window_of}, bypassing the memo table
-    (exposed so the tests can assert the cache is transparent). *)
+    (exposed so the tests can assert the cache is transparent). The test is
+    "lookahead memo tables are transparent". *)
 
 val next_read : t -> after:Loc.t -> array:string -> lookahead
 (** The next plan in cyclic source order after the loop at [after] (the
@@ -86,5 +87,6 @@ val next_read : t -> after:Loc.t -> array:string -> lookahead
     the scan result only depends on the immutable plan order. *)
 
 val next_read_uncached : t -> after:Loc.t -> array:string -> lookahead
-(** The scan behind {!next_read}, bypassing the memo table (exposed so
-    the tests can assert the cache is transparent). *)
+(** The scan behind {!next_read}, bypassing the memo table (exposed so the
+    tests can assert the cache is transparent). The test is "lookahead memo
+    tables are transparent". *)

@@ -88,16 +88,6 @@ let count_in_range t ~lo ~hi =
   done;
   !total
 
-let iter_set t f =
-  for b = 0 to Bytes.length t.bits - 1 do
-    let byte = Bytes.get_uint8 t.bits b in
-    if byte <> 0 then
-      for k = 0 to 7 do
-        let i = (b lsl 3) + k in
-        if i < t.n && byte land (1 lsl k) <> 0 then f i
-      done
-  done
-
 (* Trailing-zero count of a nonzero 32-bit value: multiplying its lowest
    set bit by a de Bruijn constant puts a distinct 5-bit pattern in the
    top bits, which the table maps back to the bit's position. *)
@@ -168,4 +158,3 @@ let union_into ~dst ~src =
     Bytes.set_uint8 dst.bits b (Bytes.get_uint8 dst.bits b lor Bytes.get_uint8 src.bits b)
   done
 
-let bytes_footprint t = Bytes.length t.bits

@@ -12,4 +12,3 @@ let to_string n =
 let pp ppf n = Format.pp_print_string ppf (to_string n)
 let of_mib f = int_of_float (f *. float_of_int mib)
 let to_mib n = float_of_int n /. float_of_int mib
-let to_gib n = float_of_int n /. float_of_int gib

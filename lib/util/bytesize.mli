@@ -1,8 +1,4 @@
-(** Byte-size constants and human-readable formatting. *)
-
-val kib : int
-val mib : int
-val gib : int
+(** Human-readable byte sizes. *)
 
 val pp : Format.formatter -> int -> unit
 (** Render a byte count like "444.9MB" (decimal point, binary units),
@@ -11,5 +7,8 @@ val pp : Format.formatter -> int -> unit
 val to_string : int -> string
 
 val of_mib : float -> int
+(** No run calls this or {!to_mib}; "bytesize: formatting" pins the round
+    trip. *)
+
 val to_mib : int -> float
-val to_gib : int -> float
+(** Exported with {!of_mib}. *)

@@ -16,7 +16,6 @@ val is_empty : t -> bool
 val length : t -> int
 val contains : t -> int -> bool
 val overlaps : t -> t -> bool
-val intersect : t -> t -> t
 val hull : t -> t -> t
 (** Smallest interval containing both arguments. *)
 

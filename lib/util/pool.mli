@@ -29,4 +29,6 @@ val run : t -> int -> (int -> unit) -> unit
     nothing unless a task raises. *)
 
 val shutdown : t -> unit
-(** Stop and join the workers; later jobs run inline. Idempotent. *)
+(** Stop and join the workers; later jobs run inline. Idempotent. Runs keep
+    their pool until the program exits; the pool tests stop the pools they
+    start. *)

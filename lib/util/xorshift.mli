@@ -20,7 +20,8 @@ val int : t -> int -> int
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. Raises
-    [Invalid_argument] if [hi < lo]. *)
+    [Invalid_argument] if [hi < lo]. No run calls it; "xorshift: bounds" pins
+    it. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
@@ -32,7 +33,8 @@ val bool : t -> bool
 (** Fair coin flip. *)
 
 val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
+(** In-place Fisher-Yates shuffle. No run calls it; "xorshift: shuffle is a
+    permutation" pins it. *)
 
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]. Streams of the

@@ -1,9 +1,10 @@
 (* Growable array used by the fabric's reference allocator
-   (Fabric.run_batch_reference). The water-filling allocation is numerically
-   order-dependent, so iteration order is part of the contract: push
-   appends, iter/fold visit in push order, and filter_in_place compacts
-   stably. Vacated slots (after filter_in_place or clear) are overwritten
-   with a dummy so the bag never pins removed values live. *)
+   (Ref_fabric.run_batch_reference). The water-filling allocation is
+   numerically order-dependent, so iteration order is part of the
+   contract: push appends, iter/fold visit in push order, and
+   filter_in_place compacts stably. Vacated slots (after filter_in_place
+   or clear) are overwritten with a dummy so the bag never pins removed
+   values live. *)
 
 type 'a t = { mutable arr : 'a array; mutable len : int; dummy : 'a }
 

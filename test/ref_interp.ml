@@ -74,6 +74,30 @@ exception Continue_exc
 let as_int = function Vint n -> n | Vfloat f -> int_of_float f
 let as_float = function Vint n -> float_of_int n | Vfloat f -> f
 
+(* The builtins, written out here rather than read from the compiler, so
+   that the compiled calls are checked against an independent table. *)
+let apply_double (op : Builtins.op) args =
+  match (op, args) with
+  | Sqrt, [ x ] -> sqrt x
+  | Fabs, [ x ] -> Float.abs x
+  | Exp, [ x ] -> exp x
+  | Log, [ x ] -> log x
+  | Pow, [ x; y ] -> Float.pow x y
+  | Sin, [ x ] -> sin x
+  | Cos, [ x ] -> cos x
+  | Floor, [ x ] -> floor x
+  | Ceil, [ x ] -> ceil x
+  | Fmin, [ x; y ] -> Float.min x y
+  | Fmax, [ x; y ] -> Float.max x y
+  | _ -> invalid_arg "Ref_interp.apply_double"
+
+let apply_int (op : Builtins.op) args =
+  match (op, args) with
+  | Abs, [ x ] -> abs x
+  | Min, [ x; y ] -> min x y
+  | Max, [ x; y ] -> max x y
+  | _ -> invalid_arg "Ref_interp.apply_int"
+
 (* C truth: non-zero in the value's own type. *)
 let truthy = function Vint n -> n <> 0 | Vfloat f -> f <> 0.0
 let push env = env.scopes <- Hashtbl.create 8 :: env.scopes
@@ -160,11 +184,11 @@ let rec eval env e : value =
           let vals = List.rev_map (eval env) (List.rev args) in
           if b.Builtins.result = Tdouble then begin
             charge env (fun c -> c.Cost.flops <- c.Cost.flops + b.Builtins.flops);
-            Vfloat (Builtins.apply_double name (List.map as_float vals))
+            Vfloat (apply_double b.Builtins.op (List.map as_float vals))
           end
           else begin
             int_ops env b.Builtins.flops;
-            Vint (Builtins.apply_int name (List.map as_int vals))
+            Vint (apply_int b.Builtins.op (List.map as_int vals))
           end
       | None -> (
           match call_function env e.eloc name args with

@@ -133,7 +133,11 @@ let test_access_summary () =
   check Alcotest.int "b reads" 2 (List.length b.Access.reads);
   check Alcotest.bool "b read only" true (Access.read_only b);
   check Alcotest.bool "a not read only" false (Access.read_only a);
-  check Alcotest.bool "all affine" true (Access.all_reads_affine l b)
+  check Alcotest.bool "all affine" true
+    (List.for_all
+       (fun idx ->
+         match Access.classify_index l idx with Access.Affine _ -> true | Access.Dynamic -> false)
+       b.Access.reads)
 
 let test_access_compound_counts_read () =
   let l = simple_loop "a[i] += 1.0;" () in
@@ -162,6 +166,13 @@ let test_taint () =
   check Alcotest.bool "inner counter untainted" false (Taint.is_tainted t "k");
   check Alcotest.bool "s untainted (uniform accumulation)" false (Taint.is_tainted t "s")
 
+(* For failure messages. *)
+let mode_name = function
+  | Coalesce.Broadcast -> "broadcast"
+  | Coalesce.Coalesced -> "coalesced"
+  | Coalesce.Strided s -> Printf.sprintf "strided(%d)" s
+  | Coalesce.Random -> "random"
+
 let test_coalesce_modes () =
   let l =
     simple_loop
@@ -170,12 +181,12 @@ let test_coalesce_modes () =
   in
   let cls = Coalesce.make l in
   let e src = Parser.parse_expr ~file:"t" src in
-  (match cls (e "i") with Coalesce.Coalesced -> () | m -> Alcotest.failf "i: %s" (Coalesce.mode_to_string m));
+  (match cls (e "i") with Coalesce.Coalesced -> () | m -> Alcotest.failf "i: %s" (mode_name m));
   (match cls (e "i*4 + k") with
   | Coalesce.Strided 4 -> ()
-  | m -> Alcotest.failf "i*4+k: %s" (Coalesce.mode_to_string m));
-  (match cls (e "k") with Coalesce.Broadcast -> () | m -> Alcotest.failf "k: %s" (Coalesce.mode_to_string m));
-  (match cls (e "c") with Coalesce.Random -> () | m -> Alcotest.failf "c: %s" (Coalesce.mode_to_string m));
+  | m -> Alcotest.failf "i*4+k: %s" (mode_name m));
+  (match cls (e "k") with Coalesce.Broadcast -> () | m -> Alcotest.failf "k: %s" (mode_name m));
+  (match cls (e "c") with Coalesce.Random -> () | m -> Alcotest.failf "c: %s" (mode_name m));
   match Coalesce.apply_layout_transform (Coalesce.Strided 4) with
   | Coalesce.Coalesced -> ()
   | _ -> Alcotest.fail "layout transform must coalesce strided"
@@ -198,7 +209,7 @@ for (r = 0; r < rows; r++) {
       let cls = Coalesce.make inner in
       (match cls (Parser.parse_expr ~file:"t" "(r * cols) + c") with
       | Coalesce.Coalesced -> ()
-      | m -> Alcotest.failf "inner classification: %s" (Coalesce.mode_to_string m))
+      | m -> Alcotest.failf "inner classification: %s" (mode_name m))
   | None -> Alcotest.fail "inner parallel loop not found"
 
 let test_inner_parallel_default_width () =

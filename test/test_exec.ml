@@ -385,9 +385,11 @@ let run_with_hooks ?(on_loop = Host_interp.run_loop_sequentially) ?(on_update = 
     src =
   let hooks =
     {
-      Host_interp.sequential_hooks with
       Host_interp.on_parallel_loop = on_loop;
+      on_data_enter = (fun _ _ -> ());
+      on_data_exit = (fun _ _ -> ());
       on_update_host = on_update;
+      on_update_device = (fun _ _ -> ());
     }
   in
   Host_interp.run_program ~hooks (Parser.parse ~file:"t" src)

@@ -302,6 +302,9 @@ let test_admission_clean_eviction_is_free () =
 
 (* ---------------- the fleet loop ---------------- *)
 
+(* A job's queueing delay: admitted minus submitted. *)
+let wait_of (r : Fleet.job_result) = r.Fleet.admit_time -. r.Fleet.spec.Job.submit
+
 let test_single_job_matches_direct_run () =
   let config = Fleet.configure ~keep_warm:false (cluster ()) in
   let outcome = Fleet.run config [ job ~name:"saxpy" 0 0.0 ] in
@@ -313,7 +316,7 @@ let test_single_job_matches_direct_run () =
   in
   match outcome.Fleet.jobs with
   | [ r ] ->
-      check Alcotest.bool "no queueing for a lone job" true (Fleet.wait_of r = 0.0);
+      check Alcotest.bool "no queueing for a lone job" true (wait_of r = 0.0);
       let normalized = { r.Fleet.report with Report.variant = direct.Report.variant } in
       check Alcotest.bool "report bit-identical to the direct runtime" true (normalized = direct)
   | _ -> Alcotest.fail "expected exactly one job result"
@@ -333,10 +336,10 @@ let test_fleet_outcome_shape () =
   check Alcotest.int "one miss" 1 o.Fleet.stats.Fleet.cache_misses;
   List.iter
     (fun r ->
-      check Alcotest.bool "wait nonnegative" true (Fleet.wait_of r >= 0.0);
+      check Alcotest.bool "wait nonnegative" true (wait_of r >= 0.0);
       check Alcotest.bool "finish after admit" true (r.Fleet.finish_time >= r.Fleet.admit_time);
       check Alcotest.bool "queue wait lands in the report" true
-        (Float.abs (r.Fleet.report.Report.queue_seconds -. Fleet.wait_of r) < 1e-12))
+        (Float.abs (r.Fleet.report.Report.queue_seconds -. wait_of r) < 1e-12))
     o.Fleet.jobs;
   check Alcotest.int "two tenants" 2 (List.length o.Fleet.tenants);
   check Alcotest.bool "fairness in (0, 1]" true

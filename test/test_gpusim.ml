@@ -190,7 +190,7 @@ let test_fabric_incremental_identity () =
   let f = cluster_fabric ~nodes:2 ~gpus_per_node:2 in
   let reqs = storm f ~flows:120 ~waves:10 ~seed:7 in
   let fast = Fabric.run_batch f reqs in
-  let slow = Fabric.run_batch_reference f reqs in
+  let slow = Ref_fabric.run_batch_reference f reqs in
   check Alcotest.int "same completion count" (List.length slow) (List.length fast);
   List.iter2
     (fun (a : Fabric.completion) (b : Fabric.completion) ->
@@ -216,7 +216,7 @@ let test_fabric_incremental_perf_gate () =
     ignore (run f reqs);
     Sys.time () -. t0
   in
-  let slow = time Fabric.run_batch_reference in
+  let slow = time Ref_fabric.run_batch_reference in
   let fast = time Fabric.run_batch in
   if fast *. 3.0 > slow then
     Alcotest.failf "incremental allocator only %.2fx faster than reference (%.4fs vs %.4fs)"
@@ -233,7 +233,7 @@ let test_fabric_incremental_perf_gate () =
 let comms_words_per_flow_bound = 52.0
 
 let test_comms_path_allocation_gate () =
-  let m = Machine.fat_tree ~nodes:16 ~gpus_per_node:4 () in
+  let m = Machine.of_spec (Machine.Fat_tree_spec { nodes = 16; gpus_per_node = 4; oversub = 2.0 }) in
   let reqs =
     List.concat_map
       (fun node ->

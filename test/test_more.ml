@@ -90,13 +90,24 @@ let test_affine_offset_expr_eval () =
     Mgacc_analysis.Affine.of_expr ~loop_var:"i" ~is_uniform:(fun v -> v = "off") e
   with
   | Some a ->
-      let off_expr = Mgacc_analysis.Affine.offset_expr ~loc:Loc.dummy a in
-      (* Evaluate with off = 10 through the host interpreter machinery. *)
-      let src = Printf.sprintf "void main() { int off = 10; int out[1]; out[0] = %s; }"
-          (Pretty.expr_to_string off_expr) in
+      (* The offset part is [const + terms]; evaluate it with off = 10
+         through the host interpreter machinery. *)
+      let offset =
+        String.concat " + "
+          (string_of_int a.Mgacc_analysis.Affine.const
+          :: List.map Pretty.expr_to_string a.Mgacc_analysis.Affine.terms)
+      in
+      let src = Printf.sprintf "void main() { int off = 10; int out[1]; out[0] = %s; }" offset in
       let env = Mgacc.run_sequential (Mgacc.parse_string ~name:"t" src) in
       check Alcotest.int "offset evaluates" 12 (Mgacc.int_results env "out").(0)
   | None -> Alcotest.fail "affine expected"
+
+(* For failure messages. *)
+let mode_name = function
+  | Mgacc_analysis.Coalesce.Broadcast -> "broadcast"
+  | Mgacc_analysis.Coalesce.Coalesced -> "coalesced"
+  | Mgacc_analysis.Coalesce.Strided s -> Printf.sprintf "strided(%d)" s
+  | Mgacc_analysis.Coalesce.Random -> "random"
 
 let test_symbolic_linearity_units () =
   let l =
@@ -111,13 +122,13 @@ for (i = 0; i < n; i++) { a[i*w] = 1.0; } }|}
   let cls = Mgacc_analysis.Coalesce.make l in
   (match cls (Parser.parse_expr ~file:"t" "i*w") with
   | Mgacc_analysis.Coalesce.Strided 0 -> ()
-  | m -> Alcotest.failf "i*w: %s" (Mgacc_analysis.Coalesce.mode_to_string m));
+  | m -> Alcotest.failf "i*w: %s" (mode_name m));
   (match cls (Parser.parse_expr ~file:"t" "w*i + w") with
   | Mgacc_analysis.Coalesce.Strided 0 -> ()
-  | m -> Alcotest.failf "w*i+w: %s" (Mgacc_analysis.Coalesce.mode_to_string m));
+  | m -> Alcotest.failf "w*i+w: %s" (mode_name m));
   match cls (Parser.parse_expr ~file:"t" "i*i") with
   | Mgacc_analysis.Coalesce.Random -> ()
-  | m -> Alcotest.failf "i*i: %s" (Mgacc_analysis.Coalesce.mode_to_string m)
+  | m -> Alcotest.failf "i*i: %s" (mode_name m)
 
 (* ---------------- gpusim ---------------- *)
 

@@ -10,6 +10,13 @@ let tc name f = Alcotest.test_case name `Quick f
 
 (* ---------------- Event timelines ---------------- *)
 
+(* The latest GPU event, whatever the host's. *)
+let gpu_join e =
+  List.fold_left
+    (fun acc g -> Float.max acc (Event.gpu_ready e g))
+    0.0
+    (List.init (Event.num_gpus e) Fun.id)
+
 let test_event_max_join () =
   let e = Event.create ~num_gpus:3 in
   check Alcotest.int "gpus" 3 (Event.num_gpus e);
@@ -22,10 +29,10 @@ let test_event_max_join () =
   check (Alcotest.float 0.0) "earlier record is a no-op" 5.0 (Event.gpu_ready e 1);
   check (Alcotest.float 0.0) "others untouched" 0.0 (Event.gpu_ready e 0);
   Event.record e 0 7.0;
-  check (Alcotest.float 0.0) "gpu join" 7.0 (Event.join_gpus e);
+  check (Alcotest.float 0.0) "gpu join" 7.0 (gpu_join e);
   Event.record_host e 9.0;
   check (Alcotest.float 0.0) "host dominates join" 9.0 (Event.join e);
-  check (Alcotest.float 0.0) "gpu join ignores host" 7.0 (Event.join_gpus e)
+  check (Alcotest.float 0.0) "gpu join ignores host" 7.0 (gpu_join e)
 
 let test_event_barrier_and_reset () =
   let e = Event.create ~num_gpus:2 in

@@ -57,8 +57,14 @@ let test_dirty_two_level () =
   Dirty.mark d 1;
   Dirty.mark d 999;
   Dirty.mark d 999;
-  check Alcotest.int "elements" 3 (Dirty.dirty_element_count d);
-  check Alcotest.int "two chunks dirty" 2 (Dirty.dirty_chunk_count d);
+  let dirty_elements =
+    List.concat_map
+      (fun (r : Interval.t) -> List.init (Interval.length r) (fun k -> r.Interval.lo + k))
+      (Interval.Set.to_list (Dirty.dirty_runs d))
+  in
+  check Alcotest.int "elements" 3 (List.length dirty_elements);
+  check Alcotest.int "two chunks dirty" 2
+    (List.length (List.sort_uniq compare (List.map (fun i -> i / 32) dirty_elements)));
   (* chunk 0: 32 elems -> 256B payload + 4B bits; last chunk: 1000-31*32=8
      elems -> 64B + 1B. *)
   check Alcotest.int "transfer bytes" (256 + 4 + 64 + 1) (Dirty.transfer_bytes d);
@@ -142,6 +148,12 @@ let mk_cfg ?(num_gpus = 2) () = Rt_config.make ~num_gpus (Machine.desktop ())
 let mk_da cfg name data =
   Darray.create cfg ~name ~host:(Mgacc_exec.View.of_float_array ~name data)
 
+let state_name (da : Darray.t) =
+  match da.Darray.state with
+  | Darray.Unallocated -> "unallocated"
+  | Darray.Replicated _ -> "replicated"
+  | Darray.Distributed _ -> "distributed"
+
 let xfer_bytes xs = List.fold_left (fun acc (x : Darray.xfer) -> acc + x.Darray.bytes) 0 xs
 
 let test_darray_replicate_and_reuse () =
@@ -149,7 +161,7 @@ let test_darray_replicate_and_reuse () =
   let da = mk_da cfg "a" (Array.init 100 float_of_int) in
   let xfers = Darray.ensure_replicated cfg da ~dirty_tracking:true in
   check Alcotest.int "load both gpus" (2 * 800) (xfer_bytes xfers);
-  check Alcotest.string "state" "replicated" (Darray.state_name da);
+  check Alcotest.string "state" "replicated" (state_name da);
   (* Second call: reuse, no transfers. *)
   check Alcotest.int "reuse" 0 (xfer_bytes (Darray.ensure_replicated cfg da ~dirty_tracking:true));
   (* Data actually present on both GPUs. *)
@@ -197,7 +209,7 @@ let test_darray_transition_flushes () =
   check Alcotest.bool "host saw the write" true (host.(3) = 99.0);
   (* flush (80 bytes D2H) + reload (80 bytes H2D split across GPUs) *)
   check Alcotest.int "flush+reload bytes" 160 (xfer_bytes xfers);
-  check Alcotest.string "now distributed" "distributed" (Darray.state_name da)
+  check Alcotest.string "now distributed" "distributed" (state_name da)
 
 let test_darray_release_copyout () =
   let cfg = mk_cfg () in
@@ -211,7 +223,7 @@ let test_darray_release_copyout () =
   let xfers = Darray.release cfg da in
   check Alcotest.bool "copied out" true (host.(0) = 7.0);
   check Alcotest.bool "transferred" true (xfer_bytes xfers > 0);
-  check Alcotest.string "freed" "unallocated" (Darray.state_name da);
+  check Alcotest.string "freed" "unallocated" (state_name da);
   (* All device memory returned. *)
   for g = 0 to 1 do
     check Alcotest.int "no leak" 0

@@ -1,6 +1,8 @@
-(* Unit tests for the simulation core: bags, timelines, traces. *)
+(* Unit tests for the simulation core (timelines, traces) and for the
+   bag under the fabric's reference allocator (test/ref_fabric). *)
 
 open Mgacc_sim
+module Bag = Ref_fabric.Bag
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f

@@ -64,8 +64,8 @@ let test_interval_basics () =
   check Alcotest.bool "excludes hi" false (Interval.contains a 7);
   check iv "empty normalizes" Interval.empty (Interval.make 5 5);
   check iv "reversed normalizes" Interval.empty (Interval.make 9 3);
-  check iv "intersect" (Interval.make 4 7) (Interval.intersect a (Interval.make 4 11));
-  check iv "disjoint intersect" Interval.empty (Interval.intersect a (Interval.make 9 11));
+  check iv "intersect" (Interval.make 4 7) (Interval.clamp a ~lo:4 ~hi:11);
+  check iv "disjoint intersect" Interval.empty (Interval.clamp a ~lo:9 ~hi:11);
   check iv "hull" (Interval.make 2 11) (Interval.hull a (Interval.make 9 11));
   check iv "hull with empty" a (Interval.hull a Interval.empty);
   check iv "shift" (Interval.make 5 10) (Interval.shift a 3);

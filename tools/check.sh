@@ -23,8 +23,10 @@ dune runtest
 # programs; random kernels, cost counts included) once more, ten times as
 # long as in the tier-1 run.
 QCHECK_LONG=1 dune exec test/test_main.exe -- test exec
-# The lazy and eager merges against their oracles, and the bitset against
-# its boolean model, ten times as long as in the tier-1 run.
+# The lazy and eager merges against their oracles, the bitset against its
+# boolean model, and the fabric's incremental allocator against the
+# from-scratch reference (test/ref_fabric), ten times as long as in the
+# tier-1 run.
 QCHECK_LONG=1 dune exec test/test_main.exe -- test coherence
 QCHECK_LONG=1 dune exec test/test_main.exe -- test properties
 # The collective planner against the reference planner (test/ref_collective.ml)
@@ -45,6 +47,31 @@ if [ "$sites" -gt "$max_failure_sites" ]; then
   grep -rnE 'failwith|assert false' lib >&2
   exit 1
 fi
+# Ratchet: exports that no program calls may only fall. A `val` in
+# lib/*/*.mli counts when no .ml in lib, bin, bench, examples or tools,
+# other than its own module's, names it; tests do not count, and each
+# export that only a test calls says in its .mli which test and why.
+# Matching by name undercounts (a value of the same name elsewhere hides a
+# dead export), so the count can only be too low. A change that removes
+# some lowers the number here; none may raise it.
+max_uncalled_exports=44
+uncalled=""
+for mli in lib/*/*.mli; do
+  ml="${mli%i}"
+  for v in $(sed -n "s/^val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli"); do
+    if ! grep -rlw --include='*.ml' --exclude-dir=_build -e "$v" lib bin bench examples tools |
+      grep -qvx "$ml"; then
+      uncalled="$uncalled$mli $v
+"
+    fi
+  done
+done
+count="$(printf '%s' "$uncalled" | grep -c . || true)"
+if [ "$count" -gt "$max_uncalled_exports" ]; then
+  echo "check.sh: $count exports in lib that no program calls, more than $max_uncalled_exports:" >&2
+  printf '%s' "$uncalled" >&2
+  exit 1
+fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 # The smoke runs below must never touch a committed artifact: a bench
@@ -56,9 +83,9 @@ cksum BENCH_*.json > "$tmp/bench.before"
 # fleet's simulated-time watchdog makes an admission deadlock fail loudly
 # (Fleet.Deadlock names the wedged job id) instead of hanging CI.
 dune exec bench/main.exe -- --smoke --scale small fleet
-# Simulator fast-path smoke: drive a small transfer storm through both
-# fabric allocators; the bench fails loudly if the incremental path ever
-# diverges from the from-scratch reference (see docs/PERF.md).
+# Simulator fast-path smoke: drive a small transfer storm through the
+# fabric's allocator and the from-scratch reference (test/ref_fabric); the
+# bench fails loudly if they ever diverge (see docs/PERF.md).
 dune exec bench/main.exe -- --smoke sim
 # Fusion smoke: run the fusion-friendly apps with --fuse off vs on and
 # check both against the sequential reference (see docs/FUSION.md).
