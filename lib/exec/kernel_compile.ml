@@ -8,6 +8,7 @@ type t = {
   run_iter : Frame.t -> int -> unit;
   make_frame : unit -> Frame.t;
   params : (string * Frame.slot * Ast.typ) list;
+  strip_loops : int;
 }
 
 exception Brk
@@ -79,10 +80,11 @@ type ctx = {
   mutable scratch : int;
       (** the float slot a fused operator's loads pass through outside
           their view's read window, [-1] until one needs it *)
+  mutable strip_loops : int;  (** counted loops compiled to run over strips *)
 }
 
 let context ?result layout classify host =
-  { layout; classify; host; result; charge = Cost.zero (); scratch = -1 }
+  { layout; classify; host; result; charge = Cost.zero (); scratch = -1; strip_loops = 0 }
 
 let host_classify _ _ = Coalesce.Coalesced
 
@@ -267,14 +269,6 @@ let[@inline] iapply o x y =
   | Idiv_mul -> if x lsr 31 = 0 then (x * o.m) lsr o.k else x / y
   | Imod_mul -> if x lsr 31 = 0 then x - (((x * o.m) lsr o.k) * y) else x mod y
 
-let[@inline] farith op (a : float) b =
-  match op with
-  | Add -> a +. b
-  | Sub -> a -. b
-  | Mul -> a *. b
-  | Div -> a /. b
-  | _ -> assert false
-
 let[@inline] icmp op (a : int) b =
   match op with
   | Eq -> a = b
@@ -337,6 +331,23 @@ let[@inline] fbuiltin op (x : float) y =
   | Fmax -> fmax x y
   | Abs | Min | Max -> assert false
 
+(* A double operation as it runs, chosen when it compiles: a float
+   operator ([skind_of_binop]), a negation, a copy of the left operand or
+   a builtin. A unary one reads its operand twice. *)
+type skind = Sadd | Ssub | Smul | Sdiv | Sneg | Scopy | Sfn of Builtins.op
+
+let skind_of_binop = function Add -> Sadd | Sub -> Ssub | Mul -> Smul | _ -> Sdiv
+
+let[@inline] sapply k (x : float) y =
+  match k with
+  | Sadd -> x +. y
+  | Ssub -> x -. y
+  | Smul -> x *. y
+  | Sdiv -> x /. y
+  | Sneg -> -.x
+  | Scopy -> x
+  | Sfn f -> fbuiltin f x y
+
 let nop : Frame.t -> unit = fun _ -> ()
 
 let seq fs =
@@ -392,10 +403,10 @@ type fop = Fslot of int | Fcode of (Frame.t -> unit) * int
 
 (* A double operand as a float operator sees it: placed; an in-place load,
    element [sub] of the double array in view slot [view], [sub] a slot or
-   an affine subscript; or a float operator over two slots or two in-place
-   loads. A load or an operator is charged when it is built, and compiled
-   by the operator that uses it: inside that operator's own closure where
-   one of the fused shapes below matches, else placed in a temporary. *)
+   an affine subscript; or a float operator over two in-place loads. A
+   load or an operator is charged when it is built, and compiled by the
+   operator that uses it: inside that operator's own closure where the
+   fused shape below matches, else placed in a temporary. *)
 type fopnd = Placed of fop | Load of { view : int; sub : iop } | Arith of binop * fopnd * fopnd
 
 (* A user reads its operands in one normal form, code and a slot: a slot
@@ -403,7 +414,7 @@ type fopnd = Placed of fop | Load of { view : int; sub : iop } | Arith of binop 
    returning its value ([code_of_iop]). One generic closure per user
    serves every operand kind, and the right operand runs first. A user has
    a closure of its own for a shape only where a workload runs it heavily
-   (the fused shapes below, and those named in kernel_compile.mli). *)
+   (the fused shape below, and those named in kernel_compile.mli). *)
 
 let[@inline] affine (is : int array) a b c neg =
   let p = Array.unsafe_get is a * Array.unsafe_get is b in
@@ -586,6 +597,268 @@ let op_over_slot ctx e =
       | _ -> true)
   | _ -> false
 
+(* ------------------------------------------------------------------ *)
+(* Strips: a store-free counted loop, one statement at a time.          *)
+(* ------------------------------------------------------------------ *)
+
+(* An eligible loop (kernel_compile.mli) runs one statement at a time over
+   strips of [strip_len] trips. A pass reads an operand at trip [t] from a
+   run of the float bank ([stride] 1 for a strip, 0 for a slot the loop
+   does not write), or from the double array in view slot [view] at [a*b ±
+   c] with the counter at its first value, moving by the step times
+   [ints.(coef)] per trip: [coef] holds 1 or -1 where the counter is [c],
+   the other factor where it is [a] or [b], and 0 where it is absent. *)
+let strip_len = 64
+
+exception Not_strip
+
+type sopnd =
+  | Bank of { slot : int; stride : int }
+  | Elem of { view : int; a : int; b : int; c : int; neg : bool; coef : int }
+
+let[@inline] sdata (fr : Frame.t) = function
+  | Bank _ -> fr.Frame.floats
+  | Elem l -> (Array.unsafe_get fr.Frame.views l.view).View.fdata
+
+let[@inline] sstride (fr : Frame.t) step = function
+  | Bank b -> b.stride
+  | Elem l -> step * Array.unsafe_get fr.Frame.ints l.coef
+
+(* The operand's place in [sdata] at trip [t0]. *)
+let[@inline] soffset (fr : Frame.t) step t0 o =
+  match o with
+  | Bank b -> b.slot
+  | Elem l ->
+      affine fr.Frame.ints l.a l.b l.c l.neg
+      + (t0 * sstride fr step o)
+      - (Array.unsafe_get fr.Frame.views l.view).View.lo
+
+(* One statement over trips [t0, t0 + len): [v = k x y] at each trip,
+   folded first, when [acc >= 0], into the scalar at [acc] in trip order
+   ([acc op v], or [v op acc] when [flip]), and left in the strip at
+   [keep] when [keep >= 0]. Inlined with constant kinds, the common
+   statements loop without a dispatch. *)
+let[@inline] pass_loop op flip k acc keep (fl : float array) (xd : float array) xo xs (yd : float array)
+    yo ys len =
+  let a = ref (if acc >= 0 then Array.unsafe_get fl acc else 0.0) and xi = ref xo and yi = ref yo in
+  for t = 0 to len - 1 do
+    let v = sapply k (Array.unsafe_get xd !xi) (Array.unsafe_get yd !yi) in
+    if acc < 0 then Array.unsafe_set fl (keep + t) v
+    else begin
+      a := if flip then sapply op v !a else sapply op !a v;
+      if keep >= 0 then Array.unsafe_set fl (keep + t) !a
+    end;
+    xi := !xi + xs;
+    yi := !yi + ys
+  done;
+  if acc >= 0 then Array.unsafe_set fl acc !a
+
+let pass step op flip k x y acc keep =
+  let run (fr : Frame.t) t0 len =
+    let fl = fr.Frame.floats in
+    let xd = sdata fr x and xo = soffset fr step t0 x and xs = sstride fr step x in
+    let yd = sdata fr y and yo = soffset fr step t0 y and ys = sstride fr step y in
+    match (acc, k, flip, op) with
+    | -1, Sadd, _, _ -> pass_loop Scopy false Sadd (-1) keep fl xd xo xs yd yo ys len
+    | -1, Ssub, _, _ -> pass_loop Scopy false Ssub (-1) keep fl xd xo xs yd yo ys len
+    | -1, Smul, _, _ -> pass_loop Scopy false Smul (-1) keep fl xd xo xs yd yo ys len
+    (* kmeans's [dist = dist + d*d]. *)
+    | _, Smul, false, Sadd when keep < 0 -> pass_loop Sadd false Smul acc (-1) fl xd xo xs yd yo ys len
+    | _ -> pass_loop op flip k acc keep fl xd xo xs yd yo ys len
+  in
+  run
+
+type strips = {
+  passes : (Frame.t -> int -> int -> unit) array;
+  loads : sopnd array;  (** every [Elem] a pass reads *)
+  lasts : (int * int) array;  (** each plainly assigned scalar's slot and strip *)
+}
+
+(* The trips of [v op b] stepping by [step] from [v0], when the body moves
+   neither [v] nor [b]; a count that does not fit an int is negative. *)
+let trip_count op step v0 b =
+  match (op, step) with
+  | Lt, 1 when v0 < b -> b - v0
+  | Le, 1 when v0 <= b -> b - v0 + 1
+  | Gt, -1 when v0 > b -> v0 - b
+  | Ge, -1 when v0 >= b -> v0 - b + 1
+  | _ -> 0
+
+(* Whether every load from [k] on reads inside its view's read window (so
+   inside its backing array) on each of [n > 0] trips: the first and last
+   trips' elements do, and the span between them cannot wrap. *)
+let rec loads_fit (loads : sopnd array) (fr : Frame.t) step n k =
+  k = Array.length loads
+  || (match Array.unsafe_get loads k with
+     | Bank _ -> true
+     | Elem l as o ->
+         let v = Array.unsafe_get fr.Frame.views l.view in
+         let lo = v.View.lo and hi = v.View.hi in
+         let i = affine fr.Frame.ints l.a l.b l.c l.neg and s = sstride fr step o in
+         i >= lo && i < hi
+         && Array.length v.View.fdata >= hi - lo
+         && (s = 0
+            || n - 1 <= (hi - lo - 1) / abs s
+               &&
+               let j = i + ((n - 1) * s) in
+               j >= lo && j < hi))
+     && loads_fit loads fr step n (k + 1)
+
+(* [n > 0] trips; each plainly assigned scalar ends with its last trip. *)
+let run_strips s (fr : Frame.t) n =
+  let t0 = ref 0 in
+  while !t0 < n do
+    let len = if n - !t0 < strip_len then n - !t0 else strip_len in
+    for k = 0 to Array.length s.passes - 1 do
+      (Array.unsafe_get s.passes k) fr !t0 len
+    done;
+    t0 := !t0 + len
+  done;
+  let fl = fr.Frame.floats and last = (n - 1) mod strip_len in
+  for k = 0 to Array.length s.lasts - 1 do
+    let slot, t = Array.unsafe_get s.lasts k in
+    Array.unsafe_set fl slot (Array.unsafe_get fl (t + last))
+  done
+
+(* How a strip compile reserves float strips and constants: for real, or
+   not at all while it only checks that a body is eligible. *)
+type reserve = { strip : unit -> int; cint : int -> int; cfloat : float -> int }
+
+(* [body], already compiled trip at a time in the current scope, as passes
+   over strips, or [Not_strip]. A statement reads no scalar that it or a
+   later one writes, except that [x = x op e], [x = e op x] and [x op= e]
+   fold [e] into [x]; each scalar is written once. Such a body cannot
+   fault once its loads fit, so the passes need only its data order. *)
+let strip_plan ctx rs ~counter ~step body =
+  let passes = ref [] and loads = ref [] and lasts = ref [] and kept = ref [] in
+  let target s =
+    match s.sdesc with Sdecl (Tdouble, x, _) | Sassign (Lvar x, _, _) -> x | _ -> raise Not_strip
+  in
+  let float_slot x =
+    match Frame.Layout.lookup ctx.layout x with Some (Frame.Float_slot i, _) -> i | _ -> raise Not_strip
+  in
+  let load a idx =
+    let view =
+      match Frame.Layout.lookup ctx.layout a with
+      | Some (Frame.View_slot i, Tarray Edouble) -> i
+      | _ -> raise Not_strip
+    in
+    let a, b, c, neg =
+      match (int_slot ctx idx, affine_of ctx idx) with
+      | Some s, _ -> (s, rs.cint 1, rs.cint 0, false)
+      | None, Some (Iaff { a; b; c; neg }) -> (a, b, c, neg)
+      | _ -> raise Not_strip
+    in
+    let coef =
+      match (a = counter, b = counter, c = counter) with
+      | false, false, false -> rs.cint 0
+      | true, false, false -> b
+      | false, true, false -> a
+      | false, false, true -> rs.cint (if neg then -1 else 1)
+      | _ -> raise Not_strip
+    in
+    let o = Elem { view; a; b; c; neg; coef } in
+    loads := o :: !loads;
+    o
+  in
+  (* [e] as what a pass computes, its operands placed. *)
+  let rec term pending e =
+    let leaf o = (Scopy, o, o) in
+    match (ty_of ctx e, e.edesc) with
+    | Tint, Int_lit v -> leaf (Bank { slot = rs.cfloat (float_of_int v); stride = 0 })
+    | Tdouble, Float_lit v -> leaf (Bank { slot = rs.cfloat v; stride = 0 })
+    | Tdouble, Var x when not (List.mem x pending) -> (
+        match List.assoc_opt x !kept with
+        | Some s -> leaf (Bank { slot = s; stride = 1 })
+        | None -> leaf (Bank { slot = float_slot x; stride = 0 }))
+    | Tdouble, Index (a, idx) -> leaf (load a idx)
+    | Tdouble, Unop (Cast_double, x) -> term pending x
+    | Tdouble, Unop (Neg, x) ->
+        let o = value pending x in
+        (Sneg, o, o)
+    | Tdouble, Binop (((Add | Sub | Mul | Div) as op), x, y) ->
+        (skind_of_binop op, value pending x, value pending y)
+    | Tdouble, Call (name, args) -> (
+        match (Builtins.find name, args) with
+        | Some { Builtins.result = Tdouble; arity = 1; op; _ }, [ x ] ->
+            let o = value pending x in
+            (Sfn op, o, o)
+        | Some { Builtins.result = Tdouble; arity = 2; op; _ }, [ x; y ] ->
+            (Sfn op, value pending x, value pending y)
+        | _ -> raise Not_strip)
+    | _ -> raise Not_strip
+  (* [e]'s value as an operand, computed into a strip of its own. *)
+  and value pending e =
+    match term pending e with
+    | Scopy, o, _ -> o
+    | k, x, y ->
+        let t = rs.strip () in
+        passes := pass step Scopy false k x y (-1) t :: !passes;
+        Bank { slot = t; stride = 1 }
+  in
+  let rec go = function
+    | [] -> ()
+    | s :: later ->
+        let x = target s in
+        let pending = x :: List.map target later in
+        let read_later =
+          List.exists
+            (fun s ->
+              match s.sdesc with
+              | Sdecl (_, _, Some e) | Sassign (_, _, e) -> Mgacc_analysis.Affine.mentions_var e x
+              | _ -> false)
+            later
+        in
+        let slot = float_slot x in
+        let plain e =
+          let k, a, b = term pending e and t = rs.strip () in
+          passes := pass step Scopy false k a b (-1) t :: !passes;
+          lasts := (slot, t) :: !lasts;
+          kept := (x, t) :: !kept
+        in
+        let fold op flip e =
+          let k, a, b = term pending e and keep = if read_later then rs.strip () else -1 in
+          passes := pass step (skind_of_binop op) flip k a b slot keep :: !passes;
+          if read_later then kept := (x, keep) :: !kept
+        in
+        (match s.sdesc with
+        | Sdecl (_, _, init) ->
+            plain (Option.value init ~default:{ edesc = Float_lit 0.0; eloc = s.sloc })
+        | Sassign (_, Set, { edesc = Binop (((Add | Sub | Mul | Div) as op), { edesc = Var y; _ }, e); _ })
+          when y = x ->
+            fold op false e
+        | Sassign (_, Set, { edesc = Binop (((Add | Sub | Mul | Div) as op), e, { edesc = Var y; _ }); _ })
+          when y = x ->
+            fold op true e
+        | Sassign (_, Set, e) -> plain e
+        | Sassign (_, aop, e) ->
+            fold (match aop with Add_set -> Add | Sub_set -> Sub | Mul_set -> Mul | _ -> Div) false e
+        | _ -> raise Not_strip);
+        go later
+  in
+  if List.length (List.sort_uniq compare (List.map target body)) < List.length body then raise Not_strip;
+  go body;
+  { passes = Array.of_list (List.rev !passes); loads = Array.of_list !loads; lasts = Array.of_list !lasts }
+
+(* The strips of a counted loop [v op b] stepping by [step], or [None]. A
+   dry build reserving nothing comes first, so an ineligible body leaves
+   the layout as it was. *)
+let strips ctx op ~counter ~step body =
+  let plan rs = match strip_plan ctx rs ~counter ~step body with p -> Some p | exception Not_strip -> None in
+  let strip () =
+    let s = fresh_float ctx Loc.dummy in
+    for _ = 2 to strip_len do
+      ignore (fresh_float ctx Loc.dummy : int)
+    done;
+    s
+  in
+  match (op, step) with
+  | ((Lt | Le), 1 | (Gt | Ge), -1)
+    when Option.is_some (plan { strip = (fun () -> 0); cint = (fun _ -> 0); cfloat = (fun _ -> 0) }) ->
+      let l = ctx.layout in
+      plan { strip; cint = Frame.Layout.const_int l; cfloat = Frame.Layout.const_float l }
+  | _ -> None
+
 let rec comp_iop ctx e : iop =
   match (ty_of ctx e, e.edesc) with
   | Tint, Int_lit v -> Islot (Frame.Layout.const_int ctx.layout v)
@@ -637,7 +910,7 @@ and comp_fop ctx e : fop =
       Fcode (comp_f_into ctx e t, t)
 
 (* [e] as a float operator's operand: an in-place load or an operator over
-   two slots or two loads is charged now and compiled by its user. *)
+   two loads is charged now and compiled by its user. *)
 and comp_operand ctx e : fopnd =
   match (ty_of ctx e, e.edesc) with
   | Tdouble, Index (a, idx) -> (
@@ -650,7 +923,7 @@ and comp_operand ctx e : fopnd =
       flops ctx 1;
       let ox = comp_operand ctx x and oy = comp_operand ctx y in
       match (ox, oy) with
-      | Placed (Fslot _), Placed (Fslot _) | Load _, Load _ -> Arith (op, ox, oy)
+      | Load _, Load _ -> Arith (op, ox, oy)
       | _ ->
           let t = fresh_float ctx e.eloc in
           Placed (Fcode (comp_arith ctx op ox oy t, t)))
@@ -692,42 +965,28 @@ and place ctx = function
       Fcode (comp_arith ctx op x y t, t)
 
 (* [x op y] into float slot [dst], over operands already charged (the
-   operator's flop included). Three shapes fuse into one closure, each for
-   a site of the benchmark's workloads: two loads (kmeans's
-   [x[i*f + j] - centers[c*f + j]]), and a slot with an operator over two
-   slots or two loads (kmeans's [dist + d*d], spmv's
-   [s + vals[i*k + e] * x[c]]). The right operand runs first, as in the
-   generic arm. *)
+   operator's flop included). One shape fuses into one closure, for a site
+   of the benchmark's workloads: a slot with an operator over two loads
+   (spmv's [s + vals[i*k + e] * x[c]]). The right operand runs first, as
+   in the generic arm. *)
 and comp_arith ctx op x y dst : Frame.t -> unit =
+  let k = skind_of_binop op in
   match (x, y) with
-  | Load lx, Load ly ->
-      let xa, xb, xc, xn = affine_parts ctx lx.sub and ya, yb, yc, yn = affine_parts ctx ly.sub in
-      let xv = lx.view and yv = ly.view and via = scratch ctx in
-      fun fr ->
-        let fl = fr.Frame.floats and is = fr.Frame.ints and vs = fr.Frame.views in
-        let y = load_f (Array.unsafe_get vs yv) (affine is ya yb yc yn) fl via in
-        let x = load_f (Array.unsafe_get vs xv) (affine is xa xb xc xn) fl via in
-        Array.unsafe_set fl dst (farith op x y)
-  | Placed (Fslot a), Arith (op2, Placed (Fslot b), Placed (Fslot c)) ->
-      fun fr ->
-        let fl = fr.Frame.floats in
-        Array.unsafe_set fl dst
-          (farith op (Array.unsafe_get fl a) (farith op2 (Array.unsafe_get fl b) (Array.unsafe_get fl c)))
   | Placed (Fslot a), Arith (op2, Load lb, Load lc) ->
       let ba, bb, bc, bn = affine_parts ctx lb.sub and ca, cb, cc, cn = affine_parts ctx lc.sub in
-      let bv = lb.view and cv = lc.view and via = scratch ctx in
+      let bv = lb.view and cv = lc.view and via = scratch ctx and k2 = skind_of_binop op2 in
       fun fr ->
         let fl = fr.Frame.floats and is = fr.Frame.ints and vs = fr.Frame.views in
         let z = load_f (Array.unsafe_get vs cv) (affine is ca cb cc cn) fl via in
         let y = load_f (Array.unsafe_get vs bv) (affine is ba bb bc bn) fl via in
-        Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (farith op2 y z))
+        Array.unsafe_set fl dst (sapply k (Array.unsafe_get fl a) (sapply k2 y z))
   | _ ->
       let cx, a = parts_of_fop (place ctx x) and cy, b = parts_of_fop (place ctx y) in
       fun fr ->
         cy fr;
         cx fr;
         let fl = fr.Frame.floats in
-        Array.unsafe_set fl dst (farith op (Array.unsafe_get fl a) (Array.unsafe_get fl b))
+        Array.unsafe_set fl dst (sapply k (Array.unsafe_get fl a) (Array.unsafe_get fl b))
 
 (* Code that leaves the value of [e], as a double, in float slot [dst]. *)
 and comp_f_into ctx e dst : Frame.t -> unit =
@@ -1176,18 +1435,31 @@ and comp_stmt ctx s : Frame.t -> unit =
       Frame.Layout.enter_scope ctx.layout;
       let init = match hdr.for_init with Some s' -> comp_stmt ctx s' | None -> nop in
       match counted_loop ctx hdr body with
-      | Some (op, v, b, d) ->
-          (* One OCaml loop over the counter's and the bound's slots. The
-             body cannot jump, so it is one segment, and the loop pays for
-             every trip at once when it ends: the body's charge plus 3 int
-             ops per trip (2 for the test, the loop's and the comparison's,
-             and 1 for the step), and 2 for the test that ends it. *)
+      | Some (op, v, b, d) -> (
+          (* One OCaml loop over the counter's and the bound's slots, or
+             strips when the body is eligible and the entry's loads fit
+             (kernel_compile.mli). The body cannot jump, so it is one
+             segment, and the loop pays for every trip at once when it
+             ends: the body's charge plus 3 int ops per trip (2 for the
+             test, the loop's and the comparison's, and 1 for the step),
+             and 2 for the test that ends it. *)
+          let body = match body with [ { sdesc = Sblock b; _ } ] -> b | b -> b in
+          Frame.Layout.enter_scope ctx.layout;
           let cb, per_trip = in_segment ctx (fun () -> comp_stmts ctx body) in
+          let strips = strips ctx op ~counter:v ~step:d body in
+          Frame.Layout.leave_scope ctx.layout;
           Frame.Layout.leave_scope ctx.layout;
           per_trip.Cost.int_ops <- per_trip.Cost.int_ops + 3;
+          if Option.is_some strips then ctx.strip_loops <- ctx.strip_loops + 1;
           let charged = ctx.host = None in
-          fun fr ->
-            init fr;
+          let pay_trips (fr : Frame.t) n =
+            if charged then begin
+              let k = fr.Frame.cost in
+              pay k per_trip n;
+              k.Cost.int_ops <- k.Cost.int_ops + 2
+            end
+          in
+          let one_at_a_time (fr : Frame.t) =
             let is = fr.Frame.ints in
             let trips = ref 0 in
             while icmp op (Array.unsafe_get is v) (Array.unsafe_get is b) do
@@ -1195,11 +1467,22 @@ and comp_stmt ctx s : Frame.t -> unit =
               incr trips;
               Array.unsafe_set is v (Array.unsafe_get is v + d)
             done;
-            if charged then begin
-              let k = fr.Frame.cost in
-              pay k per_trip !trips;
-              k.Cost.int_ops <- k.Cost.int_ops + 2
-            end
+            pay_trips fr !trips
+          in
+          fun fr ->
+            init fr;
+            match strips with
+            | None -> one_at_a_time fr
+            | Some s ->
+                let is = fr.Frame.ints in
+                let v0 = Array.unsafe_get is v in
+                let n = trip_count op d v0 (Array.unsafe_get is b) in
+                if n > 0 && loads_fit s.loads fr d n 0 then begin
+                  run_strips s fr n;
+                  Array.unsafe_set is v (v0 + (n * d));
+                  pay_trips fr n
+                end
+                else one_at_a_time fr)
       | None ->
           let cond =
             segment ctx (fun () ->
@@ -1500,6 +1783,7 @@ let compile ~loop ~params ~classify =
         body fr);
     make_frame = (fun () -> Frame.create layout (Cost.zero ()));
     params = param_slots;
+    strip_loops = ctx.strip_loops;
   }
 
 let host prog stager = { prog; stager; funcs = Hashtbl.create 8 }

@@ -25,22 +25,21 @@
     resolves its operation once. A counted loop, [for (init; v op b; v++)]
     or [v--] with [v] an int variable, [b] an int variable or literal and
     no [break] or [continue] leaving its body, runs as one OCaml loop over
-    the two slots; other loops install a [continue] handler only when their
-    body can jump. Shape never changes a charge. Evaluation order is fixed:
-    the right operand of a binary operator runs before the left, a plain
-    element assignment runs its value before its subscript, and a compound
-    one its subscript first; so a statement with two faults raises the
-    same located error however its operands are shaped.
+    the two slots, or over strips (below); other loops install a
+    [continue] handler only when their body can jump. Shape never changes
+    a charge. Evaluation order is fixed: the right operand of a binary
+    operator runs before the left, a plain element assignment runs its
+    value before its subscript, and a compound one its subscript first; so
+    a statement with two faults raises the same located error however its
+    operands are shaped.
 
     A double operand of a float operator ([+ - * /]) has two more shapes
     than a slot or code: an {e in-place load}, [a\[i\]] of a double array
     whose subscript is a slot or an affine form, and an {e operator} over
-    two slots or two in-place loads. Both are charged when they compile
-    and run inside the closure of the operator that uses them when one of
-    three fused shapes matches: two in-place loads under one operator
-    (kmeans's [x\[i*f + j\] - centers\[c*f + j\]]), and a slot with an
-    operator over two slots or two loads (kmeans's [dist + d*d], spmv's
-    [s + vals\[i*k + e\] * x\[c\]]). Otherwise they are compiled into a
+    two in-place loads. Both are charged when they compile and run inside
+    the closure of the operator that uses them when the fused shape
+    matches, a slot with an operator over two loads (spmv's [s +
+    vals\[i*k + e\] * x\[c\]]). Otherwise they are compiled into a
     temporary like any code operand. A reduction update with an affine
     subscript reads an in-place load contribution itself (kmeans's
     [newcenters\[c*f + j\] = newcenters\[c*f + j\] + x\[i*f + j\]]). Fusing
@@ -68,10 +67,9 @@
     where an end-to-end workload runs it heavily. The kept shapes, each
     with the workload that pays for it (docs/PERF.md, "Executor shapes
     kept by the census", gives the runs per run):
-    - the three fused float shapes: two loads under one operator
-      (kmeans), a slot with an operator over two slots (kmeans) or two
-      loads (spmv); and the centre reduction reading its load
-      contribution (kmeans);
+    - the fused float shape, a slot with an operator over two loads
+      (spmv), and the centre reduction reading its load contribution
+      (kmeans);
     - a double comparison of two slots (kmeans's [dist < best]);
     - a double load at a slot subscript into a temporary (spmv's [y\[i\]
       * inv]);
@@ -103,6 +101,22 @@
     other dividend, and a larger divisor, takes the hardware [/] or
     [mod]. Every result equals OCaml's [/] and [mod] (C's truncation
     toward zero). A literal 0 stays a located run-time error.
+
+    {b Strips.} A counted loop stepping [++] under [<] or [<=], or [--]
+    under [>] or [>=], is strip-eligible when each body statement is a
+    [double] declaration or a plain or compound assignment to a double
+    scalar, over literals, scalars, [+ - * /], negation, double builtins
+    and double loads whose subscript is a slot or an affine form, linear in
+    the counter; each scalar is written once, and no statement reads one
+    that it or a later statement writes, except an accumulator ([x = x op
+    e], [x = e op x], [x op= e]). An entry whose trip count is positive and
+    whose loads' first and last elements lie in their views' read windows
+    runs one statement at a time over strips of 64 trips, in slots the
+    layout reserves at compile time: loads read in place, accumulators fold
+    in trip order, and every scalar and the counter end bit for bit as one
+    trip at a time leaves them. Any other entry runs one trip at a time and
+    raises what it raised before, at the same trip. Either way the loop
+    pays its charge once, when it ends.
 
     None of these shapes changes an order, an error or a charge: the right
     operand still runs first, so of two faulting operands the right one's
@@ -169,6 +183,7 @@ type t = {
           run in it charge *)
   params : (string * Frame.slot * Ast.typ) list;
       (** parameter binding sites, in the order given to {!compile} *)
+  strip_loops : int;  (** how many of the body's counted loops run over strips *)
 }
 
 val compile :

@@ -36,9 +36,6 @@ let observe t ~iterations ~seconds =
 
 let rates t = if Array.exists (fun r -> r = 0.0) t.rates then None else Some (Array.copy t.rates)
 
-let proposed_weights t =
-  Option.map (Cost_model.normalize ~min_share:t.knobs.min_share) (rates t)
-
 (* Per-launch kernel time is the straggler's: T(w) = max_g (w_g / r_g),
    up to the common factor of the iteration count. *)
 let launch_time ~weights ~rates =
@@ -46,15 +43,18 @@ let launch_time ~weights ~rates =
   Array.iteri (fun g w -> worst := Float.max !worst (w /. Float.max rates.(g) 1e-12)) weights;
   !worst
 
-let predicted_gain t ~current =
-  match rates t with
-  | None -> 0.0
-  | Some r -> (
-      match proposed_weights t with
-      | None -> 0.0
-      | Some p ->
-          let t_cur = launch_time ~weights:current ~rates:r in
-          let t_new = launch_time ~weights:p ~rates:r in
-          if t_cur <= 0.0 then 0.0 else Float.max 0.0 ((t_cur -. t_new) /. t_cur))
+type proposal = { rates : float array; weights : float array; t_current : float; t_proposed : float }
+
+let propose t ~current =
+  Option.map
+    (fun rates ->
+      let weights = Cost_model.quantize (Cost_model.normalize ~min_share:t.knobs.min_share rates) in
+      {
+        rates;
+        weights;
+        t_current = launch_time ~weights:current ~rates;
+        t_proposed = launch_time ~weights ~rates;
+      })
+    (rates t)
 
 let samples t = t.samples

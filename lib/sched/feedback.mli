@@ -6,8 +6,8 @@
     that would equalize finish times under those rates. Two stabilizers
     keep well-balanced workloads from churning: the EWMA damping factor
     [alpha] (weight of the newest sample) and the hysteresis threshold —
-    {!predicted_gain} must exceed [hysteresis] before the planner even
-    considers a re-split. *)
+    the fractional gain of a {!proposal} must exceed [hysteresis] before
+    the planner even considers a re-split. *)
 
 type knobs = {
   alpha : float;  (** EWMA weight of the newest rate sample, in (0, 1] *)
@@ -37,19 +37,24 @@ val rates : t -> float array option
 (** Current smoothed per-GPU rates; [None] until every device has at
     least one sample (a device that never ran cannot be rated). *)
 
-val proposed_weights : t -> float array option
-(** Rates normalized into the time-equalizing weight vector. Only "feedback:
-    skew favors the fast GPU" reads the vector itself; the scheduler
-    normalizes {!rates} on its own. *)
+type proposal = {
+  rates : float array;  (** the smoothed per-GPU rates, as {!rates} *)
+  weights : float array;
+      (** the rates normalized into the time-equalizing weight vector
+          (at least [min_share] each) and quantized, as a re-split applies
+          them *)
+  t_current : float;
+  t_proposed : float;
+      (** the straggler time of one launch under [current] and under
+          [weights], up to the iteration-count factor: [max_g w.(g) /
+          rates.(g)] *)
+}
 
-val launch_time : weights:float array -> rates:float array -> float
-(** Straggler time of one launch up to the iteration-count factor:
-    [max_g weights.(g) / rates.(g)]. *)
-
-val predicted_gain : t -> current:float array -> float
-(** Fractional kernel-time reduction of moving from [current] to
-    {!proposed_weights} under the smoothed rates:
-    [(T_current - T_balanced) / T_current], 0 when unrated. *)
+val propose : t -> current:float array -> proposal option
+(** The re-split the smoothed rates propose against the [current]
+    weights; [None] until every device is rated. The scheduler considers
+    it only when [weights] differ from [current] and [(t_current -
+    t_proposed) / t_current] exceeds [hysteresis]. *)
 
 val samples : t -> int
 (** Number of launches folded in. *)

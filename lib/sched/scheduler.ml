@@ -71,39 +71,33 @@ let observe t ~loop_id ~iterations ~seconds ~total_iterations ~bytes_per_iter =
         let current =
           match s.weights with Some w -> w | None -> Cost_model.uniform t.num_gpus
         in
-        match Feedback.rates s.feedback with
+        match Feedback.propose s.feedback ~current with
         | None -> false
-        | Some rates -> (
-            let proposed =
-              Cost_model.quantize
-                (Cost_model.normalize ~min_share:t.knobs.Feedback.min_share rates)
-            in
+        | Some { Feedback.rates; weights = proposed; t_current; t_proposed } -> (
             Log.debug (fun m ->
                 m "loop %d: rates [%s] propose [%s] vs current [%s]" loop_id
                   (String.concat "; " (List.map (Printf.sprintf "%.3e") (Array.to_list rates)))
                   (String.concat "; " (List.map (Printf.sprintf "%.3f") (Array.to_list proposed)))
                   (String.concat "; " (List.map (Printf.sprintf "%.3f") (Array.to_list current))));
             if proposed = current then false
+            else if
+              t_current <= 0.0 || (t_current -. t_proposed) /. t_current <= t.knobs.Feedback.hysteresis
+            then false
             else
-              let t_cur = Feedback.launch_time ~weights:current ~rates in
-              let t_new = Feedback.launch_time ~weights:proposed ~rates in
-              if t_cur <= 0.0 || (t_cur -. t_new) /. t_cur <= t.knobs.Feedback.hysteresis then
-                false
-              else
-                match
-                  Planner.decide ~machine:t.machine ~knobs:t.knobs ~current ~proposed ~rates
-                    ~iterations:total_iterations ~bytes_per_iter
-                with
-                | Planner.Keep -> false
-                | Planner.Rebalance { weights; predicted_gain; predicted_move } ->
-                    Log.debug (fun m ->
-                        m "loop %d: rebalance to [%s] (gain %.3es/launch, move %.3es)" loop_id
-                          (String.concat "; "
-                             (List.map (Printf.sprintf "%.3f") (Array.to_list weights)))
-                          predicted_gain predicted_move);
-                    s.weights <- Some weights;
-                    t.rebalances <- t.rebalances + 1;
-                    true))
+              match
+                Planner.decide ~machine:t.machine ~knobs:t.knobs ~current ~proposed ~rates
+                  ~iterations:total_iterations ~bytes_per_iter
+              with
+              | Planner.Keep -> false
+              | Planner.Rebalance { weights; predicted_gain; predicted_move } ->
+                  Log.debug (fun m ->
+                      m "loop %d: rebalance to [%s] (gain %.3es/launch, move %.3es)" loop_id
+                        (String.concat "; "
+                           (List.map (Printf.sprintf "%.3f") (Array.to_list weights)))
+                        predicted_gain predicted_move);
+                  s.weights <- Some weights;
+                  t.rebalances <- t.rebalances + 1;
+                  true))
 
 let observe_events t ~loop_id ~iterations ~starts ~finishes ~total_iterations ~bytes_per_iter =
   if Array.length starts <> Array.length finishes then

@@ -1287,6 +1287,190 @@ let prop_kernel_matches_reference =
          | Ok () -> true
          | Error msg -> QCheck2.Test.fail_reportf "%s@.%s" msg body))
 
+(* ---------------- Strips ---------------- *)
+
+(* Store-free counted loops, which run one statement at a time over
+   strips of trips when every load of an entry fits its view's read
+   window, against the reference: double declarations, plain and compound
+   assignments and accumulators over literals, the invariant [s], scalars
+   declared earlier in the body and loads of [x] at [a*b + j], [j + a*b],
+   [a*b - j], [j*2 + p] and [j] (some ineligible on purpose: a scalar read
+   before a later write, or written twice); counts below 1, [<=] and [>=]
+   bounds, both steps and trip counts past one strip of 64; and the
+   scalars and counter read after the loop. [x] is a host array or a view
+   whose read window, and valid range, stops short of its backing array,
+   so a loop that reads past it must raise the reference's error. *)
+module Sgen = struct
+  let expr ~decls =
+    let leaf =
+      Gen.frequency
+        [
+          (3, Gen.oneofl [ "0.5"; "2"; "1.25"; "(-0.75)"; "s" ]);
+          (1, Gen.oneofl [ "u"; "w"; "x[p * m - j]"; "x[m + p]" ]);
+          (6, Gen.oneofl [ "x[p * m + j]"; "x[j + p * m]"; "x[j * 2 + p]"; "x[j]"; "x[m * 2 + p]" ]);
+          ((if decls = [] then 0 else 4), Gen.oneofl (if decls = [] then [ "s" ] else decls));
+        ]
+    in
+    let rec go depth =
+      if depth = 0 then leaf
+      else
+        let sub = go (depth - 1) in
+        Gen.frequency
+          [
+            (2, leaf);
+            (4, Gen.map3 (fun a op b -> paren "%s %s %s" a op b) sub (Gen.oneofl [ "+"; "-"; "*"; "/" ]) sub);
+            (1, Gen.map (paren "-%s") sub);
+            (1, Gen.map (Printf.sprintf "sqrt(fabs(%s))") sub);
+            (1, Gen.map2 (Printf.sprintf "fmin(%s, %s)") sub sub);
+            (1, Gen.map (Printf.sprintf "floor(%s)") sub);
+          ]
+    in
+    go 2
+
+  (* Statement [k], given the scalars declared before it and the outer
+     scalars written before it, a second write to which is rarer. *)
+  let stmt ~decls ~written k =
+    let e = expr ~decls and again t = if List.mem t written then 1 else 4 in
+    let acc = [ "w = w + %s;"; "w = %s - w;"; "w += %s;"; "w -= %s;"; "w *= %s;"; "w = w / %s;" ] in
+    Gen.frequency
+      [
+        (4, Gen.map (fun e -> (Printf.sprintf "double q%d = %s;" k e, "q")) e);
+        (1, Gen.return (Printf.sprintf "double q%d;" k, "q"));
+        (again "u", Gen.map (fun e -> (Printf.sprintf "u = %s;" e, "u")) e);
+        ( again "w",
+          Gen.map2
+            (fun f e -> (Printf.sprintf (Scanf.format_from_string f "%s") e, "w"))
+            (Gen.oneofl acc) e );
+      ]
+
+  let header =
+    Gen.map3
+      (fun lo hi shape ->
+        match shape with
+        | 0 -> Printf.sprintf "for (j = %d; j < %d; j++)" lo hi
+        | 1 -> Printf.sprintf "for (j = %d; j <= %d; j++)" lo hi
+        | 2 -> Printf.sprintf "for (j = %d; j >= %d; j--)" hi lo
+        | _ -> Printf.sprintf "for (j = %d; j > %d; j--)" hi lo)
+      (Gen.int_range 0 20) (Gen.int_range 0 150) (Gen.int_bound 3)
+
+  let body =
+    let rec stmts k decls written n =
+      if k = n then Gen.return []
+      else
+        stmt ~decls ~written k >>= fun (st, target) ->
+        let decls = if target = "q" then Printf.sprintf "q%d" k :: decls else decls in
+        Gen.map (fun rest -> st :: rest) (stmts (k + 1) decls (target :: written) n)
+    in
+    Gen.map2
+      (fun hdr sts ->
+        Printf.sprintf
+          "double u = 0.5; double w = s; int j; %s { %s } out[p * 3] = u; out[p * 3 + 1] = w; out[p * 3 + \
+           2] = j;"
+          hdr (String.concat " " sts))
+      header
+      (Gen.int_range 1 4 >>= stmts 0 [] [])
+
+  (* [x]'s backing array: magnitudes from 1e-3 to 1e3, so that summing in
+     another order rounds differently. *)
+  let data () =
+    Array.init 200 (fun i -> float_of_int (((i * 37) mod 23) - 11) *. (10.0 ** float_of_int ((i mod 7) - 3)))
+
+  (* [x] over [data]: a host array, or a view whose read window and valid
+     range are [0, window). *)
+  let view window data =
+    if window >= Array.length data then View.of_float_array ~name:"x" data
+    else
+      let bad i = raise (View.Bounds { name = "x"; index = i; length = window }) in
+      let check i = if i < 0 || i >= window then bad i in
+      View.doubles ~name:"x" ~length:window ~data ~lo:0 ~hi:window
+        ~load_f:(fun i bank k ->
+          check i;
+          bank.(k) <- data.(i))
+        ~store_f:(fun i _ _ -> bad i)
+        ~reduce_f:(fun _ i _ _ -> bad i)
+end
+
+let strips_vs_reference (body, window) =
+  let src =
+    Printf.sprintf
+      "void main() { int n = 4; int m = 7; double s = 1.5; double x[200]; double out[12]; int p;\n\
+       #pragma acc parallel loop\n\
+       for (p = 0; p < n; p++) { %s }\n\
+       }"
+      body
+  in
+  let program = Parser.parse ~file:"s.c" src in
+  Typecheck.check_program program;
+  let loop = List.hd (Loop_info.extract (Option.get (Ast.find_func program "main"))) in
+  let ty = function "x" | "out" -> Ast.Tarray Ast.Edouble | "s" -> Ast.Tdouble | _ -> Ast.Tint in
+  let params = List.map (fun v -> (v, ty v)) (Loop_info.free_vars loop) in
+  let out = Array.make 12 0.0 and rout = Array.make 12 0.0 in
+  let compiled =
+    match Kernel_compile.compile ~loop ~params ~classify:cycling_classify with
+    | exception e -> Error e
+    | kc -> (
+        let frame = kc.Kernel_compile.make_frame () in
+        List.iter
+          (fun (name, slot, _) ->
+            match name with
+            | "x" -> Frame.set_view frame slot (Sgen.view window (Sgen.data ()))
+            | "out" -> Frame.set_view frame slot (View.of_float_array ~name out)
+            | "s" -> Frame.set_float frame slot 1.5
+            | "m" -> Frame.set_int frame slot 7
+            | _ -> ())
+          kc.Kernel_compile.params;
+        match
+          for i = 0 to 3 do
+            kc.Kernel_compile.run_iter frame i
+          done
+        with
+        | () -> Ok frame.Frame.cost
+        | exception e -> Error e)
+  in
+  let bindings =
+    List.map
+      (fun (name, _) ->
+        ( name,
+          match name with
+          | "x" -> Ref_interp.Carray (Sgen.view window (Sgen.data ()))
+          | "out" -> Ref_interp.Carray (View.of_float_array ~name rout)
+          | "s" -> Ref_interp.Cfloat (ref 1.5)
+          | _ -> Ref_interp.Cint (ref 7) ))
+      params
+  in
+  let reference =
+    match Ref_interp.run_kernel program ~classify:cycling_classify loop bindings ~lo:0 ~hi:4 with
+    | c -> Ok c
+    | exception e -> Error e
+  in
+  let bits = Array.map Int64.bits_of_float in
+  match (compiled, reference) with
+  | Error c, Error r when Printexc.to_string c = Printexc.to_string r -> Ok ()
+  | Error c, Error r ->
+      Error (Printf.sprintf "the compiled kernel raised %s, the reference %s" (Printexc.to_string c) (Printexc.to_string r))
+  | Error e, Ok _ -> Error (Printf.sprintf "only the compiled kernel raised %s" (Printexc.to_string e))
+  | Ok _, Error e -> Error (Printf.sprintf "only the reference raised %s" (Printexc.to_string e))
+  | Ok c, Ok r ->
+      if bits out <> bits rout then
+        Error
+          (Printf.sprintf "results differ: compiled [%s], reference [%s]"
+             (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") out)))
+             (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") rout))))
+      else if cost_fields c <> cost_fields r then Error "counts differ"
+      else Ok ()
+
+let prop_strips_match_reference =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 20131004 |])
+    (QCheck2.Test.make ~count:400 ~long_factor:10
+       ~name:"strips: store-free counted loops match the reference, counts and faults included"
+       ~print:(fun (body, window) -> Printf.sprintf "window %d: %s" window body)
+       (Gen.pair Sgen.body (Gen.frequency [ (2, Gen.return 200); (1, Gen.int_range 60 199) ]))
+       (fun case ->
+         match strips_vs_reference case with
+         | Ok () -> true
+         | Error msg -> QCheck2.Test.fail_reportf "%s" msg))
+
 (* ---------------- The in-place read path ---------------- *)
 
 module Darray = Mgacc_runtime.Darray
@@ -1713,9 +1897,10 @@ let test_device_stores_use_accessors () =
 
 (* A kernel allocates nothing per iteration: running it twice as long,
    from iteration [first], allocates the same. [bind name slot] binds each
-   parameter. *)
-let check_allocates_nothing ?(first = 0) what src ~params ~bind =
+   parameter; [strips] is how many of its counted loops run over strips. *)
+let check_allocates_nothing ?(first = 0) ?(strips = 0) what src ~params ~bind =
   let kc = compile_loop src ~params in
+  check Alcotest.int (what ^ ": loops over strips") strips kc.Kernel_compile.strip_loops;
   let words iters =
     let frame = kc.Kernel_compile.make_frame () in
     List.iter (fun (name, slot, _) -> bind frame name slot) kc.Kernel_compile.params;
@@ -1750,9 +1935,10 @@ let bind_kmeans frame name slot =
   | "membership" -> Frame.set_view frame slot (View.of_int_array ~name (Array.make 2000 (-1)))
   | _ -> ()
 
-(* kmeans: a straight-line double step, the whole distance body, two
-   nested counted loops over row-major subscripts, and the centre
-   reduction, whose update reads its contribution; the generic arms of
+(* kmeans: a straight-line double step, the distance loop alone and in
+   the whole distance body (both over strips, so a strip allocates
+   nothing per trip), two nested counted loops over row-major subscripts,
+   and the centre reduction, whose update reads its contribution; the generic arms of
    reductions, stores, comparisons and negation; bfs: the int edge scan,
    a counted loop bounded by a local; spmv: the row body, on the device
    views GPU 1 of 2 binds (its parts start past 0), so the in-place read
@@ -1770,7 +1956,22 @@ for (i = 0; i < n; i++) {
 } }|}
     ~params:(List.filter (fun (v, _) -> v <> "membership" && v <> "delta") kmeans_params)
     ~bind:bind_kmeans;
-  check_allocates_nothing "kmeans distance body"
+  check_allocates_nothing "kmeans distance loop" ~strips:1
+    {|void main() { int n = 2000; int f = 16; int k = 5; double x[n*f]; double centers[k*f]; double out[n]; int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) {
+  int c = i % k;
+  double dist = 0.0;
+  int j2;
+  for (j2 = 0; j2 < f; j2++) {
+    double d = x[i*f + j2] - centers[c*f + j2];
+    dist = dist + d*d;
+  }
+  out[i] = dist;
+} }|}
+    ~params:(List.filter (fun (v, _) -> v <> "membership" && v <> "delta") kmeans_params)
+    ~bind:bind_kmeans;
+  check_allocates_nothing "kmeans distance body" ~strips:1
     {|void main() { int n = 2000; int f = 16; int k = 5; double x[n*f]; double centers[k*f]; int membership[n];
 int delta = 0; int i;
 #pragma acc parallel loop reduction(+: delta)
@@ -2056,6 +2257,7 @@ let suite =
     tc "kernel: fused operators and folded literals match the reference, faults included"
       test_kernel_fused_matrix;
     prop_kernel_matches_reference;
+    prop_strips_match_reference;
     prop_inline_read_matches_accessors;
     prop_literal_division;
     tc "view: device views never write in place: dirty bits, misses and charges as the accessors'"

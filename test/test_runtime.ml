@@ -461,6 +461,30 @@ let e2e_smoke_shapes () =
       fun m -> Rt_config.make ~collective:Rt_config.Auto m );
   ]
 
+(* How many counted loops of each parallel loop of [source] compile to
+   strips. kmeans's assignment kernel must have its distance loop there:
+   its loads are [x]'s rows, inside each GPU's part, and the replicated
+   [centers], so every entry takes the strip path. *)
+let strip_loops source =
+  let module Ast = Mgacc_minic.Ast in
+  let module Loop_info = Mgacc_analysis.Loop_info in
+  let program = Mgacc.parse_string ~name:"shape.c" source in
+  let ty = function
+    | "x" | "centers" | "newcenters" -> Ast.Tarray Ast.Edouble
+    | "membership" | "counts" -> Ast.Tarray Ast.Eint
+    | _ -> Ast.Tint
+  in
+  List.map
+    (fun loop ->
+      let params = List.map (fun v -> (v, ty v)) (Loop_info.free_vars loop) in
+      (Mgacc_exec.Kernel_compile.compile ~loop ~params ~classify:(fun _ _ -> Mgacc_analysis.Coalesce.Coalesced))
+        .Mgacc_exec.Kernel_compile.strip_loops)
+    (Loop_info.extract (Option.get (Ast.find_func program "main")))
+
+let check_kmeans_strips what (app : Mgacc_apps.App_common.t) =
+  if String.starts_with ~prefix:"kmeans" what then
+    check Alcotest.(list int) (what ^ ": the distance loop runs over strips") [ 1; 0 ] (strip_loops app.source)
+
 (* Allocation counters count the domain that reads them, so a task must
    not allocate where the caller's counters cannot see it: every task of
    every launch allocates nothing on the domain that runs it. *)
@@ -483,6 +507,7 @@ let test_tasks_allocate_nothing () =
     (fun () ->
       List.iter
         (fun (what, (app : Mgacc_apps.App_common.t), spec, config) ->
+          check_kmeans_strips what app;
           Atomic.set tasks 0;
           Launch.task_words := Some report;
           ignore (run_shape app.source spec config);
@@ -498,6 +523,7 @@ let test_tasks_allocate_nothing () =
 let test_parallel_runs_deterministic () =
   List.iter
     (fun (what, (app : Mgacc_apps.App_common.t), spec, config) ->
+      check_kmeans_strips what app;
       (* Doubles as their bits, so NaNs and signed zeros count. *)
       let snapshot () =
         let env, report = run_shape app.source spec config in

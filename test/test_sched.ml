@@ -124,23 +124,29 @@ let test_feedback_unrated () =
   let fb = Feedback.create Feedback.default_knobs ~num_gpus:2 in
   Alcotest.(check bool) "no samples: unrated" true (Feedback.rates fb = None);
   Feedback.observe fb ~iterations:[| 100; 0 |] ~seconds:[| 1e-4; 0.0 |];
-  Alcotest.(check bool) "device 1 never ran: still unrated" true (Feedback.rates fb = None)
+  Alcotest.(check bool) "device 1 never ran: still unrated" true (Feedback.rates fb = None);
+  Alcotest.(check bool) "unrated: no proposal" true (Feedback.propose fb ~current:[| 0.5; 0.5 |] = None)
+
+(* The fractional gain of moving to a proposal's weights. *)
+let proposal_gain fb ~current =
+  match Feedback.propose fb ~current with
+  | None -> Alcotest.fail "expected a proposal once every device is rated"
+  | Some p -> (p, (p.Feedback.t_current -. p.Feedback.t_proposed) /. p.Feedback.t_current)
 
 let test_feedback_balanced () =
   let fb = Feedback.create Feedback.default_knobs ~num_gpus:2 in
   Feedback.observe fb ~iterations:[| 100; 100 |] ~seconds:[| 1e-4; 1e-4 |];
-  Alcotest.(check (float 1e-9)) "equal rates: no predicted gain" 0.0
-    (Feedback.predicted_gain fb ~current:[| 0.5; 0.5 |])
+  let p, gain = proposal_gain fb ~current:[| 0.5; 0.5 |] in
+  Alcotest.(check (array (float 0.0))) "equal rates: the equal split" [| 0.5; 0.5 |] p.Feedback.weights;
+  Alcotest.(check (float 1e-9)) "equal rates: no predicted gain" 0.0 gain
 
 let test_feedback_skewed () =
   let fb = Feedback.create Feedback.default_knobs ~num_gpus:2 in
   Feedback.observe fb ~iterations:[| 100; 100 |] ~seconds:[| 1e-4; 3e-4 |];
-  (match Feedback.proposed_weights fb with
-  | None -> Alcotest.fail "expected a proposal once every device is rated"
-  | Some w ->
-      Alcotest.(check bool) "fast GPU earns the larger share" true (w.(0) > w.(1)));
-  Alcotest.(check bool) "skew predicts a gain over the equal split" true
-    (Feedback.predicted_gain fb ~current:[| 0.5; 0.5 |] > 0.2)
+  let p, gain = proposal_gain fb ~current:[| 0.5; 0.5 |] in
+  let w = p.Feedback.weights in
+  Alcotest.(check bool) "fast GPU earns the larger share" true (w.(0) > w.(1));
+  Alcotest.(check bool) "skew predicts a gain over the equal split" true (gain > 0.2)
 
 (* ---------------- Rebalance planner ---------------- *)
 

@@ -40,7 +40,7 @@ for _ in 1 2 3 4 5; do
 done
 # Ratchet: the failwith/assert false lines in lib may only fall. A change
 # that removes some lowers the number here; none may raise it.
-max_failure_sites=37
+max_failure_sites=36
 sites="$(grep -rE 'failwith|assert false' lib | wc -l)"
 if [ "$sites" -gt "$max_failure_sites" ]; then
   echo "check.sh: $sites failwith/assert false lines in lib, more than $max_failure_sites:" >&2
@@ -54,7 +54,7 @@ fi
 # Matching by name undercounts (a value of the same name elsewhere hides a
 # dead export), so the count can only be too low. A change that removes
 # some lowers the number here; none may raise it.
-max_uncalled_exports=44
+max_uncalled_exports=43
 uncalled=""
 for mli in lib/*/*.mli; do
   ml="${mli%i}"
