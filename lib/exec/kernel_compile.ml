@@ -81,10 +81,11 @@ type ctx = {
       (** the float slot a fused operator's loads pass through outside
           their view's read window, [-1] until one needs it *)
   mutable strip_loops : int;  (** counted loops compiled to run over strips *)
+  frame_once : bool;  (** a run builds the frame once, not per call: loops reserve strips *)
 }
 
-let context ?result layout classify host =
-  { layout; classify; host; result; charge = Cost.zero (); scratch = -1; strip_loops = 0 }
+let context ?result ?(frame_once = true) layout classify host =
+  { layout; classify; host; result; charge = Cost.zero (); scratch = -1; strip_loops = 0; frame_once }
 
 let host_classify _ _ = Coalesce.Coalesced
 
@@ -332,11 +333,12 @@ let[@inline] fbuiltin op (x : float) y =
   | Abs | Min | Max -> assert false
 
 (* A double operation as it runs, chosen when it compiles: a float
-   operator ([skind_of_binop]), a negation, a copy of the left operand or
-   a builtin. A unary one reads its operand twice. *)
+   operator ([skind_of_binop], whose callers match [+ - * /] first), a
+   negation, a copy of the left operand or a builtin. A unary one reads
+   its operand twice. *)
 type skind = Sadd | Ssub | Smul | Sdiv | Sneg | Scopy | Sfn of Builtins.op
 
-let skind_of_binop = function Add -> Sadd | Sub -> Ssub | Mul -> Smul | _ -> Sdiv
+let skind_of_binop = function Add -> Sadd | Sub -> Ssub | Mul -> Smul | Div -> Sdiv | _ -> assert false
 
 let[@inline] sapply k (x : float) y =
   match k with
@@ -636,8 +638,9 @@ let[@inline] soffset (fr : Frame.t) step t0 o =
 (* One statement over trips [t0, t0 + len): [v = k x y] at each trip,
    folded first, when [acc >= 0], into the scalar at [acc] in trip order
    ([acc op v], or [v op acc] when [flip]), and left in the strip at
-   [keep] when [keep >= 0]. Inlined with constant kinds, the common
-   statements loop without a dispatch. *)
+   [keep] when [keep >= 0]. [pass] inlines it with constant kinds only
+   for the passes a workload runs, kmeans's [d = x[..] - centers[..]] and
+   [dist = dist + d*d]; any other dispatches per trip (docs/PERF.md). *)
 let[@inline] pass_loop op flip k acc keep (fl : float array) (xd : float array) xo xs (yd : float array)
     yo ys len =
   let a = ref (if acc >= 0 then Array.unsafe_get fl acc else 0.0) and xi = ref xo and yi = ref yo in
@@ -659,10 +662,7 @@ let pass step op flip k x y acc keep =
     let xd = sdata fr x and xo = soffset fr step t0 x and xs = sstride fr step x in
     let yd = sdata fr y and yo = soffset fr step t0 y and ys = sstride fr step y in
     match (acc, k, flip, op) with
-    | -1, Sadd, _, _ -> pass_loop Scopy false Sadd (-1) keep fl xd xo xs yd yo ys len
     | -1, Ssub, _, _ -> pass_loop Scopy false Ssub (-1) keep fl xd xo xs yd yo ys len
-    | -1, Smul, _, _ -> pass_loop Scopy false Smul (-1) keep fl xd xo xs yd yo ys len
-    (* kmeans's [dist = dist + d*d]. *)
     | _, Smul, false, Sadd when keep < 0 -> pass_loop Sadd false Smul acc (-1) fl xd xo xs yd yo ys len
     | _ -> pass_loop op flip k acc keep fl xd xo xs yd yo ys len
   in
@@ -842,7 +842,7 @@ let strip_plan ctx rs ~counter ~step body =
 
 (* The strips of a counted loop [v op b] stepping by [step], or [None]. A
    dry build reserving nothing comes first, so an ineligible body leaves
-   the layout as it was. *)
+   the layout as it was; its constants are -1, which no slot is. *)
 let strips ctx op ~counter ~step body =
   let plan rs = match strip_plan ctx rs ~counter ~step body with p -> Some p | exception Not_strip -> None in
   let strip () =
@@ -854,9 +854,8 @@ let strips ctx op ~counter ~step body =
   in
   match (op, step) with
   | ((Lt | Le), 1 | (Gt | Ge), -1)
-    when Option.is_some (plan { strip = (fun () -> 0); cint = (fun _ -> 0); cfloat = (fun _ -> 0) }) ->
-      let l = ctx.layout in
-      plan { strip; cint = Frame.Layout.const_int l; cfloat = Frame.Layout.const_float l }
+    when Option.is_some (plan { strip = (fun () -> 0); cint = (fun _ -> -1); cfloat = (fun _ -> -1) }) ->
+      plan { strip; cint = Frame.Layout.const_int ctx.layout; cfloat = Frame.Layout.const_float ctx.layout }
   | _ -> None
 
 let rec comp_iop ctx e : iop =
@@ -1288,7 +1287,7 @@ and comp_call ctx loc name args =
       callee),
     fn )
 
-and function_of h loc name =
+and function_of ?(entry = false) h loc name =
   match Hashtbl.find_opt h.funcs name with
   | Some fn -> fn
   | None ->
@@ -1308,7 +1307,7 @@ and function_of h loc name =
         { fn_layout = layout; fn_params = params; fn_result = result; fn_body = nop; fn_scope = Frame.Layout.scope layout }
       in
       Hashtbl.replace h.funcs name fn;
-      let ctx = context ?result layout host_classify (Some h) in
+      let ctx = context ?result ~frame_once:entry layout host_classify (Some h) in
       (* Parameters and the body's own declarations share one scope, as in C. *)
       fn.fn_body <- comp_block_no_scope ctx f.fbody;
       fn.fn_scope <- Frame.Layout.scope layout;
@@ -1437,16 +1436,14 @@ and comp_stmt ctx s : Frame.t -> unit =
       match counted_loop ctx hdr body with
       | Some (op, v, b, d) -> (
           (* One OCaml loop over the counter's and the bound's slots, or
-             strips when the body is eligible and the entry's loads fit
-             (kernel_compile.mli). The body cannot jump, so it is one
-             segment, and the loop pays for every trip at once when it
-             ends: the body's charge plus 3 int ops per trip (2 for the
-             test, the loop's and the comparison's, and 1 for the step),
-             and 2 for the test that ends it. *)
+             strips (kernel_compile.mli). The body cannot jump, so it is one
+             segment, paid for every trip at once when the loop ends: its
+             charge plus 3 int ops per trip (the loop's and the comparison's
+             tests, the step), and 2 for the test that ends it. *)
           let body = match body with [ { sdesc = Sblock b; _ } ] -> b | b -> b in
           Frame.Layout.enter_scope ctx.layout;
           let cb, per_trip = in_segment ctx (fun () -> comp_stmts ctx body) in
-          let strips = strips ctx op ~counter:v ~step:d body in
+          let strips = if ctx.frame_once then strips ctx op ~counter:v ~step:d body else None in
           Frame.Layout.leave_scope ctx.layout;
           Frame.Layout.leave_scope ctx.layout;
           per_trip.Cost.int_ops <- per_trip.Cost.int_ops + 3;
@@ -1789,7 +1786,7 @@ let compile ~loop ~params ~classify =
 let host prog stager = { prog; stager; funcs = Hashtbl.create 8 }
 
 let compile_function h name =
-  let fn = function_of h Loc.dummy name in
+  let fn = function_of ~entry:true h Loc.dummy name in
   ( fn.fn_scope,
     fun () ->
       let fr = Frame.create fn.fn_layout uncharged in

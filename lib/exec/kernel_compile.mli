@@ -116,7 +116,8 @@
     in trip order, and every scalar and the counter end bit for bit as one
     trip at a time leaves them. Any other entry runs one trip at a time and
     raises what it raised before, at the same trip. Either way the loop
-    pays its charge once, when it ends.
+    pays its charge once, when it ends. A function that host code calls
+    builds its frame per call, so its loops run one trip at a time.
 
     None of these shapes changes an order, an error or a charge: the right
     operand still runs first, so of two faulting operands the right one's
@@ -183,7 +184,10 @@ type t = {
           run in it charge *)
   params : (string * Frame.slot * Ast.typ) list;
       (** parameter binding sites, in the order given to {!compile} *)
-  strip_loops : int;  (** how many of the body's counted loops run over strips *)
+  strip_loops : int;
+      (** counted loops of the body that run over strips. Only tests read it
+          ("kernel: a double body allocates nothing per iteration", two launch
+          tests): either path gives the same values, charges and faults. *)
 }
 
 val compile :

@@ -1471,6 +1471,48 @@ let prop_strips_match_reference =
          | Ok () -> true
          | Error msg -> QCheck2.Test.fail_reportf "%s" msg))
 
+(* Host code: [main]'s frame is built once a run, so its loops reserve
+   strips (the one here has int slot 0 as its counter, like any [main]
+   whose first int is the counter); a called function's frame is built on
+   every call, so its loops reserve none and a call allocates less than
+   one strip of 64 floats. *)
+let test_host_strips_main_only () =
+  let body = "for (j = 0; j < n; j++) { double d = x[j] * 0.5; s = s + d; }" in
+  let src =
+    Printf.sprintf
+      "void main() { int j; int n = 100; double x[100]; double s = 0.0;\n\
+       for (j = 0; j < n; j++) { x[j] = j; }\n\
+       %s }"
+      body
+  in
+  let program = Parser.parse ~file:"h.c" src in
+  Typecheck.check_program program;
+  let stager =
+    { Kernel_compile.directive = (fun _ _ inner -> inner); parallel_loop = (fun _ _ _ _ -> ()) }
+  in
+  let _, exec = Kernel_compile.compile_function (Kernel_compile.host program stager) "main" in
+  let frame = exec () in
+  if Array.length frame.Frame.floats < 64 then
+    Alcotest.failf "main's frame holds %d floats, no strip" (Array.length frame.Frame.floats);
+  (match Host_interp.get_scalar (run src) "s" with
+  | Host_interp.Vfloat s -> check (Alcotest.float 0.0) "sum over strips" 2475.0 s
+  | Host_interp.Vint _ -> Alcotest.fail "s is a double");
+  let words calls =
+    let program =
+      Parser.parse ~file:"h.c"
+        (Printf.sprintf
+           "double h(double x[], int n) { int j; double s = 0.0; %s return s; }\n\
+            void main() { int i; double x[8]; double t = 0.0;\n\
+            for (i = 0; i < %d; i++) { t = t + h(x, 8); } }"
+           body calls)
+    in
+    let before = Gc.minor_words () in
+    ignore (Host_interp.run_program program : Host_interp.env);
+    Gc.minor_words () -. before
+  in
+  let per_call = (words 2000 -. words 1000) /. 1000.0 in
+  if per_call >= 64.0 then Alcotest.failf "a call allocated %.1f minor words" per_call
+
 (* ---------------- The in-place read path ---------------- *)
 
 module Darray = Mgacc_runtime.Darray
@@ -2258,6 +2300,7 @@ let suite =
       test_kernel_fused_matrix;
     prop_kernel_matches_reference;
     prop_strips_match_reference;
+    tc "strips: host main reserves strips, a called function does not" test_host_strips_main_only;
     prop_inline_read_matches_accessors;
     prop_literal_division;
     tc "view: device views never write in place: dirty bits, misses and charges as the accessors'"
