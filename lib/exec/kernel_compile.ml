@@ -19,7 +19,19 @@ exception Return
 (* Reduction statement decomposition.                                  *)
 (* ------------------------------------------------------------------ *)
 
-let same_subscript a b = Pretty.expr_to_string a = Pretty.expr_to_string b
+(* Two subscripts that print alike. Those built alike from variables,
+   int literals, operators and loads do, which is decided without
+   printing them. *)
+let same_subscript a b =
+  let rec alike a b =
+    match (a.edesc, b.edesc) with
+    | Var x, Var y -> x = y
+    | Int_lit x, Int_lit y -> x = y
+    | Binop (o, x, y), Binop (o', x', y') -> o = o' && alike x x' && alike y y'
+    | Index (v, i), Index (v', i') -> v = v' && alike i i'
+    | _ -> false
+  in
+  alike a b || Pretty.expr_to_string a = Pretty.expr_to_string b
 
 let extract_reduction op stmt =
   let loc = stmt.sloc in
@@ -553,15 +565,23 @@ let iteration (loop : Loop_info.t) code =
   else code
 
 (* [for (init; v op b; v++)] or [v--], [v] an int variable, [b] an int
-   variable or literal, and no jump out of [body]: the comparison, the
-   counter's slot, the bound's slot and the step. *)
+   variable, literal or negated literal, and no jump out of [body]: the
+   comparison, the counter's slot, the bound's slot, the step and the int
+   ops each test pays besides the comparison's (1 for a negation). *)
 let counted_loop ctx hdr body =
   match (hdr.for_cond, hdr.for_update) with
   | ( Some
         { edesc = Binop (((Eq | Ne | Lt | Le | Gt | Ge) as op), ({ edesc = Var v; _ } as ve), bound); _ },
       Some { sdesc = Sincr (Lvar v', d); _ } )
     when v = v' && not (jumps body) -> (
-      match (int_slot ctx ve, int_slot ctx bound) with Some i, Some b -> Some (op, i, b, d) | _ -> None)
+      let bound, neg =
+        match bound.edesc with
+        | Unop (Neg, { edesc = Int_lit k; _ }) -> ({ bound with edesc = Int_lit (-k) }, 1)
+        | _ -> (bound, 0)
+      in
+      match (int_slot ctx ve, int_slot ctx bound) with
+      | Some i, Some b -> Some (op, i, b, d, neg)
+      | _ -> None)
   | _ -> None
 
 (* The value of [a + b], [a - b] or [a * b] over two int literals, which
@@ -609,18 +629,22 @@ let op_over_slot ctx e =
    does not write), or from the double array in view slot [view] at [a*b ±
    c] with the counter at its first value, moving by the step times
    [ints.(coef)] per trip: [coef] holds 1 or -1 where the counter is [c],
-   the other factor where it is [a] or [b], and 0 where it is absent. *)
+   the other factor where it is [a] or [b], and 0 where it is absent. The
+   array is the view's read window, or its reduction window for the
+   destination of a reduction update with operator [red]. *)
 let strip_len = 64
 
 exception Not_strip
 
 type sopnd =
   | Bank of { slot : int; stride : int }
-  | Elem of { view : int; a : int; b : int; c : int; neg : bool; coef : int }
+  | Elem of { view : int; a : int; b : int; c : int; neg : bool; coef : int; red : redop option }
 
 let[@inline] sdata (fr : Frame.t) = function
   | Bank _ -> fr.Frame.floats
-  | Elem l -> (Array.unsafe_get fr.Frame.views l.view).View.fdata
+  | Elem l -> (
+      let v = Array.unsafe_get fr.Frame.views l.view in
+      match l.red with None -> v.View.fdata | Some _ -> v.View.rwin.View.rdata)
 
 let[@inline] sstride (fr : Frame.t) step = function
   | Bank b -> b.stride
@@ -633,7 +657,7 @@ let[@inline] soffset (fr : Frame.t) step t0 o =
   | Elem l ->
       affine fr.Frame.ints l.a l.b l.c l.neg
       + (t0 * sstride fr step o)
-      - (Array.unsafe_get fr.Frame.views l.view).View.lo
+      - match l.red with None -> (Array.unsafe_get fr.Frame.views l.view).View.lo | Some _ -> 0
 
 (* One statement over trips [t0, t0 + len): [v = k x y] at each trip,
    folded first, when [acc >= 0], into the scalar at [acc] in trip order
@@ -668,15 +692,41 @@ let pass step op flip k x y acc keep =
   in
   run
 
+(* A reduction update over trips [t0, t0 + len): [k x y] at each trip
+   folded with [op] into the element of [d] at that trip, in trip order,
+   so a destination that does not move takes every trip's fold. [op] is
+   applied as [View.apply_redop_f] applies it, unboxed. [fold_pass]
+   inlines it with constant kinds only for kmeans's [newcenters[..] +=
+   x[..]]; any other dispatches per trip (docs/PERF.md). *)
+let[@inline] fold_loop op k (xd : float array) xi xs (yd : float array) yi ys (dd : float array) di ds len =
+  let xi = ref xi and yi = ref yi and di = ref di in
+  for _ = 1 to len do
+    let v = sapply k (Array.unsafe_get xd !xi) (Array.unsafe_get yd !yi) in
+    Array.unsafe_set dd !di (sapply op (Array.unsafe_get dd !di) v);
+    xi := !xi + xs;
+    yi := !yi + ys;
+    di := !di + ds
+  done
+
+let fold_pass step op k x y d =
+  let op = match op with Rplus -> Sadd | Rmul -> Smul | Rmax -> Sfn Builtins.Fmax | Rmin -> Sfn Builtins.Fmin in
+  fun (fr : Frame.t) t0 len ->
+    let xd = sdata fr x and xi = soffset fr step t0 x and xs = sstride fr step x in
+    let dd = sdata fr d and di = soffset fr step t0 d and ds = sstride fr step d in
+    match (op, k) with
+    | Sadd, Scopy -> fold_loop Sadd Scopy xd xi xs xd xi xs dd di ds len
+    | _ -> fold_loop op k xd xi xs (sdata fr y) (soffset fr step t0 y) (sstride fr step y) dd di ds len
+
 type strips = {
   passes : (Frame.t -> int -> int -> unit) array;
-  loads : sopnd array;  (** every [Elem] a pass reads *)
+  loads : sopnd array;  (** every [Elem] a pass reads or folds into *)
   lasts : (int * int) array;  (** each plainly assigned scalar's slot and strip *)
+  dests : int array;  (** the view slots of the reduction destinations *)
 }
 
 (* The trips of [v op b] stepping by [step] from [v0], when the body moves
    neither [v] nor [b]; a count that does not fit an int is negative. *)
-let trip_count op step v0 b =
+let[@inline] trip_count op step v0 b =
   match (op, step) with
   | Lt, 1 when v0 < b -> b - v0
   | Le, 1 when v0 <= b -> b - v0 + 1
@@ -684,28 +734,51 @@ let trip_count op step v0 b =
   | Ge, -1 when v0 >= b -> v0 - b + 1
   | _ -> 0
 
+(* Whether element [i] and, on each of the [n > 0] trips, [i] moved by
+   [s] per trip, lie in [\[lo, hi)]: the first and last trips' do, and
+   the span between them cannot wrap, as [(n - 1) * s] is below 2^62. *)
+let[@inline] span_fits lo hi i s n =
+  i >= lo && i < hi
+  && (s = 0
+     || n <= 0x8000_0000 && s > -0x8000_0000 && s < 0x8000_0000
+        &&
+        let j = i + ((n - 1) * s) in
+        j >= lo && j < hi)
+
+(* Whether a destination from [k] on folds into [data]. *)
+let rec folds_into (dests : int array) (fr : Frame.t) data k =
+  k < Array.length dests
+  && ((Array.unsafe_get fr.Frame.views (Array.unsafe_get dests k)).View.rwin.View.rdata == data
+     || folds_into dests fr data (k + 1))
+
 (* Whether every load from [k] on reads inside its view's read window (so
-   inside its backing array) on each of [n > 0] trips: the first and last
-   trips' elements do, and the span between them cannot wrap. *)
-let rec loads_fit (loads : sopnd array) (fr : Frame.t) step n k =
+   inside its backing array), from an array no destination folds into, and
+   every destination folds inside its view's reduction window with an
+   operator it accepts, on each of [n > 0] trips. *)
+let rec loads_fit (loads : sopnd array) dests (fr : Frame.t) step n k =
   k = Array.length loads
   || (match Array.unsafe_get loads k with
      | Bank _ -> true
-     | Elem l as o ->
+     | Elem l as o -> (
          let v = Array.unsafe_get fr.Frame.views l.view in
-         let lo = v.View.lo and hi = v.View.hi in
          let i = affine fr.Frame.ints l.a l.b l.c l.neg and s = sstride fr step o in
-         i >= lo && i < hi
-         && Array.length v.View.fdata >= hi - lo
-         && (s = 0
-            || n - 1 <= (hi - lo - 1) / abs s
-               &&
-               let j = i + ((n - 1) * s) in
-               j >= lo && j < hi))
-     && loads_fit loads fr step n (k + 1)
+         match l.red with
+         | None ->
+             Array.length v.View.fdata >= v.View.hi - v.View.lo
+             && span_fits v.View.lo v.View.hi i s n
+             && not (folds_into dests fr v.View.fdata 0)
+         | Some op ->
+             let w = v.View.rwin in
+             (match w.View.rop with None -> true | Some o -> o = op)
+             && span_fits 0 (Array.length w.View.rdata) i s n))
+     && loads_fit loads dests fr step n (k + 1)
 
-(* [n > 0] trips; each plainly assigned scalar ends with its last trip. *)
+(* [n > 0] trips; each destination's view is marked once, and each
+   plainly assigned scalar ends with its last trip. *)
 let run_strips s (fr : Frame.t) n =
+  for k = 0 to Array.length s.dests - 1 do
+    (Array.unsafe_get fr.Frame.views (Array.unsafe_get s.dests k)).View.rwin.View.rtouch ()
+  done;
   let t0 = ref 0 in
   while !t0 < n do
     let len = if n - !t0 < strip_len then n - !t0 else strip_len in
@@ -727,26 +800,38 @@ type reserve = { strip : unit -> int; cint : int -> int; cfloat : float -> int }
 (* [body], already compiled trip at a time in the current scope, as passes
    over strips, or [Not_strip]. A statement reads no scalar that it or a
    later one writes, except that [x = x op e], [x = e op x] and [x op= e]
-   fold [e] into [x]; each scalar is written once. Such a body cannot
-   fault once its loads fit, so the passes need only its data order. *)
+   fold [e] into [x]; each scalar is written once. A kernel's reduction
+   update folds into its array, which no other statement reduces into or
+   any statement reads. Such a body cannot fault once its loads and
+   destinations fit, so the passes need only its data order. *)
 let strip_plan ctx rs ~counter ~step body =
-  let passes = ref [] and loads = ref [] and lasts = ref [] and kept = ref [] in
+  let passes = ref [] and loads = ref [] and lasts = ref [] and kept = ref [] and dests = ref [] in
   let target s =
-    match s.sdesc with Sdecl (Tdouble, x, _) | Sassign (Lvar x, _, _) -> x | _ -> raise Not_strip
+    match s.sdesc with
+    | Sdecl (Tdouble, x, _) | Sassign (Lvar x, _, _) -> x
+    | Spragma (Dreduction_to_array { rta_array; _ }, _) when ctx.host = None -> rta_array
+    | _ -> raise Not_strip
   in
   let float_slot x =
     match Frame.Layout.lookup ctx.layout x with Some (Frame.Float_slot i, _) -> i | _ -> raise Not_strip
   in
-  let load a idx =
+  (* Element [idx] of double array [a], read or, with [red], folded into. A
+     subscript [j + c], [c + j] or [j - c] over two slots is [j*1 ± c]
+     here, where only the trip-at-a-time code charges it. *)
+  let elem a idx red =
     let view =
       match Frame.Layout.lookup ctx.layout a with
       | Some (Frame.View_slot i, Tarray Edouble) -> i
       | _ -> raise Not_strip
     in
     let a, b, c, neg =
-      match (int_slot ctx idx, affine_of ctx idx) with
-      | Some s, _ -> (s, rs.cint 1, rs.cint 0, false)
-      | None, Some (Iaff { a; b; c; neg }) -> (a, b, c, neg)
+      match (int_slot ctx idx, affine_of ctx idx, idx.edesc) with
+      | Some s, _, _ -> (s, rs.cint 1, rs.cint 0, false)
+      | None, Some (Iaff { a; b; c; neg }), _ -> (a, b, c, neg)
+      | None, None, Binop (((Add | Sub) as op), l, r) -> (
+          match (int_slot ctx l, int_slot ctx r) with
+          | Some l, Some r -> (l, rs.cint 1, r, op = Sub)
+          | _ -> raise Not_strip)
       | _ -> raise Not_strip
     in
     let coef =
@@ -757,8 +842,9 @@ let strip_plan ctx rs ~counter ~step body =
       | false, false, true -> rs.cint (if neg then -1 else 1)
       | _ -> raise Not_strip
     in
-    let o = Elem { view; a; b; c; neg; coef } in
+    let o = Elem { view; a; b; c; neg; coef; red } in
     loads := o :: !loads;
+    if red <> None then dests := view :: !dests;
     o
   in
   (* [e] as what a pass computes, its operands placed. *)
@@ -771,7 +857,7 @@ let strip_plan ctx rs ~counter ~step body =
         match List.assoc_opt x !kept with
         | Some s -> leaf (Bank { slot = s; stride = 1 })
         | None -> leaf (Bank { slot = float_slot x; stride = 0 }))
-    | Tdouble, Index (a, idx) -> leaf (load a idx)
+    | Tdouble, Index (a, idx) -> leaf (elem a idx None)
     | Tdouble, Unop (Cast_double, x) -> term pending x
     | Tdouble, Unop (Neg, x) ->
         let o = value pending x in
@@ -798,6 +884,11 @@ let strip_plan ctx rs ~counter ~step body =
   in
   let rec go = function
     | [] -> ()
+    | ({ sdesc = Spragma (Dreduction_to_array { rta_op = op; rta_array = a }, inner); _ } as s) :: later ->
+        let idx, e = extract_reduction op inner in
+        let k, x, y = term (List.map target (s :: later)) e in
+        passes := fold_pass step op k x y (elem a idx (Some op)) :: !passes;
+        go later
     | s :: later ->
         let x = target s in
         let pending = x :: List.map target later in
@@ -805,7 +896,8 @@ let strip_plan ctx rs ~counter ~step body =
           List.exists
             (fun s ->
               match s.sdesc with
-              | Sdecl (_, _, Some e) | Sassign (_, _, e) -> Mgacc_analysis.Affine.mentions_var e x
+              | Sdecl (_, _, Some e) | Sassign (_, _, e) | Spragma (_, { sdesc = Sassign (_, _, e); _ }) ->
+                  Mgacc_analysis.Affine.mentions_var e x
               | _ -> false)
             later
         in
@@ -838,7 +930,10 @@ let strip_plan ctx rs ~counter ~step body =
   in
   if List.length (List.sort_uniq compare (List.map target body)) < List.length body then raise Not_strip;
   go body;
-  { passes = Array.of_list (List.rev !passes); loads = Array.of_list !loads; lasts = Array.of_list !lasts }
+  if List.exists (function Elem { view; red = None; _ } -> List.mem view !dests | _ -> false) !loads then
+    raise Not_strip;
+  let arr r = Array.of_list !r in
+  { passes = Array.of_list (List.rev !passes); loads = arr loads; lasts = arr lasts; dests = arr dests }
 
 (* The strips of a counted loop [v op b] stepping by [step], or [None]. A
    dry build reserving nothing comes first, so an ineligible body leaves
@@ -1434,26 +1529,27 @@ and comp_stmt ctx s : Frame.t -> unit =
       Frame.Layout.enter_scope ctx.layout;
       let init = match hdr.for_init with Some s' -> comp_stmt ctx s' | None -> nop in
       match counted_loop ctx hdr body with
-      | Some (op, v, b, d) -> (
+      | Some (op, v, b, d, neg) -> (
           (* One OCaml loop over the counter's and the bound's slots, or
              strips (kernel_compile.mli). The body cannot jump, so it is one
              segment, paid for every trip at once when the loop ends: its
              charge plus 3 int ops per trip (the loop's and the comparison's
-             tests, the step), and 2 for the test that ends it. *)
+             tests, the step), and 2 for the test that ends it; a negated
+             bound adds its negation to each test. *)
           let body = match body with [ { sdesc = Sblock b; _ } ] -> b | b -> b in
           Frame.Layout.enter_scope ctx.layout;
           let cb, per_trip = in_segment ctx (fun () -> comp_stmts ctx body) in
           let strips = if ctx.frame_once then strips ctx op ~counter:v ~step:d body else None in
           Frame.Layout.leave_scope ctx.layout;
           Frame.Layout.leave_scope ctx.layout;
-          per_trip.Cost.int_ops <- per_trip.Cost.int_ops + 3;
+          per_trip.Cost.int_ops <- per_trip.Cost.int_ops + 3 + neg;
           if Option.is_some strips then ctx.strip_loops <- ctx.strip_loops + 1;
           let charged = ctx.host = None in
           let pay_trips (fr : Frame.t) n =
             if charged then begin
               let k = fr.Frame.cost in
               pay k per_trip n;
-              k.Cost.int_ops <- k.Cost.int_ops + 2
+              k.Cost.int_ops <- k.Cost.int_ops + 2 + neg
             end
           in
           let one_at_a_time (fr : Frame.t) =
@@ -1474,7 +1570,7 @@ and comp_stmt ctx s : Frame.t -> unit =
                 let is = fr.Frame.ints in
                 let v0 = Array.unsafe_get is v in
                 let n = trip_count op d v0 (Array.unsafe_get is b) in
-                if n > 0 && loads_fit s.loads fr d n 0 then begin
+                if n > 0 && loads_fit s.loads s.dests fr d n 0 then begin
                   run_strips s fr n;
                   Array.unsafe_set is v (v0 + (n * d));
                   pay_trips fr n
@@ -1522,31 +1618,16 @@ and comp_stmt ctx s : Frame.t -> unit =
       let vi, elem = view_slot_of ctx s.sloc rta_array in
       let ix = subscript ctx (comp_iop ctx idx) in
       match elem with
-      | Edouble -> (
+      | Edouble ->
           flops ctx 1;
           scatter ctx 8;
           (* The contribution runs before the subscript. *)
-          match (ix, comp_operand ctx contrib) with
-          | (Iaff _ as ix), Load l ->
-              (* kmeans's [newcenters[c*f + j] += x[i*f + j]]: the update reads
-                 its contribution itself, staged in a temporary for
-                 [reduce_f]. *)
-              let a, b, k, neg = affine_parts ctx ix in
-              let la, lb, lc, ln = affine_parts ctx l.sub and lv = l.view in
-              let t = fresh_float ctx s.sloc in
-              fun fr ->
-                let v = Array.unsafe_get fr.Frame.views vi in
-                let fl = fr.Frame.floats and is = fr.Frame.ints in
-                let x = load_f (Array.unsafe_get fr.Frame.views lv) (affine is la lb lc ln) fl t in
-                Array.unsafe_set fl t x;
-                v.View.reduce_f rta_op (affine is a b k neg) fl t
-          | ix, contrib ->
-              let cc, c = parts_of_fop (place ctx contrib) in
-              let ci = code_of_iop ctx ix in
-              fun fr ->
-                let v = Array.unsafe_get fr.Frame.views vi in
-                cc fr;
-                v.View.reduce_f rta_op (ci fr) fr.Frame.floats c)
+          let cc, c = parts_of_fop (place ctx (comp_operand ctx contrib)) in
+          let ci = code_of_iop ctx ix in
+          fun fr ->
+            let v = Array.unsafe_get fr.Frame.views vi in
+            cc fr;
+            v.View.reduce_f rta_op (ci fr) fr.Frame.floats c
       | Eint ->
           int_ops ctx 1;
           scatter ctx 4;

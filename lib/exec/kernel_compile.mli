@@ -23,8 +23,9 @@
     literals is computed inside the access's closure, [a + b], [a - b] or
     [a * b] over two int literals is a constant, and a builtin call
     resolves its operation once. A counted loop, [for (init; v op b; v++)]
-    or [v--] with [v] an int variable, [b] an int variable or literal and
-    no [break] or [continue] leaving its body, runs as one OCaml loop over
+    or [v--] with [v] an int variable, [b] an int variable, literal or
+    negated literal (whose negation each test still pays) and no [break]
+    or [continue] leaving its body, runs as one OCaml loop over
     the two slots, or over strips (below); other loops install a
     [continue] handler only when their body can jump. Shape never changes
     a charge. Evaluation order is fixed: the right operand of a binary
@@ -40,10 +41,8 @@
     the closure of the operator that uses them when the fused shape
     matches, a slot with an operator over two loads (spmv's [s +
     vals\[i*k + e\] * x\[c\]]). Otherwise they are compiled into a
-    temporary like any code operand. A reduction update with an affine
-    subscript reads an in-place load contribution itself (kmeans's
-    [newcenters\[c*f + j\] = newcenters\[c*f + j\] + x\[i*f + j\]]). Fusing
-    changes neither order nor charges: the right operand still runs first,
+    temporary like any code operand. Fusing changes neither order nor
+    charges: the right operand still runs first,
     a fused load raises what an unfused one raises, and the segment's
     static charge is the same sum (a flop per operator; per load its
     access class, and 2 int ops for an affine subscript, a slot subscript
@@ -68,8 +67,7 @@
     with the workload that pays for it (docs/PERF.md, "Executor shapes
     kept by the census", gives the runs per run):
     - the fused float shape, a slot with an operator over two loads
-      (spmv), and the centre reduction reading its load contribution
-      (kmeans);
+      (spmv);
     - a double comparison of two slots (kmeans's [dist < best]);
     - a double load at a slot subscript into a temporary (spmv's [y\[i\]
       * inv]);
@@ -105,17 +103,23 @@
     {b Strips.} A counted loop stepping [++] under [<] or [<=], or [--]
     under [>] or [>=], is strip-eligible when each body statement is a
     [double] declaration or a plain or compound assignment to a double
-    scalar, over literals, scalars, [+ - * /], negation, double builtins
-    and double loads whose subscript is a slot or an affine form, linear in
-    the counter; each scalar is written once, and no statement reads one
-    that it or a later statement writes, except an accumulator ([x = x op
-    e], [x = e op x], [x op= e]). An entry whose trip count is positive and
-    whose loads' first and last elements lie in their views' read windows
-    runs one statement at a time over strips of 64 trips, in slots the
-    layout reserves at compile time: loads read in place, accumulators fold
-    in trip order, and every scalar and the counter end bit for bit as one
-    trip at a time leaves them. Any other entry runs one trip at a time and
-    raises what it raised before, at the same trip. Either way the loop
+    scalar, or in a kernel a [reductiontoarray] update of a double array,
+    over literals, scalars, [+ - * /], negation, double builtins and double
+    loads; a load's or an update's subscript is a slot, an affine form or
+    [j + c], [c + j] or [j - c] over two slots, linear in the counter (a
+    zero coefficient too). Each scalar is written once, and no statement
+    reads one that it or a later statement writes, except an accumulator
+    ([x = x op e], [x = e op x], [x op= e]); an updated array is updated by
+    no other statement and read by none. An entry whose trip count is
+    positive, whose loads' first and last elements lie in their views' read
+    windows and whose updates' in their views' reduction windows
+    ({!View.t.rwin}), under an operator the window accepts, runs one
+    statement at a time over strips of 64 trips, in slots the layout
+    reserves at compile time: loads read in place, accumulators and updates
+    fold in trip order, each update's view is marked once, and every
+    scalar, element and the counter end bit for bit as one trip at a time
+    leaves them. Any other entry runs one trip at a time and raises what it
+    raised before, at the same trip. Either way the loop
     pays its charge once, when it ends. A function that host code calls
     builds its frame per call, so its loops run one trip at a time.
 
@@ -167,7 +171,7 @@
     open, and call [store_f]/[set_i] outside it, so a device view's dirty
     marks, ownership and miss checks see every write and a bad host store
     still raises [View.Bounds]. Reduction updates go through the
-    accessors.
+    accessors, except over strips.
 
     Kernel restrictions enforced here (with located errors): no user
     function calls, no array declarations, no [return], and no data or

@@ -1,6 +1,8 @@
 open Mgacc_minic
 open Ast
 
+type reduction_window = { rdata : float array; rop : redop option; rtouch : unit -> unit }
+
 type t = {
   name : string;
   elem : elem_ty;
@@ -10,6 +12,7 @@ type t = {
   lo : int;
   hi : int;
   whi : int;
+  rwin : reduction_window;
   load_f : int -> float array -> int -> unit;
   store_f : int -> float array -> int -> unit;
   reduce_f : redop -> int -> float array -> int -> unit;
@@ -51,9 +54,12 @@ let check_window name ~lo ~hi n =
     invalid_arg
       (Printf.sprintf "View: window [%d, %d) of %s does not fit its %d-element array" lo hi name n)
 
-(* A view whose write window is [\[lo, whi)]. One closure serves all three
-   accessors of the other element type. *)
-let make_doubles ~name ~length ~data ~lo ~hi ~whi ~load_f ~store_f ~reduce_f =
+let no_window = { rdata = [||]; rop = None; rtouch = (fun () -> ()) }
+
+(* A view whose write window is [\[lo, whi)] and reduction window
+   [rwin]. One closure serves all three accessors of the other element
+   type. *)
+let make_doubles ~name ~length ~data ~lo ~hi ~whi ~rwin ~load_f ~store_f ~reduce_f =
   check_window name ~lo ~hi (Array.length data);
   let wrong _ = wrong_type name "int" in
   {
@@ -65,6 +71,7 @@ let make_doubles ~name ~length ~data ~lo ~hi ~whi ~load_f ~store_f ~reduce_f =
     lo;
     hi;
     whi;
+    rwin;
     load_f;
     store_f;
     reduce_f;
@@ -85,6 +92,7 @@ let make_ints ~name ~length ~data ~lo ~hi ~whi ~get_i ~set_i ~reduce_i =
     lo;
     hi;
     whi;
+    rwin = no_window;
     get_i;
     set_i;
     reduce_i;
@@ -94,7 +102,9 @@ let make_ints ~name ~length ~data ~lo ~hi ~whi ~get_i ~set_i ~reduce_i =
   }
 
 let doubles ~name ~length ~data ~lo ~hi ~load_f ~store_f ~reduce_f =
-  make_doubles ~name ~length ~data ~lo ~hi ~whi:lo ~load_f ~store_f ~reduce_f
+  make_doubles ~name ~length ~data ~lo ~hi ~whi:lo ~rwin:no_window ~load_f ~store_f ~reduce_f
+
+let with_reduction_window v ~into ~op ~touch = { v with rwin = { rdata = into; rop = Some op; rtouch = touch } }
 
 let ints ~name ~length ~data ~lo ~hi ~get_i ~set_i ~reduce_i =
   make_ints ~name ~length ~data ~lo ~hi ~whi:lo ~get_i ~set_i ~reduce_i
@@ -102,7 +112,7 @@ let ints ~name ~length ~data ~lo ~hi ~get_i ~set_i ~reduce_i =
 let of_float_array ~name data =
   let n = Array.length data in
   let check i = if i < 0 || i >= n then raise (Bounds { name; index = i; length = n }) in
-  make_doubles ~name ~length:n ~data ~lo:0 ~hi:n ~whi:n
+  make_doubles ~name ~length:n ~data ~lo:0 ~hi:n ~whi:n ~rwin:{ no_window with rdata = data }
     ~load_f:(fun i bank s ->
       check i;
       bank.(s) <- Array.unsafe_get data i)
@@ -138,6 +148,7 @@ let unbound =
     lo = 0;
     hi = 0;
     whi = 0;
+    rwin = no_window;
     load_f = (fun _ _ _ -> fail ());
     store_f = (fun _ _ _ -> fail ());
     reduce_f = (fun _ _ _ _ -> fail ());

@@ -18,6 +18,23 @@
 
 open Mgacc_minic
 
+(** A double view's reduction window: the array a reduction update folds
+    into in place, and the operator it accepts. For every logical index [i
+    < Array.length rdata] and every accepted [op], [reduce_f op i bank s]
+    does exactly [rdata.(i) <- apply_redop_f op rdata.(i) bank.(s)] and
+    [rtouch ()], and nothing else. Host arrays expose their own data with
+    every operator; the runtime's reduction views their GPU's partial with
+    the declared operator ({!with_reduction_window}); every other view an
+    empty window. Compiled code folds in place only after checking a whole
+    loop entry's destinations and operator against the window, and then
+    calls [rtouch] once; any other update calls [reduce_f], so every bad
+    one still raises from the accessor. *)
+type reduction_window = private {
+  rdata : float array;
+  rop : Ast.redop option;  (** the operator accepted; [None]: every one *)
+  rtouch : unit -> unit;  (** idempotent; marks the view as reduced into *)
+}
+
 type t = private {
   name : string;
   elem : Ast.elem_ty;
@@ -48,6 +65,7 @@ type t = private {
           see every write. Compiled code stores inside the window in place
           and calls [store_f]/[set_i] only outside it, so every bad write
           still raises from the accessor. *)
+  rwin : reduction_window;
   load_f : int -> float array -> int -> unit;
   store_f : int -> float array -> int -> unit;
   reduce_f : Ast.redop -> int -> float array -> int -> unit;
@@ -74,6 +92,10 @@ val doubles :
 (** A double view over [data] with read window [\[lo, hi)] and an empty
     write window; its int accessors raise [Invalid_argument]. Raises
     [Invalid_argument] if the window does not fit [data]. *)
+
+val with_reduction_window : t -> into:float array -> op:Ast.redop -> touch:(unit -> unit) -> t
+(** The double view with reduction window [into], accepting [op] and
+    marking with [touch]. The caller keeps the window's invariant. *)
 
 val ints :
   name:string ->

@@ -142,7 +142,8 @@ let replicated_view (da : Darray.t) ~gpu ~(dirty : Dirty.t option) ~(cost : Cost
         ~set_i ~reduce_i:(no_reduce_i name)
 
 (* Replicated array that is a reduction destination: reads see the
-   pre-loop values; reduction updates go to the GPU's partial. *)
+   pre-loop values; reduction updates go to the GPU's partial, which a
+   double view exposes as its reduction window. *)
 let reduction_view (da : Darray.t) ~gpu (red : Reduction.t) =
   let buf = Darray.buf_for da ~gpu in
   let name = da.Darray.name and length = da.Darray.length in
@@ -157,15 +158,18 @@ let reduction_view (da : Darray.t) ~gpu (red : Reduction.t) =
   match da.Darray.elem with
   | Ast.Edouble ->
       let data = Memory.float_data buf in
-      View.doubles ~name ~length ~data ~lo:0 ~hi:length
-        ~load_f:(fun i bank s ->
-          if i < 0 || i >= length then out_of_bounds name length i;
-          bank.(s) <- Array.unsafe_get data i)
-        ~store_f:(fun _ _ _ -> plain_write ())
-        ~reduce_f:(fun op i bank s ->
-          check_op op;
-          if i < 0 || i >= length then out_of_bounds name length i;
-          Reduction.reduce_f red ~gpu i bank s)
+      View.with_reduction_window
+        (View.doubles ~name ~length ~data ~lo:0 ~hi:length
+           ~load_f:(fun i bank s ->
+             if i < 0 || i >= length then out_of_bounds name length i;
+             bank.(s) <- Array.unsafe_get data i)
+           ~store_f:(fun _ _ _ -> plain_write ())
+           ~reduce_f:(fun op i bank s ->
+             check_op op;
+             if i < 0 || i >= length then out_of_bounds name length i;
+             Reduction.reduce_f red ~gpu i bank s))
+        ~into:(Reduction.partial_f red ~gpu) ~op:declared
+        ~touch:(fun () -> Reduction.touch red ~gpu)
   | Ast.Eint ->
       let data = Memory.int_data buf in
       View.ints ~name ~length ~data ~lo:0 ~hi:length

@@ -47,7 +47,7 @@ let op t = t.op
 
 (* [touched] is one array for every GPU, and GPUs run at the same time:
    a GPU writes its flag once, so later updates leave the line shared. *)
-let touch t gpu = if not (Array.unsafe_get t.touched gpu) then t.touched.(gpu) <- true
+let touch t ~gpu = if not (Array.unsafe_get t.touched gpu) then t.touched.(gpu) <- true
 
 (* The operator is applied here, not through [View.apply_redop_f], so the
    contribution stays unboxed on the kernel path. The caller (the
@@ -62,15 +62,18 @@ let reduce_f t ~gpu i bank s =
         | Ast.Rmul -> old *. v
         | Ast.Rmax -> Float.max old v
         | Ast.Rmin -> Float.min old v);
-      touch t gpu
+      touch t ~gpu
   | Pi _ -> invalid_arg "Reduction.reduce_f: int reduction array"
 
 let reduce_i t ~gpu i v =
   match t.partials.(gpu) with
   | Pi a ->
       Array.unsafe_set a i (View.apply_redop_i t.op (Array.unsafe_get a i) v);
-      touch t gpu
+      touch t ~gpu
   | Pf _ -> invalid_arg "Reduction.reduce_i: double reduction array"
+
+let partial_f t ~gpu =
+  match t.partials.(gpu) with Pf a -> a | Pi _ -> invalid_arg "Reduction.partial_f: int reduction array"
 
 type xfer_role = Gather | Bcast
 

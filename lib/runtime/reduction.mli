@@ -31,6 +31,17 @@ val reduce_f : t -> gpu:int -> int -> float array -> int -> unit
 val reduce_i : t -> gpu:int -> int -> int -> unit
 (** The int counterpart of {!reduce_f}, unchecked the same way. *)
 
+val partial_f : t -> gpu:int -> float array
+(** The given GPU's double partial, which {!reduce_f} folds into in place
+    with {!op}; the reduction view's reduction window
+    ({!Mgacc_exec.View.t.rwin}). Raises [Invalid_argument] on an int
+    reduction. *)
+
+val touch : t -> gpu:int -> unit
+(** Mark the GPU as having contributed, as every {!reduce_f} and
+    {!reduce_i} does; only a GPU marked ships its partial in {!merge}.
+    Idempotent. *)
+
 type xfer_role = Gather | Bcast
 (** Whether a merge transfer carries a partial toward GPU 0 or the
     combined result back out — explicit, so downstream consumers never

@@ -1294,20 +1294,26 @@ let prop_kernel_matches_reference =
    window, against the reference: double declarations, plain and compound
    assignments and accumulators over literals, the invariant [s], scalars
    declared earlier in the body and loads of [x] at [a*b + j], [j + a*b],
-   [a*b - j], [j*2 + p] and [j] (some ineligible on purpose: a scalar read
-   before a later write, or written twice); counts below 1, [<=] and [>=]
-   bounds, both steps and trip counts past one strip of 64; and the
-   scalars and counter read after the loop. [x] is a host array or a view
-   whose read window, and valid range, stops short of its backing array,
-   so a loop that reads past it must raise the reference's error. *)
+   [a*b - j], [j*2 + p], [j], and [j + m], [m + j], [j - p] over two slots;
+   reduction updates of [r] ([+=], [r[k] = r[k] + v], [*=]) at those
+   subscripts and at ones without [j], which fold every trip into one
+   element (some ineligible on purpose: a scalar read before a later
+   write, or written twice; [r] read, or updated twice); counts below 1,
+   [<=] and [>=] bounds, negated literal bounds, both steps and trip counts
+   past one strip of 64; and the scalars, [r] and the counter read after
+   the loop. [x] is a host array or a view whose read window, and valid
+   range, stops short of its backing array, so a loop that reads past it
+   must raise the reference's error; [r] is a host array that may be too
+   short for the loop's updates. *)
 module Sgen = struct
   let expr ~decls =
     let leaf =
       Gen.frequency
         [
           (3, Gen.oneofl [ "0.5"; "2"; "1.25"; "(-0.75)"; "s" ]);
-          (1, Gen.oneofl [ "u"; "w"; "x[p * m - j]"; "x[m + p]" ]);
+          (1, Gen.oneofl [ "u"; "w"; "x[p * m - j]"; "x[m + p]"; "r[p]" ]);
           (6, Gen.oneofl [ "x[p * m + j]"; "x[j + p * m]"; "x[j * 2 + p]"; "x[j]"; "x[m * 2 + p]" ]);
+          (2, Gen.oneofl [ "x[j + m]"; "x[m + j]"; "x[j - p]" ]);
           ((if decls = [] then 0 else 4), Gen.oneofl (if decls = [] then [ "s" ] else decls));
         ]
     in
@@ -1332,6 +1338,19 @@ module Sgen = struct
   let stmt ~decls ~written k =
     let e = expr ~decls and again t = if List.mem t written then 1 else 4 in
     let acc = [ "w = w + %s;"; "w = %s - w;"; "w += %s;"; "w -= %s;"; "w *= %s;"; "w = w / %s;" ] in
+    let update =
+      Gen.map3
+        (fun ix form e ->
+          let op, st =
+            match form with
+            | 0 -> ("+", Printf.sprintf "r[%s] += %s;" ix e)
+            | 1 -> ("+", Printf.sprintf "r[%s] = r[%s] + %s;" ix ix e)
+            | _ -> ("*", Printf.sprintf "r[%s] *= %s;" ix e)
+          in
+          (Printf.sprintf "\n#pragma acc reductiontoarray(%s: r)\n%s" op st, "r"))
+        (Gen.oneofl [ "j"; "j + p"; "p + j"; "j - p"; "j * 2 + p"; "p * m + j"; "p"; "m + p" ])
+        (Gen.int_bound 2) e
+    in
     Gen.frequency
       [
         (4, Gen.map (fun e -> (Printf.sprintf "double q%d = %s;" k e, "q")) e);
@@ -1341,6 +1360,7 @@ module Sgen = struct
           Gen.map2
             (fun f e -> (Printf.sprintf (Scanf.format_from_string f "%s") e, "w"))
             (Gen.oneofl acc) e );
+        (again "r", update);
       ]
 
   let header =
@@ -1350,8 +1370,10 @@ module Sgen = struct
         | 0 -> Printf.sprintf "for (j = %d; j < %d; j++)" lo hi
         | 1 -> Printf.sprintf "for (j = %d; j <= %d; j++)" lo hi
         | 2 -> Printf.sprintf "for (j = %d; j >= %d; j--)" hi lo
-        | _ -> Printf.sprintf "for (j = %d; j > %d; j--)" hi lo)
-      (Gen.int_range 0 20) (Gen.int_range 0 150) (Gen.int_bound 3)
+        | 3 -> Printf.sprintf "for (j = %d; j > %d; j--)" hi lo
+        | 4 -> Printf.sprintf "for (j = %d; j > -%d; j--)" lo (hi mod 7)
+        | _ -> Printf.sprintf "for (j = %d; j >= -%d; j--)" lo (hi mod 7))
+      (Gen.int_range 0 20) (Gen.int_range 0 150) (Gen.int_bound 5)
 
   let body =
     let rec stmts k decls written n =
@@ -1375,6 +1397,10 @@ module Sgen = struct
   let data () =
     Array.init 200 (fun i -> float_of_int (((i * 37) mod 23) - 11) *. (10.0 ** float_of_int ((i mod 7) - 3)))
 
+  (* [r]'s elements, a host array of [n] near 1, so products stay finite
+     for a while. *)
+  let dest n = Array.init n (fun i -> 1.0 +. (float_of_int ((i * 7) mod 11) /. 64.0))
+
   (* [x] over [data]: a host array, or a view whose read window and valid
      range are [0, window). *)
   let view window data =
@@ -1390,31 +1416,37 @@ module Sgen = struct
         ~reduce_f:(fun _ i _ _ -> bad i)
 end
 
-let strips_vs_reference (body, window) =
+let strips_vs_reference ?strips ?(alias = false) (body, window, rlen) =
   let src =
     Printf.sprintf
-      "void main() { int n = 4; int m = 7; double s = 1.5; double x[200]; double out[12]; int p;\n\
+      "void main() { int n = 4; int m = 7; double s = 1.5; double x[200]; double r[%d]; double out[12]; \
+       int p;\n\
        #pragma acc parallel loop\n\
        for (p = 0; p < n; p++) { %s }\n\
        }"
-      body
+      rlen body
   in
   let program = Parser.parse ~file:"s.c" src in
   Typecheck.check_program program;
   let loop = List.hd (Loop_info.extract (Option.get (Ast.find_func program "main"))) in
-  let ty = function "x" | "out" -> Ast.Tarray Ast.Edouble | "s" -> Ast.Tdouble | _ -> Ast.Tint in
+  let ty = function "x" | "r" | "out" -> Ast.Tarray Ast.Edouble | "s" -> Ast.Tdouble | _ -> Ast.Tint in
   let params = List.map (fun v -> (v, ty v)) (Loop_info.free_vars loop) in
   let out = Array.make 12 0.0 and rout = Array.make 12 0.0 in
+  let r = Sgen.dest rlen and rr = Sgen.dest rlen in
   let compiled =
     match Kernel_compile.compile ~loop ~params ~classify:cycling_classify with
     | exception e -> Error e
+    | kc when Option.fold ~none:false ~some:(( <> ) kc.Kernel_compile.strip_loops) strips ->
+        Error (Failure (Printf.sprintf "%d loops over strips" kc.Kernel_compile.strip_loops))
     | kc -> (
         let frame = kc.Kernel_compile.make_frame () in
+        let x = Sgen.view window (Sgen.data ()) in
         List.iter
           (fun (name, slot, _) ->
             match name with
-            | "x" -> Frame.set_view frame slot (Sgen.view window (Sgen.data ()))
+            | "x" -> Frame.set_view frame slot x
             | "out" -> Frame.set_view frame slot (View.of_float_array ~name out)
+            | "r" -> Frame.set_view frame slot (if alias then x else View.of_float_array ~name r)
             | "s" -> Frame.set_float frame slot 1.5
             | "m" -> Frame.set_int frame slot 7
             | _ -> ())
@@ -1427,13 +1459,15 @@ let strips_vs_reference (body, window) =
         | () -> Ok frame.Frame.cost
         | exception e -> Error e)
   in
+  let rx = Sgen.view window (Sgen.data ()) in
   let bindings =
     List.map
       (fun (name, _) ->
         ( name,
           match name with
-          | "x" -> Ref_interp.Carray (Sgen.view window (Sgen.data ()))
+          | "x" -> Ref_interp.Carray rx
           | "out" -> Ref_interp.Carray (View.of_float_array ~name rout)
+          | "r" -> Ref_interp.Carray (if alias then rx else View.of_float_array ~name rr)
           | "s" -> Ref_interp.Cfloat (ref 1.5)
           | _ -> Ref_interp.Cint (ref 7) ))
       params
@@ -1450,13 +1484,13 @@ let strips_vs_reference (body, window) =
       Error (Printf.sprintf "the compiled kernel raised %s, the reference %s" (Printexc.to_string c) (Printexc.to_string r))
   | Error e, Ok _ -> Error (Printf.sprintf "only the compiled kernel raised %s" (Printexc.to_string e))
   | Ok _, Error e -> Error (Printf.sprintf "only the reference raised %s" (Printexc.to_string e))
-  | Ok c, Ok r ->
+  | Ok c, Ok rc ->
+      let show a = String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
       if bits out <> bits rout then
-        Error
-          (Printf.sprintf "results differ: compiled [%s], reference [%s]"
-             (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") out)))
-             (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") rout))))
-      else if cost_fields c <> cost_fields r then Error "counts differ"
+        Error (Printf.sprintf "results differ: compiled [%s], reference [%s]" (show out) (show rout))
+      else if bits r <> bits rr then
+        Error (Printf.sprintf "r differs: compiled [%s], reference [%s]" (show r) (show rr))
+      else if cost_fields c <> cost_fields rc then Error "counts differ"
       else Ok ()
 
 let prop_strips_match_reference =
@@ -1464,12 +1498,43 @@ let prop_strips_match_reference =
     ~rand:(Random.State.make [| 20131004 |])
     (QCheck2.Test.make ~count:400 ~long_factor:10
        ~name:"strips: store-free counted loops match the reference, counts and faults included"
-       ~print:(fun (body, window) -> Printf.sprintf "window %d: %s" window body)
-       (Gen.pair Sgen.body (Gen.frequency [ (2, Gen.return 200); (1, Gen.int_range 60 199) ]))
+       ~print:(fun (body, window, rlen) -> Printf.sprintf "window %d, r[%d]: %s" window rlen body)
+       (Gen.triple Sgen.body
+          (Gen.frequency [ (2, Gen.return 200); (1, Gen.int_range 60 199) ])
+          (Gen.frequency [ (2, Gen.return 320); (1, Gen.int_range 1 319) ]))
        (fun case ->
          match strips_vs_reference case with
          | Ok () -> true
          | Error msg -> QCheck2.Test.fail_reportf "%s" msg))
+
+(* Loops the strips read since two-slot subscripts and negated literal
+   bounds: each compiles to strips and matches the reference, and so do
+   updates into one element and along the counter, the kmeans shape; and
+   an update of [r] bound to [x]'s own host array, whose entries must run
+   one trip at a time, as later trips read what earlier ones folded. *)
+let test_strip_forms () =
+  (match
+     strips_vs_reference ~strips:1 ~alias:true
+       ( "int j; for (j = 0; j < 150; j++) { double q = x[j] * 0.5;\n#pragma acc reductiontoarray(+: r)\n\
+          r[j + 1] += q; } out[p] = x[p * m + 40];",
+         200,
+         320 )
+   with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "r aliasing x: %s" msg);
+  List.iter
+    (fun body ->
+      match strips_vs_reference ~strips:1 (body, 200, 320) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s: %s" body msg)
+    [
+      "double w = 0.5; int j; for (j = 0; j < 150; j++) { w = w + x[j + 4]; } out[p] = w;";
+      "double w = 0.5; int j; for (j = 10; j > -4; j--) { w = w + x[j + m]; } out[p] = w;";
+      "double w = 0.5; int j; for (j = 3; j >= -3; j--) { w = w * x[m - j]; } out[p] = w;";
+      "int j; for (j = 0; j < 150; j++) {\n#pragma acc reductiontoarray(+: r)\nr[p] += x[j] * s; }";
+      "int j; for (j = 0; j < 100; j++) {\n#pragma acc reductiontoarray(+: r)\n\
+       r[p * m + j] = r[p * m + j] + x[j + p]; }";
+    ]
 
 (* Host code: [main]'s frame is built once a run, so its loops reserve
    strips (the one here has int slot 0 as its counter, like any [main]
@@ -1712,6 +1777,39 @@ let prop_inline_read_matches_accessors =
          match List.find_map read_disagreement views with
          | None -> true
          | Some msg -> QCheck2.Test.fail_reportf "%s" msg))
+
+(* The reduction window's invariant on every view [Launch] binds: a double
+   reduction view exposes its GPU's partial, whole, under its operator,
+   and a host array its data under every operator; through either,
+   [reduce_f] folds into exactly that element. Every other view exposes an
+   empty window. *)
+let test_reduction_windows () =
+  let window_disagreement (v : View.t) =
+    let w = v.View.rwin in
+    let expected = match (v.View.name, v.View.elem) with ("red" | "host"), Ast.Edouble -> v.View.length | _ -> 0 in
+    let ops = match w.View.rop with Some op -> [ op ] | None -> [ Ast.Rplus; Ast.Rmul; Ast.Rmax; Ast.Rmin ] in
+    if Array.length w.View.rdata <> expected then
+      Some (Printf.sprintf "%s: a window of %d elements" v.View.name (Array.length w.View.rdata))
+    else if v.View.name = "red" && expected > 0 && w.View.rop <> Some Ast.Rplus then Some "red: not the declared operator"
+    else
+      List.find_map
+        (fun op ->
+          List.find_map
+            (fun i ->
+              let want = Array.copy w.View.rdata in
+              want.(i) <- View.apply_redop_f op want.(i) 0.75;
+              v.View.reduce_f op i [| 0.75 |] 0;
+              if w.View.rdata = want then None
+              else Some (Printf.sprintf "%s: reduce_f %s %d does not fold into the window" v.View.name (Ast.redop_to_string op) i))
+            (List.init (Array.length w.View.rdata) Fun.id))
+        ops
+  in
+  List.iter
+    (fun (ints, cut) ->
+      match List.find_map window_disagreement (launch_views ~ints ~n:12 ~stride:2 ~left:1 ~right:1 ~cut) with
+      | None -> ()
+      | Some msg -> Alcotest.fail msg)
+    [ (false, 5); (true, 5); (false, 9) ]
 
 (* ---------------- Literal divisors ---------------- *)
 
@@ -1980,11 +2078,27 @@ let bind_kmeans frame name slot =
 (* kmeans: a straight-line double step, the distance loop alone and in
    the whole distance body (both over strips, so a strip allocates
    nothing per trip), two nested counted loops over row-major subscripts,
-   and the centre reduction, whose update reads its contribution; the generic arms of
+   and the centre reduction, whose update loop folds over strips into the
+   GPU's partial or a host array, alone and after the counts; the generic arms of
    reductions, stores, comparisons and negation; bfs: the int edge scan,
    a counted loop bounded by a local; spmv: the row body, on the device
    views GPU 1 of 2 binds (its parts start past 0), so the in-place read
    and the counted loop's trip count are gated on those too. *)
+(* The centre reduction's destinations as the reduction views GPU 1 of 2
+   binds. *)
+let bind_centre_partials frame name slot =
+  let cfg = Rt_config.make ~num_gpus:2 (Mgacc.Machine.desktop ()) in
+  let partials host =
+    let da = Darray.create cfg ~name ~host in
+    ignore (Darray.ensure_replicated cfg da ~dirty_tracking:false);
+    Launch.reduction_view da ~gpu:1 (Mgacc_runtime.Reduction.allocate cfg da Ast.Rplus)
+  in
+  match name with
+  | "membership" -> Frame.set_view frame slot (View.of_int_array ~name (Array.init 2000 (fun i -> i mod 5)))
+  | "newcenters" -> Frame.set_view frame slot (partials (View.of_float_array ~name (Array.make 80 0.0)))
+  | "counts" -> Frame.set_view frame slot (partials (View.of_int_array ~name (Array.make 5 0)))
+  | _ -> bind_kmeans frame name slot
+
 let test_kernel_allocates_nothing_per_iteration () =
   check_allocates_nothing "kmeans step"
     {|void main() { int n = 2000; int f = 16; int k = 5; double x[n]; double centers[k*f]; double out[n]; int i;
@@ -2034,7 +2148,7 @@ for (i = 0; i < n; i++) {
 } }|}
     ~params:(List.filter (fun (v, _) -> v <> "out") kmeans_params)
     ~bind:bind_kmeans;
-  check_allocates_nothing "kmeans centre reduction"
+  check_allocates_nothing "kmeans centre reduction" ~strips:1
     {|void main() { int n = 2000; int f = 16; int k = 5; double x[n*f]; int membership[n]; double newcenters[k*f];
 int counts[k]; int i;
 #pragma acc parallel loop
@@ -2056,22 +2170,30 @@ for (i = 0; i < n; i++) {
         ("newcenters", Ast.Tarray Ast.Edouble);
         ("counts", Ast.Tarray Ast.Eint);
       ]
-    ~bind:(fun frame name slot ->
-      (* The destinations are the reduction views GPU 1 of 2 binds. *)
-      let cfg = Rt_config.make ~num_gpus:2 (Mgacc.Machine.desktop ()) in
-      let partials host =
-        let da = Darray.create cfg ~name ~host in
-        ignore (Darray.ensure_replicated cfg da ~dirty_tracking:false);
-        Launch.reduction_view da ~gpu:1 (Mgacc_runtime.Reduction.allocate cfg da Ast.Rplus)
-      in
-      match name with
-      | "membership" -> Frame.set_view frame slot (View.of_int_array ~name (Array.init 2000 (fun i -> i mod 5)))
-      | "newcenters" -> Frame.set_view frame slot (partials (View.of_float_array ~name (Array.make 80 0.0)))
-      | "counts" -> Frame.set_view frame slot (partials (View.of_int_array ~name (Array.make 5 0)))
-      | _ -> bind_kmeans frame name slot);
+    ~bind:bind_centre_partials;
+  check_allocates_nothing "kmeans centre-update loop" ~strips:1
+    {|void main() { int n = 2000; int f = 16; int k = 5; double x[n*f]; int membership[n]; double newcenters[k*f];
+int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) {
+  int c = membership[i];
+  int j3;
+  for (j3 = 0; j3 < f; j3++) {
+    #pragma acc reductiontoarray(+: newcenters)
+    newcenters[c*f + j3] = newcenters[c*f + j3] + x[i*f + j3];
+  }
+} }|}
+    ~params:
+      [
+        ("f", Ast.Tint);
+        ("x", Ast.Tarray Ast.Edouble);
+        ("membership", Ast.Tarray Ast.Eint);
+        ("newcenters", Ast.Tarray Ast.Edouble);
+      ]
+    ~bind:bind_centre_partials;
   (* The same reduction on host views, as the OpenMP baseline binds it:
      the update applies its operator in place without boxing. *)
-  check_allocates_nothing "kmeans centre reduction on host views"
+  check_allocates_nothing "kmeans centre reduction on host views" ~strips:1
     {|void main() { int n = 2000; int f = 16; int k = 5; double x[n*f]; int membership[n]; double newcenters[k*f];
 int counts[k]; int i;
 #pragma acc parallel loop
@@ -2300,6 +2422,8 @@ let suite =
       test_kernel_fused_matrix;
     prop_kernel_matches_reference;
     prop_strips_match_reference;
+    tc "strips: two-slot subscripts, negated bounds and updates run over strips" test_strip_forms;
+    tc "view: reduction windows fold as the accessor folds" test_reduction_windows;
     tc "strips: host main reserves strips, a called function does not" test_host_strips_main_only;
     prop_inline_read_matches_accessors;
     prop_literal_division;

@@ -461,29 +461,121 @@ let e2e_smoke_shapes () =
       fun m -> Rt_config.make ~collective:Rt_config.Auto m );
   ]
 
+module Ast = Mgacc_minic.Ast
+
+let kmeans_types = function
+  | "x" | "centers" | "newcenters" -> Ast.Tarray Ast.Edouble
+  | "membership" | "counts" -> Ast.Tarray Ast.Eint
+  | _ -> Ast.Tint
+
 (* How many counted loops of each parallel loop of [source] compile to
    strips. kmeans's assignment kernel must have its distance loop there:
    its loads are [x]'s rows, inside each GPU's part, and the replicated
-   [centers], so every entry takes the strip path. *)
-let strip_loops source =
-  let module Ast = Mgacc_minic.Ast in
+   [centers], so every entry takes the strip path. Its centre reduction
+   must have its update loop there: it reads [x]'s rows and folds into the
+   GPU's partial of [newcenters], so every entry takes the strip path. *)
+let strip_loops ?(types = kmeans_types) source =
   let module Loop_info = Mgacc_analysis.Loop_info in
   let program = Mgacc.parse_string ~name:"shape.c" source in
-  let ty = function
-    | "x" | "centers" | "newcenters" -> Ast.Tarray Ast.Edouble
-    | "membership" | "counts" -> Ast.Tarray Ast.Eint
-    | _ -> Ast.Tint
-  in
   List.map
     (fun loop ->
-      let params = List.map (fun v -> (v, ty v)) (Loop_info.free_vars loop) in
+      let params = List.map (fun v -> (v, types v)) (Loop_info.free_vars loop) in
       (Mgacc_exec.Kernel_compile.compile ~loop ~params ~classify:(fun _ _ -> Mgacc_analysis.Coalesce.Coalesced))
         .Mgacc_exec.Kernel_compile.strip_loops)
     (Loop_info.extract (Option.get (Ast.find_func program "main")))
 
 let check_kmeans_strips what (app : Mgacc_apps.App_common.t) =
   if String.starts_with ~prefix:"kmeans" what then
-    check Alcotest.(list int) (what ^ ": the distance loop runs over strips") [ 1; 0 ] (strip_loops app.source)
+    check
+      Alcotest.(list int)
+      (what ^ ": the distance and centre-update loops run over strips")
+      [ 1; 1 ] (strip_loops app.source)
+
+(* A centre-update loop over Launch's reduction views, [lens[i]] trips
+   in iteration [i] (zero in some entries, and in whole parts of some
+   GPUs, which then ship no gather); the twin steps its counter with [j2
+   = j2 + 1], so it is no counted loop and runs one trip at a time. Run on
+   2 and 4 GPUs, its results and report (gathers and charges included)
+   must equal the strips'. *)
+let reduction_loop ~counted lens =
+  Printf.sprintf
+    {|void main() {
+      int n = 64; int f = 8; int k = 3;
+      double x[n*f]; int lens[n]; int cls[n]; double sums[k*f]; int i;
+      for (i = 0; i < n*f; i++) { x[i] = (i %% 13) * 0.25 + 1.0 / (i + 1); }
+      for (i = 0; i < n; i++) { lens[i] = %s; cls[i] = i %% k; }
+      for (i = 0; i < k*f; i++) { sums[i] = 0.5; }
+      #pragma acc data copyin(x[0:n*f], lens[0:n], cls[0:n]) copy(sums[0:k*f])
+      {
+        #pragma acc parallel loop localaccess(x: stride(f), lens: stride(1), cls: stride(1))
+        for (i = 0; i < n; i++) {
+          int c = cls[i];
+          int t = lens[i];
+          int j2;
+          for (j2 = 0; j2 < t; %s) {
+            #pragma acc reductiontoarray(+: sums)
+            sums[c*f + j2] = sums[c*f + j2] + x[i*f + j2];
+          }
+        }
+      }
+    }|}
+    lens
+    (if counted then "j2++" else "j2 = j2 + 1")
+
+let reduction_types = function
+  | "x" | "sums" -> Ast.Tarray Ast.Edouble
+  | "lens" | "cls" -> Ast.Tarray Ast.Eint
+  | _ -> Ast.Tint
+
+let test_reduction_strips_match_twin () =
+  List.iter
+    (fun (spec, lens) ->
+      let run counted =
+        let src = reduction_loop ~counted lens in
+        let strips = strip_loops ~types:reduction_types src in
+        let env, report = run_shape src spec (fun m -> Rt_config.make m) in
+        (strips, Array.map Int64.bits_of_float (Mgacc.float_results env "sums"), Report.to_json report)
+      in
+      let what = Printf.sprintf "%s, lens[i] = %s" spec lens in
+      let strips, sums, json = run true and twin_strips, twin_sums, twin_json = run false in
+      check Alcotest.(list int) (what ^ ": the update loop runs over strips") [ 1 ] strips;
+      check Alcotest.(list int) (what ^ ": the twin's does not") [ 0 ] twin_strips;
+      if sums <> twin_sums then Alcotest.failf "%s: sums differ from the twin's" what;
+      check Alcotest.string (what ^ ": report") twin_json json)
+    [
+      ("desktop", "i < 20 ? i % 9 : 0");
+      ("desktop", "i >= 44 ? f : 0");
+      ("cluster:2x2", "i < 20 ? i % 9 : 0");
+      ("cluster:2x2", "i % 3 == 0 ? f : i % 2");
+      ("cluster:2x2", "i >= 50 ? i % 5 : 0");
+    ];
+  (* A reduction view declaring another operator than the update's: the
+     entry runs one trip at a time and raises the accessor's error. *)
+  let module View = Mgacc_exec.View in
+  let module Frame = Mgacc_exec.Frame in
+  let module Kernel_compile = Mgacc_exec.Kernel_compile in
+  let program = Mgacc.parse_string ~name:"r.c" (reduction_loop ~counted:true "f") in
+  let loop = List.hd (Mgacc_analysis.Loop_info.extract (Option.get (Ast.find_func program "main"))) in
+  let kc =
+    Kernel_compile.compile ~loop
+      ~params:(List.map (fun v -> (v, reduction_types v)) (Mgacc_analysis.Loop_info.free_vars loop))
+      ~classify:(fun _ _ -> Mgacc_analysis.Coalesce.Coalesced)
+  in
+  let cfg = mk_cfg () in
+  let sums = mk_da cfg "sums" (Array.make 24 0.5) in
+  ignore (Darray.ensure_replicated cfg sums ~dirty_tracking:false);
+  let frame = kc.Kernel_compile.make_frame () in
+  List.iter
+    (fun (name, slot, _) ->
+      match name with
+      | "x" -> Frame.set_view frame slot (View.of_float_array ~name (Array.make 512 1.0))
+      | "cls" | "lens" -> Frame.set_view frame slot (View.of_int_array ~name (Array.make 64 1))
+      | "sums" -> Frame.set_view frame slot (Launch.reduction_view sums ~gpu:1 (Reduction.allocate cfg sums Ast.Rmul))
+      | _ -> Frame.set_int frame slot 8)
+    kc.Kernel_compile.params;
+  check Alcotest.int "the mismatched loop compiles to strips" 1 kc.Kernel_compile.strip_loops;
+  Alcotest.check_raises "operator mismatch" (Invalid_argument "array sums: reduction operator mismatch (* declared)")
+    (fun () -> kc.Kernel_compile.run_iter frame 3)
 
 (* Allocation counters count the domain that reads them, so a task must
    not allocate where the caller's counters cannot see it: every task of
@@ -570,4 +662,5 @@ let suite =
     tc "launch: the lowest faulting GPU's error is raised" test_launch_raises_lowest_gpu_fault;
     tc "launch: tasks allocate nothing per iteration" test_tasks_allocate_nothing;
     tc "launch: ten runs of each e2e shape are identical" test_parallel_runs_deterministic;
+    tc "launch: reduction updates over strips equal one trip at a time" test_reduction_strips_match_twin;
   ]
