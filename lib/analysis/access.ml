@@ -10,9 +10,7 @@ type array_access = {
   reduction_writes : expr list;
 }
 
-(* Variables written or declared anywhere in the body are thread-private
-   (OpenACC scalars default to firstprivate/private in parallel loops). *)
-let private_vars (loop : Loop_info.t) =
+let written_vars stmts =
   let acc = ref [] in
   let add v = if not (List.mem v !acc) then acc := v :: !acc in
   let lv = function Lvar v -> add v | Lindex _ -> () in
@@ -33,8 +31,12 @@ let private_vars (loop : Loop_info.t) =
         List.iter stmt b
     | Spragma (_, inner) -> stmt inner
   in
-  List.iter stmt loop.body;
+  List.iter stmt stmts;
   !acc
+
+(* Variables written or declared anywhere in the body are thread-private
+   (OpenACC scalars default to firstprivate/private in parallel loops). *)
+let private_vars (loop : Loop_info.t) = written_vars loop.body
 
 let is_uniform_in loop =
   let privates = private_vars loop in

@@ -20,6 +20,10 @@ type array_access = {
   reduction_writes : Ast.expr list;
 }
 
+val written_vars : Ast.stmt list -> string list
+(** The variables that [stmts] declare, assign or step anywhere, nested
+    statements and loop headers included. *)
+
 val is_uniform_in : Loop_info.t -> string -> bool
 (** Whether a variable is loop-uniform in the strict sense: not the loop
     variable, not declared in the body, not assigned in the body. *)

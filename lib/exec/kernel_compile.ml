@@ -7,6 +7,7 @@ module Loop_info = Mgacc_analysis.Loop_info
 type t = {
   run_iter : Frame.t -> int -> unit;
   make_frame : unit -> Frame.t;
+  prove : Frame.t -> lo:int -> hi:int -> unit;
   params : (string * Frame.slot * Ast.typ) list;
   strip_loops : int;
 }
@@ -94,10 +95,29 @@ type ctx = {
           their view's read window, [-1] until one needs it *)
   mutable strip_loops : int;  (** counted loops compiled to run over strips *)
   frame_once : bool;  (** a run builds the frame once, not per call: loops reserve strips *)
+  mutable sources : (int * Strip_proof.src option) list;
+      (** in a kernel, the int slots whose values over a launch have a
+          source or are known to have none: the counters of the counted
+          loops enclosing the code being compiled, innermost first, then
+          the unwritten parameters and the parallel index *)
+  mutable provers : (Frame.t -> int -> int -> unit) list;
+      (** what binding a launch proves: one per strip loop with a load
+          whose subscript has sources *)
 }
 
 let context ?result ?(frame_once = true) layout classify host =
-  { layout; classify; host; result; charge = Cost.zero (); scratch = -1; strip_loops = 0; frame_once }
+  {
+    layout;
+    classify;
+    host;
+    result;
+    charge = Cost.zero ();
+    scratch = -1;
+    strip_loops = 0;
+    frame_once;
+    sources = [];
+    provers = [];
+  }
 
 let host_classify _ _ = Coalesce.Coalesced
 
@@ -564,10 +584,24 @@ let iteration (loop : Loop_info.t) code =
     try code fr with Brk | Cnt -> Loc.error loc "break/continue escaping a parallel loop iteration"
   else code
 
+(* The source of an int variable's or literal's values over a launch,
+   where one is known ({!Strip_proof.src}). *)
+let source ctx e =
+  match e.edesc with
+  | Int_lit v -> Some (Strip_proof.Const v)
+  | Var x -> (
+      match Frame.Layout.lookup ctx.layout x with
+      | Some (Frame.Int_slot s, _) -> Option.join (List.assoc_opt s ctx.sources)
+      | _ -> None)
+  | _ -> None
+
 (* [for (init; v op b; v++)] or [v--], [v] an int variable, [b] an int
    variable, literal or negated literal, and no jump out of [body]: the
-   comparison, the counter's slot, the bound's slot, the step and the int
-   ops each test pays besides the comparison's (1 for a negation). *)
+   comparison, the counter's slot, the bound's slot, the step, the int
+   ops each test pays besides the comparison's (1 for a negation) and, in
+   a kernel, the source of [v]'s values while the body runs: known when
+   [init] sets [v] to a value with a source, [b] has one, the loop counts
+   towards [b] by one and no statement of the body writes [v]. *)
 let counted_loop ctx hdr body =
   match (hdr.for_cond, hdr.for_update) with
   | ( Some
@@ -579,8 +613,19 @@ let counted_loop ctx hdr body =
         | Unop (Neg, { edesc = Int_lit k; _ }) -> ({ bound with edesc = Int_lit (-k) }, 1)
         | _ -> (bound, 0)
       in
+      let counter =
+        match (hdr.for_init, op, d) with
+        | Some { sdesc = Sassign (Lvar x, Set, init) | Sdecl (Tint, x, Some init); _ }, (Lt | Le), 1
+        | Some { sdesc = Sassign (Lvar x, Set, init) | Sdecl (Tint, x, Some init); _ }, (Gt | Ge), -1
+          when x = v && ctx.host = None
+               && not (List.mem v (Mgacc_analysis.Access.written_vars body)) -> (
+            match (source ctx init, source ctx bound) with
+            | Some init, Some bound -> Some (Strip_proof.Ctr { init; bound; op; step = d })
+            | _ -> None)
+        | _ -> None
+      in
       match (int_slot ctx ve, int_slot ctx bound) with
-      | Some i, Some b -> Some (op, i, b, d, neg)
+      | Some i, Some b -> Some (op, i, b, d, neg, counter)
       | _ -> None)
   | _ -> None
 
@@ -629,16 +674,27 @@ let op_over_slot ctx e =
    does not write), or from the double array in view slot [view] at [a*b ±
    c] with the counter at its first value, moving by the step times
    [ints.(coef)] per trip: [coef] holds 1 or -1 where the counter is [c],
-   the other factor where it is [a] or [b], and 0 where it is absent. The
-   array is the view's read window, or its reduction window for the
-   destination of a reduction update with operator [red]. *)
+   the other factor where it is [a] or [b], and 0 where it is absent. An
+   entry leaves that first place in int slot [at] and the move per trip
+   in [at + 1], once for all its passes. The array is the view's read
+   window, or its reduction window for the destination of a reduction
+   update with operator [red]. *)
 let strip_len = 64
 
 exception Not_strip
 
 type sopnd =
   | Bank of { slot : int; stride : int }
-  | Elem of { view : int; a : int; b : int; c : int; neg : bool; coef : int; red : redop option }
+  | Elem of {
+      view : int;
+      a : int;
+      b : int;
+      c : int;
+      neg : bool;
+      coef : int;
+      red : redop option;
+      at : int;
+    }
 
 let[@inline] sdata (fr : Frame.t) = function
   | Bank _ -> fr.Frame.floats
@@ -646,18 +702,14 @@ let[@inline] sdata (fr : Frame.t) = function
       let v = Array.unsafe_get fr.Frame.views l.view in
       match l.red with None -> v.View.fdata | Some _ -> v.View.rwin.View.rdata)
 
-let[@inline] sstride (fr : Frame.t) step = function
+let[@inline] sstride (fr : Frame.t) = function
   | Bank b -> b.stride
-  | Elem l -> step * Array.unsafe_get fr.Frame.ints l.coef
+  | Elem l -> Array.unsafe_get fr.Frame.ints (l.at + 1)
 
 (* The operand's place in [sdata] at trip [t0]. *)
-let[@inline] soffset (fr : Frame.t) step t0 o =
-  match o with
+let[@inline] soffset (fr : Frame.t) t0 = function
   | Bank b -> b.slot
-  | Elem l ->
-      affine fr.Frame.ints l.a l.b l.c l.neg
-      + (t0 * sstride fr step o)
-      - match l.red with None -> (Array.unsafe_get fr.Frame.views l.view).View.lo | Some _ -> 0
+  | Elem l -> Array.unsafe_get fr.Frame.ints l.at + (t0 * Array.unsafe_get fr.Frame.ints (l.at + 1))
 
 (* One statement over trips [t0, t0 + len): [v = k x y] at each trip,
    folded first, when [acc >= 0], into the scalar at [acc] in trip order
@@ -680,17 +732,20 @@ let[@inline] pass_loop op flip k acc keep (fl : float array) (xd : float array) 
   done;
   if acc >= 0 then Array.unsafe_set fl acc !a
 
-let pass step op flip k x y acc keep =
-  let run (fr : Frame.t) t0 len =
-    let fl = fr.Frame.floats in
-    let xd = sdata fr x and xo = soffset fr step t0 x and xs = sstride fr step x in
-    let yd = sdata fr y and yo = soffset fr step t0 y and ys = sstride fr step y in
-    match (acc, k, flip, op) with
-    | -1, Ssub, _, _ -> pass_loop Scopy false Ssub (-1) keep fl xd xo xs yd yo ys len
-    | _, Smul, false, Sadd when keep < 0 -> pass_loop Sadd false Smul acc (-1) fl xd xo xs yd yo ys len
-    | _ -> pass_loop op flip k acc keep fl xd xo xs yd yo ys len
-  in
-  run
+let pass op flip k x y acc keep =
+  match (acc, k, flip, op) with
+  | -1, Ssub, _, _ ->
+      fun (fr : Frame.t) t0 len ->
+        pass_loop Scopy false Ssub (-1) keep fr.Frame.floats (sdata fr x) (soffset fr t0 x)
+          (sstride fr x) (sdata fr y) (soffset fr t0 y) (sstride fr y) len
+  | _, Smul, false, Sadd when keep < 0 ->
+      fun (fr : Frame.t) t0 len ->
+        pass_loop Sadd false Smul acc (-1) fr.Frame.floats (sdata fr x) (soffset fr t0 x)
+          (sstride fr x) (sdata fr y) (soffset fr t0 y) (sstride fr y) len
+  | _ ->
+      fun (fr : Frame.t) t0 len ->
+        pass_loop op flip k acc keep fr.Frame.floats (sdata fr x) (soffset fr t0 x) (sstride fr x)
+          (sdata fr y) (soffset fr t0 y) (sstride fr y) len
 
 (* A reduction update over trips [t0, t0 + len): [k x y] at each trip
    folded with [op] into the element of [d] at that trip, in trip order,
@@ -708,19 +763,27 @@ let[@inline] fold_loop op k (xd : float array) xi xs (yd : float array) yi ys (d
     di := !di + ds
   done
 
-let fold_pass step op k x y d =
+let fold_pass op k x y d =
   let op = match op with Rplus -> Sadd | Rmul -> Smul | Rmax -> Sfn Builtins.Fmax | Rmin -> Sfn Builtins.Fmin in
-  fun (fr : Frame.t) t0 len ->
-    let xd = sdata fr x and xi = soffset fr step t0 x and xs = sstride fr step x in
-    let dd = sdata fr d and di = soffset fr step t0 d and ds = sstride fr step d in
-    match (op, k) with
-    | Sadd, Scopy -> fold_loop Sadd Scopy xd xi xs xd xi xs dd di ds len
-    | _ -> fold_loop op k xd xi xs (sdata fr y) (soffset fr step t0 y) (sstride fr step y) dd di ds len
+  match (op, k) with
+  | Sadd, Scopy ->
+      fun (fr : Frame.t) t0 len ->
+        let xd = sdata fr x and xi = soffset fr t0 x and xs = sstride fr x in
+        fold_loop Sadd Scopy xd xi xs xd xi xs (sdata fr d) (soffset fr t0 d) (sstride fr d) len
+  | _ ->
+      fun (fr : Frame.t) t0 len ->
+        fold_loop op k (sdata fr x) (soffset fr t0 x) (sstride fr x) (sdata fr y) (soffset fr t0 y)
+          (sstride fr y) (sdata fr d) (soffset fr t0 d) (sstride fr d) len
 
 type strips = {
   passes : (Frame.t -> int -> int -> unit) array;
   loads : sopnd array;  (** every [Elem] a pass reads or folds into *)
-  lasts : (int * int) array;  (** each plainly assigned scalar's slot and strip *)
+  sources : (Strip_proof.src * Strip_proof.src * Strip_proof.src) option array;
+      (** each load's [a], [b] and [c] over a launch, when all three are known *)
+  proof : int;  (** the int slot holding a bit per load that its launch proved *)
+  all : int;  (** those bits for every load, or -1 past 62 loads *)
+  lasts : (int * int) array;
+      (** each plainly assigned scalar declared outside the body: its slot and strip *)
   dests : int array;  (** the view slots of the reduction destinations *)
 }
 
@@ -734,68 +797,117 @@ let[@inline] trip_count op step v0 b =
   | Ge, -1 when v0 >= b -> v0 - b + 1
   | _ -> 0
 
-(* Whether element [i] and, on each of the [n > 0] trips, [i] moved by
-   [s] per trip, lie in [\[lo, hi)]: the first and last trips' do, and
-   the span between them cannot wrap, as [(n - 1) * s] is below 2^62. *)
-let[@inline] span_fits lo hi i s n =
-  i >= lo && i < hi
-  && (s = 0
-     || n <= 0x8000_0000 && s > -0x8000_0000 && s < 0x8000_0000
-        &&
-        let j = i + ((n - 1) * s) in
-        j >= lo && j < hi)
-
 (* Whether a destination from [k] on folds into [data]. *)
 let rec folds_into (dests : int array) (fr : Frame.t) data k =
   k < Array.length dests
   && ((Array.unsafe_get fr.Frame.views (Array.unsafe_get dests k)).View.rwin.View.rdata == data
      || folds_into dests fr data (k + 1))
 
-(* Whether every load from [k] on reads inside its view's read window (so
-   inside its backing array), from an array no destination folds into, and
-   every destination folds inside its view's reduction window with an
-   operator it accepts, on each of [n > 0] trips. *)
-let rec loads_fit (loads : sopnd array) dests (fr : Frame.t) step n k =
-  k = Array.length loads
-  || (match Array.unsafe_get loads k with
-     | Bank _ -> true
-     | Elem l as o -> (
-         let v = Array.unsafe_get fr.Frame.views l.view in
-         let i = affine fr.Frame.ints l.a l.b l.c l.neg and s = sstride fr step o in
-         match l.red with
-         | None ->
-             Array.length v.View.fdata >= v.View.hi - v.View.lo
-             && span_fits v.View.lo v.View.hi i s n
-             && not (folds_into dests fr v.View.fdata 0)
-         | Some op ->
-             let w = v.View.rwin in
-             (match w.View.rop with None -> true | Some o -> o = op)
-             && span_fits 0 (Array.length w.View.rdata) i s n))
-     && loads_fit loads dests fr step n (k + 1)
+(* Whether elements [first] to [last] of a load lie in its view's read
+   window (so in its backing array), of an array no destination folds
+   into, or those of a destination in its view's reduction window, under
+   an operator the window accepts. *)
+let[@inline] fits dests (fr : Frame.t) o first last =
+  match o with
+  | Bank _ -> true
+  | Elem l -> (
+      let v = Array.unsafe_get fr.Frame.views l.view in
+      match l.red with
+      | None ->
+          Array.length v.View.fdata >= v.View.hi - v.View.lo
+          && first >= v.View.lo && last < v.View.hi
+          && not (folds_into dests fr v.View.fdata 0)
+      | Some op ->
+          let w = v.View.rwin in
+          (match w.View.rop with None -> true | Some o -> o = op)
+          && first >= 0
+          && last < Array.length w.View.rdata)
 
-(* [n > 0] trips; each destination's view is marked once, and each
-   plainly assigned scalar ends with its last trip. *)
+(* Whether each load from [k] on without a bit in [proven] fits on each
+   of [n > 0] trips: its first and last trips' elements do, and the span
+   between them cannot wrap, as [(n - 1) * s] is below 2^62. *)
+let rec unproven_fit s (fr : Frame.t) n proven k =
+  k = Array.length s.loads
+  || ((k < 62 && proven land (1 lsl k) <> 0)
+     ||
+     match Array.unsafe_get s.loads k with
+     | Bank _ -> true
+     | Elem l as o ->
+         let is = fr.Frame.ints in
+         let i =
+           Array.unsafe_get is l.at
+           + match l.red with None -> (Array.unsafe_get fr.Frame.views l.view).View.lo | Some _ -> 0
+         and st = Array.unsafe_get is (l.at + 1) in
+         (st = 0 || (n <= 0x8000_0000 && st > -0x8000_0000 && st < 0x8000_0000))
+         &&
+         let j = i + ((n - 1) * st) in
+         if j < i then fits s.dests fr o j i else fits s.dests fr o i j)
+     && unproven_fit s fr n proven (k + 1)
+
+(* An entry of [n > 0] trips stepping by [step]: sets each load's first
+   place and move once for all its passes, and says whether the entry
+   runs over strips, every load being proven for the launch or fitting. *)
+let enter_strips s (fr : Frame.t) step n =
+  let is = fr.Frame.ints in
+  for k = 0 to Array.length s.loads - 1 do
+    match Array.unsafe_get s.loads k with
+    | Elem l ->
+        let v = Array.unsafe_get fr.Frame.views l.view in
+        Array.unsafe_set is l.at
+          (affine is l.a l.b l.c l.neg - match l.red with None -> v.View.lo | Some _ -> 0);
+        Array.unsafe_set is (l.at + 1) (step * Array.unsafe_get is l.coef)
+    | Bank _ -> ()
+  done;
+  let proven = Array.unsafe_get is s.proof in
+  proven = s.all || unproven_fit s fr n proven 0
+
+(* Sets [s]'s proof slot in [fr], whose views and scalars are bound for a
+   launch of iterations [lo, hi): a bit for each load whose every element
+   on every entry fits. *)
+let prove_strips s (fr : Frame.t) lo hi =
+  let ints = fr.Frame.ints and bits = ref 0 in
+  for k = 0 to Int.min (Array.length s.loads) 62 - 1 do
+    match (Array.unsafe_get s.loads k, Array.unsafe_get s.sources k) with
+    | (Elem { neg; _ } as o), Some (a, b, c) ->
+        if
+          fits s.dests fr o
+            (Strip_proof.extent ints ~lo ~hi ~a ~b ~c ~neg ~last:false)
+            (Strip_proof.extent ints ~lo ~hi ~a ~b ~c ~neg ~last:true)
+        then bits := !bits lor (1 lsl k)
+    | _ -> ()
+  done;
+  Array.unsafe_set ints s.proof !bits
+
+(* [n > 0] trips of an entry [enter_strips] admitted: each destination's
+   view is marked once, and each live plainly assigned scalar ends with
+   its last trip. *)
 let run_strips s (fr : Frame.t) n =
   for k = 0 to Array.length s.dests - 1 do
     (Array.unsafe_get fr.Frame.views (Array.unsafe_get s.dests k)).View.rwin.View.rtouch ()
   done;
-  let t0 = ref 0 in
-  while !t0 < n do
-    let len = if n - !t0 < strip_len then n - !t0 else strip_len in
+  if n <= strip_len then
     for k = 0 to Array.length s.passes - 1 do
-      (Array.unsafe_get s.passes k) fr !t0 len
-    done;
-    t0 := !t0 + len
-  done;
+      (Array.unsafe_get s.passes k) fr 0 n
+    done
+  else begin
+    let t0 = ref 0 in
+    while !t0 < n do
+      let len = if n - !t0 < strip_len then n - !t0 else strip_len in
+      for k = 0 to Array.length s.passes - 1 do
+        (Array.unsafe_get s.passes k) fr !t0 len
+      done;
+      t0 := !t0 + len
+    done
+  end;
   let fl = fr.Frame.floats and last = (n - 1) mod strip_len in
   for k = 0 to Array.length s.lasts - 1 do
     let slot, t = Array.unsafe_get s.lasts k in
     Array.unsafe_set fl slot (Array.unsafe_get fl (t + last))
   done
 
-(* How a strip compile reserves float strips and constants: for real, or
-   not at all while it only checks that a body is eligible. *)
-type reserve = { strip : unit -> int; cint : int -> int; cfloat : float -> int }
+(* How a strip compile reserves float strips, int slots and constants: for
+   real, or not at all while it only checks that a body is eligible. *)
+type reserve = { strip : unit -> int; int : unit -> int; cint : int -> int; cfloat : float -> int }
 
 (* [body], already compiled trip at a time in the current scope, as passes
    over strips, or [Not_strip]. A statement reads no scalar that it or a
@@ -804,8 +916,9 @@ type reserve = { strip : unit -> int; cint : int -> int; cfloat : float -> int }
    update folds into its array, which no other statement reduces into or
    any statement reads. Such a body cannot fault once its loads and
    destinations fit, so the passes need only its data order. *)
-let strip_plan ctx rs ~counter ~step body =
-  let passes = ref [] and loads = ref [] and lasts = ref [] and kept = ref [] and dests = ref [] in
+let strip_plan ctx rs ~counter body =
+  let passes = ref [] and loads = ref [] and sources = ref [] and lasts = ref [] in
+  let kept = ref [] and dests = ref [] in
   let target s =
     match s.sdesc with
     | Sdecl (Tdouble, x, _) | Sassign (Lvar x, _, _) -> x
@@ -815,25 +928,30 @@ let strip_plan ctx rs ~counter ~step body =
   let float_slot x =
     match Frame.Layout.lookup ctx.layout x with Some (Frame.Float_slot i, _) -> i | _ -> raise Not_strip
   in
-  (* Element [idx] of double array [a], read or, with [red], folded into. A
-     subscript [j + c], [c + j] or [j - c] over two slots is [j*1 ± c]
-     here, where only the trip-at-a-time code charges it. *)
+  (* Element [idx] of double array [a], read or, with [red], folded into,
+     and its subscript's sources. A slot [s] is [s*1 + 0] here, and a
+     subscript [j + c], [c + j] or [j - c] over two slots [j*1 ± c], where
+     only the trip-at-a-time code charges it. *)
   let elem a idx red =
     let view =
       match Frame.Layout.lookup ctx.layout a with
       | Some (Frame.View_slot i, Tarray Edouble) -> i
       | _ -> raise Not_strip
     in
-    let a, b, c, neg =
-      match (int_slot ctx idx, affine_of ctx idx, idx.edesc) with
-      | Some s, _, _ -> (s, rs.cint 1, rs.cint 0, false)
-      | None, Some (Iaff { a; b; c; neg }), _ -> (a, b, c, neg)
-      | None, None, Binop (((Add | Sub) as op), l, r) -> (
-          match (int_slot ctx l, int_slot ctx r) with
-          | Some l, Some r -> (l, rs.cint 1, r, op = Sub)
-          | _ -> raise Not_strip)
+    let lit v = { edesc = Int_lit v; eloc = idx.eloc } and sl = is_int_slot ctx in
+    let x, y, z, neg =
+      match idx.edesc with
+      | _ when sl idx -> (idx, lit 1, lit 0, false)
+      | Binop (((Add | Sub) as op), { edesc = Binop (Mul, x, y); _ }, z) when sl x && sl y && sl z ->
+          (x, y, z, op = Sub)
+      | Binop (Add, z, { edesc = Binop (Mul, x, y); _ }) when sl x && sl y && sl z -> (x, y, z, false)
+      | Binop (((Add | Sub) as op), l, r) when sl l && sl r -> (l, lit 1, r, op = Sub)
       | _ -> raise Not_strip
     in
+    let slot e =
+      match (e.edesc, int_slot ctx e) with Int_lit v, _ -> rs.cint v | _, Some s -> s | _ -> raise Not_strip
+    in
+    let a = slot x and b = slot y and c = slot z in
     let coef =
       match (a = counter, b = counter, c = counter) with
       | false, false, false -> rs.cint 0
@@ -842,8 +960,15 @@ let strip_plan ctx rs ~counter ~step body =
       | false, false, true -> rs.cint (if neg then -1 else 1)
       | _ -> raise Not_strip
     in
-    let o = Elem { view; a; b; c; neg; coef; red } in
+    let at = rs.int () in
+    ignore (rs.int () : int);
+    let o = Elem { view; a; b; c; neg; coef; red; at } in
     loads := o :: !loads;
+    sources :=
+      (match (source ctx x, source ctx y, source ctx z) with
+      | Some a, Some b, Some c -> Some (a, b, c)
+      | _ -> None)
+      :: !sources;
     if red <> None then dests := view :: !dests;
     o
   in
@@ -879,7 +1004,7 @@ let strip_plan ctx rs ~counter ~step body =
     | Scopy, o, _ -> o
     | k, x, y ->
         let t = rs.strip () in
-        passes := pass step Scopy false k x y (-1) t :: !passes;
+        passes := pass Scopy false k x y (-1) t :: !passes;
         Bank { slot = t; stride = 1 }
   in
   let rec go = function
@@ -887,7 +1012,7 @@ let strip_plan ctx rs ~counter ~step body =
     | ({ sdesc = Spragma (Dreduction_to_array { rta_op = op; rta_array = a }, inner); _ } as s) :: later ->
         let idx, e = extract_reduction op inner in
         let k, x, y = term (List.map target (s :: later)) e in
-        passes := fold_pass step op k x y (elem a idx (Some op)) :: !passes;
+        passes := fold_pass op k x y (elem a idx (Some op)) :: !passes;
         go later
     | s :: later ->
         let x = target s in
@@ -902,27 +1027,28 @@ let strip_plan ctx rs ~counter ~step body =
             later
         in
         let slot = float_slot x in
-        let plain e =
+        (* A scalar the body declares is dead once the loop ends. *)
+        let plain ~live e =
           let k, a, b = term pending e and t = rs.strip () in
-          passes := pass step Scopy false k a b (-1) t :: !passes;
-          lasts := (slot, t) :: !lasts;
+          passes := pass Scopy false k a b (-1) t :: !passes;
+          if live then lasts := (slot, t) :: !lasts;
           kept := (x, t) :: !kept
         in
         let fold op flip e =
           let k, a, b = term pending e and keep = if read_later then rs.strip () else -1 in
-          passes := pass step (skind_of_binop op) flip k a b slot keep :: !passes;
+          passes := pass (skind_of_binop op) flip k a b slot keep :: !passes;
           if read_later then kept := (x, keep) :: !kept
         in
         (match s.sdesc with
         | Sdecl (_, _, init) ->
-            plain (Option.value init ~default:{ edesc = Float_lit 0.0; eloc = s.sloc })
+            plain ~live:false (Option.value init ~default:{ edesc = Float_lit 0.0; eloc = s.sloc })
         | Sassign (_, Set, { edesc = Binop (((Add | Sub | Mul | Div) as op), { edesc = Var y; _ }, e); _ })
           when y = x ->
             fold op false e
         | Sassign (_, Set, { edesc = Binop (((Add | Sub | Mul | Div) as op), e, { edesc = Var y; _ }); _ })
           when y = x ->
             fold op true e
-        | Sassign (_, Set, e) -> plain e
+        | Sassign (_, Set, e) -> plain ~live:true e
         | Sassign (_, aop, e) ->
             fold (match aop with Add_set -> Add | Sub_set -> Sub | Mul_set -> Mul | _ -> Div) false e
         | _ -> raise Not_strip);
@@ -932,14 +1058,23 @@ let strip_plan ctx rs ~counter ~step body =
   go body;
   if List.exists (function Elem { view; red = None; _ } -> List.mem view !dests | _ -> false) !loads then
     raise Not_strip;
-  let arr r = Array.of_list !r in
-  { passes = Array.of_list (List.rev !passes); loads = arr loads; lasts = arr lasts; dests = arr dests }
+  let arr r = Array.of_list !r and n = List.length !loads in
+  {
+    passes = Array.of_list (List.rev !passes);
+    loads = arr loads;
+    sources = arr sources;
+    proof = (if ctx.host = None then rs.int () else rs.cint 0);
+    all = (if n > 62 then -1 else (1 lsl n) - 1);
+    lasts = arr lasts;
+    dests = arr dests;
+  }
 
 (* The strips of a counted loop [v op b] stepping by [step], or [None]. A
    dry build reserving nothing comes first, so an ineligible body leaves
-   the layout as it was; its constants are -1, which no slot is. *)
+   the layout as it was; its slots and constants are -1, which no slot
+   is. *)
 let strips ctx op ~counter ~step body =
-  let plan rs = match strip_plan ctx rs ~counter ~step body with p -> Some p | exception Not_strip -> None in
+  let plan rs = match strip_plan ctx rs ~counter body with p -> Some p | exception Not_strip -> None in
   let strip () =
     let s = fresh_float ctx Loc.dummy in
     for _ = 2 to strip_len do
@@ -949,8 +1084,20 @@ let strips ctx op ~counter ~step body =
   in
   match (op, step) with
   | ((Lt | Le), 1 | (Gt | Ge), -1)
-    when Option.is_some (plan { strip = (fun () -> 0); cint = (fun _ -> -1); cfloat = (fun _ -> -1) }) ->
-      plan { strip; cint = Frame.Layout.const_int ctx.layout; cfloat = Frame.Layout.const_float ctx.layout }
+    when Option.is_some
+           (plan { strip = (fun () -> 0); int = (fun () -> -1); cint = (fun _ -> -1); cfloat = (fun _ -> -1) })
+    ->
+      plan
+        {
+          strip;
+          (* [fresh] of an int is an int slot *)
+          int =
+            (fun () ->
+              match Frame.Layout.fresh ctx.layout Loc.dummy Tint with
+              | Frame.Int_slot i | Frame.Float_slot i | Frame.View_slot i -> i);
+          cint = Frame.Layout.const_int ctx.layout;
+          cfloat = Frame.Layout.const_float ctx.layout;
+        }
   | _ -> None
 
 let rec comp_iop ctx e : iop =
@@ -1529,7 +1676,7 @@ and comp_stmt ctx s : Frame.t -> unit =
       Frame.Layout.enter_scope ctx.layout;
       let init = match hdr.for_init with Some s' -> comp_stmt ctx s' | None -> nop in
       match counted_loop ctx hdr body with
-      | Some (op, v, b, d, neg) -> (
+      | Some (op, v, b, d, neg, counter) -> (
           (* One OCaml loop over the counter's and the bound's slots, or
              strips (kernel_compile.mli). The body cannot jump, so it is one
              segment, paid for every trip at once when the loop ends: its
@@ -1538,12 +1685,20 @@ and comp_stmt ctx s : Frame.t -> unit =
              bound adds its negation to each test. *)
           let body = match body with [ { sdesc = Sblock b; _ } ] -> b | b -> b in
           Frame.Layout.enter_scope ctx.layout;
+          let outer = ctx.sources in
+          if ctx.host = None then ctx.sources <- (v, counter) :: outer;
           let cb, per_trip = in_segment ctx (fun () -> comp_stmts ctx body) in
           let strips = if ctx.frame_once then strips ctx op ~counter:v ~step:d body else None in
+          ctx.sources <- outer;
           Frame.Layout.leave_scope ctx.layout;
           Frame.Layout.leave_scope ctx.layout;
           per_trip.Cost.int_ops <- per_trip.Cost.int_ops + 3 + neg;
-          if Option.is_some strips then ctx.strip_loops <- ctx.strip_loops + 1;
+          Option.iter
+            (fun s ->
+              ctx.strip_loops <- ctx.strip_loops + 1;
+              if ctx.host = None && Array.exists Option.is_some s.sources then
+                ctx.provers <- prove_strips s :: ctx.provers)
+            strips;
           let charged = ctx.host = None in
           let pay_trips (fr : Frame.t) n =
             if charged then begin
@@ -1562,15 +1717,18 @@ and comp_stmt ctx s : Frame.t -> unit =
             done;
             pay_trips fr !trips
           in
-          fun fr ->
-            init fr;
-            match strips with
-            | None -> one_at_a_time fr
-            | Some s ->
+          match strips with
+          | None ->
+              fun fr ->
+                init fr;
+                one_at_a_time fr
+          | Some s ->
+              fun fr ->
+                init fr;
                 let is = fr.Frame.ints in
                 let v0 = Array.unsafe_get is v in
                 let n = trip_count op d v0 (Array.unsafe_get is b) in
-                if n > 0 && loads_fit s.loads s.dests fr d n 0 then begin
+                if n > 1 && enter_strips s fr d n then begin
                   run_strips s fr n;
                   Array.unsafe_set is v (v0 + (n * d));
                   pay_trips fr n
@@ -1852,14 +2010,33 @@ let compile ~loop ~params ~classify =
   let param_slots =
     List.map (fun (name, ty) -> (name, Frame.Layout.declare layout loop_loc name ty, ty)) params
   in
-  let body = iteration loop (comp_block ctx loop.Loop_info.body) in
   let iv_index = match iv_slot with Frame.Int_slot i -> i | _ -> assert false in
+  (* The parallel index and the parameters keep their bound values through
+     a launch unless the body writes them. *)
+  let written = Mgacc_analysis.Access.written_vars loop.Loop_info.body in
+  let unwritten name = not (List.mem name written) in
+  ctx.sources <-
+    (iv_index, if unwritten loop.Loop_info.loop_var then Some Strip_proof.Par else None)
+    :: List.filter_map
+         (fun (name, slot, _) ->
+           match slot with
+           | Frame.Int_slot s when unwritten name -> Some (s, Some (Strip_proof.Fixed s))
+           | _ -> None)
+         param_slots;
+  let body = iteration loop (comp_block ctx loop.Loop_info.body) in
+  let provers = Array.of_list ctx.provers in
   {
     run_iter =
       (fun fr i ->
         Array.unsafe_set fr.Frame.ints iv_index i;
         body fr);
     make_frame = (fun () -> Frame.create layout (Cost.zero ()));
+    prove =
+      (if Array.length provers = 0 then fun _ ~lo:_ ~hi:_ -> ()
+       else fun fr ~lo ~hi ->
+         for k = 0 to Array.length provers - 1 do
+           (Array.unsafe_get provers k) fr lo hi
+         done);
     params = param_slots;
     strip_loops = ctx.strip_loops;
   }

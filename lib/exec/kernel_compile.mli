@@ -110,18 +110,36 @@
     zero coefficient too). Each scalar is written once, and no statement
     reads one that it or a later statement writes, except an accumulator
     ([x = x op e], [x = e op x], [x op= e]); an updated array is updated by
-    no other statement and read by none. An entry whose trip count is
-    positive, whose loads' first and last elements lie in their views' read
+    no other statement and read by none. An entry of two trips or more
+    whose loads' first and last elements lie in their views' read
     windows and whose updates' in their views' reduction windows
     ({!View.t.rwin}), under an operator the window accepts, runs one
     statement at a time over strips of 64 trips, in slots the layout
-    reserves at compile time: loads read in place, accumulators and updates
-    fold in trip order, each update's view is marked once, and every
-    scalar, element and the counter end bit for bit as one trip at a time
-    leaves them. Any other entry runs one trip at a time and raises what it
-    raised before, at the same trip. Either way the loop
-    pays its charge once, when it ends. A function that host code calls
-    builds its frame per call, so its loops run one trip at a time.
+    reserves at compile time: each load's first element and move per trip
+    are computed once for all its passes, loads read in place, accumulators
+    and updates fold in trip order, each update's view is marked once, and
+    every scalar declared outside the body, element and the counter end bit
+    for bit as one trip at a time leaves them (a scalar the body declares is
+    dead after the loop and keeps no last value). Any other entry runs one
+    trip at a time and raises what it raised before, at the same trip (an
+    entry of one trip costs no less over strips).
+    Either way the loop pays its charge once, when it ends. A function that
+    host code calls builds its frame per call, so its loops run one trip at
+    a time.
+
+    A kernel's frame can be proven for a launch ({!t.prove}): an operand
+    whose subscript's three slots each have a known range over the launch
+    (a literal; a parameter no statement writes, at its bound value; the
+    parallel index, over the launch's iterations; or the counter of a
+    counted loop enclosing the operand, the strip loop itself included,
+    stepping by one from an init of such a slot towards a bound of one,
+    which no statement of its body writes) and whose interval of elements,
+    from the corners of [a*b] under an overflow guard, lies in its window
+    as above (for a load, of an array no update folds into), is proven, and
+    no entry of that launch checks it. An entry checks only its unproven
+    operands, so a fault keeps its error and its trip. Host [main], the
+    OpenMP runner and the sequential path prove nothing and check every
+    operand on every entry.
 
     None of these shapes changes an order, an error or a charge: the right
     operand still runs first, so of two faulting operands the right one's
@@ -186,6 +204,15 @@ type t = {
   make_frame : unit -> Frame.t;
       (** a fresh frame with a zeroed cost counter, which the iterations
           run in it charge *)
+  prove : Frame.t -> lo:int -> hi:int -> unit;
+      (** [prove fr ~lo ~hi], once the frame's views and scalars are bound
+          for a launch of iterations [\[lo, hi)] (non-empty), records in
+          the frame's proof slots which strip operands stay inside their
+          windows on every entry of that launch ("Strips" above). The frame
+          must then run only iterations of [\[lo, hi)], with those views
+          and scalars. It allocates nothing, and does nothing for a kernel
+          with no strip loop. A frame never proven checks every operand on
+          every entry. *)
   params : (string * Frame.slot * Ast.typ) list;
       (** parameter binding sites, in the order given to {!compile} *)
   strip_loops : int;

@@ -20,7 +20,7 @@ open Session
 
 type t = Session.t
 
-let create cfg plans = Session.create cfg plans
+let create ?pool cfg plans = Session.create ?pool cfg plans
 let profiler = Session.profiler
 let now = Session.now
 
@@ -644,7 +644,7 @@ let launch t env loop plan =
   let compiled = compiled_for t env plan in
   Wall.enter Wall.Kernels;
   let runs, scalar_partials =
-    Launch.run_on_gpus ?col_bounds plan compiled ~ranges
+    Launch.run_on_gpus ?col_bounds plan compiled ~pool:t.pool ~ranges
       ~get_scalar:(Host_interp.get_scalar env)
       ~get_darray:(get_darray t env)
       ~get_reduction:(fun name -> List.assoc_opt name reductions)
@@ -1017,7 +1017,7 @@ let report ?variant t =
   in
   Report.with_queue r ~seconds:(Session.queue_seconds t)
 
-let run ?variant ?(with_blame = false) ~config:cfg program =
+let run ?pool ?variant ?(with_blame = false) ~config:cfg program =
   (* A reused machine carries timeline availability from earlier runs;
      reset so back-to-back runs in one process match fresh-process runs
      (shared-machine contention is the fleet's job, not [run]'s). *)
@@ -1025,7 +1025,7 @@ let run ?variant ?(with_blame = false) ~config:cfg program =
   Wall.enter Wall.Plan;
   let plans = Program_plan.build ~options:cfg.Rt_config.translator program in
   Wall.leave ();
-  let t = create cfg plans in
+  let t = create ?pool cfg plans in
   let env = execute t in
   Wall.enter Wall.Report;
   let r = report ?variant t in

@@ -18,6 +18,7 @@
     benchmarks here always use explicit [data] regions anyway). *)
 
 val run :
+  ?pool:Mgacc_util.Pool.t ->
   ?variant:string ->
   ?with_blame:bool ->
   config:Rt_config.t ->
@@ -32,14 +33,18 @@ val run :
     machine is reset first, so back-to-back runs in one process match
     fresh-process runs bit for bit. With [with_blame] the report carries the
     critical-path blame summary ({!Report.pp_blame}, the [--blame]
-    flag); timings are unaffected. *)
+    flag); timings are unaffected. The GPU partitions of each launch run
+    on [pool] ({!create}); no number depends on its worker count. *)
 
 type t = Session.t
 (** An open runtime session, for callers that need to drive the host
     interpreter themselves (the fleet creates these directly with
     [Session.create ~tenant ~start] on a shared machine). *)
 
-val create : Rt_config.t -> Mgacc_translator.Program_plan.t -> t
+val create : ?pool:Mgacc_util.Pool.t -> Rt_config.t -> Mgacc_translator.Program_plan.t -> t
+(** A fresh session ({!Session.create}): its launches run their GPU
+    partitions on [pool], by default the pool every run shares. *)
+
 val hooks : t -> Mgacc_exec.Host_interp.hooks
 
 val finish : t -> unit

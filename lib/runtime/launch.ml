@@ -318,14 +318,16 @@ let view_for plan ~gpu ~cost ~get_darray ~get_reduction name =
 (* Execution.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Bind phase: GPU [gpu]'s frame, its views and its scalars, on the
-   calling domain. The GPUs are bound one after another, so each GPU's
+(* Bind phase: GPU [gpu]'s frame, its views and its scalars, and what they
+   prove of its strip operands over [range], on the calling domain. The
+   GPUs are bound one after another, so each GPU's
    frame would sit next to the previous GPU's views, while the two run
    on different domains. A task writes its frame on every iteration: the
    72 bytes allocated first keep it off the cache lines the previous
    GPU's task reads (sharing them made kmeans-paper's runs about a
    quarter slower). *)
-let bind_gpu ?col_bounds plan compiled ~gpu ~get_scalar ~get_darray ~get_reduction =
+let bind_gpu ?col_bounds plan compiled ~gpu ~(range : Task_map.range) ~get_scalar ~get_darray
+    ~get_reduction =
   let scalar_reductions = plan.Kernel_plan.loop.Mgacc_analysis.Loop_info.scalar_reductions in
   ignore (Sys.opaque_identity (Array.make 8 0) : int array);
   let frame = compiled.kc.Kernel_compile.make_frame () in
@@ -357,6 +359,7 @@ let bind_gpu ?col_bounds plan compiled ~gpu ~get_scalar ~get_darray ~get_reducti
           | _, (Ast.Tvoid | Ast.Tarray _) -> assert false)
       | Ast.Tvoid -> assert false)
     compiled.kc.Kernel_compile.params;
+  compiled.kc.Kernel_compile.prove frame ~lo:range.Task_map.start_ ~hi:range.Task_map.stop_;
   frame
 
 let reserve s n =
@@ -402,10 +405,7 @@ let release s tasks =
   Array.fill s.frames 0 tasks s.idle;
   s.ranges <- [||]
 
-let inline = Pool.create ~workers:0
-let shared = lazy (Pool.create ~workers:(Domain.recommended_domain_count () - 1))
-
-let run_on_gpus ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~get_reduction =
+let run_on_gpus ?col_bounds plan compiled ~pool ~ranges ~get_scalar ~get_darray ~get_reduction =
   let s = compiled.slots in
   let n = Array.length ranges in
   reserve s n;
@@ -420,7 +420,8 @@ let run_on_gpus ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~get_r
       for gpu = 0 to n - 1 do
         if Task_map.length ranges.(gpu) > 0 then begin
           s.frames.(!bound) <-
-            bind_gpu ?col_bounds plan compiled ~gpu ~get_scalar ~get_darray ~get_reduction;
+            bind_gpu ?col_bounds plan compiled ~gpu ~range:ranges.(gpu) ~get_scalar ~get_darray
+              ~get_reduction;
           s.gpus.(!bound) <- gpu;
           incr bound
         end
@@ -429,7 +430,8 @@ let run_on_gpus ?col_bounds plan compiled ~ranges ~get_scalar ~get_darray ~get_r
     with e -> e
   in
   let tasks = !bound in
-  Pool.run (if tasks >= 2 then Lazy.force shared else inline) tasks compiled.task;
+  if tasks >= 2 then Pool.run (Lazy.force pool) tasks compiled.task
+  else if tasks = 1 then compiled.task 0;
   let fault = first_fault s tasks 0 No_fault in
   if fault != No_fault || bind_fault != No_fault then begin
     release s tasks;

@@ -9,14 +9,18 @@
     roofline model.
 
     {b Domains.} A launch has two phases. The bind phase runs on the
-    calling domain, in GPU order: it builds each GPU's frame and views and
-    binds its scalars, so {!view_for}'s callbacks, {!Darray}, {!Reduction}
-    and {!Mgacc_gpusim.Memory} are only ever used from that domain. The
-    run phase runs each GPU's iteration range as one task of a
-    {!Mgacc_util.Pool} shared by every launch, with
-    [Domain.recommended_domain_count () - 1] workers and the caller
-    running tasks too; the pool is created at the first launch with two
-    or more GPUs with work. Tasks may run at the same time because each
+    calling domain, in GPU order: it builds each GPU's frame and views,
+    binds its scalars, and then proves the frame for the GPU's iteration
+    range ({!Mgacc_exec.Kernel_compile.t.prove}): which strip operands stay
+    inside their windows on every entry of this launch, written into the
+    frame's proof slots, which the GPU's task only reads. Binding allocates
+    nothing for the proof, and a kernel without strip loops proves nothing.
+    {!view_for}'s callbacks, {!Darray}, {!Reduction} and
+    {!Mgacc_gpusim.Memory} are only ever used from that domain. The
+    run phase runs each GPU's iteration range as one task of the pool the
+    caller passes ({!run_on_gpus}), the caller running tasks too; a launch
+    with one GPU with work runs it on the caller and does not force the
+    pool. Tasks may run at the same time because each
     touches only its own frame and the views bound in it: GPU [g]'s
     replica, dirty bits, distributed part and miss buffer (on [g]'s own
     {!Mgacc_gpusim.Memory.t}), its reduction partial, and its frame's cost
@@ -97,6 +101,7 @@ val run_on_gpus :
   ?col_bounds:(int * int) array ->
   Mgacc_translator.Kernel_plan.t ->
   compiled ->
+  pool:Mgacc_util.Pool.t Lazy.t ->
   ranges:Task_map.range array ->
   get_scalar:(string -> Mgacc_exec.Host_interp.value) ->
   get_darray:(string -> Darray.t) ->

@@ -30,6 +30,7 @@ type t = {
   repacked : (string, unit) Hashtbl.t;
       (** fusion-mode layout transposition: arrays whose transposed device
           copy was already materialized (the repack is charged once) *)
+  pool : Mgacc_util.Pool.t Lazy.t;
   tenant : string;  (** owning tenant, for fleet-level accounting *)
   start : float;  (** simulated admission instant the clocks started from *)
   ev_spans : int array;
@@ -40,7 +41,9 @@ type t = {
   mutable horizon : float;  (** makespan over everything issued *)
 }
 
-let create ?(tenant = "default") ?(start = 0.0) cfg plans =
+let shared_pool = lazy (Mgacc_util.Pool.create ~workers:(Domain.recommended_domain_count () - 1))
+
+let create ?pool ?(tenant = "default") ?(start = 0.0) cfg plans =
   if start < 0.0 then invalid_arg "Session.create: negative start time";
   let profiler = Profiler.create () in
   (match Program_plan.contracted_arrays plans with
@@ -60,6 +63,7 @@ let create ?(tenant = "default") ?(start = 0.0) cfg plans =
     events = Event.create ~num_gpus:cfg.Rt_config.num_gpus;
     seen_ranges = Hashtbl.create 16;
     repacked = Hashtbl.create 4;
+    pool = (match pool with Some p -> Lazy.from_val p | None -> shared_pool);
     tenant;
     start;
     ev_spans = Array.make cfg.Rt_config.num_gpus (-1);

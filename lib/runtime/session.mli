@@ -30,6 +30,9 @@ type t = {
   repacked : (string, unit) Hashtbl.t;
       (** fusion-mode layout transposition: arrays whose transposed device
           copy was already materialized (the repack is charged once) *)
+  pool : Mgacc_util.Pool.t Lazy.t;
+      (** the domains that run a launch's GPU partitions, forced at the
+          first launch with two or more GPUs with work *)
   tenant : string;  (** owning tenant, for fleet-level accounting *)
   start : float;  (** simulated admission instant the clocks started from *)
   ev_spans : int array;
@@ -40,9 +43,14 @@ type t = {
   mutable horizon : float;  (** makespan over everything issued *)
 }
 
-val create : ?tenant:string -> ?start:float -> Rt_config.t -> Program_plan.t -> t
+val create :
+  ?pool:Mgacc_util.Pool.t -> ?tenant:string -> ?start:float -> Rt_config.t -> Program_plan.t -> t
 (** Fresh session whose clocks start at [start] (default 0, the classic
-    single-job case). Raises [Invalid_argument] on a negative start. *)
+    single-job case), running its launches on [pool]. Without [pool] it
+    shares one pool with every other such session, of
+    [Domain.recommended_domain_count () - 1] workers, started at the first
+    launch with two or more GPUs with work. Raises [Invalid_argument] on a
+    negative start. *)
 
 val profiler : t -> Profiler.t
 val now : t -> float

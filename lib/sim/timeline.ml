@@ -1,6 +1,6 @@
-type t = { name : string; mutable avail : float; mutable busy : float }
+type t = { name : string; mutable avail : float }
 
-let create name = { name; avail = 0.0; busy = 0.0 }
+let create name = { name; avail = 0.0 }
 let name t = t.name
 let available_at t = t.avail
 
@@ -10,11 +10,6 @@ let reserve t ~ready ~duration =
   let start = Float.max ready t.avail in
   let finish = start +. duration in
   t.avail <- finish;
-  t.busy <- t.busy +. duration;
   (start, finish)
 
-let busy_time t = t.busy
-
-let reset t =
-  t.avail <- 0.0;
-  t.busy <- 0.0
+let reset t = t.avail <- 0.0

@@ -25,9 +25,5 @@ val reserve : t -> ready:float -> duration:float -> float * float
     [(start, finish)] and advances the timeline to [finish]. [duration] must
     be non-negative; [ready] is the earliest permissible start. *)
 
-val busy_time : t -> float
-(** Total occupied time across all reservations so far. No run reads it; the
-    timeline tests pin it. *)
-
 val reset : t -> unit
 (** Forget all reservations; the timeline becomes available at 0 again. *)

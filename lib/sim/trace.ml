@@ -39,29 +39,7 @@ let clear t =
   t.spans <- [];
   t.count <- 0
 
-let total_in t cat =
-  List.fold_left
-    (fun acc s -> if s.category = cat then acc +. (s.finish -. s.start) else acc)
-    0.0 t.spans
-
-let bytes_in t cat =
-  List.fold_left (fun acc s -> if s.category = cat then acc + s.bytes else acc) 0 t.spans
-
 let makespan t = List.fold_left (fun acc s -> Float.max acc s.finish) 0.0 t.spans
-
-let busy_union t pred =
-  let matching = List.filter (fun s -> pred s.category && s.finish > s.start) t.spans in
-  let sorted = List.sort (fun a b -> compare a.start b.start) matching in
-  let rec sweep acc cur = function
-    | [] -> (match cur with None -> acc | Some (lo, hi) -> acc +. (hi -. lo))
-    | s :: rest -> (
-        match cur with
-        | None -> sweep acc (Some (s.start, s.finish)) rest
-        | Some (lo, hi) ->
-            if s.start <= hi then sweep acc (Some (lo, Float.max hi s.finish)) rest
-            else sweep (acc +. (hi -. lo)) (Some (s.start, s.finish)) rest)
-  in
-  sweep 0.0 None sorted
 
 let to_chrome_json ?(process_name = "mgacc simulated machine") t =
   let spans = spans t in

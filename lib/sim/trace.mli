@@ -55,24 +55,8 @@ val spans : t -> span list
 (** In insertion order. *)
 
 val clear : t -> unit
-val total_in : t -> category -> float
-(** Sum of span durations in a category (not dedup'd for overlap). No run
-    reads it (reports sum the blame ledger); "trace: totals and bytes" pins
-    it. *)
-
-val bytes_in : t -> category -> int
-(** Bytes moved by the spans of a category. No run reads it (reports sum the
-    blame ledger); "trace: totals and bytes" pins it. *)
-
 val makespan : t -> float
 (** Latest finish time over all spans; 0 when empty. *)
-
-val busy_union : t -> (category -> bool) -> float
-(** Length of the union of span intervals whose category satisfies the
-    predicate — wall-clock time during which at least one matching span was
-    active: the measure of the paper's per-phase breakdown. Runs now take
-    that breakdown from the blame ledger, so no run calls this; "trace: busy
-    union deduplicates overlap" pins it. *)
 
 val pp_gantt : ?width:int -> Format.formatter -> t -> unit
 (** Render one row per resource with time on the horizontal axis. *)

@@ -1536,6 +1536,227 @@ let test_strip_forms () =
        r[p * m + j] = r[p * m + j] + x[j + p]; }";
     ]
 
+(* Strip loops inside parallel loops whose subscripts are affine in the
+   parallel index [p], an enclosing counted loop's counter [c] (or a local
+   [c], which has no source) and the strip loop's counter [j], with bounds
+   and inits from literals, the parameters [m] and [k], [p] and [c]; [x]'s
+   read window may be too short for some, and [r] for some updates. *)
+module Pgen = struct
+  let sub =
+    Gen.oneofl
+      [ "p * m + j"; "j + p * m"; "c * m + j"; "p * m - j"; "j * 2 + c"; "m + p"; "c + j"; "j - c"; "p + j"; "j"; "p * k + c" ]
+
+  (* An accumulation into [w], through [q] or not, a reduction update of
+     [r], or both. *)
+  let stmts =
+    let acc =
+      Gen.oneof
+        [
+          Gen.map (Printf.sprintf "w = w + x[%s] * 0.5;") sub;
+          Gen.map2 (Printf.sprintf "double q = x[%s] - x[%s]; w = w + q * q;") sub sub;
+        ]
+    and update = Gen.map2 (Printf.sprintf "\n#pragma acc reductiontoarray(+: r)\nr[%s] += x[%s];") sub sub in
+    Gen.frequency
+      [ (3, Gen.map (fun a -> [ a ]) acc); (2, Gen.map (fun u -> [ u ]) update); (2, Gen.map2 (fun a u -> [ a; u ]) acc update) ]
+
+  let header =
+    Gen.map3
+      (fun init bound shape ->
+        match shape with
+        | 0 -> Printf.sprintf "for (j = %s; j < %s; j++)" init bound
+        | 1 -> Printf.sprintf "for (j = %s; j <= %s; j++)" init bound
+        | 2 -> Printf.sprintf "for (j = %s; j >= %s; j--)" bound init
+        | _ -> Printf.sprintf "for (j = %s; j > %s; j--)" bound init)
+      (Gen.oneofl [ "0"; "1"; "c"; "p" ])
+      (Gen.oneofl [ "m"; "k"; "c"; "p"; "5"; "-2" ])
+      (Gen.int_bound 3)
+
+  (* An outer loop, and a write that moves [c] out of its range and
+     towards the loop's end. *)
+  let outer =
+    Gen.oneofl
+      [
+        ("", "c = c + m;");
+        ("for (c = 0; c < k; c++)", "c = c + m;");
+        ("for (c = 1; c <= k; c++)", "c = c + m;");
+        ("for (c = k; c > 0; c--)", "c = c - m;");
+      ]
+
+  (* Sometimes the outer loop's body moves [c] first, so [c] has no
+     source. *)
+  let body =
+    Gen.map3
+      (fun ((outer, move), moved) hdr sts ->
+        Printf.sprintf
+          "double w = 0.5; int c = 2; int j; %s { %s %s { %s } } out[p * 3] = w; out[p * 3 + 1] = j; out[p * 3 + 2] = c;"
+          outer (if moved then move else "") hdr (String.concat " " sts))
+      (Gen.pair outer (Gen.frequency [ (4, Gen.return false); (1, Gen.return true) ]))
+      header stmts
+
+  (* [x]'s 128 elements with a read window [lo, hi): reads outside it go
+     through the accessor and raise. *)
+  let view (lo, hi) =
+    let data = Array.init 128 (fun i -> float_of_int (((i * 37) mod 23) - 11) /. 8.0) in
+    let bad i = raise (View.Bounds { name = "x"; index = i; length = 128 }) in
+    View.doubles ~name:"x" ~length:128 ~data:(Array.sub data lo (hi - lo)) ~lo ~hi
+      ~load_f:(fun i bank s -> if i < lo || i >= hi then bad i else bank.(s) <- data.(i))
+      ~store_f:(fun i _ _ -> bad i)
+      ~reduce_f:(fun _ i _ _ -> bad i)
+
+  (* Tight windows, near the elements the loops reach, often. *)
+  let window =
+    Gen.frequency
+      [
+        (1, Gen.return (0, 128));
+        (4, Gen.int_range 0 10 >>= fun lo -> Gen.map (fun hi -> (lo, hi)) (Gen.int_range (lo + 1) 64));
+      ]
+  let range = Gen.map2 (fun lo len -> (lo, min 6 (lo + 1 + len))) (Gen.int_range 0 5) (Gen.int_bound 5)
+end
+
+(* The outputs, [r], the frame's floats, the cost and the error of running
+   iterations [lo, hi) of [kc] over fresh views; [proven] binds the frame
+   for that launch first. Also whether proving changed the frame's ints. *)
+let run_bound kc ~proven ~m ~k ~window ~rlen (lo, hi) =
+  let out = Array.make 18 0.0 and r = Array.init rlen (fun i -> 1.0 +. (float_of_int (i mod 5) /. 8.0)) in
+  let frame = kc.Kernel_compile.make_frame () in
+  List.iter
+    (fun (name, slot, _) ->
+      match name with
+      | "x" -> Frame.set_view frame slot (Pgen.view window)
+      | "r" -> Frame.set_view frame slot (View.of_float_array ~name r)
+      | "out" -> Frame.set_view frame slot (View.of_float_array ~name out)
+      | "m" -> Frame.set_int frame slot m
+      | "k" -> Frame.set_int frame slot k
+      | _ -> ())
+    kc.Kernel_compile.params;
+  let ints = Array.copy frame.Frame.ints in
+  if proven then kc.Kernel_compile.prove frame ~lo ~hi;
+  let moved = ints <> frame.Frame.ints in
+  let error =
+    match
+      for i = lo to hi - 1 do
+        kc.Kernel_compile.run_iter frame i
+      done
+    with
+    | () -> None
+    | exception e -> Some (Printexc.to_string e)
+  in
+  let bits = Array.map Int64.bits_of_float in
+  ((bits out, bits r, bits frame.Frame.floats, cost_fields frame.Frame.cost, error), moved)
+
+let proof_vs_unproven (body, (m, k), window, rlen, range) =
+  let src =
+    Printf.sprintf
+      "void main() { int n = 6; int m = %d; int k = %d; double x[128]; double r[%d]; double out[18]; int p;\n\
+       #pragma acc parallel loop\n\
+       for (p = 0; p < n; p++) { %s }\n\
+       }"
+      m k rlen body
+  in
+  let program = Parser.parse ~file:"p.c" src in
+  Typecheck.check_program program;
+  let loop = List.hd (Loop_info.extract (Option.get (Ast.find_func program "main"))) in
+  let ty = function "x" | "r" | "out" -> Ast.Tarray Ast.Edouble | _ -> Ast.Tint in
+  let params = List.map (fun v -> (v, ty v)) (Loop_info.free_vars loop) in
+  let kc = Kernel_compile.compile ~loop ~params ~classify:cycling_classify in
+  let differs window =
+    let proven, _ = run_bound kc ~proven:true ~m ~k ~window ~rlen range in
+    let unproven, _ = run_bound kc ~proven:false ~m ~k ~window ~rlen range in
+    if proven = unproven then None
+    else
+      let error (_, _, _, _, e) = Option.value e ~default:"none" in
+      Some
+        (Printf.sprintf "window [%d, %d): the proven frame differs from the unproven one (errors: %s, %s)"
+           (fst window) (snd window) (error proven) (error unproven))
+  in
+  (* Besides the case's own window, every window that ends earlier, and
+     every one that starts from 0 to 16, so that the windows one element
+     short of each operand's reach are all tried. *)
+  let lo_w, hi_w = window in
+  let others = List.init (hi_w - lo_w - 1) (fun d -> (lo_w, lo_w + 1 + d)) @ List.init 17 (fun l -> (l, 128)) in
+  let (out, r, _, cost, error), _ = run_bound kc ~proven:true ~m ~k ~window ~rlen range in
+  if kc.Kernel_compile.strip_loops <> 1 then Error (Printf.sprintf "%d loops over strips" kc.Kernel_compile.strip_loops)
+  else match List.find_map differs (window :: others) with
+  | Some msg -> Error msg
+  | None ->
+    let rout = Array.make 18 0.0 and rr = Array.init rlen (fun i -> 1.0 +. (float_of_int (i mod 5) /. 8.0)) in
+    let bindings =
+      List.map
+        (fun (name, _) ->
+          ( name,
+            match name with
+            | "x" -> Ref_interp.Carray (Pgen.view window)
+            | "r" -> Ref_interp.Carray (View.of_float_array ~name rr)
+            | "out" -> Ref_interp.Carray (View.of_float_array ~name rout)
+            | "m" -> Ref_interp.Cint (ref m)
+            | _ -> Ref_interp.Cint (ref k) ))
+        params
+    in
+    let lo, hi = range in
+    let bits = Array.map Int64.bits_of_float in
+    match (Ref_interp.run_kernel program ~classify:cycling_classify loop bindings ~lo ~hi, error) with
+    | rc, None ->
+        if bits rout <> out || bits rr <> r then Error "results differ from the reference"
+        else if cost_fields rc <> cost then Error "counts differ from the reference"
+        else Ok ()
+    | _, Some e -> Error (Printf.sprintf "only the compiled kernel raised %s" e)
+    | exception ref_error -> (
+        match error with
+        | Some e when e = Printexc.to_string ref_error -> Ok ()
+        | e ->
+            Error
+              (Printf.sprintf "the reference raised %s, the compiled kernel %s" (Printexc.to_string ref_error)
+                 (Option.value e ~default:"nothing")))
+
+let prop_proof_matches_unproven =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 20131005 |])
+    (QCheck2.Test.make ~count:300 ~long_factor:10
+       ~name:"proof: a proven frame equals an unproven one and the reference, faults included"
+       ~print:(fun (body, (m, k), (wlo, whi), rlen, (lo, hi)) ->
+         Printf.sprintf "m %d, k %d, x window [%d, %d), r[%d], iterations [%d, %d): %s" m k wlo whi rlen lo hi body)
+       (Gen.map (fun ((b, mk, w), (r, g)) -> (b, mk, w, r, g))
+          (Gen.pair
+             (Gen.triple Pgen.body (Gen.pair (Gen.int_range 3 8) (Gen.int_range 1 4)) Pgen.window)
+             (Gen.pair (Gen.frequency [ (2, Gen.return 64); (1, Gen.int_range 1 63) ]) Pgen.range)))
+       (fun case ->
+         match proof_vs_unproven case with Ok () -> true | Error msg -> QCheck2.Test.fail_reportf "%s" msg))
+
+(* kmeans's distance loop over the rows [lo*m, hi*m) of GPU [lo, hi): with
+   [x]'s window exactly those rows the launch proves the load, so binding
+   writes the frame's proof; one element short at either end, it proves
+   nothing, and the run raises the reference's error at the same trip. *)
+let test_proof_refuses_short_window () =
+  let m = 6 and k = 3 and lo = 2 and hi = 5 in
+  let body = "double w = 0.5; int c = 2; int j; for (j = 0; j < m; j++) { w = w + x[p * m + j] * 0.5; } out[p * 3] = w;" in
+  List.iter
+    (fun (window, proves) ->
+      let case = (body, (m, k), window, 64, (lo, hi)) in
+      (match proof_vs_unproven case with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "window [%d, %d): %s" (fst window) (snd window) msg);
+      let program =
+        Parser.parse ~file:"p.c"
+          (Printf.sprintf
+             "void main() { int n = 6; int m = 6; int k = 3; double x[128]; double r[64]; double out[18]; int p;\n\
+              #pragma acc parallel loop\n\
+              for (p = 0; p < n; p++) { %s }\n\
+              }"
+             body)
+      in
+      Typecheck.check_program program;
+      let loop = List.hd (Loop_info.extract (Option.get (Ast.find_func program "main"))) in
+      let ty = function "x" | "r" | "out" -> Ast.Tarray Ast.Edouble | _ -> Ast.Tint in
+      let kc =
+        Kernel_compile.compile ~loop
+          ~params:(List.map (fun v -> (v, ty v)) (Loop_info.free_vars loop))
+          ~classify:cycling_classify
+      in
+      let (_, _, _, _, error), moved = run_bound kc ~proven:true ~m ~k ~window ~rlen:64 (lo, hi) in
+      check Alcotest.bool (Printf.sprintf "window [%d, %d) proves the load" (fst window) (snd window)) proves moved;
+      check Alcotest.bool (Printf.sprintf "window [%d, %d) faults" (fst window) (snd window)) (not proves) (error <> None))
+    [ ((lo * m, hi * m), true); ((lo * m, (hi * m) - 1), false); (((lo * m) + 1, hi * m), false); ((0, 128), true) ]
+
 (* Host code: [main]'s frame is built once a run, so its loops reserve
    strips (the one here has int slot 0 as its counter, like any [main]
    whose first int is the counter); a called function's frame is built on
@@ -2036,7 +2257,8 @@ let test_device_stores_use_accessors () =
     ]
 
 (* A kernel allocates nothing per iteration: running it twice as long,
-   from iteration [first], allocates the same. [bind name slot] binds each
+   from iteration [first], allocates the same, and proving its frame for
+   those iterations allocates nothing. [bind name slot] binds each
    parameter; [strips] is how many of its counted loops run over strips. *)
 let check_allocates_nothing ?(first = 0) ?(strips = 0) what src ~params ~bind =
   let kc = compile_loop src ~params in
@@ -2044,6 +2266,10 @@ let check_allocates_nothing ?(first = 0) ?(strips = 0) what src ~params ~bind =
   let words iters =
     let frame = kc.Kernel_compile.make_frame () in
     List.iter (fun (name, slot, _) -> bind frame name slot) kc.Kernel_compile.params;
+    let before = Gc.minor_words () in
+    kc.Kernel_compile.prove frame ~lo:first ~hi:(first + iters);
+    let proving = Gc.minor_words () -. before in
+    if proving > 0.0 then Alcotest.failf "%s: proving a frame allocated %.0f minor words" what proving;
     let before = Gc.minor_words () in
     for i = first to first + iters - 1 do
       kc.Kernel_compile.run_iter frame i
@@ -2084,6 +2310,101 @@ let bind_kmeans frame name slot =
    a counted loop bounded by a local; spmv: the row body, on the device
    views GPU 1 of 2 binds (its parts start past 0), so the in-place read
    and the counted loop's trip count are gated on those too. *)
+(* kmeans's distance body, its inner loop stepping by [step]. *)
+let kmeans_distance_body step =
+  Printf.sprintf
+    {|void main() { int n = 2000; int f = 16; int k = 5; double x[n*f]; double centers[k*f]; int membership[n];
+int delta = 0; int i;
+#pragma acc parallel loop reduction(+: delta)
+for (i = 0; i < n; i++) {
+  double best = 1.0e30;
+  int bc = 0;
+  int c;
+  int j2;
+  for (c = 0; c < k; c++) {
+    double dist = 0.0;
+    for (j2 = 0; j2 < f; %s) {
+      double d = x[i*f + j2] - centers[c*f + j2];
+      dist = dist + d*d;
+    }
+    if (dist < best) { best = dist; bc = c; }
+  }
+  if (bc != membership[i]) { delta = delta + 1; membership[i] = bc; }
+} }|}
+    step
+
+(* At least how many times faster the distance body runs over proven
+   strips than its twin one trip at a time: a third of the lowest of the
+   6.6-8.7x measured on a 2-core guest (docs/PERF.md, "The perf gate"). *)
+let strip_gate_bar = 2.2
+
+(* Live relative perf gate for strips: kmeans's distance body on frames
+   bound like GPU 1 of 2 (its part of [x] and [membership], the replica of
+   [centers]) and proven for its iterations, against a twin whose inner
+   step [j2 = j2 + 1] keeps it off the counted loop, so it runs one trip
+   at a time. The best of 5 runs of each, in CPU time, alternating. *)
+let test_strip_perf_gate () =
+  let n = 2000 and f = 16 in
+  let cfg = Rt_config.make ~num_gpus:2 (Mgacc.Machine.desktop ()) in
+  let ranges = Task_map.split ~lower:0 ~upper:n ~parts:2 in
+  let range = ranges.(1) in
+  let params =
+    [
+      ("f", Ast.Tint);
+      ("k", Ast.Tint);
+      ("x", Ast.Tarray Ast.Edouble);
+      ("centers", Ast.Tarray Ast.Edouble);
+      ("membership", Ast.Tarray Ast.Eint);
+      ("delta", Ast.Tint);
+    ]
+  in
+  let run step ~strips =
+    let kc = compile_loop (kmeans_distance_body step) ~params in
+    check Alcotest.int (step ^ ": loops over strips") strips kc.Kernel_compile.strip_loops;
+    let frame = kc.Kernel_compile.make_frame () in
+    let cost = frame.Frame.cost in
+    let array name host =
+      let da = Darray.create cfg ~name ~host in
+      match name with
+      | "centers" ->
+          ignore (Darray.ensure_replicated cfg da ~dirty_tracking:false);
+          Launch.replicated_view da ~gpu:1 ~dirty:None ~cost
+      | _ ->
+          let stride = if name = "x" then f else 1 in
+          ignore (Darray.ensure_distributed cfg da ~spec:{ Darray.stride; left = 0; right = 0; tile = None } ~ranges);
+          Launch.distributed_view da ~gpu:1 ~miss_check:false ~cost
+    in
+    List.iter
+      (fun (name, slot, _) ->
+        match name with
+        | "f" -> Frame.set_int frame slot f
+        | "k" -> Frame.set_int frame slot 5
+        | "x" -> Frame.set_view frame slot (array name (View.of_float_array ~name (Array.init (n * f) float_of_int)))
+        | "centers" ->
+            Frame.set_view frame slot (array name (View.of_float_array ~name (Array.init (5 * f) float_of_int)))
+        | "membership" -> Frame.set_view frame slot (array name (View.of_int_array ~name (Array.make n (-1))))
+        | _ -> ())
+      kc.Kernel_compile.params;
+    kc.Kernel_compile.prove frame ~lo:range.Task_map.start_ ~hi:range.Task_map.stop_;
+    fun () ->
+      let t0 = Sys.time () in
+      for _ = 1 to 4 do
+        for i = range.Task_map.start_ to range.Task_map.stop_ - 1 do
+          kc.Kernel_compile.run_iter frame i
+        done
+      done;
+      Sys.time () -. t0
+  in
+  let strips = run "j2++" ~strips:1 and twin = run "j2 = j2 + 1" ~strips:0 in
+  let best = ref infinity and best_twin = ref infinity in
+  for _ = 1 to 5 do
+    best := Float.min !best (strips ());
+    best_twin := Float.min !best_twin (twin ())
+  done;
+  if !best *. strip_gate_bar > !best_twin then
+    Alcotest.failf "the distance body over strips is only %.2fx faster than one trip at a time (%.4fs vs %.4fs)"
+      (!best_twin /. !best) !best !best_twin
+
 (* The centre reduction's destinations as the reduction views GPU 1 of 2
    binds. *)
 let bind_centre_partials frame name slot =
@@ -2423,6 +2744,9 @@ let suite =
     prop_kernel_matches_reference;
     prop_strips_match_reference;
     tc "strips: two-slot subscripts, negated bounds and updates run over strips" test_strip_forms;
+    prop_proof_matches_unproven;
+    tc "proof: a window one element short proves nothing and faults at the same trip"
+      test_proof_refuses_short_window;
     tc "view: reduction windows fold as the accessor folds" test_reduction_windows;
     tc "strips: host main reserves strips, a called function does not" test_host_strips_main_only;
     prop_inline_read_matches_accessors;
@@ -2430,6 +2754,7 @@ let suite =
     tc "view: device views never write in place: dirty bits, misses and charges as the accessors'"
       test_device_stores_use_accessors;
     tc "kernel: a double body allocates nothing per iteration" test_kernel_allocates_nothing_per_iteration;
+    tc "strips: proven strips perf gate" test_strip_perf_gate;
     tc "lazy merge: allocation flat in the number of peers" test_lazy_merge_allocation_flat_in_peers;
     tc "kernel: each frame has its own cost counter" test_kernel_frames_count_separately;
   ]

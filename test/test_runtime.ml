@@ -2,6 +2,7 @@
    buffers, device-array state machine, reductions, profiler. *)
 
 module Interval = Mgacc_util.Interval
+module Pool = Mgacc_util.Pool
 module Memory = Mgacc_gpusim.Memory
 module Machine = Mgacc_gpusim.Machine
 open Mgacc_runtime
@@ -369,10 +370,10 @@ let test_profiler_rejects_negative () =
 module Launch = Mgacc_runtime.Launch
 
 (* A program on a [--machine] spec under [config]. *)
-let run_shape source spec config =
+let run_shape ?pool source spec config =
   let spec = match Machine.spec_of_string spec with Ok s -> s | Error e -> failwith e in
   let machine = Machine.of_spec spec in
-  Mgacc.run_acc ~config:(config machine) (Mgacc.parse_string ~name:"t" source)
+  Mgacc.Acc_runtime.run ?pool ~config:(config machine) (Mgacc.parse_string ~name:"t" source)
 
 (* A launch whose iteration [w] reads outside its GPU's window under a
    localaccess that claims no halo ([Window_violation]) and whose
@@ -610,26 +611,28 @@ let test_tasks_allocate_nothing () =
               (Atomic.get allocating) (Atomic.get tasks) (Atomic.get worst))
         (e2e_smoke_shapes ()))
 
+(* A run's report and its result arrays, doubles as their bits so NaNs
+   and signed zeros count. *)
+let snapshot ?pool (app : Mgacc_apps.App_common.t) spec config =
+  let env, report = run_shape ?pool app.source spec config in
+  let arrays =
+    List.map
+      (fun name ->
+        match Mgacc.Host_interp.find_array env name with
+        | { Mgacc_exec.View.elem = Mgacc_minic.Ast.Edouble; _ } ->
+            Array.map Int64.bits_of_float (Mgacc.float_results env name)
+        | _ -> Array.map Int64.of_int (Mgacc.int_results env name))
+      app.result_arrays
+  in
+  (Report.to_json report, arrays)
+
 (* Partitions finish in whatever order the domains take them; nothing a
    run reports or computes may depend on it. *)
 let test_parallel_runs_deterministic () =
   List.iter
     (fun (what, (app : Mgacc_apps.App_common.t), spec, config) ->
       check_kmeans_strips what app;
-      (* Doubles as their bits, so NaNs and signed zeros count. *)
-      let snapshot () =
-        let env, report = run_shape app.source spec config in
-        let arrays =
-          List.map
-            (fun name ->
-              match Mgacc.Host_interp.find_array env name with
-              | { Mgacc_exec.View.elem = Mgacc_minic.Ast.Edouble; _ } ->
-                  Array.map Int64.bits_of_float (Mgacc.float_results env name)
-              | _ -> Array.map Int64.of_int (Mgacc.int_results env name))
-            app.result_arrays
-        in
-        (Report.to_json report, arrays)
-      in
+      let snapshot () = snapshot app spec config in
       let json, arrays = snapshot () in
       for run = 2 to 10 do
         let json', arrays' = snapshot () in
@@ -638,6 +641,33 @@ let test_parallel_runs_deterministic () =
           Alcotest.failf "%s: run %d's result arrays differ from run 1's" what run
       done)
     (e2e_smoke_shapes ())
+
+(* The same runs on a pool that runs every task on the caller and on one
+   of three workers, which oversubscribes a small host and so interleaves
+   the GPUs' tasks whatever its core count: the reports and result arrays
+   must be equal bit for bit. The tasks read the proofs their frames were
+   bound with, so this also checks that binding leaves nothing a task
+   writes. *)
+let test_pool_worker_counts_agree () =
+  let shapes =
+    List.filter
+      (fun (what, _, _, _) -> what = "kmeans on desktop" || what = "bfs tuned on fattree:4x4")
+      (e2e_smoke_shapes ())
+  in
+  check Alcotest.int "two shapes" 2 (List.length shapes);
+  let inline = Pool.create ~workers:0 and three = Pool.create ~workers:3 in
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.shutdown inline;
+      Pool.shutdown three)
+    (fun () ->
+      List.iter
+        (fun (what, app, spec, config) ->
+          let json, arrays = snapshot ~pool:inline app spec config in
+          let json', arrays' = snapshot ~pool:three app spec config in
+          check Alcotest.string (what ^ ": report on 0 and 3 workers") json json';
+          if arrays <> arrays' then Alcotest.failf "%s: result arrays differ on 0 and 3 workers" what)
+        shapes)
 
 let suite =
   [
@@ -662,5 +692,6 @@ let suite =
     tc "launch: the lowest faulting GPU's error is raised" test_launch_raises_lowest_gpu_fault;
     tc "launch: tasks allocate nothing per iteration" test_tasks_allocate_nothing;
     tc "launch: ten runs of each e2e shape are identical" test_parallel_runs_deterministic;
+    tc "launch: 0 and 3 pool workers give identical runs" test_pool_worker_counts_agree;
     tc "launch: reduction updates over strips equal one trip at a time" test_reduction_strips_match_twin;
   ]

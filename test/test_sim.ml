@@ -56,7 +56,6 @@ let test_timeline_serializes () =
   check (Alcotest.float 1e-12) "first ends" 2.0 f1;
   check (Alcotest.float 1e-12) "second waits for resource" 2.0 s2;
   check (Alcotest.float 1e-12) "second ends" 3.0 f2;
-  check (Alcotest.float 1e-12) "busy time" 3.0 (Timeline.busy_time t);
   Timeline.reset t;
   check (Alcotest.float 1e-12) "reset" 0.0 (Timeline.available_at t)
 
@@ -64,8 +63,7 @@ let test_timeline_gap () =
   let t = Timeline.create "x" in
   let _ = Timeline.reserve t ~ready:0.0 ~duration:1.0 in
   let s, _ = Timeline.reserve t ~ready:5.0 ~duration:1.0 in
-  check (Alcotest.float 1e-12) "idle gap honored" 5.0 s;
-  check (Alcotest.float 1e-12) "busy excludes gap" 2.0 (Timeline.busy_time t)
+  check (Alcotest.float 1e-12) "idle gap honored" 5.0 s
 
 let test_timeline_invalid () =
   let t = Timeline.create "x" in
@@ -81,21 +79,9 @@ let test_trace_totals () =
   Trace.add t (span "gpu0" Trace.Kernel 0.0 2.0 0);
   Trace.add t (span "pcie" Trace.Host_to_device 0.0 1.0 100);
   Trace.add t (span "pcie" Trace.Peer 2.0 3.0 50);
-  check (Alcotest.float 1e-12) "kernel total" 2.0 (Trace.total_in t Trace.Kernel);
-  check Alcotest.int "h2d bytes" 100 (Trace.bytes_in t Trace.Host_to_device);
-  check Alcotest.int "peer bytes" 50 (Trace.bytes_in t Trace.Peer);
   check (Alcotest.float 1e-12) "makespan" 3.0 (Trace.makespan t);
   Trace.clear t;
   check Alcotest.int "cleared" 0 (List.length (Trace.spans t))
-
-let test_trace_busy_union () =
-  let t = Trace.create () in
-  (* Overlapping spans of the same category must not double count. *)
-  Trace.add t (span "a" Trace.Kernel 0.0 2.0 0);
-  Trace.add t (span "b" Trace.Kernel 1.0 3.0 0);
-  Trace.add t (span "c" Trace.Kernel 5.0 6.0 0);
-  let busy = Trace.busy_union t (fun c -> c = Trace.Kernel) in
-  check (Alcotest.float 1e-12) "union length" 4.0 busy
 
 let test_trace_gantt_renders () =
   let t = Trace.create () in
@@ -112,6 +98,5 @@ let suite =
     tc "timeline: honors idle gaps" test_timeline_gap;
     tc "timeline: rejects bad input" test_timeline_invalid;
     tc "trace: totals and bytes" test_trace_totals;
-    tc "trace: busy union deduplicates overlap" test_trace_busy_union;
     tc "trace: gantt renders" test_trace_gantt_renders;
   ]

@@ -54,7 +54,7 @@ fi
 # Matching by name undercounts (a value of the same name elsewhere hides a
 # dead export), so the count can only be too low. A change that removes
 # some lowers the number here; none may raise it.
-max_uncalled_exports=43
+max_uncalled_exports=39
 uncalled=""
 for mli in lib/*/*.mli; do
   ml="${mli%i}"
