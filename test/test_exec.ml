@@ -2405,6 +2405,122 @@ let test_strip_perf_gate () =
     Alcotest.failf "the distance body over strips is only %.2fx faster than one trip at a time (%.4fs vs %.4fs)"
       (!best_twin /. !best) !best !best_twin
 
+(* Live relative perf gates for the executor's inlined strip passes and
+   the kept shapes the four workloads pay for most (kernel_compile.mli).
+   Each row is a parallel-loop body with the shape, a twin that differs
+   only in being ineligible for it (an [else { }], a flipped operand, a
+   [+ 0]), and a bar: at least how many times faster the shape runs.
+   Both run on host views, proven for their iterations; the best of 5
+   runs each in CPU time, alternating. Each bar is a third or less of the
+   lowest ratio measured on a 2-core guest (docs/PERF.md, "The perf
+   gate"). *)
+let shape_gates =
+  [
+    ( "strip pass d = x - c",
+      "double s = 0.0; int j; for (j = 0; j < k; j++) { double d = x[i*k + j] - x[j]; s = s + d; } y[i] = s;",
+      "double s = 0.0; int j; for (j = 0; j < k; j++) { double d = x[i*k + j] + x[j]; s = s + d; } y[i] = s;",
+      0.43 );
+    ( "strip pass s = s + a*b",
+      "double s = 0.0; int j; for (j = 0; j < k; j++) { s = s + x[i*k + j] * x[j]; } y[i] = s;",
+      "double s = 0.0; int j; for (j = 0; j < k; j++) { s = x[i*k + j] * x[j] + s; } y[i] = s;",
+      0.89 );
+    ( "strip fold_pass c[..] += x[..]",
+      "int c = i % k; int j; for (j = 0; j < k; j++) {\n\
+       #pragma acc reductiontoarray(+: w)\n\
+       w[c*k + j] = w[c*k + j] + x[i*k + j]; }",
+      "int c = i % k; int j; for (j = 0; j < k; j++) {\n\
+       #pragma acc reductiontoarray(+: w)\n\
+       w[c*k + j] = w[c*k + j] - x[i*k + j]; }",
+      0.91 );
+    ( "fused s + vals[..] * x[c]",
+      "double s = 0.0; int j; for (j = 0; j < k; j++) { int c = cols[i*k + j]; s = s + x[i*k + j] * y[c]; } z[i] = s;",
+      "double s = 0.0; int j; for (j = 0; j < k; j++) { int c = cols[i*k + j]; s = x[i*k + j] * y[c] + s; } z[i] = s;",
+      0.44 );
+    ( "if (load == slot) without else",
+      "int t = 0; int j; for (j = 0; j < k; j++) { if (lv[i*k + j] == level) { t = t + 1; } } out[i] = t;",
+      "int t = 0; int j; for (j = 0; j < k; j++) { if (lv[i*k + j] == level) { t = t + 1; } else { } } out[i] = t;",
+      0.34 );
+    ( "if (slot % lit < lit) with else",
+      "int t = 0; int j; for (j = 0; j < k; j++) { int sd = i + j; if (sd % 10 < 8) { t = t + 1; } else { t = t + 2; } } out[i] = t;",
+      "int t = 0; int j; for (j = 0; j < k; j++) { int sd = i + j; if (sd % 10 + 0 < 8) { t = t + 1; } else { t = t + 2; } } out[i] = t;",
+      0.46 );
+    ( "v = affine op slot",
+      "int sd = i; int j; for (j = 0; j < k; j++) { sd = (sd * 1103515245 + 12345) % m; } out[i] = sd;",
+      "int sd = i; int j; for (j = 0; j < k; j++) { sd = (sd * 1103515245 + 12345) % (m + 0); } out[i] = sd;",
+      0.33 );
+    ( "int v = load",
+      "int t = 0; int j; for (j = 0; j < k; j++) { int c = cols[i*k + j]; t = t + c; } out[i] = t;",
+      "int t = 0; int j; for (j = 0; j < k; j++) { int c = cols[i*k + j] + 0; t = t + c; } out[i] = t;",
+      0.42 );
+    ( "int store at an affine subscript",
+      "int j; for (j = 0; j < k; j++) { out[i*k + j] = j; }",
+      "int j; for (j = 0; j < k; j++) { out[i*k + j + 0] = j; }",
+      0.53 );
+    ( "counted loop",
+      "int t = 0; int j; for (j = 0; j < k; j++) { t = t + j; } out[i] = t;",
+      "int t = 0; int j; for (j = 0; j < k; j = j + 1) { t = t + j; } out[i] = t;",
+      0.96 );
+  ]
+
+let test_shape_perf_gates () =
+  let n = 256 and k = 64 in
+  let params =
+    [ ("k", Ast.Tint); ("m", Ast.Tint); ("level", Ast.Tint) ]
+    @ List.map (fun a -> (a, Ast.Tarray Ast.Edouble)) [ "x"; "y"; "z"; "w" ]
+    @ List.map (fun a -> (a, Ast.Tarray Ast.Eint)) [ "cols"; "lv"; "out" ]
+  in
+  let run body =
+    let kc =
+      compile_loop ~params
+        (Printf.sprintf
+           "void main() { int n = %d; int k = %d; int m = 2147483647; int level = 1; double x[n*k]; double \
+            y[n*k]; double z[n]; double w[k*k]; int cols[n*k]; int lv[n*k]; int out[n*k]; int i;\n\
+            #pragma acc parallel loop\n\
+            for (i = 0; i < n; i++) { %s } }"
+           n k body)
+    in
+    let frame = kc.Kernel_compile.make_frame () in
+    List.iter
+      (fun (name, slot, _) ->
+        let floats len = Frame.set_view frame slot (View.of_float_array ~name (Array.init len (fun e -> float_of_int (e mod 17)))) in
+        let ints f = Frame.set_view frame slot (View.of_int_array ~name (Array.init (n * k) f)) in
+        match name with
+        | "k" -> Frame.set_int frame slot k
+        | "m" -> Frame.set_int frame slot 2147483647
+        | "level" -> Frame.set_int frame slot 1
+        | "x" | "y" -> floats (n * k)
+        | "z" -> floats n
+        | "w" -> floats (k * k)
+        | "cols" -> ints (fun e -> e * 7919 mod (n * k))
+        | "lv" -> ints (fun _ -> 1)
+        | _ -> ints (fun _ -> 0))
+      kc.Kernel_compile.params;
+    kc.Kernel_compile.prove frame ~lo:0 ~hi:n;
+    fun () ->
+      let t0 = Sys.time () in
+      for _ = 1 to 20 do
+        for i = 0 to n - 1 do
+          kc.Kernel_compile.run_iter frame i
+        done
+      done;
+      Sys.time () -. t0
+  in
+  let missed =
+    List.filter_map
+      (fun (what, shape, twin, bar) ->
+        let shape = run shape and twin = run twin in
+        let best = ref infinity and best_twin = ref infinity in
+        for _ = 1 to 5 do
+          best := Float.min !best (shape ());
+          best_twin := Float.min !best_twin (twin ())
+        done;
+        let ratio = !best_twin /. !best in
+        if ratio < bar then Some (Printf.sprintf "%s: %.2fx faster than its twin, bar %.2fx" what ratio bar)
+        else None)
+      shape_gates
+  in
+  if missed <> [] then Alcotest.failf "shape perf gates missed:\n%s" (String.concat "\n" missed)
+
 (* The centre reduction's destinations as the reduction views GPU 1 of 2
    binds. *)
 let bind_centre_partials frame name slot =
@@ -2755,6 +2871,7 @@ let suite =
       test_device_stores_use_accessors;
     tc "kernel: a double body allocates nothing per iteration" test_kernel_allocates_nothing_per_iteration;
     tc "strips: proven strips perf gate" test_strip_perf_gate;
+    tc "kernel: inlined passes and kept shapes perf gates" test_shape_perf_gates;
     tc "lazy merge: allocation flat in the number of peers" test_lazy_merge_allocation_flat_in_peers;
     tc "kernel: each frame has its own cost counter" test_kernel_frames_count_separately;
   ]
