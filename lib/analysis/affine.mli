@@ -21,9 +21,6 @@ type t = {
   terms : Ast.expr list;  (** loop-uniform symbolic summands *)
 }
 
-val mentions_var : Ast.expr -> string -> bool
-(** Whether the expression reads the scalar variable, in a subscript too. *)
-
 val is_uniform_expr : is_uniform:(string -> bool) -> Ast.expr -> bool
 (** Whether an integer expression is loop-uniform: it mentions only uniform
     variables, no array loads, and only integer-valued operators. *)

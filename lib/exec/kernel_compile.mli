@@ -1,91 +1,68 @@
 (** Closure compilation of mini-C: the one evaluator of the language.
 
-    Code is compiled once into OCaml closures over a slotted {!Frame.t};
-    running it is then just closure application with no name resolution.
-    A parallel-loop body compiles to a kernel ({!compile}), which serves
+    Code is lowered once ({!Lower}) to the first-order {!Form} and built
+    from it into OCaml closures over a slotted {!Frame.t}; running it is
+    then just closure application with no name resolution. A
+    parallel-loop body compiles to a kernel ({!compile}), which serves
     every execution target — host OpenMP simulation, single-GPU CUDA
     baseline, and each GPU partition of the multi-GPU runtime — differing
     only in the views bound into the frame. Host code compiles through the
-    same expression and statement compiler ({!host}), with four more forms
-    allowed: user function calls, array declarations, [return], and
-    directives, which a {!stager} turns into runtime actions.
+    same form and builder ({!host}), with four more forms allowed: user
+    function calls, array declarations, [return], and directives, which a
+    {!stager} turns into runtime actions.
 
-    Doubles never cross a closure boundary boxed. A double expression
-    compiles to code that leaves its value in a float slot of the frame
-    (the destination variable's own slot for a declaration or plain
-    assignment, else a temporary from {!Frame.Layout.fresh}), and moves
-    through views with the slot-passing accessors of {!View.t}. Operands
-    are specialized by shape at compile time where a workload pays for it
-    (the kept shapes are listed below): a variable or literal operand is
-    read from its slot inside its user's closure rather than called, an
-    int comparison used as a condition yields a [bool] directly, a
-    subscript [a*b + c], [c + a*b] or [a*b - c] over int variables and
-    literals is computed inside the access's closure, [a + b], [a - b] or
-    [a * b] over two int literals is a constant, and a builtin call
-    resolves its operation once. A counted loop, [for (init; v op b; v++)]
-    or [v--] with [v] an int variable, [b] an int variable, literal or
-    negated literal (whose negation each test still pays) and no [break]
-    or [continue] leaving its body, runs as one OCaml loop over
-    the two slots, or over strips (below); other loops install a
-    [continue] handler only when their body can jump. Shape never changes
-    a charge. Evaluation order is fixed: the right operand of a binary
-    operator runs before the left, a plain element assignment runs its
-    value before its subscript, and a compound one its subscript first; so
-    a statement with two faults raises the same located error however its
-    operands are shaped.
+    {b The form.} A node of the form is a statement, an int operand or a
+    double operand, each its own type. An operand is a slot (a variable,
+    or the constant slot of a literal), a load, an operator, a builtin
+    call or a conversion. A load is a view slot and a subscript that
+    {!Lower} classifies once ({!Form.lin}): one slot, [a*b ± c] or [j ±
+    c] over int slots, or code. Loads, stores, reduction updates, strips
+    and launch-time proofs all read that one classification. A
+    commutative int operator has its slot operand on the right, and so
+    does an int comparison; reading a slot has no effect, so no order,
+    fault or charge moves. A counted loop carries its comparison, counter,
+    bound, step and negation, and in a kernel the source of its counter's
+    values ({!Form.src}); whether it runs over strips is {!Lower.strips},
+    a pure predicate over its lowered body.
 
-    A double operand of a float operator ([+ - * /]) has two more shapes
-    than a slot or code: an {e in-place load}, [a\[i\]] of a double array
-    whose subscript is a slot or an affine form, and an {e operator} over
-    two in-place loads. Both are charged when they compile and run inside
-    the closure of the operator that uses them when the fused shape
-    matches, a slot with an operator over two loads (spmv's [s +
-    vals\[i*k + e\] * x\[c\]]). Otherwise they are compiled into a
-    temporary like any code operand. Fusing changes neither order nor
-    charges: the right operand still runs first,
-    a fused load raises what an unfused one raises, and the segment's
-    static charge is the same sum (a flop per operator; per load its
-    access class, and 2 int ops for an affine subscript, a slot subscript
-    being run as [s*1 + 0] but charged as a slot).
+    Doubles never cross a closure boundary boxed: a double operand
+    compiles to code that leaves its value in a float slot (the
+    destination variable's own slot for a declaration or plain
+    assignment, else a temporary), and moves through views with the
+    slot-passing accessors of {!View.t}. Evaluation order is fixed: the
+    right operand of a binary operator runs before the left, a plain
+    element assignment runs its value before its subscript, and a
+    compound one its subscript first; so a statement with two faults
+    raises the same located error whatever closure it builds to.
 
-    An int operand has two more shapes than a slot, an affine form or
-    code: an {e operator} over two int slots ([i + 1], [seed % 10]) and
-    an {e in-place load}, [a\[i\]] of an int array whose subscript is a
-    slot or an affine form. Both are charged when they compile (an int op
-    for the operator; the access class for the load, whose affine
-    subscript pays its 2 int ops where it is read, like any affine form)
-    and are read inside the closure of the user that has a shape for
-    them (listed below). Anywhere else, a subscript for one, they compile
-    to code.
-
-    {b Operands in one normal form.} Every user of an operand has one
-    generic closure that reads a double operand as code and a slot (a
-    slot's code is a no-op) and an int operand as code returning its
-    value, so one closure serves every operand kind; the right operand
-    still runs first. A user has a closure of its own for a shape only
-    where an end-to-end workload runs it heavily. The kept shapes, each
-    with the workload that pays for it (docs/PERF.md, "Executor shapes
-    kept by the census", gives the runs per run):
-    - the fused float shape, a slot with an operator over two loads
-      (spmv);
+    {b Kept shapes.} Every user of an operand has one generic closure that
+    reads a double operand as code and a slot (a slot's code is a no-op)
+    and an int operand as code returning its value; the right operand
+    still runs first. A user has a closure of its own for a shape, matched
+    over the form, only where an end-to-end workload runs it heavily
+    (docs/PERF.md, "Executor shapes kept by the census", gives the runs
+    per run, and tier-1 "kernel: inlined passes and kept shapes perf
+    gates" times each against an ineligible twin):
+    - a slot with a float operator over two loads at linear subscripts,
+      fused into one closure (spmv's [s + vals\[i*k + e\] * x\[c\]]);
     - a double comparison of two slots (kmeans's [dist < best]);
     - a double load at a slot subscript into a temporary (spmv's [y\[i\]
       * inv]);
     - an [if] over a slot compared with a slot (spmv's [c >= 0], with an
       [else] bfs's [e == 0]), a slot operator compared with a slot, with
-      an [else] (bfs's [seed % 10 < 8]), and a load compared with a slot,
-      without one (bfs's [levels\[i\] == level], kmeans's [bc !=
-      membership\[i\]]);
+      an [else] (bfs's [seed % 10 < 8]), and a load at a linear subscript
+      compared with a slot, without one (bfs's [levels\[i\] == level],
+      kmeans's [bc != membership\[i\]]);
     - an int operator over two slots, over two slot operators (bfs's
       [(i + 1) + seed % 2000]) and over code and a slot (bfs's [(i + 1) %
       n], spmv's [(i + 1 + seed % 500) % n]);
     - a plain int assignment or declaration of a slot, a slot operator or
-      a load (all four workloads), and [v = x op b] with [b] a slot,
-      which applies the operator itself, to an affine [x] (the
-      generators' LCG) or to code (bfs's [j = (i + 1 + seed % 2000) %
+      a load at a linear subscript (all four workloads), and [v = x op b]
+      with [b] a slot, which applies the operator itself, to an affine [x]
+      (the generators' LCG) or to code (bfs's [j = (i + 1 + seed % 2000) %
       n]);
     - int stores of a slot at a slot, of a slot operator at a slot (bfs's
-      [levels\[j\] = level + 1]) and of a slot at an affine subscript
+      [levels\[j\] = level + 1]) and of a slot at a linear subscript
       (bfs's [edges\[i*maxdeg + e\] = j]);
     - a counted loop, and blocks of two to four statements without the
       array loop (all four workloads).
@@ -100,79 +77,66 @@
     [mod]. Every result equals OCaml's [/] and [mod] (C's truncation
     toward zero). A literal 0 stays a located run-time error.
 
-    {b Strips.} A counted loop stepping [++] under [<] or [<=], or [--]
-    under [>] or [>=], is strip-eligible when each body statement is a
-    [double] declaration or a plain or compound assignment to a double
-    scalar, or in a kernel a [reductiontoarray] update of a double array,
-    over literals, scalars, [+ - * /], negation, double builtins and double
-    loads; a load's or an update's subscript is a slot, an affine form or
-    [j + c], [c + j] or [j - c] over two slots, linear in the counter (a
-    zero coefficient too). Each scalar is written once, and no statement
-    reads one that it or a later statement writes, except an accumulator
-    ([x = x op e], [x = e op x], [x op= e]); an updated array is updated by
-    no other statement and read by none. An entry of two trips or more
-    whose loads' first and last elements lie in their views' read
-    windows and whose updates' in their views' reduction windows
-    ({!View.t.rwin}), under an operator the window accepts, runs one
-    statement at a time over strips of 64 trips, in slots the layout
-    reserves at compile time: each load's first element and move per trip
-    are computed once for all its passes, loads read in place, accumulators
-    and updates fold in trip order, each update's view is marked once, and
-    every scalar declared outside the body, element and the counter end bit
-    for bit as one trip at a time leaves them (a scalar the body declares is
-    dead after the loop and keeps no last value). Any other entry runs one
-    trip at a time and raises what it raised before, at the same trip (an
-    entry of one trip costs no less over strips).
-    Either way the loop pays its charge once, when it ends. A function that
-    host code calls builds its frame per call, so its loops run one trip at
-    a time.
+    {b Strips.} A counted loop whose lowered body {!Lower.strips} admits
+    (double scalars and, in a kernel, [reductiontoarray] updates of double
+    arrays, over double loads at linear subscripts; its doc gives the
+    rule) reserves strips when it is built. An entry of two trips or more
+    whose loads' first and last elements lie in their views' read windows
+    and whose updates' in their views' reduction windows ({!View.t.rwin}),
+    under an operator the window accepts, runs one statement at a time
+    over strips of 64 trips: each load's first element and move per trip
+    are computed once for all its passes, loads read in place,
+    accumulators and updates fold in trip order, each update's view is
+    marked once, and every scalar declared outside the body, element and
+    the counter end bit for bit as one trip at a time leaves them (a
+    scalar the body declares is dead after the loop and keeps no last
+    value). Any other entry runs one trip at a time and raises what it
+    raised before, at the same trip (an entry of one trip costs no less
+    over strips). Either way the loop pays its charge once, when it ends.
+    A function that host code calls builds its frame per call, so its
+    loops run one trip at a time.
 
-    A kernel's frame can be proven for a launch ({!t.prove}): an operand
-    whose subscript's three slots each have a known range over the launch
-    (a literal; a parameter no statement writes, at its bound value; the
-    parallel index, over the launch's iterations; or the counter of a
-    counted loop enclosing the operand, the strip loop itself included,
-    stepping by one from an init of such a slot towards a bound of one,
-    which no statement of its body writes) and whose interval of elements,
-    from the corners of [a*b] under an overflow guard, lies in its window
-    as above (for a load, of an array no update folds into), is proven, and
-    no entry of that launch checks it. An entry checks only its unproven
-    operands, so a fault keeps its error and its trip. Host [main], the
-    OpenMP runner and the sequential path prove nothing and check every
-    operand on every entry.
+    A kernel's frame can be proven for a launch ({!t.prove}): a strip
+    operand whose subscript's three slots each have a known source over
+    the launch (a literal; a parameter no statement writes, at its bound
+    value; the parallel index, over the launch's iterations; or the
+    counter of a counted loop enclosing the operand, the strip loop itself
+    included, stepping by one from an init of such a slot towards a bound
+    of one, which no statement of its body writes) and whose interval of
+    elements, from the corners of [a*b] under an overflow guard, lies in
+    its window as above (for a load, of an array no update folds into),
+    is proven, and no entry of that launch checks it. An entry checks only
+    its unproven operands, so a fault keeps its error and its trip. Host
+    [main], the OpenMP runner and the sequential path prove nothing and
+    check every operand on every entry.
 
-    None of these shapes changes an order, an error or a charge: the right
-    operand still runs first, so of two faulting operands the right one's
-    fault is raised; a division check raises the same located error
-    inline as out of line; and each segment's static charge is the same
-    sum (an int op per operator and comparison, one per [if], per load
-    its access class, and 2 int ops per affine form).
-
-    A kernel charges the {!Frame.t.cost} of the frame it runs in:
-    arithmetic by operator type, and array traffic by the coalescing mode
-    the [classify] callback assigns to each syntactic access site when it
-    compiles (this is where the data-layout transformation changes the
-    accounting). The charges are static. Compilation adds each operation's
-    charge to the {e segment} being compiled, a piece of straight-line
-    code that, once started, runs every operation in it exactly once
-    unless it faults: a block up to and including its first statement
-    that can jump ([break] or [continue] leaving it), each [if] and [?:]
-    branch, the right side of [&&] and [||], a loop's test, step and body,
-    and a parallel iteration. A segment pays its whole charge with one add
-    when it starts, and nothing when the charge is zero. A counted loop
-    cannot jump, so it counts its trips and pays once when it ends: (body
-    + 3 int ops) per trip, plus 2 for the test that ends it. The totals
-    equal those of charging each operation as it runs, except after a
-    fault: an operation that raises ([Bounds], a window violation, a
-    division by zero) leaves the rest of its segment paid for and any
-    enclosing counted loop unpaid. No caller reads a counter after a
-    fault; the launch that raised is abandoned. Charges the runtime's
-    views make themselves (dirty bits, miss checks) are dynamic and stay
-    in the views. A kernel frame gets a counter of its own, so a compiled
-    kernel is re-entrant. Host code pays nothing.
+    {b Charges.} A kernel charges the {!Frame.t.cost} of the frame it runs
+    in: arithmetic by operator type, and array traffic by the coalescing
+    mode the [classify] callback assigns to each syntactic access site
+    (this is where the data-layout transformation changes the accounting).
+    The charges are static, a fold over the form: each {e segment}, a
+    piece of straight-line code that, once started, runs every operation
+    in it exactly once unless it faults (a block up to and including its
+    first statement that can jump, each [if] and [?:] branch, the right
+    side of [&&] and [||], a loop's test, step and body, and a parallel
+    iteration), sums an int op per int operator, comparison, [if] and
+    [?:], a flop per float operator, double comparison and negation, a
+    builtin's own cost, per load its access class, and per linear
+    subscript its class's int ops, and pays that sum with one add when it
+    starts, and nothing when it is zero. A counted loop cannot jump, so it
+    counts its trips and pays once when it ends: (body + 3 int ops) per
+    trip, plus 2 for the test that ends it, and 1 more per test for a
+    negated bound. The totals equal those of charging each operation as it
+    runs, except after a fault: an operation that raises ([Bounds], a
+    window violation, a division by zero) leaves the rest of its segment
+    paid for and any enclosing counted loop unpaid. No caller reads a
+    counter after a fault; the launch that raised is abandoned. Charges
+    the runtime's views make themselves (dirty bits, miss checks) are
+    dynamic and stay in the views. A kernel frame gets a counter of its
+    own, so a compiled kernel is re-entrant. Host code pays nothing.
 
     A compiled kernel's closures capture no mutable state that runs: the
-    segment charges they capture are written while compiling and only
+    segment charges they capture are computed while building and only
     read after, and everything a running iteration writes (slots,
     temporaries, a counted loop's trip count, the cost counter) is in its
     frame or local to the call. So frames of one compiled kernel may run
@@ -191,11 +155,12 @@
     still raises [View.Bounds]. Reduction updates go through the
     accessors, except over strips.
 
-    Kernel restrictions enforced here (with located errors): no user
-    function calls, no array declarations, no [return], and no data or
-    update directives inside a kernel body. Conditions test non-zero in
-    their own type; integer division and modulo by zero raise a located
-    {!Loc.Error}. *)
+    Kernel restrictions enforced when lowering (with located errors): no
+    user function calls, no array declarations, no [return], and no data
+    or update directives inside a kernel body, and a [reductiontoarray]
+    statement must be a reduction with its declared operator. Conditions
+    test non-zero in their own type; integer division and modulo by zero
+    raise a located {!Loc.Error}. *)
 
 open Mgacc_minic
 
@@ -215,10 +180,6 @@ type t = {
           every entry. *)
   params : (string * Frame.slot * Ast.typ) list;
       (** parameter binding sites, in the order given to {!compile} *)
-  strip_loops : int;
-      (** counted loops of the body that run over strips. Only tests read it
-          ("kernel: a double body allocates nothing per iteration", two launch
-          tests): either path gives the same values, charges and faults. *)
 }
 
 val compile :
@@ -229,18 +190,8 @@ val compile :
 (** [params] lists the kernel's free variables (loop-uniform scalars and
     arrays) with their host types; [classify array subscript] chooses the
     coalescing mode charged for that access site. A [break] or [continue]
-    escaping an iteration raises a located {!Loc.Error} when it runs. *)
-
-val extract_reduction :
-  Ast.redop -> Ast.stmt -> Ast.expr * Ast.expr
-(** [extract_reduction op stmt] decomposes a [reductiontoarray]-annotated
-    assignment into (destination subscript, contribution expression),
-    checking the statement really is an [op]-reduction (e.g.
-    [a\[k\] += v], [a\[k\] = a\[k\] + v], [a\[k\] = fmax(a\[k\], v)]).
-    Raises {!Loc.Error} otherwise. Exported for "kernel: reduction statement
-    extraction", which checks each accepted and rejected form on a bare
-    statement; a run reaches it only while compiling a whole kernel, where a
-    rejected form is the run's error. *)
+    escaping an iteration raises a located {!Loc.Error} when it runs; a
+    body a kernel may not hold raises one here. *)
 
 (** {1 Host code} *)
 

@@ -1,10 +1,4 @@
-open Mgacc_minic.Ast
-
-type src =
-  | Const of int
-  | Fixed of int
-  | Par
-  | Ctr of { init : src; bound : src; op : binop; step : int }
+open Form
 
 (* The least and the greatest value a source takes while an operand under
    it runs. A counter runs its body from its init up to its bound (less
@@ -17,9 +11,9 @@ let rec lower (ints : int array) lo hi = function
   | Par -> lo
   | Ctr { init; bound; op; step } -> (
       match (op, step) with
-      | (Lt | Le), 1 -> lower ints lo hi init
-      | Gt, -1 -> lower ints lo hi bound + 1
-      | Ge, -1 -> lower ints lo hi bound
+      | (Clt | Cle), 1 -> lower ints lo hi init
+      | Cgt, -1 -> lower ints lo hi bound + 1
+      | Cge, -1 -> lower ints lo hi bound
       | _ -> min_int)
 
 and upper (ints : int array) lo hi = function
@@ -28,9 +22,9 @@ and upper (ints : int array) lo hi = function
   | Par -> hi - 1
   | Ctr { init; bound; op; step } -> (
       match (op, step) with
-      | Lt, 1 -> upper ints lo hi bound - 1
-      | Le, 1 -> upper ints lo hi bound
-      | (Gt | Ge), -1 -> upper ints lo hi init
+      | Clt, 1 -> upper ints lo hi bound - 1
+      | Cle, 1 -> upper ints lo hi bound
+      | (Cgt | Cge), -1 -> upper ints lo hi init
       | _ -> max_int)
 
 let limit = 1 lsl 30

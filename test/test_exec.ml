@@ -127,14 +127,32 @@ let test_interp_runtime_errors () =
 
 (* ---------------- Kernel compilation ---------------- *)
 
-let compile_loop ?(params = []) src =
+(* How many counted loops of a kernel run over strips, decided as the
+   compiler decides it: by {!Lower.strips} over the kernel's lowered body. *)
+let strip_loops ~loop ~params ~classify =
+  let rec block b = List.fold_left (List.fold_left (fun n s -> n + stmt s)) 0 b
+  and stmt : Mgacc_exec.Form.stmt -> int = function
+    | Counted c -> Bool.to_int (Mgacc_exec.Lower.strips c <> None) + List.fold_left (fun n s -> n + stmt s) 0 c.body
+    | If (_, a, b) -> block a + block b
+    | While { body; _ } | For { body; _ } | Block body | Par_loop { body; _ } -> block body
+    | Directive { inner; _ } -> stmt inner
+    | _ -> 0
+  in
+  block (Mgacc_exec.Lower.kernel ~loop ~params ~classify).kbody
+
+(* [src]'s first parallel loop compiled; [strips] names how many of its
+   counted loops must run over strips. *)
+let compile_loop ?strips ?(params = []) src =
   let p = Parser.parse ~file:"t" src in
   Typecheck.check_program p;
   let loop = List.hd (Loop_info.extract (Option.get (Ast.find_func p "main"))) in
   let classify_site = Coalesce.make loop in
-  Kernel_compile.compile ~loop
-    ~params:(if params = [] then failwith "params required" else params)
-    ~classify:(fun _ idx -> classify_site idx)
+  let params = if params = [] then failwith "params required" else params in
+  let classify _ idx = classify_site idx in
+  Option.iter
+    (fun (what, n) -> check Alcotest.int (what ^ ": loops over strips") n (strip_loops ~loop ~params ~classify))
+    strips;
+  Kernel_compile.compile ~loop ~params ~classify
 
 let saxpy_src =
   {|void main() { int n = 4; double x[n]; double y[n]; double a; int i;
@@ -274,30 +292,6 @@ for (i = 0; i < n; i++) { double t = 1.0; t = t + i; a[i] = t; } }|}
     kc.Kernel_compile.run_iter frame i
   done;
   check (Alcotest.array (Alcotest.float 1e-12)) "per-iteration init" [| 1.0; 2.0; 3.0; 4.0 |] a
-
-let test_extract_reduction_patterns () =
-  let stmt src =
-    let p = Parser.parse ~file:"t" (Printf.sprintf "void main() { double a[4]; double v; int k; %s }" src) in
-    let f = Option.get (Ast.find_func p "main") in
-    List.nth f.Ast.fbody 3
-  in
-  let ok op src =
-    let idx, contrib = Kernel_compile.extract_reduction op (stmt src) in
-    (Pretty.expr_to_string idx, Pretty.expr_to_string contrib)
-  in
-  check (Alcotest.pair Alcotest.string Alcotest.string) "+=" ("k", "v") (ok Ast.Rplus "a[k] += v;");
-  check (Alcotest.pair Alcotest.string Alcotest.string) "a[k]=a[k]+v" ("k", "v")
-    (ok Ast.Rplus "a[k] = a[k] + v;");
-  check (Alcotest.pair Alcotest.string Alcotest.string) "commuted" ("k", "v")
-    (ok Ast.Rplus "a[k] = v + a[k];");
-  check (Alcotest.pair Alcotest.string Alcotest.string) "fmax" ("k", "v")
-    (ok Ast.Rmax "a[k] = fmax(a[k], v);");
-  (match ok Ast.Rplus "a[k] = a[k] * v;" with
-  | exception Loc.Error _ -> ()
-  | _ -> Alcotest.fail "op mismatch must fail");
-  match ok Ast.Rplus "a[k] = a[k + 1] + v;" with
-  | exception Loc.Error _ -> ()
-  | _ -> Alcotest.fail "different subscript must fail"
 
 (* ---------------- One semantics on the host and on the GPUs ---------------- *)
 
@@ -870,6 +864,75 @@ let kernel_vs_reference ?(same_error = false) body =
       else if counts <> [] then Error ("counts differ: " ^ String.concat ", " counts)
       else Ok ()
 
+(* Each form a [reductiontoarray] statement may take, compiled as the
+   one statement of a kernel: an accepted form leaves [d] and [a] as the
+   reference leaves them running the statement itself in order, and a
+   rejected one is a located error when the kernel compiles. *)
+let test_extract_reduction_patterns () =
+  let program red stmt =
+    Parser.parse ~file:"r.c"
+      (Printf.sprintf
+         "void main() { int n = %d; double d[n]; int a[n]; double s = 1.5; int p;\n\
+          for (p = 0; p < n; p++) { d[p] = 0.5 * p - 1.0; a[p] = 3 * p - 7; }\n\
+          #pragma acc parallel loop\n\
+          for (p = 0; p < n; p++) {\n\
+          #pragma acc reductiontoarray(%s)\n\
+          %s } }"
+         kernel_n red stmt)
+  in
+  let compile red stmt =
+    let program = program red stmt in
+    Typecheck.check_program program;
+    let loop = List.hd (Loop_info.extract (Option.get (Ast.find_func program "main"))) in
+    let ty = function "a" -> Ast.Tarray Ast.Eint | "d" -> Ast.Tarray Ast.Edouble | "s" -> Ast.Tdouble | _ -> Ast.Tint in
+    Kernel_compile.compile ~loop ~params:(List.map (fun v -> (v, ty v)) (Loop_info.free_vars loop)) ~classify:cycling_classify
+  in
+  List.iter
+    (fun (red, stmt) ->
+      let kc = compile red stmt in
+      let frame = kc.Kernel_compile.make_frame () and a = init_a () and d = init_d () in
+      List.iter
+        (fun (name, slot, _) ->
+          match name with
+          | "a" -> Frame.set_view frame slot (View.of_int_array ~name a)
+          | "d" -> Frame.set_view frame slot (View.of_float_array ~name d)
+          | _ -> Frame.set_float frame slot 1.5)
+        kc.Kernel_compile.params;
+      for i = 0 to kernel_n - 1 do
+        kc.Kernel_compile.run_iter frame i
+      done;
+      let env = Ref_interp.run (program red stmt) in
+      let bits = Array.map Int64.bits_of_float in
+      if a <> View.snapshot_i (Ref_interp.find_array env "a")
+         || bits d <> bits (View.snapshot_f (Ref_interp.find_array env "d"))
+      then Alcotest.failf "%s: differs from the reference" stmt)
+    [
+      ("+: d", "d[p % 3] += s;");
+      ("+: d", "d[p % 3] -= s;");
+      ("+: d", "d[p % 3] = d[p % 3] + s;");
+      ("+: d", "d[p % 3] = s + d[p % 3];");
+      ("+: d", "d[p % 3] = d[p % 3] - s * p;");
+      ("*: d", "d[p % 2] *= s;");
+      ("*: d", "d[p % 2] = s * d[p % 2];");
+      ("max: d", "d[p % 3] = fmax(d[p % 3], s * p);");
+      ("min: d", "d[p % 3] = fmin(s - p, d[p % 3]);");
+      ("+: a", "a[p % 2] = a[p % 2] + p;");
+      ("max: a", "a[p % 2] = max(a[p % 2], p);");
+    ];
+  List.iter
+    (fun (red, stmt) ->
+      match compile red stmt with
+      | exception Loc.Error _ -> ()
+      | _ -> Alcotest.failf "%s: compiled as a %s reduction" stmt red)
+    [
+      ("+: d", "d[p % 3] = d[p % 3] * s;");
+      ("+: d", "d[p % 3] = d[p % 3 + 1] + s;");
+      ("+: d", "d[p % 3] *= s;");
+      ("*: d", "d[p % 3] = d[p % 3] / s;");
+      ("+: d", "d[p % 3] = s;");
+      ("+: d", "s = s + 1.0;");
+    ]
+
 let check_kernel ?same_error body =
   match kernel_vs_reference ?same_error body with
   | Ok () -> ()
@@ -1436,8 +1499,9 @@ let strips_vs_reference ?strips ?(alias = false) (body, window, rlen) =
   let compiled =
     match Kernel_compile.compile ~loop ~params ~classify:cycling_classify with
     | exception e -> Error e
-    | kc when Option.fold ~none:false ~some:(( <> ) kc.Kernel_compile.strip_loops) strips ->
-        Error (Failure (Printf.sprintf "%d loops over strips" kc.Kernel_compile.strip_loops))
+    | _ when Option.fold ~none:false ~some:(( <> ) (strip_loops ~loop ~params ~classify:cycling_classify)) strips ->
+        Error
+          (Failure (Printf.sprintf "%d loops over strips" (strip_loops ~loop ~params ~classify:cycling_classify)))
     | kc -> (
         let frame = kc.Kernel_compile.make_frame () in
         let x = Sgen.view window (Sgen.data ()) in
@@ -1675,7 +1739,8 @@ let proof_vs_unproven (body, (m, k), window, rlen, range) =
   let lo_w, hi_w = window in
   let others = List.init (hi_w - lo_w - 1) (fun d -> (lo_w, lo_w + 1 + d)) @ List.init 17 (fun l -> (l, 128)) in
   let (out, r, _, cost, error), _ = run_bound kc ~proven:true ~m ~k ~window ~rlen range in
-  if kc.Kernel_compile.strip_loops <> 1 then Error (Printf.sprintf "%d loops over strips" kc.Kernel_compile.strip_loops)
+  let strips = strip_loops ~loop ~params ~classify:cycling_classify in
+  if strips <> 1 then Error (Printf.sprintf "%d loops over strips" strips)
   else match List.find_map differs (window :: others) with
   | Some msg -> Error msg
   | None ->
@@ -2261,8 +2326,7 @@ let test_device_stores_use_accessors () =
    those iterations allocates nothing. [bind name slot] binds each
    parameter; [strips] is how many of its counted loops run over strips. *)
 let check_allocates_nothing ?(first = 0) ?(strips = 0) what src ~params ~bind =
-  let kc = compile_loop src ~params in
-  check Alcotest.int (what ^ ": loops over strips") strips kc.Kernel_compile.strip_loops;
+  let kc = compile_loop src ~params ~strips:(what, strips) in
   let words iters =
     let frame = kc.Kernel_compile.make_frame () in
     List.iter (fun (name, slot, _) -> bind frame name slot) kc.Kernel_compile.params;
@@ -2359,8 +2423,7 @@ let test_strip_perf_gate () =
     ]
   in
   let run step ~strips =
-    let kc = compile_loop (kmeans_distance_body step) ~params in
-    check Alcotest.int (step ^ ": loops over strips") strips kc.Kernel_compile.strip_loops;
+    let kc = compile_loop (kmeans_distance_body step) ~params ~strips:(step, strips) in
     let frame = kc.Kernel_compile.make_frame () in
     let cost = frame.Frame.cost in
     let array name host =

@@ -481,8 +481,7 @@ let strip_loops ?(types = kmeans_types) source =
   List.map
     (fun loop ->
       let params = List.map (fun v -> (v, types v)) (Loop_info.free_vars loop) in
-      (Mgacc_exec.Kernel_compile.compile ~loop ~params ~classify:(fun _ _ -> Mgacc_analysis.Coalesce.Coalesced))
-        .Mgacc_exec.Kernel_compile.strip_loops)
+      Test_exec.strip_loops ~loop ~params ~classify:(fun _ _ -> Mgacc_analysis.Coalesce.Coalesced))
     (Loop_info.extract (Option.get (Ast.find_func program "main")))
 
 let check_kmeans_strips what (app : Mgacc_apps.App_common.t) =
@@ -557,11 +556,9 @@ let test_reduction_strips_match_twin () =
   let module Kernel_compile = Mgacc_exec.Kernel_compile in
   let program = Mgacc.parse_string ~name:"r.c" (reduction_loop ~counted:true "f") in
   let loop = List.hd (Mgacc_analysis.Loop_info.extract (Option.get (Ast.find_func program "main"))) in
-  let kc =
-    Kernel_compile.compile ~loop
-      ~params:(List.map (fun v -> (v, reduction_types v)) (Mgacc_analysis.Loop_info.free_vars loop))
-      ~classify:(fun _ _ -> Mgacc_analysis.Coalesce.Coalesced)
-  in
+  let params = List.map (fun v -> (v, reduction_types v)) (Mgacc_analysis.Loop_info.free_vars loop) in
+  let classify _ _ = Mgacc_analysis.Coalesce.Coalesced in
+  let kc = Kernel_compile.compile ~loop ~params ~classify in
   let cfg = mk_cfg () in
   let sums = mk_da cfg "sums" (Array.make 24 0.5) in
   ignore (Darray.ensure_replicated cfg sums ~dirty_tracking:false);
@@ -574,7 +571,7 @@ let test_reduction_strips_match_twin () =
       | "sums" -> Frame.set_view frame slot (Launch.reduction_view sums ~gpu:1 (Reduction.allocate cfg sums Ast.Rmul))
       | _ -> Frame.set_int frame slot 8)
     kc.Kernel_compile.params;
-  check Alcotest.int "the mismatched loop compiles to strips" 1 kc.Kernel_compile.strip_loops;
+  check Alcotest.int "the mismatched loop compiles to strips" 1 (Test_exec.strip_loops ~loop ~params ~classify);
   Alcotest.check_raises "operator mismatch" (Invalid_argument "array sums: reduction operator mismatch (* declared)")
     (fun () -> kc.Kernel_compile.run_iter frame 3)
 
