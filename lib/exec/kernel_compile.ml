@@ -853,10 +853,9 @@ and fcode_into ctx e dst : Frame.t -> unit =
         Array.unsafe_set fr.Frame.floats dst (Array.unsafe_get callee.Frame.floats r)
 
 (* A call to a user function runs its body in a fresh frame and returns
-   that frame. Scalar
-   arguments are passed by value; array arguments pass the view by
-   reference, C pointer style. Functions see only their own frame: no
-   lexical capture. *)
+   that frame. Scalar arguments are passed by value; array arguments pass
+   the view by reference, C pointer style. Functions see only their own
+   frame: no lexical capture. *)
 and comp_call ctx { name; cloc; args } =
   match ctx.host with
   | None -> Loc.error cloc "user function calls are not allowed in kernels: %s" name
