@@ -85,7 +85,7 @@ let run_cuda ~machine p =
   Cuda.memcpy_h2d_ints ctx ~dst:d_levels levels0;
   let t1 = Cuda.now ctx in
   Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"load" ~exposed:(t1 -. t0) ~hidden:0.0
-    ~bytes:(4 * ((n * maxdeg) + n + n)) ~spans:[];
+    ~bytes:(4 * ((n * maxdeg) + n + n));
   Mgacc_runtime.Profiler.incr_loops profiler;
   let level = ref 0 in
   let changed = ref 1 in
@@ -122,14 +122,13 @@ let run_cuda ~machine p =
         done;
         cost);
     let t_end = Cuda.now ctx in
-    Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Kernel ~label:"bfs-sweep" ~exposed:(t_end -. t_start) ~hidden:0.0 ~bytes:0
-      ~spans:[];
+    Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Kernel ~label:"bfs-sweep" ~exposed:(t_end -. t_start) ~hidden:0.0 ~bytes:0;
     Mgacc_runtime.Profiler.incr_kernel_launches profiler;
     (* The continue flag travels back each sweep. *)
     Cuda.charge_d2h ctx ~bytes:4 ~label:"bfs-flag";
     let t_flag = Cuda.now ctx in
     Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"bfs-flag" ~exposed:(t_flag -. t_end) ~hidden:0.0
-      ~bytes:4 ~spans:[];
+      ~bytes:4;
     incr level
   done;
   let levels = Array.make n 0 in
@@ -137,7 +136,7 @@ let run_cuda ~machine p =
   Cuda.memcpy_d2h_ints ctx ~src:d_levels levels;
   let te = Cuda.now ctx in
   Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"copyout" ~exposed:(te -. td) ~hidden:0.0
-    ~bytes:(4 * n) ~spans:[];
+    ~bytes:(4 * n);
   Mgacc_runtime.Profiler.record_memory_peaks profiler machine ~num_gpus:1;
   (levels, Mgacc_runtime.Report.of_profiler profiler ~machine:machine.Machine.name
      ~variant:"cuda(1)" ~num_gpus:1)

@@ -170,8 +170,7 @@ let run_cuda_multi ~machine ~gpus p =
       0.0 completions
   in
   Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"load" ~exposed:t_loaded ~hidden:0.0
-    ~bytes:(List.fold_left (fun a (r : Mgacc_gpusim.Fabric.request) -> a + r.Mgacc_gpusim.Fabric.bytes) 0 reqs)
-    ~spans:[];
+    ~bytes:(List.fold_left (fun a (r : Mgacc_gpusim.Fabric.request) -> a + r.Mgacc_gpusim.Fabric.bytes) 0 reqs);
   Mgacc_runtime.Profiler.incr_loops profiler;
   (* Functional data movement + per-GPU kernels. *)
   let force = Array.make (3 * n) 0.0 in
@@ -196,8 +195,7 @@ let run_cuda_multi ~machine ~gpus p =
            finish))
   in
   let t_done = List.fold_left Float.max t_loaded t_kernels in
-  Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Kernel ~label:"md-multi" ~exposed:(t_done -. t_loaded) ~hidden:0.0 ~bytes:0
-    ~spans:[];
+  Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Kernel ~label:"md-multi" ~exposed:(t_done -. t_loaded) ~hidden:0.0 ~bytes:0;
   (* Gather force blocks concurrently. *)
   let reqs_out =
     List.init gpus (fun g ->
@@ -216,7 +214,7 @@ let run_cuda_multi ~machine ~gpus p =
       t_done completions
   in
   Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"copyout" ~exposed:(t_out -. t_done) ~hidden:0.0
-    ~bytes:(3 * n * 8) ~spans:[];
+    ~bytes:(3 * n * 8);
   Mgacc_runtime.Profiler.record_memory_peaks profiler machine ~num_gpus:gpus;
   Array.iteri (fun g buf -> Memory.free (mem g) buf) d_pos;
   Array.iteri (fun g buf -> Memory.free (mem g) buf) d_nl;
@@ -238,22 +236,21 @@ let run_cuda ~machine p =
   Cuda.memcpy_h2d_ints ctx ~dst:d_nl nl;
   let t1 = Cuda.now ctx in
   Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"load" ~exposed:(t1 -. t0) ~hidden:0.0
-    ~bytes:((3 * p.atoms * 8) + (p.atoms * p.max_neighbors * 4)) ~spans:[];
+    ~bytes:((3 * p.atoms * 8) + (p.atoms * p.max_neighbors * 4));
   Cuda.launch ctx ~threads:p.atoms ~label:"md-forces" (fun () ->
       let cost = Cost.zero () in
       compute_forces ~cost ~pos:(Memory.float_data d_pos) ~nl:(Memory.int_data d_nl)
         ~force:(Memory.float_data d_force) ~atoms:p.atoms ~max_neighbors:p.max_neighbors;
       cost);
   let t2 = Cuda.now ctx in
-  Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Kernel ~label:"md-forces" ~exposed:(t2 -. t1) ~hidden:0.0 ~bytes:0
-    ~spans:[];
+  Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Kernel ~label:"md-forces" ~exposed:(t2 -. t1) ~hidden:0.0 ~bytes:0;
   Mgacc_runtime.Profiler.incr_kernel_launches profiler;
   Mgacc_runtime.Profiler.incr_loops profiler;
   let force = Array.make (3 * p.atoms) 0.0 in
   Cuda.memcpy_d2h_floats ctx ~src:d_force force;
   let t3 = Cuda.now ctx in
   Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"copyout" ~exposed:(t3 -. t2) ~hidden:0.0
-    ~bytes:(3 * p.atoms * 8) ~spans:[];
+    ~bytes:(3 * p.atoms * 8);
   Mgacc_runtime.Profiler.record_memory_peaks profiler machine ~num_gpus:1;
   Cuda.free ctx d_pos;
   Cuda.free ctx d_nl;

@@ -28,6 +28,18 @@ type request = { direction : direction; bytes : int; ready : float; tag : string
 
 type completion = { req : request; start : float; finish : float }
 
+type batch = {
+  mutable len : int;
+  mutable dirs : direction array;
+  mutable bytes : int array;
+  mutable ready : Float.Array.t;
+  mutable tags : string array;
+  mutable cause_from : int array;
+  causes : Mgacc_util.Int_buf.t;
+  mutable finish : Float.Array.t;
+  mutable span : int array;
+}
+
 type route_info = { rids : int array; caps : float array; own : float; latency : float }
 
 (* What the fabric knows about one transfer direction: the resources it
@@ -72,6 +84,30 @@ type t = {
   mutable routes : route option array;
       (* indexed by [route_index]; empty until the first lookup, so
          [create] stays as cheap as it was *)
+  cols : columns;  (* the allocator's scratch, reused batch after batch *)
+}
+
+(* A batch's flows on the incremental path (see below), as columns
+   indexed by slot: slot [s] is the [s]th nonzero request, in request
+   order, and only slots [0, n) are used. The floats sit unboxed in float
+   arrays, so the per-event passes allocate nothing and read each flow's
+   state from a few dense arrays. The arrays only grow, and the
+   per-resource ones are sized on the first batch. *)
+and columns = {
+  mutable n : int;
+  mutable rids : int array array;  (* a route's interned resources, shared; read only *)
+  mutable cap : float array;
+  mutable arrive : float array;  (* ready + latency: when bytes start flowing *)
+  mutable total : float array;
+  mutable remaining : float array;
+  mutable rate : float array;
+  mutable fixed : bool array;
+  mutable slot_finish : float array;  (* nan until the slot drains *)
+  mutable pending : int array;  (* the slots in admission order *)
+  mutable active : int array;
+  mutable count : int array;  (* per resource: its active flows *)
+  mutable remcap : float array;  (* per resource: water-filling scratch *)
+  mutable workcount : int array;
 }
 
 let node_of t g =
@@ -149,6 +185,23 @@ let create ?(flavor = Wire) ?topology link ~num_gpus =
       nodes;
       caps = Array.make ((2 * num_gpus) + (3 * nodes) + extra) 0.0;
       routes = [||];
+      cols =
+        {
+          n = 0;
+          rids = [||];
+          cap = [||];
+          arrive = [||];
+          total = [||];
+          remaining = [||];
+          rate = [||];
+          fixed = [||];
+          slot_finish = [||];
+          pending = [||];
+          active = [||];
+          count = [||];
+          remcap = [||];
+          workcount = [||];
+        };
     }
   in
   for g = 0 to num_gpus - 1 do
@@ -304,9 +357,6 @@ let flavor t = t.flavor
 
 let num_gpus t = t.num_gpus
 
-let check_bytes (req : request) =
-  if req.bytes < 0 then invalid_arg "Fabric.run_batch: negative bytes"
-
 (* The residue below which a flow counts as drained must scale with
    the flow, or tiny transfers finish early and huge ones drag a
    fixed byte tail: keep draining while more than 1e-12 of the
@@ -331,8 +381,8 @@ let[@inline] is_drained ~now ~rate ~remaining ~total =
    means the event loop dropped a request. Failing loudly beats
    fabricating a zero-duration completion that would silently corrupt
    downstream schedules. *)
-let never_completed idx (req : request) =
-  invalid_arg (Printf.sprintf "Fabric.run_batch: request %d (tag %S) never completed" idx req.tag)
+let never_completed idx tag =
+  invalid_arg (Printf.sprintf "Fabric.run_batch: request %d (tag %S) never completed" idx tag)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental path.                                                   *)
@@ -358,69 +408,135 @@ let never_completed idx (req : request) =
 (*    sort when already in order); the per-event sweeps (completion    *)
 (*    min-scan, drain + compaction) are fused, allocation-free array   *)
 (*    passes;                                                          *)
-(*  - completions are built once, in request order, from the columns.  *)
+(*  - finishes are written once, by request index, into the batch;   *)
+(*    the columns are the fabric's own, reused batch after batch.      *)
 (* See docs/PERF.md for the invariants and the bench methodology.      *)
 (* ------------------------------------------------------------------ *)
 
-(* A batch's flows on the incremental path, as columns indexed by slot:
-   slot [s] is the [s]th nonzero request, in request order, and only
-   slots [0, n) are used. The floats sit unboxed in float arrays, so the
-   per-event passes allocate nothing and read each flow's state from a
-   few dense arrays. *)
-type columns = {
-  n : int;
-  rids : int array array;  (* a route's interned resources, shared; read only *)
-  cap : float array;
-  arrive : float array;  (* ready + latency: when bytes start flowing *)
-  total : float array;
-  remaining : float array;
-  rate : float array;
-  fixed : bool array;
-  finish : float array;  (* nan until the slot drains *)
-}
+(* ---------------- batches ---------------- *)
+
+let batch () =
+  {
+    len = 0;
+    dirs = [||];
+    bytes = [||];
+    ready = Float.Array.create 0;
+    tags = [||];
+    cause_from = [||];
+    causes = Mgacc_util.Int_buf.create ();
+    finish = Float.Array.create 0;
+    span = [||];
+  }
+
+let clear b =
+  b.len <- 0;
+  Mgacc_util.Int_buf.truncate b.causes 0
+
+let grown a need fill =
+  let b = Array.make (max need (max 16 (2 * Array.length a))) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grown_floats a need =
+  let b = Float.Array.make (max need (max 16 (2 * Float.Array.length a))) 0.0 in
+  Float.Array.blit a 0 b 0 (Float.Array.length a);
+  b
+
+let push b direction ~bytes ~ready ~tag =
+  let i = b.len in
+  if i = Array.length b.bytes then begin
+    let need = i + 1 in
+    b.dirs <- grown b.dirs need (H2d 0);
+    b.bytes <- grown b.bytes need 0;
+    b.ready <- grown_floats b.ready need;
+    b.tags <- grown b.tags need "";
+    b.cause_from <- grown b.cause_from need 0;
+    b.finish <- grown_floats b.finish need;
+    b.span <- grown b.span need (-1)
+  end;
+  b.dirs.(i) <- direction;
+  b.bytes.(i) <- bytes;
+  Float.Array.set b.ready i ready;
+  b.tags.(i) <- tag;
+  b.cause_from.(i) <- Mgacc_util.Int_buf.length b.causes;
+  b.len <- i + 1
+
+let add_cause b c = Mgacc_util.Int_buf.push b.causes c
+
+let rec add_causes b = function
+  | [] -> ()
+  | c :: cs ->
+      add_cause b c;
+      add_causes b cs
+
+let causes_upto b i =
+  if i + 1 < b.len then b.cause_from.(i + 1) else Mgacc_util.Int_buf.length b.causes
+
+(* The fabric's columns with room for [len] slots. *)
+let columns_for t len =
+  let c = t.cols in
+  if Array.length c.cap < len then begin
+    let m = max len (2 * Array.length c.cap) in
+    c.rids <- Array.make m [||];
+    c.cap <- Array.make m 0.0;
+    c.arrive <- Array.make m 0.0;
+    c.total <- Array.make m 0.0;
+    c.remaining <- Array.make m 0.0;
+    c.rate <- Array.make m 0.0;
+    c.fixed <- Array.make m false;
+    c.slot_finish <- Array.make m nan;
+    c.pending <- Array.make m 0;
+    c.active <- Array.make m 0
+  end;
+  let nres = Array.length t.caps in
+  if Array.length c.count = 0 then begin
+    c.count <- Array.make nres 0;
+    c.remcap <- Array.make nres 0.0;
+    c.workcount <- Array.make nres 0
+  end;
+  c
 
 (* Checked and routed request by request, like the reference. *)
-let columns_of t req_of xs =
-  let len = List.length xs in
-  let rids = Array.make len [||] and cap = Array.make len 0.0 and arrive = Array.make len 0.0 in
-  let total = Array.make len 0.0 in
+let load t b =
+  let c = columns_for t b.len in
   let n = ref 0 in
-  List.iter
-    (fun x ->
-      let req = req_of x in
-      check_bytes req;
-      if req.bytes > 0 then begin
-        let r = route t req.direction and s = !n in
-        rids.(s) <- r.rids;
-        cap.(s) <- r.own;
-        arrive.(s) <- req.ready +. r.latency;
-        total.(s) <- float_of_int req.bytes;
-        n := s + 1
-      end)
-    xs;
-  {
-    n = !n;
-    rids;
-    cap;
-    arrive;
-    total;
-    remaining = Array.copy total;
-    rate = Array.make len 0.0;
-    fixed = Array.make len false;
-    finish = Array.make len nan;
-  }
+  for i = 0 to b.len - 1 do
+    let bytes = b.bytes.(i) in
+    if bytes < 0 then invalid_arg "Fabric.run_batch: negative bytes";
+    if bytes > 0 then begin
+      let r = route t b.dirs.(i) and s = !n in
+      c.rids.(s) <- r.rids;
+      c.cap.(s) <- r.own;
+      c.arrive.(s) <- Float.Array.get b.ready i +. r.latency;
+      c.total.(s) <- float_of_int bytes;
+      c.remaining.(s) <- float_of_int bytes;
+      c.rate.(s) <- 0.0;
+      c.fixed.(s) <- false;
+      c.slot_finish.(s) <- nan;
+      n := s + 1
+    end
+  done;
+  c.n <- !n;
+  Array.fill c.count 0 (Array.length c.count) 0;
+  c
 
 (* The slots in admission order: stable-sorted by arrival, so ties admit
    in request order, as in the reference's [List.sort]. When the
    arrivals are already in order the sort is skipped. *)
 let arrival_order c =
-  let order = Array.init c.n Fun.id in
+  let pending = c.pending in
+  for s = 0 to c.n - 1 do
+    pending.(s) <- s
+  done;
   let k = ref 1 in
   while !k < c.n && c.arrive.(!k - 1) <= c.arrive.(!k) do
     incr k
   done;
-  if !k < c.n then Array.stable_sort (fun a b -> Float.compare c.arrive.(a) c.arrive.(b)) order;
-  order
+  if !k < c.n then begin
+    let order = Array.sub pending 0 c.n in
+    Array.stable_sort (fun a b -> Float.compare c.arrive.(a) c.arrive.(b)) order;
+    Array.blit order 0 pending 0 c.n
+  end
 
 (* When the [next]th slot in admission order arrives; infinity once
    every slot is in. *)
@@ -484,31 +600,14 @@ let waterfill t ~count ~remcap ~workcount c active lo hi =
     done
   done
 
-(* [f x c] for each element and its completion, in request order; a
-   zero-byte request completes at its ready time. *)
-let[@tail_mod_cons] rec completions c req_of f idx s = function
-  | [] -> []
-  | x :: rest ->
-      let req = req_of x in
-      if req.bytes = 0 then
-        let y = f x { req; start = req.ready; finish = req.ready } in
-        y :: completions c req_of f (idx + 1) s rest
-      else
-        let finish = c.finish.(s) in
-        if Float.is_nan finish then never_completed idx req;
-        let y = f x { req; start = req.ready; finish } in
-        y :: completions c req_of f (idx + 1) (s + 1) rest
-
-let map_batch t req_of f xs =
-  let c = columns_of t req_of xs in
-  let pending = arrival_order c in
+let run t b =
+  let c = load t b in
+  arrival_order c;
+  let pending = c.pending in
   let next = ref 0 in
-  let nres = Array.length t.caps in
-  let count = Array.make nres 0 in
-  let remcap = Array.make nres 0.0 in
-  let workcount = Array.make nres 0 in
+  let count = c.count and remcap = c.remcap and workcount = c.workcount in
   (* The active slots in admission order; [active.(0 .. live-1)]. *)
-  let active = Array.make c.n 0 in
+  let active = c.active in
   let live = ref 0 in
   let now = ref 0.0 in
   if c.n > 0 then now := arrival_at c pending !next;
@@ -586,7 +685,7 @@ let map_batch t req_of f xs =
           incr kept
         end
         else begin
-          c.finish.(s) <- !now;
+          c.slot_finish.(s) <- !now;
           let rids = c.rids.(s) in
           for q = 0 to Array.length rids - 1 do
             let r = Array.unsafe_get rids q in
@@ -600,6 +699,21 @@ let map_batch t req_of f xs =
       if any_removed && not !all_private then rates_valid := false
     end
   done;
-  completions c req_of f 0 0 xs
+  (* Finishes by request index; a zero-byte request completes at its
+     ready time. *)
+  let s = ref 0 in
+  for i = 0 to b.len - 1 do
+    if b.bytes.(i) = 0 then Float.Array.set b.finish i (Float.Array.get b.ready i)
+    else begin
+      let finish = c.slot_finish.(!s) in
+      if Float.is_nan finish then never_completed i b.tags.(i);
+      Float.Array.set b.finish i finish;
+      incr s
+    end
+  done
 
-let run_batch t reqs = map_batch t Fun.id (fun _ c -> c) reqs
+let run_batch t reqs =
+  let b = batch () in
+  List.iter (fun (r : request) -> push b r.direction ~bytes:r.bytes ~ready:r.ready ~tag:r.tag) reqs;
+  run t b;
+  List.mapi (fun i (req : request) -> { req; start = req.ready; finish = Float.Array.get b.finish i }) reqs

@@ -100,21 +100,59 @@ val resource_name : t -> direction -> string
     as {!latency_of}, so every span of a direction shares one string.
     Raises like {!standalone_bandwidth}. *)
 
-val run_batch : t -> request list -> completion list
-(** Simulate the batch under fair sharing. Completions are returned in the
-    order of the requests. The fabric is stateless across batches (the BSP
-    runtime separates batches with barriers). Zero-byte requests complete
-    instantly at their ready time, with no latency charge.
+type batch = {
+  mutable len : int;  (** requests pushed since the last {!clear} *)
+  mutable dirs : direction array;
+  mutable bytes : int array;
+  mutable ready : Float.Array.t;  (** earliest start times *)
+  mutable tags : string array;
+  mutable cause_from : int array;
+      (** request [i]'s causes start at [cause_from.(i)] in [causes] and
+          end before [causes_upto b i] *)
+  causes : Mgacc_util.Int_buf.t;
+      (** the trace span ids each request waited on, for the span the
+          machine records for it; the fabric ignores them *)
+  mutable finish : Float.Array.t;  (** written by {!run}, by request index *)
+  mutable span : int array;
+      (** written by [Machine.run_transfers_spans], by request index: the
+          span each transfer recorded, -1 for a zero-byte one *)
+}
+(** A batch of transfers as columns indexed by request: the caller
+    pushes requests, runs the batch, and reads each request's finish and
+    span back by its index. Nothing is allocated per request once the
+    columns have grown to the largest batch, and {!clear} keeps them. The
+    arrays are longer than [len]; only [0 .. len - 1] is meaningful. *)
+
+val batch : unit -> batch
+(** Empty, with no storage until the first {!push}. *)
+
+val clear : batch -> unit
+(** Drop every request, keeping the columns. *)
+
+val push : batch -> direction -> bytes:int -> ready:float -> tag:string -> unit
+(** Append a request; its causes are the {!add_cause} calls that follow. *)
+
+val add_cause : batch -> int -> unit
+(** Append a cause to the last pushed request. *)
+
+val add_causes : batch -> int list -> unit
+(** {!add_cause} for each, in order. *)
+
+val causes_upto : batch -> int -> int
+(** The end of request [i]'s causes in [causes]. *)
+
+val run : t -> batch -> unit
+(** Simulate the batch under fair sharing and write every request's
+    finish. The fabric is stateless across batches (the BSP runtime
+    separates batches with barriers). A request starts at its ready time;
+    a zero-byte one finishes then too, with no latency charge.
     @raise Invalid_argument if a request has negative bytes, or (naming
     the request's tag) if the event loop ever fails to complete a flow —
     a simulator invariant violation, never expected in normal use. *)
 
-val map_batch : t -> ('a -> request) -> ('a -> completion -> 'b) -> 'a list -> 'b list
-(** [map_batch t req_of f xs] runs the batch [List.map req_of xs] like
-    {!run_batch} and returns [f x c] for each element and its completion,
-    calling [f] in list order. It saves a caller that pairs requests with
-    data of its own from copying them out and zipping the completions
-    back. *)
+val run_batch : t -> request list -> completion list
+(** {!run} over a list of requests, completions in request order. Only
+    the fabric's tests and the [bench sim] baseline use this form. *)
 
 type route_info = {
   rids : int array;  (** the resources the route crosses, interned, in route order *)

@@ -220,24 +220,35 @@ let category_of_direction = function
   | Fabric.D2h _ -> Trace.Device_to_host
   | Fabric.P2p _ -> Trace.Peer
 
-let run_transfers_spans t ~label reqs =
-  let prefix = label ^ ":" in
-  Fabric.map_batch t.fabric fst
-    (fun (_, causes) (c : Fabric.completion) ->
-      let span =
-        if c.req.bytes > 0 then
-          Some
-            (Trace.record t.trace ~causes
-               ~resource:(Fabric.resource_name t.fabric c.req.direction)
-               ~category:(category_of_direction c.req.direction)
-               ~label:(prefix ^ c.req.tag) ~start:c.start ~finish:c.finish ~bytes:c.req.bytes ())
-        else None
-      in
-      (c, span))
-    reqs
+let run_transfers_spans t ~label (b : Fabric.batch) =
+  Fabric.run t.fabric b;
+  for i = 0 to b.len - 1 do
+    let bytes = b.bytes.(i) in
+    b.span.(i) <-
+      (if bytes > 0 then begin
+         for k = b.cause_from.(i) to Fabric.causes_upto b i - 1 do
+           Trace.cause t.trace (Mgacc_util.Int_buf.get b.causes k)
+         done;
+         let direction = b.dirs.(i) in
+         Trace.record t.trace ~tag:b.tags.(i)
+           ~resource:(Fabric.resource_name t.fabric direction)
+           ~category:(category_of_direction direction)
+           ~label ~start:(Float.Array.get b.ready i) ~finish:(Float.Array.get b.finish i) ~bytes ()
+       end
+       else -1)
+  done
 
 let run_transfers t ~label reqs =
-  List.map fst (run_transfers_spans t ~label (List.map (fun r -> (r, [])) reqs))
+  let b = Fabric.batch () in
+  List.iter
+    (fun (r : Fabric.request) ->
+      Fabric.push b r.direction ~bytes:r.bytes ~ready:r.ready ~tag:r.tag)
+    reqs;
+  run_transfers_spans t ~label b;
+  List.mapi
+    (fun i (req : Fabric.request) ->
+      { Fabric.req; start = req.ready; finish = Float.Array.get b.finish i })
+    reqs
 
 let transfer_sync t ~ready direction ~bytes ~label =
   if bytes = 0 then ready

@@ -89,17 +89,15 @@ val host_compute : t -> ready:float -> threads:int -> label:string -> Cost.t -> 
 
 val run_transfers : t -> label:string -> Fabric.request list -> Fabric.completion list
 (** Run a batch of transfers under fair bandwidth sharing; records one span
-    per non-empty transfer with the right category. *)
+    per non-empty transfer with the right category, labelled
+    [label ^ ":" ^ tag]. *)
 
-val run_transfers_spans :
-  t ->
-  label:string ->
-  (Fabric.request * int list) list ->
-  (Fabric.completion * int option) list
-(** Causal variant of {!run_transfers}: each request carries the producer
-    span ids that gated it, and each completion comes back with its span
-    id ([None] for zero-byte requests, which record no span). Completions
-    are returned in request order. *)
+val run_transfers_spans : t -> label:string -> Fabric.batch -> unit
+(** The runtime's form of {!run_transfers}: runs the batch and records a
+    span for each non-empty transfer, in request order, citing the
+    request's causes. Each request's finish and span id (-1 for a
+    zero-byte request, which records no span) are left in the batch's
+    [finish] and [span] columns. *)
 
 val transfer_sync : t -> ready:float -> Fabric.direction -> bytes:int -> label:string -> float
 (** One uncontended transfer; records its span; returns the finish time. *)

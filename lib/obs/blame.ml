@@ -1,4 +1,5 @@
 open Mgacc_sim
+module Int_buf = Mgacc_util.Int_buf
 
 type category = Kernel | Cpu_gpu | Gpu_gpu | Overhead
 
@@ -8,20 +9,34 @@ let category_label = function
   | Gpu_gpu -> "GPU-GPU"
   | Overhead -> "OVERHEAD"
 
+(* One charge: its seconds, and the span ids it covered as the slice
+   [ids.(e_from) .. ids.(e_upto - 1)] of the ledger's buffer. *)
 type epoch = {
   e_category : category;
   e_label : string;
   e_exposed : float;
   e_hidden : float;
-  e_spans : int list;
+  e_from : int;
+  e_upto : int;
 }
 
-type t = { mutable eps : epoch list (* reversed *) }
+type t = { mutable eps : epoch list; (* reversed *) ids : Int_buf.t }
 
-let create () = { eps = [] }
+let create () = { eps = []; ids = Int_buf.create () }
 
-let charge t cat ~label ~exposed ~hidden ~spans =
-  t.eps <- { e_category = cat; e_label = label; e_exposed = exposed; e_hidden = hidden; e_spans = spans } :: t.eps
+let charge t ?spans cat ~label ~exposed ~hidden =
+  let e_from = Int_buf.length t.ids in
+  (match spans with Some (buf, from) -> Int_buf.append t.ids buf ~from | None -> ());
+  t.eps <-
+    {
+      e_category = cat;
+      e_label = label;
+      e_exposed = exposed;
+      e_hidden = hidden;
+      e_from;
+      e_upto = Int_buf.length t.ids;
+    }
+    :: t.eps
 
 let epochs t = List.rev t.eps
 
@@ -66,8 +81,17 @@ let normalize_label label =
 
 let summarize t ~trace =
   let eps = epochs t in
-  let span_of = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace span_of s.Trace.id s) (Trace.spans trace);
+  let all = Trace.spans trace in
+  (* A span's id is its index in the trace. *)
+  let by_id = Array.of_list all in
+  let covered ep =
+    let spans = ref [] in
+    for k = ep.e_upto - 1 downto ep.e_from do
+      let id = Int_buf.get t.ids k in
+      if id >= 0 && id < Array.length by_id then spans := by_id.(id) :: !spans
+    done;
+    !spans
+  in
   (* Per-(category, label) rows: split each epoch across its spans by
      duration share, or blame the epoch label itself when it covered no
      spans (pure wait / gap time). *)
@@ -79,8 +103,7 @@ let summarize t ~trace =
   in
   List.iter
     (fun ep ->
-      let spans = List.filter_map (Hashtbl.find_opt span_of) ep.e_spans in
-      match spans with
+      match covered ep with
       | [] -> bump ep.e_category (normalize_label ep.e_label) ep.e_exposed ep.e_hidden 0
       | spans ->
           let dur s = s.Trace.finish -. s.Trace.start in
@@ -105,7 +128,7 @@ let summarize t ~trace =
              let c = compare b.r_hidden a.r_hidden in
              if c <> 0 then c else compare (a.r_category, a.r_label) (b.r_category, b.r_label))
   in
-  let cp = Critical_path.analyze (Trace.spans trace) in
+  let cp = Critical_path.analyze all in
   {
     s_makespan = cp.Critical_path.makespan;
     s_categories = (totals t).t_categories;

@@ -13,28 +13,26 @@ type category = Kernel | Cpu_gpu | Gpu_gpu | Overhead
 
 val category_label : category -> string
 
-type epoch = {
-  e_category : category;
-  e_label : string;  (** phase label, e.g. ["comm"] or ["wait:kernels"] *)
-  e_exposed : float;  (** seconds charged to the makespan *)
-  e_hidden : float;  (** seconds overlapped behind other work *)
-  e_spans : int list;  (** trace span ids covered by this charge *)
-}
-
 type t
 (** A blame ledger; one per runtime session. *)
 
 val create : unit -> t
 
 val charge :
-  t -> category -> label:string -> exposed:float -> hidden:float -> spans:int list -> unit
-(** Record one epoch. The runtime's ledger is written only by
-    [Profiler.charge]. *)
-
-val epochs : t -> epoch list
-(** In recording order. Only "profiler: accumulation" and "profiler: negative
-    increments raise" read it, to count one epoch per charge; {!totals} and
-    {!summarize} fold the epochs away. *)
+  t ->
+  ?spans:Mgacc_util.Int_buf.t * int ->
+  category ->
+  label:string ->
+  exposed:float ->
+  hidden:float ->
+  unit
+(** Record one {e epoch}: [label] is the phase label, e.g. ["comm"] or
+    ["wait:kernels"]; [exposed] the seconds charged to the makespan,
+    [hidden] those overlapped behind other work. [spans = (buf, from)]
+    are the trace span ids the charge covered, [buf]'s ints from [from]
+    on; the ledger copies them into its one buffer, so the caller may
+    truncate [buf] back to [from] at once. The runtime's ledger is
+    written only by [Profiler.charge]. *)
 
 type totals = {
   t_categories : (category * float * float) list;
@@ -42,7 +40,7 @@ type totals = {
           [Kernel; Cpu_gpu; Gpu_gpu; Overhead]: each a running sum of the
           category's epochs in recording order *)
   t_hidden : float;
-      (** the positive [e_hidden] of every epoch, summed in recording
+      (** the positive hidden seconds of every epoch, summed in recording
           order: the seconds that ran off the critical path *)
 }
 

@@ -17,22 +17,26 @@ let analyze spans =
     let dur i = arr.(i).Trace.finish -. arr.(i).Trace.start in
     (* Predecessors: recorded causes plus the previous span on the same
        resource. Only edges pointing at strictly earlier list positions
-       are kept, which makes the graph acyclic by construction. *)
-    let idx_of = Hashtbl.create (2 * n) in
+       are kept, which makes the graph acyclic by construction. Span ids
+       are small non-negative ints (a trace's are its indices), so a
+       span's position is looked up by id in an array. *)
+    let ids = Array.fold_left (fun m s -> max m (s.Trace.id + 1)) 0 arr in
+    let idx_of = Array.make ids (-1) in
     let last_on = Hashtbl.create 8 in
     let preds = Array.make n [] in
     for i = 0 to n - 1 do
       let s = arr.(i) in
       let explicit =
         List.filter_map
-          (fun c -> match Hashtbl.find_opt idx_of c with Some j when j < i -> Some j | _ -> None)
+          (fun c ->
+            if c >= 0 && c < ids && idx_of.(c) >= 0 && idx_of.(c) < i then Some idx_of.(c) else None)
           s.Trace.causes
       in
       let implicit =
         match Hashtbl.find_opt last_on s.Trace.resource with Some j -> [ j ] | None -> []
       in
       preds.(i) <- explicit @ implicit;
-      Hashtbl.replace idx_of s.Trace.id i;
+      idx_of.(s.Trace.id) <- i;
       Hashtbl.replace last_on s.Trace.resource i
     done;
     (* Longest duration-weighted path ending at each span. *)
@@ -76,13 +80,14 @@ let analyze spans =
         if s.Trace.finish > !horizon then horizon := s.Trace.finish)
       order;
     let makespan = List.fold_left (fun acc s -> Float.max acc s.Trace.finish) 0. spans in
-    let on_path = Hashtbl.create 16 in
-    List.iter (fun s -> Hashtbl.replace on_path s.Trace.id ()) path;
+    let on_path = Array.make n false in
+    let rec mark i = if i >= 0 then begin on_path.(i) <- true; mark choice.(i) end in
+    mark !endpoint;
     let attrs =
       List.mapi
         (fun i s ->
           let e = exposed.(i) in
-          { span = s; exposed = e; hidden = dur i -. e; on_path = Hashtbl.mem on_path s.Trace.id })
+          { span = s; exposed = e; hidden = dur i -. e; on_path = on_path.(i) })
         spans
     in
     { makespan; path; path_seconds = best.(!endpoint); spans = attrs }

@@ -24,4 +24,5 @@ type t = {
 
 val analyze : Mgacc_sim.Trace.span list -> t
 (** [causes] ids referencing spans absent from the list (or appearing
-    later than the consumer) are ignored; span ids must be unique. *)
+    later than the consumer) are ignored; span ids must be unique and
+    non-negative, as a trace's are. *)

@@ -8,6 +8,12 @@
     one layer (time outside every span to {!Other}). The layer times
     therefore sum to the recorded wall time, less the clock reads.
 
+    Each layer is also credited the minor words the calling domain
+    allocated while it was the innermost span ({!words}), read from
+    [Gc.minor_words], whose external returns an unboxed float: reading it
+    allocates nothing. Words allocated by a launch's pool workers are
+    not counted; they are the other domains'.
+
     The recorder is off by default and is one global, for the process:
     while it is off, {!enter} and {!leave} test a flag and return, and
     allocate nothing. It reads a monotonic clock and never touches
@@ -54,10 +60,15 @@ val seconds : layer -> float
 val spans : layer -> int
 (** How many spans of the layer were opened. *)
 
+val words : layer -> int
+(** The minor words the calling domain allocated in the layer's own
+    time, spans opened inside it excluded. *)
+
 val elapsed : unit -> float
 (** The recorded wall time: {!start} to {!stop}, or to now while
     recording. *)
 
 val pp : Format.formatter -> unit -> unit
-(** The per-layer table: milliseconds, share of {!elapsed} and span count
-    for every layer that recorded time, then the total. *)
+(** The per-layer table: milliseconds, share of {!elapsed}, span count
+    and minor words for every layer that recorded time, then the
+    total. *)

@@ -4,6 +4,7 @@ module Fabric = Mgacc_gpusim.Fabric
 module Event = Mgacc_gpusim.Event
 module Blame = Mgacc_obs.Blame
 module Wall = Mgacc_obs.Wall
+module Int_buf = Mgacc_util.Int_buf
 module Host_interp = Mgacc_exec.Host_interp
 module View = Mgacc_exec.View
 module Kernel_plan = Mgacc_translator.Kernel_plan
@@ -45,35 +46,45 @@ let is_peer (x : Darray.xfer) =
 
 (* Inter-node traffic of a batch: the share of its bytes that crosses
    the network wire (0 on single-node machines). *)
-let count_wire_bytes t (reqs : (Fabric.request * int list) list) =
+let count_wire_bytes t (b : Fabric.batch) =
   let fabric = fabric_of t in
-  let bytes =
-    List.fold_left
-      (fun acc ((r : Fabric.request), _) ->
-        match r.Fabric.direction with
-        | Fabric.P2p (a, b) when not (Fabric.same_node fabric a b) -> acc + r.Fabric.bytes
-        | Fabric.P2p _ | Fabric.H2d _ | Fabric.D2h _ -> acc)
-      0 reqs
-  in
-  if bytes > 0 then Profiler.add_wire_bytes t.profiler ~bytes
+  let bytes = ref 0 in
+  for i = 0 to b.Fabric.len - 1 do
+    match b.Fabric.dirs.(i) with
+    | Fabric.P2p (x, y) when not (Fabric.same_node fabric x y) ->
+        bytes := !bytes + b.Fabric.bytes.(i)
+    | Fabric.P2p _ | Fabric.H2d _ | Fabric.D2h _ -> ()
+  done;
+  if !bytes > 0 then Profiler.add_wire_bytes t.profiler ~bytes:!bytes
 
-(* Deferred intervals pulled on demand carry a ":pull" tag; count their
-   bytes into the per-array coherence counters. *)
+(* Whether a tag ends in ":pull", spelled out: [String.ends_with]
+   builds a closure per call, and every transfer of a flush asks. *)
+let is_pull tag =
+  let n = String.length tag in
+  n >= 5
+  && tag.[n - 5] = ':'
+  && tag.[n - 4] = 'p'
+  && tag.[n - 3] = 'u'
+  && tag.[n - 2] = 'l'
+  && tag.[n - 1] = 'l'
+
+(* Deferred intervals pulled on demand are peer transfers with a
+   ":pull" tag; count their bytes into the per-array coherence
+   counters. *)
 let count_pulls t (xfers : Darray.xfer list) =
   List.iter
     (fun (x : Darray.xfer) ->
-      match String.rindex_opt x.Darray.tag ':' with
-      | Some i when String.sub x.Darray.tag i (String.length x.Darray.tag - i) = ":pull" ->
-          Profiler.add_coh_pulled t.profiler ~array:(String.sub x.Darray.tag 0 i)
-            ~bytes:x.Darray.bytes
-      | _ -> ())
+      let tag = x.Darray.tag in
+      if is_peer x && is_pull tag then
+        Profiler.add_coh_pulled t.profiler
+          ~array:(String.sub tag 0 (String.length tag - 5))
+          ~bytes:x.Darray.bytes)
     xfers
 
 (* Advance a GPU's readiness timeline and remember which trace span did
-   it, so downstream gated ops can cite their producer. *)
+   it (-1 for none), so downstream gated ops can cite their producer. *)
 let record_ev t g fin sid =
-  if fin > Event.gpu_ready t.events g then
-    t.ev_spans.(g) <- (match sid with Some id -> id | None -> -1);
+  if fin > Event.gpu_ready t.events g then t.ev_spans.(g) <- sid;
   Event.record t.events g fin
 
 let ev_cause t g = if t.ev_spans.(g) >= 0 then [ t.ev_spans.(g) ] else []
@@ -114,9 +125,11 @@ type phase = {
   causes : int list;  (** barrier: the span that set the join *)
   mutable lo : float;  (** barrier: the join; overlap: the earliest op start *)
   mutable hi : float;  (** the latest finish *)
-  mutable last : int option;  (** the span of the latest finish *)
+  mutable last : int;  (** the span of the latest finish, -1 for none *)
   mutable bytes : int;
-  mutable spans : int list;  (** reversed *)
+  first : int;
+      (** where the phase's span ids start in the session's [phase_spans];
+          a phase opened inside it is closed before it adds again *)
   mutable ops : int;
 }
 
@@ -144,13 +157,13 @@ let open_phase ?at t gate cat ~label =
     causes = (if !cause >= 0 && !latest >= lo then [ !cause ] else []);
     lo;
     hi = (match gate with Barrier -> lo | Overlap -> neg_infinity);
-    last = None;
+    last = -1;
     bytes = 0;
-    spans = [];
+    first = Int_buf.length t.phase_spans;
     ops = 0;
   }
 
-let add ph ~start ~finish ~bytes sid =
+let add t ph ~start ~finish ~bytes sid =
   ph.ops <- ph.ops + 1;
   ph.lo <- Float.min ph.lo start;
   if finish > ph.hi then begin
@@ -158,7 +171,27 @@ let add ph ~start ~finish ~bytes sid =
     ph.last <- sid
   end;
   ph.bytes <- ph.bytes + bytes;
-  match sid with Some id -> ph.spans <- id :: ph.spans | None -> ()
+  if sid >= 0 then Int_buf.push t.phase_spans sid
+
+(* [add] for every transfer of a batch that has run, with the phase's
+   times in locals, so the loop boxes no float. *)
+let add_batch t ph (b : Fabric.batch) =
+  let lo = ref ph.lo and hi = ref ph.hi and last = ref ph.last and bytes = ref ph.bytes in
+  for i = 0 to b.Fabric.len - 1 do
+    let finish = Float.Array.get b.Fabric.finish i and sid = b.Fabric.span.(i) in
+    lo := Float.min !lo (Float.Array.get b.Fabric.ready i);
+    if finish > !hi then begin
+      hi := finish;
+      last := sid
+    end;
+    bytes := !bytes + b.Fabric.bytes.(i);
+    if sid >= 0 then Int_buf.push t.phase_spans sid
+  done;
+  ph.ops <- ph.ops + b.Fabric.len;
+  ph.lo <- !lo;
+  ph.hi <- !hi;
+  ph.last <- !last;
+  ph.bytes <- !bytes
 
 (* The one charge point of a launch. Overlap accounting: only the part of
    [lo, hi] past the makespan horizon is exposed critical-path time and
@@ -169,11 +202,11 @@ let add ph ~start ~finish ~bytes sid =
 let close t ph =
   if ph.ops > 0 then begin
     Wall.enter Wall.Charge;
-    let spans = List.rev ph.spans in
+    let spans = (t.phase_spans, ph.first) in
     (match ph.gate with
     | Barrier ->
-        Profiler.charge t.profiler ph.cat ~label:ph.label ~exposed:(ph.hi -. ph.lo) ~hidden:0.0
-          ~bytes:ph.bytes ~spans;
+        Profiler.charge t.profiler ~spans ph.cat ~label:ph.label ~exposed:(ph.hi -. ph.lo)
+          ~hidden:0.0 ~bytes:ph.bytes;
         t.horizon <- Float.max t.horizon ph.hi;
         for g = 0 to t.cfg.Rt_config.num_gpus - 1 do
           record_ev t g ph.hi ph.last
@@ -182,11 +215,12 @@ let close t ph =
         let gap = Float.max 0.0 (ph.lo -. t.horizon) in
         if gap > 0.0 then
           Profiler.charge t.profiler Blame.Overhead ~label:("wait:" ^ ph.label) ~exposed:gap
-            ~hidden:0.0 ~bytes:0 ~spans:[];
+            ~hidden:0.0 ~bytes:0;
         let exposed = Float.max 0.0 (ph.hi -. Float.max t.horizon ph.lo) in
         let hidden = Float.max 0.0 (ph.hi -. ph.lo -. exposed) in
-        Profiler.charge t.profiler ph.cat ~label:ph.label ~exposed ~hidden ~bytes:ph.bytes ~spans;
+        Profiler.charge t.profiler ~spans ph.cat ~label:ph.label ~exposed ~hidden ~bytes:ph.bytes;
         if ph.hi > t.horizon then t.horizon <- ph.hi);
+    Int_buf.truncate t.phase_spans ph.first;
     Wall.leave ()
   end
 
@@ -196,24 +230,25 @@ let close t ph =
 let ready_in t ph deps =
   match ph.gate with Barrier -> (ph.lo, ph.causes) | Overlap -> join t (deps ())
 
-let run_batch t ph (reqs : (Fabric.request * int list) list) =
-  if reqs = [] then []
-  else begin
+(* Append a request, waiting on [causes], to the batch. *)
+let request (b : Fabric.batch) dir ~bytes ~tag ((ready : float), causes) =
+  Fabric.push b dir ~bytes ~ready ~tag;
+  Fabric.add_causes b causes
+
+(* Run the requests in [b] as one fabric batch of [ph] and charge them;
+   each request's finish and span are then read from [b] by index. *)
+let run_batch t ph (b : Fabric.batch) =
+  if b.Fabric.len > 0 then begin
     Wall.enter Wall.Comms;
-    count_wire_bytes t reqs;
-    let completions = Machine.run_transfers_spans t.cfg.Rt_config.machine ~label:ph.label reqs in
+    count_wire_bytes t b;
+    Machine.run_transfers_spans t.cfg.Rt_config.machine ~label:ph.label b;
     (* Under the overlap gate every batch is charged on its own. *)
     let unit =
       match ph.gate with Barrier -> ph | Overlap -> open_phase t Overlap ph.cat ~label:ph.label
     in
-    List.iter
-      (fun ((c : Fabric.completion), sid) ->
-        add unit ~start:c.Fabric.req.Fabric.ready ~finish:c.Fabric.finish
-          ~bytes:c.Fabric.req.Fabric.bytes sid)
-      completions;
+    add_batch t unit b;
     if unit != ph then close t unit;
-    Wall.leave ();
-    completions
+    Wall.leave ()
   end
 
 (* Host-driven transfers (copyin/copyout/update) are host-visible sync
@@ -224,23 +259,23 @@ let run_batch t ph (reqs : (Fabric.request * int list) list) =
    host copy and are charged as GPU-GPU traffic. *)
 let charge_host_xfers t ~label xfers =
   if xfers <> [] then begin
-    let pulls, host = List.partition is_peer xfers in
-    count_pulls t pulls;
+    count_pulls t xfers;
     let finish =
       List.fold_left
-        (fun ready (cat, xfers) ->
+        (fun ready (cat, peers) ->
           let ph = open_phase ~at:ready t Barrier cat ~label in
-          ignore
-            (run_batch t ph
-               (List.map
-                  (fun (x : Darray.xfer) ->
-                    let tag = x.Darray.tag in
-                    ({ Fabric.direction = x.Darray.dir; bytes = x.Darray.bytes; ready; tag }, []))
-                  xfers));
+          let b = t.batch in
+          Fabric.clear b;
+          List.iter
+            (fun (x : Darray.xfer) ->
+              if is_peer x = peers then
+                Fabric.push b x.Darray.dir ~bytes:x.Darray.bytes ~ready ~tag:x.Darray.tag)
+            xfers;
+          run_batch t ph b;
           close t ph;
           ph.hi)
         (Float.max t.clock t.horizon)
-        [ (Blame.Gpu_gpu, pulls); (Blame.Cpu_gpu, host) ]
+        [ (Blame.Gpu_gpu, true); (Blame.Cpu_gpu, false) ]
     in
     Event.record_host t.events finish;
     t.clock <- finish
@@ -597,27 +632,27 @@ let launch t env loop plan =
     Profiler.add_prefetch_hits t.profiler ~count:(List.length prep.Data_loader.reused);
   (* Loads, each on its own endpoints. A scheduler re-split moves deltas
      GPU-to-GPU: inter-GPU traffic, not part of the host load. *)
-  let repart_xfers, host_xfers = List.partition is_peer prep.Data_loader.xfers in
   List.iter
-    (fun (cat, label, xfers) ->
+    (fun (cat, label, peers) ->
       let ph = open_phase t gate cat ~label in
-      let reqs =
-        List.map
-          (fun (x : Darray.xfer) ->
-            let a, b = endpoints x.Darray.dir in
-            let ready, causes = ready_in t ph (fun () -> [ ev_slot t a; ev_slot t b ]) in
-            let tag = x.Darray.tag in
-            ({ Fabric.direction = x.Darray.dir; bytes = x.Darray.bytes; ready; tag }, causes))
-          xfers
-      in
+      let b = t.batch in
+      Fabric.clear b;
       List.iter
-        (fun ((c : Fabric.completion), sid) ->
-          let a, b = endpoints c.Fabric.req.Fabric.direction in
-          record_ev t a c.Fabric.finish sid;
-          record_ev t b c.Fabric.finish sid)
-        (run_batch t ph reqs);
+        (fun (x : Darray.xfer) ->
+          if is_peer x = peers then
+            let src, dst = endpoints x.Darray.dir in
+            request b x.Darray.dir ~bytes:x.Darray.bytes ~tag:x.Darray.tag
+              (ready_in t ph (fun () -> [ ev_slot t src; ev_slot t dst ])))
+        prep.Data_loader.xfers;
+      run_batch t ph b;
+      for i = 0 to b.Fabric.len - 1 do
+        let src, dst = endpoints b.Fabric.dirs.(i) in
+        let finish = Float.Array.get b.Fabric.finish i in
+        record_ev t src finish b.Fabric.span.(i);
+        record_ev t dst finish b.Fabric.span.(i)
+      done;
       close t ph)
-    [ (Blame.Cpu_gpu, "load", host_xfers); (Blame.Gpu_gpu, "rebalance", repart_xfers) ];
+    [ (Blame.Cpu_gpu, "load", false); (Blame.Gpu_gpu, "rebalance", true) ];
   (* Repacks: the launch's kernels read the packed copies. *)
   List.iter
     (fun name ->
@@ -633,8 +668,8 @@ let launch t env loop plan =
             (relayout_cost elems)
         in
         Wall.leave ();
-        record_ev t g finish (Some sid);
-        add ph ~start ~finish ~bytes:0 (Some sid)
+        record_ev t g finish sid;
+        add t ph ~start ~finish ~bytes:0 sid
       done;
       close t ph)
     (List.filter
@@ -678,8 +713,8 @@ let launch t env loop plan =
       kstart.(g) <- from;
       kfin.(g) <- finish;
       kspan.(g) <- sid;
-      record_ev t g ends (Some sid);
-      add kph ~start:from ~finish:ends ~bytes:0 (Some sid))
+      record_ev t g ends sid;
+      add t kph ~start:from ~finish:ends ~bytes:0 sid)
     runs;
   close t kph;
   (* Each GPU's kernel as a dependency, built once the kernels are in. *)
@@ -746,10 +781,12 @@ let launch t env loop plan =
   let bump tbl key fin sid =
     match Hashtbl.find_opt tbl key with
     | Some (x, _) when x >= fin -> ()
-    | _ -> Hashtbl.replace tbl key (fin, Option.to_list sid)
+    | _ -> Hashtbl.replace tbl key (fin, if sid >= 0 then [ sid ] else [])
   in
-  let landed (op : Comm_manager.op) ((c : Fabric.completion), sid) =
-    let fin = c.Fabric.finish and a = op.Comm_manager.array in
+  (* Request [i] of the batch [b], which ran [op]'s transfer, has landed. *)
+  let landed (op : Comm_manager.op) (b : Fabric.batch) i =
+    let fin = Float.Array.get b.Fabric.finish i and sid = b.Fabric.span.(i) in
+    let a = op.Comm_manager.array in
     match (op.Comm_manager.kind, op.Comm_manager.dir) with
     | Comm_manager.Dirty_chunk, Fabric.P2p (_, dst) -> record_ev t dst fin sid
     | Comm_manager.Miss_ship, Fabric.P2p (_, dst) -> bump miss (dst, a) fin sid
@@ -832,7 +869,7 @@ let launch t env loop plan =
               ~label:ph.label
           in
           Wall.leave ();
-          add ph ~start:ready ~finish ~bytes:0 sid;
+          add t ph ~start:ready ~finish ~bytes:0 (Option.value ~default:(-1) sid);
           close t ph
       | Ship { wave; ops; by_round } ->
           let ph = open_phase t gate Blame.Gpu_gpu ~label:"comm" in
@@ -844,12 +881,11 @@ let launch t env loop plan =
                ~hierarchies:cstats.Collective.hierarchies
                ~direct_groups:cstats.Collective.direct_groups ~segments:cstats.Collective.segments;
              ignore
-               (Collective.execute ~plan:cplan
+               (Collective.execute ~plan:cplan ~batch:t.batch
                   ~base:(fun (it : Collective.item) ->
                     op_ready ph ~wave ~tree:false it.Collective.dir it.Collective.op)
                   ~run:(run_batch t ph)
-                  ~on_complete:(fun (it : Collective.item) c sid ->
-                    landed it.Collective.op (c, sid))
+                  ~on_complete:(fun (it : Collective.item) -> landed it.Collective.op)
                   ())
            end
            else
@@ -857,18 +893,26 @@ let launch t env loop plan =
                 once round [r] has landed. Eager mode puts every op in
                 round 0. *)
              let round (op : Comm_manager.op) = if by_round then op.Comm_manager.round else 0 in
+             let b = t.batch in
              List.iter
                (fun n ->
-                 let ops = List.filter (fun op -> round op = n) ops in
-                 let reqs =
-                   List.map
-                     (fun (op : Comm_manager.op) ->
-                       let ready, causes = op_ready ph ~wave ~tree:true op.Comm_manager.dir op in
-                       let bytes = op.Comm_manager.bytes and tag = op.Comm_manager.tag in
-                       ({ Fabric.direction = op.Comm_manager.dir; bytes; ready; tag }, causes))
-                     ops
-                 in
-                 List.iter2 landed ops (run_batch t ph reqs))
+                 Fabric.clear b;
+                 List.iter
+                   (fun (op : Comm_manager.op) ->
+                     if round op = n then
+                       request b op.Comm_manager.dir ~bytes:op.Comm_manager.bytes
+                         ~tag:op.Comm_manager.tag
+                         (op_ready ph ~wave ~tree:true op.Comm_manager.dir op))
+                   ops;
+                 run_batch t ph b;
+                 let i = ref 0 in
+                 List.iter
+                   (fun op ->
+                     if round op = n then begin
+                       landed op b !i;
+                       incr i
+                     end)
+                   ops)
                (List.sort_uniq compare (List.map round ops)));
           close t ph
       | Replay_combine ->
@@ -888,8 +932,8 @@ let launch t env loop plan =
               in
               Wall.leave ();
               Hashtbl.replace output key (finish, [ sid ]);
-              record_ev t g finish (Some sid);
-              add ph ~start ~finish ~bytes:0 (Some sid))
+              record_ev t g finish sid;
+              add t ph ~start ~finish ~bytes:0 sid)
             (List.map
                (fun (k : Comm_manager.gpu_kernel) ->
                  (k, miss, replay, (k.Comm_manager.gpu, k.Comm_manager.array)))
@@ -905,25 +949,25 @@ let launch t env loop plan =
      which is where the cross-launch overlap comes from. *)
   if scalar_partials <> [] then begin
     let ph = open_phase t gate Blame.Cpu_gpu ~label:"scalar-red" in
-    let reqs =
-      List.concat_map
-        (fun (run : Launch.gpu_run) ->
-          let g = run.Launch.gpu in
-          let ready, causes = ready_in t ph (fun () -> [ kernel g ]) in
-          List.map
-            (fun (name, _, _) ->
-              ( { Fabric.direction = Fabric.D2h g; bytes = 8; ready; tag = name ^ ":scalar-red" },
-                causes ))
-            scalar_partials)
-        runs
-    in
-    let completions = run_batch t ph reqs in
+    let b = t.batch in
+    Fabric.clear b;
+    List.iter
+      (fun (run : Launch.gpu_run) ->
+        let g = run.Launch.gpu in
+        let gated = ready_in t ph (fun () -> [ kernel g ]) in
+        List.iter
+          (fun (name, _, _) ->
+            request b (Fabric.D2h g) ~bytes:8 ~tag:(name ^ ":scalar-red") gated)
+          scalar_partials)
+      runs;
+    run_batch t ph b;
     close t ph;
     fold_scalar_partials env scalar_partials;
-    let finish =
-      List.fold_left (fun acc ((c : Fabric.completion), _) -> Float.max acc c.Fabric.finish) t.clock
-        completions
-    in
+    let finish = ref t.clock in
+    for i = 0 to b.Fabric.len - 1 do
+      finish := Float.max !finish (Float.Array.get b.Fabric.finish i)
+    done;
+    let finish = !finish in
     Event.record_host t.events finish;
     t.clock <- Float.max t.clock finish
   end;

@@ -65,5 +65,13 @@ val blame : t -> Mgacc_obs.Blame.summary
     critical path, per-category exposed/hidden split (reconciling with
     the profiler by construction) and the per-label blame rows. *)
 
+val charge_host_xfers : t -> label:string -> Darray.xfer list -> unit
+(** Charge host-driven transfers (copyin, copyout, update, flushes) as
+    the runtime does: they wait for everything in flight, run as one
+    fabric batch per category (on-demand pulls as GPU-GPU, the rest as
+    CPU-GPU) and are charged as barrier epochs. Exported for "comms
+    path: an eager-merge batch through the runtime allocates a third of
+    what it did", which drives one 4,032-transfer batch through it. *)
+
 val profiler : t -> Profiler.t
 val now : t -> float

@@ -644,37 +644,39 @@ let plan ~cfg ~fabric (ops : Comm_manager.op list) =
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 
-let execute ~plan ~base ~run ~on_complete () =
+let execute ~plan ~batch:(b : Fabric.batch) ~base ~run ~on_complete () =
   let n = Array.length plan in
-  let finish = Array.make n neg_infinity in
-  let span = Array.make n None in
+  let finish = Float.Array.make n neg_infinity in
+  let span = Array.make n (-1) in
+  (* The plan index of each request of the level's batch. *)
+  let item_of = Array.make n 0 in
   let max_level = Array.fold_left (fun m it -> max m it.level) (-1) plan in
-  let gate d acc = if d >= 0 then match span.(d) with Some s -> s :: acc | None -> acc else acc in
   for level = 0 to max_level do
-    let idxs = ref [] in
-    for i = n - 1 downto 0 do
-      if plan.(i).level = level then idxs := i :: !idxs
-    done;
-    match !idxs with
-    | [] -> ()
-    | idxs ->
-        let reqs =
-          List.map
-            (fun i ->
-              let it = plan.(i) in
-              let ready, causes = base it in
-              let ready = if it.dep >= 0 then Float.max ready finish.(it.dep) else ready in
-              let ready = if it.dep2 >= 0 then Float.max ready finish.(it.dep2) else ready in
-              let causes = causes |> gate it.dep |> gate it.dep2 in
-              ({ Fabric.direction = it.dir; bytes = it.bytes; ready; tag = it.tag }, causes))
-            idxs
+    Fabric.clear b;
+    for i = 0 to n - 1 do
+      let it = plan.(i) in
+      if it.level = level then begin
+        let ready, causes = base it in
+        let ready = if it.dep >= 0 then Float.max ready (Float.Array.get finish it.dep) else ready in
+        let ready =
+          if it.dep2 >= 0 then Float.max ready (Float.Array.get finish it.dep2) else ready
         in
-        let comps = run reqs in
-        List.iter2
-          (fun i ((c : Fabric.completion), sid) ->
-            finish.(i) <- c.Fabric.finish;
-            span.(i) <- sid;
-            on_complete plan.(i) c sid)
-          idxs comps
+        item_of.(b.Fabric.len) <- i;
+        Fabric.push b it.dir ~bytes:it.bytes ~ready ~tag:it.tag;
+        (* The gates' spans lead, the later gate first. *)
+        if it.dep2 >= 0 && span.(it.dep2) >= 0 then Fabric.add_cause b span.(it.dep2);
+        if it.dep >= 0 && span.(it.dep) >= 0 then Fabric.add_cause b span.(it.dep);
+        Fabric.add_causes b causes
+      end
+    done;
+    if b.Fabric.len > 0 then begin
+      run b;
+      for k = 0 to b.Fabric.len - 1 do
+        let i = item_of.(k) in
+        Float.Array.set finish i (Float.Array.get b.Fabric.finish k);
+        span.(i) <- b.Fabric.span.(k);
+        on_complete plan.(i) b k
+      done
+    end
   done;
-  Array.fold_left Float.max neg_infinity finish
+  Float.Array.fold_left Float.max neg_infinity finish

@@ -89,18 +89,20 @@ val plan : cfg:Rt_config.t -> fabric:Fabric.t -> Comm_manager.op list -> plan * 
 
 val execute :
   plan:plan ->
+  batch:Fabric.batch ->
   base:(item -> float * int list) ->
-  run:((Fabric.request * int list) list -> (Fabric.completion * int option) list) ->
-  on_complete:(item -> Fabric.completion -> int option -> unit) ->
+  run:(Fabric.batch -> unit) ->
+  on_complete:(item -> Fabric.batch -> int -> unit) ->
   unit ->
   float
 (** Run the plan level by level: [base item] is the item's own ready
     time and causes; its ready time is the max of that and its gates'
-    finishes, each level is one fabric
-    batch (so same-level segments contend and stagger properly), and
-    [on_complete] fires per item with its completion and trace span id.
-    Causal edges are threaded through: each request carries the causes
-    from [base item] plus the span ids of its [dep]/[dep2] gates, and
-    [run] returns the span id recorded for each completion (so forwarded
-    segments chain into a visible flow in the trace). Returns the max
-    finish, or [neg_infinity] for an empty plan. *)
+    finishes. Each level is one fabric batch (so same-level segments
+    contend and stagger properly): the items are pushed into [batch] in
+    plan order, [run batch] runs it and leaves each request's finish and
+    trace span id in the batch, and [on_complete item batch i] fires per
+    item with its request's index [i]. Causal edges are threaded
+    through: each request carries the span ids of its [dep2] and [dep]
+    gates, then the causes from [base item], so forwarded segments chain
+    into a visible flow in the trace. Returns the max finish, or
+    [neg_infinity] for an empty plan. *)

@@ -79,7 +79,7 @@ let on_parallel_loop st env (loop : Loop_info.t) =
     Machine.host_compute st.machine ~ready:st.clock ~threads:st.threads ~label frame.Frame.cost
   in
   Profiler.charge st.profiler Mgacc_obs.Blame.Kernel ~label ~exposed:(finish -. st.clock)
-    ~hidden:0.0 ~bytes:0 ~spans:[];
+    ~hidden:0.0 ~bytes:0;
   st.clock <- finish
 
 let run ?threads ~machine program =

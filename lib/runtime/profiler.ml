@@ -56,13 +56,13 @@ let create () =
 (* An increment, refused when negative: a tally only grows. *)
 let count what n = if n < 0 then invalid_arg ("Profiler: negative " ^ what) else n
 
-let charge t cat ~label ~exposed ~hidden ~bytes ~spans =
+let charge t ?spans cat ~label ~exposed ~hidden ~bytes =
   if exposed < 0. then invalid_arg "Profiler: negative exposed seconds";
   (match cat with
   | Blame.Kernel | Blame.Overhead -> ()
   | Blame.Cpu_gpu -> t.cpu_gpu_bytes <- t.cpu_gpu_bytes + count "bytes" bytes
   | Blame.Gpu_gpu -> t.gpu_gpu_bytes <- t.gpu_gpu_bytes + count "bytes" bytes);
-  Blame.charge t.ledger cat ~label ~exposed ~hidden ~spans
+  Blame.charge t.ledger ?spans cat ~label ~exposed ~hidden
 
 let add_wire_bytes t ~bytes = t.wire_bytes <- t.wire_bytes + count "wire bytes" bytes
 

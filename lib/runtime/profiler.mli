@@ -40,16 +40,18 @@ val create : unit -> t
 
 val charge :
   t ->
+  ?spans:Mgacc_util.Int_buf.t * int ->
   Mgacc_obs.Blame.category ->
   label:string ->
   exposed:float ->
   hidden:float ->
   bytes:int ->
-  spans:int list ->
   unit
-(** Charge one epoch with the covered trace [spans] to the ledger, and
-    [bytes] to the category's byte counter ([Cpu_gpu] and [Gpu_gpu] only;
-    ignored otherwise). This is the only writer of the ledger. *)
+(** Charge one epoch with the covered trace [spans] (a buffer and the
+    position its ids start at, as {!Mgacc_obs.Blame.charge} takes them)
+    to the ledger, and [bytes] to the category's byte counter ([Cpu_gpu]
+    and [Gpu_gpu] only; ignored otherwise). This is the only writer of
+    the ledger. *)
 
 val incr_kernel_launches : t -> unit
 val incr_loops : t -> unit

@@ -36,6 +36,8 @@ type t = {
   ev_spans : int array;
       (** trace span id that last advanced each GPU's event
           timeline (-1 when unknown), so gated ops can cite their producer *)
+  batch : Mgacc_gpusim.Fabric.batch;
+  phase_spans : Mgacc_util.Int_buf.t;
   mutable queue_seconds : float;  (** time spent queued before admission *)
   mutable clock : float;  (** host program-order time *)
   mutable horizon : float;  (** makespan over everything issued *)
@@ -67,6 +69,8 @@ let create ?pool ?(tenant = "default") ?(start = 0.0) cfg plans =
     tenant;
     start;
     ev_spans = Array.make cfg.Rt_config.num_gpus (-1);
+    batch = Mgacc_gpusim.Fabric.batch ();
+    phase_spans = Mgacc_util.Int_buf.create ();
     queue_seconds = 0.0;
     clock = start;
     horizon = start;

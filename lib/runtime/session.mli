@@ -38,6 +38,12 @@ type t = {
   ev_spans : int array;
       (** trace span id that last advanced each GPU's event
           timeline (-1 when unknown), so gated ops can cite their producer *)
+  batch : Mgacc_gpusim.Fabric.batch;
+      (** the transfer batch every launch phase fills, runs and reads back,
+          one batch at a time *)
+  phase_spans : Mgacc_util.Int_buf.t;
+      (** the span ids of the open launch phases: each phase's are the
+          ints from where it opened, and closing it truncates them *)
   mutable queue_seconds : float;  (** time spent queued before admission *)
   mutable clock : float;  (** host program-order time *)
   mutable horizon : float;  (** makespan over everything issued *)

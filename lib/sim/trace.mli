@@ -29,16 +29,19 @@ type span = {
 }
 
 type t
+(** The spans in columns: times unboxed, the caller's name strings by
+    pointer, causes in one flat buffer, each grown in chunks of a few
+    kilobytes. Recording a span allocates nothing on the trace's side
+    once the columns have grown to the run's size, and {!clear} keeps
+    them. *)
 
 val create : unit -> t
-
-val add : t -> span -> unit
-(** Append a caller-built span verbatim (tests build DAGs this way).
-    Production code should use {!record}, which allocates the id. *)
+(** An empty trace; its columns grow with the first spans. *)
 
 val record :
   t ->
   ?causes:int list ->
+  ?tag:string ->
   resource:string ->
   category:category ->
   label:string ->
@@ -49,7 +52,15 @@ val record :
   int
 (** Append a span with a freshly allocated id (the insertion index) and
     return that id, so the caller can thread it as a cause of downstream
-    spans. [causes] must reference earlier spans of the same trace. *)
+    spans. Its causes are those given to {!cause} since the last span,
+    then [causes]; they must reference earlier spans of the same trace.
+    With [tag] the span's label is [label ^ ":" ^ tag], built only when
+    the span is read. Raises [Invalid_argument] if [finish < start]. *)
+
+val cause : t -> int -> unit
+(** Add a cause to the next span {!record} appends, without building a
+    list: the machine's transfer batches hand each transfer's causes
+    this way. *)
 
 val spans : t -> span list
 (** In insertion order. *)

@@ -32,8 +32,9 @@ let find_up rel =
 
 let sample name = Filename.concat (find_up "samples") name
 
-(* The committed corpus. *)
+(* The committed corpus, and the committed digests of [pinned] below. *)
 let corpus_file () = find_up (Filename.concat "test" (Filename.concat "golden" "corpus.golden"))
+let pinned_file () = find_up (Filename.concat "test" (Filename.concat "golden" "pinned.golden"))
 
 let report_lines (r : Report.t) =
   [
@@ -343,6 +344,43 @@ let runs = matrix @ extras @ [ fleet ] @ baselines
 
 (* The corpus as (run name, lines) blocks, in a fixed order. *)
 let blocks () = List.map (fun r -> (r.name, r.lines ())) runs
+
+(* What the corpus leaves out: the whole Chrome trace (span ids, causes
+   and flow events) and the blame summary's JSON (critical path and
+   per-label rows), as digests, for the smoke inputs of three of the
+   end-to-end benchmark's workloads: spmv on 64 GPUs under auto
+   collectives, bfs on 16 GPUs tuned (lazy coherence, auto collectives,
+   overlap, fusion), and kmeans on the 2-GPU desktop. *)
+let pinned_run label ~spec settings program =
+  {
+    name = String.concat " " (label :: spec :: List.map (fun (n, v) -> n ^ "=" ^ v) settings);
+    lines =
+      (fun () ->
+        let config = List.fold_left apply (Rt_config.make (machine_of spec)) settings in
+        let _, r = run_acc ~config ~with_blame:true (program ()) in
+        let chrome = Trace.to_chrome_json config.Rt_config.machine.Machine.trace in
+        let blame = match r.Report.blame with Some b -> Blame.to_json b | None -> "" in
+        let digest s = Digest.to_hex (Digest.string s) in
+        [
+          Printf.sprintf "chrome bytes=%d digest=%s" (String.length chrome) (digest chrome);
+          Printf.sprintf "blame bytes=%d digest=%s" (String.length blame) (digest blame);
+        ]);
+  }
+
+let pinned =
+  [
+    pinned_run "spmv" ~spec:"fattree:16x4"
+      [ ("collective", "auto") ]
+      (app_program (Spmv.app { Spmv.rows = 600; width = 6; iterations = 2; seed = 19 }));
+    pinned_run "bfs" ~spec:"fattree:4x4"
+      [ ("coherence", "lazy"); ("collective", "auto"); ("overlap", "on"); ("fuse", "on") ]
+      (app_program (Bfs.app { Bfs.nodes = 600; max_degree = 6; seed = 5 }));
+    pinned_run "kmeans" ~spec:"desktop" []
+      (app_program
+         (Kmeans.app { Kmeans.points = 300; features = 8; clusters = 5; iterations = 2; seed = 11 }));
+  ]
+
+let pinned_blocks () = List.map (fun r -> (r.name, r.lines ())) pinned
 
 let render blocks =
   let b = Buffer.create 65536 in

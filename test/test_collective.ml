@@ -121,9 +121,9 @@ let mk_op ?(kind = Comm_manager.Dirty_chunk) ?(round = 0) ~group ~bytes src dst 
 (* {!Collective.execute} against a bare fabric with a constant ready time
    and no completion callback: the measuring stick of the tests below. *)
 let simulate ~fabric ~plan ~ready =
-  Collective.execute ~plan
+  Collective.execute ~plan ~batch:(Fabric.batch ())
     ~base:(fun _ -> (ready, []))
-    ~run:(Fabric.map_batch fabric fst (fun _ c -> (c, None)))
+    ~run:(Fabric.run fabric)
     ~on_complete:(fun _ _ _ -> ())
     ()
 
@@ -379,16 +379,15 @@ let test_execute_respects_deps () =
   let i = ref 0 in
   let seen = Hashtbl.create 16 in
   ignore
-    (Collective.execute ~plan
+    (Collective.execute ~plan ~batch:(Fabric.batch ())
        ~base:(fun _ -> (0.0, []))
-       ~run:(fun reqs ->
-         List.map (fun c -> (c, None)) (Fabric.run_batch fabric (List.map fst reqs)))
-       ~on_complete:(fun it c _ ->
+       ~run:(Fabric.run fabric)
+       ~on_complete:(fun it b k ->
          (* items complete in plan order within each level *)
          let idx = !i in
          incr i;
          ignore idx;
-         Hashtbl.replace seen it c.Fabric.finish)
+         Hashtbl.replace seen it (Float.Array.get b.Fabric.finish k))
        ());
   ignore finishes;
   check Alcotest.int "every item completed" (Array.length plan) (Hashtbl.length seen);

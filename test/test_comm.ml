@@ -267,8 +267,7 @@ let test_openmp_thread_count_matters () =
 let test_report_speedup () =
   let report ~seconds ~variant ~num_gpus =
     let p = Profiler.create () in
-    Profiler.charge p Mgacc_obs.Blame.Kernel ~label:"k" ~exposed:seconds ~hidden:0.0 ~bytes:0
-      ~spans:[];
+    Profiler.charge p Mgacc_obs.Blame.Kernel ~label:"k" ~exposed:seconds ~hidden:0.0 ~bytes:0;
     Report.of_profiler p ~machine:"m" ~variant ~num_gpus
   in
   let base = report ~seconds:2.0 ~variant:"omp" ~num_gpus:0 in

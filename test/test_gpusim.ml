@@ -225,37 +225,38 @@ let test_fabric_incremental_perf_gate () =
 (* Allocation gate for the comms path: one 64-GPU fat-tree broadcast
    batch (each node's first GPU to its 63 peers: 16 x 63 = 1,008 flows,
    same-node and cross-node arrivals interleaved) through
-   [Machine.run_transfers_spans]. Minor words per flow cover its
-   completion, its trace span and label, and the result list. A
-   formatted resource name per span, a copied request list, a per-flow
-   option or heap entry, or a float boxed per flow per event pushes a
-   batch past the bound. *)
-let comms_words_per_flow_bound = 52.0
+   [Machine.run_transfers_spans]. Minor words per flow cover its trace
+   span (the boxed start and finish handed to [Trace.record] and its
+   tag's option, 6 words) and the merge closures of the arrival-order
+   sort (about 2.6). A formatted resource name or label per span, a
+   per-flow record, list cell or heap entry, or a float boxed per flow
+   per event pushes a batch past the bound. *)
+let comms_words_per_flow_bound = 12.0
 
 let test_comms_path_allocation_gate () =
   let m = Machine.of_spec (Machine.Fat_tree_spec { nodes = 16; gpus_per_node = 4; oversub = 2.0 }) in
-  let reqs =
-    List.concat_map
-      (fun node ->
-        let root = 4 * node in
-        List.filter_map
-          (fun peer ->
-            if peer = root then None
-            else
-              Some
-                ( { Fabric.direction = Fabric.P2p (root, peer); bytes = 1 lsl 16; ready = 0.0;
-                    tag = "bcast" },
-                  [] ))
-          (List.init 64 Fun.id))
-      (List.init 16 Fun.id)
+  let b = Fabric.batch () in
+  let fill () =
+    Fabric.clear b;
+    for node = 0 to 15 do
+      let root = 4 * node in
+      for peer = 0 to 63 do
+        if peer <> root then
+          Fabric.push b (Fabric.P2p (root, peer)) ~bytes:(1 lsl 16) ~ready:0.0 ~tag:"bcast"
+      done
+    done
   in
-  let flows = List.length reqs in
-  (* The first batch fills the route memo; measure the second. *)
-  ignore (Machine.run_transfers_spans m ~label:"warm" reqs);
+  (* The first batch fills the route memo and grows the columns; refill
+     and measure the second. *)
+  fill ();
+  Machine.run_transfers_spans m ~label:"warm" b;
+  fill ();
   let before = Gc.minor_words () in
-  let out = Machine.run_transfers_spans m ~label:"bcast" reqs in
+  Machine.run_transfers_spans m ~label:"bcast" b;
   let words = Gc.minor_words () -. before in
-  check Alcotest.int "one completion per flow" flows (List.length out);
+  let flows = b.Fabric.len in
+  check Alcotest.int "one span per flow" flows
+    (Array.fold_left (fun n sid -> if sid >= 0 then n + 1 else n) 0 (Array.sub b.Fabric.span 0 flows));
   let per_flow = words /. float_of_int flows in
   Printf.printf "comms path: %.1f minor words per flow (bound %.0f)\n" per_flow
     comms_words_per_flow_bound;

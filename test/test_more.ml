@@ -161,12 +161,12 @@ let test_l2_hit_monotone () =
 
 let test_chrome_json_valid_shape () =
   let t = Trace.create () in
-  Trace.add t
-    { Trace.id = 0; causes = []; resource = "gpu0"; category = Trace.Kernel; label = "k\"quote";
-      start = 0.0; finish = 1e-3; bytes = 0 };
-  Trace.add t
-    { Trace.id = 1; causes = []; resource = "pcie:h2d0"; category = Trace.Host_to_device;
-      label = "load"; start = 0.0; finish = 2e-3; bytes = 42 };
+  ignore
+    (Trace.record t ~resource:"gpu0" ~category:Trace.Kernel ~label:"k\"quote" ~start:0.0
+       ~finish:1e-3 ~bytes:0 ());
+  ignore
+    (Trace.record t ~resource:"pcie:h2d0" ~category:Trace.Host_to_device ~label:"load" ~start:0.0
+       ~finish:2e-3 ~bytes:42 ());
   let s = Trace.to_chrome_json t in
   check Alcotest.bool "escaped quote" true
     (String.length s > 0 && not (String.equal s "[]"));

@@ -141,6 +141,29 @@ let test_wall_profile () =
   done;
   check (Alcotest.float 0.0) "minor words of 1000 spans while off" 0.0 (Gc.minor_words () -. before)
 
+(* A layer is credited the minor words allocated while it is the
+   innermost span: a span that builds a 1,000-element list (3,000 words
+   of cons cells) gets at least those, and spans that allocate nothing,
+   with the recorder on, get none and cost none. *)
+let test_wall_words () =
+  Wall.start ();
+  Wall.enter Wall.Comms;
+  let l = Sys.opaque_identity (List.init 1000 Fun.id) in
+  Wall.leave ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Wall.enter Wall.Charge;
+    Wall.leave ()
+  done;
+  let spent = Gc.minor_words () -. before in
+  Wall.stop ();
+  check Alcotest.int "list length" 1000 (List.length l);
+  if Wall.words Wall.Comms < 3000 then
+    Alcotest.failf "a span that allocated a 1000-element list was credited %d words"
+      (Wall.words Wall.Comms);
+  check Alcotest.int "words of empty spans" 0 (Wall.words Wall.Charge);
+  check (Alcotest.float 0.0) "minor words of 1000 spans while on" 0.0 spent
+
 (* ---------------- critical-path pass ---------------- *)
 
 let rec_span tr ?(causes = []) ~resource ~start ~finish () =
@@ -554,6 +577,7 @@ let suite =
     tc "identity pin: default config reports are byte-stable" test_identity_default;
     tc "identity pin: tuned config reports are byte-stable" test_identity_tuned;
     tc "wall profile: simulated output unchanged, layers within the run" test_wall_profile;
+    tc "wall profile: a span is credited the words it allocates" test_wall_words;
     tc "critical path: chain" test_cp_chain;
     tc "critical path: diamond picks the long arm" test_cp_diamond;
     tc "critical path: two chains, longer wins" test_cp_two_chains;

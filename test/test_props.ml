@@ -436,7 +436,7 @@ let prop_report_matches_counter_fold charges =
   let exposed = Array.make 4 0.0 and hidden = ref 0.0 and bytes = Array.make 4 0 in
   List.iter
     (fun (i, e, h, b) ->
-      Profiler.charge p cats.(i) ~label:"x" ~exposed:e ~hidden:h ~bytes:b ~spans:[];
+      Profiler.charge p cats.(i) ~label:"x" ~exposed:e ~hidden:h ~bytes:b;
       exposed.(i) <- exposed.(i) +. e;
       if h > 0.0 then hidden := !hidden +. h;
       bytes.(i) <- bytes.(i) + b)
@@ -704,8 +704,93 @@ let prop_pragma_total payload =
   | exception Mgacc.Loc.Error _ -> ());
   true
 
+(* ---------------- Trace columns vs the list reference ---------------- *)
+
+module Trace = Mgacc_sim.Trace
+
+type trace_op =
+  | Record of {
+      pending : int list;  (** handed to [cause] first *)
+      causes : int list;
+      tag : string option;
+      resource : string;
+      label : string;
+      category : Trace.category;
+      start : float;
+      dur : float;
+      bytes : int;
+    }
+  | Clear
+
+(* Names repeat (and come back as equal copies of a pooled string as well
+   as the pooled string itself), carry quotes, backslashes and control
+   characters, and include two ("gpu45447", "gpu60477") with the same
+   [Hashtbl.hash], so a trace that told names apart by hash alone would
+   merge their rows. *)
+let trace_names =
+  [| "gpu0"; "gpu1"; "pcie:p2p0-1"; "comm"; "gpu45447"; "gpu60477"; "k\"quote"; "back\\slash";
+     "new\nline\t"; ""; "a:b" |]
+
+let gen_trace_name =
+  QCheck2.Gen.(
+    map2
+      (fun i copy ->
+        let s = trace_names.(i) in
+        if copy then String.sub s 0 (String.length s) else s)
+      (int_bound (Array.length trace_names - 1))
+      bool)
+
+let gen_trace_ops =
+  let open QCheck2.Gen in
+  let id = int_range (-2) 14 in
+  let record =
+    map3
+      (fun (pending, causes, tag) (resource, label, category) (start, dur, bytes) ->
+        Record { pending; causes; tag; resource; label; category; start; dur; bytes })
+      (triple (list_size (int_bound 2) id) (list_size (int_bound 3) id) (opt gen_trace_name))
+      (triple gen_trace_name gen_trace_name
+         (oneofl
+            Trace.[ Kernel; Host_to_device; Device_to_host; Peer; Host_compute; Overhead ]))
+      (triple
+         (map (fun k -> float_of_int k /. 8.0) (int_bound 80))
+         (map (fun k -> float_of_int k /. 16.0) (int_bound 40))
+         (int_bound 5000))
+  in
+  list_size (int_bound 40) (frequency [ (12, record); (1, return Clear) ])
+
+(* The columns and the reference hand out the same ids, and agree on
+   every reading before each clear and at the end: the spans, the Chrome
+   trace, the Gantt chart and the makespan. *)
+let prop_trace_matches_reference ops =
+  let t = Trace.create () and r = Ref_trace.create () in
+  let same () =
+    Trace.spans t = Ref_trace.spans r
+    && Trace.to_chrome_json t = Ref_trace.to_chrome_json r
+    && Trace.to_chrome_json ~process_name:"p\"q" t = Ref_trace.to_chrome_json ~process_name:"p\"q" r
+    && Format.asprintf "%a" (Trace.pp_gantt ~width:40) t
+       = Format.asprintf "%a" (Ref_trace.pp_gantt ~width:40) r
+    && Int64.bits_of_float (Trace.makespan t) = Int64.bits_of_float (Ref_trace.makespan r)
+  in
+  List.for_all
+    (function
+      | Clear ->
+          let agreed = same () in
+          Trace.clear t;
+          Ref_trace.clear r;
+          agreed
+      | Record { pending; causes; tag; resource; label; category; start; dur; bytes } ->
+          let finish = start +. dur in
+          List.iter (Trace.cause t) pending;
+          List.iter (Ref_trace.cause r) pending;
+          Trace.record t ~causes ?tag ~resource ~category ~label ~start ~finish ~bytes ()
+          = Ref_trace.record r ~causes ?tag ~resource ~category ~label ~start ~finish ~bytes ())
+    ops
+  && same ()
+
 let suite =
   [
+    qtest ~long_factor:10 "trace: columns equal the list reference" gen_trace_ops
+      prop_trace_matches_reference;
     qtest "interval set = set of points" gen_intervals prop_set_semantics;
     qtest "interval set stays normalized" gen_intervals prop_set_normalized;
     qtest "of_sorted_disjoint is identity on normalized sets" gen_intervals

@@ -328,15 +328,15 @@ let test_miss_records_preserve_order () =
 let test_profiler () =
   let p = Profiler.create () in
   let charge cat ~seconds ~bytes =
-    Profiler.charge p cat ~label:"x" ~exposed:seconds ~hidden:0.0 ~bytes ~spans:[]
+    Profiler.charge p cat ~label:"x" ~exposed:seconds ~hidden:0.0 ~bytes
   in
   charge Mgacc_obs.Blame.Cpu_gpu ~seconds:1.0 ~bytes:100;
   charge Mgacc_obs.Blame.Gpu_gpu ~seconds:0.5 ~bytes:50;
   charge Mgacc_obs.Blame.Kernel ~seconds:2.0 ~bytes:0;
   charge Mgacc_obs.Blame.Overhead ~seconds:0.25 ~bytes:0;
   check Alcotest.int "bytes" 100 p.Profiler.cpu_gpu_bytes;
-  check Alcotest.int "one ledger epoch per charge" 4
-    (List.length (Mgacc_obs.Blame.epochs p.Profiler.ledger));
+  let summary = Mgacc_obs.Blame.summarize p.Profiler.ledger ~trace:(Mgacc_sim.Trace.create ()) in
+  check Alcotest.int "one blame row per charge" 4 (List.length summary.Mgacc_obs.Blame.s_rows);
   Profiler.incr_loops p;
   Profiler.incr_kernel_launches p;
   check Alcotest.int "loops" 1 p.Profiler.loops;
@@ -352,18 +352,82 @@ let test_profiler_rejects_negative () =
   let p = Profiler.create () in
   let raises what f = Alcotest.check_raises what (Invalid_argument ("Profiler: negative " ^ what)) f in
   raises "exposed seconds" (fun () ->
-      Profiler.charge p Mgacc_obs.Blame.Kernel ~label:"k" ~exposed:(-1e-9) ~hidden:0.0 ~bytes:0
-        ~spans:[]);
+      Profiler.charge p Mgacc_obs.Blame.Kernel ~label:"k" ~exposed:(-1e-9) ~hidden:0.0 ~bytes:0);
   raises "bytes" (fun () ->
-      Profiler.charge p Mgacc_obs.Blame.Cpu_gpu ~label:"h2d" ~exposed:0.0 ~hidden:0.0 ~bytes:(-1)
-        ~spans:[]);
+      Profiler.charge p Mgacc_obs.Blame.Cpu_gpu ~label:"h2d" ~exposed:0.0 ~hidden:0.0 ~bytes:(-1));
   raises "wire bytes" (fun () -> Profiler.add_wire_bytes p ~bytes:(-1));
   raises "prefetch hits" (fun () -> Profiler.add_prefetch_hits p ~count:(-1));
   raises "segments" (fun () ->
       Profiler.add_collective p ~rings:0 ~hierarchies:0 ~direct_groups:0 ~segments:(-1));
   raises "spilled bytes" (fun () -> Profiler.add_spill p ~bytes:(-1));
   raises "imbalance" (fun () -> Profiler.add_imbalance p ~ratio:(-0.5));
-  check Alcotest.int "nothing charged" 0 (List.length (Mgacc_obs.Blame.epochs p.Profiler.ledger))
+  let totals = Mgacc_obs.Blame.totals p.Profiler.ledger in
+  check Alcotest.bool "nothing charged" true
+    (totals.Mgacc_obs.Blame.t_hidden = 0.0
+    && List.for_all (fun (_, e, h) -> e = 0.0 && h = 0.0) totals.Mgacc_obs.Blame.t_categories
+    && (Mgacc_obs.Blame.summarize p.Profiler.ledger ~trace:(Mgacc_sim.Trace.create ()))
+         .Mgacc_obs.Blame.s_rows
+       = [])
+
+(* ---------------- Comms path allocation ---------------- *)
+
+(* Allocation gate for the runtime's transfer path: one batch shaped like
+   the eager dirty merge on 64 GPUs (every GPU's chunk to its 63 peers:
+   4,032 transfers on fattree:16x4) through
+   [Acc_runtime.charge_host_xfers], which builds the batch, runs the
+   fabric, records the spans and charges the phase. Before transfers
+   went into flat columns this path allocated 60.8 minor words per
+   transfer and promoted 20.0 of them (docs/PERF.md, "Transfers and
+   their spans in flat columns"); the bound is a third of that. What is
+   left dies at once, so a minor collection after the batch promotes
+   almost nothing: a transfer's request, causes, completion and span
+   all live in columns that were grown by the first batch. *)
+let comms_words_per_transfer_bound = 60.8 /. 3.0
+let comms_promoted_per_span_bound = 1.0
+
+let test_comms_batch_allocation () =
+  let machine =
+    Machine.of_spec (Machine.Fat_tree_spec { nodes = 16; gpus_per_node = 4; oversub = 2.0 })
+  in
+  let cfg = Rt_config.make machine in
+  let plans =
+    Mgacc_translator.Program_plan.build ~options:cfg.Rt_config.translator
+      (Mgacc.parse_string ~name:"empty.c" "void main() {}")
+  in
+  let t = Acc_runtime.create cfg plans in
+  let xfers =
+    List.concat_map
+      (fun src ->
+        List.filter_map
+          (fun dst ->
+            if src = dst then None
+            else Some { Darray.dir = Mgacc_gpusim.Fabric.P2p (src, dst); bytes = 4096; tag = "x:chunk" })
+          (List.init 64 Fun.id))
+      (List.init 64 Fun.id)
+  in
+  let n = float_of_int (List.length xfers) in
+  (* The first batch fills the fabric's route memo, interns the names and
+     grows every column; measure the second. *)
+  Acc_runtime.charge_host_xfers t ~label:"merge" xfers;
+  let spans0 = List.length (Mgacc_sim.Trace.spans machine.Machine.trace) in
+  Gc.minor ();
+  let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
+  let words0 = Gc.minor_words () in
+  Acc_runtime.charge_host_xfers t ~label:"merge" xfers;
+  let words = Gc.minor_words () -. words0 in
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
+  let spans = List.length (Mgacc_sim.Trace.spans machine.Machine.trace) - spans0 in
+  check Alcotest.int "one span per transfer" 4032 spans;
+  let per_transfer = words /. n and per_span = promoted /. float_of_int spans in
+  Printf.printf "comms batch: %.2f minor words per transfer (bound %.2f), %.3f promoted per span (bound %.1f)\n"
+    per_transfer comms_words_per_transfer_bound per_span comms_promoted_per_span_bound;
+  if per_transfer > comms_words_per_transfer_bound then
+    Alcotest.failf "the runtime's transfer path allocates %.2f minor words per transfer (bound %.2f)"
+      per_transfer comms_words_per_transfer_bound;
+  if per_span > comms_promoted_per_span_bound then
+    Alcotest.failf "a minor collection after the batch promotes %.3f words per span (bound %.1f)"
+      per_span comms_promoted_per_span_bound
 
 (* ---------------- Parallel launches ---------------- *)
 
@@ -686,6 +750,8 @@ let suite =
     tc "comm: miss records preserve program order" test_miss_records_preserve_order;
     tc "profiler: accumulation" test_profiler;
     tc "profiler: negative increments raise" test_profiler_rejects_negative;
+    tc "comms path: an eager-merge batch through the runtime allocates a third of what it did"
+      test_comms_batch_allocation;
     tc "launch: the lowest faulting GPU's error is raised" test_launch_raises_lowest_gpu_fault;
     tc "launch: tasks allocate nothing per iteration" test_tasks_allocate_nothing;
     tc "launch: ten runs of each e2e shape are identical" test_parallel_runs_deterministic;

@@ -71,21 +71,21 @@ let test_timeline_invalid () =
     (Invalid_argument "Timeline.reserve: negative duration") (fun () ->
       ignore (Timeline.reserve t ~ready:0.0 ~duration:(-1.0)))
 
-let span resource category start finish bytes =
-  { Trace.id = 0; causes = []; resource; category; label = "t"; start; finish; bytes }
+let span t resource category start finish bytes =
+  ignore (Trace.record t ~resource ~category ~label:"t" ~start ~finish ~bytes ())
 
 let test_trace_totals () =
   let t = Trace.create () in
-  Trace.add t (span "gpu0" Trace.Kernel 0.0 2.0 0);
-  Trace.add t (span "pcie" Trace.Host_to_device 0.0 1.0 100);
-  Trace.add t (span "pcie" Trace.Peer 2.0 3.0 50);
+  span t "gpu0" Trace.Kernel 0.0 2.0 0;
+  span t "pcie" Trace.Host_to_device 0.0 1.0 100;
+  span t "pcie" Trace.Peer 2.0 3.0 50;
   check (Alcotest.float 1e-12) "makespan" 3.0 (Trace.makespan t);
   Trace.clear t;
   check Alcotest.int "cleared" 0 (List.length (Trace.spans t))
 
 let test_trace_gantt_renders () =
   let t = Trace.create () in
-  Trace.add t (span "gpu0" Trace.Kernel 0.0 1.0 0);
+  span t "gpu0" Trace.Kernel 0.0 1.0 0;
   let s = Format.asprintf "%a" (Trace.pp_gantt ~width:40) t in
   check Alcotest.bool "nonempty" true (String.length s > 10)
 

@@ -295,8 +295,39 @@ let test_pool_survives_raising_task () =
         (fun k c -> check Alcotest.int (Printf.sprintf "next job: task %d" k) 1 c)
         (run_counts pool 16))
 
+(* ---------------- Int_buf ---------------- *)
+
+(* Across chunk boundaries (1,024 ints a chunk, the first one grown from
+   16): what was pushed reads back, truncation keeps the prefix, pushes
+   after a truncation overwrite, and [append] copies a suffix in order. *)
+let test_int_buf () =
+  let b = Int_buf.create () in
+  for i = 0 to 4999 do
+    Int_buf.push b (i * 7)
+  done;
+  check Alcotest.int "length" 5000 (Int_buf.length b);
+  for i = 0 to 4999 do
+    if Int_buf.get b i <> i * 7 then Alcotest.failf "get %d = %d" i (Int_buf.get b i)
+  done;
+  Int_buf.truncate b 1500;
+  for i = 1500 to 2999 do
+    Int_buf.push b (-i)
+  done;
+  check Alcotest.int "prefix kept" (1499 * 7) (Int_buf.get b 1499);
+  check Alcotest.int "pushed after truncate" (-2048) (Int_buf.get b 2048);
+  let d = Int_buf.create () in
+  Int_buf.push d 42;
+  Int_buf.append d b ~from:1000;
+  check Alcotest.int "appended length" 2001 (Int_buf.length d);
+  check Alcotest.int "head kept" 42 (Int_buf.get d 0);
+  check Alcotest.int "suffix in order" (1000 * 7) (Int_buf.get d 1);
+  check Alcotest.int "suffix end" (-2999) (Int_buf.get d 2000);
+  Alcotest.check_raises "past the end" (Invalid_argument "Int_buf.get") (fun () ->
+      ignore (Int_buf.get b 3000))
+
 let suite =
   [
+    tc "int buffer: chunks, truncation and append" test_int_buf;
     tc "xorshift: deterministic" test_xorshift_deterministic;
     tc "xorshift: bounds" test_xorshift_bounds;
     tc "xorshift: invalid args" test_xorshift_invalid;

@@ -24,9 +24,10 @@ dune runtest
 # long as in the tier-1 run.
 QCHECK_LONG=1 dune exec test/test_main.exe -- test exec
 # The lazy and eager merges against their oracles, the bitset against its
-# boolean model, and the fabric's incremental allocator against the
-# from-scratch reference (test/ref_fabric), ten times as long as in the
-# tier-1 run.
+# boolean model, the fabric's incremental allocator against the
+# from-scratch reference (test/ref_fabric), and the trace's columns
+# against the list-based trace (test/ref_trace.ml), ten times as long as
+# in the tier-1 run.
 QCHECK_LONG=1 dune exec test/test_main.exe -- test coherence
 QCHECK_LONG=1 dune exec test/test_main.exe -- test properties
 # The collective planner against the reference planner (test/ref_collective.ml)
