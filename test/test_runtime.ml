@@ -750,11 +750,11 @@ let suite =
     tc "comm: miss records preserve program order" test_miss_records_preserve_order;
     tc "profiler: accumulation" test_profiler;
     tc "profiler: negative increments raise" test_profiler_rejects_negative;
-    tc "comms path: an eager-merge batch through the runtime allocates a third of what it did"
-      test_comms_batch_allocation;
     tc "launch: the lowest faulting GPU's error is raised" test_launch_raises_lowest_gpu_fault;
     tc "launch: tasks allocate nothing per iteration" test_tasks_allocate_nothing;
     tc "launch: ten runs of each e2e shape are identical" test_parallel_runs_deterministic;
     tc "launch: 0 and 3 pool workers give identical runs" test_pool_worker_counts_agree;
     tc "launch: reduction updates over strips equal one trip at a time" test_reduction_strips_match_twin;
+    tc "comms path: an eager-merge batch through the runtime allocates a third of what it did"
+      test_comms_batch_allocation;
   ]

@@ -327,7 +327,6 @@ let test_int_buf () =
 
 let suite =
   [
-    tc "int buffer: chunks, truncation and append" test_int_buf;
     tc "xorshift: deterministic" test_xorshift_deterministic;
     tc "xorshift: bounds" test_xorshift_bounds;
     tc "xorshift: invalid args" test_xorshift_invalid;
@@ -348,4 +347,5 @@ let suite =
     tc "pool: zero workers run a job inline, in order" test_pool_zero_workers_inline;
     tc "pool: 10,000 jobs reuse the same workers" test_pool_reuses_workers;
     tc "pool: a raising task leaves the workers working" test_pool_survives_raising_task;
+    tc "int buffer: chunks, truncation and append" test_int_buf;
   ]
