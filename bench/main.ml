@@ -734,25 +734,28 @@ let sim_storm fabric ~flows ~waves ~seed =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
     !state mod bound
   in
-  List.init flows (fun i ->
-      let ready = float_of_int (i mod waves) *. 2e-4 in
-      let g = rand num_gpus in
-      let direction =
-        match rand 4 with
-        | 0 -> Fabric.H2d g
-        | 1 -> Fabric.D2h g
-        | 2 ->
-            (* same-node peer: g and a distinct neighbor on its node *)
-            let node = g / gpn in
-            let p = (node * gpn) + ((g mod gpn) + 1 + rand (gpn - 1)) mod gpn in
-            Fabric.P2p (g, p)
-        | _ ->
-            (* cross-node peer *)
-            let dst_node = ((g / gpn) + 1 + rand (Int.max 1 (nodes - 1))) mod nodes in
-            Fabric.P2p (g, (dst_node * gpn) + rand gpn)
-      in
-      let bytes = 1_000_000 + rand 32_000_000 in
-      { Fabric.direction; bytes; ready; tag = "storm" })
+  let b = Fabric.batch () in
+  for i = 0 to flows - 1 do
+    let ready = float_of_int (i mod waves) *. 2e-4 in
+    let g = rand num_gpus in
+    let direction =
+      match rand 4 with
+      | 0 -> Fabric.H2d g
+      | 1 -> Fabric.D2h g
+      | 2 ->
+          (* same-node peer: g and a distinct neighbor on its node *)
+          let node = g / gpn in
+          let p = (node * gpn) + ((g mod gpn) + 1 + rand (gpn - 1)) mod gpn in
+          Fabric.P2p (g, p)
+      | _ ->
+          (* cross-node peer *)
+          let dst_node = ((g / gpn) + 1 + rand (Int.max 1 (nodes - 1))) mod nodes in
+          Fabric.P2p (g, (dst_node * gpn) + rand gpn)
+    in
+    let bytes = 1_000_000 + rand 32_000_000 in
+    Fabric.push b direction ~bytes ~ready ~tag:"storm"
+  done;
+  b
 
 (* Koka-artifact-style timing: N iterations, median and the spread
    (largest deviation from the median), wall clock. *)
@@ -792,26 +795,26 @@ let sim_bench ~smoke =
      see docs/PERF.md for the event-loop invariants and methodology.)\n";
   let machine = Machine.cluster ~nodes ~gpus_per_node () in
   let fabric = machine.Machine.fabric in
-  let reqs = sim_storm fabric ~flows ~waves ~seed:20260807 in
+  let storm = sim_storm fabric ~flows ~waves ~seed:20260807 in
   (* Guard before timing anything: both allocators must agree bit for bit
      on this storm, else the speedup compares different simulations. *)
   progress "  [sim] equivalence check (%d flows)..." flows;
-  let fast = Fabric.run_batch fabric reqs in
-  let slow = Ref_fabric.run_batch_reference fabric reqs in
-  List.iter2
-    (fun (a : Fabric.completion) (b : Fabric.completion) ->
-      if not (Float.equal a.Fabric.start b.Fabric.start && Float.equal a.Fabric.finish b.Fabric.finish)
-      then failwith "bench sim: incremental and reference allocators diverged")
-    fast slow;
+  Fabric.run fabric storm;
+  let slow = Ref_fabric.run_reference fabric storm in
+  Array.iteri
+    (fun i finish ->
+      if not (Float.equal (Float.Array.get storm.Fabric.finish i) finish) then
+        failwith "bench sim: incremental and reference allocators diverged")
+    slow;
   (* Every request is one arrival plus one completion. *)
   let events = 2 * flows in
   let measure name run =
     progress "  [sim] timing %s allocator (%d iterations)..." name iters;
-    let median, spread = sim_time_runs ~iters (fun () -> ignore (run fabric reqs)) in
+    let median, spread = sim_time_runs ~iters (fun () -> ignore (run fabric storm)) in
     (median, spread, float_of_int events /. median)
   in
-  let ref_median, ref_spread, ref_eps = measure "reference" Ref_fabric.run_batch_reference in
-  let inc_median, inc_spread, inc_eps = measure "incremental" Fabric.run_batch in
+  let ref_median, ref_spread, ref_eps = measure "reference" Ref_fabric.run_reference in
+  let inc_median, inc_spread, inc_eps = measure "incremental" Fabric.run in
   let speedup = ref_median /. inc_median in
   let t =
     Table.create ~headers:[ "allocator"; "iters"; "median"; "spread"; "events/s"; "vs reference" ]

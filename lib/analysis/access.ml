@@ -126,13 +126,3 @@ let analyze (loop : Loop_info.t) =
 let find accesses name = List.find_opt (fun a -> a.array = name) accesses
 
 let read_only a = a.writes = [] && a.reduction_writes = [] && a.reads <> []
-
-let pp loop ppf a =
-  let pp_class ppf idx =
-    match classify_index loop idx with
-    | Affine af -> Affine.pp ppf af
-    | Dynamic -> Format.fprintf ppf "dynamic[%s]" (Pretty.expr_to_string idx)
-  in
-  let pl = Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_class in
-  Format.fprintf ppf "%s: reads [%a] writes [%a] red-writes [%a]" a.array pl a.reads pl a.writes pl
-    a.reduction_writes

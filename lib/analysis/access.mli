@@ -38,5 +38,3 @@ val classify_index : Loop_info.t -> Ast.expr -> index_class
 
 val read_only : array_access -> bool
 (** Some reads, no writes of either kind. *)
-
-val pp : Loop_info.t -> Format.formatter -> array_access -> unit

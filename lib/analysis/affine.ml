@@ -108,12 +108,3 @@ let rec of_expr ~loop_var ~is_uniform e =
       if mentions_var e loop_var then None else uniform_leaf ()
 
 let is_literal t = t.terms = []
-
-let equal a b =
-  a.coeff = b.coeff && a.const = b.const
-  && List.length a.terms = List.length b.terms
-  && List.for_all2 (fun x y -> Pretty.expr_to_string x = Pretty.expr_to_string y) a.terms b.terms
-
-let pp ppf t =
-  Format.fprintf ppf "%d*i + %d" t.coeff t.const;
-  List.iter (fun e -> Format.fprintf ppf " + %s" (Pretty.expr_to_string e)) t.terms

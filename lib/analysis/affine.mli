@@ -32,6 +32,3 @@ val of_expr : loop_var:string -> is_uniform:(string -> bool) -> Ast.expr -> t op
 
 val is_literal : t -> bool
 (** No symbolic terms: the form is [coeff * i + const] exactly. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

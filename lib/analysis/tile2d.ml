@@ -181,11 +181,3 @@ let grid_of ~num_gpus =
   let rec best d = if d < 2 then 1 else if num_gpus mod d = 0 then d else best (d - 1) in
   let pc = best (int_of_float (sqrt (float_of_int num_gpus))) in
   (num_gpus / pc, pc)
-
-let pp ppf t =
-  Format.fprintf ppf "tile2d(inner %s, stride %s, halos %s)" t.inner_var
-    (Pretty.expr_to_string t.stride)
-    (String.concat ", "
-       (List.map
-          (fun (a, h) -> Printf.sprintf "%s:r%d/%d c%d/%d" a h.row_l h.row_r h.col_l h.col_r)
-          t.halos))

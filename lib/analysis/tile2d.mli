@@ -51,5 +51,3 @@ val grid_of : num_gpus:int -> int * int
     exceeding [sqrt num_gpus] — the canonical process grid both the
     runtime's darray tiles and the kernel column bounds are derived
     from. *)
-
-val pp : Format.formatter -> t -> unit

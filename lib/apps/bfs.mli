@@ -23,7 +23,6 @@ val paper_params : params
 (** ~1M nodes x 112 max degree: the paper's 444.9 MB footprint. *)
 
 val app : params -> App_common.t
-val source : params -> string
 
 val run_cuda : machine:Mgacc.Machine.t -> params -> int array * Mgacc.Report.t
 (** Hand-written single-GPU CUDA baseline; returns the levels array. *)

@@ -24,7 +24,6 @@ val paper_params : params
 (** kddcup scale: 494020 x 34, 5 clusters, 37 iterations (74 kernels). *)
 
 val app : params -> App_common.t
-val source : params -> string
 
 val run_cuda :
   machine:Mgacc.Machine.t -> params -> float array * int array * Mgacc.Report.t

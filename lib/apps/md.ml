@@ -154,23 +154,26 @@ let run_cuda_multi ~machine ~gpus p =
         Memory.alloc_float (mem g) `User (3 * (hi - lo)))
   in
   (* Concurrent loads on all links (the expert uses async copies). *)
-  let reqs =
-    List.concat
-      (List.init gpus (fun g ->
-           let lo, hi = blocks.(g) in
-           [
-             { Mgacc_gpusim.Fabric.direction = Mgacc_gpusim.Fabric.H2d g; bytes = 3 * n * 8; ready = 0.0; tag = "pos" };
-             { Mgacc_gpusim.Fabric.direction = Mgacc_gpusim.Fabric.H2d g; bytes = (hi - lo) * maxn * 4; ready = 0.0; tag = "nl" };
-           ]))
+  let b = Fabric.batch () in
+  for g = 0 to gpus - 1 do
+    let lo, hi = blocks.(g) in
+    Fabric.push b (Fabric.H2d g) ~bytes:(3 * n * 8) ~ready:0.0 ~tag:"pos";
+    Fabric.push b (Fabric.H2d g) ~bytes:((hi - lo) * maxn * 4) ~ready:0.0 ~tag:"nl"
+  done;
+  Machine.run_transfers_spans machine ~label:"md-multi-load" b;
+  (* The latest finish in the batch, from [from]. *)
+  let last_finish from =
+    let t = ref from in
+    for i = 0 to b.len - 1 do
+      t := Float.max !t (Float.Array.get b.finish i)
+    done;
+    !t
   in
-  let completions = Machine.run_transfers machine ~label:"md-multi-load" reqs in
-  let t_loaded =
-    List.fold_left
-      (fun acc (c : Mgacc_gpusim.Fabric.completion) -> Float.max acc c.Mgacc_gpusim.Fabric.finish)
-      0.0 completions
-  in
+  let t_loaded = last_finish 0.0 in
+  (* Every GPU loads all positions and its blocks' rows; the blocks
+     partition the atoms. *)
   Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"load" ~exposed:t_loaded ~hidden:0.0
-    ~bytes:(List.fold_left (fun a (r : Mgacc_gpusim.Fabric.request) -> a + r.Mgacc_gpusim.Fabric.bytes) 0 reqs);
+    ~bytes:((gpus * 3 * n * 8) + (n * maxn * 4));
   Mgacc_runtime.Profiler.incr_loops profiler;
   (* Functional data movement + per-GPU kernels. *)
   let force = Array.make (3 * n) 0.0 in
@@ -188,8 +191,8 @@ let run_cuda_multi ~machine ~gpus p =
            Array.blit local (3 * lo) (Memory.float_data d_force.(g)) 0 (3 * (hi - lo));
            Array.blit local (3 * lo) force (3 * lo) (3 * (hi - lo));
            Mgacc_runtime.Profiler.incr_kernel_launches profiler;
-           let _, finish =
-             Machine.launch_kernel machine ~dev:g ~ready:t_loaded ~threads:(hi - lo)
+           let _, finish, _ =
+             Machine.launch_kernel_span machine ~dev:g ~ready:t_loaded ~threads:(hi - lo)
                ~label:"md-multi" cost
            in
            finish))
@@ -197,22 +200,13 @@ let run_cuda_multi ~machine ~gpus p =
   let t_done = List.fold_left Float.max t_loaded t_kernels in
   Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Kernel ~label:"md-multi" ~exposed:(t_done -. t_loaded) ~hidden:0.0 ~bytes:0;
   (* Gather force blocks concurrently. *)
-  let reqs_out =
-    List.init gpus (fun g ->
-        let lo, hi = blocks.(g) in
-        {
-          Mgacc_gpusim.Fabric.direction = Mgacc_gpusim.Fabric.D2h g;
-          bytes = 3 * (hi - lo) * 8;
-          ready = t_done;
-          tag = "force";
-        })
-  in
-  let completions = Machine.run_transfers machine ~label:"md-multi-out" reqs_out in
-  let t_out =
-    List.fold_left
-      (fun acc (c : Mgacc_gpusim.Fabric.completion) -> Float.max acc c.Mgacc_gpusim.Fabric.finish)
-      t_done completions
-  in
+  Fabric.clear b;
+  for g = 0 to gpus - 1 do
+    let lo, hi = blocks.(g) in
+    Fabric.push b (Fabric.D2h g) ~bytes:(3 * (hi - lo) * 8) ~ready:t_done ~tag:"force"
+  done;
+  Machine.run_transfers_spans machine ~label:"md-multi-out" b;
+  let t_out = last_finish t_done in
   Mgacc_runtime.Profiler.charge profiler Mgacc_obs.Blame.Cpu_gpu ~label:"copyout" ~exposed:(t_out -. t_done) ~hidden:0.0
     ~bytes:(3 * n * 8);
   Mgacc_runtime.Profiler.record_memory_peaks profiler machine ~num_gpus:gpus;

@@ -17,7 +17,6 @@ val paper_params : params
 (** The paper's SHOC input: 73728 atoms x 128 neighbors (~40 MB). *)
 
 val app : params -> App_common.t
-val source : params -> string
 
 val run_cuda : machine:Mgacc.Machine.t -> params -> float array * Mgacc.Report.t
 (** Hand-written single-GPU CUDA baseline; returns the force array and the

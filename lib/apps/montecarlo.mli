@@ -17,4 +17,3 @@ type params = {
 
 val default_params : params
 val app : params -> App_common.t
-val source : params -> string

@@ -18,4 +18,3 @@ type params = {
 
 val default_params : params
 val app : params -> App_common.t
-val source : params -> string

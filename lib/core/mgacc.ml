@@ -38,7 +38,6 @@ module Acc_runtime = Mgacc_runtime.Acc_runtime
 module Launch = Mgacc_runtime.Launch
 module Profiler = Mgacc_runtime.Profiler
 module Openmp = Mgacc_runtime.Openmp
-module Xorshift = Mgacc_util.Xorshift
 module Table = Mgacc_util.Table
 module Bytesize = Mgacc_util.Bytesize
 

@@ -32,7 +32,6 @@ val release : t -> job:int -> warm:(unit -> Darray.xfer list) option -> unit
 
 val active_bytes : t -> int
 val warm_bytes : t -> int
-val reserved : t -> int
 val free_bytes : t -> int
 val warm_count : t -> int
 (** Warm pools held. No run reads it; "admission: warm eviction runs the

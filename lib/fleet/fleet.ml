@@ -299,22 +299,22 @@ let run ?cache config (specs : Job.spec list) =
     prev_evictions := e;
     prev_spilled := s
   in
+  let spills = Fabric.batch () in
   let charge_spills xfers =
     if xfers <> [] then begin
-      let reqs =
-        List.map
-          (fun (x : Darray.xfer) ->
-            { Fabric.direction = x.Darray.dir; bytes = x.Darray.bytes; ready = !now; tag = x.Darray.tag })
-          xfers
-      in
-      ignore (Machine.run_transfers config.machine ~label:"fleet:spill" reqs)
+      Fabric.clear spills;
+      List.iter
+        (fun (x : Darray.xfer) ->
+          Fabric.push spills x.Darray.dir ~bytes:x.Darray.bytes ~ready:!now ~tag:x.Darray.tag)
+        xfers;
+      Machine.run_transfers_spans config.machine ~label:"fleet:spill" spills
     end
   in
   let execute (j : Job.spec) entry =
     let rt =
       Rt_config.make ~num_gpus:config.num_gpus ~keep_resident:config.keep_warm config.machine
     in
-    let session = Session.create ~tenant:j.Job.tenant ~start:!now rt entry.Plan_cache.plans in
+    let session = Session.create ~start:!now rt entry.Plan_cache.plans in
     Session.set_queue_seconds session (!now -. j.Job.submit);
     ignore (Acc_runtime.execute session);
     let finish = Session.now session in

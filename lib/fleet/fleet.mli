@@ -60,8 +60,6 @@ type job_result = {
   report : Report.t;  (** per-job runtime report, queue wait included *)
 }
 
-val latency_of : job_result -> float
-
 type tenant_row = {
   tenant : string;
   t_jobs : int;

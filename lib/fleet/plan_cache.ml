@@ -39,4 +39,3 @@ let record_measurement e ~seconds ~footprint_bytes =
 
 let hits t = t.hits
 let misses t = t.misses
-let size t = Hashtbl.length t.tbl

@@ -39,4 +39,3 @@ val record_measurement : entry -> seconds:float -> footprint_bytes:int -> unit
 
 val hits : t -> int
 val misses : t -> int
-val size : t -> int

@@ -17,14 +17,6 @@ let zero () =
     random_bytes = 0;
   }
 
-let add acc d =
-  acc.flops <- acc.flops + d.flops;
-  acc.int_ops <- acc.int_ops + d.int_ops;
-  acc.coalesced_bytes <- acc.coalesced_bytes + d.coalesced_bytes;
-  acc.broadcast_bytes <- acc.broadcast_bytes + d.broadcast_bytes;
-  acc.random_accesses <- acc.random_accesses + d.random_accesses;
-  acc.random_bytes <- acc.random_bytes + d.random_bytes
-
 let scale t k =
   {
     flops = t.flops * k;
@@ -38,7 +30,3 @@ let scale t k =
 let is_zero t =
   t.flops = 0 && t.int_ops = 0 && t.coalesced_bytes = 0 && t.broadcast_bytes = 0
   && t.random_accesses = 0 && t.random_bytes = 0
-
-let pp ppf t =
-  Format.fprintf ppf "flops=%d int=%d coalesced=%dB broadcast=%dB random=%d(%dB)" t.flops t.int_ops
-    t.coalesced_bytes t.broadcast_bytes t.random_accesses t.random_bytes

@@ -24,12 +24,9 @@ type t = {
 }
 
 val zero : unit -> t
-val add : t -> t -> unit
-(** [add acc d] accumulates [d] into [acc]. *)
 
 val scale : t -> int -> t
 (** [scale t k] is a fresh record with every counter multiplied by [k]
     (used to extrapolate a sampled execution). *)
 
 val is_zero : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -35,5 +35,3 @@ let time_with_parallelism (c : Spec.cpu) ~parallelism (cost : Cost.t) =
 let duration c ~threads cost =
   let parallelism = effective_parallelism c ~threads *. c.Spec.parallel_efficiency in
   time_with_parallelism c ~parallelism cost
-
-let serial_duration c cost = time_with_parallelism c ~parallelism:1.0 cost

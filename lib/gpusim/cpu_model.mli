@@ -11,9 +11,3 @@ val duration : Spec.cpu -> threads:int -> Cost.t -> float
 (** Simulated wall-clock seconds of the parallel loop with [threads] OpenMP
     threads. Thread counts beyond the hardware thread count are clamped;
     hyper-threads contribute a small factor, not full cores. *)
-
-val serial_duration : Spec.cpu -> Cost.t -> float
-(** Single-threaded execution (used for the sequential parts of the baseline
-    applications). No run calls it; "cpu model: thread scaling" checks that
-    one OpenMP thread pays a derating that plain serial code does not, and
-    {!duration} always derates. *)

@@ -16,26 +16,20 @@ type t
 val create : num_gpus:int -> t
 (** All events start at time 0. *)
 
-val num_gpus : t -> int
-
 val gpu_ready : t -> int -> float
 (** When GPU [g]'s device data was last fully reconciled. *)
-
-val host_ready : t -> float
-(** The host program-order cursor. Only "event: barrier collapses, reset
-    restarts" reads it; {!join} folds it into the GPU cursors, so the host
-    cursor alone is visible only here. *)
 
 val record : t -> int -> float -> unit
 (** Max-join [time] into GPU [g]'s event (no-op if earlier). *)
 
 val record_host : t -> float -> unit
-
-val join : t -> float
-(** The global synchronization point: max over every GPU and the host. *)
+(** Max-join [time] into the host program-order cursor. *)
 
 val barrier : t -> float
-(** Collapse everything to the global join (a bulk-synchronous point,
-    e.g. a data-region exit) and return it. *)
+(** Collapse everything to the global join, the max over every GPU and
+    the host (a bulk-synchronous point, e.g. a data-region exit), and
+    return it. *)
 
 val reset : t -> unit
+(** Every event back to time 0. A session builds its own event set, so no
+    run resets one; "event: barrier collapses, reset restarts" pins it. *)

@@ -24,10 +24,6 @@ type resource =
 
 type direction = H2d of int | D2h of int | P2p of int * int
 
-type request = { direction : direction; bytes : int; ready : float; tag : string }
-
-type completion = { req : request; start : float; finish : float }
-
 type batch = {
   mutable len : int;
   mutable dirs : direction array;
@@ -353,7 +349,6 @@ let transfer_time_alone t dir ~bytes =
   else latency_of t dir +. (float_of_int bytes /. standalone_bandwidth t dir)
 
 let topology t = t.topology
-let flavor t = t.flavor
 
 let num_gpus t = t.num_gpus
 
@@ -382,7 +377,7 @@ let[@inline] is_drained ~now ~rate ~remaining ~total =
    fabricating a zero-duration completion that would silently corrupt
    downstream schedules. *)
 let never_completed idx tag =
-  invalid_arg (Printf.sprintf "Fabric.run_batch: request %d (tag %S) never completed" idx tag)
+  invalid_arg (Printf.sprintf "Fabric.run: request %d (tag %S) never completed" idx tag)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental path.                                                   *)
@@ -502,7 +497,7 @@ let load t b =
   let n = ref 0 in
   for i = 0 to b.len - 1 do
     let bytes = b.bytes.(i) in
-    if bytes < 0 then invalid_arg "Fabric.run_batch: negative bytes";
+    if bytes < 0 then invalid_arg "Fabric.run: negative bytes";
     if bytes > 0 then begin
       let r = route t b.dirs.(i) and s = !n in
       c.rids.(s) <- r.rids;
@@ -711,9 +706,3 @@ let run t b =
       incr s
     end
   done
-
-let run_batch t reqs =
-  let b = batch () in
-  List.iter (fun (r : request) -> push b r.direction ~bytes:r.bytes ~ready:r.ready ~tag:r.tag) reqs;
-  run t b;
-  List.mapi (fun i (req : request) -> { req; start = req.ready; finish = Float.Array.get b.finish i }) reqs

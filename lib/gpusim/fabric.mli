@@ -53,15 +53,6 @@ type direction =
   | D2h of int
   | P2p of int * int  (** device [src] to device [dst] *)
 
-type request = {
-  direction : direction;
-  bytes : int;
-  ready : float;  (** earliest start time (data dependency) *)
-  tag : string;  (** label recorded in the trace *)
-}
-
-type completion = { req : request; start : float; finish : float }
-
 type t
 
 val create : ?flavor:flavor -> ?topology:topology -> Spec.link -> num_gpus:int -> t
@@ -76,8 +67,6 @@ val same_node : t -> int -> int -> bool
 (** Whether two GPUs share a node (always true without a topology). *)
 
 val topology : t -> topology option
-
-val flavor : t -> flavor
 
 val num_gpus : t -> int
 
@@ -150,10 +139,6 @@ val run : t -> batch -> unit
     the request's tag) if the event loop ever fails to complete a flow —
     a simulator invariant violation, never expected in normal use. *)
 
-val run_batch : t -> request list -> completion list
-(** {!run} over a list of requests, completions in request order. Only
-    the fabric's tests and the [bench sim] baseline use this form. *)
-
 type route_info = {
   rids : int array;  (** the resources the route crosses, interned, in route order *)
   caps : float array;  (** their capacities, index for index *)
@@ -162,7 +147,7 @@ type route_info = {
 }
 
 val route_info : t -> direction -> route_info
-(** What {!run_batch}'s allocator knows about a direction's route. The
+(** What {!run}'s allocator knows about a direction's route. The
     from-scratch reference allocator (test/ref_fabric), the oracle of
     the incremental one, reads routes through this. Raises like
     {!standalone_bandwidth}. *)
@@ -172,4 +157,4 @@ val is_drained : now:float -> rate:float -> remaining:float -> total:float -> bo
     at [rate], counts as finished at time [now]: the threshold scales
     with the flow and stays above one representable step of the clock.
     Exported so that the reference allocator drains flows exactly where
-    {!run_batch} does. *)
+    {!run} does. *)

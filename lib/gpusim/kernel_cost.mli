@@ -6,11 +6,6 @@
     overhead. Random accesses are charged one full memory transaction each
     (32 B on Fermi), which is how uncoalesced gathers behave. *)
 
-val occupancy : Spec.gpu -> threads:int -> float
-(** In (0, 1\]: fraction of peak throughput achievable with [threads]
-    resident threads. Reaches 1 at [latency_hiding_factor * cores]
-    threads. *)
-
 val memory_time : Spec.gpu -> Cost.t -> float
 (** Device-memory time at full occupancy, seconds. Exported for "kernel cost:
     broadcast discount" and "kernel cost: L2 hit ratio monotone", which

@@ -203,10 +203,6 @@ let launch_kernel_span ?causes t ~dev ~ready ~threads ~label cost =
   in
   (start, finish, id)
 
-let launch_kernel t ~dev ~ready ~threads ~label cost =
-  let start, finish, _ = launch_kernel_span t ~dev ~ready ~threads ~label cost in
-  (start, finish)
-
 let host_compute t ~ready ~threads ~label cost =
   let duration = Cpu_model.duration t.cpu ~threads cost in
   let start = ready and finish = ready +. duration in
@@ -238,18 +234,6 @@ let run_transfers_spans t ~label (b : Fabric.batch) =
        else -1)
   done
 
-let run_transfers t ~label reqs =
-  let b = Fabric.batch () in
-  List.iter
-    (fun (r : Fabric.request) ->
-      Fabric.push b r.direction ~bytes:r.bytes ~ready:r.ready ~tag:r.tag)
-    reqs;
-  run_transfers_spans t ~label b;
-  List.mapi
-    (fun i (req : Fabric.request) ->
-      { Fabric.req; start = req.ready; finish = Float.Array.get b.finish i })
-    reqs
-
 let transfer_sync t ~ready direction ~bytes ~label =
   if bytes = 0 then ready
   else begin
@@ -273,8 +257,6 @@ let overhead_span ?causes t ~ready ~seconds ~label =
     in
     (finish, Some id)
   end
-
-let overhead t ~ready ~seconds ~label = fst (overhead_span t ~ready ~seconds ~label)
 
 let reset t =
   Trace.clear t.trace;

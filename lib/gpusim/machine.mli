@@ -72,29 +72,21 @@ val of_spec : spec -> t
 val num_gpus : t -> int
 val device : t -> int -> Device.t
 
-val launch_kernel : t -> dev:int -> ready:float -> threads:int -> label:string -> Cost.t -> float * float
-(** Run a kernel on device [dev]; records a [Kernel] span; returns
-    [(start, finish)]. *)
-
 val launch_kernel_span :
   ?causes:int list ->
   t -> dev:int -> ready:float -> threads:int -> label:string -> Cost.t -> float * float * int
-(** Like {!launch_kernel} but threads causal edges: [causes] are producer
-    span ids the launch was gated on, and the returned third component is
-    the kernel's own span id. *)
+(** Run a kernel on device [dev] and record its [Kernel] span, citing
+    [causes] (the producer span ids the launch was gated on); returns
+    [(start, finish, span id)]. *)
 
 val host_compute : t -> ready:float -> threads:int -> label:string -> Cost.t -> float * float
 (** Run a parallel loop on the host CPU model; records a [Host_compute]
     span. *)
 
-val run_transfers : t -> label:string -> Fabric.request list -> Fabric.completion list
-(** Run a batch of transfers under fair bandwidth sharing; records one span
-    per non-empty transfer with the right category, labelled
-    [label ^ ":" ^ tag]. *)
-
 val run_transfers_spans : t -> label:string -> Fabric.batch -> unit
-(** The runtime's form of {!run_transfers}: runs the batch and records a
-    span for each non-empty transfer, in request order, citing the
+(** Run a batch of transfers under fair bandwidth sharing ({!Fabric.run})
+    and record a span for each non-empty transfer, in request order, with
+    its direction's category, labelled [label ^ ":" ^ tag] and citing the
     request's causes. Each request's finish and span id (-1 for a
     zero-byte request, which records no span) are left in the batch's
     [finish] and [span] columns. *)
@@ -102,12 +94,10 @@ val run_transfers_spans : t -> label:string -> Fabric.batch -> unit
 val transfer_sync : t -> ready:float -> Fabric.direction -> bytes:int -> label:string -> float
 (** One uncontended transfer; records its span; returns the finish time. *)
 
-val overhead : t -> ready:float -> seconds:float -> label:string -> float
-(** Charge fixed runtime bookkeeping time on the host; returns finish. *)
-
 val overhead_span :
   ?causes:int list -> t -> ready:float -> seconds:float -> label:string -> float * int option
-(** Like {!overhead} but returns the recorded span id ([None] when
+(** Charge fixed runtime bookkeeping time on the host, citing [causes];
+    returns the finish and the recorded span id ([None] when
     [seconds <= 0], which records nothing). *)
 
 val reset : t -> unit

@@ -34,7 +34,6 @@ let create ~device_id ~capacity =
     peak_system = 0;
   }
 
-let capacity t = t.cap
 let used t = t.used_user + t.used_system
 let used_class t = function `User -> t.used_user | `System -> t.used_system
 let peak_class t = function `User -> t.peak_user | `System -> t.peak_system

@@ -28,12 +28,11 @@ type t
 exception Out_of_device_memory of { device_id : int; requested : int; available : int }
 
 val create : device_id:int -> capacity:int -> t
-val capacity : t -> int
-val used : t -> int
 val used_class : t -> klass -> int
 (** Bytes in use by one class. No run reads it; the memory, dirty-bit,
     miss-buffer and reduction accounting tests check that a charge lands in
-    its class, which {!used} sums away. *)
+    its class, and sum both classes where they check that nothing is left
+    in use. *)
 
 val peak_class : t -> klass -> int
 

@@ -18,5 +18,4 @@ type t = {
 }
 
 val find : string -> t option
-val all : t list
 val is_builtin : string -> bool

@@ -2,8 +2,7 @@ type t = { file : string; line : int; col : int }
 
 let dummy = { file = "<none>"; line = 0; col = 0 }
 let make ~file ~line ~col = { file; line; col }
-let pp ppf t = Format.fprintf ppf "%s:%d:%d" t.file t.line t.col
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = Printf.sprintf "%s:%d:%d" t.file t.line t.col
 
 exception Error of t * string
 

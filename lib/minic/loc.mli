@@ -4,10 +4,8 @@ type t = { file : string; line : int; col : int }
 
 val dummy : t
 val make : file:string -> line:int -> col:int -> t
-val pp : Format.formatter -> t -> unit
-(** "file:line:col". *)
-
 val to_string : t -> string
+(** "file:line:col". *)
 
 exception Error of t * string
 (** The frontend's diagnostic exception: location plus message. *)

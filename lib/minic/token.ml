@@ -7,8 +7,6 @@ type t =
   | Tpragma of string
   | Teof
 
-let equal a b = a = b
-
 let to_string = function
   | Tint_lit n -> string_of_int n
   | Tfloat_lit f -> string_of_float f

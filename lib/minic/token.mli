@@ -10,6 +10,5 @@ type t =
   | Tpragma of string  (** a whole [#pragma ...] line, raw text after "#pragma" *)
   | Teof
 
-val equal : t -> t -> bool
 val to_string : t -> string
 val keywords : string list

@@ -12,6 +12,8 @@ type category = Kernel | Cpu_gpu | Gpu_gpu | Overhead
 (** The profiler's Fig. 8 categories (H2D and D2H fold into [Cpu_gpu]). *)
 
 val category_label : category -> string
+(** The category's name in {!to_json} and {!pp}. The golden corpus
+    (test/golden) prints its per-category rows with it. *)
 
 type t
 (** A blame ledger; one per runtime session. *)

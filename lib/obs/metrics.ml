@@ -105,25 +105,6 @@ let observe h v =
   h.h_sum <- h.h_sum +. v;
   h.h_total <- h.h_total + 1
 
-let quantile h q =
-  if h.h_total = 0 then 0.
-  else begin
-    let q = Float.max 0. (Float.min 1. q) in
-    let rank = Float.max 1. (Float.round (q *. float_of_int h.h_total)) in
-    let n = Array.length h.buckets in
-    let cum = ref 0 and ans = ref infinity in
-    (try
-       for i = 0 to n - 1 do
-         cum := !cum + h.counts.(i);
-         if float_of_int !cum >= rank then begin
-           ans := h.buckets.(i);
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !ans
-  end
-
 let event t ~time ?(fields = []) name =
   t.events <- { ev_time = time; ev_name = name; ev_fields = fields } :: t.events
 

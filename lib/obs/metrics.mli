@@ -2,10 +2,10 @@
     registered by name, exported as Prometheus text exposition plus a
     JSONL event log.
 
-    Everything is deterministic — histogram quantiles come from fixed
-    bucket upper bounds (no sampling, no interpolation), and the
-    exposition lists series in registration order — so metric output can
-    be asserted byte-for-byte in tests. Series are keyed by
+    Everything is deterministic — histograms count into fixed buckets (no
+    sampling, no interpolation), and the exposition lists series in
+    registration order — so metric output can be asserted byte-for-byte
+    in tests. Series are keyed by
     [(name, labels)]; registering the same key twice returns the same
     cell, registering one name with two different kinds raises. *)
 
@@ -34,11 +34,6 @@ val histogram :
     [+Inf] overflow bucket is always appended. *)
 
 val observe : histogram -> float -> unit
-
-val quantile : histogram -> float -> float
-(** Deterministic quantile estimate: the upper bound of the first bucket
-    whose cumulative count reaches [q * count] ([infinity] when only the
-    overflow bucket does; [0.] when empty). *)
 
 val event : t -> time:float -> ?fields:(string * float) list -> string -> unit
 (** Append one event to the JSONL log, stamped with simulated [time]. *)

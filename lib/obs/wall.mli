@@ -38,7 +38,13 @@ type layer =
   | Other  (** everything outside a span *)
 
 val all : layer list
-(** Every layer, in the order above. *)
+(** Every layer, in the order above. Programs read the recorder through
+    {!pp}; this and the readers below ({!name}, {!seconds}, {!spans},
+    {!words}, {!elapsed}) are for "wall profile: simulated output
+    unchanged, layers within the run" and "wall profile: a span is
+    credited the words it allocates", which check the table's numbers one
+    by one, and for a scratch harness that divides a layer's time by its
+    run count. *)
 
 val name : layer -> string
 

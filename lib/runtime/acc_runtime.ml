@@ -22,8 +22,6 @@ open Session
 type t = Session.t
 
 let create ?pool cfg plans = Session.create ?pool cfg plans
-let profiler = Session.profiler
-let now = Session.now
 
 (* ---------------- the gate ---------------- *)
 

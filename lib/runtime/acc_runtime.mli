@@ -39,7 +39,7 @@ val run :
 type t = Session.t
 (** An open runtime session, for callers that need to drive the host
     interpreter themselves (the fleet creates these directly with
-    [Session.create ~tenant ~start] on a shared machine). *)
+    [Session.create ~start] on a shared machine). *)
 
 val create : ?pool:Mgacc_util.Pool.t -> Rt_config.t -> Mgacc_translator.Program_plan.t -> t
 (** A fresh session ({!Session.create}): its launches run their GPU
@@ -60,11 +60,6 @@ val execute : t -> Mgacc_exec.Host_interp.env
 val report : ?variant:string -> t -> Report.t
 (** Snapshot the session's profiler into a report (queue wait included). *)
 
-val blame : t -> Mgacc_obs.Blame.summary
-(** Summarize the session's blame ledger against the machine trace:
-    critical path, per-category exposed/hidden split (reconciling with
-    the profiler by construction) and the per-label blame rows. *)
-
 val charge_host_xfers : t -> label:string -> Darray.xfer list -> unit
 (** Charge host-driven transfers (copyin, copyout, update, flushes) as
     the runtime does: they wait for everything in flight, run as one
@@ -72,6 +67,3 @@ val charge_host_xfers : t -> label:string -> Darray.xfer list -> unit
     CPU-GPU) and are charged as barrier epochs. Exported for "comms
     path: an eager-merge batch through the runtime allocates a third of
     what it did", which drives one 4,032-transfer batch through it. *)
-
-val profiler : t -> Profiler.t
-val now : t -> float

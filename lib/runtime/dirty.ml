@@ -70,8 +70,6 @@ let clear t =
   t.dirty_elems <- 0;
   t.dirty_bytes <- 0
 
-let footprint_bytes t = t.first_buf.Memory.size_bytes + t.second_buf.Memory.size_bytes
-
 let free mem t =
   Memory.free mem t.first_buf;
   Memory.free mem t.second_buf

@@ -41,5 +41,4 @@ val transfer_bytes : t -> int
     not recomputed by scanning the chunk bits. *)
 
 val clear : t -> unit
-val footprint_bytes : t -> int
 val free : Mgacc_gpusim.Memory.t -> t -> unit

@@ -13,7 +13,6 @@ type t = {
   mutable ivals : int array;
   mutable count : int;
   mutable buf : Memory.buf option;  (* current accounted allocation *)
-  mutable peak : int;
 }
 
 (* Device-side buffering is accounted in pages so the simulated allocator
@@ -29,7 +28,6 @@ let create mem ~elem_bytes =
     ivals = [||];
     count = 0;
     buf = None;
-    peak = 0;
   }
 
 let accounted t = match t.buf with Some b -> b.Memory.size_bytes | None -> 0
@@ -55,7 +53,6 @@ let add t i =
   Array.unsafe_set t.idx k i;
   t.count <- k + 1;
   ensure_capacity t;
-  t.peak <- max t.peak (t.count * t.record_bytes);
   k
 
 let record_f t i (bank : float array) s =
@@ -85,8 +82,6 @@ let int_value t k =
   check t k;
   t.ivals.(k)
 
-let payload_bytes t = t.count * t.record_bytes
-
 let drain t =
   t.count <- 0;
   match t.buf with
@@ -94,7 +89,5 @@ let drain t =
       Memory.free t.mem b;
       t.buf <- None
   | None -> ()
-
-let peak_bytes t = t.peak
 
 let release t = drain t

@@ -4,7 +4,8 @@
     translator-inserted check routes the (index, value) pair here instead.
     After the kernel, the communication manager ships the records to the
     owning GPUs and replays them there. The buffer lives in the writing
-    GPU's [`System] memory; its peak size is what Fig. 9 charges.
+    GPU's [`System] memory, in 64 KiB pages; the device's [`System] peak
+    is what Fig. 9 charges.
 
     Records are kept in unboxed columns (an int array of indices and an
     array of values of the array's element type) that grow by doubling and
@@ -35,16 +36,8 @@ val int_value : t -> int -> int
 (** The [k]th record's value, from a buffer filled by {!record_f} or
     {!record_i} respectively. *)
 
-val payload_bytes : t -> int
-(** Bytes to ship: one (index, value) record per entry. No run reads it; "miss
-    buffer: record/drain/peak" pins it. *)
-
 val drain : t -> unit
 (** Clear after replay; releases the accounted memory. *)
-
-val peak_bytes : t -> int
-(** The largest payload held so far; it survives a drain. No run reads it;
-    "miss buffer: record/drain/peak" pins it. *)
 
 val release : t -> unit
 (** Free all accounted memory (end of array lifetime). *)

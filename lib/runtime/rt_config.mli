@@ -84,7 +84,7 @@ val planned_collectives : t -> bool
     The one place a run's mode switches are named and spelled: the CLI
     builds its [--overlap], [--coherence], [--collective], [--fuse] and
     [--decomp] flags from {!switches}, and every other caller that names
-    a mode by its spelling goes through {!find} and {!set}. *)
+    a mode by its spelling goes through {!set}. *)
 
 type switch = {
   name : string;  (** the CLI flag (without dashes), also its JSON key *)
@@ -103,11 +103,8 @@ val switches : switch list
     order. [fuse] and [decomp] write [translator.enable_fusion] and
     [translator.enable_decomp2d]. *)
 
-val find : string -> switch
-(** The switch of that name. Raises [Invalid_argument] for a name not in
-    {!switches} (a caller's bug, not a user's input). *)
-
 val set : t -> string -> string -> (t, string) result
 (** [set t name value] sets switch [name] to the value spelled [value].
     An unknown spelling is [Error "unknown <name> mode \"<value>\" (a|b)"],
-    listing the switch's spellings. *)
+    listing the switch's spellings. A [name] not in {!switches} raises
+    [Invalid_argument] (a caller's bug, not a user's input). *)

@@ -31,7 +31,6 @@ type t = {
       (** fusion-mode layout transposition: arrays whose transposed device
           copy was already materialized (the repack is charged once) *)
   pool : Mgacc_util.Pool.t Lazy.t;
-  tenant : string;  (** owning tenant, for fleet-level accounting *)
   start : float;  (** simulated admission instant the clocks started from *)
   ev_spans : int array;
       (** trace span id that last advanced each GPU's event
@@ -45,7 +44,7 @@ type t = {
 
 let shared_pool = lazy (Mgacc_util.Pool.create ~workers:(Domain.recommended_domain_count () - 1))
 
-let create ?pool ?(tenant = "default") ?(start = 0.0) cfg plans =
+let create ?pool ?(start = 0.0) cfg plans =
   if start < 0.0 then invalid_arg "Session.create: negative start time";
   let profiler = Profiler.create () in
   (match Program_plan.contracted_arrays plans with
@@ -66,7 +65,6 @@ let create ?pool ?(tenant = "default") ?(start = 0.0) cfg plans =
     seen_ranges = Hashtbl.create 16;
     repacked = Hashtbl.create 4;
     pool = (match pool with Some p -> Lazy.from_val p | None -> shared_pool);
-    tenant;
     start;
     ev_spans = Array.make cfg.Rt_config.num_gpus (-1);
     batch = Mgacc_gpusim.Fabric.batch ();
@@ -78,9 +76,7 @@ let create ?pool ?(tenant = "default") ?(start = 0.0) cfg plans =
 
 let profiler t = t.profiler
 let now t = t.clock
-let tenant t = t.tenant
 let start t = t.start
-let elapsed t = Float.max 0.0 (t.clock -. t.start)
 let set_queue_seconds t s = t.queue_seconds <- Float.max 0.0 s
 let queue_seconds t = t.queue_seconds
 

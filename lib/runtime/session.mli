@@ -33,7 +33,6 @@ type t = {
   pool : Mgacc_util.Pool.t Lazy.t;
       (** the domains that run a launch's GPU partitions, forced at the
           first launch with two or more GPUs with work *)
-  tenant : string;  (** owning tenant, for fleet-level accounting *)
   start : float;  (** simulated admission instant the clocks started from *)
   ev_spans : int array;
       (** trace span id that last advanced each GPU's event
@@ -50,7 +49,7 @@ type t = {
 }
 
 val create :
-  ?pool:Mgacc_util.Pool.t -> ?tenant:string -> ?start:float -> Rt_config.t -> Program_plan.t -> t
+  ?pool:Mgacc_util.Pool.t -> ?start:float -> Rt_config.t -> Program_plan.t -> t
 (** Fresh session whose clocks start at [start] (default 0, the classic
     single-job case), running its launches on [pool]. Without [pool] it
     shares one pool with every other such session, of
@@ -60,19 +59,10 @@ val create :
 
 val profiler : t -> Profiler.t
 val now : t -> float
-val tenant : t -> string
 val start : t -> float
-
-val elapsed : t -> float
-(** Simulated seconds of execution so far ([now - start]). *)
 
 val set_queue_seconds : t -> float -> unit
 val queue_seconds : t -> float
-
-val darray_device_bytes : Darray.t -> int
-(** Device bytes the darray's current placement pins (0 if unallocated).
-    Exported for "spilled-then-restored darray is value-identical", which
-    spills a darray outside any session; {!resident_bytes} needs a session. *)
 
 val resident_bytes : t -> int
 (** Total device bytes pinned by this session's present table. *)

@@ -10,14 +10,13 @@ let default_knobs = { alpha = 0.5; hysteresis = 0.02; payoff_launches = 4.0; min
 type t = {
   knobs : knobs;
   rates : float array;  (** 0.0 = no sample yet *)
-  mutable samples : int;
 }
 
 let create knobs ~num_gpus =
   if num_gpus <= 0 then invalid_arg "Feedback.create: num_gpus <= 0";
   if knobs.alpha <= 0.0 || knobs.alpha > 1.0 then invalid_arg "Feedback.create: alpha not in (0,1]";
   if knobs.hysteresis < 0.0 then invalid_arg "Feedback.create: negative hysteresis";
-  { knobs; rates = Array.make num_gpus 0.0; samples = 0 }
+  { knobs; rates = Array.make num_gpus 0.0 }
 
 let observe t ~iterations ~seconds =
   let n = Array.length t.rates in
@@ -31,8 +30,7 @@ let observe t ~iterations ~seconds =
           (if t.rates.(g) = 0.0 then rate
            else (t.knobs.alpha *. rate) +. ((1.0 -. t.knobs.alpha) *. t.rates.(g)))
       end)
-    iterations;
-  t.samples <- t.samples + 1
+    iterations
 
 let rates t = if Array.exists (fun r -> r = 0.0) t.rates then None else Some (Array.copy t.rates)
 
@@ -56,5 +54,3 @@ let propose t ~current =
         t_proposed = launch_time ~weights ~rates;
       })
     (rates t)
-
-let samples t = t.samples

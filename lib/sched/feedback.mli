@@ -55,6 +55,3 @@ val propose : t -> current:float array -> proposal option
     weights; [None] until every device is rated. The scheduler considers
     it only when [weights] differ from [current] and [(t_current -
     t_proposed) / t_current] exceeds [hysteresis]. *)
-
-val samples : t -> int
-(** Number of launches folded in. *)

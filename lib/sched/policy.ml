@@ -11,5 +11,3 @@ let to_string = function
   | Equal -> "static"
   | Proportional -> "proportional"
   | Adaptive -> "adaptive"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -15,5 +15,3 @@ val of_string : string -> (t, string) result
 
 val to_string : t -> string
 (** ["static"], ["proportional"] or ["adaptive"] (the CLI spelling). *)
-
-val pp : Format.formatter -> t -> unit

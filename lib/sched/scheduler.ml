@@ -15,14 +15,11 @@ type t = {
   policy : Policy.t;
   knobs : Feedback.knobs;
   loops : (int, loop_state) Hashtbl.t;
-  mutable rebalances : int;
 }
 
 let create ~machine ~num_gpus ~policy ~knobs =
   if num_gpus <= 0 then invalid_arg "Scheduler.create: num_gpus <= 0";
-  { machine; num_gpus; policy; knobs; loops = Hashtbl.create 8; rebalances = 0 }
-
-let policy t = t.policy
+  { machine; num_gpus; policy; knobs; loops = Hashtbl.create 8 }
 
 let seed t ~iterations ~threads_per_iter ~iter_cost ~workload =
   match (t.policy, workload) with
@@ -96,7 +93,6 @@ let observe t ~loop_id ~iterations ~seconds ~total_iterations ~bytes_per_iter =
                            (List.map (Printf.sprintf "%.3f") (Array.to_list weights)))
                         predicted_gain predicted_move);
                   s.weights <- Some weights;
-                  t.rebalances <- t.rebalances + 1;
                   true))
 
 let observe_events t ~loop_id ~iterations ~starts ~finishes ~total_iterations ~bytes_per_iter =
@@ -104,5 +100,3 @@ let observe_events t ~loop_id ~iterations ~starts ~finishes ~total_iterations ~b
     invalid_arg "Scheduler.observe_events: starts/finishes length mismatch";
   let seconds = Array.init (Array.length starts) (fun g -> finishes.(g) -. starts.(g)) in
   observe t ~loop_id ~iterations ~seconds ~total_iterations ~bytes_per_iter
-
-let rebalances t = t.rebalances

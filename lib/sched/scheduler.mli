@@ -28,8 +28,6 @@ val create :
   knobs:Feedback.knobs ->
   t
 
-val policy : t -> Policy.t
-
 val weights_for :
   t ->
   loop_id:int ->
@@ -40,18 +38,6 @@ val weights_for :
   float array option
 (** The split to use for this launch; [None] means the equal split. *)
 
-val observe :
-  t ->
-  loop_id:int ->
-  iterations:int array ->
-  seconds:float array ->
-  total_iterations:int ->
-  bytes_per_iter:int ->
-  bool
-(** Report one launch's per-GPU iteration counts and kernel seconds.
-    Returns [true] when a re-split was committed for the loop's next
-    launch (only ever under [Adaptive]). *)
-
 val observe_events :
   t ->
   loop_id:int ->
@@ -61,11 +47,9 @@ val observe_events :
   total_iterations:int ->
   bytes_per_iter:int ->
   bool
-(** {!observe} for the overlap engine: per-GPU kernel start/finish events
-    instead of durations. Each GPU's rate comes from its own busy span
+(** Report one launch's per-GPU iteration counts and kernel start and
+    finish events. Each GPU's rate comes from its own busy span
     [finish - start], so event-gated launches (where GPUs no longer start
-    together) still feed the controller unskewed. With a common start this
-    is exactly {!observe}. *)
-
-val rebalances : t -> int
-(** Total re-splits committed across all loops. *)
+    together) still feed the controller unskewed. Returns [true] when a
+    re-split was committed for the loop's next launch (only ever under
+    [Adaptive]). *)

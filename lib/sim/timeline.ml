@@ -2,7 +2,6 @@ type t = { name : string; mutable avail : float }
 
 let create name = { name; avail = 0.0 }
 let name t = t.name
-let available_at t = t.avail
 
 let reserve t ~ready ~duration =
   if duration < 0.0 then invalid_arg "Timeline.reserve: negative duration";

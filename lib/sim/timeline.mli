@@ -15,11 +15,6 @@ val create : string -> t
 
 val name : t -> string
 
-val available_at : t -> float
-(** The time at which the resource frees up, given everything submitted. Only
-    "timeline: serializes reservations" reads it; a reservation reports its
-    start and finish, not the cursor. *)
-
 val reserve : t -> ready:float -> duration:float -> float * float
 (** [reserve t ~ready ~duration] schedules an operation; returns
     [(start, finish)] and advances the timeline to [finish]. [duration] must

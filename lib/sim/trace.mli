@@ -13,8 +13,6 @@ type category =
   | Host_compute  (** CPU-side execution (OpenMP baseline) *)
   | Overhead  (** runtime bookkeeping: dirty-bit scans, buffer drains *)
 
-val category_label : category -> string
-
 type span = {
   id : int;  (** unique within one trace; allocated by {!record} *)
   causes : int list;
@@ -67,7 +65,9 @@ val spans : t -> span list
 
 val clear : t -> unit
 val makespan : t -> float
-(** Latest finish time over all spans; 0 when empty. *)
+(** Latest finish time over all spans; 0 when empty. {!pp_gantt} scales
+    its rows by it; "trace: totals and bytes" and "trace: columns equal the
+    list reference" check it. *)
 
 val pp_gantt : ?width:int -> Format.formatter -> t -> unit
 (** Render one row per resource with time on the horizontal axis. *)

@@ -262,8 +262,3 @@ let static_iter_cost t =
   in
   List.iter stmt t.loop.Loop_info.body;
   cost
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>loop %d (var %s):@," t.loop.Loop_info.loop_id t.loop.Loop_info.loop_var;
-  List.iter (fun c -> Format.fprintf ppf "  %a@," Array_config.pp c) t.configs;
-  Format.fprintf ppf "@]"

@@ -96,5 +96,3 @@ val static_iter_cost : t -> Mgacc_gpusim.Cost.t
 val classifier : t -> string -> Ast.expr -> Mgacc_analysis.Coalesce.mode
 (** The coalescing classifier for kernel compilation, with the layout
     transformation applied to qualifying arrays. *)
-
-val pp : Format.formatter -> t -> unit

@@ -63,8 +63,6 @@ let build ?(options = Kernel_plan.default_options) program =
   }
 
 let program t = t.program
-let options t = t.options
-
 (* ---------------- fused-group structure ---------------- *)
 
 let fused_members t (loop : Mgacc_analysis.Loop_info.t) =

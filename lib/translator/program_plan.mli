@@ -21,8 +21,6 @@ val program : t -> Ast.program
 (** The planned program — the fusion pass's output when [enable_fusion]
     is set, the input program unchanged otherwise. *)
 
-val options : t -> Kernel_plan.options
-
 (** {2 Fused-group structure} *)
 
 val fused_members : t -> Mgacc_analysis.Loop_info.t -> int list

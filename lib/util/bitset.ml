@@ -4,8 +4,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { bits = Bytes.make ((n + 7) / 8) '\000'; n }
 
-let length t = t.n
-
 let check t i =
   if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Bitset: index %d out of [0,%d)" i t.n)
 
@@ -14,79 +12,11 @@ let set t i =
   let b = Bytes.get_uint8 t.bits (i lsr 3) in
   Bytes.set_uint8 t.bits (i lsr 3) (b lor (1 lsl (i land 7)))
 
-let clear t i =
-  check t i;
-  let b = Bytes.get_uint8 t.bits (i lsr 3) in
-  Bytes.set_uint8 t.bits (i lsr 3) (b land lnot (1 lsl (i land 7)))
-
 let get t i =
   check t i;
   Bytes.get_uint8 t.bits (i lsr 3) land (1 lsl (i land 7)) <> 0
 
 let clear_all t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
-
-let set_range t ~lo ~hi =
-  let lo = max 0 lo and hi = min t.n hi in
-  (* Whole bytes in the middle are filled at once. *)
-  let i = ref lo in
-  while !i < hi && !i land 7 <> 0 do
-    set t !i;
-    incr i
-  done;
-  while hi - !i >= 8 do
-    Bytes.set_uint8 t.bits (!i lsr 3) 0xFF;
-    i := !i + 8
-  done;
-  while !i < hi do
-    set t !i;
-    incr i
-  done
-
-let any_in_range t ~lo ~hi =
-  let lo = max 0 lo and hi = min t.n hi in
-  let result = ref false in
-  let i = ref lo in
-  while (not !result) && !i < hi do
-    if !i land 7 = 0 && hi - !i >= 8 then begin
-      if Bytes.get_uint8 t.bits (!i lsr 3) <> 0 then result := true;
-      i := !i + 8
-    end
-    else begin
-      if get t !i then result := true;
-      incr i
-    end
-  done;
-  !result
-
-let popcount8 =
-  let tbl = Array.make 256 0 in
-  for i = 1 to 255 do
-    tbl.(i) <- tbl.(i lsr 1) + (i land 1)
-  done;
-  fun b -> tbl.(b)
-
-let count t =
-  let total = ref 0 in
-  for b = 0 to Bytes.length t.bits - 1 do
-    total := !total + popcount8 (Bytes.get_uint8 t.bits b)
-  done;
-  !total
-
-let count_in_range t ~lo ~hi =
-  let lo = max 0 lo and hi = min t.n hi in
-  let total = ref 0 in
-  let i = ref lo in
-  while !i < hi do
-    if !i land 7 = 0 && hi - !i >= 8 then begin
-      total := !total + popcount8 (Bytes.get_uint8 t.bits (!i lsr 3));
-      i := !i + 8
-    end
-    else begin
-      if get t !i then incr total;
-      incr i
-    end
-  done;
-  !total
 
 (* Trailing-zero count of a nonzero 32-bit value: multiplying its lowest
    set bit by a de Bruijn constant puts a distinct 5-bit pattern in the
@@ -145,16 +75,6 @@ let[@tail_mod_cons] rec runs_from t i hi =
     let k = boundary t ~set:true (j + 1) hi in
     Interval.make j k :: runs_from t k hi
 
-let runs_in_range t ~lo ~hi =
-  let lo = max 0 lo and hi = min t.n hi in
-  (* The scan emits sorted, disjoint, non-adjacent runs by construction. *)
-  Interval.Set.of_sorted_disjoint (runs_from t lo hi)
-
-let runs t = runs_in_range t ~lo:0 ~hi:t.n
-
-let union_into ~dst ~src =
-  if dst.n <> src.n then invalid_arg "Bitset.union_into: length mismatch";
-  for b = 0 to Bytes.length dst.bits - 1 do
-    Bytes.set_uint8 dst.bits b (Bytes.get_uint8 dst.bits b lor Bytes.get_uint8 src.bits b)
-  done
+(* The scan emits sorted, disjoint, non-adjacent runs by construction. *)
+let runs t = Interval.Set.of_sorted_disjoint (runs_from t 0 t.n)
 

@@ -8,7 +8,3 @@ let to_string n =
   else if n >= mib then Printf.sprintf "%.1fMB" (f /. float_of_int mib)
   else if n >= kib then Printf.sprintf "%.1fKB" (f /. float_of_int kib)
   else Printf.sprintf "%dB" n
-
-let pp ppf n = Format.pp_print_string ppf (to_string n)
-let of_mib f = int_of_float (f *. float_of_int mib)
-let to_mib n = float_of_int n /. float_of_int mib

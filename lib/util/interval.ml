@@ -5,7 +5,6 @@ let make lo hi = if hi <= lo then empty else { lo; hi }
 let is_empty t = t.hi <= t.lo
 let length t = if is_empty t then 0 else t.hi - t.lo
 let contains t i = i >= t.lo && i < t.hi
-let overlaps a b = (not (is_empty a)) && (not (is_empty b)) && a.lo < b.hi && b.lo < a.hi
 let intersect a b = make (max a.lo b.lo) (min a.hi b.hi)
 
 let hull a b =
@@ -13,7 +12,6 @@ let hull a b =
   else if is_empty b then a
   else make (min a.lo b.lo) (max a.hi b.hi)
 
-let shift t d = if is_empty t then empty else make (t.lo + d) (t.hi + d)
 let clamp t ~lo ~hi = intersect t (make lo hi)
 let equal a b = (is_empty a && is_empty b) || (a.lo = b.lo && a.hi = b.hi)
 

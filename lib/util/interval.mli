@@ -15,16 +15,16 @@ val empty : t
 val is_empty : t -> bool
 val length : t -> int
 val contains : t -> int -> bool
-val overlaps : t -> t -> bool
 val hull : t -> t -> t
 (** Smallest interval containing both arguments. *)
 
-val shift : t -> int -> t
 val clamp : t -> lo:int -> hi:int -> t
 (** Intersect with [\[lo, hi)]. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+(** [\[lo,hi)]. {!Set.pp} prints with it; the interval tests show their
+    failures with it. *)
 
 (** Normalized sets of disjoint, sorted, non-adjacent intervals.
 

@@ -19,6 +19,9 @@ val create : workers:int -> t
     count. *)
 
 val workers : t -> int
+(** The worker domains started. Only "pool: zero workers run a job
+    inline, in order" and "pool: 10,000 jobs reuse the same workers" read
+    it. *)
 
 val run : t -> int -> (int -> unit) -> unit
 (** [run t n f] runs [f k] once for every [k] in [\[0, n)], in no set

@@ -199,7 +199,8 @@ let tree_source =
 }
 |}
 
-let spellings name = (Rt_config.find name).Rt_config.spellings
+let spellings name =
+  (List.find (fun s -> s.Rt_config.name = name) Rt_config.switches).Rt_config.spellings
 
 let matrix =
   List.concat_map
@@ -379,6 +380,40 @@ let pinned =
       (app_program
          (Kmeans.app { Kmeans.points = 300; features = 8; clusters = 5; iterations = 2; seed = 11 }));
   ]
+
+(* Two programs that run transfers outside the runtime, as digests of
+   what they print: md's multi-GPU CUDA baseline (the test suite's
+   [md_small]) as [Report.to_json], and [accc serve samples/fleet.trace
+   --json] (its defaults: a cluster, FIFO, one job at a time, warm
+   pools), with the machine trace that holds the fleet's spills. *)
+let digest_line what s =
+  Printf.sprintf "%s bytes=%d digest=%s" what (String.length s) (Digest.to_hex (Digest.string s))
+
+let md_cuda_multi gpus =
+  {
+    name = Printf.sprintf "cuda-multi md desktop gpus=%d" gpus;
+    lines =
+      (fun () ->
+        let machine = Machine.desktop () in
+        let _, r =
+          Md.run_cuda_multi ~machine ~gpus { Md.atoms = 400; max_neighbors = 8; seed = 17 }
+        in
+        [ digest_line "json" (Report.to_json r); trace_line "trace" machine.Machine.trace ]);
+  }
+
+let serve_fleet =
+  {
+    name = "serve samples/fleet.trace --json";
+    lines =
+      (fun () ->
+        let machine = machine_of "cluster" in
+        let policy = Result.get_ok (Fleet.policy_of_string "fifo") in
+        let config = Fleet.configure ~policy ~max_concurrent:1 ~keep_warm:true machine in
+        let outcome = Fleet.run config (Fleet_job.load_trace (sample "fleet.trace")) in
+        [ digest_line "json" (Fleet.to_json outcome); trace_line "trace" machine.Machine.trace ]);
+  }
+
+let pinned = pinned @ [ md_cuda_multi 1; md_cuda_multi 2; serve_fleet ]
 
 let pinned_blocks () = List.map (fun r -> (r.name, r.lines ())) pinned
 

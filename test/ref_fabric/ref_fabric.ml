@@ -2,15 +2,27 @@
    the water-filling state (fresh hashtables, full fixed point) on every
    event and min-scans the active set for the next completion. "fabric
    incremental allocator matches reference bit-for-bit"
-   (test/test_props.ml) compares it with [Fabric.run_batch]; [bench sim]
-   times both. Routes come from [Fabric.route_info] (so the hashtables
-   are keyed by resource id), a flow drains where [Fabric.is_drained]
-   says, and bad requests raise what [Fabric.run_batch] raises: the two
-   allocators share the model and differ only in how they keep their
-   state. *)
+   (test/test_props.ml) compares it with [Fabric.run] on the same batch;
+   [bench sim] times both. Routes come from [Fabric.route_info] (so the
+   hashtables are keyed by resource id), a flow drains where
+   [Fabric.is_drained] says, and bad requests raise what [Fabric.run]
+   raises: the two allocators share the model and differ only in how
+   they keep their state. *)
 
 module Fabric = Mgacc_gpusim.Fabric
 module Bag = Bag
+
+type request = { direction : Fabric.direction; bytes : int; ready : float; tag : string }
+
+let batch_of reqs =
+  let b = Fabric.batch () in
+  List.iter (fun r -> Fabric.push b r.direction ~bytes:r.bytes ~ready:r.ready ~tag:r.tag) reqs;
+  b
+
+let finishes t reqs =
+  let b = batch_of reqs in
+  Fabric.run t b;
+  List.init b.len (Float.Array.get b.finish)
 
 (* One in-flight transfer of the fluid simulation. *)
 type flow = {
@@ -23,52 +35,47 @@ type flow = {
   mutable remaining : float;
   mutable rate : float;
   mutable fixed : bool;
-  mutable start_time : float;
   mutable finish_time : float;
 }
 
-let make_flows t reqs_arr completions =
+let make_flows t (b : Fabric.batch) finishes =
   let flows = ref [] in
-  Array.iteri
-    (fun idx (req : Fabric.request) ->
-      if req.bytes < 0 then invalid_arg "Fabric.run_batch: negative bytes";
-      if req.bytes = 0 then
-        completions.(idx) <- Some { Fabric.req; start = req.ready; finish = req.ready }
-      else begin
-        let r = Fabric.route_info t req.direction in
-        flows :=
-          {
-            idx;
-            rids = r.rids;
-            caps = r.caps;
-            cap = r.own;
-            arrive = req.ready +. r.latency;
-            total = float_of_int req.bytes;
-            remaining = float_of_int req.bytes;
-            rate = 0.0;
-            fixed = false;
-            start_time = req.ready;
-            finish_time = nan;
-          }
-          :: !flows
-      end)
-    reqs_arr;
+  for idx = 0 to b.len - 1 do
+    let bytes = b.bytes.(idx) and ready = Float.Array.get b.ready idx in
+    if bytes < 0 then invalid_arg "Fabric.run: negative bytes";
+    if bytes = 0 then finishes.(idx) <- Some ready
+    else begin
+      let r = Fabric.route_info t b.dirs.(idx) in
+      flows :=
+        {
+          idx;
+          rids = r.rids;
+          caps = r.caps;
+          cap = r.own;
+          arrive = ready +. r.latency;
+          total = float_of_int bytes;
+          remaining = float_of_int bytes;
+          rate = 0.0;
+          fixed = false;
+          finish_time = nan;
+        }
+        :: !flows
+    end
+  done;
   List.rev !flows
 
 let drained ~now (f : flow) =
   Fabric.is_drained ~now ~rate:f.rate ~remaining:f.remaining ~total:f.total
 
-let collect reqs_arr completions =
-  Array.to_list
-    (Array.mapi
-       (fun idx c ->
-         match c with
-         | Some c -> c
-         | None ->
-             invalid_arg
-               (Printf.sprintf "Fabric.run_batch: request %d (tag %S) never completed" idx
-                  reqs_arr.(idx).Fabric.tag))
-       completions)
+let collect (b : Fabric.batch) finishes =
+  Array.mapi
+    (fun idx c ->
+      match c with
+      | Some finish -> finish
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Fabric.run: request %d (tag %S) never completed" idx b.tags.(idx)))
+    finishes
 
 (* Max-min fair allocation by water filling over the active flows. *)
 let assign_rates_reference active =
@@ -112,11 +119,9 @@ let assign_rates_reference active =
       active
   done
 
-let run_batch_reference t reqs =
-  let reqs_arr = Array.of_list reqs in
-  let n = Array.length reqs_arr in
-  let completions = Array.make n None in
-  let flows = make_flows t reqs_arr completions in
+let run_reference t (b : Fabric.batch) =
+  let finishes = Array.make b.len None in
+  let flows = make_flows t b finishes in
   let pending = ref (List.sort (fun a b -> compare a.arrive b.arrive) flows) in
   let active = Bag.create () in
   let now = ref 0.0 in
@@ -151,8 +156,7 @@ let run_batch_reference t reqs =
         ~keep:(fun f -> not (drained ~now:!now f))
         ~removed:(fun f ->
           f.finish_time <- !now;
-          completions.(f.idx) <-
-            Some { Fabric.req = reqs_arr.(f.idx); start = f.start_time; finish = f.finish_time })
+          finishes.(f.idx) <- Some f.finish_time)
     end
   done;
-  collect reqs_arr completions
+  collect b finishes

@@ -34,7 +34,7 @@ let union a b = List.fold_left add a b
 
 let diff a b =
   let subtract_one (x : Interval.t) (cut : Interval.t) =
-    if not (Interval.overlaps x cut) then [ x ]
+    if Interval.is_empty (Interval.clamp x ~lo:cut.lo ~hi:cut.hi) then [ x ]
     else
       List.filter
         (fun i -> not (Interval.is_empty i))

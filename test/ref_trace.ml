@@ -30,6 +30,16 @@ let clear t =
 
 let makespan t = List.fold_left (fun acc s -> Float.max acc s.Trace.finish) 0.0 t.spans
 
+(* The category names a Chrome trace prints, as the list version wrote
+   them. *)
+let category_label = function
+  | Trace.Kernel -> "KERNELS"
+  | Host_to_device -> "CPU-GPU (H2D)"
+  | Device_to_host -> "CPU-GPU (D2H)"
+  | Peer -> "GPU-GPU"
+  | Host_compute -> "HOST"
+  | Overhead -> "OVERHEAD"
+
 let to_chrome_json ?(process_name = "mgacc simulated machine") t =
   let spans = spans t in
   let tids = Hashtbl.create 8 in
@@ -67,7 +77,7 @@ let to_chrome_json ?(process_name = "mgacc simulated machine") t =
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"bytes\":%d,\"span\":%d%s}}"
            (Mgacc_util.Json.escape s.label)
-           (Mgacc_util.Json.escape (Trace.category_label s.category))
+           (Mgacc_util.Json.escape (category_label s.category))
            (s.start *. 1e6)
            ((s.finish -. s.start) *. 1e6)
            tid s.bytes s.id causes))

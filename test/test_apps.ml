@@ -64,7 +64,7 @@ let test_md_cuda_multi_matches () =
 
 let test_md_table2_structure () =
   let plans =
-    Mgacc.compile (Mgacc.parse_string ~name:"md.c" (Md.source md_small))
+    Mgacc.compile (Mgacc.parse_string ~name:"md.c" (Md.app md_small).App_common.source)
   in
   check Alcotest.int "one parallel loop (B)" 1 (Mgacc.Program_plan.loop_count plans);
   let plan = List.hd (Mgacc.Program_plan.all_plans plans) in
@@ -100,7 +100,7 @@ let test_kmeans_has_reduction_traffic () =
     (report.Mgacc.Report.gpu_gpu_bytes > 0)
 
 let test_kmeans_table2_structure () =
-  let plans = Mgacc.compile (Mgacc.parse_string ~name:"k.c" (Kmeans.source kmeans_small)) in
+  let plans = Mgacc.compile (Mgacc.parse_string ~name:"k.c" (Kmeans.app kmeans_small).App_common.source) in
   check Alcotest.int "two parallel loops (B)" 2 (Mgacc.Program_plan.loop_count plans);
   let arrays =
     List.sort_uniq compare
@@ -123,7 +123,7 @@ let test_kmeans_table2_structure () =
   check (Alcotest.list Alcotest.string) "localaccess arrays (D=2/5)" [ "membership"; "x" ] la
 
 let test_kmeans_layout_transform_applies () =
-  let plans = Mgacc.compile (Mgacc.parse_string ~name:"k.c" (Kmeans.source kmeans_small)) in
+  let plans = Mgacc.compile (Mgacc.parse_string ~name:"k.c" (Kmeans.app kmeans_small).App_common.source) in
   let plan = List.hd (Mgacc.Program_plan.all_plans plans) in
   check Alcotest.bool "x is transformed" true (Mgacc.Kernel_plan.layout_transformed plan "x");
   check Alcotest.bool "centers are not" false
@@ -161,7 +161,7 @@ let test_bfs_heavy_gpu_traffic () =
     (r2.Mgacc.Report.gpu_gpu_bytes > rmd.Mgacc.Report.gpu_gpu_bytes)
 
 let test_bfs_table2_structure () =
-  let plans = Mgacc.compile (Mgacc.parse_string ~name:"b.c" (Bfs.source bfs_small)) in
+  let plans = Mgacc.compile (Mgacc.parse_string ~name:"b.c" (Bfs.app bfs_small).App_common.source) in
   check Alcotest.int "one parallel loop (B)" 1 (Mgacc.Program_plan.loop_count plans);
   let plan = List.hd (Mgacc.Program_plan.all_plans plans) in
   check Alcotest.int "arrays in loop" 3 (List.length plan.Mgacc.Kernel_plan.configs);

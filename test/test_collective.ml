@@ -16,6 +16,7 @@ module Rt_config = Mgacc.Rt_config
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
+let collective_switch = List.find (fun s -> s.Rt_config.name = "collective") Rt_config.switches
 let desktop () = Mgacc.Machine.desktop ()
 let supernode () = Mgacc.Machine.supernode ()
 let cluster4 () = Mgacc.Machine.cluster ~nodes:2 ~gpus_per_node:2 ()
@@ -456,7 +457,7 @@ let test_plan_is_pure () =
         (fun mode ->
           let cfg = cfg_for machine mode in
           let name what =
-            Printf.sprintf "%s %s: %s" spec ((Rt_config.find "collective").Rt_config.read cfg) what
+            Printf.sprintf "%s %s: %s" spec (collective_switch.Rt_config.read cfg) what
           in
           let ((_, stats) as first) = Collective.plan ~cfg ~fabric ops in
           shapes := Collective.add_stats !shapes stats;
@@ -788,7 +789,7 @@ let prop_planner_matches_reference (mi, ops) =
       with
       | None -> true
       | Some why ->
-          QCheck2.Test.fail_reportf "%s, %s" ((Rt_config.find "collective").Rt_config.read cfg) why)
+          QCheck2.Test.fail_reportf "%s, %s" (collective_switch.Rt_config.read cfg) why)
     [ Rt_config.Direct; Rt_config.Ring; Rt_config.Auto ]
 
 (* ---------------- property: conservation under random groups ---------------- *)

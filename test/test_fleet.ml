@@ -70,17 +70,14 @@ let test_session_start_offsets_clock () =
   let program = Mgacc.parse_string ~name:"saxpy.c" saxpy_src in
   let plans = Mgacc.compile program in
   let cfg = Rt_config.make ~num_gpus:2 (Machine.desktop ()) in
-  let s = Session.create ~tenant:"alice" ~start:1.5 cfg plans in
+  let s = Session.create ~start:1.5 cfg plans in
   check (Alcotest.float 0.0) "clock starts at start" 1.5 (Session.now s);
-  check (Alcotest.float 0.0) "elapsed 0 before work" 0.0 (Session.elapsed s);
-  check Alcotest.string "tenant recorded" "alice" (Session.tenant s);
   (match Session.create ~start:(-1.0) cfg plans with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative start accepted");
   ignore (Acc_runtime.execute s);
   check Alcotest.bool "clock advanced past start" true (Session.now s > 1.5);
-  check Alcotest.bool "elapsed is relative to start" true
-    (Session.elapsed s > 0.0 && Session.elapsed s < Session.now s)
+  check (Alcotest.float 0.0) "start kept" 1.5 (Session.start s)
 
 (* ---------------- plan cache ---------------- *)
 
@@ -122,7 +119,6 @@ let prop_cache_hit_bit_identical params =
   && plan_shape e1.Plan_cache.plans = plan_shape fresh
   && Plan_cache.hits cache = 1
   && Plan_cache.misses cache = 1
-  && Plan_cache.size cache = 1
 
 (* [lookup ... cache saxpy_src] must miss for each key in turn, then
    hit each one again with the entry physically reused. *)
@@ -130,7 +126,7 @@ let check_keys_separate what lookups =
   let cache = Plan_cache.create () in
   let firsts = List.map (fun lookup -> lookup cache) lookups in
   check Alcotest.bool (what ^ ": each misses") false (List.exists snd firsts);
-  check Alcotest.int (what ^ ": one entry each") (List.length lookups) (Plan_cache.size cache);
+  check Alcotest.int (what ^ ": one entry each") (List.length lookups) (Plan_cache.misses cache);
   List.iter2
     (fun lookup (e, _) ->
       let e', hit = lookup cache in
@@ -197,8 +193,13 @@ let test_spill_then_restore_value_identical () =
       Array.iteri (fun i _ -> d.(i) <- 10.0 *. float_of_int (i + 1)) d)
     r.Darray.bufs;
   Darray.mark_device_written da;
-  let bytes_before = Session.darray_device_bytes da in
-  check Alcotest.bool "device bytes pinned" true (bytes_before > 0);
+  (* What the darray pins shows in its devices' user memory. *)
+  let pinned () =
+    Array.fold_left
+      (fun acc d -> acc + Memory.used_class d.Mgacc_gpusim.Device.memory `User)
+      0 cfg.Rt_config.machine.Machine.devices
+  in
+  check Alcotest.bool "device bytes pinned" true (pinned () > 0);
   (* ...the fleet evicts it: dirty data must land in the host view. *)
   let xfers = Darray.spill_to_host cfg da in
   check Alcotest.bool "spill ships something" true (xfers <> []);
@@ -207,7 +208,7 @@ let test_spill_then_restore_value_identical () =
       check Alcotest.bool "spill tag" true (Filename.check_suffix x.Darray.tag ":spill"))
     xfers;
   check Alcotest.bool "device storage freed" true (da.Darray.state = Darray.Unallocated);
-  check Alcotest.int "nothing left pinned" 0 (Session.darray_device_bytes da);
+  check Alcotest.int "nothing left pinned" 0 (pinned ());
   check
     (Alcotest.array (Alcotest.float 0.0))
     "host holds the device values bit-for-bit"

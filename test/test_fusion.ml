@@ -235,7 +235,7 @@ let test_plan_cache_never_aliases_fusion () =
   check Alcotest.bool "first lookup misses" false hit_off;
   let e_on, hit_on = Plan_cache.lookup ~options:fuse_on cache src in
   check Alcotest.bool "fused options never reuse the unfused entry" false hit_on;
-  check Alcotest.int "two distinct entries" 2 (Plan_cache.size cache);
+  check Alcotest.int "two distinct entries" 2 (Plan_cache.misses cache);
   check Alcotest.bool "distinct entries" true (e_off != e_on);
   check Alcotest.int "unfused entry: two kernels" 2
     (Program_plan.loop_count e_off.Plan_cache.plans);

@@ -140,15 +140,21 @@ let test_fabric_direction_asymmetry () =
   let p2p = Fabric.transfer_time_alone f (Fabric.P2p (0, 1)) ~bytes in
   check Alcotest.bool "d2h slower than h2d" true (d2h > h2d);
   check Alcotest.bool "p2p slowest" true (p2p > d2h);
-  match Fabric.run_batch f [ { Fabric.direction = Fabric.P2p (0, 0); bytes; ready = 0.0; tag = "x" } ] with
+  match Ref_fabric.finishes f [ { Ref_fabric.direction = Fabric.P2p (0, 0); bytes; ready = 0.0; tag = "x" } ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "self P2P must be rejected"
 
+(* Occupancy divides a launch's work: it saturates at 1, never falls
+   below 1e-3, and zero threads count as full occupancy. *)
 let test_occupancy_bounds () =
   let g = Spec.tesla_c2075 in
-  check (Alcotest.float 1e-12) "saturates at 1" 1.0 (Kernel_cost.occupancy g ~threads:10_000_000);
-  check Alcotest.bool "floor above zero" true (Kernel_cost.occupancy g ~threads:1 >= 1e-3);
-  check (Alcotest.float 1e-12) "zero threads neutral" 1.0 (Kernel_cost.occupancy g ~threads:0)
+  let c = Cost.zero () in
+  c.Cost.flops <- 1_000_000;
+  let work threads = Kernel_cost.duration g ~threads c -. g.Spec.kernel_launch_overhead in
+  check (Alcotest.float 0.0) "saturates at 1" (work 10_000_000) (work 100_000_000);
+  check Alcotest.bool "floor above zero" true
+    (work 1 <= work 10_000_000 /. 1e-3 *. (1.0 +. 1e-9));
+  check (Alcotest.float 0.0) "zero threads neutral" (work 10_000_000) (work 0)
 
 let test_l2_hit_monotone () =
   let c = Cost.zero () in

@@ -95,11 +95,11 @@ let prop_of_sorted_disjoint_agrees l =
 
 (* ---------------- Bitset vs boolean array ---------------- *)
 
-(* Single-bit sets and clears plus whole ranges, on up to about 2,000
-   bits so that full [0xFF] bytes, full and clear 64-bit words and a
-   trailing partial word are common. Word-aligned ranges put run starts
-   and ends on word boundaries, next to full or clear words. Then scans
-   over random, possibly unaligned or out-of-range bounds. *)
+(* Single-bit sets plus whole ranges (set bit by bit, clamped
+   to the bitset), on up to about 2,000 bits so that full [0xFF] bytes,
+   full and clear 64-bit words and a trailing partial word are common.
+   Word-aligned ranges put run starts and ends on word boundaries, next
+   to full or clear words. *)
 let gen_bit_ops =
   QCheck2.Gen.(
     let* n = oneof [ int_range 1 600; int_range 600 2000 ] in
@@ -107,17 +107,14 @@ let gen_bit_ops =
       oneof
         [
           map (fun i -> `Set i) (int_bound (n - 1));
-          map (fun i -> `Clear i) (int_bound (n - 1));
           map2 (fun lo len -> `Range (lo, lo + len)) (int_bound (n - 1)) (int_bound 300);
           map2 (fun w k -> `Range (64 * w, 64 * (w + k))) (int_bound (n / 64)) (int_range 1 4);
         ]
     in
-    let* ops = list_size (int_bound 40) op in
-    let bound = int_range (-4) (n + 4) in
-    let+ scans = list_size (int_range 1 8) (pair bound bound) in
-    (n, ops, scans))
+    let+ ops = list_size (int_bound 40) op in
+    (n, ops))
 
-let prop_bitset (n, ops, scans) =
+let prop_bitset (n, ops) =
   let b = Bitset.create n in
   let model = Array.make n false in
   List.iter
@@ -125,33 +122,20 @@ let prop_bitset (n, ops, scans) =
       | `Set i ->
           Bitset.set b i;
           model.(i) <- true
-      | `Clear i ->
-          Bitset.clear b i;
-          model.(i) <- false
       | `Range (lo, hi) ->
-          Bitset.set_range b ~lo ~hi;
           for i = lo to min n hi - 1 do
+            Bitset.set b i;
             model.(i) <- true
           done)
     ops;
-  let count_ok = Bitset.count b = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 model in
   let gets_ok = Array.for_all Fun.id (Array.init n (fun i -> Bitset.get b i = model.(i))) in
-  let model_runs lo hi =
-    List.init (max 0 (min n hi - max 0 lo)) (fun k -> max 0 lo + k)
+  let model_runs =
+    List.init n Fun.id
     |> List.filter (fun i -> model.(i))
     |> List.map (fun i -> Interval.make i (i + 1))
     |> Interval.Set.of_list
   in
-  let runs_ok = Interval.Set.equal (Bitset.runs b) (model_runs 0 n) in
-  let ranges_ok =
-    List.for_all
-      (fun (lo, hi) ->
-        let expected = model_runs lo hi in
-        Interval.Set.equal (Bitset.runs_in_range b ~lo ~hi) expected
-        && Bitset.count_in_range b ~lo ~hi = Interval.Set.total_length expected)
-      scans
-  in
-  count_ok && gets_ok && runs_ok && ranges_ok
+  gets_ok && Interval.Set.equal (Bitset.runs b) model_runs
 
 (* ---------------- Task splits ---------------- *)
 
@@ -223,20 +207,16 @@ let prop_fabric_bounds txs =
           | 1 -> Fabric.D2h (r mod 2)
           | _ -> Fabric.P2p (r mod 2, 1 - (r mod 2))
         in
-        { Fabric.direction; bytes; ready = float_of_int r *. 1e-4; tag = "q" })
+        { Ref_fabric.direction; bytes; ready = float_of_int r *. 1e-4; tag = "q" })
       txs
   in
-  let completions = Fabric.run_batch f reqs in
-  List.length completions = List.length reqs
-  && List.for_all
-       (fun (c : Fabric.completion) ->
-         let req = c.Fabric.req in
-         let lower =
-           req.Fabric.ready
-           +. (float_of_int req.Fabric.bytes /. Fabric.standalone_bandwidth f req.Fabric.direction)
-         in
-         c.Fabric.start >= req.Fabric.ready -. 1e-12 && c.Fabric.finish +. 1e-9 >= lower)
-       completions
+  let finishes = Ref_fabric.finishes f reqs in
+  List.length finishes = List.length reqs
+  && List.for_all2
+       (fun (r : Ref_fabric.request) finish ->
+         let lower = r.ready +. (float_of_int r.bytes /. Fabric.standalone_bandwidth f r.direction) in
+         finish +. 1e-9 >= lower)
+       reqs finishes
 
 let reqs_of_txs txs =
   List.map
@@ -247,24 +227,22 @@ let reqs_of_txs txs =
         | 1 -> Fabric.D2h (r mod 2)
         | _ -> Fabric.P2p (r mod 2, 1 - (r mod 2))
       in
-      { Fabric.direction; bytes; ready = float_of_int r *. 1e-4; tag = "q" })
+      { Ref_fabric.direction; bytes; ready = float_of_int r *. 1e-4; tag = "q" })
     txs
 
-let makespan completions =
-  List.fold_left (fun acc (c : Fabric.completion) -> Float.max acc c.Fabric.finish) 0.0 completions
+let makespan finishes = List.fold_left Float.max 0.0 finishes
 
 (* A batch of one flow has nothing to share with: it must finish exactly
    at ready + transfer_time_alone (the completion-threshold fix keeps
    this exact regardless of the flow's size). *)
 let prop_fabric_lone_flow (kind, bytes, r) =
   let f = Fabric.create Spec.pcie_gen2_desktop ~num_gpus:2 in
-  match Fabric.run_batch f (reqs_of_txs [ (kind, bytes, r) ]) with
-  | [ c ] ->
-      let req = c.Fabric.req in
-      let expected =
-        req.Fabric.ready +. Fabric.transfer_time_alone f req.Fabric.direction ~bytes
-      in
-      Float.abs (c.Fabric.finish -. expected) <= 1e-9 *. Float.max 1.0 expected
+  let reqs = reqs_of_txs [ (kind, bytes, r) ] in
+  match Ref_fabric.finishes f reqs with
+  | [ finish ] ->
+      let req = List.hd reqs in
+      let expected = req.ready +. Fabric.transfer_time_alone f req.direction ~bytes in
+      Float.abs (finish -. expected) <= 1e-9 *. Float.max 1.0 expected
   | _ -> false
 
 (* Growing any one request can never shrink the batch makespan: a bigger
@@ -273,18 +251,17 @@ let prop_fabric_lone_flow (kind, bytes, r) =
 let prop_fabric_makespan_monotone (txs, idx, extra) =
   let f = Fabric.create Spec.pcie_gen2_desktop ~num_gpus:2 in
   let reqs = reqs_of_txs txs in
-  let m1 = makespan (Fabric.run_batch f reqs) in
+  let m1 = makespan (Ref_fabric.finishes f reqs) in
   let n = List.length reqs in
   let grown =
     List.mapi
-      (fun i (r : Fabric.request) ->
-        if i = idx mod n then { r with Fabric.bytes = r.Fabric.bytes + extra } else r)
+      (fun i (r : Ref_fabric.request) -> if i = idx mod n then { r with bytes = r.bytes + extra } else r)
       reqs
   in
-  let m2 = makespan (Fabric.run_batch f grown) in
+  let m2 = makespan (Ref_fabric.finishes f grown) in
   m2 +. 1e-9 *. Float.max 1.0 m1 >= m1
 
-(* Incremental vs reference allocator: the fast path in Fabric.run_batch
+(* Incremental vs reference allocator: the fast path in Fabric.run
    must reproduce the from-scratch water-filling bit for bit — not just
    within tolerance, because BENCH artifacts pin exact completion times.
    Two generators. Small random batches over a 2x2 cluster mix H2d/D2h,
@@ -314,7 +291,7 @@ let cluster_reqs txs =
             (* cross-node peer: node 0 {0,1} <-> node 1 {2,3} *)
             Fabric.P2p (r mod 2, 2 + (r mod 2))
       in
-      { Fabric.direction; bytes; ready = float_of_int slot *. 1e-4; tag = "eq" })
+      { Ref_fabric.direction; bytes; ready = float_of_int slot *. 1e-4; tag = "eq" })
     txs
 
 let cluster_fabric () =
@@ -353,7 +330,7 @@ let gen_piece =
 let gen_fat_tree_batch = QCheck2.Gen.(pair (list_size (int_range 1 40) gen_piece) (int_bound 2))
 
 let fat_tree_reqs (pieces, order) =
-  let req direction bytes slot = { Fabric.direction; bytes; ready = float_of_int slot *. 1e-5; tag = "ft" } in
+  let req direction bytes slot = { Ref_fabric.direction; bytes; ready = float_of_int slot *. 1e-5; tag = "ft" } in
   let reqs =
     List.concat_map
       (function
@@ -378,9 +355,9 @@ let fat_tree_reqs (pieces, order) =
       (* The latest-ready requests first: the stable sort must move
          every group, and ties within a group keep request order. *)
       List.stable_sort
-        (fun (a : Fabric.request) (b : Fabric.request) -> Float.compare b.Fabric.ready a.Fabric.ready)
+        (fun (a : Ref_fabric.request) (b : Ref_fabric.request) -> Float.compare b.ready a.ready)
         reqs
-  | _ -> List.map (fun (r : Fabric.request) -> { r with Fabric.ready = 2e-5 }) reqs
+  | _ -> List.map (fun (r : Ref_fabric.request) -> { r with ready = 2e-5 }) reqs
 
 type batch = Cluster of (int * int * int * int) list | Fat_tree of (piece list * int)
 
@@ -398,20 +375,16 @@ let prop_fabric_incremental_matches_reference batch =
     | Cluster txs -> (cluster_fabric (), cluster_reqs txs)
     | Fat_tree b -> (fat_tree_fabric (), fat_tree_reqs b)
   in
-  let fast = Fabric.run_batch f reqs in
-  let slow = Ref_fabric.run_batch_reference f reqs in
-  List.length fast = List.length reqs
-  && List.length slow = List.length reqs
-  && List.for_all2
-       (fun r ((a : Fabric.completion), (b : Fabric.completion)) ->
-         (* Each completion carries the request at its own position, and
-            bit identity, not tolerance: Float.equal distinguishes nothing
-            a compare-based check would miss, and any divergence here
-            would eventually show up as a BENCH artifact diff. *)
-         a.Fabric.req == r && b.Fabric.req == r
-         && Float.equal a.Fabric.start b.Fabric.start
-         && Float.equal a.Fabric.finish b.Fabric.finish)
-       reqs (List.combine fast slow)
+  let b = Ref_fabric.batch_of reqs in
+  Fabric.run f b;
+  let slow = Ref_fabric.run_reference f b in
+  (* Finish by finish at the same request index, and bit identity, not
+     tolerance: Float.equal distinguishes nothing a compare-based check
+     would miss, and any divergence here would eventually show up as a
+     BENCH artifact diff. *)
+  Array.length slow = List.length reqs
+  && Array.for_all Fun.id
+       (Array.mapi (fun i finish -> Float.equal (Float.Array.get b.Fabric.finish i) finish) slow)
 
 (* ---------------- Profiler totals come from the ledger ---------------- *)
 

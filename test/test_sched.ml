@@ -218,11 +218,10 @@ let test_scheduler_adaptive_feedback () =
   Alcotest.(check bool) "irregular: seed is the equal split" true
     (weights_for s ~workload:Scheduler.Irregular = None);
   let committed =
-    Scheduler.observe s ~loop_id:0 ~iterations:[| 50_000; 50_000 |]
-      ~seconds:[| 1e-4; 3e-4 |] ~total_iterations:100_000 ~bytes_per_iter:0
+    Scheduler.observe_events s ~loop_id:0 ~iterations:[| 50_000; 50_000 |] ~starts:[| 0.0; 0.0 |]
+      ~finishes:[| 1e-4; 3e-4 |] ~total_iterations:100_000 ~bytes_per_iter:0
   in
   Alcotest.(check bool) "strong skew with free movement commits a re-split" true committed;
-  Alcotest.(check int) "rebalance counted" 1 (Scheduler.rebalances s);
   match weights_for s ~workload:Scheduler.Irregular with
   | None -> Alcotest.fail "expected the committed re-split"
   | Some w -> Alcotest.(check bool) "re-split favors the fast GPU" true (w.(0) > w.(1))

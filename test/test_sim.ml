@@ -57,7 +57,7 @@ let test_timeline_serializes () =
   check (Alcotest.float 1e-12) "second waits for resource" 2.0 s2;
   check (Alcotest.float 1e-12) "second ends" 3.0 f2;
   Timeline.reset t;
-  check (Alcotest.float 1e-12) "reset" 0.0 (Timeline.available_at t)
+  check (Alcotest.float 1e-12) "reset" 0.0 (fst (Timeline.reserve t ~ready:0.0 ~duration:1.0))
 
 let test_timeline_gap () =
   let t = Timeline.create "x" in

@@ -16,8 +16,6 @@ let create seed =
   let s1 = splitmix64 state in
   { s0; s1 }
 
-let copy t = { s0 = t.s0; s1 = t.s1 }
-
 let next t =
   let open Int64 in
   let s1 = t.s0 and s0 = t.s1 in
@@ -31,10 +29,6 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Xorshift.int_in: hi < lo";
-  lo + int t (hi - lo + 1)
-
 let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   (* 53 significant bits, the double mantissa width. *)
@@ -47,17 +41,3 @@ let gaussian t ~mean ~stddev =
   in
   let u1 = draw () and u2 = float t 1.0 in
   mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
-let bool t = Int64.logand (next t) 1L = 1L
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let split t =
-  let seed = Int64.to_int (Int64.logand (next t) 0x3FFFFFFFFFFFFFL) in
-  create seed
