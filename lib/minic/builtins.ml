@@ -1,9 +1,9 @@
 type op = Sqrt | Fabs | Exp | Log | Pow | Sin | Cos | Floor | Ceil | Fmin | Fmax | Abs | Min | Max
 
-type t = { name : string; op : op; arity : int; result : Ast.typ; int_args : bool; flops : int }
+type t = { name : string; op : op; arity : int; result : Ast.typ; flops : int }
 
-let d name op arity flops = { name; op; arity; result = Ast.Tdouble; int_args = false; flops }
-let i name op arity flops = { name; op; arity; result = Ast.Tint; int_args = true; flops }
+let d name op arity flops = { name; op; arity; result = Ast.Tdouble; flops }
+let i name op arity flops = { name; op; arity; result = Ast.Tint; flops }
 
 let all =
   [

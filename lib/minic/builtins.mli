@@ -13,7 +13,6 @@ type t = {
   op : op;
   arity : int;
   result : Ast.typ;  (** [Tint] or [Tdouble] *)
-  int_args : bool;  (** arguments are ints (else doubles) *)
   flops : int;  (** arithmetic cost charged per call *)
 }
 

@@ -414,6 +414,9 @@ let test_metrics_counters_gauges () =
   check Alcotest.int "escaped label" 1 (count_sub text {|jobs_total{tenant="a\"b"} 5|});
   check Alcotest.int "gauge line" 1 (count_sub text "depth 7\n")
 
+(* A histogram's quantiles are read from its cumulative buckets in the
+   exposition; each observation lands in the first bucket that holds it,
+   and an observation past the last bound only in +Inf. *)
 let test_metrics_quantiles () =
   let m = Metrics.create () in
   let h = Metrics.histogram m ~buckets:[| 1.0; 2.0; 5.0 |] "lat" in
@@ -421,6 +424,8 @@ let test_metrics_quantiles () =
   check Alcotest.int "count" 1 (count_sub (Metrics.to_prometheus m) "\nlat_count 4\n");
   check Alcotest.int "sum" 1 (count_sub (Metrics.to_prometheus m) "\nlat_sum 15\n");
   let text = Metrics.to_prometheus m in
+  check Alcotest.int "p25 in the first bucket" 1 (count_sub text {|lat_bucket{le="1"} 1|});
+  check Alcotest.int "p50 in the second bucket" 1 (count_sub text {|lat_bucket{le="2"} 2|});
   check Alcotest.int "cumulative le=5" 1 (count_sub text {|lat_bucket{le="5"} 3|});
   check Alcotest.int "inf bucket" 1 (count_sub text {|lat_bucket{le="+Inf"} 4|});
   check Alcotest.int "count line" 1 (count_sub text "lat_count 4")

@@ -72,7 +72,7 @@ ratchet() {
 }
 ratchet bare 20
 ratchet val 30
-ratchet field 59
+ratchet field 58
 ratchet ref 1
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
