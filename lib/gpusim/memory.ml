@@ -3,7 +3,6 @@ type klass = [ `User | `System ]
 type payload = Float_data of float array | Int_data of int array | Raw_bytes of int
 
 type buf = {
-  buf_id : int;
   device_id : int;
   klass : klass;
   payload : payload;
@@ -14,7 +13,6 @@ type buf = {
 type t = {
   dev : int;
   cap : int;
-  mutable next_id : int;
   mutable used_user : int;
   mutable used_system : int;
   mutable peak_user : int;
@@ -27,7 +25,6 @@ let create ~device_id ~capacity =
   {
     dev = device_id;
     cap = capacity;
-    next_id = 0;
     used_user = 0;
     used_system = 0;
     peak_user = 0;
@@ -51,9 +48,7 @@ let account t klass bytes =
 
 let mk t klass payload size_bytes =
   account t klass size_bytes;
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  { buf_id = id; device_id = t.dev; klass; payload; size_bytes; freed = false }
+  { device_id = t.dev; klass; payload; size_bytes; freed = false }
 
 let alloc_float t klass n =
   if n < 0 then invalid_arg "Memory.alloc_float";

@@ -14,7 +14,6 @@ type payload =
   | Raw_bytes of int  (** sized but contentless system storage *)
 
 type buf = private {
-  buf_id : int;
   device_id : int;
   klass : klass;
   payload : payload;

@@ -523,14 +523,16 @@ let fold_scalar_partials env scalar_partials =
       Host_interp.set_scalar env name result)
     scalar_partials
 
-(* The collective plan for one (loop site, ship wave). Planning is a
-   pure function of (mode, fabric, ops) and a session fixes the mode and
-   the fabric: a launch whose ops equal the site's last ones (iterative
-   apps re-run their loops with stable bounds) reuses that plan and its
-   stats, exactly what planning afresh would return. Any other op list
-   is planned and replaces the entry. The check compares field by field
-   ([Comm_manager.equal_ops]): each launch rebuilds its ops, tags
-   included, so it walks the whole list when the plan is reused. *)
+(* The collective plan for one (loop site, ship wave), under every
+   collective mode: the only path from a wave's ops to the fabric.
+   Planning is a pure function of (mode, fabric, ops) and a session
+   fixes the mode and the fabric: a launch whose ops equal the site's
+   last ones (iterative apps re-run their loops with stable bounds)
+   reuses that plan and its stats, exactly what planning afresh would
+   return. Any other op list is planned and replaces the entry. The
+   check compares field by field ([Comm_manager.equal_ops]): each launch
+   rebuilds its ops, tags included, so it walks the whole list when the
+   plan is reused. *)
 let plan_collective t site ops =
   match Hashtbl.find_opt t.collectives site with
   | Some (last, planned) when Comm_manager.equal_ops last ops -> planned
@@ -542,11 +544,9 @@ let plan_collective t site ops =
 (* A step of the reconciliation. Its order is the gate's: the barrier
    runs the dirty-bit scan, then every op in one wave, then the replay
    and combine kernels; the overlap engine runs wave 1, then the replay
-   and combine kernels, then wave 2 round by round. *)
-type step =
-  | Scan
-  | Ship of { wave : int; ops : Comm_manager.op list; by_round : bool }
-  | Replay_combine
+   and combine kernels, then wave 2. Each wave ships through its
+   collective plan, level by level. *)
+type step = Scan | Ship of { wave : int; ops : Comm_manager.op list } | Replay_combine
 
 (* One parallel loop on the GPUs: load → rebalance → relayout → kernels →
    scheduler feed → reconcile → scalar reduction, each phase ordered by
@@ -774,7 +774,7 @@ let launch t env loop plan =
   let scans = Hashtbl.create 8 in
   List.iter (fun (g, a, sec) -> Hashtbl.replace scans (g, a) sec) r.Comm_manager.scans;
   (* Arrivals keyed by (GPU, array); per-array ones use GPU -1. *)
-  let miss = Hashtbl.create 8 and gather = Hashtbl.create 8 and bcast = Hashtbl.create 8 in
+  let miss = Hashtbl.create 8 and gather = Hashtbl.create 8 in
   let replay = Hashtbl.create 8 and combine = Hashtbl.create 8 in
   let bump tbl key fin sid =
     match Hashtbl.find_opt tbl key with
@@ -786,25 +786,22 @@ let launch t env loop plan =
     let fin = Float.Array.get b.Fabric.finish i and sid = b.Fabric.span.(i) in
     let a = op.Comm_manager.array in
     match (op.Comm_manager.kind, op.Comm_manager.dir) with
-    | Comm_manager.Dirty_chunk, Fabric.P2p (_, dst) -> record_ev t dst fin sid
+    | (Comm_manager.Dirty_chunk | Comm_manager.Red_bcast), Fabric.P2p (_, dst) ->
+        record_ev t dst fin sid
     | Comm_manager.Miss_ship, Fabric.P2p (_, dst) -> bump miss (dst, a) fin sid
     | Comm_manager.Red_gather, Fabric.P2p _ -> bump gather (-1, a) fin sid
-    | Comm_manager.Red_bcast, Fabric.P2p (_, dst) ->
-        bump bcast (dst, a) fin sid;
-        record_ev t dst fin sid
     | Comm_manager.Halo_segment, Fabric.P2p (src, dst) ->
         record_ev t src fin sid;
         record_ev t dst fin sid
     | _, (Fabric.H2d g | Fabric.D2h g) -> record_ev t g fin sid
   in
   (* When a transfer of [op] over the hop [dir] may start: the hop a
-     planned collective ships, or the op itself. Forwarded hops of a
-     planned dirty merge ship a staged payload and wait only on the plan;
-     [tree] adds the direct path's binomial-tree parent (a plan gates its
-     tree edges itself). The gate is tested first, so under the barrier,
-     where every op is ready at the phase's join, no deps thunk is built
-     per op. *)
-  let op_deps ~wave ~tree dir (op : Comm_manager.op) =
+     collective plan ships, or the op itself. Forwarded hops of a planned
+     dirty merge ship a staged payload and wait only on the plan, which
+     also gates each tree edge on its parent. The gate is tested first,
+     so under the barrier, where every op is ready at the phase's join,
+     no deps thunk is built per op. *)
+  let op_deps ~wave dir (op : Comm_manager.op) =
     let src, dst = endpoints dir and osrc = fst (endpoints op.Comm_manager.dir) in
     let a = op.Comm_manager.array in
     match op.Comm_manager.kind with
@@ -820,21 +817,20 @@ let launch t env loop plan =
           | Some slot -> slot
           | None -> Option.value ~default:(kernel osrc) (Hashtbl.find_opt gather (-1, a))
         in
-        result :: kernel src
-        :: (if tree then Option.to_list (Hashtbl.find_opt bcast (src, a)) else [])
+        [ result; kernel src ]
     | Comm_manager.Halo_segment ->
         kernel src :: kernel dst
         :: (if wave = 2 then Option.to_list (Hashtbl.find_opt replay (src, a)) else [])
   in
-  let op_ready ph ~wave ~tree dir op =
+  let op_ready ph ~wave dir op =
     match ph.gate with
     | Barrier -> ready_in t ph (fun () -> [])
-    | Overlap -> join t (op_deps ~wave ~tree dir op)
+    | Overlap -> join t (op_deps ~wave dir op)
   in
   let steps =
     match gate with
     | Barrier ->
-        [ Scan; Ship { wave = 1; ops = r.Comm_manager.ops; by_round = false }; Replay_combine ]
+        [ Scan; Ship { wave = 1; ops = r.Comm_manager.ops }; Replay_combine ]
     | Overlap ->
         let has_replay a =
           List.exists
@@ -850,11 +846,7 @@ let launch t env loop plan =
               | Comm_manager.Dirty_chunk | Comm_manager.Miss_ship | Comm_manager.Red_gather -> true)
             r.Comm_manager.ops
         in
-        [
-          Ship { wave = 1; ops = wave1; by_round = false };
-          Replay_combine;
-          Ship { wave = 2; ops = wave2; by_round = true };
-        ]
+        [ Ship { wave = 1; ops = wave1 }; Replay_combine; Ship { wave = 2; ops = wave2 } ]
   in
   List.iter
     (function
@@ -869,49 +861,21 @@ let launch t env loop plan =
           Wall.leave ();
           add t ph ~start:ready ~finish ~bytes:0 (Option.value ~default:(-1) sid);
           close t ph
-      | Ship { wave; ops; by_round } ->
+      | Ship { wave; ops } ->
           let ph = open_phase t gate Blame.Gpu_gpu ~label:"comm" in
-          (if Rt_config.planned_collectives t.cfg then begin
-             Wall.enter Wall.Collective_plan;
-             let cplan, cstats = plan_collective t (loop.Loop_info.loop_loc, wave) ops in
-             Wall.leave ();
-             Profiler.add_collective t.profiler ~rings:cstats.Collective.rings
-               ~hierarchies:cstats.Collective.hierarchies
-               ~direct_groups:cstats.Collective.direct_groups ~segments:cstats.Collective.segments;
-             ignore
-               (Collective.execute ~plan:cplan ~batch:t.batch
-                  ~base:(fun (it : Collective.item) ->
-                    op_ready ph ~wave ~tree:false it.Collective.dir it.Collective.op)
-                  ~run:(run_batch t ph)
-                  ~on_complete:(fun (it : Collective.item) -> landed it.Collective.op)
-                  ())
-           end
-           else
-             (* Binomial-tree rounds: an edge of round [r+1] is ready only
-                once round [r] has landed. Eager mode puts every op in
-                round 0. *)
-             let round (op : Comm_manager.op) = if by_round then op.Comm_manager.round else 0 in
-             let b = t.batch in
-             List.iter
-               (fun n ->
-                 Fabric.clear b;
-                 List.iter
-                   (fun (op : Comm_manager.op) ->
-                     if round op = n then
-                       request b op.Comm_manager.dir ~bytes:op.Comm_manager.bytes
-                         ~tag:op.Comm_manager.tag
-                         (op_ready ph ~wave ~tree:true op.Comm_manager.dir op))
-                   ops;
-                 run_batch t ph b;
-                 let i = ref 0 in
-                 List.iter
-                   (fun op ->
-                     if round op = n then begin
-                       landed op b !i;
-                       incr i
-                     end)
-                   ops)
-               (List.sort_uniq compare (List.map round ops)));
+          Wall.enter Wall.Collective_plan;
+          let cplan, cstats = plan_collective t (loop.Loop_info.loop_loc, wave) ops in
+          Wall.leave ();
+          if Rt_config.planned_collectives t.cfg then
+            Profiler.add_collective t.profiler ~rings:cstats.Collective.rings
+              ~hierarchies:cstats.Collective.hierarchies
+              ~direct_groups:cstats.Collective.direct_groups ~segments:cstats.Collective.segments;
+          Collective.execute ~plan:cplan ~batch:t.batch
+            ~base:(fun (it : Collective.item) ->
+              op_ready ph ~wave it.Collective.dir it.Collective.op)
+            ~run:(run_batch t ph)
+            ~on_complete:(fun (it : Collective.item) -> landed it.Collective.op)
+            ();
           close t ph
       | Replay_combine ->
           (* Each replay waits on its owner's misses, each combine on its

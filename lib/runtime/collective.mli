@@ -22,9 +22,11 @@
       the same edge, so segment [k+1] streams while segment [k] forwards.
 
     Algorithm choice per group is a payload-size/latency cost model in
-    the NCCL style; [--collective direct] bypasses this module entirely
-    (the legacy schedules, bit for bit). Non-broadcast ops (window
-    ships, misses, halos, gathers) pass through point-to-point.
+    the NCCL style; [--collective direct] keeps every group's own star or
+    binomial tree, each tree round a level and each tree edge gated on
+    its parent's arrival. Non-broadcast ops (window ships, misses, halos,
+    gathers) pass through point-to-point. Every launch ships its
+    reconcile ops through {!plan} and {!execute}, whatever the mode.
 
     Planning a broadcast group costs O(destinations + GPUs) array steps:
     its ops are indexed by destination GPU, the ring order is one pass
@@ -83,7 +85,8 @@ val plan : cfg:Rt_config.t -> fabric:Fabric.t -> Comm_manager.op list -> plan * 
     totals are conserved: the plan carries exactly [p-1] copies of each
     group payload, however it is shaped. With [cfg.collective = Ring]
     eligible groups always take the ring; with [Auto] the cost model
-    picks direct, ring or hierarchical per group. Raises
+    picks direct, ring or hierarchical per group; with [Direct] every
+    group keeps its own schedule. Raises
     [Invalid_argument] if a grouped peer-to-peer op names a device
     outside the fabric. *)
 
@@ -94,7 +97,7 @@ val execute :
   run:(Fabric.batch -> unit) ->
   on_complete:(item -> Fabric.batch -> int -> unit) ->
   unit ->
-  float
+  unit
 (** Run the plan level by level: [base item] is the item's own ready
     time and causes; its ready time is the max of that and its gates'
     finishes. Each level is one fabric batch (so same-level segments
@@ -104,5 +107,4 @@ val execute :
     item with its request's index [i]. Causal edges are threaded
     through: each request carries the span ids of its [dep2] and [dep]
     gates, then the causes from [base item], so forwarded segments chain
-    into a visible flow in the trace. Returns the max finish, or
-    [neg_infinity] for an empty plan. *)
+    into a visible flow in the trace. *)

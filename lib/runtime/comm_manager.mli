@@ -47,9 +47,10 @@ type op = {
   array : string;
   kind : op_kind;
   round : int;
-      (** binomial-tree broadcast round for lazy-coherence {!Red_bcast}
-          ops (an edge of round [r+1] depends on its source receiving
-          round [r]); 0 everywhere else *)
+      (** the collective planner's level for a lazy-coherence
+          {!Red_bcast} op under a kept tree: its binomial-tree round (the
+          plan gates each edge on its source's arrival); 0 everywhere
+          else *)
   group : int;
       (** collective group id: ops sharing a non-negative [group] carry
           the {e same payload} from one root to distinct destinations (a

@@ -269,19 +269,16 @@ let pull_valid (cfg : Rt_config.t) t ~gpu ~(want : Interval.Set.t) =
         let xfers = ref [] in
         let remaining = ref missing in
         let n = Array.length r.bufs in
-        (* With collective planning on, prefer peers on the puller's own
-           node — any valid copy is equivalent, and a same-node source
-           keeps the pull off the inter-node wire. The direct mode keeps
-           the original lowest-id-first order bit for bit. *)
+        (* Prefer peers on the puller's own node: any valid copy is
+           equivalent, and a same-node source keeps the pull off the
+           inter-node wire. *)
         let order =
-          if not (Rt_config.planned_collectives cfg) then List.init n (fun i -> i)
-          else
-            let fabric = cfg.Rt_config.machine.Mgacc_gpusim.Machine.fabric in
-            List.sort
-              (fun a b ->
-                let far g = if Fabric.same_node fabric gpu g then 0 else 1 in
-                compare (far a, a) (far b, b))
-              (List.init n (fun i -> i))
+          let fabric = cfg.Rt_config.machine.Mgacc_gpusim.Machine.fabric in
+          List.sort
+            (fun a b ->
+              let far g = if Fabric.same_node fabric gpu g then 0 else 1 in
+              compare (far a, a) (far b, b))
+            (List.init n (fun i -> i))
         in
         List.iter (fun src ->
           if src <> gpu && not (Interval.Set.is_empty !remaining) then begin

@@ -101,8 +101,9 @@ val flush_to_host : Rt_config.t -> t -> xfer list
 
 val pull_valid : Rt_config.t -> t -> gpu:int -> want:Interval.Set.t -> xfer list
 (** Make the intervals of [want] valid on replica [gpu], copying each
-    stale range from a peer that holds it (tag ["<name>:pull"], one P2p
-    xfer per contiguous run). No-op when the array is not replicated or
+    stale range from a peer that holds it, peers on [gpu]'s own node
+    first, then by id (tag ["<name>:pull"], one P2p xfer per contiguous
+    run). No-op when the array is not replicated or
     nothing in [want] is stale. Raises if the validity invariant is
     broken (some range valid nowhere). *)
 

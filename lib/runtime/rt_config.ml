@@ -77,8 +77,8 @@ let switches =
       ~get:(fun t -> t.collective)
       ~put:(fun t collective -> { t with collective })
       ~doc:
-        "broadcast-group transfer planning: direct keeps the legacy star/tree schedules bit for \
-         bit; ring forces node-grouped pipelined rings; auto picks direct, ring or hierarchical \
+        "broadcast-group transfer planning: direct keeps each group's own star or binomial tree; \
+         ring forces node-grouped pipelined rings; auto picks direct, ring or hierarchical \
          staging per group from a payload/topology cost model";
     switch "fuse" off_on
       ~get:(fun t -> t.translator.enable_fusion)

@@ -37,9 +37,9 @@ type t = {
           defers the rest, tracks per-replica validity intervals and
           broadcasts down a binomial tree or defers. *)
   collective : collective;
-      (** how broadcast-shaped transfer groups are scheduled on the
-          fabric. [Direct] keeps the legacy point-to-point stars
-          bit-for-bit. *)
+      (** how the collective planner schedules broadcast-shaped transfer
+          groups on the fabric. [Direct] keeps each group's own
+          point-to-point star or binomial tree. *)
   translator : Mgacc_translator.Kernel_plan.options;
   schedule : Mgacc_sched.Policy.t;
       (** iteration-partitioning policy (default: the paper's equal split) *)
@@ -66,7 +66,7 @@ val make :
 (** Defaults: all of the machine's GPUs, 1 MB chunks (the paper's choice),
     two-level dirty bits, overlap off (barrier semantics), eager
     coherence (the paper's reconcile-every-replica protocol), direct
-    collectives (legacy point-to-point schedules), the translator's default options
+    collectives (each group's own point-to-point schedule), the translator's default options
     (placement, layout and miss-check optimizations on; fusion off; 1-D
     decomposition) and the equal-split schedule. *)
 
@@ -77,7 +77,9 @@ val lazy_coherence : t -> bool
 
 val planned_collectives : t -> bool
 (** [collective <> Direct] and more than one GPU (no collective exists
-    on one device). *)
+    on one device). Read only where a mode may reshape a group: the
+    communication manager's allreduce grouping and the report's
+    collective counters; every mode ships through the planner. *)
 
 (** {1 Mode switches}
 

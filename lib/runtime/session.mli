@@ -21,9 +21,10 @@ type t = {
   compiled : (Loc.t, Launch.compiled) Hashtbl.t;
   collectives :
     (Loc.t * int, Comm_manager.op list * (Collective.plan * Collective.stats)) Hashtbl.t;
-      (** planned collectives: the last op list each (loop site, ship
-          wave) handed the planner, with its plan and stats, reused while
-          the site's ops repeat (docs/MODEL.md, "Collectives") *)
+      (** collective plans, under every collective mode: the last op list
+          each (loop site, ship wave) handed the planner, with its plan and
+          stats, reused while the site's ops repeat (docs/MODEL.md,
+          "Collectives") *)
   events : Event.t;  (** per-GPU data-readiness timelines *)
   seen_ranges : (Loc.t, Task_map.range array) Hashtbl.t;
       (** lazy coherence: last-observed iteration split per loop *)

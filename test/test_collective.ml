@@ -1,12 +1,14 @@
 (* Tests for the topology-aware collective transfer planner
-   (--collective direct|ring|auto): the direct-mode identity guarantee,
+   (--collective direct|ring|auto), through which every launch ships its
+   reconcile ops: direct as the default that plans no ring or hierarchy,
    functional equivalence of ring/auto schedules on whole applications
-   across machines and coherence modes, and the planner's structural
+   across machines and coherence modes, the planner's structural
    invariants — byte conservation, well-formed pipelining dependencies,
    node-grouped ring orders that cross the wire once per node boundary,
    and the cost model preferring topology-shaped schedules for large
-   payloads while keeping latency-bound small groups direct. See
-   docs/MODEL.md, "Collectives". *)
+   payloads while keeping latency-bound small groups direct — and tree
+   edges that leave only after their payload lands. See docs/MODEL.md,
+   "Collectives". *)
 
 open Mgacc_apps
 module Collective = Mgacc.Collective
@@ -35,9 +37,10 @@ let five_apps =
 (* ---------------- direct mode is the identity ---------------- *)
 
 let test_direct_is_the_default () =
-  (* [--collective direct] must be byte-for-byte the pre-planner path: a
-     run with the flag matches a run with no flag at all, down to the
-     exact simulated times, on every machine and coherence mode. *)
+  (* [--collective direct] is the default: a run with the flag matches a
+     run with no flag at all, down to the exact simulated times, on every
+     machine and coherence mode, and its plans keep every group's own
+     schedule. *)
   List.iter
     (fun (machine, gpus) ->
       List.iter
@@ -119,14 +122,16 @@ let mk_op ?(kind = Comm_manager.Dirty_chunk) ?(round = 0) ~group ~bytes src dst 
     group;
   }
 
-(* {!Collective.execute} against a bare fabric with a constant ready time
-   and no completion callback: the measuring stick of the tests below. *)
+(* {!Collective.execute} against a bare fabric with a constant ready time:
+   the plan's last finish, the measuring stick of the tests below. *)
 let simulate ~fabric ~plan ~ready =
+  let last = ref neg_infinity in
   Collective.execute ~plan ~batch:(Fabric.batch ())
     ~base:(fun _ -> (ready, []))
     ~run:(Fabric.run fabric)
-    ~on_complete:(fun _ _ _ -> ())
-    ()
+    ~on_complete:(fun _ b k -> last := Float.max !last (Float.Array.get b.Fabric.finish k))
+    ();
+  !last
 
 let cfg_for machine collective =
   Rt_config.make ~num_gpus:(Mgacc.Machine.num_gpus machine) ~collective machine
@@ -376,21 +381,12 @@ let test_execute_respects_deps () =
     Collective.plan ~cfg:(cfg_for machine Rt_config.Ring) ~fabric
       (star_group ~bytes machine)
   in
-  let finishes = Array.make (Array.length plan) nan in
-  let i = ref 0 in
   let seen = Hashtbl.create 16 in
-  ignore
-    (Collective.execute ~plan ~batch:(Fabric.batch ())
-       ~base:(fun _ -> (0.0, []))
-       ~run:(Fabric.run fabric)
-       ~on_complete:(fun it b k ->
-         (* items complete in plan order within each level *)
-         let idx = !i in
-         incr i;
-         ignore idx;
-         Hashtbl.replace seen it (Float.Array.get b.Fabric.finish k))
-       ());
-  ignore finishes;
+  Collective.execute ~plan ~batch:(Fabric.batch ())
+    ~base:(fun _ -> (0.0, []))
+    ~run:(Fabric.run fabric)
+    ~on_complete:(fun it b k -> Hashtbl.replace seen it (Float.Array.get b.Fabric.finish k))
+    ();
   check Alcotest.int "every item completed" (Array.length plan) (Hashtbl.length seen);
   Array.iter
     (fun (it : Collective.item) ->
@@ -810,6 +806,53 @@ let prop_plan_conserves_bytes (mode_i, payload, dst_count) =
   && List.for_all (fun d -> delivered_bytes plan d = payload) (List.init dsts (fun i -> i + 1))
   && deps_well_formed plan
 
+(* ---------------- tree edges wait for their payload ---------------- *)
+
+(* The GPU ends of a peer transfer's trace resource, "pcie:p2p<src>-<dst>". *)
+let p2p_ends resource = Scanf.sscanf_opt resource "pcie:p2p%d-%d%!" (fun src dst -> (src, dst))
+
+let test_tree_edges_wait_for_payload () =
+  (* The golden corpus's binomial-tree broadcast on four GPUs: an edge out
+     of a GPU other than the root forwards the copy that GPU received, so
+     it may not start before that copy has landed, under either gate and
+     whether or not the planner may reshape the group. *)
+  List.iter
+    (fun settings ->
+      let what = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) settings) in
+      let config =
+        List.fold_left Golden_corpus.apply
+          (Rt_config.make (Golden_corpus.machine_of "cluster:2x2"))
+          (("coherence", "lazy") :: settings)
+      in
+      ignore
+        (Mgacc.run_acc ~config (Mgacc.parse_string ~name:"tree.c" Golden_corpus.tree_source));
+      (* Each GPU's latest broadcast arrival so far, in recording order. *)
+      let arrived = Hashtbl.create 4 and forwarded = ref 0 in
+      List.iter
+        (fun (s : Mgacc.Trace.span) ->
+          match p2p_ends s.Mgacc.Trace.resource with
+          | Some (src, dst) when List.mem "red-bcast" (String.split_on_char ':' s.Mgacc.Trace.label)
+            ->
+              Option.iter
+                (fun landed ->
+                  incr forwarded;
+                  check Alcotest.bool
+                    (Printf.sprintf "%s: edge %d->%d starts at %h, after its payload lands at %h"
+                       what src dst s.Mgacc.Trace.start landed)
+                    true
+                    (s.Mgacc.Trace.start >= landed))
+                (Hashtbl.find_opt arrived src);
+              Hashtbl.replace arrived dst s.Mgacc.Trace.finish
+          | _ -> ())
+        (Mgacc.Trace.spans config.Rt_config.machine.Mgacc.Machine.trace);
+      check Alcotest.bool (what ^ ": some edge forwards a received copy") true (!forwarded > 0))
+    (List.concat_map
+       (fun collective ->
+         List.map
+           (fun overlap -> [ ("collective", collective); ("overlap", overlap) ])
+           [ "off"; "on" ])
+       [ "direct"; "auto" ])
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
@@ -837,4 +880,5 @@ let suite =
     qtest "plans conserve payload bytes"
       QCheck2.Gen.(triple (int_bound 5) (int_range 1 4_000_000) (int_bound 5))
       prop_plan_conserves_bytes;
+    tc "tree edges leave after their payload lands" test_tree_edges_wait_for_payload;
   ]

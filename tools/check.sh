@@ -72,7 +72,7 @@ ratchet() {
 }
 ratchet bare 20
 ratchet val 30
-ratchet field 58
+ratchet field 57
 ratchet ref 1
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -225,11 +225,45 @@ dune exec bin/accc.exe -- run samples/heat2d.c --machine cluster --overlap off \
 # plan must still cite spans of the launch that runs it.
 dune exec bin/accc.exe -- run samples/heat2d.c --machine fattree:4x4 --collective auto \
   --overlap on --trace-json "$tmp/reuse_trace.json" --blame > /dev/null
+# Under direct collectives and the barrier gate, a lazy reduction result
+# ships down a binomial tree through the collective planner: an edge out
+# of a non-root GPU cites the edge that delivered its payload, so a tree
+# edge that left before its payload landed would be a flow edge going
+# backwards in time. The program is the golden corpus's tree broadcast.
+cat > "$tmp/tree.c" <<'EOF'
+void main() {
+  int n = 4096;
+  int bins = 64;
+  double hist[bins];
+  double x[n];
+  double y[n];
+  int i;
+  int it;
+  for (i = 0; i < bins; i++) { hist[i] = 0.0; }
+  for (i = 0; i < n; i++) { x[i] = 1.0 * (i % 97); y[i] = 0.0; }
+  #pragma acc data copy(hist[0:bins]) copyin(x[0:n]) copy(y[0:n])
+  {
+    for (it = 0; it < 2; it++) {
+      #pragma acc parallel loop
+      for (i = 0; i < n; i++) {
+        int b = (i * 7 + it) % bins;
+        #pragma acc reductiontoarray(+: hist)
+        hist[b] += x[i];
+      }
+      #pragma acc parallel loop
+      for (i = 0; i < n; i++) { y[i] = y[i] + hist[i % bins] * 0.001; }
+    }
+  }
+}
+EOF
+dune exec bin/accc.exe -- run "$tmp/tree.c" --machine cluster:2x2 --coherence lazy \
+  --collective direct --overlap off --trace-json "$tmp/tree_trace.json" --blame > /dev/null
 dune exec bin/accc.exe -- serve samples/fleet.trace \
   --metrics "$tmp/fleet.prom" --trace-json "$tmp/fleet_trace.json" > /dev/null
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/run_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/barrier_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/reuse_trace.json"
+dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/tree_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- trace "$tmp/fleet_trace.json"
 dune exec tools/validate_obs/validate_obs.exe -- metrics "$tmp/fleet.prom"
 # The host-time recorder prints its table to stderr and leaves stdout,
